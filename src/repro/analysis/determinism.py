@@ -316,20 +316,25 @@ def check_fastpath_equivalence(
 
 def chaos_digest(scenario: str, seed: int, sanitize: bool = False) -> str:
     """Digest one chaos-campaign run of ``scenario`` under ``seed``."""
-    from repro.analysis.runtime import sanitized
-    from repro.chaos.campaign import SCENARIOS, run_scenario
+    from repro.analysis.runtime import maybe_sanitized
+    from repro.chaos.campaign import (
+        SCENARIOS,
+        _reference_run,
+        cached_reference,
+        run_scenario,
+    )
 
     spec = SCENARIOS[scenario]
+    # the clean reference is not digested: same-seed repeats share one
+    reference = cached_reference(_reference_run, spec, seed)
     captured: List[str] = []
-
-    def collect(runtime) -> None:
-        captured.append(runtime_digest(runtime))
-
-    if sanitize:
-        with sanitized():
-            run_scenario(spec, seed, collect_runtime=collect)
-    else:
-        run_scenario(spec, seed, collect_runtime=collect)
+    with maybe_sanitized(sanitize):
+        run_scenario(
+            spec,
+            seed,
+            reference=reference,
+            collect_runtime=lambda runtime: captured.append(runtime_digest(runtime)),
+        )
     return captured[0]
 
 
@@ -337,20 +342,17 @@ def overload_digest(
     scenario: str, seed: int, autoscale: bool = False, sanitize: bool = False
 ) -> str:
     """Digest one overload-scenario run of ``scenario`` under ``seed``."""
-    from repro.analysis.runtime import sanitized
+    from repro.analysis.runtime import maybe_sanitized
     from repro.chaos.overload import SCENARIOS, run_overload_scenario
 
-    spec = SCENARIOS[scenario]
     captured: List[str] = []
-
-    def collect(runtime) -> None:
-        captured.append(runtime_digest(runtime))
-
-    if sanitize:
-        with sanitized():
-            run_overload_scenario(spec, seed, autoscale=autoscale, collect_runtime=collect)
-    else:
-        run_overload_scenario(spec, seed, autoscale=autoscale, collect_runtime=collect)
+    with maybe_sanitized(sanitize):
+        run_overload_scenario(
+            SCENARIOS[scenario],
+            seed,
+            autoscale=autoscale,
+            collect_runtime=lambda runtime: captured.append(runtime_digest(runtime)),
+        )
     return captured[0]
 
 

@@ -57,6 +57,14 @@ CHC008 ``import socket`` / ``import pickle`` anywhere but
        faults. Any other module opening sockets would bypass the
        reconnect/backoff/fault-counter machinery the distributed-fabric
        evidence checks rely on.
+CHC009 A ``CampaignPool`` constructed anywhere but ``repro/parallel/``
+       (the pool and the one shared campaign runner),
+       ``repro/analysis/determinism.py`` (double-run cases are not
+       scenario sweeps) or benchmark code. A scenario family declares
+       itself to ``repro.parallel.campaign`` instead of fanning out its
+       own items: a second runner means a second copy of the work
+       function, merge order, failure taxonomy and payload envelope to
+       keep byte-identical.
 ====== =================================================================
 
 Suppression: append ``# chclint: disable=CHC003`` (comma-separate for
@@ -89,6 +97,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC006": "declarative NF touching state outside its declared match-action tables",
     "CHC007": "splitter membership or retirement mutated outside director/autoscaler APIs",
     "CHC008": "raw socket/pickle import outside repro.dist.transport",
+    "CHC009": "CampaignPool constructed outside the shared campaign runner",
 }
 
 #: Path fragments whose files may read the wall clock (CHC002 exempt):
@@ -222,6 +231,11 @@ def _exempt_codes(path: Path) -> Set[str]:
         exempt.add("CHC007")
     if path.name == "transport.py" and "dist" in parts:
         exempt.add("CHC008")
+    if (
+        parts & {"parallel", "benchmarks"}
+        or (path.name == "determinism.py" and "analysis" in parts)
+    ):
+        exempt.add("CHC009")
     return exempt
 
 
@@ -435,6 +449,15 @@ class _Checker(ast.NodeVisitor):
                 ".retire_instance(...) called directly — retirement must go "
                 "through the maintenance director or autoscaler, which drain "
                 "owned state via the Figure-4 handover first",
+            )
+        if _call_name(node) == "CampaignPool":
+            self.report(
+                node,
+                "CHC009",
+                "CampaignPool constructed outside repro.parallel — declare "
+                "a CampaignFamily and sweep it with "
+                "repro.parallel.campaign.run_campaign instead of growing "
+                "another harness",
             )
         self.generic_visit(node)
 

@@ -20,8 +20,8 @@ suite around hundreds of runs without per-run bookkeeping.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional
+from contextlib import contextmanager, nullcontext
+from typing import TYPE_CHECKING, ContextManager, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - the lazy import avoids a cycle
     from repro.analysis.sanitizers import SanitizerSuite
@@ -64,3 +64,9 @@ def sanitized(**kwargs) -> Iterator:
         yield suite
     finally:
         uninstall()
+
+
+def maybe_sanitized(enabled: bool) -> ContextManager[Optional["SanitizerSuite"]]:
+    """:func:`sanitized` when ``enabled``, else a no-op context yielding
+    ``None`` — one ``with`` for drivers whose ``--sanitize`` is a flag."""
+    return sanitized() if enabled else nullcontext()

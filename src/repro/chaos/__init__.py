@@ -15,18 +15,20 @@ Layers:
   :class:`~repro.simnet.failures.FailureInjector` with a configurable
   failure-detection model, executing schedules against a runtime;
 * :mod:`repro.chaos.invariants` — the post-run checkers;
-* :mod:`repro.chaos.campaign` — named scenarios, N-seed campaign driver
-  and the :class:`CampaignReport` the CLI serializes;
+* :mod:`repro.chaos.campaign` — named scenarios, the single-run driver
+  :func:`run_scenario`, and the chaos campaign family;
 * :mod:`repro.chaos.overload` — overload scenarios (§8): bursts, slow
-  stores and flash crowds, with shed accounting and the autoscaler loop.
+  stores and flash crowds, with shed accounting and the autoscaler loop,
+  and the overload campaign family.
+
+Sweeps run on the one shared harness, :mod:`repro.parallel.campaign`
+(``tools/campaign.py chaos`` / ``tools/campaign.py overload``).
 """
 
 from repro.chaos.campaign import (
-    CampaignReport,
     SCENARIOS,
     ScenarioOutcome,
     ScenarioSpec,
-    run_campaign,
     run_scenario,
 )
 from repro.chaos.director import ChaosDirector, DetectionModel
@@ -55,7 +57,6 @@ from repro.chaos.schedule import (
 )
 
 __all__ = [
-    "CampaignReport",
     "ChaosDirector",
     "CrashNF",
     "CrashRoot",
@@ -77,7 +78,6 @@ __all__ = [
     "check_sheds_accounted",
     "measure_load_point",
     "random_schedule",
-    "run_campaign",
     "run_overload_scenario",
     "run_scenario",
 ]

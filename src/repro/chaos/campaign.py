@@ -1,4 +1,4 @@
-"""Named chaos scenarios and the N-seed campaign driver.
+"""Named chaos scenarios and the chaos campaign family.
 
 A scenario = a fault schedule template + the invariant profile it must
 satisfy. :func:`run_scenario` executes one (seed, scenario) pair twice —
@@ -13,16 +13,18 @@ entry, cross-flow state at the sink) carrying ``N_PACKETS`` packets over
 so identities compare across runs even when a root failover shifts the
 clock space (footnote 5).
 
-:func:`run_campaign` sweeps seeds x scenarios and aggregates recovery-time
-distributions (Figure 8-style percentiles: 5/25/50/75/95) into a
-:class:`CampaignReport`, which ``tools/chaos_campaign.py`` serializes to
+:data:`FAMILY` declares the family to the shared harness
+(:mod:`repro.parallel.campaign`, ``tools/campaign.py chaos``), which sweeps
+seeds x scenarios; the family aggregates recovery-time distributions
+(Figure 8-style percentiles: 5/25/50/75/95) into the per-scenario rows of
 ``BENCH_recovery.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.director import ChaosDirector, DetectionModel
 from repro.chaos.invariants import (
@@ -42,7 +44,7 @@ from repro.chaos.schedule import (
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.core.nf_api import NetworkFunction, Output
-from repro.parallel import CampaignPool, InfraFailure, RunFailure
+from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 from repro.simnet.engine import Simulator
 from repro.simnet.monitor import PERCENTILES_FIG8, RecoveryTimeline, percentiles
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
@@ -114,12 +116,15 @@ def build_runtime(sim: Simulator, seed: int, **overrides) -> ChainRuntime:
     return ChainRuntime(sim, chain, params=RuntimeParams(**params))
 
 
-def inject_workload(sim: Simulator, runtime: ChainRuntime) -> None:
-    """Start the paced packet source (N_FLOWS flows, payload identities)."""
+def paced_source(
+    sim: Simulator, runtime: ChainRuntime, n_packets: int, name: str
+) -> None:
+    """Start a paced source of ``n_packets`` packets over N_FLOWS flows,
+    payload identities ``f<flow>-<seq>`` (shared with the ops campaign)."""
 
     def source():
         seq_per_flow = [0] * N_FLOWS
-        for index in range(N_PACKETS):
+        for index in range(n_packets):
             flow = index % N_FLOWS
             seq_per_flow[flow] += 1
             packet = Packet(
@@ -129,7 +134,12 @@ def inject_workload(sim: Simulator, runtime: ChainRuntime) -> None:
             runtime.inject(packet)
             yield sim.timeout(GAP_US)
 
-    sim.process(source(), name="chaos-source")
+    sim.process(source(), name=name)
+
+
+def inject_workload(sim: Simulator, runtime: ChainRuntime) -> None:
+    """Start the paced packet source (N_FLOWS flows, payload identities)."""
+    paced_source(sim, runtime, N_PACKETS, "chaos-source")
 
 
 # --- scenarios ----------------------------------------------------------
@@ -255,12 +265,34 @@ class ScenarioOutcome:
         return not self.violations
 
 
-def _reference_run(seed: int, spec: ScenarioSpec) -> RunSnapshot:
+def clean_run(
+    build_runtime: Callable, inject_workload: Callable, seed: int, spec: Any
+) -> RunSnapshot:
+    """The fault-free run of a workload that chaos (and ops) runs of
+    ``spec`` are checked against."""
     sim = Simulator()
     runtime = build_runtime(sim, seed, **spec.runtime_overrides)
     inject_workload(sim, runtime)
     sim.run(until=HORIZON_US)
     return snapshot_run(runtime)
+
+
+_reference_run = partial(clean_run, build_runtime, inject_workload)
+
+#: Per-process reference-run cache: one clean run per (workload, config,
+#: ref-seed), computed lazily inside whichever process needs it.
+#: Fork-spawned workers inherit the parent's warm entries; the cache is
+#: deterministic (a reference run is a pure function of its key), so
+#: sharing it across campaigns in one process is safe.
+_REFERENCE_CACHE: Dict[Tuple[Callable, str, int], RunSnapshot] = {}
+
+
+def cached_reference(reference_run: Callable, spec: Any, ref_seed: int) -> RunSnapshot:
+    """``reference_run(ref_seed, spec)``, at most once per process."""
+    key = (reference_run, repr(sorted(spec.runtime_overrides.items())), ref_seed)
+    if key not in _REFERENCE_CACHE:
+        _REFERENCE_CACHE[key] = reference_run(ref_seed, spec)
+    return _REFERENCE_CACHE[key]
 
 
 def run_scenario(
@@ -321,236 +353,108 @@ def run_scenario(
     )
 
 
-@dataclass
-class CampaignReport:
-    """Aggregated campaign results (what BENCH_recovery.json holds).
+# --- campaign family (repro.parallel.campaign, DESIGN.md §11.1) ----------
 
-    Three distinct failure populations (see :mod:`repro.parallel`):
-    ``violations`` (run finished, invariant broke), ``failures`` (the run
-    itself raised — recorded, remaining seeds kept running), and
-    ``infra_failures`` (the worker executing the run was lost). All
-    three make :attr:`ok` false; only violations indict the dataplane.
-    """
 
-    outcomes: List[ScenarioOutcome] = field(default_factory=list)
-    failures: List[RunFailure] = field(default_factory=list)
-    infra_failures: List[InfraFailure] = field(default_factory=list)
-    pool_stats: Optional[Dict[str, Any]] = None  # meta fragment, not payload
-    sanitizers: Optional[Dict[str, Any]] = None  # merged per-run reports
+def fig8_percentiles(samples: Sequence[float]) -> Dict[str, float]:
+    """Figure 8-style row (p5/p25/p50/p75/p95); ``{}`` for no samples, so
+    a scenario whose every run crashed still serializes."""
+    return {
+        f"p{int(q)}": round(v, 3)
+        for q, v in percentiles(samples, PERCENTILES_FIG8).items()
+    }
 
-    @property
-    def total_violations(self) -> int:
-        return sum(len(outcome.violations) for outcome in self.outcomes)
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.total_violations == 0
-            and not self.failures
-            and not self.infra_failures
+class ReferenceCheckedFamily(CampaignFamily):
+    """A family whose every run is checked against a clean reference run:
+    one per (config, first seed of the sweep), cached, serves every seed
+    (see :func:`run_scenario`). Items carry ``(ref_seed, variant)``."""
+
+    reference_run: Callable
+
+    def items(self, names, seeds, variant) -> List[WorkItem]:
+        return super().items(names, seeds, (seeds[0], variant)) if seeds else []
+
+    def reference(self, item: WorkItem) -> RunSnapshot:
+        return cached_reference(
+            self.reference_run, self.scenarios[item.scenario], item.variant[0]
         )
 
-    def recovery_samples(self) -> Dict[str, List[float]]:
-        """scenario -> every component recovery time (failed->recovered)."""
-        samples: Dict[str, List[float]] = {}
-        for outcome in self.outcomes:
-            samples.setdefault(outcome.scenario, []).extend(
-                outcome.recovery_us.values()
-            )
-        return samples
 
-    def protocol_samples(self) -> Dict[str, List[float]]:
-        samples: Dict[str, List[float]] = {}
-        for outcome in self.outcomes:
-            samples.setdefault(outcome.scenario, []).extend(
-                outcome.protocol_us.values()
-            )
-        return samples
+class ChaosFamily(ReferenceCheckedFamily):
+    """Chaos campaign: N seeds x the fault scenarios, every run checked against
+    the correctness invariants (loss-free state, exactly-once externalization,
+    per-flow ordering, no stranded ownership, drained root logs, completed
+    recoveries); records recovery-time distributions in BENCH_recovery.json."""
 
-    def as_dict(self) -> Dict[str, Any]:
-        per_scenario: Dict[str, Any] = {}
-        recovery = self.recovery_samples()
-        protocol = self.protocol_samples()
-        # every scenario that *attempted* a run gets a row, including one
-        # whose every run crashed (zero recoveries, zero percentiles —
-        # percentiles() on an empty sample set is {}, not an error)
-        names = sorted(
-            {o.scenario for o in self.outcomes}
-            | {f.scenario for f in self.failures}
-        )
-        for scenario in names:
-            samples = recovery.get(scenario, [])
-            entry: Dict[str, Any] = {
-                "runs": sum(o.scenario == scenario for o in self.outcomes),
-                "failed_runs": sum(
-                    f.scenario == scenario for f in self.failures
-                ),
-                "violations": sum(
-                    len(o.violations) for o in self.outcomes if o.scenario == scenario
-                ),
-                "recoveries": len(samples),
-            }
-            pct = percentiles(samples, PERCENTILES_FIG8)
-            if pct:
-                entry["recovery_us_percentiles"] = {
-                    f"p{int(q)}": round(v, 3) for q, v in pct.items()
-                }
-            proto_pct = percentiles(protocol.get(scenario, []), PERCENTILES_FIG8)
-            if proto_pct:
-                entry["protocol_us_percentiles"] = {
-                    f"p{int(q)}": round(v, 3) for q, v in proto_pct.items()
-                }
-            per_scenario[scenario] = entry
-        return {
-            "campaign": {
-                "runs": len(self.outcomes) + len(self.failures),
-                "completed": len(self.outcomes),
-                "failed_runs": len(self.failures),
-                "infra_failures": len(self.infra_failures),
-                "violations": self.total_violations,
-                "ok": self.ok,
-            },
-            "scenarios": per_scenario,
-            "violations": [
-                {
-                    "scenario": outcome.scenario,
-                    "seed": outcome.seed,
-                    **violation.as_dict(),
-                }
-                for outcome in self.outcomes
-                for violation in outcome.violations
-            ],
-            "failures": [failure.as_dict() for failure in self.failures],
-            "infra_failures": [
-                failure.as_dict() for failure in self.infra_failures
-            ],
+    name = "chaos"
+    output = "BENCH_recovery.json"
+    default_seeds = 20
+    scenarios = SCENARIOS
+    reference_run = staticmethod(_reference_run)
+
+    flags = {
+        "--detection-us": dict(
+            type=float,
+            default=0.0,
+            help="heartbeat interval in µs (0 = the paper's instantaneous detector)",
+        ),
+        "--detection-misses": dict(
+            type=int, default=1, help="missed heartbeats before declaring death"
+        ),
+    }
+
+    def options(self, args) -> Tuple[Optional[DetectionModel], Dict[str, Any]]:
+        detection = None
+        if args.detection_us > 0:
+            detection = DetectionModel(
+                heartbeat_interval_us=args.detection_us, misses=args.detection_misses
+            )
+        return detection, {
+            "detection_us": args.detection_us,
+            "detection_misses": args.detection_misses,
         }
 
-
-# --- parallel fan-out (repro.parallel, DESIGN.md §11) -------------------
-
-#: Per-process reference-run cache: one clean run per (config, ref-seed)
-#: pair, computed lazily inside whichever process needs it. Fork-spawned
-#: workers inherit the parent's warm entries; the cache is deterministic
-#: (a reference run is a pure function of its key), so sharing it across
-#: campaigns in one process is safe.
-_REFERENCE_CACHE: Dict[Tuple[str, int], RunSnapshot] = {}
-
-
-def _cached_reference(spec: ScenarioSpec, ref_seed: int) -> RunSnapshot:
-    config_key = repr(sorted(spec.runtime_overrides.items()))
-    key = (config_key, ref_seed)
-    if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = _reference_run(ref_seed, spec)
-    return _REFERENCE_CACHE[key]
-
-
-@dataclass
-class _CampaignItem:
-    """One (scenario, seed) work unit shipped to a pool worker."""
-
-    scenario: str
-    seed: int
-    ref_seed: int
-    detection: Optional[DetectionModel] = None
-    sanitize: bool = False
-
-    def __repr__(self) -> str:  # shows up in InfraFailure payload entries
-        return f"chaos:{self.scenario}/seed={self.seed}"
-
-
-def _campaign_work(
-    item: _CampaignItem,
-) -> Tuple[str, Union[ScenarioOutcome, RunFailure], Optional[Dict[str, Any]]]:
-    """Pool work function: run one item, never raise.
-
-    A run that raises becomes a ``("failure", RunFailure, report)``
-    record instead of aborting the campaign — the per-run isolation the
-    serial runner needs anyway and the pool requires (a raising work
-    function reads as an infra failure, which this is not).
-    """
-    spec = SCENARIOS[item.scenario]
-    sanitizer_report: Optional[Dict[str, Any]] = None
-    try:
-        reference = _cached_reference(spec, item.ref_seed)
-        if item.sanitize:
-            from repro.analysis.runtime import sanitized
-
-            with sanitized() as suite:
-                outcome = run_scenario(
-                    spec, item.seed, detection=item.detection, reference=reference
-                )
-                sanitizer_report = suite.report()
-        else:
-            outcome = run_scenario(
-                spec, item.seed, detection=item.detection, reference=reference
-            )
-        return ("outcome", outcome, sanitizer_report)
-    except Exception as exc:
-        failure = RunFailure(
-            scenario=item.scenario,
-            seed=item.seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return ("failure", failure, sanitizer_report)
-
-
-def run_campaign(
-    seeds: Sequence[int],
-    scenario_names: Optional[Sequence[str]] = None,
-    detection: Optional[DetectionModel] = None,
-    progress: Optional[Callable[[ScenarioOutcome], None]] = None,
-    jobs: Union[int, str] = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    sanitize: bool = False,
-) -> CampaignReport:
-    """Sweep ``seeds`` x the named scenarios (default: all).
-
-    ``jobs`` fans the independent (scenario, seed) items across worker
-    processes via :class:`repro.parallel.CampaignPool`; the report —
-    and therefore the BENCH payload — is byte-identical for any job
-    count because results are merged in submission order (the serial
-    loop's order). A run that raises is recorded as a
-    :class:`~repro.parallel.RunFailure`; a worker that crashes or hangs
-    past ``timeout_s`` is recorded as an
-    :class:`~repro.parallel.InfraFailure`. Either makes the report not
-    ``ok`` without stopping the sweep.
-    """
-    names = list(scenario_names or SCENARIOS)
-    ref_seed = seeds[0] if len(seeds) else 0
-    items = [
-        _CampaignItem(
-            scenario=name,
-            seed=seed,
-            ref_seed=ref_seed,
+    def run(self, item: WorkItem, reference: RunSnapshot) -> ScenarioOutcome:
+        _ref_seed, detection = item.variant
+        return run_scenario(
+            self.scenarios[item.scenario],
+            item.seed,
             detection=detection,
-            sanitize=sanitize,
+            reference=reference,
         )
-        for name in names
-        for seed in seeds
-    ]
-    pool = CampaignPool(jobs=jobs, timeout_s=timeout_s, retries=retries)
 
-    def on_result(result) -> None:
-        if progress is not None and result.value[0] == "outcome":
-            progress(result.value[1])
+    def aggregate(self, report: CampaignReport) -> Dict[str, Any]:
+        rows: Dict[str, Any] = {}
+        for scenario, (outcomes, row) in report.by_scenario().items():
+            # every component recovery time: failed -> recovered, and the
+            # protocol's own share of it (recovery_started -> recovered)
+            recovery = [us for o in outcomes for us in o.recovery_us.values()]
+            protocol = [us for o in outcomes for us in o.protocol_us.values()]
+            row["recoveries"] = len(recovery)
+            if recovery:
+                row["recovery_us_percentiles"] = fig8_percentiles(recovery)
+            if protocol:
+                row["protocol_us_percentiles"] = fig8_percentiles(protocol)
+            rows[scenario] = row
+        return {"scenarios": rows}
 
-    pooled = pool.map(_campaign_work, items, progress=on_result)
+    def render(self, payload: Dict[str, Any]) -> str:
+        lines = [
+            "chaos campaign (times in simulated microseconds)",
+            f"{'scenario':<16} {'runs':>5} {'fail':>5} {'recov':>6} {'viol':>5}"
+            f" {'p5':>8} {'p50':>8} {'p95':>8}",
+        ]
+        for name, row in payload["scenarios"].items():
+            pct = row.get("recovery_us_percentiles", {})
+            lines.append(
+                f"{name:<16} {row['runs']:>5} {row['failed_runs']:>5}"
+                f" {row['recoveries']:>6}"
+                f" {row['violations']:>5}"
+                f" {pct.get('p5', '-'):>8} {pct.get('p50', '-'):>8}"
+                f" {pct.get('p95', '-'):>8}"
+            )
+        return "\n".join(lines)
 
-    from repro.parallel import merge_sanitizer_reports
 
-    report = CampaignReport(
-        infra_failures=list(pooled.infra_failures),
-        pool_stats=pooled.stats(),
-        sanitizers=merge_sanitizer_reports(
-            result.value[2] for result in pooled.results
-        ),
-    )
-    for result in pooled.results:  # submission order == serial order
-        kind, payload, _sanitizer = result.value
-        if kind == "outcome":
-            report.outcomes.append(payload)
-        else:
-            report.failures.append(payload)
-    return report
+FAMILY = ChaosFamily()

@@ -19,13 +19,15 @@ Three named scenarios:
 
 Every scenario runs with the autoscaler either off (graceful degradation)
 or on (elastic recovery); :func:`measure_load_point` supports the
-goodput-vs-offered-load knee sweep in ``tools/overload_campaign.py``.
+goodput-vs-offered-load knee sweep. :data:`FAMILY` declares both to the
+shared harness (:mod:`repro.parallel.campaign`, ``tools/campaign.py
+overload``), which writes ``BENCH_overload.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.campaign import EntryCounterNF, SinkCounterNF
 from repro.chaos.invariants import (
@@ -43,12 +45,7 @@ from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.core.nf_api import Output
 from repro.core.vertex_manager import default_scaling_logic
-from repro.parallel import (
-    CampaignPool,
-    InfraFailure,
-    RunFailure,
-    merge_sanitizer_reports,
-)
+from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 from repro.simnet.engine import Simulator
 from repro.simnet.monitor import percentiles
 from repro.traffic.packet import FiveTuple, Packet
@@ -319,24 +316,6 @@ class OverloadOutcome:
     def ok(self) -> bool:
         return not self.violations
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "autoscale": self.autoscale,
-            "injected": self.injected,
-            "egressed": self.egressed,
-            "sheds": self.sheds,
-            "goodput_ratio": round(self.goodput_ratio, 4),
-            "sojourn_p50_us": self.sojourn_p50_us,
-            "sojourn_p95_us": self.sojourn_p95_us,
-            "store_overload_rejections": self.store_overload_rejections,
-            "stale_reads": self.stale_reads,
-            "breaker_opens": self.breaker_opens,
-            "autoscaler": self.autoscaler,
-            "violations": [v.as_dict() for v in self.violations],
-        }
-
 
 def check_overload_invariants(
     runtime: ChainRuntime, injected: int
@@ -474,160 +453,31 @@ def measure_load_point(
     }
 
 
-# --- campaign driver (parallel fabric, DESIGN.md §11) --------------------
+# --- campaign family (repro.parallel.campaign, DESIGN.md §11.1) ----------
 
 #: Offered-load multipliers for the goodput-knee sweep.
 SWEEP_MULTIPLIERS: Tuple[float, ...] = (0.6, 1.0, 1.4, 2.0)
 
 
 @dataclass
-class _OverloadItem:
-    """One work unit: either an invariant run or a knee sweep point."""
+class KneePoint:
+    """One knee-sweep measurement, shaped like an outcome for the report."""
 
-    kind: str  # "run" | "knee"
+    scenario: str  # "knee-<multiplier>x"
     seed: int
-    autoscale: bool
-    scenario: str = ""  # kind == "run"
-    multiplier: float = 0.0  # kind == "knee"
-    sanitize: bool = False
-
-    def __repr__(self) -> str:
-        if self.kind == "run":
-            return (
-                f"overload:{self.scenario}/auto="
-                f"{str(self.autoscale).lower()}/seed={self.seed}"
-            )
-        return (
-            f"overload:knee-{self.multiplier}x/auto="
-            f"{str(self.autoscale).lower()}"
-        )
-
-
-def _overload_work(
-    item: _OverloadItem,
-) -> Tuple[str, Any, Optional[Dict[str, Any]]]:
-    """Pool work function: run one item, never raise (per-run isolation)."""
-    sanitizer_report: Optional[Dict[str, Any]] = None
-    try:
-        if item.sanitize:
-            from repro.analysis.runtime import sanitized
-
-            with sanitized() as suite:
-                value = _overload_item_body(item)
-                sanitizer_report = suite.report()
-        else:
-            value = _overload_item_body(item)
-        return (item.kind, value, sanitizer_report)
-    except Exception as exc:
-        failure = RunFailure(
-            scenario=(
-                item.scenario if item.kind == "run" else f"knee-{item.multiplier}x"
-            ),
-            seed=item.seed,
-            error=f"{type(exc).__name__}: {exc}",
-            context={"autoscale": item.autoscale, "kind": item.kind},
-        )
-        return ("failure", failure, sanitizer_report)
-
-
-def _overload_item_body(item: _OverloadItem):
-    if item.kind == "run":
-        spec = OVERLOAD_SCENARIOS[item.scenario]
-        return run_overload_scenario(spec, item.seed, autoscale=item.autoscale)
-    return measure_load_point(item.multiplier, item.autoscale, seed=item.seed)
-
-
-@dataclass
-class OverloadCampaignResult:
-    """Everything ``tools/overload_campaign.py`` serializes."""
-
-    outcomes: List[OverloadOutcome] = field(default_factory=list)
-    knee: List[Dict[str, Any]] = field(default_factory=list)
-    failures: List[RunFailure] = field(default_factory=list)
-    infra_failures: List[InfraFailure] = field(default_factory=list)
-    pool_stats: Optional[Dict[str, Any]] = None
-    sanitizers: Optional[Dict[str, Any]] = None
+    point: Dict[str, Any]  # the measure_load_point() row, serialized as is
 
     @property
-    def total_violations(self) -> int:
-        return sum(len(o.violations) for o in self.outcomes) + sum(
-            len(point["violations"]) for point in self.knee
-        )
+    def violations(self) -> List[Dict[str, Any]]:
+        return self.point["violations"]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.total_violations == 0
-            and not self.failures
-            and not self.infra_failures
-        )
+        return not self.violations
 
 
-def run_overload_campaign(
-    seeds: Sequence[int],
-    scenario_names: Optional[Sequence[str]] = None,
-    sweep: bool = True,
-    sweep_multipliers: Sequence[float] = SWEEP_MULTIPLIERS,
-    progress: Optional[Callable[[str, Any], None]] = None,
-    jobs: Union[int, str] = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    sanitize: bool = False,
-) -> OverloadCampaignResult:
-    """Seeds x scenarios x autoscale off/on, plus the optional knee sweep.
-
-    Work items fan across :class:`repro.parallel.CampaignPool` workers;
-    the merged result lists are in the serial loop's order for any job
-    count. ``progress`` (if given) is called as ``progress(kind, value)``
-    with kind ``"run"`` or ``"knee"`` in completion order.
-    """
-    names = list(scenario_names or sorted(OVERLOAD_SCENARIOS))
-    items: List[_OverloadItem] = [
-        _OverloadItem(
-            kind="run",
-            scenario=name,
-            seed=seed,
-            autoscale=autoscale,
-            sanitize=sanitize,
-        )
-        for name in names
-        for autoscale in (False, True)
-        for seed in seeds
-    ]
-    if sweep:
-        items += [
-            _OverloadItem(
-                kind="knee",
-                seed=0,
-                autoscale=autoscale,
-                multiplier=multiplier,
-                sanitize=sanitize,
-            )
-            for multiplier in sweep_multipliers
-            for autoscale in (False, True)
-        ]
-
-    pool = CampaignPool(jobs=jobs, timeout_s=timeout_s, retries=retries)
-
-    def on_result(result) -> None:
-        if progress is not None and result.value[0] != "failure":
-            progress(result.value[0], result.value[1])
-
-    pooled = pool.map(_overload_work, items, progress=on_result)
-    result = OverloadCampaignResult(
-        infra_failures=list(pooled.infra_failures),
-        pool_stats=pooled.stats(),
-        sanitizers=merge_sanitizer_reports(r.value[2] for r in pooled.results),
-    )
-    for work in pooled.results:  # submission order == serial order
-        kind, value, _sanitizer = work.value
-        if kind == "run":
-            result.outcomes.append(value)
-        elif kind == "knee":
-            result.knee.append(value)
-        else:
-            result.failures.append(value)
-    return result
+def _auto(autoscale: Any) -> str:
+    return str(autoscale).lower()
 
 
 def _mean(values: Sequence[Optional[float]]) -> Optional[float]:
@@ -635,83 +485,165 @@ def _mean(values: Sequence[Optional[float]]) -> Optional[float]:
     return round(sum(present) / len(present), 4) if present else None
 
 
-def aggregate_overload_payload(result: OverloadCampaignResult) -> Dict[str, Any]:
-    """The BENCH_overload payload body (everything but ``meta``).
+class OverloadFamily(CampaignFamily):
+    """Overload campaign, two parts. Invariant campaign: N seeds x the overload
+    scenarios, each with the autoscaler off and on, every run checked for shed
+    accounting (no silent loss), exactly-once externalization, per-flow
+    ordering, no stranded ownership, drained root logs and zero flush give-ups.
+    Knee sweep: goodput / latency / shed rate at steady offered loads around
+    nominal capacity, autoscaler off vs on — the off-knee sits near 1.0x; with
+    the autoscaler it moves right because scale-out via the Figure-4 handover
+    adds real capacity. Records BENCH_overload.json."""
 
-    Deterministic given the result lists: groups are emitted key-sorted
-    and every mean/rate guards the empty and all-failed cases (a group
-    whose every run crashed contributes ``runs: 0`` and null means, not
-    a ZeroDivisionError).
-    """
-    per_group: Dict[str, List[OverloadOutcome]] = {}
-    for outcome in result.outcomes:
-        key = f"{outcome.scenario}/auto={str(outcome.autoscale).lower()}"
-        per_group.setdefault(key, []).append(outcome)
-    failed_groups: Dict[str, int] = {}
-    for failure in result.failures:
-        if failure.context.get("kind") == "run":
-            key = (
-                f"{failure.scenario}/auto="
-                f"{str(failure.context.get('autoscale')).lower()}"
-            )
-            failed_groups[key] = failed_groups.get(key, 0) + 1
-    scenarios_payload: Dict[str, Any] = {}
-    for key in sorted(set(per_group) | set(failed_groups)):
-        group = per_group.get(key, [])
-        entry: Dict[str, Any] = {
-            "scenario": group[0].scenario if group else key.split("/", 1)[0],
-            "autoscale": group[0].autoscale if group else key.endswith("true"),
-            "runs": len(group),
-            "failed_runs": failed_groups.get(key, 0),
-            "violations": sum(len(o.violations) for o in group),
-            "goodput_ratio_mean": _mean([o.goodput_ratio for o in group]),
-            "shed_rate_mean": _mean(
-                [
-                    (sum(o.sheds.values()) / o.injected) if o.injected else 0.0
-                    for o in group
-                ]
-            ),
-            "sojourn_p50_us_mean": _mean([o.sojourn_p50_us for o in group]),
-            "sojourn_p95_us_mean": _mean([o.sojourn_p95_us for o in group]),
-            "stale_reads_total": sum(o.stale_reads for o in group),
-            "breaker_opens_total": sum(o.breaker_opens for o in group),
-            "store_overload_rejections_total": sum(
-                o.store_overload_rejections for o in group
-            ),
-            "scale_outs_total": sum(
-                o.autoscaler["scale_outs"] for o in group if o.autoscaler
-            ),
-            "scale_ins_total": sum(
-                o.autoscaler["scale_ins"] for o in group if o.autoscaler
-            ),
-            "store_scale_outs_total": sum(
-                o.autoscaler["store_scale_outs"] for o in group if o.autoscaler
-            ),
-        }
-        scenarios_payload[key] = entry
-    return {
-        "campaign": {
-            "runs": len(result.outcomes) + len(result.failures),
-            "completed": len(result.outcomes),
-            "failed_runs": len(result.failures),
-            "infra_failures": len(result.infra_failures),
-            "violations": result.total_violations,
-            "ok": result.ok,
-        },
-        "scenarios": scenarios_payload,
-        "knee": result.knee,
-        "violations": [
-            {
-                "scenario": o.scenario,
-                "seed": o.seed,
-                "autoscale": o.autoscale,
-                **v.as_dict(),
-            }
-            for o in result.outcomes
-            for v in o.violations
-        ],
-        "failures": [failure.as_dict() for failure in result.failures],
-        "infra_failures": [
-            failure.as_dict() for failure in result.infra_failures
-        ],
+    name = "overload"
+    output = "BENCH_overload.json"
+    scenarios = dict(sorted(SCENARIOS.items()))  # swept (and recorded) by name
+
+    flags = {
+        "--no-sweep": dict(
+            action="store_true",
+            help="skip the goodput-knee load sweep (faster; CI smoke)",
+        )
     }
+
+    def options(self, args) -> Tuple[Tuple[float, ...], Dict[str, Any]]:
+        multipliers = () if args.no_sweep else SWEEP_MULTIPLIERS
+        return multipliers, {"sweep_multipliers": list(multipliers)}
+
+    def items(self, names, seeds, variant) -> List[WorkItem]:
+        """Seeds x scenarios x autoscale off/on, then one knee point per
+        multiplier in ``variant`` (default: :data:`SWEEP_MULTIPLIERS`; empty
+        skips the sweep) x off/on."""
+        multipliers = SWEEP_MULTIPLIERS if variant is None else variant
+        runs = [
+            WorkItem(
+                self.name,
+                name,
+                seed,
+                variant=autoscale,
+                context={"autoscale": autoscale, "kind": "run"},
+                label=f"overload:{name}/auto={_auto(autoscale)}/seed={seed}",
+            )
+            for name in names
+            for autoscale in (False, True)
+            for seed in seeds
+        ]
+        knee = [
+            WorkItem(
+                self.name,
+                f"knee-{multiplier}x",
+                0,
+                variant=(multiplier, autoscale),
+                kind="knee",
+                context={"autoscale": autoscale, "kind": "knee"},
+                label=f"overload:knee-{multiplier}x/auto={_auto(autoscale)}",
+            )
+            for multiplier in multipliers
+            for autoscale in (False, True)
+        ]
+        return runs + knee
+
+    def run(self, item: WorkItem, reference: Any) -> Any:
+        if item.kind == "knee":
+            multiplier, autoscale = item.variant
+            point = measure_load_point(multiplier, autoscale, seed=item.seed)
+            return KneePoint(item.scenario, item.seed, point)
+        return run_overload_scenario(
+            self.scenarios[item.scenario], item.seed, autoscale=item.variant
+        )
+
+    def status(self, outcome: Any) -> str:
+        row = outcome.point if isinstance(outcome, KneePoint) else vars(outcome)
+        return (
+            f"auto={_auto(row['autoscale']):<5}"
+            f" goodput={row['goodput_ratio']:.3f} {super().status(outcome)}"
+        )
+
+    def qualifiers(self, outcome: OverloadOutcome) -> Dict[str, Any]:
+        return {"autoscale": outcome.autoscale}
+
+    def aggregate(self, report: CampaignReport) -> Dict[str, Any]:
+        """One row per (scenario, autoscale) group, plus the knee points.
+
+        Deterministic given the report lists: groups are emitted
+        key-sorted and every mean/rate guards the empty and all-failed
+        cases (a group whose every run crashed contributes ``runs: 0``
+        and null means, not a ZeroDivisionError).
+        """
+        groups: Dict[str, List[OverloadOutcome]] = {}
+        for outcome in report.outcomes:
+            key = f"{outcome.scenario}/auto={_auto(outcome.autoscale)}"
+            groups.setdefault(key, []).append(outcome)
+        failed: Dict[str, int] = {}
+        for failure in report.failures:
+            if failure.context["kind"] == "run":
+                key = f"{failure.scenario}/auto={_auto(failure.context['autoscale'])}"
+                failed[key] = failed.get(key, 0) + 1
+        rows: Dict[str, Any] = {}
+        for key in sorted(set(groups) | set(failed)):
+            group = groups.get(key, [])
+            scaled = [o.autoscaler for o in group if o.autoscaler]
+            scenario, _, auto = key.partition("/auto=")
+            rows[key] = {
+                "scenario": scenario,
+                "autoscale": auto == "true",
+                "runs": len(group),
+                "failed_runs": failed.get(key, 0),
+                "violations": sum(len(o.violations) for o in group),
+                "goodput_ratio_mean": _mean([o.goodput_ratio for o in group]),
+                "shed_rate_mean": _mean(
+                    [
+                        (sum(o.sheds.values()) / o.injected) if o.injected else 0.0
+                        for o in group
+                    ]
+                ),
+                "sojourn_p50_us_mean": _mean([o.sojourn_p50_us for o in group]),
+                "sojourn_p95_us_mean": _mean([o.sojourn_p95_us for o in group]),
+                "stale_reads_total": sum(o.stale_reads for o in group),
+                "breaker_opens_total": sum(o.breaker_opens for o in group),
+                "store_overload_rejections_total": sum(
+                    o.store_overload_rejections for o in group
+                ),
+                "scale_outs_total": sum(a["scale_outs"] for a in scaled),
+                "scale_ins_total": sum(a["scale_ins"] for a in scaled),
+                "store_scale_outs_total": sum(a["store_scale_outs"] for a in scaled),
+            }
+        return {
+            "scenarios": rows,
+            "knee": [measured.point for measured in report.measurements],
+        }
+
+    def render(self, payload: Dict[str, Any]) -> str:
+        lines = [
+            "overload campaign (times in simulated microseconds)",
+            f"{'scenario':<16} {'auto':<5} {'runs':>5} {'fail':>5} {'viol':>5}"
+            f" {'goodput':>8} {'shed':>7} {'p95':>9}",
+        ]
+        for row in payload["scenarios"].values():
+            goodput = row["goodput_ratio_mean"]
+            shed = row["shed_rate_mean"]
+            lines.append(
+                f"{row['scenario']:<16} {_auto(row['autoscale']):<5}"
+                f" {row['runs']:>5} {row['failed_runs']:>5}"
+                f" {row['violations']:>5}"
+                f" {goodput if goodput is not None else '-':>8}"
+                f" {shed if shed is not None else '-':>7}"
+                f" {row['sojourn_p95_us_mean'] or '-':>9}"
+            )
+        if payload["knee"]:
+            lines.append("")
+            lines.append(f"{'offered':>8} {'auto-off':>9} {'auto-on':>9}")
+            by_mult: Dict[float, Dict[bool, Dict[str, Any]]] = {}
+            for point in payload["knee"]:
+                by_mult.setdefault(point["multiplier"], {})[point["autoscale"]] = point
+            for mult in sorted(by_mult):
+                off = by_mult[mult].get(False, {})
+                on = by_mult[mult].get(True, {})
+                lines.append(
+                    f"{mult:>7}x {off.get('goodput_ratio', '-'):>9}"
+                    f" {on.get('goodput_ratio', '-'):>9}"
+                )
+        return "\n".join(lines)
+
+
+FAMILY = OverloadFamily()

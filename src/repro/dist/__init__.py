@@ -19,8 +19,10 @@ package re-hosts the same engine, unchanged, across OS process boundaries:
   restarts victims, and runs the PR-3 invariant checkers across process
   boundaries at quiescence.
 
-``tools/dist_campaign.py`` sweeps seeds x scenarios on the §11 CampaignPool
-conventions and writes ``BENCH_dist.json``.
+* :mod:`repro.dist.campaign` — the campaign family: ``tools/campaign.py
+  dist`` sweeps seeds x scenarios on the one shared harness
+  (:mod:`repro.parallel.campaign`, DESIGN.md §11.1) and writes
+  ``BENCH_dist.json``.
 """
 
 from repro.dist.transport import (  # noqa: F401

@@ -1,13 +1,18 @@
-"""Campaign sweep over the distributed fabric's fault scenarios.
+"""The distributed fabric's campaign family (DESIGN.md §13.6).
 
-Fans (scenario, seed) pairs across worker processes with the same
-:class:`~repro.parallel.CampaignPool` conventions every other campaign
-uses (DESIGN.md §11): submission-order merge, the three-way failure
-taxonomy (invariant violation / :class:`~repro.parallel.RunFailure` /
+:data:`FAMILY` declares the real-process fault scenarios
+(:data:`~repro.dist.fabric.DIST_SCENARIOS`) to the shared harness
+(:mod:`repro.parallel.campaign`, ``tools/campaign.py dist``), so they sweep
+on the same conventions as every other campaign (DESIGN.md §11):
+submission-order merge, the three-way failure taxonomy (invariant
+violation / :class:`~repro.parallel.RunFailure` /
 :class:`~repro.parallel.InfraFailure`), per-run timeout and crash
-quarantine. Each work item is heavyweight — one fabric run spawns a
+quarantine. :class:`~repro.dist.fabric.FabricError` is already folded
+into ``DistOutcome.infra_error`` (and ``DistOutcome.ok``) by the fabric
+itself; anything else escaping a run is a harness bug recorded as a
+``RunFailure``. Each work item is heavyweight — one fabric run spawns a
 store process and N shard processes of its own — so job counts here
-multiply OS processes, not just Python interpreters.
+multiply OS processes, not just Python interpreters: jobs x (shards + 2).
 
 One honest deviation from §11: fabric runs measure *real* elapsed time
 and real socket behaviour, so per-run ``duration_s`` and transport
@@ -19,177 +24,117 @@ fields of the other campaigns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Tuple
 
 from repro.dist.fabric import DIST_SCENARIOS, DistOutcome, run_dist_scenario
-from repro.parallel import CampaignPool, InfraFailure, RunFailure
+from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 
-__all__ = [
-    "DistCampaignReport",
-    "run_dist_campaign",
-]
+__all__ = ["FAMILY", "DistFamily"]
 
-
-@dataclass
-class _DistItem:
-    scenario: str
-    seed: int
-    n_shards: int
-    n_packets: int
-    n_flows: int
-    deadline_s: float
-
-    def __repr__(self) -> str:  # shows up in InfraFailure payload entries
-        return f"dist:{self.scenario}/seed={self.seed}"
+N_SHARDS = 2
+#: (packets, flows) per shard workload: full size, and the CI smoke's
+WORKLOAD = (48, 4)
+QUICK_WORKLOAD = (24, 3)
+QUICK_SEEDS = 2
+DEADLINE_S = 90.0
 
 
-def _campaign_work(item: _DistItem) -> Tuple[str, Union[DistOutcome, RunFailure]]:
-    """Pool work function: run one fabric item, never raise.
+class DistFamily(CampaignFamily):
+    """Distributed-fabric fault campaign: N seeds x a clean run, SIGKILL of a
+    shard, SIGKILL of the store, a connection partition and a half-open stall,
+    each as real OS processes over real localhost TCP. Every run is checked
+    with the invariant battery across process boundaries against an in-process
+    reference replay of its own injection ledger, and every fault must leave
+    real-world evidence (pid histories, RST / refused-connect counters) or it
+    is a violation. Records BENCH_dist.json."""
 
-    :class:`~repro.dist.fabric.FabricError` is already folded into
-    ``DistOutcome.infra_error`` by the fabric itself; anything else
-    escaping is a harness bug recorded as a ``RunFailure``.
-    """
-    try:
-        outcome = run_dist_scenario(
-            item.scenario,
-            item.seed,
-            n_shards=item.n_shards,
-            n_packets=item.n_packets,
-            n_flows=item.n_flows,
-            deadline_s=item.deadline_s,
+    name = "dist"
+    output = "BENCH_dist.json"
+    scenarios = dict(sorted(DIST_SCENARIOS.items()))  # swept (and recorded) by name
+    sanitizable = False  # the runs live in child processes
+    run_timeout_s = 180.0
+
+    flags = {
+        "--quick": dict(
+            action="store_true",
+            help="CI smoke: 2 seeds, 24 packets x 3 flows, all scenarios",
         )
-        return ("outcome", outcome)
-    except Exception as exc:
-        return (
-            "failure",
-            RunFailure(
-                scenario=item.scenario,
-                seed=item.seed,
-                error=f"{type(exc).__name__}: {exc}",
-            ),
-        )
+    }
 
-
-@dataclass
-class DistCampaignReport:
-    """Merged results of one distributed-fabric sweep."""
-
-    outcomes: List[DistOutcome] = field(default_factory=list)
-    failures: List[RunFailure] = field(default_factory=list)
-    infra_failures: List[InfraFailure] = field(default_factory=list)
-    pool_stats: Optional[Dict[str, Any]] = None
-
-    @property
-    def total_violations(self) -> int:
-        return sum(len(outcome.violations) for outcome in self.outcomes)
-
-    @property
-    def fabric_infra_errors(self) -> List[DistOutcome]:
-        return [o for o in self.outcomes if o.infra_error is not None]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.total_violations == 0
-            and not self.fabric_infra_errors
-            and not self.failures
-            and not self.infra_failures
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        scenarios: Dict[str, Dict[str, Any]] = {}
-        for outcome in self.outcomes:
-            row = scenarios.setdefault(
-                outcome.scenario,
-                {
-                    "runs": 0,
-                    "ok_runs": 0,
-                    "violations": 0,
-                    "infra_errors": 0,
-                    "retransmissions": 0,
-                    "socket_resets": 0,
-                    "respawned_children": 0,
-                    "duration_s_total": 0.0,
-                },
-            )
-            row["runs"] += 1
-            row["ok_runs"] += 1 if outcome.ok else 0
-            row["violations"] += len(outcome.violations)
-            row["infra_errors"] += 1 if outcome.infra_error else 0
-            row["duration_s_total"] = round(
-                row["duration_s_total"] + outcome.duration_s, 3
-            )
-            for shard in outcome.per_shard.values():
-                row["retransmissions"] += shard.get("retransmissions", 0)
-            for conn in outcome.evidence.get("socket_faults", {}).values():
-                row["socket_resets"] += conn.get("resets", 0)
-            for pids in outcome.evidence.get("pids", {}).values():
-                row["respawned_children"] += max(0, len(set(pids)) - 1)
-        return {
-            "scenarios": {name: scenarios[name] for name in sorted(scenarios)},
-            "runs": [outcome.as_dict() for outcome in self.outcomes],
-            "violations": [
-                {
-                    "scenario": outcome.scenario,
-                    "seed": outcome.seed,
-                    **violation.as_dict(),
-                }
-                for outcome in self.outcomes
-                for violation in outcome.violations
-            ],
-            "failures": [failure.as_dict() for failure in self.failures],
-            "infra_failures": [
-                failure.as_dict() for failure in self.infra_failures
-            ],
+    def options(self, args: Any) -> Tuple[Tuple[int, int], Dict[str, Any]]:
+        if args.quick:
+            args.seeds = min(args.seeds, QUICK_SEEDS)
+        workload = QUICK_WORKLOAD if args.quick else WORKLOAD
+        packets, flows = workload
+        return workload, {
+            "shards": N_SHARDS,
+            "packets": packets,
+            "flows": flows,
+            "quick": args.quick,
         }
 
-
-def run_dist_campaign(
-    seeds: Sequence[int],
-    scenario_names: Optional[Sequence[str]] = None,
-    jobs: Union[int, str, None] = "1",
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    progress: Optional[Callable[[DistOutcome], None]] = None,
-    n_shards: int = 2,
-    n_packets: int = 48,
-    n_flows: int = 4,
-    deadline_s: float = 90.0,
-) -> DistCampaignReport:
-    """Sweep ``seeds`` x the named fault scenarios (default: all)."""
-    names = list(scenario_names) if scenario_names else sorted(DIST_SCENARIOS)
-    for name in names:
-        if name not in DIST_SCENARIOS:
-            raise ValueError(f"unknown dist scenario {name!r}")
-    items = [
-        _DistItem(
-            scenario=name,
-            seed=seed,
-            n_shards=n_shards,
+    def run(self, item: WorkItem, reference: Any) -> DistOutcome:
+        n_packets, n_flows = item.variant or WORKLOAD
+        return run_dist_scenario(
+            item.scenario,
+            item.seed,
+            n_shards=N_SHARDS,
             n_packets=n_packets,
             n_flows=n_flows,
-            deadline_s=deadline_s,
+            deadline_s=DEADLINE_S,
         )
-        for name in names
-        for seed in seeds
-    ]
-    pool = CampaignPool(jobs=jobs, timeout_s=timeout_s, retries=retries)
 
-    def on_result(result) -> None:
-        if progress is not None and result.value[0] == "outcome":
-            progress(result.value[1])
+    def status(self, outcome: DistOutcome) -> str:
+        mark = (
+            f"INFRA: {outcome.infra_error}"
+            if outcome.infra_error is not None
+            else super().status(outcome)
+        )
+        return f"{outcome.duration_s:5.1f}s {mark}"
 
-    pooled = pool.map(_campaign_work, items, progress=on_result)
-    report = DistCampaignReport(
-        infra_failures=list(pooled.infra_failures),
-        pool_stats=pooled.stats(),
-    )
-    for result in pooled.results:  # submission order == serial order
-        kind, payload = result.value
-        if kind == "outcome":
-            report.outcomes.append(payload)
-        else:
-            report.failures.append(payload)
-    return report
+    def aggregate(self, report: CampaignReport) -> Dict[str, Any]:
+        rows: Dict[str, Any] = {}
+        for scenario, (outcomes, row) in report.by_scenario().items():
+            evidence = [o.evidence for o in outcomes]
+            row["ok_runs"] = sum(o.ok for o in outcomes)
+            row["infra_errors"] = sum(o.infra_error is not None for o in outcomes)
+            row["retransmissions"] = sum(
+                shard.get("retransmissions", 0)
+                for o in outcomes
+                for shard in o.per_shard.values()
+            )
+            row["socket_resets"] = sum(
+                conn.get("resets", 0)
+                for found in evidence
+                for conn in found.get("socket_faults", {}).values()
+            )
+            row["respawned_children"] = sum(
+                max(0, len(set(pids)) - 1)
+                for found in evidence
+                for pids in found.get("pids", {}).values()
+            )
+            row["duration_s_total"] = round(sum(o.duration_s for o in outcomes), 3)
+            rows[scenario] = row
+        return {
+            "scenarios": rows,
+            "runs": [outcome.as_dict() for outcome in report.outcomes],
+        }
+
+    def render(self, payload: Dict[str, Any]) -> str:
+        lines = [
+            "distributed fabric campaign (real processes, real sockets)",
+            f"{'scenario':<12} {'runs':>5} {'fail':>5} {'ok':>4} {'viol':>5}"
+            f" {'infra':>6} {'rexmit':>7} {'resets':>7} {'respawn':>8} {'wall_s':>7}",
+        ]
+        for name, row in payload["scenarios"].items():
+            lines.append(
+                f"{name:<12} {row['runs']:>5} {row['failed_runs']:>5}"
+                f" {row['ok_runs']:>4} {row['violations']:>5}"
+                f" {row['infra_errors']:>6} {row['retransmissions']:>7}"
+                f" {row['socket_resets']:>7} {row['respawned_children']:>8}"
+                f" {row['duration_s_total']:>7}"
+            )
+        return "\n".join(lines)
+
+
+FAMILY = DistFamily()

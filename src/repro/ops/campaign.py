@@ -1,4 +1,4 @@
-"""Named planned-operation scenarios and the N-seed ops campaign driver.
+"""Named planned-operation scenarios and the ops campaign family.
 
 The chaos campaign's mirror image: instead of a fault schedule, every
 scenario runs a *maintenance plan* — a
@@ -23,16 +23,26 @@ the spliced vertex's keys (the reference run never ran the edit);
 everything else — egress identities, per-flow order, ownership — must
 still match exactly.
 
-``tools/ops_campaign.py`` serializes :class:`OpsCampaignReport` to
+:data:`FAMILY` declares the family to the shared harness
+(:mod:`repro.parallel.campaign`, ``tools/campaign.py ops``), which writes
 ``BENCH_operations.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.chaos.campaign import EntryCounterNF, SinkCounterNF
+from repro.chaos.campaign import (
+    HORIZON_US,
+    EntryCounterNF,
+    ReferenceCheckedFamily,
+    SinkCounterNF,
+    clean_run,
+    fig8_percentiles,
+    paced_source,
+)
 from repro.chaos.director import ChaosDirector
 from repro.chaos.invariants import (
     InvariantViolation,
@@ -54,21 +64,17 @@ from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.core.nf_api import NetworkFunction, Output
 from repro.ops.director import MaintenanceDirector
-from repro.parallel import CampaignPool, InfraFailure, RunFailure
+from repro.parallel.campaign import CampaignReport, WorkItem
 from repro.simnet.engine import Simulator
-from repro.simnet.monitor import PERCENTILES_FIG8, RecoveryTimeline, percentiles
+from repro.simnet.monitor import RecoveryTimeline
 from repro.store.keys import parse_storage_key
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
-from repro.traffic.packet import FiveTuple, Packet
 
 # --- workload -----------------------------------------------------------
 
 N_PACKETS = 240
-N_FLOWS = 6
-GAP_US = 3.0
 OP_AT_US = 90.0
 MONITOR_WINDOW_US = 50.0
-HORIZON_US = 400_000.0
 
 
 class ScrubNF(NetworkFunction):
@@ -126,21 +132,9 @@ def build_runtime(sim: Simulator, seed: int, **overrides) -> ChainRuntime:
 
 
 def inject_workload(sim: Simulator, runtime: ChainRuntime) -> None:
-    """Paced packet source; payload identities ``f<flow>-<seq>``."""
-
-    def source():
-        seq_per_flow = [0] * N_FLOWS
-        for index in range(N_PACKETS):
-            flow = index % N_FLOWS
-            seq_per_flow[flow] += 1
-            packet = Packet(
-                FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6),
-                payload=f"f{flow}-{seq_per_flow[flow]}",
-            )
-            runtime.inject(packet)
-            yield sim.timeout(GAP_US)
-
-    sim.process(source(), name="ops-source")
+    """The chaos campaign's paced source (same flows, pacing and
+    ``f<flow>-<seq>`` payload identities), three times as long."""
+    paced_source(sim, runtime, N_PACKETS, "ops-source")
 
 
 # --- scenarios ----------------------------------------------------------
@@ -285,12 +279,7 @@ def _filter_state(
     return kept
 
 
-def _reference_run(seed: int, spec: OpsScenarioSpec) -> RunSnapshot:
-    sim = Simulator()
-    runtime = build_runtime(sim, seed, **spec.runtime_overrides)
-    inject_workload(sim, runtime)
-    sim.run(until=HORIZON_US)
-    return snapshot_run(runtime)
+_reference_run = partial(clean_run, build_runtime, inject_workload)
 
 
 def run_scenario(
@@ -379,194 +368,77 @@ def run_scenario(
     )
 
 
-@dataclass
-class OpsCampaignReport:
-    """Aggregated ops-campaign results (what BENCH_operations.json holds)."""
+# --- campaign family (repro.parallel.campaign, DESIGN.md §11.1) ----------
 
-    outcomes: List[OpsOutcome] = field(default_factory=list)
-    failures: List[RunFailure] = field(default_factory=list)
-    infra_failures: List[InfraFailure] = field(default_factory=list)
-    pool_stats: Optional[Dict[str, Any]] = None  # meta fragment, not payload
-    sanitizers: Optional[Dict[str, Any]] = None
+QUICK_SEEDS = 2
 
-    @property
-    def total_violations(self) -> int:
-        return sum(len(outcome.violations) for outcome in self.outcomes)
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.total_violations == 0
-            and not self.failures
-            and not self.infra_failures
+class OpsFamily(ReferenceCheckedFamily):
+    """Planned-operations campaign: N seeds x the maintenance scenarios run
+    under live traffic, checked against the full chaos invariant battery plus
+    the operations checkers (the runtime converges back to a clean steady
+    state, every planned operation completes, goodput stays above the
+    scenario's floor while it is in flight); records BENCH_operations.json."""
+
+    name = "ops"
+    output = "BENCH_operations.json"
+    scenarios = SCENARIOS
+    reference_run = staticmethod(_reference_run)
+
+    flags = {
+        "--quick": dict(
+            action="store_true", help=f"CI smoke mode: {QUICK_SEEDS} seeds per scenario"
         )
+    }
 
-    def operation_samples(self) -> Dict[str, List[float]]:
-        """scenario -> completed-operation durations across all seeds."""
-        samples: Dict[str, List[float]] = {}
-        for outcome in self.outcomes:
-            samples.setdefault(outcome.scenario, []).extend(outcome.operation_us)
-        return samples
+    def options(self, args) -> Tuple[None, Dict[str, Any]]:
+        if args.quick:
+            args.seeds = min(args.seeds, QUICK_SEEDS)
+        return None, {}
 
-    def as_dict(self) -> Dict[str, Any]:
-        per_scenario: Dict[str, Any] = {}
-        durations = self.operation_samples()
-        names = sorted(
-            {o.scenario for o in self.outcomes}
-            | {f.scenario for f in self.failures}
-        )
-        for scenario in names:
-            rows = [o for o in self.outcomes if o.scenario == scenario]
-            samples = durations.get(scenario, [])
+    def run(self, item: WorkItem, reference: RunSnapshot) -> OpsOutcome:
+        return run_scenario(self.scenarios[item.scenario], item.seed, reference=reference)
+
+    def aggregate(self, report: CampaignReport) -> Dict[str, Any]:
+        rows: Dict[str, Any] = {}
+        for scenario, (outcomes, row) in report.by_scenario().items():
+            # completed-operation durations across all seeds
+            durations = [us for o in outcomes for us in o.operation_us]
             mins = [
-                o.min_window_egress for o in rows if o.min_window_egress is not None
+                o.min_window_egress
+                for o in outcomes
+                if o.min_window_egress is not None
             ]
-            entry: Dict[str, Any] = {
-                "runs": len(rows),
-                "failed_runs": sum(f.scenario == scenario for f in self.failures),
-                "violations": sum(len(o.violations) for o in rows),
-                "operations_completed": len(samples),
-                "operations_aborted": sum(
-                    sum(op["status"] == "aborted" for op in o.operations)
-                    for o in rows
-                ),
-                "goodput_windows": sum(o.goodput_windows for o in rows),
-            }
+            row["operations_completed"] = len(durations)
+            row["operations_aborted"] = sum(
+                op["status"] == "aborted" for o in outcomes for op in o.operations
+            )
+            row["goodput_windows"] = sum(o.goodput_windows for o in outcomes)
             if mins:
-                entry["min_window_egress"] = min(mins)
-            pct = percentiles(samples, PERCENTILES_FIG8)
-            if pct:
-                entry["operation_us_percentiles"] = {
-                    f"p{int(q)}": round(v, 3) for q, v in pct.items()
-                }
-            per_scenario[scenario] = entry
-        return {
-            "campaign": {
-                "runs": len(self.outcomes) + len(self.failures),
-                "completed": len(self.outcomes),
-                "failed_runs": len(self.failures),
-                "infra_failures": len(self.infra_failures),
-                "violations": self.total_violations,
-                "ok": self.ok,
-            },
-            "scenarios": per_scenario,
-            "violations": [
-                {
-                    "scenario": outcome.scenario,
-                    "seed": outcome.seed,
-                    **violation.as_dict(),
-                }
-                for outcome in self.outcomes
-                for violation in outcome.violations
-            ],
-            "failures": [failure.as_dict() for failure in self.failures],
-            "infra_failures": [
-                failure.as_dict() for failure in self.infra_failures
-            ],
-        }
+                row["min_window_egress"] = min(mins)
+            if durations:
+                row["operation_us_percentiles"] = fig8_percentiles(durations)
+            rows[scenario] = row
+        return {"scenarios": rows}
+
+    def render(self, payload: Dict[str, Any]) -> str:
+        lines = [
+            "operations campaign (times in simulated microseconds)",
+            f"{'scenario':<22} {'runs':>5} {'fail':>5} {'done':>5} {'abrt':>5}"
+            f" {'viol':>5} {'minwin':>6} {'p5':>8} {'p50':>8} {'p95':>8}",
+        ]
+        for name, row in payload["scenarios"].items():
+            pct = row.get("operation_us_percentiles", {})
+            lines.append(
+                f"{name:<22} {row['runs']:>5} {row['failed_runs']:>5}"
+                f" {row['operations_completed']:>5}"
+                f" {row['operations_aborted']:>5}"
+                f" {row['violations']:>5}"
+                f" {row.get('min_window_egress', '-'):>6}"
+                f" {pct.get('p5', '-'):>8} {pct.get('p50', '-'):>8}"
+                f" {pct.get('p95', '-'):>8}"
+            )
+        return "\n".join(lines)
 
 
-# --- parallel fan-out (repro.parallel, DESIGN.md §11) -------------------
-
-#: Per-process reference cache, same contract as the chaos campaign's:
-#: one clean run per (config, ref-seed), deterministic and shareable.
-_REFERENCE_CACHE: Dict[Tuple[str, int], RunSnapshot] = {}
-
-
-def _cached_reference(spec: OpsScenarioSpec, ref_seed: int) -> RunSnapshot:
-    config_key = repr(sorted(spec.runtime_overrides.items()))
-    key = (config_key, ref_seed)
-    if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = _reference_run(ref_seed, spec)
-    return _REFERENCE_CACHE[key]
-
-
-@dataclass
-class _CampaignItem:
-    """One (scenario, seed) work unit shipped to a pool worker."""
-
-    scenario: str
-    seed: int
-    ref_seed: int
-    sanitize: bool = False
-
-    def __repr__(self) -> str:  # shows up in InfraFailure payload entries
-        return f"ops:{self.scenario}/seed={self.seed}"
-
-
-def _campaign_work(
-    item: _CampaignItem,
-) -> Tuple[str, Union[OpsOutcome, RunFailure], Optional[Dict[str, Any]]]:
-    """Pool work function: run one item, never raise."""
-    spec = SCENARIOS[item.scenario]
-    sanitizer_report: Optional[Dict[str, Any]] = None
-    try:
-        reference = _cached_reference(spec, item.ref_seed)
-        if item.sanitize:
-            from repro.analysis.runtime import sanitized
-
-            with sanitized() as suite:
-                outcome = run_scenario(spec, item.seed, reference=reference)
-                sanitizer_report = suite.report()
-        else:
-            outcome = run_scenario(spec, item.seed, reference=reference)
-        return ("outcome", outcome, sanitizer_report)
-    except Exception as exc:
-        failure = RunFailure(
-            scenario=item.scenario,
-            seed=item.seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return ("failure", failure, sanitizer_report)
-
-
-def run_campaign(
-    seeds: Sequence[int],
-    scenario_names: Optional[Sequence[str]] = None,
-    progress: Optional[Callable[[OpsOutcome], None]] = None,
-    jobs: Union[int, str] = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    sanitize: bool = False,
-) -> OpsCampaignReport:
-    """Sweep ``seeds`` x the named scenarios (default: all).
-
-    Same fabric contract as the chaos campaign: results merge in
-    submission order, so the report (and the BENCH payload) is
-    byte-identical for any ``jobs`` count; a raising run becomes a
-    :class:`~repro.parallel.RunFailure`, a lost worker an
-    :class:`~repro.parallel.InfraFailure`.
-    """
-    names = list(scenario_names or SCENARIOS)
-    ref_seed = seeds[0] if len(seeds) else 0
-    items = [
-        _CampaignItem(
-            scenario=name, seed=seed, ref_seed=ref_seed, sanitize=sanitize
-        )
-        for name in names
-        for seed in seeds
-    ]
-    pool = CampaignPool(jobs=jobs, timeout_s=timeout_s, retries=retries)
-
-    def on_result(result) -> None:
-        if progress is not None and result.value[0] == "outcome":
-            progress(result.value[1])
-
-    pooled = pool.map(_campaign_work, items, progress=on_result)
-
-    from repro.parallel import merge_sanitizer_reports
-
-    report = OpsCampaignReport(
-        infra_failures=list(pooled.infra_failures),
-        pool_stats=pooled.stats(),
-        sanitizers=merge_sanitizer_reports(
-            result.value[2] for result in pooled.results
-        ),
-    )
-    for result in pooled.results:  # submission order == serial order
-        kind, payload, _sanitizer = result.value
-        if kind == "outcome":
-            report.outcomes.append(payload)
-        else:
-            report.failures.append(payload)
-    return report
+FAMILY = OpsFamily()

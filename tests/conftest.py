@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import signal
+import threading
+
 import pytest
 
 from repro.simnet.engine import Simulator
@@ -11,6 +15,41 @@ from repro.store.cluster import StoreCluster
 from repro.store.datastore import DatastoreInstance
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.packet import FiveTuple, Packet
+
+# pytest-timeout is in the [test] extra but not in the dev container. When
+# it is missing, honour pyproject's ``timeout`` ini key here, so a hung
+# backpressure wait or drain loop fails its one test instead of wedging
+# the suite. With the plugin importable this is all skipped.
+if importlib.util.find_spec("pytest_timeout") is None:
+
+    def pytest_addoption(parser):
+        parser.addini(
+            "timeout",
+            "per-test wall budget in seconds (SIGALRM stand-in for pytest-timeout)",
+            default="0",
+        )
+
+    @pytest.fixture(autouse=True)
+    def _per_test_timeout(request):
+        budget = float(request.config.getini("timeout") or 0)
+        if (
+            budget <= 0
+            or not hasattr(signal, "SIGALRM")
+            or threading.current_thread() is not threading.main_thread()
+        ):
+            yield
+            return
+
+        def on_alarm(_signum, _frame):
+            pytest.fail(f"test exceeded the {budget:g}s timeout (tests/conftest.py)")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, budget)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -33,6 +33,26 @@ class TestSameSeedDigests:
     def test_chaos_run_digests_identically_per_seed(self):
         assert chaos_digest("nf-crash", seed=3) == chaos_digest("nf-crash", seed=3)
 
+    def test_chaos_digest_repeats_share_one_reference_run(self, monkeypatch):
+        # the clean reference is never digested; re-running it per digest
+        # doubled the cost of every determinism case
+        import repro.chaos.campaign as campaign
+
+        calls = []
+        real = campaign._reference_run
+
+        def counting(seed, spec):
+            calls.append((seed, spec.name))
+            return real(seed, spec)
+
+        monkeypatch.setattr(campaign, "_reference_run", counting)
+        digests = {chaos_digest("nf-crash", seed=3) for _ in range(3)}
+        assert len(digests) == 1
+        assert calls == [(3, "nf-crash")]
+        # and the digest does not depend on where the reference came from
+        monkeypatch.undo()
+        assert digests == {chaos_digest("nf-crash", seed=3)}
+
     def test_overload_run_digests_identically_per_seed(self):
         assert overload_digest("overload-burst", seed=3) == overload_digest(
             "overload-burst", seed=3

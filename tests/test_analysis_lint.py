@@ -203,6 +203,35 @@ class TestRules:
         # socketserver is a different module, not a raw-socket import
         assert lint.check_source("import socketserver\n", Path("mod.py")) == []
 
+    def test_chc009_private_campaign_pool(self):
+        findings = fixture_findings("bad_chc009.py")
+        codes = [f.code for f in findings]
+        assert codes and set(codes) == {"CHC009"}
+        # bare-name and module-attribute construction
+        assert {f.line for f in findings} == {8, 12}
+        assert "CampaignFamily" in findings[0].message
+
+    def test_chc009_exempt_in_the_shared_runner_and_determinism(self):
+        source = (
+            "from repro.parallel import CampaignPool\n"
+            "pool = CampaignPool(jobs=2)\n"
+        )
+        # one runner: the pool's own package, plus the determinism
+        # double-runs (cases, not scenario sweeps) and benchmark sweeps
+        assert lint.check_source(source, Path("repro/parallel/campaign.py")) == []
+        assert lint.check_source(source, Path("repro/analysis/determinism.py")) == []
+        assert lint.check_source(source, Path("benchmarks/bench_x.py")) == []
+        # a scenario family (or a tool) fanning out its own items is flagged
+        for path in ("repro/chaos/campaign.py", "repro/analysis/other.py", "tools/x.py"):
+            flagged = lint.check_source(source, Path(path))
+            assert [f.code for f in flagged] == ["CHC009"], path
+        # importing or annotating with the class is not constructing it
+        assert lint.check_source(
+            "from repro.parallel import CampaignPool\n"
+            "def f(pool: CampaignPool): return pool\n",
+            Path("repro/chaos/campaign.py"),
+        ) == []
+
 
 class TestMechanics:
     def test_good_fixture_is_clean(self):

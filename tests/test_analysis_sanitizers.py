@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis import runtime as sanitize_runtime
-from repro.analysis.runtime import sanitized
+from repro.analysis.runtime import maybe_sanitized, sanitized
 from repro.analysis.sanitizers import (
     KEY_SEP,
     ClockMonotonicityError,
@@ -292,6 +292,14 @@ class TestSuiteLifecycle:
     def test_sanitized_installs_and_uninstalls(self):
         assert sanitize_runtime.ACTIVE is None
         with sanitized() as suite:
+            assert sanitize_runtime.ACTIVE is suite
+        assert sanitize_runtime.ACTIVE is None
+
+    def test_maybe_sanitized_follows_its_flag(self):
+        with maybe_sanitized(False) as suite:
+            assert suite is None and sanitize_runtime.ACTIVE is None
+        with maybe_sanitized(True) as suite:
+            assert isinstance(suite, SanitizerSuite)
             assert sanitize_runtime.ACTIVE is suite
         assert sanitize_runtime.ACTIVE is None
 

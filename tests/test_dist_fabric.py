@@ -1,6 +1,6 @@
 """Fabric smoke tests: real child processes, real sockets, real SIGKILL.
 
-The heavy sweep lives in ``tools/dist_campaign.py`` (CI's dist-smoke job);
+The heavy sweep lives in ``tools/campaign.py dist`` (CI's dist-smoke job);
 these tests pin the fabric's contract at the smallest useful scale — a
 clean distributed run and one kill-and-respawn run — so a regression in
 process spawning, bridging, recovery, or the cross-process checkers fails
