@@ -76,7 +76,7 @@ def run_arm(n_instances, checkpoint_ms):
 
     def recovery():
         result = yield from recover_store_instance(
-            sim, network, cluster, store, clients, "storeB"
+            sim, cluster, store, clients, "storeB"
         )
         return result
 

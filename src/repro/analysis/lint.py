@@ -65,6 +65,13 @@ CHC009 A ``CampaignPool`` constructed anywhere but ``repro/parallel/``
        own items: a second runner means a second copy of the work
        function, merge order, failure taxonomy and payload envelope to
        keep byte-identical.
+CHC010 ``DatastoreInstance`` private state mutated outside
+       ``repro/store/``: assignment, ``|=``, ``del`` or a mutating
+       method on another object's ``._data`` / ``._owners`` / ``._ts`` /
+       ``._clones`` / ``._update_log`` / ``._pruned_clocks`` / watcher
+       maps, or a ``._log_committed(...)`` call. What travels with a key
+       when it changes node is decided once, in ``repro.store.rehome``;
+       the two hand-rolled copies it replaced had already drifted.
 ====== =================================================================
 
 Suppression: append ``# chclint: disable=CHC003`` (comma-separate for
@@ -98,6 +105,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC007": "splitter membership or retirement mutated outside director/autoscaler APIs",
     "CHC008": "raw socket/pickle import outside repro.dist.transport",
     "CHC009": "CampaignPool constructed outside the shared campaign runner",
+    "CHC010": "DatastoreInstance private state mutated outside repro.store",
 }
 
 #: Path fragments whose files may read the wall clock (CHC002 exempt):
@@ -123,6 +131,14 @@ MEMBERSHIP_EXEMPT_FILES = {
     "recovery.py",
 }
 MEMBERSHIP_EXEMPT_PARTS = ("ops",)
+
+#: ``DatastoreInstance`` private containers (CHC010): mutable only from
+#: ``repro/store/`` — everyone else goes through ``repro.store.rehome``.
+STORE_PRIVATE_ATTRS = {
+    "_data", "_owners", "_ts", "_clones", "_update_log", "_pruned_clocks",
+    "_value_watchers", "_owner_watchers",
+}
+STORE_MUTATORS = {"add", "discard", "remove", "pop", "popitem", "clear", "update", "setdefault"}
 
 #: List-mutating method names: calling any of these on ``.hash_members``
 #: rewrites the stable hash partition in place.
@@ -236,7 +252,20 @@ def _exempt_codes(path: Path) -> Set[str]:
         or (path.name == "determinism.py" and "analysis" in parts)
     ):
         exempt.add("CHC009")
+    if "store" in parts:
+        exempt.add("CHC010")
     return exempt
+
+
+def _store_private(node: ast.AST) -> bool:
+    """``x._data`` / ``x._data[...]`` — but not a class's own ``self._data``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in STORE_PRIVATE_ATTRS
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    )
 
 
 def _is_id_call(node: ast.AST) -> bool:
@@ -450,6 +479,14 @@ class _Checker(ast.NodeVisitor):
                 "through the maintenance director or autoscaler, which drain "
                 "owned state via the Figure-4 handover first",
             )
+        self._check_chc010(
+            node,
+            isinstance(func, ast.Attribute)
+            and (
+                func.attr == "_log_committed"
+                or (func.attr in STORE_MUTATORS and _store_private(func.value))
+            ),
+        )
         if _call_name(node) == "CampaignPool":
             self.report(
                 node,
@@ -609,7 +646,18 @@ class _Checker(ast.NodeVisitor):
                     "APIs",
                 )
 
+    def _check_chc010(self, node: ast.AST, mutates: bool) -> None:
+        if mutates:
+            self.report(
+                node,
+                "CHC010",
+                "DatastoreInstance private state mutated outside repro.store "
+                "— moving or rebuilding store state goes through "
+                "repro.store.rehome (successor / transfer / Rehoming)",
+            )
+
     def visit_Delete(self, node: ast.Delete) -> None:
+        self._check_chc010(node, any(map(_store_private, node.targets)))
         if "CHC007" not in self.disabled:
             for target in node.targets:
                 inner = target.value if isinstance(target, ast.Subscript) else target
@@ -629,6 +677,7 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
         self._check_chc005_assign(node.targets, node)
         self._check_chc007_assign(node.targets, node)
+        self._check_chc010(node, any(map(_store_private, node.targets)))
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if self._annotation_is_set(node.annotation) and isinstance(node.target, ast.Name):
@@ -645,11 +694,13 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
         self._check_chc005_assign([node.target], node)
         self._check_chc007_assign([node.target], node)
+        self._check_chc010(node, _store_private(node.target))
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self.generic_visit(node)
         self._check_chc005_assign([node.target], node)
         self._check_chc007_assign([node.target], node)
+        self._check_chc010(node, _store_private(node.target))
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iteration(node.iter, node.body, node)

@@ -25,13 +25,12 @@ running) rather than risk dropping state — an autoscaler must degrade to
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.handover import move_flows
+from repro.core.handover import move_flows, owned_scope_keys
 from repro.store.datastore import DatastoreInstance
-from repro.store.keys import vertex_of_key
+from repro.store.rehome import Rehoming
 from repro.util import stable_hash
 
 
@@ -144,17 +143,11 @@ class AutoscaleController:
         self, vertex_name: str
     ) -> Tuple[Dict[Tuple, str], Dict[str, int]]:
         """Current scope-key -> holder map plus per-holder queue depth."""
-        splitter = self.runtime.splitter(vertex_name)
         holders: Dict[Tuple, str] = {}
         load: Dict[str, int] = {}
         for instance in self._alive_instances(vertex_name):
             load[instance.instance_id] = instance.queue_depth
-            for _sk, (_obj, flow_key) in instance.client.owned_items().items():
-                if flow_key is None:
-                    continue
-                scope_key = self.runtime._project(flow_key, splitter.partition_fields)
-                if scope_key is not None:
-                    holders[scope_key] = instance.instance_id
+            holders.update(owned_scope_keys(self.runtime, vertex_name, instance))
         return holders, load
 
     def _scale_out(self, vertex_name: str) -> Generator:
@@ -201,16 +194,11 @@ class AutoscaleController:
         # another instance — no self-moves.
         return splitter.hash_members[stable_hash(scope_key) % len(splitter.hash_members)]
 
-    def _victim_keys_by_home(self, splitter, victim) -> Dict[str, Dict[Tuple, str]]:
+    def _victim_keys_by_home(self, vertex_name: str, victim) -> Dict[str, Dict[Tuple, str]]:
+        splitter = self.runtime.splitter(vertex_name)
         by_home: Dict[str, Dict[Tuple, str]] = {}
-        for _sk, (_obj, flow_key) in victim.client.owned_items().items():
-            if flow_key is None:
-                continue
-            scope_key = self.runtime._project(flow_key, splitter.partition_fields)
-            if scope_key is None:
-                continue
-            home = self._hash_home(splitter, scope_key)
-            by_home.setdefault(home, {})[scope_key] = victim.instance_id
+        for scope_key, holder in owned_scope_keys(self.runtime, vertex_name, victim).items():
+            by_home.setdefault(self._hash_home(splitter, scope_key), {})[scope_key] = holder
         return by_home
 
     def _scale_in(self, vertex_name: str, victim_id: str) -> Generator:
@@ -223,7 +211,7 @@ class AutoscaleController:
             while True:
                 # 1. hand every owned flow back to its hash home via the
                 #    Figure-4 machinery (ownership + buffering, no loss)
-                by_home = self._victim_keys_by_home(splitter, victim)
+                by_home = self._victim_keys_by_home(vertex_name, victim)
                 for home, keys in sorted(by_home.items()):
                     result = yield from move_flows(
                         self.runtime, vertex_name, list(keys), home, current_of=keys
@@ -244,7 +232,7 @@ class AutoscaleController:
 
                 # 3. re-check: packets drained in step 2 may have claimed
                 #    new ownership (a flow's first packet landed mid-drain)
-                if not self._victim_keys_by_home(splitter, victim):
+                if not self._victim_keys_by_home(vertex_name, victim):
                     break
                 if self.sim.now >= deadline:
                     action.ok = False
@@ -321,137 +309,47 @@ class AutoscaleController:
             return None
         return max(alive, key=lambda s: (s.stats.overload_rejections, s.name))
 
-    def _vertex_write_load(self, store: DatastoreInstance, vertex: str) -> int:
-        """Recent-write proxy: unpruned dedup-log entries for the vertex.
-
-        Log entries are pruned once their packet leaves the chain, so the
-        steady-state count tracks write rate x pipeline latency — a far
-        better hotness signal than key count (one shared counter key can
-        carry most of a store's load).
-        """
-        return sum(
-            len(seqs)
-            for (key, _clock), seqs in store._update_log.items()
-            if vertex_of_key(key) == vertex
-        )
-
     def _store_scale_out(self) -> Generator:
         """Re-home the hottest vertex of the hottest store onto a replica.
 
-        The mechanics mirror the maintenance director's ``replace_store``
-        (DESIGN.md §12), scoped to one vertex: snapshot + routing swap in a
-        single sim instant, then a per-vertex lame duck instead of the
-        whole-node mute — the hot store keeps serving its remaining
-        vertices at full speed while un-ACK'd clients of the migrated one
-        retransmit onto the replica.
+        The one-vertex case of :class:`repro.store.rehome.Rehoming`: the
+        hot store keeps serving its remaining vertices at full speed while
+        un-ACK'd clients of the moved one retransmit onto the replica.
         """
-        runtime = self.runtime
         hot = self._hot_store()
         if hot is None:
             return
-        candidates = runtime.store.vertices_assigned_to(hot.name)
+        candidates = self.runtime.store.vertices_assigned_to(hot.name)
         if len(candidates) < 2:
             # a single-tenant store cannot be split: moving its only
             # vertex just relocates the hotspot
             self.stats.store_skipped += 1
             return
-        vertex = max(
-            candidates, key=lambda v: (self._vertex_write_load(hot, v), v)
-        )
+        vertex = max(candidates, key=lambda v: (hot.vertex_write_load(v), v))
         self._store_seq += 1
-        started = self.sim.now
         name = f"{hot.name}el{self._store_seq}"
-        action = ScaleAction("store_scale_out", vertex, name, started)
-
-        # --- snapshot + routing swap: one sim instant, no yields --------
-        replica = DatastoreInstance(
-            self.sim,
-            runtime.network,
+        action = ScaleAction("store_scale_out", vertex, name, self.sim.now)
+        move = Rehoming(
+            self.runtime,
+            hot,
             name,
-            n_threads=hot.n_threads,
-            op_service_us=hot.op_service_us,
-            registry=hot.registry,
-            root_endpoint=hot.root_endpoint,
-            checkpoint_interval_us=hot.checkpoint_interval_us,
-            dedup_enabled=hot.dedup_enabled,
-            seed=runtime.params.seed + 7_000 + self._store_seq,
-            inflight_limit=hot.inflight_limit,
-            overload_retry_after_us=hot.overload_retry_after_us,
+            vertices=[vertex],
+            seed=self.runtime.params.seed + 7_000 + self._store_seq,
         )
-        moved = [k for k in hot._data if vertex_of_key(k) == vertex]
-        for key in moved:
-            replica._data[key] = copy.deepcopy(hot._data[key])
-            if key in hot._owners:
-                replica._owners[key] = hot._owners[key]
-            if key in hot._ts:
-                replica._ts[key] = dict(hot._ts[key])
-        replica._clones = dict(hot._clones)
-        # pruned-clock memory must travel with the state: a retransmission
-        # that was in flight across the migration may carry a clock the old
-        # node already pruned
-        replica._pruned_clocks |= hot._pruned_clocks
-        for (key, clock), seqs in hot._update_log.items():
-            if vertex_of_key(key) != vertex:
-                continue
-            for seq, value in seqs.items():
-                replica._log_committed(key, clock, seq, value)
-        for ours, theirs in (
-            (hot._value_watchers, replica._value_watchers),
-            (hot._owner_watchers, replica._owner_watchers),
-        ):
-            for key in moved:
-                if key in ours:
-                    theirs[key] = set(ours[key])
-        runtime.store.add_replica(replica, vertices=[vertex])
-        runtime.stores.append(replica)
-        for root in runtime.roots:
-            root.store_endpoints_for_prune = list(
-                root.store_endpoints_for_prune
-            ) + [name]
-            if root.alive:
-                # commit-signal parity is unreliable across the swap: the
-                # old node still signals for in-flight ops it commits, and
-                # their retransmissions signal again from the replica
-                root.note_store_recovered()
-        hot.enter_vertex_lame_duck(vertex)
-        action.keys_moved = len(moved)
+        action.keys_moved = len(move.dst.keys())
         self.stats.store_scale_outs += 1
-
-        # --- drain, then garbage-collect the dead copies ----------------
-        # Wait until no request for the migrated vertex sits in the old
-        # node's thread queues (global idleness never comes — the other
-        # vertices are still under load), then drop the stale state so
-        # audits folding all stores into one map see only the replica's
-        # copy. The permanent per-vertex mute keeps any later straggler's
-        # phantom writes invisible, so a budget overrun is cosmetic.
-        deadline = started + self.drain_budget_us
-        quiet = 0
-        while quiet < 2 and self.sim.now < deadline:
-            yield self.sim.timeout(self.drain_poll_us)
-            quiet = quiet + 1 if not self._vertex_pending(hot, vertex) else 0
-        if quiet < 2:
+        # Global idleness never comes (the other vertices are still under
+        # load), so the gate watches the moved vertex only. The stale
+        # copies go either way, so audits folding all stores into one map
+        # see only the replica's: the permanent per-vertex mute keeps a
+        # later straggler invisible, which makes an overrun cosmetic.
+        stuck = yield from move.drain(self.drain_poll_us, self.drain_budget_us)
+        if stuck:
             action.ok = False
-            action.note = "drain budget exceeded; stale copies GC'd anyway"
-        hot.forget_vertex(vertex)
+            action.note = f"{stuck}; stale copies GC'd anyway"
+        move.finish()
         action.finished_at = self.sim.now
         self.actions.append(action)
-
-    @staticmethod
-    def _vertex_pending(store: DatastoreInstance, vertex: str) -> bool:
-        """Any queued request on ``store`` touching ``vertex``'s keys?"""
-        for queue in store._queues:
-            for payload, _request in queue._items:
-                entries = getattr(payload, "entries", None)
-                if entries is not None:
-                    if any(
-                        vertex_of_key(e.key) == vertex for e in entries
-                    ):
-                        return True
-                    continue
-                key = getattr(payload, "key", None)
-                if key is not None and vertex_of_key(key) == vertex:
-                    return True
-        return False
 
     # ------------------------------------------------------------------
     # inspection
@@ -469,17 +367,5 @@ class AutoscaleController:
                 "busy": self.stats.skipped_busy,
                 "limit": self.stats.skipped_limit,
             },
-            "actions": [
-                {
-                    "kind": a.kind,
-                    "vertex": a.vertex,
-                    "instance": a.instance,
-                    "started_at": a.started_at,
-                    "finished_at": a.finished_at,
-                    "keys_moved": a.keys_moved,
-                    "ok": a.ok,
-                    "note": a.note,
-                }
-                for a in self.actions
-            ],
+            "actions": [asdict(action) for action in self.actions],
         }

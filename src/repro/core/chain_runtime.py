@@ -604,7 +604,7 @@ class ChainRuntime:
         Returns the list of :class:`MoveResult`, or ``None`` when already
         at the finest declared scope.
         """
-        from repro.core.handover import move_flows
+        from repro.core.handover import move_flows, owned_scope_keys
 
         splitter = self.splitter(vertex_name)
         if finer_fields is None:
@@ -623,12 +623,7 @@ class ChainRuntime:
         for instance in self.instances_of(vertex_name):
             if not instance.alive:
                 continue
-            for _sk, (_obj, flow_key) in instance.client.owned_items().items():
-                if flow_key is None:
-                    continue
-                scope_key = self._project(flow_key, splitter.partition_fields)
-                if scope_key is None:
-                    continue
+            for scope_key in owned_scope_keys(self, vertex_name, instance):
                 destination = splitter.current_instance_for(scope_key)
                 if destination != instance.instance_id:
                     pending.setdefault(destination, {})[scope_key] = instance.instance_id

@@ -21,7 +21,7 @@ store in upstream-splitter arrival order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Tuple
+from typing import Dict, Generator, Iterable, Tuple
 
 
 @dataclass
@@ -38,6 +38,20 @@ class MoveResult:
     @property
     def duration_us(self) -> float:
         return self.finished_at - self.started_at
+
+
+def owned_scope_keys(runtime, vertex_name: str, instance) -> Dict[Tuple, str]:
+    """Scope keys ``instance`` holds per-flow state for, mapped to its id.
+
+    The ``current_of`` map :func:`move_flows` takes to move them all away.
+    """
+    fields = runtime.splitter(vertex_name).partition_fields
+    owned: Dict[Tuple, str] = {}
+    for _sk, (_obj, flow_key) in instance.client.owned_items().items():
+        scope_key = None if flow_key is None else runtime._project(flow_key, fields)
+        if scope_key is not None:
+            owned[scope_key] = instance.instance_id
+    return owned
 
 
 def move_flows(

@@ -35,6 +35,7 @@ from repro.core.root import Root
 from repro.simnet.engine import Event
 from repro.simnet.monitor import RecoveryTimeline
 from repro.store.datastore import DatastoreInstance
+from repro.store.rehome import repoint
 from repro.store.store_recovery import recover_store_instance
 
 # Recovery dispatch order under correlated failures (lower runs first).
@@ -244,22 +245,10 @@ class Supervisor:
         new_name = f"{component.name}r{self._store_seq}"
         clients = [i.client for i in runtime.instances.values() if i.alive]
         result = yield from recover_store_instance(
-            self.sim, runtime.network, runtime.store, component, clients, new_name
+            self.sim, runtime.store, component, clients, new_name
         )
-        replacement = result.replacement
-        runtime.stores = [
-            replacement if s.name == component.name else s for s in runtime.stores
-        ]
-        for root in runtime.roots:
-            if root.store_endpoint == component.name:
-                root.store_endpoint = replacement.name
-            root.store_endpoints_for_prune = [
-                replacement.name if s == component.name else s
-                for s in root.store_endpoints_for_prune
-            ]
-            if root.alive:
-                # commit-signal parity is unreliable across the rebuild
-                root.note_store_recovered()
+        # the recovery already swapped the cluster map
+        repoint(runtime, component.name, result.replacement)
         return result
 
     # ------------------------------------------------------------------

@@ -15,13 +15,11 @@ abort-and-rollback when a gate times out:
   partition never flips) and retire it. A drain that exhausts its budget
   rolls the flows back and retires the *replacement* instead.
 * **store-node replacement** (:meth:`~MaintenanceDirector.replace_store`)
-  — snapshot + routing swap in one sim instant, the old node enters
-  lame-duck (commits but never ACKs, closing the ack-then-crash lost
-  write window), then a WAL catch-up loop watches every update-log
-  identity the muted node still commits and gates teardown on each one
-  reappearing on the replacement via client retransmission (copying them
-  across instead would race those retransmits and regress keys the
-  replacement has already moved past).
+  — the whole-node case of the store re-homing protocol
+  (:mod:`repro.store.rehome`): snapshot + routing swap in one sim
+  instant, the old node goes lame duck, and teardown is gated on every
+  identity it still commits reappearing on the replacement via client
+  retransmission.
 * **topology edit** (:meth:`~MaintenanceDirector.insert_vertex` /
   :meth:`~MaintenanceDirector.remove_vertex`) — splice an NF into or out
   of the chain mid-traffic. Insertion is order-safe bare (the new path is
@@ -40,12 +38,11 @@ packets through the whole procedure.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.handover import move_flows
-from repro.store.datastore import DatastoreInstance
+from repro.core.handover import move_flows, owned_scope_keys
+from repro.store.rehome import Rehoming
 from repro.util import stable_hash
 
 
@@ -209,18 +206,6 @@ class MaintenanceDirector:
     # shared drain gates
     # ------------------------------------------------------------------
 
-    def _owned_scope_keys(self, vertex_name: str, instance) -> Dict[Tuple, str]:
-        """Scope keys currently owned by ``instance`` (per-flow only)."""
-        splitter = self.runtime.splitter(vertex_name)
-        keys: Dict[Tuple, str] = {}
-        for _sk, (_obj, flow_key) in instance.client.owned_items().items():
-            if flow_key is None:
-                continue
-            scope_key = self.runtime._project(flow_key, splitter.partition_fields)
-            if scope_key is not None:
-                keys[scope_key] = instance.instance_id
-        return keys
-
     def _drain_instance(self, instance, deadline: float) -> Generator:
         """Gate: queues empty, NIC ring empty, flush ACKs fenced.
 
@@ -288,7 +273,7 @@ class MaintenanceDirector:
         while True:
             # 1. move every owned flow to the replacement (Figure 4:
             #    ownership + in-order buffering, no loss)
-            keys = self._owned_scope_keys(vertex_name, old)
+            keys = owned_scope_keys(runtime, vertex_name, old)
             if keys:
                 result = yield from move_flows(
                     runtime, vertex_name, list(keys), new_id, current_of=keys
@@ -305,7 +290,7 @@ class MaintenanceDirector:
                 )
             # 3. re-check: a flow's first packet can claim ownership on the
             #    old instance mid-drain — it must be moved too
-            if not self._owned_scope_keys(vertex_name, old):
+            if not owned_scope_keys(runtime, vertex_name, old):
                 break
             if self.sim.now >= deadline:
                 self._close(step, self.sim, ok=False, note="ownership never quiesced")
@@ -320,17 +305,18 @@ class MaintenanceDirector:
         # this is the one sanctioned way a membership list changes outside
         # failover (chclint CHC007 guards the discipline)
         splitter.replace_instance(old_id, new_id)
-        members = splitter.hash_members
-        for scope_key, holder in list(splitter.overrides.items()):
-            if (
-                holder == new_id
-                and members
-                and members[stable_hash(scope_key) % len(members)] == new_id
-            ):
-                del splitter.overrides[scope_key]  # hash home == holder now
+        self._drop_home_overrides(splitter, new_id)
         runtime.retire_instance(old_id)
         yield from runtime.notify_split_changed(vertex_name)
         self._close(step, self.sim)
+
+    @staticmethod
+    def _drop_home_overrides(splitter, holder: str) -> None:
+        """An override naming the key's own hash home routes nothing."""
+        members = splitter.hash_members
+        for scope_key, pinned in list(splitter.overrides.items()):
+            if pinned == holder and members[stable_hash(scope_key) % len(members)] == holder:
+                del splitter.overrides[scope_key]
 
     def _rollback_upgrade(
         self, record: OperationRecord, vertex_name: str, old_id: str, new_id: str
@@ -340,19 +326,13 @@ class MaintenanceDirector:
         step = self._step(record, f"rollback:{new_id}->{old_id}")
         new = runtime.instances.get(new_id)
         if new is not None:
-            keys = self._owned_scope_keys(vertex_name, new)
+            keys = owned_scope_keys(runtime, vertex_name, new)
             if keys:
                 yield from move_flows(
                     runtime, vertex_name, list(keys), old_id, current_of=keys
                 )
             splitter = runtime.splitter(vertex_name)
-            for scope_key, holder in list(splitter.overrides.items()):
-                if holder == old_id:
-                    home = splitter.hash_members[
-                        stable_hash(scope_key) % len(splitter.hash_members)
-                    ]
-                    if home == old_id:
-                        del splitter.overrides[scope_key]
+            self._drop_home_overrides(splitter, old_id)
             yield from self._drain_instance(new, self.sim.now + self.drain_budget_us)
             runtime.retire_instance(new_id)
             yield from runtime.notify_split_changed(vertex_name)
@@ -363,158 +343,43 @@ class MaintenanceDirector:
     # ------------------------------------------------------------------
 
     def replace_store(self, store_name: str) -> Generator:
-        """Live-replace one datastore node with zero lost updates."""
+        """Live-replace one datastore node with zero lost updates.
+
+        The whole-node case of :class:`repro.store.rehome.Rehoming`; this
+        method only picks the names and cadence and keeps the step record.
+        """
         record = self._begin("store_replace", store_name)
-        runtime = self.runtime
-        old = runtime.store.instance_named(store_name)
         self._seq += 1
         new_name = f"{store_name}m{self._seq}"
 
-        # --- snapshot + routing swap: one sim instant, no yields --------
         step = self._step(record, f"swap:{store_name}->{new_name}")
-        new = DatastoreInstance(
-            self.sim,
-            runtime.network,
+        move = Rehoming(
+            self.runtime,
+            self.runtime.store.instance_named(store_name),
             new_name,
-            n_threads=old.n_threads,
-            op_service_us=old.op_service_us,
-            registry=old.registry,
-            root_endpoint=old.root_endpoint,
-            checkpoint_interval_us=old.checkpoint_interval_us,
-            dedup_enabled=old.dedup_enabled,
-            seed=runtime.params.seed + self._seq,
-            inflight_limit=old.inflight_limit,
-            overload_retry_after_us=old.overload_retry_after_us,
+            seed=self.runtime.params.seed + self._seq,
         )
-        new._data = copy.deepcopy(old._data)
-        new._owners = dict(old._owners)
-        new._ts = copy.deepcopy(old._ts)
-        new._clones = dict(old._clones)
-        covered: Set[Tuple[str, int, int]] = set()
-        self._seed_update_log(old, new, covered)
-        runtime.store.replace_instance(store_name, new)
-        runtime.stores = [new if s.name == store_name else s for s in runtime.stores]
-        for root in runtime.roots:
-            if root.store_endpoint == store_name:
-                root.store_endpoint = new_name
-            root.store_endpoints_for_prune = [
-                new_name if s == store_name else s
-                for s in root.store_endpoints_for_prune
-            ]
-            if root.alive:
-                # commit-signal parity is unreliable across the swap: the
-                # old node's post-snapshot signals are muted below
-                root.note_store_recovered()
-        # From here the old node commits but never ACKs: un-ACK'd clients
-        # retransmit, re-resolve through the cluster map, and land on the
-        # replacement — where the seeded dedup log emulates anything the
-        # snapshot already covers, and anything newer applies fresh. This
-        # closes the window where an op the old node committed after the
-        # snapshot would otherwise be lost.
-        old.enter_lame_duck()
-        self._close(step, self.sim, note=f"{len(covered)} log identities seeded")
+        self._close(step, self.sim, note=f"{len(move.covered)} log identities seeded")
 
-        # --- WAL catch-up: watch what still lands on the old node -------
-        # Post-mute commits must NOT be copied across: their retransmits
-        # race the copy, and a copied old-node snapshot can clobber a key
-        # the replacement has already moved past (lost update). Instead we
-        # only *observe* their identities, then gate on each one landing
-        # in the replacement's log via client retransmission.
         step = self._step(record, "catchup")
-        deadline = self.sim.now + self.drain_budget_us
-        quiet_rounds = 0
-        pending: Set[Tuple[str, int, int]] = set()
-        while old.alive and quiet_rounds < 2:
-            fresh = self._note_uncovered(old, covered, pending)
-            quiet_rounds = quiet_rounds + 1 if (
-                fresh == 0 and old._inflight() == 0
-            ) else 0
-            if quiet_rounds >= 2:
-                break
-            if self.sim.now >= deadline:
-                # Never roll forward on an unconfirmed gate: the swap is
-                # already safe (lame-duck forces retransmission of anything
-                # uncovered), but record the failed confirmation.
-                self._close(step, self.sim, ok=False, note="catch-up never quiesced")
-                self._finish(record, "aborted", note="catch-up never quiesced")
-                return record
-            yield self.sim.timeout(self.catchup_poll_us)
-        crashed = not old.alive
-        while not all(
-            seq in new._update_log.get((key, clock), {})
-            for (key, clock, seq) in pending
-        ):
-            if self.sim.now >= deadline:
-                self._close(
-                    step, self.sim, ok=False, note="pending flushes never reconciled"
-                )
-                self._finish(record, "aborted", note="pending flushes never reconciled")
-                return record
-            yield self.sim.timeout(self.catchup_poll_us)
-        note = f"{len(pending)} pending flushes reconciled via retransmission"
-        if crashed:
-            # the node died mid-replacement (chaos overlay): everything it
-            # committed-but-never-ACK'd is retransmitted and applied fresh
-            # on the replacement all the same — still zero loss
+        stuck = yield from move.drain(self.catchup_poll_us, self.drain_budget_us)
+        if stuck:
+            # Never roll forward on an unconfirmed gate: the swap is
+            # already safe (lame-duck forces retransmission of anything
+            # uncovered), but record the failed confirmation.
+            self._close(step, self.sim, ok=False, note=stuck)
+            self._finish(record, "aborted", note=stuck)
+            return record
+        note = f"{len(move.pending)} pending flushes reconciled via retransmission"
+        if not move.src.alive:  # chaos overlay; still zero loss
             note += "; old node crashed mid-catch-up"
         self._close(step, self.sim, note=note)
 
         step = self._step(record, f"teardown:{store_name}")
-        if old.alive:
-            old.fail()
+        move.finish()
         self._close(step, self.sim)
         self._finish(record, "completed")
         return record
-
-    @staticmethod
-    def _seed_update_log(
-        old: DatastoreInstance,
-        new: DatastoreInstance,
-        covered: Set[Tuple[str, int, int]],
-    ) -> int:
-        """Seed the replacement's dedup log with the old node's entries.
-
-        Runs in the same sim instant as the ``_data``/``_ts``/``_owners``
-        deep-copy, so every seeded identity's effect is already in the
-        replacement's state: the seed makes the replacement *emulate* a
-        retransmission of that identity (Figure 5b) instead of applying
-        it a second time. The log stores committed return values, not the
-        original op and args, which is why emulation — not re-execution —
-        is the only safe answer for a duplicate.
-        """
-        seeded = 0
-        for (key, clock), seqs in old._update_log.items():
-            for seq, value in seqs.items():
-                identity = (key, clock, seq)
-                if identity in covered:
-                    continue
-                covered.add(identity)
-                new._log_committed(key, clock, seq, value)
-                seeded += 1
-        return seeded
-
-    @staticmethod
-    def _note_uncovered(
-        old: DatastoreInstance,
-        covered: Set[Tuple[str, int, int]],
-        pending: Set[Tuple[str, int, int]],
-    ) -> int:
-        """Record post-snapshot identities the muted node committed.
-
-        These are never copied (see catch-up comment in
-        :meth:`replace_store`) — their un-ACK'd clients retransmit them to
-        the replacement, where they apply fresh. Returns how many were new
-        this round so the quiesce gate can detect the old node going idle.
-        """
-        fresh = 0
-        for (key, clock), seqs in list(old._update_log.items()):
-            for seq in list(seqs):
-                identity = (key, clock, seq)
-                if identity in covered or identity in pending:
-                    continue
-                pending.add(identity)
-                fresh += 1
-        return fresh
 
     # ------------------------------------------------------------------
     # operation: topology edits

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.analysis import runtime as _sanitize
 from repro.simnet.engine import Channel, Event, Simulator
@@ -96,17 +96,11 @@ class RpcEndpoint:
         self.messages = Channel(sim, name=f"rpc-messages({name})")
         self._pending: Dict[int, Event] = {}
         self._alive = True
-        # Lame-duck mode: the endpoint keeps receiving and processing but
+        # Replay silence: the endpoint keeps receiving and processing but
         # every outbound frame (response or one-way) is silently dropped.
-        # Planned store replacement uses this to close the ack-then-crash
-        # window — un-ACK'd clients retransmit to the successor instead of
-        # trusting an instance that is about to be torn down.
+        # A restarted store node (repro.dist) replays its WAL this way, so
+        # the rebuild answers nobody a second time.
         self.mute_output = False
-        # Selective lame-duck: when set, responses whose *request* matches
-        # the predicate are dropped while everything else keeps flowing.
-        # Store scale-out uses this to mute ACKs for one migrating vertex's
-        # keys without taking the whole node out of service.
-        self.mute_filter: Optional[Callable[[RpcRequest], bool]] = None
         # Deterministic per-endpoint jitter source for retransmission
         # backoff: seeded from the endpoint name and the network seed, so a
         # rerun with the same seeds retransmits at identical instants.
@@ -258,8 +252,6 @@ class RpcEndpoint:
     def respond(self, request: RpcRequest, value: Any, ok: bool = True) -> None:
         """Answer ``request`` (server side)."""
         if self.mute_output:
-            return
-        if self.mute_filter is not None and self.mute_filter(request):
             return
         self.network.send(
             self.name, request.src, _Wire("response", request.request_id, value, ok=ok)

@@ -17,6 +17,8 @@ This package implements:
 * :mod:`~repro.store.wal` — NF-side write-ahead logs of shared-state
   operations and read snapshots (datastore recovery, §5.4).
 * :mod:`~repro.store.store_recovery` — Figure 7's TS-selection recovery.
+* :mod:`~repro.store.rehome` — moving vertices' keys to another store
+  node under traffic (planned replacement, store scale-out).
 * :mod:`~repro.store.nondeterminism` — Appendix A's store-computed
   non-deterministic values.
 """

@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.analysis import runtime as _sanitize
 from repro.simnet.engine import Channel, Process, Simulator
@@ -127,6 +127,40 @@ class StoreStats:
     overload_rejections: int = 0
 
 
+class _AllVertices:
+    """The set of every vertex: a whole node's worth of keys."""
+
+    def __contains__(self, vertex: object) -> bool:
+        return True
+
+
+ALL_VERTICES = _AllVertices()
+VertexSet = Union[FrozenSet[str], _AllVertices]
+
+
+def vertex_set(vertices: Optional[Iterable[str]]) -> VertexSet:
+    """``None`` means every vertex (the whole-node case)."""
+    return ALL_VERTICES if vertices is None else frozenset(vertices)
+
+
+def _touches(payload: Any, vertices: VertexSet) -> bool:
+    """Does a request (or queued batch shard) address a key of ``vertices``?
+
+    The one predicate behind the lame-duck mute and the re-homing drain
+    gate. A batch counts if ANY entry does: its whole ACK is withheld, the
+    retransmission re-groups entries by destination per attempt, so moved
+    entries reach the new node and the rest re-land here as duplicates.
+    """
+    if vertices is ALL_VERTICES:
+        return True
+    if isinstance(payload, (BatchedOpRequest, _BatchShard)):
+        return any(vertex_of_key(entry.key) in vertices for entry in payload.entries)
+    if isinstance(payload, BulkOwnerMove):
+        return any(vertex_of_key(key) in vertices for key in payload.keys)
+    key = getattr(payload, "key", None)
+    return key is not None and vertex_of_key(key) in vertices
+
+
 class DatastoreInstance:
     """One store node. See module docstring for the design."""
 
@@ -195,10 +229,10 @@ class DatastoreInstance:
         # memory the prune itself would reopen the exactly-once window it
         # exists to close.
         self._pruned_clocks: Set[int] = set()
-        # Vertices whose state has been migrated to a scale-out replica:
-        # requests for their keys are still committed (so the catch-up diff
-        # stays exact) but never ACK'd — see enter_vertex_lame_duck.
-        self._lame_duck_vertices: Set[str] = set()
+        # Vertices re-homed to another node (ALL_VERTICES: the whole node):
+        # still committed, never answered — see enter_lame_duck. Falsy when
+        # nothing was moved off, which keeps the per-op checks free.
+        self._lame_duck: VertexSet = frozenset()
         # per-key TS metadata: key -> {instance -> clock of last executed
         # op}. The paper's TS is global per store instance (Figure 7 has a
         # single shared object, where the two coincide); per-key TS is the
@@ -235,91 +269,67 @@ class DatastoreInstance:
 
     @property
     def lame_duck(self) -> bool:
-        return self.endpoint.mute_output
+        """True once the *whole* node was re-homed away (awaiting teardown)."""
+        return self._lame_duck is ALL_VERTICES
 
-    def enter_lame_duck(self) -> None:
-        """Keep committing, stop talking (planned replacement, DESIGN.md §12).
+    def enter_lame_duck(self, vertices: Optional[Iterable[str]] = None) -> None:
+        """Keep committing, stop talking — for ``vertices`` (``None`` = all).
 
-        From this instant the instance still serializes and logs every
-        arriving operation — so the replacement's catch-up diff stays exact
-        — but ACKs and commit signals are dropped on the wire. Clients that
-        were in flight against this node therefore retransmit, and their
-        retries re-resolve through the cluster map to the replacement,
-        where the dedup log makes the re-application (or a catch-up copy
-        racing it) idempotent. Without this, an op ACK'd after the catch-up
-        snapshot but before teardown would be lost: the client would never
-        retransmit it, and no one would copy it forward.
+        The source side of :mod:`repro.store.rehome`, entered in the
+        instant routing swaps away. A request touching a moved vertex is
+        still applied and logged (the drain gate watches for it), but
+        nothing about it leaves the node: no response — so its client
+        retransmits onto the destination — no commit signal (both sides
+        signalling one clock would corrupt the root's parity) and no
+        watcher callback. Permanent: routing never points a moved vertex
+        back, and the mute keeps a straggler's phantom state invisible
+        until :meth:`forget_vertex` or :meth:`fail` discards it. Other
+        vertices keep full service.
         """
-        self.endpoint.mute_output = True
+        if vertices is None:
+            self._lame_duck = ALL_VERTICES
+        elif self._lame_duck is not ALL_VERTICES:
+            self._lame_duck = self._lame_duck | frozenset(vertices)
 
-    def enter_vertex_lame_duck(self, vertex_id: str) -> None:
-        """Per-vertex :meth:`enter_lame_duck`: mute ACKs for one vertex.
+    def _muted(self, key: str) -> bool:
+        """Was ``key``'s vertex re-homed away? Free when nothing was."""
+        vertices = self._lame_duck
+        return bool(vertices) and vertex_of_key(key) in vertices
 
-        Store scale-out re-homes a single vertex's keys to a new replica
-        while this node keeps serving everything else, so the whole-node
-        mute is too blunt. From this instant, requests touching the
-        migrating vertex's keys are still applied and logged (a request
-        already in our queues may carry an update the replica's snapshot
-        missed — committing it keeps the identity observable) but the
-        response is dropped: the un-ACK'd client retransmits, re-resolves
-        through the cluster map, and lands on the replica, where the
-        seeded dedup log emulates anything the snapshot already covered.
+    def _respond(self, request: RpcRequest, value: Any, ok: bool = True) -> None:
+        """Answer ``request`` unless it touches a re-homed vertex."""
+        vertices = self._lame_duck
+        if vertices and _touches(request.payload, vertices):
+            return
+        self.endpoint.respond(request, value, ok=ok)
 
-        The mute is permanent by design: routing never points a migrated
-        vertex back at this node, so a late straggler can only create
-        phantom state here — which the mute keeps invisible (no ACK, no
-        read reply) until :meth:`forget_vertex` garbage-collects it.
-        """
-        self._lame_duck_vertices.add(vertex_id)
-        self.endpoint.mute_filter = self._migrating_request
+    def queued_for(self, vertices: Optional[Iterable[str]] = None) -> bool:
+        """Is any request touching ``vertices`` (``None`` = any) still queued?"""
+        wanted = vertex_set(vertices)
+        return any(
+            _touches(payload, wanted)
+            for queue in self._queues
+            for payload, _request in queue._items
+        )
 
-    def _migrating_request(self, request: RpcRequest) -> bool:
-        """True when ``request`` touches a vertex this node migrated away."""
-        payload = request.payload
-        if isinstance(payload, BatchedOpRequest):
-            # The whole batch ACK is withheld if ANY entry was migrated:
-            # the client's retransmission re-groups entries by destination
-            # per attempt, so migrated entries reach the replica and the
-            # rest re-land here, where the dedup log emulates them.
-            return any(
-                vertex_of_key(entry.key) in self._lame_duck_vertices
-                for entry in payload.entries
-            )
-        if isinstance(payload, BulkOwnerMove):
-            return any(
-                vertex_of_key(key) in self._lame_duck_vertices
-                for key in payload.keys
-            )
-        key = getattr(payload, "key", None)
-        if key is None:
-            return False
-        return vertex_of_key(key) in self._lame_duck_vertices
-
-    def forget_vertex(self, vertex_id: str) -> int:
-        """Garbage-collect a migrated vertex's state once traffic quiesced.
+    def forget_vertex(self, vertex_id: str) -> None:
+        """Garbage-collect a re-homed vertex's state once traffic quiesced.
 
         The vertex stays in the lame-duck set (the mute is the permanent
         backstop against stragglers); only the dead copies of its data,
-        ownership, TS metadata, dedup log and watcher registrations are
-        dropped, so state audits that fold every store's keys into one map
-        never see the stale pre-migration values. Returns the number of
-        data keys dropped.
+        ownership, TS metadata, watcher registrations and dedup log go, so
+        state audits that fold every store's keys into one map never see
+        the stale pre-move values.
         """
-        doomed = [k for k in self._data if vertex_of_key(k) == vertex_id]
-        for key in doomed:
-            del self._data[key]
-            self._owners.pop(key, None)
-            self._ts.pop(key, None)
-        for log_key in [
-            lk for lk in self._update_log if vertex_of_key(lk[0]) == vertex_id
-        ]:
-            # _log_clocks entries stay; _prune pops from _update_log with
-            # a default, so a dangling index entry is harmless
+        for table in (
+            self._data, self._owners, self._ts,
+            self._value_watchers, self._owner_watchers,
+        ):
+            for key in [k for k in table if vertex_of_key(k) == vertex_id]:
+                del table[key]
+        # _log_clocks entries stay: _prune pops _update_log with a default
+        for log_key in [k for k in self._update_log if vertex_of_key(k[0]) == vertex_id]:
             del self._update_log[log_key]
-        for watchers in (self._value_watchers, self._owner_watchers):
-            for key in [k for k in watchers if vertex_of_key(k) == vertex_id]:
-                del watchers[key]
-        return len(doomed)
 
     def fail(self) -> None:
         """Fail-stop: all in-memory state vanishes; endpoint goes dark.
@@ -364,7 +374,7 @@ class DatastoreInstance:
         if self.inflight_limit is None or self._inflight() < self.inflight_limit:
             return False
         self.stats.overload_rejections += 1
-        self.endpoint.respond(
+        self._respond(
             request, Overloaded(retry_after_us=self.overload_retry_after_us)
         )
         return True
@@ -420,35 +430,35 @@ class DatastoreInstance:
                     suite.note_store_clone(
                         self.sim, payload.original, payload.clone, payload.register
                     )
-                self.endpoint.respond(request, True)
+                self._respond(request, True)
             elif isinstance(payload, TakeoverRequest):
                 self._thread_for(payload.new_instance).put((payload, request))
             elif isinstance(payload, WatchRequest):
                 watchers = self._watcher_map(payload.kind).setdefault(payload.key, set())
                 watchers.add(payload.endpoint)
-                self.endpoint.respond(request, True)
+                self._respond(request, True)
             elif isinstance(payload, UnwatchRequest):
                 self._watcher_map(payload.kind).get(payload.key, set()).discard(payload.endpoint)
-                self.endpoint.respond(request, True)
+                self._respond(request, True)
             elif isinstance(payload, PruneRequest):
                 self._prune(payload.clock)
             elif isinstance(payload, BatchedPruneRequest):
                 for clock in payload.clocks:
                     self._prune(clock)
             elif isinstance(payload, NonDetRequest):
-                self.endpoint.respond(request, self._nondet_value(payload))
+                self._respond(request, self._nondet_value(payload))
             elif isinstance(payload, SnapshotRequest):
                 snapshot = {
                     k: copy.deepcopy(v)
                     for k, v in self._data.items()
                     if k.startswith(payload.prefix)
                 }
-                self.endpoint.respond(request, snapshot)
+                self._respond(request, snapshot)
             elif isinstance(payload, CheckpointControl):
                 self.take_checkpoint()
-                self.endpoint.respond(request, self.last_checkpoint.taken_at)
+                self._respond(request, self.last_checkpoint.taken_at)
             else:
-                self.endpoint.respond(request, RuntimeError(f"bad request {payload!r}"), ok=False)
+                self._respond(request, RuntimeError(f"bad request {payload!r}"), ok=False)
 
     def _message_loop(self):
         """Consume one-way messages (prune notifications from the root)."""
@@ -473,9 +483,7 @@ class DatastoreInstance:
         """
         if self.mirror is None:
             return None
-        import copy as _copy
-
-        forwarded = _copy.copy(payload)
+        forwarded = copy.copy(payload)
         if isinstance(forwarded, OpRequest):
             forwarded.blocking = True
             forwarded.vector_tag = 0  # the primary already signalled the root
@@ -494,7 +502,7 @@ class DatastoreInstance:
                 # an unregistered custom operation) must not kill the
                 # thread serving every other key it owns
                 if request is not None:
-                    self.endpoint.respond(request, error, ok=False)
+                    self._respond(request, error, ok=False)
 
     def _serve(self, payload, request):
         """Handle one queued request (thread context; may yield)."""
@@ -505,9 +513,9 @@ class DatastoreInstance:
                 yield mirror_ack
             if request is not None:
                 if payload.blocking:
-                    self.endpoint.respond(request, result)
+                    self._respond(request, result)
                 else:
-                    self.endpoint.respond(request, OpResult(value=None, emulated=result.emulated))
+                    self._respond(request, OpResult(value=None, emulated=result.emulated))
         elif isinstance(payload, _BatchShard):
             # One op_service_us was charged by the thread loop; charge the
             # rest so store CPU time matches the unbatched equivalent — the
@@ -532,25 +540,25 @@ class DatastoreInstance:
                     self.endpoint.send(destination, BatchedCommitSignal(tuple(sigs)))
             payload.state.remaining -= 1
             if payload.state.remaining == 0 and request is not None:
-                self.endpoint.respond(
+                self._respond(
                     request,
                     OpResult(value=None, emulated=payload.state.emulated > 0),
                 )
         elif isinstance(payload, ReadRequest):
-            self.endpoint.respond(request, self._read(payload))
+            self._respond(request, self._read(payload))
         elif isinstance(payload, WriteRequest):
             outcome = self._write(payload)
             mirror_ack = self._replicate(payload)
             if mirror_ack is not None:
                 yield mirror_ack
-            self.endpoint.respond(request, outcome)
+            self._respond(request, outcome)
         elif isinstance(payload, OwnerRequest):
             outcome = self._handle_owner(payload)
             if payload.action != "get":
                 mirror_ack = self._replicate(payload)
                 if mirror_ack is not None:
                     yield mirror_ack
-            self.endpoint.respond(request, outcome)
+            self._respond(request, outcome)
         elif isinstance(payload, LockReadRequest):
             self._handle_lock_read(payload, request)
         elif isinstance(payload, WriteUnlockRequest):
@@ -561,7 +569,7 @@ class DatastoreInstance:
             mirror_ack = self._replicate(payload)
             if mirror_ack is not None:
                 yield mirror_ack
-            self.endpoint.respond(request, outcome)
+            self._respond(request, outcome)
         elif isinstance(payload, TakeoverRequest):
             owned = [k for k, v in self._owners.items() if v == payload.old_instance]
             yield self.sim.timeout(self.per_key_metadata_us * max(len(owned), 1))
@@ -574,7 +582,7 @@ class DatastoreInstance:
             mirror_ack = self._replicate(payload)
             if mirror_ack is not None:
                 yield mirror_ack
-            self.endpoint.respond(request, len(owned))
+            self._respond(request, len(owned))
 
     # ------------------------------------------------------------------
     # state operations
@@ -662,12 +670,7 @@ class DatastoreInstance:
             op.vector_tag
             and op.clock
             and self.root_endpoint
-            # Per-vertex lame duck: the op is committed (keeps the
-            # migration's catch-up diff exact) but neither ACK'd nor
-            # signalled — the client's retransmission will apply and
-            # signal from the replica, and signalling from both sides
-            # would corrupt the root's commit-vector parity.
-            and vertex_of_key(key) not in self._lame_duck_vertices
+            and not self._muted(key)  # re-homed: the destination signals
         ):
             # multi-root deployments name roots "root{id}"; the clock's high
             # bits say which root logged this packet
@@ -715,7 +718,7 @@ class DatastoreInstance:
         if key not in self._lock_holders:
             self._lock_holders[key] = payload.instance
             self.stats.reads += 1
-            self.endpoint.respond(
+            self._respond(
                 request, ReadResult(value=copy.deepcopy(self._data.get(key)))
             )
         else:
@@ -725,13 +728,13 @@ class DatastoreInstance:
         key = payload.key
         self._data[key] = payload.value
         self.stats.writes += 1
-        self.endpoint.respond(request, True)
+        self._respond(request, True)
         waiters = self._lock_waiters.get(key, [])
         if waiters:
             next_payload, next_request = waiters.pop(0)
             self._lock_holders[key] = next_payload.instance
             self.stats.reads += 1
-            self.endpoint.respond(
+            self._respond(
                 next_request, ReadResult(value=copy.deepcopy(self._data.get(key)))
             )
         else:
@@ -751,12 +754,9 @@ class DatastoreInstance:
                 moved += 1
                 if suite is not None:
                     suite.note_store_transfer(self.sim, key, request.new_instance, "bulk_move")
-        if self._lame_duck_vertices and any(
-            vertex_of_key(key) in self._lame_duck_vertices
-            for key in request.keys
-        ):
-            # migrated keys: the mover's un-ACK'd request retransmits to
-            # the replica, which fires the rendezvous callback instead
+        if self._lame_duck and _touches(request, self._lame_duck):
+            # re-homed keys: the mover's un-ACK'd request retransmits to
+            # the destination, which fires the rendezvous callback instead
             return moved
         if request.notify_key:
             for watcher in sorted(self._owner_watchers.get(request.notify_key, ())):
@@ -784,19 +784,16 @@ class DatastoreInstance:
         suite = _sanitize.ACTIVE
         if suite is not None:
             suite.note_store_transfer(self.sim, key, owner, request.action)
-        if not (
-            self._lame_duck_vertices
-            and vertex_of_key(key) in self._lame_duck_vertices
-        ):
+        if not self._muted(key):
             for watcher in sorted(self._owner_watchers.get(key, ())):
                 self.endpoint.send(watcher, CallbackMessage(key=key, kind="owner", owner=owner))
                 self.stats.callbacks_sent += 1
         return owner
 
     def _notify_value_watchers(self, key: str, value: Any, exclude: str = "") -> None:
-        if self._lame_duck_vertices and vertex_of_key(key) in self._lame_duck_vertices:
-            # a migrated key's phantom writes must not push stale values
-            # into caches — the replica owns the watchers now
+        if self._muted(key):
+            # a re-homed key's phantom writes must not push stale values
+            # into caches — the destination owns the watchers now
             return
         for watcher in sorted(self._value_watchers.get(key, ())):
             if watcher == exclude:
@@ -866,3 +863,17 @@ class DatastoreInstance:
 
     def logged_clocks(self, key: str) -> List[int]:
         return sorted(clock for (k, clock) in self._update_log if k == key)
+
+    def vertex_write_load(self, vertex_id: str) -> int:
+        """Recent-write proxy: unpruned dedup-log entries for the vertex.
+
+        Log entries are pruned once their packet leaves the chain, so the
+        steady-state count tracks write rate x pipeline latency — a far
+        better hotness signal than key count (one shared counter key can
+        carry most of a store's load).
+        """
+        return sum(
+            len(seqs)
+            for (key, _clock), seqs in self._update_log.items()
+            if vertex_of_key(key) == vertex_id
+        )

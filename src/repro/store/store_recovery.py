@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.simnet.engine import Simulator
-from repro.simnet.network import Network
 from repro.store.cluster import StoreCluster
 from repro.store.datastore import Checkpoint, DatastoreInstance
+from repro.store.rehome import seed_log, successor
 from repro.store.operations import OperationRegistry
 from repro.store.protocol import OpRequest
 from repro.store.wal import ReadLogEntry, UpdateLogEntry, WriteAheadLog
@@ -189,7 +189,6 @@ class StoreRecoveryResult:
 
 def recover_store_instance(
     sim: Simulator,
-    network: Network,
     cluster: StoreCluster,
     failed: DatastoreInstance,
     clients: List,  # List[StoreClient]; untyped to avoid an import cycle
@@ -213,16 +212,7 @@ def recover_store_instance(
     """
     started_at = sim.now
     checkpoint = failed.last_checkpoint
-    replacement = DatastoreInstance(
-        sim,
-        network,
-        new_name,
-        n_threads=failed.n_threads,
-        op_service_us=failed.op_service_us,
-        registry=failed.registry.copy(),
-        root_endpoint=failed.root_endpoint,
-        checkpoint_interval_us=failed.checkpoint_interval_us,
-    )
+    replacement = successor(failed, new_name, registry=failed.registry.copy())
     result = StoreRecoveryResult(
         replacement=replacement, started_at=started_at, finished_at=started_at
     )
@@ -248,12 +238,7 @@ def recover_store_instance(
     # every identity in it is already reflected in the checkpoint data, so
     # a client retransmitting one (its ACK was lost with the old instance)
     # must be emulated, not re-applied.
-    covered: set = set()
-    if checkpoint:
-        for (log_key, clock), seqs in checkpoint.update_log.items():
-            for seq, value in seqs.items():
-                replacement._log_committed(log_key, clock, seq, value)
-                covered.add((log_key, clock, seq))
+    covered = seed_log(replacement, checkpoint.update_log) if checkpoint else set()
     wals = {client.instance_id: client.wal for client in clients}
     shared_keys = sorted(
         {entry.key for wal in wals.values() for entry in wal.updates}

@@ -232,6 +232,31 @@ class TestRules:
             Path("repro/chaos/campaign.py"),
         ) == []
 
+    def test_chc010_store_private_mutation(self):
+        findings = fixture_findings("bad_chc010.py")
+        codes = [f.code for f in findings]
+        assert codes and set(codes) == {"CHC010"}
+        # rebind, item assignment (one and two levels deep), |=, mutating
+        # method (on the attribute and on an item of it), del, and the
+        # _log_committed call; the reads on the last line pass
+        assert [f.line for f in findings] == [5, 6, 7, 8, 9, 10, 11, 12]
+        assert "repro.store.rehome" in findings[0].message
+
+    def test_chc010_exempt_inside_the_store_package_and_on_self(self):
+        source = (
+            "def seed(dst, src):\n"
+            "    dst._pruned_clocks |= src._pruned_clocks\n"
+            "    dst._log_committed('k', 1, 0, None)\n"
+        )
+        assert lint.check_source(source, Path("repro/store/rehome.py")) == []
+        for path in ("repro/core/autoscaler.py", "repro/ops/director.py",
+                     "repro/dist/store_node.py"):
+            flagged = lint.check_source(source, Path(path))
+            assert [f.code for f in flagged] == ["CHC010", "CHC010"], path
+        # a class's own ``self._data`` is not the store's
+        own = "class Cache:\n    def put(self, k, v):\n        self._data[k] = v\n"
+        assert lint.check_source(own, Path("repro/core/mod.py")) == []
+
 
 class TestMechanics:
     def test_good_fixture_is_clean(self):

@@ -117,7 +117,7 @@ class TestNfPlusStore:
                         i.client for i in runtime.instances.values() if i.alive
                     ]
                     result = yield from recover_store_instance(
-                        sim, runtime.network, runtime.store,
+                        sim, runtime.store,
                         failed_store, survivors, "storeR",
                     )
                     state["store"] = result
@@ -152,7 +152,7 @@ class TestStoreAloneStillFine:
                 def recover():
                     clients = [i.client for i in runtime.instances.values() if i.alive]
                     state["store"] = yield from recover_store_instance(
-                        sim, runtime.network, runtime.store,
+                        sim, runtime.store,
                         failed_store, clients, "storeR",
                     )
 

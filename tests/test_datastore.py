@@ -308,67 +308,3 @@ class TestLocks:
         b_event = next(e for e in events if e[0] == "b-locked")
         assert b_event[2] == 1  # b reads a's committed write
         assert store.peek("k") == 2
-
-
-class TestVertexLameDuck:
-    """Per-vertex commit-but-don't-ACK (store scale-out migration)."""
-
-    VKEY = "v\x1fcount\x1f"  # vertex "v", shared object "count"
-
-    def test_migrating_vertex_commits_without_acks(self, sim, store, caller):
-        call(sim, caller, OpRequest(key=self.VKEY, op="incr", args=(1,), instance="a"))
-        store.enter_vertex_lame_duck("v")
-        ack = caller.call_event(
-            "store0",
-            OpRequest(key=self.VKEY, op="incr", args=(1,), instance="a", blocking=False),
-        )
-        sim.run(until=sim.now + 1_000.0)
-        assert not ack.triggered  # the ACK was dropped on the wire...
-        assert store.peek(self.VKEY) == 2  # ...but the op was committed
-
-    def test_other_vertices_keep_full_service(self, sim, store, caller):
-        store.enter_vertex_lame_duck("v")
-        result = call(sim, caller, OpRequest(key="other", op="incr", args=(3,), instance="a"))
-        assert result.value == 3
-        assert call(sim, caller, ReadRequest(key="other")).value == 3
-
-    def test_migrating_vertex_reads_are_muted_too(self, sim, store, caller):
-        call(sim, caller, OpRequest(key=self.VKEY, op="incr", args=(1,), instance="a"))
-        store.enter_vertex_lame_duck("v")
-        reply = caller.call_event("store0", ReadRequest(key=self.VKEY))
-        sim.run(until=sim.now + 1_000.0)
-        assert not reply.triggered
-
-    def test_lame_duck_vertex_stops_signalling_root(self, sim, store, caller):
-        call(
-            sim, caller,
-            OpRequest(key=self.VKEY, op="incr", args=(1,), instance="a",
-                      clock=3, vector_tag=1),
-        )
-        signalled = store.stats.commit_signals
-        store.enter_vertex_lame_duck("v")
-        caller.call_event(
-            "store0",
-            OpRequest(key=self.VKEY, op="incr", args=(1,), instance="a",
-                      clock=4, vector_tag=1, blocking=False),
-        )
-        sim.run(until=sim.now + 1_000.0)
-        assert store.peek(self.VKEY) == 2
-        assert store.stats.commit_signals == signalled  # no double-signal
-
-    def test_forget_vertex_gcs_state_but_keeps_the_mute(self, sim, store, caller):
-        call(sim, caller, OpRequest(key=self.VKEY, op="incr", args=(1,),
-                                    instance="a", clock=9))
-        call(sim, caller, OpRequest(key="other", op="incr", args=(1,), instance="a"))
-        store.enter_vertex_lame_duck("v")
-        assert store.forget_vertex("v") == 1
-        assert store.keys() == ["other"]
-        assert store.logged_clocks(self.VKEY) == []
-        # the mute is the permanent backstop: a straggler's phantom write
-        # is committed but stays invisible (no ACK)
-        ack = caller.call_event(
-            "store0",
-            OpRequest(key=self.VKEY, op="incr", args=(1,), instance="a", blocking=False),
-        )
-        sim.run(until=sim.now + 1_000.0)
-        assert not ack.triggered

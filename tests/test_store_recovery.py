@@ -165,7 +165,7 @@ class TestFullStoreRecovery:
 
         def recovery():
             result = yield from recover_store_instance(
-                sim, network, cluster, store, clients, "storeB"
+                sim, cluster, store, clients, "storeB"
             )
             return result
 
