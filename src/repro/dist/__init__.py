@@ -32,7 +32,6 @@ from repro.dist.transport import (  # noqa: F401
     Listener,
     TransportCounters,
     decode_body,
-    decode_value,
     encode_frame,
     encode_value,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "Listener",
     "TransportCounters",
     "decode_body",
-    "decode_value",
     "encode_frame",
     "encode_value",
 ]

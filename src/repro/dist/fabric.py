@@ -52,7 +52,7 @@ from repro.dist.shard import (
     build_shard_runtime,
     read_ledger,
 )
-from repro.dist.transport import Listener, Peer, control_frame
+from repro.dist.transport import ControlFrame, Listener, Peer, control_frame
 from repro.simnet.engine import Simulator
 
 _INTERNAL_MARKERS = ("__root__", "__move__", "__nondet__")
@@ -230,9 +230,9 @@ class Fabric:
             time.sleep(min(0.005, remaining))
 
     def _route_frame(self, peer: Peer, frame: Any) -> None:
-        if not isinstance(frame, dict) or frame.get("k") != "c":
+        if not isinstance(frame, ControlFrame):
             return
-        body = frame.get("b") or {}
+        body = frame.body
         kind = body.get("type")
         if kind == "hello":
             child = self.children.get(body.get("name", ""))

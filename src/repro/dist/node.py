@@ -26,7 +26,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.dist.transport import Connection, control_frame
+from repro.dist.transport import Connection, ControlFrame, control_frame
 
 #: Real microseconds per virtual microsecond. 20x dilation keeps the
 #: engine's hardcoded virtual budgets (root clock persist at 200 virtual
@@ -85,6 +85,7 @@ class ControlLink:
         self.role = role
         self.name = name
         self._hello_extra = dict(extra_hello or {})
+        self._parent_pid = os.getppid()
         self.conn = Connection(
             host,
             port,
@@ -107,15 +108,22 @@ class ControlLink:
         """Update HELLO fields replayed on future reconnects (and announce
         them now if currently connected)."""
         self._hello_extra.update(fields)
-        if self.conn.connected:
+        if self.conn.alive:
             self._send_hello(self.conn)
 
     def poll(self, now_real: float) -> List[Dict[str, Any]]:
-        """Pump the socket; return inbound control command bodies."""
-        commands: List[Dict[str, Any]] = []
-        for frame in self.conn.pump(now_real):
-            if isinstance(frame, dict) and frame.get("k") == "c":
-                commands.append(frame["b"])
+        """Pump the socket; return inbound control command bodies.
+
+        A child whose parent changed has outlived its coordinator (SIGKILL,
+        a timed-out CI job): nobody is left to command or collect it, so it
+        is told to shut down here instead of redialling forever."""
+        commands: List[Dict[str, Any]] = [
+            frame.body
+            for frame in self.conn.pump(now_real)
+            if isinstance(frame, ControlFrame)
+        ]
+        if os.getppid() != self._parent_pid:
+            commands.append({"type": "shutdown"})
         return commands
 
     def reply(self, command: Dict[str, Any], body: Dict[str, Any]) -> None:

@@ -32,7 +32,7 @@ from repro.chaos.campaign import EntryCounterNF, SinkCounterNF
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.dist.node import ControlLink, Pacer, load_config
-from repro.dist.transport import Connection, data_frame, wait_readable
+from repro.dist.transport import Connection, DataFrame, control_frame, data_frame, wait_readable
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Envelope, Network
 from repro.store.cluster import StoreCluster
@@ -212,9 +212,7 @@ class ShardWorker:
         """Replayed after every (re)connect: announce every local endpoint
         name so the store node can route replies and commit signals here —
         including ``root{k}``, which may never send anything itself."""
-        conn.send_obj(
-            {"k": "c", "b": {"type": "hello", "names": self._local_endpoints()}}
-        )
+        conn.send_obj(control_frame({"type": "hello", "names": self._local_endpoints()}))
 
     def _bridge_out(self, envelope: Envelope) -> bool:
         if envelope.dst != self.store_name:
@@ -246,10 +244,10 @@ class ShardWorker:
             self._held_prunes.clear()
 
     def _handle_store_frame(self, frame: Any) -> None:
-        if not isinstance(frame, dict) or frame.get("k") != "d":
+        if not isinstance(frame, DataFrame):
             return
         self.bridge_rx += 1
-        self.network.send(frame["s"], frame["t"], frame["p"])
+        self.network.send(frame.src, frame.dst, frame.payload)
 
     # -- workload ------------------------------------------------------
 

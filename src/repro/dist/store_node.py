@@ -32,11 +32,12 @@ from repro.core.clock import clock_root, clock_sequence
 from repro.core.root import Root
 from repro.dist.node import ControlLink, Pacer, load_config
 from repro.dist.transport import (
+    ControlFrame,
+    DataFrame,
     FrameDecoder,
     Listener,
     Peer,
     data_frame,
-    encode_frame,
     wait_readable,
 )
 from repro.simnet.engine import Simulator
@@ -72,7 +73,9 @@ def _is_mutating(payload: Any) -> bool:
 
 
 class FrameWAL:
-    """Append-only log of encoded frames, replayable across process death.
+    """Append-only log of frames exactly as they arrived on the wire (a
+    plain concatenation ``FrameDecoder().feed`` reads back), replayable
+    across process death.
 
     No fsync: the crash model is process kill, not host power loss, and a
     torn tail (a frame cut mid-write by SIGKILL) is simply skipped on
@@ -159,22 +162,18 @@ class StoreNode:
         return True
 
     def _handle_peer_frame(self, peer: Peer, frame: Any) -> None:
-        if not isinstance(frame, dict):
-            return
-        if frame.get("k") == "c":
-            body = frame.get("b") or {}
-            if body.get("type") == "hello":
-                for endpoint_name in body.get("names", ()):
+        if isinstance(frame, ControlFrame):
+            if frame.body.get("type") == "hello":
+                for endpoint_name in frame.body.get("names", ()):
                     self.routes[endpoint_name] = peer
             return
-        if frame.get("k") != "d":
+        if not isinstance(frame, DataFrame):
             return
-        src, dst, payload = frame["s"], frame["t"], frame["p"]
-        self.routes[src] = peer  # passive route learning
-        if _is_mutating(payload):
-            self.wal.append(encode_frame(data_frame(src, dst, payload)))
+        self.routes[frame.src] = peer  # passive route learning
+        if _is_mutating(frame.payload):
+            self.wal.append(frame.raw)  # the bytes received, not a re-encoding
         self.bridge_rx += 1
-        self.network.send(src, dst, payload)
+        self.network.send(frame.src, frame.dst, frame.payload)
 
     # -- recovery ------------------------------------------------------
 
@@ -185,8 +184,8 @@ class StoreNode:
         saved_limit = self.store.inflight_limit
         self.store.inflight_limit = None
         for frame in frames:
-            if isinstance(frame, dict) and frame.get("k") == "d":
-                self.network.send(frame["s"], frame["t"], frame["p"])
+            if isinstance(frame, DataFrame):
+                self.network.send(frame.src, frame.dst, frame.payload)
         self.sim.run()
         self.store.endpoint.mute_output = False
         self.store.inflight_limit = saved_limit

@@ -17,10 +17,13 @@ body is a tagged-union encoding of plain data:
 * dicts as ``{"__d__": [[k, v], ...]}`` (key order preserved, non-string
   keys allowed),
 * registered message classes (the store wire protocol, the RPC ``_Wire``
-  envelope, packets) as ``{"__c__": "<Name>", "a": [field values...]}``.
+  envelope, packets, and the frame envelopes :class:`DataFrame` /
+  :class:`ControlFrame`) as ``{"__c__": "<Name>", "a": [field values...]}``.
 
 Anything else is a :class:`CodecError` — an unserializable payload is a bug
-in the sender, not something to smuggle through with pickle.
+in the sender, not something to smuggle through with pickle. Encoding is
+one lowering pass feeding one shared JSON encoder; decoding is the JSON
+parser alone, reviving tagged objects bottom-up through its ``object_hook``.
 
 Connections
 -----------
@@ -41,12 +44,16 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import math
+import os
 import random
 import select
 import socket
 import struct
 import time
 from collections import deque
+from itertools import islice
+from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.root import BatchedDeleteRequest, DeleteRequest
@@ -62,6 +69,10 @@ _LEN = struct.Struct(">I")
 #: inside the engine's retransmission budget at the default time scale.
 RECONNECT_BASE_S = 0.02
 RECONNECT_CAP_S = 0.25
+_CAP_ATTEMPT = math.ceil(math.log(RECONNECT_CAP_S / RECONNECT_BASE_S, 1.6))
+
+#: Most buffers one ``sendmsg`` may gather.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 class CodecError(TypeError):
@@ -72,17 +83,128 @@ class CodecError(TypeError):
 # codec
 # ---------------------------------------------------------------------------
 
-_BY_NAME: Dict[str, Tuple[type, Tuple[str, ...]]] = {}
+_BY_NAME: Dict[str, type] = {}
 _BY_TYPE: Dict[type, Tuple[str, Tuple[str, ...]]] = {}
+
+#: Exact types JSON carries as they are.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _lower_items(items: Any) -> List[Any]:
+    """Each item lowered; exact scalars pass through without a call."""
+    return [v if type(v) in _SCALARS else encode_value(v) for v in items]
+
+
+#: Exact type -> its lowering: the containers here, one entry per class
+#: from :func:`register_message`.
+_LOWER: Dict[type, Callable[[Any], Any]] = {
+    list: _lower_items,
+    tuple: lambda obj: {"__t__": _lower_items(obj)},
+    dict: lambda obj: {"__d__": [_lower_items(pair) for pair in obj.items()]},
+}
 
 
 def register_message(cls: type, fields: Optional[Tuple[str, ...]] = None) -> type:
-    """Register a message class for codec transport (idempotent)."""
+    """Register a message class for codec transport (idempotent).
+
+    ``fields`` must be the leading positional parameters of ``cls``, in
+    order: decoding calls ``cls(*values)``.
+    """
     if fields is None:
         fields = tuple(f.name for f in dataclasses.fields(cls))
-    _BY_NAME[cls.__name__] = (cls, fields)
-    _BY_TYPE[cls] = (cls.__name__, fields)
+    name = cls.__name__
+    values: Callable[[Any], Tuple[Any, ...]]
+    if len(fields) > 1:
+        values = attrgetter(*fields)
+    else:  # attrgetter of one name returns the bare value, not a 1-tuple
+        values = lambda obj: tuple(getattr(obj, f) for f in fields)  # noqa: E731
+
+    _LOWER[cls] = lambda obj: {"__c__": name, "a": _lower_items(values(obj))}
+    _BY_NAME[name] = cls
+    _BY_TYPE[cls] = (name, fields)
     return cls
+
+
+def encode_value(obj: Any) -> Any:
+    """Lower ``obj`` into the JSON-safe tagged-union form."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return obj
+    lower = _LOWER.get(kind)
+    if lower is not None:
+        return lower(obj)
+    # the slow road: a subclass of a plain type travels as its base
+    if isinstance(obj, (int, str, float)):
+        return obj
+    for base in (list, tuple, dict):
+        if isinstance(obj, base):
+            return _LOWER[base](obj)
+    raise CodecError(
+        f"type {type(obj).__name__!r} is not wire-encodable; register it or "
+        "send plain data (bare pickle is banned on the wire, CHC008)"
+    )
+
+
+def _revive(obj: Dict[str, Any]) -> Any:
+    """``object_hook``: one tagged JSON object, children already revived."""
+    items = obj.get("__t__")
+    if items is not None:
+        return tuple(items)
+    name = obj.get("__c__")
+    if name is not None:
+        cls = _BY_NAME.get(name)
+        if cls is None:
+            raise CodecError(f"unknown wire message type {name!r}")
+        return cls(*obj["a"])
+    pairs = obj.get("__d__")
+    if pairs is not None:
+        return dict(pairs)
+    raise CodecError(f"untagged dict on the wire: {sorted(obj)!r}")
+
+
+# check_circular off: what it encodes is the tree encode_value just built
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_JSON_DECODER = json.JSONDecoder(object_hook=_revive)
+
+
+def encode_frame(body: Any) -> bytes:
+    """Length-prefixed frame bytes for one codec value."""
+    payload = _JSON_ENCODER.encode(encode_value(body)).encode("utf-8")
+    if len(payload) > MAX_FRAME_BYTES:
+        raise CodecError(f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES")
+    return _LEN.pack(len(payload)) + payload
+
+
+def decode_body(payload: bytes) -> Any:
+    """The value one frame body (UTF-8 JSON, exactly one value, no padding) carries."""
+    text = payload.decode("utf-8")
+    value, end = _JSON_DECODER.raw_decode(text)
+    if end != len(text):
+        raise CodecError(f"{len(text) - end} stray characters after the frame body")
+    return value
+
+
+@dataclasses.dataclass
+class DataFrame:
+    """A simulation envelope crossing a process boundary."""
+
+    src: str
+    dst: str
+    payload: Any
+    #: The frame bytes this envelope arrived as (set by :class:`FrameDecoder`,
+    #: empty on one built locally) — what the store node appends to its WAL.
+    raw: bytes = dataclasses.field(default=b"", compare=False, repr=False)
+
+
+@dataclasses.dataclass
+class ControlFrame:
+    """A fabric/control-plane message (plain data, no sim payloads)."""
+
+    body: Dict[str, Any]
+
+
+data_frame = DataFrame
+control_frame = ControlFrame
 
 
 def _register_protocol() -> None:
@@ -117,97 +239,44 @@ def _register_protocol() -> None:
     register_message(FiveTuple)
     register_message(Packet)
     register_message(_Wire, fields=("kind", "request_id", "payload", "ok"))
+    register_message(DataFrame, fields=("src", "dst", "payload"))
+    register_message(ControlFrame)
 
 
 _register_protocol()
-
-
-def encode_value(obj: Any) -> Any:
-    """Lower ``obj`` into the JSON-safe tagged-union form."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, list):
-        return [encode_value(item) for item in obj]
-    if isinstance(obj, tuple):
-        return {"__t__": [encode_value(item) for item in obj]}
-    if isinstance(obj, dict):
-        return {"__d__": [[encode_value(k), encode_value(v)] for k, v in obj.items()]}
-    entry = _BY_TYPE.get(type(obj))
-    if entry is not None:
-        name, fields = entry
-        return {"__c__": name, "a": [encode_value(getattr(obj, f)) for f in fields]}
-    raise CodecError(
-        f"type {type(obj).__name__!r} is not wire-encodable; register it or "
-        "send plain data (bare pickle is banned on the wire, CHC008)"
-    )
-
-
-def decode_value(obj: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(obj, list):
-        return [decode_value(item) for item in obj]
-    if isinstance(obj, dict):
-        if "__t__" in obj:
-            return tuple(decode_value(item) for item in obj["__t__"])
-        if "__d__" in obj:
-            return {decode_value(k): decode_value(v) for k, v in obj["__d__"]}
-        if "__c__" in obj:
-            name = obj["__c__"]
-            entry = _BY_NAME.get(name)
-            if entry is None:
-                raise CodecError(f"unknown wire message type {name!r}")
-            cls, fields = entry
-            values = [decode_value(item) for item in obj["a"]]
-            return cls(**dict(zip(fields, values)))
-        raise CodecError(f"untagged dict on the wire: {sorted(obj)!r}")
-    return obj
-
-
-def encode_frame(body: Any) -> bytes:
-    """Length-prefixed frame bytes for one codec value."""
-    payload = json.dumps(encode_value(body), separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise CodecError(f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES")
-    return _LEN.pack(len(payload)) + payload
-
-
-def decode_body(payload: bytes) -> Any:
-    return decode_value(json.loads(payload.decode("utf-8")))
-
-
-def data_frame(src: str, dst: str, payload: Any) -> Any:
-    """A simulation envelope crossing a process boundary."""
-    return {"k": "d", "s": src, "t": dst, "p": payload}
-
-
-def control_frame(body: Dict[str, Any]) -> Any:
-    """A fabric/control-plane message (plain data, no sim payloads)."""
-    return {"k": "c", "b": body}
 
 
 class FrameDecoder:
     """Incremental length-prefixed frame reassembly from a byte stream."""
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self._tail = b""  # the incomplete frame the last feed ended in
 
     def feed(self, data: bytes) -> List[Any]:
-        """Append raw bytes; return every now-complete decoded frame body."""
-        self._buffer.extend(data)
+        """Append raw bytes; return every now-complete decoded frame body.
+
+        A :class:`DataFrame` comes back with its ``raw`` frame bytes. The
+        walk is an offset over ``data``: nothing is moved per frame, and
+        only the unfinished tail is kept (copied once per feed)."""
+        if self._tail:
+            data = self._tail + data
         frames: List[Any] = []
-        while True:
-            if len(self._buffer) < _LEN.size:
-                return frames
-            (length,) = _LEN.unpack_from(self._buffer)
+        offset, end = 0, len(data)
+        while end - offset >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, offset)
             if length > MAX_FRAME_BYTES:
                 raise CodecError(f"incoming frame of {length} bytes exceeds limit")
-            if len(self._buffer) < _LEN.size + length:
-                return frames
-            payload = bytes(self._buffer[_LEN.size:_LEN.size + length])
-            del self._buffer[:_LEN.size + length]
-            frames.append(decode_body(payload))
+            start = offset + _LEN.size
+            stop = start + length
+            if stop > end:
+                break
+            body = decode_body(data[start:stop])
+            if type(body) is DataFrame:
+                body.raw = data[offset:stop]
+            frames.append(body)
+            offset = stop
+        self._tail = data[offset:]
+        return frames
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +289,9 @@ class TransportCounters:
     """Socket-level evidence the fabric records per scenario: a partition
     shows up as ``connect_failures``/``resets``, a heal as ``reconnects``,
     a half-open stall as ``resets`` after silence. These are the "a real
-    socket actually broke" witnesses the acceptance criteria require."""
+    socket actually broke" witnesses the acceptance criteria require.
+    ``frames_sent`` counts logical frames fully written, however many (or
+    few) system calls carried them."""
 
     frames_sent: int = 0
     frames_received: int = 0
@@ -237,6 +308,82 @@ class TransportCounters:
 
 
 _RETRYABLE_ERRNOS = {errno.EAGAIN, errno.EWOULDBLOCK, errno.EINPROGRESS}
+_RECV_BYTES = 65536
+
+
+class _FramedSocket:
+    """What both ends of a connection share: one non-blocking socket, a
+    queue of encoded frames, the write path and the read path."""
+
+    def __init__(self) -> None:
+        self._sock: Optional[socket.socket] = None
+        self._decoder = FrameDecoder()
+        self._txq: Deque[bytes] = deque()
+        #: Bytes of ``_txq[0]`` already written to the *current* socket. The
+        #: head frame stays queued until its last byte is out, so a fresh
+        #: connection replays it whole (the new peer's decoder saw none of it).
+        self._tx_offset = 0
+        self.counters = TransportCounters()
+
+    @property
+    def alive(self) -> bool:
+        return self._sock is not None
+
+    def fileno(self) -> Optional[int]:
+        return self._sock.fileno() if self._sock is not None else None
+
+    def _drop_socket(self, count_reset: bool = True) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+            if count_reset:
+                self.counters.resets += 1
+
+    def _flush(self) -> None:
+        """Write queued frames, one ``sendmsg`` for as many as it gathers,
+        until the queue is empty or the kernel takes less than offered."""
+        txq = self._txq
+        while txq and self._sock is not None:
+            buffers: List[Any] = list(islice(txq, _IOV_MAX))
+            if self._tx_offset:
+                buffers[0] = memoryview(buffers[0])[self._tx_offset:]
+            try:
+                sent = self._sock.sendmsg(buffers)
+            except OSError as exc:
+                if exc.errno not in _RETRYABLE_ERRNOS:
+                    self._drop_socket()  # the cut frame is still _txq[0]
+                return
+            self.counters.bytes_sent += sent
+            written = self._tx_offset + sent
+            while txq and written >= len(txq[0]):
+                written -= len(txq.popleft())
+                self.counters.frames_sent += 1
+            self._tx_offset = written
+            if written or not sent:
+                return  # socket buffer full
+
+    def _read(self) -> List[Any]:
+        """Decoded inbound frames; stops at the first short read."""
+        frames: List[Any] = []
+        while self._sock is not None:
+            try:
+                data = self._sock.recv(_RECV_BYTES)
+            except OSError as exc:
+                if exc.errno not in _RETRYABLE_ERRNOS:
+                    self._drop_socket()
+                break
+            if not data:  # orderly EOF: the other side closed — a reset too
+                self._drop_socket()
+                break
+            self.counters.bytes_received += len(data)
+            frames += self._decoder.feed(data)
+            if len(data) < _RECV_BYTES:
+                break  # drained; what arrives later wakes the next pump
+        self.counters.frames_received += len(frames)
+        return frames
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +391,7 @@ _RETRYABLE_ERRNOS = {errno.EAGAIN, errno.EWOULDBLOCK, errno.EINPROGRESS}
 # ---------------------------------------------------------------------------
 
 
-class Connection:
+class Connection(_FramedSocket):
     """Outbound framed-TCP connection with seeded-backoff reconnect.
 
     ``send_obj`` never blocks and never raises on a torn socket: frames
@@ -263,35 +410,17 @@ class Connection:
         max_queue: int = 65536,
         connect_timeout_s: float = 0.25,
     ) -> None:
+        super().__init__()
         self.host = host
         self.port = port
         self.label = label
         self.on_connect = on_connect
-        self.counters = TransportCounters()
         self._rng = random.Random(seed ^ 0x7D157)
-        self._sock: Optional[socket.socket] = None
-        self._decoder = FrameDecoder()
-        self._txq: Deque[bytes] = deque()
-        # the frame currently being written: the complete frame bytes
-        # (re-queued whole after a reconnect — a half-sent frame cannot be
-        # resumed on a fresh connection, the peer's decoder saw none of it)
-        # and the yet-unsent tail on the *current* socket
-        self._tx_inflight = b""
-        self._tx_partial = b""
         self._max_queue = max_queue
         self._connect_timeout_s = connect_timeout_s
         self._next_attempt_real = 0.0
         self._attempt = 0
         self._closed = False
-
-    # -- state ---------------------------------------------------------
-
-    @property
-    def connected(self) -> bool:
-        return self._sock is not None
-
-    def fileno(self) -> Optional[int]:
-        return self._sock.fileno() if self._sock is not None else None
 
     def close(self) -> None:
         self._closed = True
@@ -301,8 +430,9 @@ class Connection:
 
     def send_obj(self, body: Any) -> None:
         frame = encode_frame(body)
-        if len(self._txq) >= self._max_queue:
-            self._txq.popleft()
+        head = 1 if self._tx_offset else 0  # a half-written head cannot be dropped
+        if len(self._txq) - head >= self._max_queue:
+            del self._txq[head]
             self.counters.tx_dropped += 1
         self._txq.append(frame)
 
@@ -319,11 +449,8 @@ class Connection:
                 self._schedule_retry(now_real)
                 return []
         self._flush()
-        if self._sock is None:  # flush hit a reset
-            self._schedule_retry(now_real)
-            return []
         frames = self._read()
-        if self._sock is None:
+        if self._sock is None:  # flush or read hit a reset
             self._schedule_retry(now_real)
         return frames
 
@@ -340,12 +467,7 @@ class Connection:
             return False
         self._sock = sock
         self._decoder = FrameDecoder()
-        if self._tx_inflight:
-            # a frame was mid-send when the old connection died: replay it
-            # from the first byte on the new one
-            self._txq.appendleft(self._tx_inflight)
-            self._tx_inflight = b""
-        self._tx_partial = b""
+        self._tx_offset = 0  # a frame cut by the old connection's death restarts
         self.counters.connects += 1
         if self.counters.connects > 1:
             self.counters.reconnects += 1
@@ -355,68 +477,14 @@ class Connection:
         return True
 
     def _schedule_retry(self, now_real: float) -> None:
-        delay = min(RECONNECT_CAP_S, RECONNECT_BASE_S * (1.6 ** self._attempt))
+        # exponent clamped where the cap is reached: a port refused for
+        # minutes gets to 1.6 ** 1511, which overflows a float
+        delay = min(
+            RECONNECT_CAP_S, RECONNECT_BASE_S * 1.6 ** min(self._attempt, _CAP_ATTEMPT)
+        )
         delay *= 1.0 + 0.25 * self._rng.random()
         self._attempt += 1
         self._next_attempt_real = now_real + delay
-
-    def _drop_socket(self, count_reset: bool = True) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-            if count_reset:
-                self.counters.resets += 1
-
-    def _flush(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return
-        while self._tx_partial or self._txq:
-            if not self._tx_partial:
-                self._tx_inflight = self._txq.popleft()
-                self._tx_partial = self._tx_inflight
-            chunk = self._tx_partial
-            try:
-                sent = sock.send(chunk)
-            except OSError as exc:
-                if exc.errno in _RETRYABLE_ERRNOS:
-                    return  # tail stays queued for this same socket
-                # connection died mid-frame: _tx_inflight holds the whole
-                # frame and _try_connect re-queues it after reconnect
-                self._drop_socket()
-                return
-            if sent == len(chunk):
-                self._tx_partial = b""
-                self._tx_inflight = b""
-                self.counters.frames_sent += 1
-                self.counters.bytes_sent += sent
-            else:
-                self._tx_partial = chunk[sent:]
-                self.counters.bytes_sent += sent
-
-    def _read(self) -> List[Any]:
-        sock = self._sock
-        if sock is None:
-            return []
-        frames: List[Any] = []
-        while True:
-            try:
-                data = sock.recv(65536)
-            except OSError as exc:
-                if exc.errno in _RETRYABLE_ERRNOS:
-                    return frames
-                self._drop_socket()
-                return frames
-            if not data:  # orderly EOF: peer closed — treat as reset
-                self._drop_socket()
-                return frames
-            self.counters.bytes_received += len(data)
-            decoded = self._decoder.feed(data)
-            self.counters.frames_received += len(decoded)
-            frames.extend(decoded)
 
 
 # ---------------------------------------------------------------------------
@@ -424,29 +492,19 @@ class Connection:
 # ---------------------------------------------------------------------------
 
 
-class Peer:
+class Peer(_FramedSocket):
     """One accepted connection on the server side."""
 
     def __init__(self, sock: socket.socket, address: Tuple[str, int]) -> None:
+        super().__init__()
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock: Optional[socket.socket] = sock
+        self._sock = sock
         self.address = address
-        self._decoder = FrameDecoder()
-        self._txq: Deque[bytes] = deque()
-        self._tx_partial = b""
         #: Half-open fault hook: while True the server never reads this
         #: peer — bytes pile up in kernel buffers exactly as they would
         #: toward a host that silently went away.
         self.stalled = False
-        self.counters = TransportCounters()
-
-    @property
-    def alive(self) -> bool:
-        return self._sock is not None
-
-    def fileno(self) -> Optional[int]:
-        return self._sock.fileno() if self._sock is not None else None
 
     def send_obj(self, body: Any) -> None:
         if self._sock is None:
@@ -456,58 +514,9 @@ class Peer:
     def pump(self) -> List[Any]:
         """Flush pending writes and read inbound frames (unless stalled)."""
         self._flush()
-        if self._sock is None or self.stalled:
+        if self.stalled:
             return []
-        frames: List[Any] = []
-        while self._sock is not None:
-            try:
-                data = self._sock.recv(65536)
-            except OSError as exc:
-                if exc.errno in _RETRYABLE_ERRNOS:
-                    break
-                self._close(count_reset=True)
-                break
-            if not data:
-                self._close(count_reset=True)
-                break
-            self.counters.bytes_received += len(data)
-            decoded = self._decoder.feed(data)
-            self.counters.frames_received += len(decoded)
-            frames.extend(decoded)
-        return frames
-
-    def _flush(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return
-        while self._tx_partial or self._txq:
-            chunk = self._tx_partial or self._txq.popleft()
-            try:
-                sent = sock.send(chunk)
-            except OSError as exc:
-                if exc.errno in _RETRYABLE_ERRNOS:
-                    self._tx_partial = chunk
-                    return
-                self._close(count_reset=True)
-                return
-            if sent == len(chunk):
-                self._tx_partial = b""
-                self.counters.frames_sent += 1
-                self.counters.bytes_sent += sent
-            else:
-                self._tx_partial = chunk[sent:]
-                self.counters.bytes_sent += sent
-
-    def _close(self, count_reset: bool) -> None:
-        if self._sock is None:
-            return
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._sock = None
-        if count_reset:
-            self.counters.resets += 1
+        return self._read()
 
     def close(self, reset: bool = False) -> None:
         """Close; ``reset=True`` sets SO_LINGER 0 so the peer sees RST —
@@ -521,7 +530,7 @@ class Peer:
                 )
             except OSError:
                 pass
-        self._close(count_reset=False)
+        self._drop_socket(count_reset=False)
 
 
 class Listener:

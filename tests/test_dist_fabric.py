@@ -2,13 +2,20 @@
 
 The heavy sweep lives in ``tools/campaign.py dist`` (CI's dist-smoke job);
 these tests pin the fabric's contract at the smallest useful scale — a
-clean distributed run and one kill-and-respawn run — so a regression in
-process spawning, bridging, recovery, or the cross-process checkers fails
-fast inside the tier-1 suite.
+clean distributed run, one kill-and-respawn run and one orphaned child —
+so a regression in process spawning, bridging, recovery, or the
+cross-process checkers fails fast inside the tier-1 suite.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import repro
 from repro.dist.fabric import DIST_SCENARIOS, run_dist_scenario
 
 
@@ -54,3 +61,56 @@ def test_shard_kill_respawns_a_real_process():
     assert len(history) == 2 and history[0] != history[1]
     # the respawned incarnation finished the workload exactly-once
     assert outcome.per_shard["s0"]["egressed"] == 24
+
+
+_SHORT_LIVED_COORDINATOR = """
+import json, os, subprocess, sys, time
+from repro.dist.transport import Listener
+
+listener = Listener(port=0)
+config = {
+    "name": "store0",
+    "control_host": "127.0.0.1",
+    "control_port": listener.port,
+    "wal_path": sys.argv[1],
+}
+child = subprocess.Popen(
+    [sys.executable, "-m", "repro.dist.store_node", json.dumps(config)],
+    stdout=subprocess.DEVNULL,
+    stderr=subprocess.DEVNULL,
+)
+while not listener.accept_ready(0.0):  # the child is in its main loop
+    time.sleep(0.01)
+print(child.pid, flush=True)
+os._exit(0)  # no shutdown command, no goodbye: a SIGKILLed coordinator
+"""
+
+
+def _running(pid: int) -> bool:
+    """False once ``pid`` has exited (a zombie nobody reaps has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rsplit(b")", 1)[1].split()[0] != b"Z"
+    except OSError:
+        return False
+
+
+def test_orphaned_child_exits_on_its_own(tmp_path):
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    coordinator = subprocess.run(
+        [sys.executable, "-c", _SHORT_LIVED_COORDINATOR, str(tmp_path / "store0.wal")],
+        env=dict(os.environ, PYTHONPATH=src_dir),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert coordinator.returncode == 0, coordinator.stderr
+    pid = int(coordinator.stdout)
+    try:
+        deadline = time.monotonic() + 10.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(pid), "store node outlived its coordinator"
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
