@@ -76,6 +76,28 @@ def runtime_digest(runtime) -> str:
     return hashlib.sha256(repr(record).encode("utf-8")).hexdigest()
 
 
+def require_no_crash(runtime) -> None:
+    """Raise if a simulation process of this run died of an exception.
+
+    Processes are started fire-and-forget, so an exception escaping one
+    only shows downstream (packets that never reach the root, say).
+    ``Simulator.crashed`` names the culprit.
+    """
+    crashed = runtime.sim.crashed
+    if crashed:
+        name, error = crashed[0]
+        raise RuntimeError(
+            f"{len(crashed)} simulation process(es) crashed, first {name!r}: {error!r}"
+        )
+
+
+def checked_digest(runtime) -> str:
+    """:func:`runtime_digest`, refused for a run in which a process
+    crashed — that would be a digest of the bug."""
+    require_no_crash(runtime)
+    return runtime_digest(runtime)
+
+
 # --- fast-path equivalence (DESIGN.md §10) ------------------------------
 #
 # The batched fast path re-times everything (one generator resume per
@@ -234,6 +256,8 @@ def _equivalence_case(item: Dict[str, Any]) -> Dict[str, Any]:
     try:
         off = run_equivalence_once(seed, False, packets, flows, batch)
         on = run_equivalence_once(seed, True, packets, flows, batch)
+        require_no_crash(off)
+        require_no_crash(on)
     except Exception as exc:
         return {
             "seed": seed,
@@ -333,7 +357,7 @@ def chaos_digest(scenario: str, seed: int, sanitize: bool = False) -> str:
             spec,
             seed,
             reference=reference,
-            collect_runtime=lambda runtime: captured.append(runtime_digest(runtime)),
+            collect_runtime=lambda runtime: captured.append(checked_digest(runtime)),
         )
     return captured[0]
 
@@ -351,7 +375,7 @@ def overload_digest(
             SCENARIOS[scenario],
             seed,
             autoscale=autoscale,
-            collect_runtime=lambda runtime: captured.append(runtime_digest(runtime)),
+            collect_runtime=lambda runtime: captured.append(checked_digest(runtime)),
         )
     return captured[0]
 

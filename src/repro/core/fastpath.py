@@ -28,10 +28,13 @@ Correctness contract (what the equivalence tests in
   local caches raises :class:`~repro.core.nf_api.NotFast`, the journal is
   discarded, and the packet reruns through the unmodified general path
   with zero visible side effects;
-* on success the journal is replayed through the normal
-  ``StoreClient.update`` machinery, so WAL entries, bit-vector tags
-  (Figure 6 step 1), per-packet sequence numbers and store-side dedup
-  identities are **byte-identical** to what the general path produces;
+* on success the journal — *resolved* entries: object, storage key, op,
+  and the value the shadow computed — is applied once by
+  ``StoreClient.commit``, which stamps each op through the same
+  ``_issue`` step ``StoreClient.update`` uses, so WAL entries, bit-vector
+  tags (Figure 6 step 1), per-packet sequence numbers and store-side
+  dedup identities are **byte-identical** to what the general path
+  produces;
 * per-flow order is preserved end to end: the flow-sharded worker queues
   stay FIFO (ineligible packets are processed inline, in order, through
   the unmodified general machinery), and fusion into a downstream instance
@@ -49,25 +52,9 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.nf_api import MatchActionForm, NetworkFunction, NotFast, FastState, Output
 from repro.core.splitter import MoveMarker
-from repro.store.client import PacketContext, StoreClient
-from repro.store.spec import CacheStrategy, StateObjectSpec
+from repro.store.client import JournalEntry, StateRef, StoreClient
+from repro.store.spec import CacheStrategy
 from repro.traffic.packet import Packet
-
-
-def _drive(gen: Generator) -> Any:
-    """Run a generator that must complete without yielding (non-blocking).
-
-    Journal replay only ever goes through locally-servable update paths
-    (the shadow validated that in the same synchronous segment), so the
-    client generators finish on their first resume. A yield here means the
-    shadow's eligibility rules diverged from the client's — a bug, not a
-    runtime condition — so fail loudly.
-    """
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("fast-path journal replay blocked unexpectedly")
 
 
 class ShadowState(FastState):
@@ -75,70 +62,49 @@ class ShadowState(FastState):
 
     Reads come from the client's caches (overlaid with this packet's own
     speculative writes); updates apply the registry function to the shadow
-    copy and append to the journal. Nothing touches the client, the WAL,
-    the bit vector or the network until the executor replays the journal —
-    and it only does that after the whole action succeeded.
+    copy and append a *resolved* entry to the journal. Nothing touches the
+    client — its caches, stats, WAL, the bit vector or the network — until
+    the executor hands the journal to :meth:`StoreClient.commit`, and it
+    only does that after the whole action succeeded.
     """
 
-    __slots__ = ("client", "tables", "values", "journal")
+    __slots__ = ("client", "tables", "values", "journal", "cached_reads")
 
     def __init__(self, client: StoreClient, tables: Tuple[str, ...]):
         self.client = client
         self.tables = tables
         self.values: Dict[str, Any] = {}
-        # (obj_name, flow_key, op, args, need_result)
-        self.journal: List[Tuple[str, Optional[Tuple], str, Tuple, bool]] = []
+        self.journal: List[JournalEntry] = []
+        self.cached_reads = 0  # client-cache hits, counted at commit
 
-    # -- helpers --------------------------------------------------------
-
-    def _spec(self, obj_name: str) -> StateObjectSpec:
-        if obj_name not in self.tables:
+    def _resolve(self, obj_name: str, flow_key: Optional[Tuple]) -> Tuple[StateRef, str]:
+        ref = self.client._refs.get(obj_name)
+        if ref is None or obj_name not in self.tables:
             # Outside the declared table set: the CHC006 contract. Decline
             # rather than error — the general path will run the NF's real
             # logic (and raise there if the object is truly undeclared).
             raise NotFast(obj_name)
-        spec = self.client.specs.get(obj_name)
-        if spec is None:
-            raise NotFast(obj_name)
-        return spec
-
-    def _strategy(self, spec: StateObjectSpec) -> Optional[CacheStrategy]:
-        """Mirror of ``StoreClient.update``'s strategy resolution: None
-        means caching is globally off (every op offloads non-blocking)."""
-        if not self.client.caching_enabled:
-            return None
-        return spec.strategy()
-
-    def _locally_writable(self, obj_name: str, strategy: Optional[CacheStrategy]) -> bool:
-        """Can updates of this object apply against the local cache?"""
-        if strategy is CacheStrategy.PER_FLOW_CACHE:
-            return True
-        return strategy is CacheStrategy.SPLIT_AWARE and self.client._exclusive.get(
-            obj_name, False
-        )
+        return ref, self.client._key(obj_name, flow_key)
 
     # -- FastState ------------------------------------------------------
 
     def get(self, obj_name: str, flow_key: Optional[Tuple]) -> Any:
         client = self.client
-        spec = self._spec(obj_name)
-        _sk, storage_key = client._key(obj_name, flow_key)
+        ref, storage_key = self._resolve(obj_name, flow_key)
         if storage_key in self.values:
             return self.values[storage_key]
-        strategy = self._strategy(spec)
-        if self._locally_writable(obj_name, strategy):
-            if storage_key in client._cache:
-                client.stats.cached_reads += 1
-                return client._cache[storage_key]
-            raise NotFast(storage_key)  # cold: the general path seeds it
-        if strategy is CacheStrategy.READ_HEAVY_CACHE:
-            if storage_key in client._readheavy_cache:
-                client.stats.cached_reads += 1
-                return client._readheavy_cache[storage_key]
+        if client._caches_writes(ref):
+            cache = client._cache
+        elif ref.strategy is CacheStrategy.READ_HEAVY_CACHE:
+            cache = client._readheavy_cache
+        else:
+            # NON_BLOCKING / non-exclusive SPLIT_AWARE / caching off: the
+            # general path read-throughs to the store — never local.
             raise NotFast(storage_key)
-        # NON_BLOCKING / non-exclusive SPLIT_AWARE / caching off: the
-        # general path read-throughs to the store — never local.
-        raise NotFast(storage_key)
+        if storage_key not in cache:
+            raise NotFast(storage_key)  # cold: the general path seeds it
+        self.cached_reads += 1
+        return cache[storage_key]
 
     def update(
         self,
@@ -149,10 +115,8 @@ class ShadowState(FastState):
         need_result: bool = False,
     ) -> Any:
         client = self.client
-        spec = self._spec(obj_name)
-        _sk, storage_key = client._key(obj_name, flow_key)
-        strategy = self._strategy(spec)
-        if self._locally_writable(obj_name, strategy):
+        ref, storage_key = self._resolve(obj_name, flow_key)
+        if client._caches_writes(ref):
             if storage_key in self.values:
                 current = self.values[storage_key]
             elif storage_key in client._cache:
@@ -160,17 +124,18 @@ class ShadowState(FastState):
             elif op in StoreClient._OVERWRITE_OPS:
                 # overwrite ops need no current state — the general path
                 # applies them on a cold cache too
-                current = spec.initial_value
+                current = ref.spec.initial_value
             else:
                 raise NotFast(storage_key)
             new_value, return_value = client.registry.apply(op, current, args)
             self.values[storage_key] = new_value
-            self.journal.append((obj_name, flow_key, op, args, need_result))
+            self.journal.append((ref, flow_key, storage_key, op, args, new_value, True))
             return return_value
+        strategy = ref.strategy
         if strategy is CacheStrategy.NON_BLOCKING or strategy is None:
-            if need_result:
-                raise NotFast(storage_key)  # blocking round-trip required
-            self.journal.append((obj_name, flow_key, op, args, False))
+            if need_result or client.wait_for_acks:
+                raise NotFast(storage_key)  # a store round-trip is required
+            self.journal.append((ref, flow_key, storage_key, op, args, None, False))
             return None
         # READ_HEAVY updates and non-exclusive SPLIT_AWARE updates run
         # blocking at the store by design.
@@ -213,7 +178,7 @@ class FastPathExecutor:
 
         On success this performs *all* the per-packet bookkeeping the
         general path's ``_process_packet`` does (seen-clock accounting,
-        latency/throughput records, journal replay through the client).
+        latency/throughput records, committing the journal to the client).
         """
         instance = self.instance
         shadow = ShadowState(self.client, self.form.tables)
@@ -229,13 +194,7 @@ class FastPathExecutor:
             instance.stats.duplicates_seen += 1
         elif packet.clock:
             instance._seen_clocks.add(packet.clock)
-        ctx: PacketContext = self.client.make_context(packet)
-        for obj_name, flow_key, op, args, need_result in shadow.journal:
-            _drive(
-                self.client.update(
-                    obj_name, flow_key, op, *args, need_result=need_result, ctx=ctx
-                )
-            )
+        self.client.commit(packet, shadow.journal, shadow.cached_reads)
         now = instance.sim.now
         instance.recorder.record(instance.proc_time_us, timestamp=now)
         if packet.queued_at:

@@ -121,7 +121,7 @@ class FastState:
 
     The executor binds this to the NF instance's cached state. Accesses
     are **speculative**: updates are journalled against shadow copies and
-    only replayed through the real client (WAL, bit-vector tags, sequence
+    only committed to the real client (WAL, bit-vector tags, sequence
     numbers, flush batching) once the whole action has succeeded. Any
     access that would need a store round-trip raises :class:`NotFast`.
     """

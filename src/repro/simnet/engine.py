@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -286,6 +286,11 @@ class Process(Event):
             # fails its Process event instead of unwinding the event loop.
             self._alive = False
             if not self._triggered:
+                if not self.callbacks:
+                    # Started fire-and-forget (every worker, store thread and
+                    # root loop is): with nobody waiting, the failed event
+                    # would be the only trace of the crash.
+                    self.sim.crashed.append((self.name, error))
                 self.fail(error)
             return
         if not isinstance(target, Event):
@@ -481,6 +486,7 @@ class Simulator:
         "events_processed",
         "microtasks_processed",
         "heap_peak",
+        "crashed",
     )
 
     def __init__(self):
@@ -491,6 +497,11 @@ class Simulator:
         self.events_processed = 0
         self.microtasks_processed = 0
         self.heap_peak = 0
+        # (process name, exception) of every process that died of an
+        # exception nobody was waiting for — a bug, never a modelled
+        # failure (fail-stop kills are ProcessKilled and not recorded).
+        # Diagnostic only: not an engine counter, not part of any digest.
+        self.crashed: List[Tuple[str, BaseException]] = []
 
     @property
     def now(self) -> float:
@@ -627,5 +638,7 @@ class Simulator:
         if not proc._triggered:
             raise SimulationError(f"process {proc.name!r} never completed (deadlock?)")
         if not proc._ok:
+            if self.crashed and self.crashed[-1][1] is proc._value:
+                self.crashed.pop()  # reported right here, to the caller
             raise proc._value
         return proc._value

@@ -92,8 +92,49 @@ class ClientStats:
     stale_reads: int = 0
 
 
+class StateRef:
+    """One declared state object as a client sees it.
+
+    Everything here follows from what the client is constructed with
+    (``specs``, ``vector_tags``, ``caching_enabled``), so it is resolved
+    once per object instead of once per operation.
+    """
+
+    __slots__ = ("name", "spec", "strategy", "tag", "logged")
+
+    def __init__(self, name: str, spec: StateObjectSpec, caching_enabled: bool, tag: int):
+        self.name = name
+        self.spec = spec
+        # Effective Table 1 strategy; None = caching globally off (the
+        # paper's "EO" model): every op executes at the store.
+        self.strategy: Optional[CacheStrategy] = (
+            spec.strategy() if caching_enabled else None
+        )
+        self.tag = tag  # Figure 6 (vertex || object) tag, 0 = untagged
+        self.logged = spec.scope is Scope.CROSS_FLOW  # updates go to the WAL
+
+
+# One speculative fast-path update, resolved (DESIGN.md §10.2): the object,
+# its flow key and storage key, the op and its args, the value the shadow
+# computed (None when the op is offloaded, not applied locally), and
+# whether it was applied locally.
+JournalEntry = Tuple[StateRef, Optional[Tuple], str, str, Tuple[Any, ...], Any, bool]
+
+# Bound on a client's (object, flow key) -> storage key table. Entries
+# normally leave with the ownership they mirror; keys a client never
+# releases (shared objects, flows that simply end) are bounded by this cap,
+# at which the table is cleared wholesale and refills from live traffic.
+KEY_TABLE_CAP = 1 << 16
+
+
 class StoreClient:
-    """Per-NF-instance state access layer. See module docstring."""
+    """Per-NF-instance state access layer. See module docstring.
+
+    ``specs``, ``vector_tags``, ``caching_enabled`` and ``vertex_id`` are
+    fixed at construction and resolved there into one :class:`StateRef`
+    per object; only split-awareness (``_exclusive``, flipped by the
+    framework as the traffic split changes) is looked up live.
+    """
 
     def __init__(
         self,
@@ -135,6 +176,12 @@ class StoreClient:
         self._watched: Set[str] = set()
         self._owned: Dict[str, Tuple[str, Optional[Tuple]]] = {}
         self._exclusive: Dict[str, bool] = {}     # obj name -> split allows caching
+        self._refs: Dict[str, StateRef] = {
+            name: StateRef(name, spec, caching_enabled, self.vector_tags.get(name, 0))
+            for name, spec in specs.items()
+        }
+        # (obj name, flow key) -> storage key; the reverse of _owned's values
+        self._keys: Dict[Tuple[str, Optional[Tuple]], str] = {}
         self._owner_waiters: Dict[str, List[Event]] = {}
         self._pending_acks: Dict[int, Tuple[Event, Any]] = {}  # ack_id -> (event, request)
         self._ack_seq = 0
@@ -173,6 +220,7 @@ class StoreClient:
         self._cache.clear()
         self._readheavy_cache.clear()
         self._stale.clear()
+        self._keys.clear()
 
     def make_context(self, packet: Optional[Packet]) -> PacketContext:
         """A fresh per-packet context (clock, op sequence numbers)."""
@@ -184,15 +232,44 @@ class StoreClient:
         """Set the *default* packet context (single-threaded use only)."""
         self._default_ctx = self.make_context(packet)
 
-    def _key(self, obj_name: str, flow_key: Optional[Tuple]) -> Tuple[StateKey, str]:
-        state_key = StateKey(vertex_id=self.vertex_id, obj_name=obj_name, flow_key=flow_key)
-        return state_key, state_key.storage_key()
+    def _key(self, obj_name: str, flow_key: Optional[Tuple]) -> str:
+        """The storage key of ``(obj_name, flow_key)``, interned per client.
 
-    def _spec(self, obj_name: str) -> StateObjectSpec:
-        spec = self.specs.get(obj_name)
-        if spec is None:
+        Exactly ``StateKey(vertex, obj_name, flow_key).storage_key()`` —
+        built there once, then a table lookup. Flow keys are projections of
+        packet headers (tuples of ``str`` / ``int``), so equal tuples always
+        render the same string. The table is per client: a fresh chain
+        starts empty, and a crashed client's table dies with it.
+        """
+        ref = (obj_name, flow_key)
+        storage_key = self._keys.get(ref)
+        if storage_key is None:
+            if len(self._keys) >= KEY_TABLE_CAP:
+                self._keys.clear()
+            storage_key = self._keys[ref] = StateKey(
+                self.vertex_id, obj_name, flow_key
+            ).storage_key()
+        return storage_key
+
+    def _resolve(self, obj_name: str, flow_key: Optional[Tuple]) -> Tuple[StateRef, str]:
+        """A state reference: the object's resolved metadata + storage key."""
+        ref = self._refs.get(obj_name)
+        if ref is None:
             raise KeyError(f"{self.instance_id}: undeclared state object {obj_name!r}")
-        return spec
+        return ref, self._key(obj_name, flow_key)
+
+    def _caches_writes(self, ref: StateRef) -> bool:
+        """Do updates of this object apply against the local cache right now?
+
+        Per-flow objects always; split-aware ones exactly while the traffic
+        split gives this instance exclusive access (a live lookup — the
+        framework flips it at run time, §4.3).
+        """
+        strategy = ref.strategy
+        return strategy is CacheStrategy.PER_FLOW_CACHE or (
+            strategy is CacheStrategy.SPLIT_AWARE
+            and self._exclusive.get(ref.name, False)
+        )
 
     def _dst(self, storage_key: str) -> str:
         return self.cluster.endpoint_for_key(storage_key)
@@ -302,86 +379,91 @@ class StoreClient:
         With ``caching_enabled=False`` (the paper's "EO" model) every
         update is offloaded: non-blocking unless a result is needed.
         """
-        ctx = ctx or self._default_ctx
-        spec = self._spec(obj_name)
-        _state_key, storage_key = self._key(obj_name, flow_key)
-        strategy = spec.strategy()
-        if not self.caching_enabled:
-            strategy = None  # force store-side execution below
-        seq = ctx.next_seq(storage_key)
-        tag = self.vector_tags.get(obj_name, 0)
-        if ctx.packet is not None and tag:
-            ctx.packet.bitvector ^= tag  # Figure 6 step 1
-        if spec.scope is Scope.CROSS_FLOW:
-            self.wal.log_update(ctx.clock, storage_key, op, args, seq=seq, at=self.sim.now)
+        ref, storage_key = self._resolve(obj_name, flow_key)
+        request = self._issue(ctx or self._default_ctx, ref, storage_key, op, args)
+        strategy = ref.strategy
+        if strategy is None or strategy is CacheStrategy.NON_BLOCKING:
+            if not need_result:
+                ack = self._nonblocking(request)
+                if ack is not None:
+                    yield ack
+                return None
+        elif self._caches_writes(ref):
+            self._claim(request, ref, flow_key)
+            if storage_key not in self._cache and op not in self._OVERWRITE_OPS:
+                return (yield from self._seed_cache(request))
+            current = self._cache.get(storage_key, ref.spec.initial_value)
+            new_value, return_value = self.registry.apply(op, current, args)
+            self._store_local(request, new_value)
+            return return_value
+        # Blocking at the store: the NF needs the result, a read-heavy
+        # object's rare update (the store returns the updated object and
+        # pushes callbacks to the other caching instances), or a split-aware
+        # object this instance does not have to itself.
+        result: OpResult = yield from self._blocking_call(storage_key, request)
+        self.stats.blocking_ops += 1
+        if strategy is CacheStrategy.READ_HEAVY_CACHE and (
+            storage_key in self._readheavy_cache or storage_key in self._watched
+        ):
+            self._readheavy_cache[storage_key] = result.value
+        return result.value
 
-        request = OpRequest(
+    def _issue(
+        self, ctx: PacketContext, ref: StateRef, storage_key: str, op: str, args: Tuple
+    ) -> OpRequest:
+        """Stamp one update on its packet — the single definition of "an
+        op": per-(packet, key) sequence number, Figure 6 step 1 bit-vector
+        XOR, cross-flow WAL entry, and the request the store will see
+        (blocking until a sender decides otherwise)."""
+        seq = ctx.next_seq(storage_key)
+        tag = ref.tag
+        if tag and ctx.packet is not None:
+            ctx.packet.bitvector ^= tag
+        clock = ctx.clock
+        if ref.logged:
+            self.wal.log_update(clock, storage_key, op, args, seq=seq, at=self.sim.now)
+        return OpRequest(
             key=storage_key,
             op=op,
             args=args,
             instance=self.instance_id,
-            clock=ctx.clock,
+            clock=clock,
             seq=seq,
             vector_tag=tag,
-            log_update=ctx.clock > 0,
+            log_update=clock > 0,
         )
 
-        if strategy is None:
-            if need_result:
-                request.blocking = True
-                result = yield from self._blocking_call(storage_key, request)
-                self.stats.blocking_ops += 1
-                return result.value
-            return (yield from self._nonblocking(request))
+    def _claim(self, request: OpRequest, ref: StateRef, flow_key: Optional[Tuple]) -> None:
+        """Ownership of a per-flow object is claimed by the key metadata on
+        its first flushed write — no extra round trip (§4.3)."""
+        if ref.strategy is CacheStrategy.PER_FLOW_CACHE and request.key not in self._owned:
+            request.claim_owner = True
+            self._owned[request.key] = (ref.name, flow_key)
 
-        if strategy is CacheStrategy.NON_BLOCKING:
-            if need_result:
-                request.blocking = True
-                result = yield from self._blocking_call(storage_key, request)
-                self.stats.blocking_ops += 1
-                return result.value
-            return (yield from self._nonblocking(request))
+    def _flush(self, request: OpRequest) -> None:
+        """Send an op nobody waits for: into the open fast-path batch, else
+        on its own with the ACK tracked so ack_barrier() can fence it.
 
-        if strategy is CacheStrategy.PER_FLOW_CACHE:
-            if storage_key not in self._owned:
-                # Ownership is claimed by the key metadata on the first
-                # flushed write — no extra round trip (§4.3).
-                request.claim_owner = True
-                self._owned[storage_key] = (obj_name, flow_key)
-            return (yield from self._local_apply_and_flush(request, spec))
-
-        if strategy is CacheStrategy.READ_HEAVY_CACHE:
-            # Rare update: blocking; store returns the updated object and
-            # pushes callbacks to the other caching instances.
-            request.blocking = True
-            result: OpResult = yield from self._blocking_call(storage_key, request)
-            self.stats.blocking_ops += 1
-            if storage_key in self._readheavy_cache or storage_key in self._watched:
-                self._readheavy_cache[storage_key] = result.value
-            return result.value
-
-        # SPLIT_AWARE
-        if self._exclusive.get(obj_name, False):
-            return (yield from self._local_apply_and_flush(request, spec))
-        request.blocking = True
-        result = yield from self._blocking_call(storage_key, request)
-        self.stats.blocking_ops += 1
-        return result.value
-
-    def _nonblocking(self, request: OpRequest) -> Generator:
+        "Else" includes a fast-path worker whose batch a sibling worker of
+        the same instance already flushed (they share this client) while it
+        was parked on downstream backpressure.
+        """
         request.blocking = False
-        if self._batch is not None and not self.wait_for_acks:
+        if self._batch is not None:
             self._batch.append(request)
-            self.stats.nonblocking_ops += 1
-            return None
-        ack = self.endpoint.call_event(self._dst(request.key), request)
+        else:
+            ack = self.endpoint.call_event(self._dst(request.key), request)
+            self._track_ack(request, ack)
+
+    def _nonblocking(self, request: OpRequest) -> Optional[Event]:
+        """Offload an op; returns the ACK only if the caller must await it
+        (``wait_for_acks``, the EO / EO+C models)."""
         self.stats.nonblocking_ops += 1
         if self.wait_for_acks:
-            yield ack
-            return None
-        self._track_ack(request, ack)
+            request.blocking = False
+            return self.endpoint.call_event(self._dst(request.key), request)
+        self._flush(request)
         return None
-        yield  # pragma: no cover - keeps this a generator on all paths
 
     def _note_cache_fill(self, storage_key: str) -> None:
         """Ownership-sanitizer hook: this client now caches ``storage_key``.
@@ -398,43 +480,58 @@ class StoreClient:
     # cold cache can apply them locally without first consulting the store.
     _OVERWRITE_OPS = frozenset({"set"})
 
-    def _local_apply_and_flush(self, request: OpRequest, spec: StateObjectSpec) -> Generator:
-        """Cached update: apply locally, flush the *operation* (non-blocking).
+    def _seed_cache(self, request: OpRequest) -> Generator:
+        """First cached update of a key this client holds no copy of.
 
         A *cold* cache (first touch after instance creation, failover or a
         handover) must not apply against ``initial_value`` — the store may
-        hold live state (e.g. the NAT's remaining free ports). In that case
-        the op runs blocking at the store, which returns the updated object
-        to seed the cache (§4.3); everything after is local.
+        hold live state (e.g. the NAT's remaining free ports). The op runs
+        blocking at the store, which returns the updated object to seed the
+        cache (§4.3); everything after is local.
         """
-        if request.key not in self._cache and request.op not in self._OVERWRITE_OPS:
-            request.blocking = True
-            request.return_state = True
-            result: OpResult = yield from self._blocking_call(request.key, request)
-            self.stats.blocking_ops += 1
-            if result.state is not None or result.emulated:
-                if result.state is not None:
-                    self._note_cache_fill(request.key)
-                    self._cache[request.key] = result.state
-                return result.value
-            # rejected (not the owner): don't poison the cache
-            return result.value
-        current = self._cache.get(request.key, spec.initial_value)
-        new_value, return_value = self.registry.apply(request.op, current, request.args)
+        request.return_state = True
+        result: OpResult = yield from self._blocking_call(request.key, request)
+        self.stats.blocking_ops += 1
+        if result.state is not None:
+            self._note_cache_fill(request.key)
+            self._cache[request.key] = result.state
+        # else: rejected (not the owner), or an emulated duplicate that
+        # carried no state — don't poison the cache
+        return result.value
+
+    def _store_local(self, request: OpRequest, new_value: Any) -> None:
+        """A cached update takes effect: the value locally, the *operation*
+        to the store — non-blocking by design (Table 1), so it never stalls
+        the packet path and the store stays current for fault tolerance."""
         if request.key not in self._cache:
             self._note_cache_fill(request.key)
         self._cache[request.key] = new_value
         self.stats.local_ops += 1
-        # Flushes are non-blocking by design (Table 1): they never stall the
-        # packet path; the ACK is tracked so ack_barrier() can fence them.
-        request.blocking = False
-        if self._batch is not None:
-            self._batch.append(request)
-        else:
-            ack = self.endpoint.call_event(self._dst(request.key), request)
-            self._track_ack(request, ack)
-        return return_value
-        yield  # pragma: no cover - generator protocol
+        self._flush(request)
+
+    def commit(self, packet: Packet, journal: List[JournalEntry], cached_reads: int) -> None:
+        """Make one packet's speculative fast-path action real (§10.3).
+
+        Synchronous, one pass, no store round trip: the shadow that built
+        ``journal`` already established, in this same uninterrupted
+        segment, that every entry is locally servable — and for locally
+        applied entries it computed the new value against this client's
+        cache, which nothing can have changed since. Per entry this is
+        exactly what :meth:`update` does for a warm key: stamp the op
+        (:meth:`_issue`), claim a first write, store and flush.
+        """
+        self.stats.cached_reads += cached_reads
+        if not journal:
+            return
+        ctx = self.make_context(packet)
+        for ref, flow_key, storage_key, op, args, new_value, local in journal:
+            request = self._issue(ctx, ref, storage_key, op, args)
+            if local:
+                self._claim(request, ref, flow_key)
+                self._store_local(request, new_value)
+            else:
+                self.stats.nonblocking_ops += 1
+                self._flush(request)
 
     # ------------------------------------------------------------------
     # fast-path flush batching (§6)
@@ -590,14 +687,9 @@ class StoreClient:
     ) -> Generator:
         """Read a state object per its strategy (generator, ``yield from``)."""
         ctx = ctx or self._default_ctx
-        spec = self._spec(obj_name)
-        _state_key, storage_key = self._key(obj_name, flow_key)
-        strategy = spec.strategy()
-        if not self.caching_enabled:
-            result = yield from self._read_through(storage_key, spec, ctx)
-            return result.value if result.value is not None else spec.initial_value
-
-        if strategy is CacheStrategy.PER_FLOW_CACHE:
+        ref, storage_key = self._resolve(obj_name, flow_key)
+        spec = ref.spec
+        if self._caches_writes(ref):
             if storage_key in self._cache:
                 self.stats.cached_reads += 1
                 return self._cache[storage_key]
@@ -607,7 +699,7 @@ class StoreClient:
             self._cache[storage_key] = value
             return value
 
-        if strategy is CacheStrategy.READ_HEAVY_CACHE:
+        if ref.strategy is CacheStrategy.READ_HEAVY_CACHE:
             if storage_key in self._readheavy_cache:
                 self.stats.cached_reads += 1
                 return self._readheavy_cache[storage_key]
@@ -621,17 +713,8 @@ class StoreClient:
             self._readheavy_cache[storage_key] = value
             return value
 
-        if strategy is CacheStrategy.SPLIT_AWARE and self._exclusive.get(obj_name, False):
-            if storage_key in self._cache:
-                self.stats.cached_reads += 1
-                return self._cache[storage_key]
-            result = yield from self._read_through(storage_key, spec, ctx)
-            value = result.value if result.value is not None else spec.initial_value
-            self._note_cache_fill(storage_key)
-            self._cache[storage_key] = value
-            return value
-
-        # NON_BLOCKING objects and non-exclusive SPLIT_AWARE: read through.
+        # Caching off, NON_BLOCKING objects and non-exclusive SPLIT_AWARE:
+        # read through.
         result = yield from self._read_through(storage_key, spec, ctx)
         return result.value if result.value is not None else spec.initial_value
 
@@ -693,19 +776,19 @@ class StoreClient:
         self._owned[storage_key] = (obj_name, flow_key)
 
     def get_owner(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
-        _sk, storage_key = self._key(obj_name, flow_key)
+        storage_key = self._key(obj_name, flow_key)
         owner = yield from self._blocking_call(
             storage_key, OwnerRequest(key=storage_key, action="get")
         )
         return owner
 
     def associate(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
-        _sk, storage_key = self._key(obj_name, flow_key)
+        storage_key = self._key(obj_name, flow_key)
         yield from self._ensure_owned(storage_key, obj_name, flow_key)
 
     def disassociate(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
         """Flush the cached value, then release ownership (Figure 4 step 5)."""
-        _sk, storage_key = self._key(obj_name, flow_key)
+        storage_key = self._key(obj_name, flow_key)
         if storage_key in self._cache:
             yield from self._blocking_call(
                 storage_key,
@@ -717,10 +800,11 @@ class StoreClient:
             OwnerRequest(key=storage_key, instance=self.instance_id, action="disassociate"),
         )
         self._owned.pop(storage_key, None)
+        self._keys.pop((obj_name, flow_key), None)
 
     def watch_owner(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
         """Register for ownership-change callbacks on a per-flow object."""
-        _sk, storage_key = self._key(obj_name, flow_key)
+        storage_key = self._key(obj_name, flow_key)
         yield from self._blocking_call(
             storage_key,
             WatchRequest(key=storage_key, endpoint=self.instance_id, kind="owner"),
@@ -728,7 +812,7 @@ class StoreClient:
 
     def on_owner_released(self, obj_name: str, flow_key: Optional[Tuple]) -> Event:
         """Event fired when the object's owner becomes vacant (step 6)."""
-        _sk, storage_key = self._key(obj_name, flow_key)
+        storage_key = self._key(obj_name, flow_key)
         event = self.sim.event(name=f"owner-released({storage_key})")
         self._owner_waiters.setdefault(storage_key, []).append(event)
         return event
@@ -770,7 +854,9 @@ class StoreClient:
         for key in storage_keys:
             by_store.setdefault(self._dst(key), []).append(key)
             self._cache.pop(key, None)
-            self._owned.pop(key, None)
+            released = self._owned.pop(key, None)
+            if released is not None:
+                self._keys.pop(released, None)
         moved = 0
         for _dst, keys in sorted(by_store.items()):
             # Re-resolve through the group's first key so a retry after a
@@ -815,7 +901,7 @@ class StoreClient:
     ) -> Generator:
         """Store-computed non-deterministic value for the current packet."""
         ctx = ctx or self._default_ctx
-        _sk, storage_key = self._key("__nondet__", None)
+        storage_key = self._key("__nondet__", None)
         value = yield from self._blocking_call(
             storage_key, NonDetRequest(clock=ctx.clock, purpose=purpose, kind=kind)
         )

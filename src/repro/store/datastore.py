@@ -69,10 +69,6 @@ DEFAULT_OP_SERVICE_US = 0.196  # ~5.1M ops/s per thread (§7.1 datastore bench)
 _ROOT_ID_SHIFT = 56
 
 
-def _clock_root_id(clock: int) -> int:
-    return clock >> _ROOT_ID_SHIFT
-
-
 @dataclass
 class Checkpoint:
     """A point-in-time snapshot with TS metadata (§5.4).
@@ -188,6 +184,7 @@ class DatastoreInstance:
         self.per_key_metadata_us = 0.02  # bulk ownership moves (§7.3 R2)
         self.registry = registry or default_registry()
         self.root_endpoint = root_endpoint
+        self._root_names: Dict[int, str] = {}  # root id -> formatted endpoint
         self.checkpoint_interval_us = checkpoint_interval_us
         # Duplicate-update suppression (§5.3). Disabling it reproduces what
         # frameworks without CHC's clock-keyed update log do — the Table 5
@@ -512,27 +509,21 @@ class DatastoreInstance:
             if mirror_ack is not None:
                 yield mirror_ack
             if request is not None:
-                if payload.blocking:
-                    self._respond(request, result)
-                else:
-                    self._respond(request, OpResult(value=None, emulated=result.emulated))
+                self._respond(request, result)
         elif isinstance(payload, _BatchShard):
             # One op_service_us was charged by the thread loop; charge the
             # rest so store CPU time matches the unbatched equivalent — the
             # batching win is in messages and events, not store cycles.
             if len(payload.entries) > 1:
                 yield self.sim.timeout(self.op_service_us * (len(payload.entries) - 1))
-            signals: List[Tuple[str, int, int]] = []
-            for entry in payload.entries:
-                result = self.apply_operation(entry, signal_sink=signals)
-                if result.emulated:
-                    payload.state.emulated += 1
-                mirror_ack = self._replicate(entry)
-                if mirror_ack is not None:
-                    yield mirror_ack
             by_root: Dict[str, List[Tuple[int, int]]] = {}
-            for destination, clock, tag in signals:
-                by_root.setdefault(destination, []).append((clock, tag))
+            for entry in payload.entries:
+                if self.apply_operation(entry, signal_sink=by_root).emulated:
+                    payload.state.emulated += 1
+                if self.mirror is not None:
+                    mirror_ack = self._replicate(entry)
+                    if mirror_ack is not None:
+                        yield mirror_ack
             for destination, sigs in by_root.items():
                 if len(sigs) == 1:
                     self.endpoint.send(destination, CommitSignal(*sigs[0]))
@@ -591,12 +582,14 @@ class DatastoreInstance:
     def apply_operation(
         self,
         op: OpRequest,
-        signal_sink: Optional[List[Tuple[str, int, int]]] = None,
+        signal_sink: Optional[Dict[str, List[Tuple[int, int]]]] = None,
     ) -> OpResult:
         """Serialize-and-apply one offloaded operation (or emulate it).
 
         Public because store recovery re-executes WAL entries through the
-        same path.
+        same path. A non-blocking op's result is the bare ACK (see
+        :meth:`_result`). ``signal_sink`` (batch-served entries) collects
+        commit signals per root instead of sending one message each.
         """
         key = op.key
         owner = self._owners.get(key)
@@ -617,21 +610,17 @@ class DatastoreInstance:
             self.stats.rejected += 1
             if suite is not None:
                 suite.note_store_reject(self.sim, key, op.instance, owner)
-            return OpResult(value=None, ts=dict(self._ts.get(key, {})), emulated=False)
+            return self._result(op, None, False, None)
 
-        if self.dedup_enabled and op.log_update and op.clock:
+        logged = self.dedup_enabled and op.log_update and op.clock
+        if logged:
             if op.clock in self._pruned_clocks:
                 # Straggler duplicate of an already-pruned packet: the prune
                 # proves every update with this clock committed, and the
                 # original's result was consumed long ago (nothing can be
                 # awaiting this copy), so the logged value is not needed.
                 self.stats.ops_emulated += 1
-                return OpResult(
-                    value=None,
-                    ts=dict(self._ts.get(key, {})),
-                    emulated=True,
-                    state=copy.deepcopy(self._data.get(key)) if op.return_state else None,
-                )
+                return self._result(op, None, True, self._data.get(key))
             committed = self._update_log.get((key, op.clock))
             if committed is not None and op.seq in committed:
                 # Duplicate: an update with this (key, clock, seq) identity
@@ -642,19 +631,13 @@ class DatastoreInstance:
                 # initializes the clone with the straggler's latest state
                 # from the datastore", §5.3).
                 self.stats.ops_emulated += 1
-                return OpResult(
-                    value=committed[op.seq],
-                    ts=dict(self._ts.get(key, {})),
-                    emulated=True,
-                    state=copy.deepcopy(self._data.get(key)) if op.return_state else None,
-                )
+                return self._result(op, committed[op.seq], True, self._data.get(key))
 
         if suite is not None:
             # Applied (not emulated, not rejected) mutation: the ownership
             # sanitizer checks the writer against the last one it saw.
             suite.note_store_apply(self.sim, key, op.instance)
-        current = self._data.get(key)
-        new_value, return_value = self.registry.apply(op.op, current, op.args)
+        new_value, return_value = self.registry.apply(op.op, self._data.get(key), op.args)
         self._data[key] = new_value
         self.stats.ops_applied += 1
         if op.clock and op.instance:
@@ -664,7 +647,7 @@ class DatastoreInstance:
             ts = self._ts.setdefault(key, {})
             if op.clock > ts.get(op.instance, 0):
                 ts[op.instance] = op.clock
-        if self.dedup_enabled and op.log_update and op.clock:
+        if logged:
             self._log_committed(key, op.clock, op.seq, return_value)
         if (
             op.vector_tag
@@ -672,23 +655,44 @@ class DatastoreInstance:
             and self.root_endpoint
             and not self._muted(key)  # re-homed: the destination signals
         ):
-            # multi-root deployments name roots "root{id}"; the clock's high
-            # bits say which root logged this packet
-            destination = self.root_endpoint.format(root_id=_clock_root_id(op.clock))
+            destination = self._root_for(op.clock)
             if signal_sink is not None:
-                # batch-served entry: the caller aggregates this shard's
-                # signals into one message per root (§6 fast path)
-                signal_sink.append((destination, op.clock, op.vector_tag))
+                # batch-served entry: the caller sends this shard's signals
+                # as one message per root (§6 fast path)
+                signal_sink.setdefault(destination, []).append((op.clock, op.vector_tag))
             else:
                 self.endpoint.send(destination, CommitSignal(op.clock, op.vector_tag))
             self.stats.commit_signals += 1
-        self._notify_value_watchers(key, new_value, exclude=op.instance)
+        if key in self._value_watchers:
+            self._notify_value_watchers(key, new_value, exclude=op.instance)
+        return self._result(op, return_value, False, new_value)
+
+    def _result(self, op: OpRequest, value: Any, emulated: bool, state: Any) -> OpResult:
+        """What the issuer of ``op`` gets back.
+
+        Nobody waits on a non-blocking op, so its reply is the bare ACK:
+        whether it was emulated, nothing else. A blocking caller gets the
+        op's return value, the key's TS set and — on request — a copy of
+        the object (``state`` is the store's current one).
+        """
+        if not op.blocking:
+            return OpResult(value=None, emulated=emulated)
         return OpResult(
-            value=return_value,
-            ts=dict(self._ts.get(key, {})),
-            emulated=False,
-            state=copy.deepcopy(new_value) if op.return_state else None,
+            value=value,
+            ts=dict(self._ts.get(op.key, {})),
+            emulated=emulated,
+            state=copy.deepcopy(state) if op.return_state else None,
         )
+
+    def _root_for(self, clock: int) -> str:
+        """Endpoint of the root that logged ``clock``'s packet: multi-root
+        deployments name roots "root{id}", and the clock's high bits carry
+        the id. Formatted once per root."""
+        root_id = clock >> _ROOT_ID_SHIFT
+        name = self._root_names.get(root_id)
+        if name is None:
+            name = self._root_names[root_id] = self.root_endpoint.format(root_id=root_id)
+        return name
 
     def _read(self, request: ReadRequest) -> ReadResult:
         self.stats.reads += 1

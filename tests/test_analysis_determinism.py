@@ -67,3 +67,46 @@ class TestSameSeedDigests:
         assert case["scenario"] == "nf-crash"
         assert len(case["digests"]) == 2
         assert len(set(case["digests"])) == 1
+
+
+class TestCrashedProcessFailsTheRun:
+    """A worker that dies of an exception used to show only downstream
+    (undeleted packets); the checks now name it and fail the case."""
+
+    def _break_the_fast_path(self, monkeypatch):
+        from repro.core.fastpath import FastPathExecutor
+
+        def broken(self, packet):
+            raise AttributeError("'NoneType' object has no attribute 'append'")
+
+        monkeypatch.setattr(FastPathExecutor, "execute", broken)
+
+    def test_equivalence_gate_reports_the_worker_by_name(self, monkeypatch):
+        from repro.analysis.determinism import check_fastpath_equivalence
+
+        self._break_the_fast_path(monkeypatch)
+        report = check_fastpath_equivalence([3], packets=60, flows=4)
+        assert report["ok"] is False
+        (case,) = report["cases"]
+        assert "crashed" in case["error"] and "firewall-0-w" in case["error"]
+        assert "AttributeError" in case["error"]
+
+    def test_determinism_check_fails_instead_of_digesting(self, monkeypatch):
+        from repro.simnet.engine import Simulator
+
+        original = Simulator.run
+
+        def run_with_a_crash(self, *args, **kwargs):
+            def doomed():
+                raise RuntimeError("boom")
+                yield
+
+            if not self.crashed:
+                self.process(doomed(), name="doomed-worker")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", run_with_a_crash)
+        report = check_determinism(seeds=[0], runs=2, chaos=["nf-crash"])
+        assert report["ok"] is False
+        (case,) = report["cases"]
+        assert "doomed-worker" in case["error"] and case["digests"] == []

@@ -1,5 +1,6 @@
 """Integration tests for the chain runtime: routing, accounting, egress."""
 
+import pytest
 
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
@@ -10,6 +11,14 @@ from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.trace import make_trace2
 from repro.traffic.workload import ReplaySource
 from tests.conftest import make_packet
+
+
+@pytest.fixture(autouse=True)
+def _no_process_crashed(sim):
+    """Every run in this file is fault-free: no worker, store thread or
+    root loop may have died of an exception behind the assertions' back."""
+    yield
+    assert sim.crashed == []
 
 
 class CountingNF(NetworkFunction):
@@ -216,6 +225,7 @@ class TestTraceRun:
             trace = make_trace2(scale=0.0002)
             ReplaySource(sim, trace.packets, runtime.inject, load_fraction=0.5)
             sim.run(until=60_000_000)
+            assert sim.crashed == []
             return (
                 runtime.egress_recorder.values,
                 [i.stats.processed for i in runtime.instances.values()],

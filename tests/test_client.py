@@ -1,7 +1,14 @@
 """Unit tests for the client-side library (Table 1 strategies, §4.3)."""
 
 
-from repro.simnet.network import Link
+from hypothesis import given, settings, strategies as st
+
+from repro.simnet.engine import Simulator
+from repro.simnet.network import Link, Network
+from repro.store.client import StoreClient
+from repro.store.cluster import StoreCluster
+from repro.store.datastore import DatastoreInstance
+from repro.store.keys import StateKey
 
 
 def drive(sim, generator):
@@ -33,7 +40,7 @@ class TestNonBlockingStrategy:
         elapsed = drive(sim, body())
         assert elapsed == 0.0
         sim.run()
-        assert store.peek(client._key("counter", None)[1]) == 1
+        assert store.peek(client._key("counter", None)) == 1
 
     def test_need_result_forces_blocking(self, sim, client, store):
         def body():
@@ -57,7 +64,7 @@ class TestPerFlowCache:
         assert (first, second) == (1, 2)
         assert elapsed == 0.0  # warm cache: local apply; flush asynchronous
         sim.run()
-        storage_key = client._key("flow_state", FLOW)[1]
+        storage_key = client._key("flow_state", FLOW)
         assert store.peek(storage_key) == 2
         assert store.owner_of(storage_key) == "nf-0"  # claimed on first write
 
@@ -115,7 +122,7 @@ class TestPerFlowCache:
             for _ in range(10):
                 yield from client.update("flow_state", FLOW, "incr", 1)
             yield client.ack_barrier()
-            return store.peek(client._key("flow_state", FLOW)[1])
+            return store.peek(client._key("flow_state", FLOW))
 
         assert drive(sim, body()) == 10
 
@@ -192,7 +199,7 @@ class TestSplitAware:
             yield from client.update("shared", ("10.0.0.1",), "incr", 3)
             yield from client.set_exclusive("shared", False)
             # after the flush, the store is authoritative and consistent
-            return store.peek(client._key("shared", ("10.0.0.1",))[1])
+            return store.peek(client._key("shared", ("10.0.0.1",)))
 
         assert drive(sim, body()) == 3
         assert not any(k.startswith("nf\x1fshared") for k in client._cache)
@@ -255,8 +262,9 @@ class TestWalAndVector:
     def test_packet_vector_accumulates_tags(self, sim, client_factory):
         from tests.conftest import make_packet
 
-        client = client_factory("nf-v")
-        client.vector_tags = {"counter": 0x00010002, "shared": 0x00010003}
+        client = client_factory(
+            "nf-v", vector_tags={"counter": 0x00010002, "shared": 0x00010003}
+        )
         packet = make_packet(clock=5)
         client.begin_packet(packet)
 
@@ -304,7 +312,7 @@ class TestRetransmission:
         drive(sim, body())
         # retransmitted until delivered, applied exactly once (the store
         # dedups on the (key, clock, seq) identity)
-        assert store.peek(client._key("counter", None)[1]) == 1
+        assert store.peek(client._key("counter", None)) == 1
         assert client.stats.retransmissions >= 1
 
 
@@ -315,7 +323,7 @@ class TestBulkRelease:
             yield client.ack_barrier()
 
         drive(sim, seed())
-        storage_key = client._key("flow_state", FLOW)[1]
+        storage_key = client._key("flow_state", FLOW)
 
         def release():
             moved = yield from client.release_keys_bulk(
@@ -327,3 +335,150 @@ class TestBulkRelease:
         assert store.owner_of(storage_key) == "nf-1"
         assert storage_key not in client.owned_items()
         assert storage_key not in client._cache
+
+
+# Flow keys are projections of packet headers: strings and ints (never
+# bools or floats, whose equality with ints the table could not tell apart).
+flow_key_fields = st.one_of(
+    st.integers(-(1 << 40), 1 << 40),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+flow_keys = st.one_of(st.none(), st.lists(flow_key_fields, max_size=6).map(tuple))
+
+
+class TestKeyTable:
+    """`_key` interns `StateKey(...).storage_key()` per client."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        refs=st.lists(
+            st.tuples(st.sampled_from(["flow_state", "shared", "x|y"]), flow_keys),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_interned_string_is_the_state_keys(self, refs):
+        sim = Simulator()
+        network = Network(sim, Link(latency_us=14.0), seed=7)
+        cluster = StoreCluster([DatastoreInstance(sim, network, "store0")])
+        client = StoreClient(sim, network, cluster, "v\x1fw", "nf-0", specs={})
+        for _pass in range(2):  # second pass: every lookup is a table hit
+            for obj_name, flow_key in refs:
+                expected = StateKey("v\x1fw", obj_name, flow_key).storage_key()
+                assert client._key(obj_name, flow_key) == expected
+        # one entry per distinct reference: nothing merged, nothing dropped
+        assert set(client._keys) == set(refs)
+
+    def test_int_and_str_fields_share_a_string_not_an_entry(self, client):
+        assert client._key("shared", (80,)) == client._key("shared", ("80",))
+        assert {("shared", (80,)), ("shared", ("80",))} <= set(client._keys)
+
+    def test_table_is_per_client(self, client_factory):
+        first, second = client_factory("nf-a"), client_factory("nf-b", vertex="other")
+        first._key("flow_state", FLOW)
+        assert second._keys == {}
+        assert second._key("flow_state", FLOW) != first._key("flow_state", FLOW)
+
+    def test_fail_empties_the_table(self, client):
+        client._key("flow_state", FLOW)
+        client._key("counter", None)
+        client.fail()
+        assert client._keys == {}
+
+    def test_table_shrinks_on_ownership_release(self, sim, client):
+        other = ("10.0.0.2", "52.0.0.1", 99, 80, 6)
+
+        def body():
+            yield from client.update("flow_state", FLOW, "incr", 1)
+            yield from client.update("flow_state", other, "incr", 1)
+            yield client.ack_barrier()
+            assert {("flow_state", FLOW), ("flow_state", other)} <= set(client._keys)
+            yield from client.release_keys_bulk(
+                [client._key("flow_state", FLOW)], "nf-1", notify_key="rv"
+            )
+            assert ("flow_state", FLOW) not in client._keys
+            yield from client.disassociate("flow_state", other)
+
+        drive(sim, body())
+        assert [ref for ref in client._keys if ref[0] == "flow_state"] == []
+
+    def test_cap_clears_wholesale(self, client, monkeypatch):
+        import repro.store.client as client_module
+
+        monkeypatch.setattr(client_module, "KEY_TABLE_CAP", 8)
+        for port in range(20):
+            client._key("flow_state", ("10.0.0.1", port))
+            assert len(client._keys) <= 8
+        assert client._key("flow_state", ("10.0.0.1", 19)) == StateKey(
+            "nf", "flow_state", ("10.0.0.1", 19)
+        ).storage_key()
+
+
+class TestCommit:
+    """`StoreClient.commit` at the client level (the NF-by-NF comparison
+    against the old replay lives in tests/test_fastpath.py)."""
+
+    def _journal(self, client, script):
+        from repro.core.fastpath import ShadowState
+
+        shadow = ShadowState(client, tables=tuple(client.specs))
+        script(shadow)
+        return shadow
+
+    def test_sibling_worker_closed_the_shared_batch(self, sim, client_factory, store):
+        """Worker A parks mid-batch on downstream backpressure; worker B of
+        the same instance (same client) flushes the batch they share. A's
+        remaining ops must still reach the store exactly once, ACK-tracked."""
+        from tests.conftest import make_packet
+
+        client = client_factory("nf-w", wait_for_acks=False, retransmit_timeout_us=500.0)
+        first, second = make_packet(clock=21), make_packet(sport=4321, clock=22)
+        flow_a, flow_b = ("a",), ("b",)
+
+        def ops(flow):
+            def script(shadow):
+                shadow.update("flow_state", flow, "set", 5)
+                shadow.update("counter", None, "incr", 1)
+
+            return script
+
+        client.batch_begin()  # worker A opens the batch ...
+        shadow = self._journal(client, ops(flow_a))
+        client.commit(first, shadow.journal, shadow.cached_reads)
+        assert len(client._batch) == 2
+        client.batch_begin()  # ... worker B joins it (no-op) and flushes it
+        assert len(client.batch_flush()) == 1
+        assert client._batch is None
+        # A resumes: no batch is open any more
+        shadow = self._journal(client, ops(flow_b))
+        client.commit(second, shadow.journal, shadow.cached_reads)
+        assert client._batch is None
+        assert len(client._pending_acks) == 3  # one batch + two direct sends
+        assert client.batch_flush() == []  # A's own end-of-batch flush: nothing left
+        sim.run(until=400.0)
+        assert client._pending_acks == {}  # every send was ACKed
+        assert store.peek(client._key("flow_state", flow_a)) == 5
+        assert store.peek(client._key("flow_state", flow_b)) == 5
+        assert store.peek(client._key("counter", None)) == 2
+        assert store.stats.ops_applied == 4 and store.stats.ops_emulated == 0
+        assert client.stats.retransmissions == 0
+        assert client.stats.local_ops == 2 and client.stats.nonblocking_ops == 2
+
+    def test_cache_hits_are_counted_at_commit(self, client):
+        from tests.conftest import make_packet
+
+        client._cache[client._key("flow_state", FLOW)] = 7
+        shadow = self._journal(client, lambda s: s.get("flow_state", FLOW))
+        assert shadow.cached_reads == 1 and client.stats.cached_reads == 0
+        client.commit(make_packet(clock=3), shadow.journal, shadow.cached_reads)
+        assert client.stats.cached_reads == 1
+
+    def test_waiting_for_acks_declines_offloaded_updates(self, client):
+        """EO / EO+C serialize every op on its ACK; a synchronous commit
+        cannot wait, so the shadow sends such updates down the general path."""
+        import pytest
+        from repro.core.nf_api import NotFast
+
+        assert client.wait_for_acks
+        with pytest.raises(NotFast):
+            self._journal(client, lambda s: s.update("counter", None, "incr", 1))

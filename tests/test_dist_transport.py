@@ -857,7 +857,7 @@ class TestEngineOverRealSockets:
 
         sim.process(body())
         run_bridged(sim, bridge, until=60_000)
-        key = wire_client._key("counter", None)[1]
+        key = wire_client._key("counter", None)
         assert bridge.store.peek(key) == 1  # applied exactly once
         assert wire_client.stats.retransmissions >= 2
         assert wire_client.stats.flushes_gave_up == 0
@@ -874,7 +874,7 @@ class TestEngineOverRealSockets:
 
         sim.process(body())
         run_bridged(sim, bridge, until=60_000)
-        key = wire_client._key("counter", None)[1]
+        key = wire_client._key("counter", None)
         assert bridge.store.peek(key) == 1
         assert bridge.store.stats.ops_emulated >= 1
         assert wire_client.stats.retransmissions >= 1

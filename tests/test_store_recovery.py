@@ -157,7 +157,7 @@ class TestFullStoreRecovery:
                 yield c.ack_barrier()
             sim.run_process(more())
 
-        counter_key = clients[0]._key("counter", None)[1]
+        counter_key = clients[0]._key("counter", None)
         expected = store.peek(counter_key)
         assert expected == 33
 

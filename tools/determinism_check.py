@@ -22,7 +22,9 @@ worker processes (``repro.parallel``, DESIGN.md §11); the ``runs``
 same-seed executions of one case stay inside one worker.
 
 Exit status is non-zero on any digest mismatch, failed case, or lost
-worker.
+worker. A run in which a simulation process died of an exception
+(``Simulator.crashed`` non-empty) is a failed case: it is reported as
+``ERROR`` with the process's name instead of being digested.
 """
 
 from __future__ import annotations
