@@ -43,8 +43,30 @@ def _stats_of(component: Any) -> Any:
     return _canon(vars(stats))
 
 
-def runtime_digest(runtime) -> str:
-    """SHA-256 over the run's full observable stream, in event order."""
+# What the engine spent, as opposed to what the run did: the keys of
+# ``ChainRuntime.engine_report()`` that an engine optimisation may move
+# while every callback still runs at the same instant in the same order.
+ENGINE_COUNTERS = (
+    "events_processed",
+    "microtasks_processed",
+    "heap_events",
+    "microtask_share",
+    "heap_peak",
+    "heap_size",
+)
+
+
+def engine_counters_of(runtime) -> Dict[str, Any]:
+    """The engine-counter half of :func:`runtime_digest`, in the clear."""
+    report = runtime.engine_report()
+    return {name: report[name] for name in ENGINE_COUNTERS}
+
+
+def observable_digest(runtime) -> str:
+    """SHA-256 over everything a run did, in event order: ordered egress,
+    sojourn times, drops, every stats object, queue peaks, final ``now`` —
+    all of :func:`runtime_digest` except :data:`ENGINE_COUNTERS`. Equal
+    digests across an engine change mean nothing observable moved."""
     egress = [
         (
             vertex,
@@ -54,13 +76,16 @@ def runtime_digest(runtime) -> str:
         )
         for vertex, packet in runtime.egress._items
     ]
+    report = runtime.engine_report()
+    for name in ENGINE_COUNTERS:
+        del report[name]
     record: List[Any] = [
         ("now", repr(runtime.sim.now)),
         ("egress", _canon(egress)),
         ("egress_sojourns", _canon(list(runtime.egress_recorder.values))),
         ("duplicates_suppressed", runtime.duplicates_suppressed),
         ("drops", _canon(dict(runtime.network.drops))),
-        ("engine", _canon(runtime.engine_report())),
+        ("engine", _canon(report)),
         (
             "instances",
             _canon(
@@ -73,6 +98,14 @@ def runtime_digest(runtime) -> str:
         ("stores", _canon({store.name: _stats_of(store) for store in runtime.stores})),
         ("roots", _canon({root.name: _stats_of(root) for root in runtime.roots})),
     ]
+    return hashlib.sha256(repr(record).encode("utf-8")).hexdigest()
+
+
+def runtime_digest(runtime) -> str:
+    """SHA-256 over the run's full observable stream *and* what the engine
+    spent on it: :func:`observable_digest` combined with
+    :func:`engine_counters_of`."""
+    record = (observable_digest(runtime), _canon(engine_counters_of(runtime)))
     return hashlib.sha256(repr(record).encode("utf-8")).hexdigest()
 
 

@@ -72,6 +72,14 @@ CHC010 ``DatastoreInstance`` private state mutated outside
        maps, or a ``._log_committed(...)`` call. What travels with a key
        when it changes node is decided once, in ``repro.store.rehome``;
        the two hand-rolled copies it replaced had already drifted.
+CHC011 ``Simulator._heap`` / ``._micro`` touched outside
+       ``repro/simnet/engine.py``. The engine's inline tail
+       continuation (DESIGN.md §5) asks "is anything else due at this
+       instant?" of those two queues, and is only equivalent to
+       enqueueing because the asking site is the caller's last act
+       before returning to the run loop; copied anywhere else it
+       reorders same-instant work. Monitors read ``Simulator.heap_size``
+       / ``next_event_time()`` instead.
 ====== =================================================================
 
 Suppression: append ``# chclint: disable=CHC003`` (comma-separate for
@@ -106,6 +114,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC008": "raw socket/pickle import outside repro.dist.transport",
     "CHC009": "CampaignPool constructed outside the shared campaign runner",
     "CHC010": "DatastoreInstance private state mutated outside repro.store",
+    "CHC011": "Simulator scheduling queues touched outside repro.simnet.engine",
 }
 
 #: Path fragments whose files may read the wall clock (CHC002 exempt):
@@ -139,6 +148,9 @@ STORE_PRIVATE_ATTRS = {
     "_value_watchers", "_owner_watchers",
 }
 STORE_MUTATORS = {"add", "discard", "remove", "pop", "popitem", "clear", "update", "setdefault"}
+
+#: The simulator's two scheduling queues (CHC011): private to the engine.
+ENGINE_PRIVATE_ATTRS = {"_heap", "_micro"}
 
 #: List-mutating method names: calling any of these on ``.hash_members``
 #: rewrites the stable hash partition in place.
@@ -254,6 +266,8 @@ def _exempt_codes(path: Path) -> Set[str]:
         exempt.add("CHC009")
     if "store" in parts:
         exempt.add("CHC010")
+    if path.name == "engine.py" and "simnet" in parts:
+        exempt.add("CHC011")
     return exempt
 
 
@@ -503,6 +517,18 @@ class _Checker(ast.NodeVisitor):
     # sanctioned idiom and pass; everything else is process-global state.
     def visit_Attribute(self, node: ast.Attribute) -> None:
         value = node.value
+        # CHC011: another object's ._heap / ._micro (a class's own
+        # ``self._heap`` is not the simulator's).
+        if node.attr in ENGINE_PRIVATE_ATTRS and not (
+            isinstance(value, ast.Name) and value.id == "self"
+        ):
+            self.report(
+                node,
+                "CHC011",
+                f"Simulator.{node.attr} is private to repro.simnet.engine — "
+                "use Simulator.heap_size / next_event_time(), and leave "
+                "\"is anything else due now?\" to the engine's tail calls",
+            )
         if (
             isinstance(value, ast.Attribute)
             and value.attr == "random"

@@ -214,6 +214,7 @@ class ChainRuntime:
         self.splitters: Dict[str, Splitter] = {}
         self.nics: Dict[str, Nic] = {}
         self.filters: Dict[str, DuplicateFilter] = {}
+        self._forget_timers = sim.deadline_queue(self._forget_clock)
         self.managers: Dict[str, VertexManager] = {}
         self._sinks: Set[str] = set(chain.sinks())
 
@@ -1025,7 +1026,7 @@ class ChainRuntime:
         # Forget filter state only after the same grace period the store
         # prunes use: late copies of a just-deleted packet (a replay pass
         # overlapping the original's completion) must still be suppressed.
-        self.sim.schedule(self.root_for(clock).prune_grace_us, self._forget_clock, clock)
+        self._forget_timers.add(self.root_for(clock).prune_grace_us, clock)
 
     def _forget_clock(self, clock: int) -> None:
         for dup_filter in self.filters.values():

@@ -35,7 +35,7 @@ from repro.simnet.engine import Channel, Process, Simulator
 from repro.simnet.monitor import LatencyRecorder, ThroughputMeter
 from repro.store.client import StoreClient
 from repro.traffic.packet import Packet, scope_fields
-from repro.util import stable_hash
+from repro.util import Memo, stable_hash
 
 # Overload policies for bounded instance queues (§8). BLOCK parks the
 # producer (hop-by-hop backpressure through the NIC ring), DROP tail-drops
@@ -124,6 +124,10 @@ class NFInstance:
         self.nf = nf
         self.client = client
         self.n_workers = n_workers
+        # five-tuple -> worker shard (both directions of a flow share one)
+        self._shard_memo = Memo(
+            lambda five_tuple: stable_hash(five_tuple.canonical().key()) % n_workers
+        )
         self.proc_time_us = proc_time_us
         self.extra_delay = extra_delay
         self.queue_capacity = queue_capacity
@@ -353,7 +357,7 @@ class NFInstance:
                 self._live_buffer.append(packet)
                 self.stats.buffered += 1
                 continue
-            shard = stable_hash(packet.five_tuple.canonical().key()) % self.n_workers
+            shard = self._shard_memo[packet.five_tuple]
             queue = self._worker_queues[shard]
             while not queue.put(packet):
                 # BLOCK policy: park until the worker drains one; packets
@@ -375,7 +379,7 @@ class NFInstance:
                     return
 
     def _dispatch(self, packet: Packet) -> None:
-        shard = stable_hash(packet.five_tuple.canonical().key()) % self.n_workers
+        shard = self._shard_memo[packet.five_tuple]
         self._worker_queues[shard].put_forced(packet)
 
     def _worker_loop(self, queue: Channel) -> Generator:

@@ -27,8 +27,9 @@ pass fully replaces the original pass in the bookkeeping.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.analysis import runtime as _sanitize
 from repro.core.clock import LogicalClock
@@ -162,7 +163,7 @@ class Root:
         # prune aggregation: (due_at, clock) FIFO + a single armed timer,
         # so N deletes cost one flush timer and one message per store per
         # grace window instead of one each
-        self._prune_queue: List[Tuple[float, int]] = []
+        self._prune_queue: Deque[Tuple[float, int]] = deque()
         self._prune_timer_armed = False
 
         self.clock = clock or LogicalClock(root_id=root_id)
@@ -395,8 +396,9 @@ class Root:
             return
         now = self.sim.now
         ready: List[int] = []
-        while self._prune_queue and self._prune_queue[0][0] <= now:
-            ready.append(self._prune_queue.pop(0)[1])
+        queue = self._prune_queue
+        while queue and queue[0][0] <= now:
+            ready.append(queue.popleft()[1])
         if ready:
             for store in self.store_endpoints_for_prune:
                 if len(ready) == 1:

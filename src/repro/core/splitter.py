@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.store.spec import StateObjectSpec
 from repro.traffic.packet import FiveTuple, Packet, scope_fields
-from repro.util import fields_subset, stable_hash
+from repro.util import Memo, fields_subset, stable_hash
 
 FIVE_TUPLE: Tuple[str, ...] = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
 
@@ -87,7 +87,10 @@ class Splitter:
         self.scopes: List[Tuple[str, ...]] = scopes or [FIVE_TUPLE]
         if partition_fields is None:
             partition_fields = self.scopes[-1] if self.scopes else FIVE_TUPLE
-        self.partition_fields: Tuple[str, ...] = partition_fields or FIVE_TUPLE
+        # five-tuple -> (partition key, hash home): a known flow is routed
+        # by one dict hit. Valid for one (partition_fields, hash_members).
+        self._flow_memo = Memo(self._resolve_flow)
+        self.partition_fields = partition_fields or FIVE_TUPLE
         self.overrides: Dict[Tuple, str] = {}
         self._pending_first: Dict[Tuple, str] = {}
         self._pending_first_marker: Dict[Tuple, "MoveMarker"] = {}
@@ -98,10 +101,23 @@ class Splitter:
     # routing
     # ------------------------------------------------------------------
 
-    def key_of(self, packet: Packet) -> Tuple:
+    @property
+    def partition_fields(self) -> Tuple[str, ...]:
+        return self._partition_fields
+
+    @partition_fields.setter
+    def partition_fields(self, fields: Tuple[str, ...]) -> None:
+        self._partition_fields = fields
+        self._flow_memo.clear()
+
+    def _resolve_flow(self, five_tuple) -> Tuple[Tuple, str]:
         # Partition on the canonical tuple so both directions of a flow hit
         # the same instance (rule 1 of §4.1).
-        return scope_fields(packet.five_tuple.canonical(), self.partition_fields)
+        key = scope_fields(five_tuple.canonical(), self._partition_fields)
+        return key, self.hash_members[stable_hash(key) % len(self.hash_members)]
+
+    def key_of(self, packet: Packet) -> Tuple:
+        return self._flow_memo[packet.five_tuple][0]
 
     def route(self, packet: Packet) -> List[str]:
         """Destination instance(s) for this packet.
@@ -116,10 +132,8 @@ class Splitter:
         if packet.replay_target is not None and packet.replay_target in self.instances:
             return [packet.replay_target]
 
-        key = self.key_of(packet)
-        primary = self.overrides.get(key)
-        if primary is None:
-            primary = self.hash_members[stable_hash(key) % len(self.hash_members)]
+        key, hash_home = self._flow_memo[packet.five_tuple]
+        primary = self.overrides.get(key, hash_home)
         if self._pending_first.get(key) == primary:
             packet.mark_first = True
             packet.control = self._pending_first_marker.pop(key, None)
@@ -139,12 +153,14 @@ class Splitter:
             self.instances.append(instance)
         if join_hash and instance not in self.hash_members:
             self.hash_members.append(instance)
+            self._flow_memo.clear()
 
     def remove_instance(self, instance: str) -> None:
         if instance in self.instances:
             self.instances.remove(instance)
         if instance in self.hash_members:
             self.hash_members.remove(instance)
+            self._flow_memo.clear()
         self.overrides = {k: v for k, v in self.overrides.items() if v != instance}
 
     def replace_instance(self, old: str, new: str) -> None:
@@ -152,6 +168,7 @@ class Splitter:
         the hash partition is unchanged)."""
         self.instances = [new if i == old else i for i in self.instances]
         self.hash_members = [new if i == old else i for i in self.hash_members]
+        self._flow_memo.clear()
         for key, value in list(self.overrides.items()):
             if value == old:
                 self.overrides[key] = new

@@ -18,6 +18,16 @@ Hot-path design (see DESIGN.md "Engine performance model"):
   event order is bit-for-bit identical to a single-heap engine (the
   determinism regression test in ``tests/test_engine_hotpath.py`` proves it
   against a reference implementation).
+* One wake-up, one event — **inline tail continuations**: where the engine
+  would enqueue a callback as its last act before returning to the run
+  loop (:meth:`Timeout._fire` with one waiter; :meth:`Process._step` parking
+  on an already-fired event) and nothing else is due at this instant, it
+  runs the callback right there. The microtask would have been the loop's
+  very next pick, so the schedule is unchanged; only the counters move.
+* :class:`DeadlineQueue` keeps timers that arrive in deadline order (flush
+  retransmission checks, grace periods) behind a single armed heap entry,
+  each still firing under the exact ``(time, seq)`` key ``schedule`` would
+  have given it.
 * :class:`Channel` stores items and parked getters in ``deque``s: ``put`` /
   ``get`` / ``put_front`` are O(1) where the seed engine paid O(n) per packet
   for ``list.pop(0)`` / ``insert(0)``.
@@ -89,9 +99,18 @@ class Event:
         if self._triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._triggered = True
-        self._ok = True
         self._value = value
-        self._schedule_callbacks()
+        callbacks = self.callbacks
+        if callbacks:
+            # One microtask per waiter, keyed exactly as call_soon would.
+            self.callbacks = None
+            sim = self.sim
+            seq = sim._seq
+            append = sim._micro.append
+            for callback in callbacks:
+                append((seq, callback, (self,)))
+                seq += 1
+            sim._seq = seq
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -103,17 +122,13 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self._schedule_callbacks()
-        return self
-
-    def _schedule_callbacks(self) -> None:
         callbacks = self.callbacks
-        if not callbacks:
-            return
-        self.callbacks = None
-        call_soon = self.sim.call_soon
-        for callback in callbacks:
-            call_soon(callback, self)
+        if callbacks:
+            self.callbacks = None
+            call_soon = self.sim.call_soon
+            for callback in callbacks:
+                call_soon(callback, self)
+        return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` once the event triggers (possibly now)."""
@@ -143,13 +158,35 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        # A static name: timeouts are created per packet per hop, and the
-        # formatted name was a measurable share of hot-path allocation.
-        super().__init__(sim, name="timeout")
+        # Event.__init__ spelled out, with a static name: timeouts are
+        # created per packet per hop, and the super() call and a formatted
+        # name were a measurable share of the hot path.
+        self.sim = sim
+        self.name = "timeout"
+        self.callbacks = None
+        self._triggered = False
+        self._ok = True
+        self._value = None
         sim.schedule(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
-        self.succeed(value)
+        callbacks = self.callbacks  # non-empty only while untriggered
+        sim = self.sim
+        if (
+            callbacks
+            and len(callbacks) == 1
+            and not sim._micro
+            and (not sim._heap or sim._heap[0][0] > sim.now)
+        ):
+            # Inline tail continuation (DESIGN.md §5): nothing else is due
+            # at this instant, so the microtask succeed() would enqueue is
+            # the loop's very next pick — run the lone waiter right here.
+            self.callbacks = None
+            self._triggered = True
+            self._value = value
+            callbacks[0](self)
+        else:
+            self.succeed(value)
 
 
 class AnyOf(Event):
@@ -232,7 +269,7 @@ class Process(Event):
         self._generator = generator
         self._alive = True
         self._waiting_on: Optional[Event] = None
-        sim.call_soon(self._step, None, None)
+        sim.call_soon(self._step, None)
 
     @property
     def alive(self) -> bool:
@@ -254,51 +291,75 @@ class Process(Event):
             return
         self.sim.call_soon(self._step, None, Interrupt(cause))
 
-    def _resume(self, event: Event) -> None:
-        if not self._alive or event is not self._waiting_on:
-            return  # stale wake-up (process was killed or interrupted)
-        self._waiting_on = None
-        if event._ok:
-            self._step(event._value, None)
-        else:
-            self._step(None, event._value)
-
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _step(self, event: Optional[Event], exc: Optional[BaseException] = None) -> None:
+        """Resume the generator: with ``event``'s outcome (the callback the
+        process parked on it), or from the top / with ``exc`` thrown in
+        when ``event`` is None (start, :meth:`interrupt`)."""
         if not self._alive:
             return
-        self._waiting_on = None
-        try:
-            if exc is not None:
-                target = self._generator.throw(exc)
+        value = None
+        if event is not None:
+            if event is not self._waiting_on:
+                return  # stale wake-up (the process was interrupted since)
+            if event._ok:
+                value = event._value
             else:
-                target = self._generator.send(value)
-        except StopIteration as stop:
-            self._alive = False
-            if not self._triggered:
-                self.succeed(stop.value)
-            return
-        except ProcessKilled:
-            self._alive = False
-            if not self._triggered:
-                self.fail(ProcessKilled(self.name))
-            return
-        except BaseException as error:  # noqa: BLE001 - a crashed process
-            # fails its Process event instead of unwinding the event loop.
-            self._alive = False
-            if not self._triggered:
-                if not self.callbacks:
-                    # Started fire-and-forget (every worker, store thread and
-                    # root loop is): with nobody waiting, the failed event
-                    # would be the only trace of the crash.
-                    self.sim.crashed.append((self.name, error))
-                self.fail(error)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must yield Events"
-            )
-        self._waiting_on = target
-        target.add_callback(self._resume)
+                exc = event._value
+        self._waiting_on = None
+        sim = self.sim
+        generator = self._generator
+        while True:
+            try:
+                if exc is not None:
+                    target = generator.throw(exc)
+                else:
+                    target = generator.send(value)
+            except StopIteration as stop:
+                self._alive = False
+                if not self._triggered:
+                    self.succeed(stop.value)
+                return
+            except ProcessKilled:
+                self._alive = False
+                if not self._triggered:
+                    self.fail(ProcessKilled(self.name))
+                return
+            except BaseException as error:  # noqa: BLE001 - a crashed process
+                # fails its Process event instead of unwinding the event loop.
+                self._alive = False
+                if not self._triggered:
+                    if not self.callbacks:
+                        # Started fire-and-forget (every worker, store thread and
+                        # root loop is): with nobody waiting, the failed event
+                        # would be the only trace of the crash.
+                        sim.crashed.append((self.name, error))
+                    self.fail(error)
+                return
+            try:
+                triggered = target._triggered
+            except AttributeError:
+                raise SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must yield Events"
+                ) from None
+            if not triggered:
+                self._waiting_on = target
+                if target.callbacks is None:
+                    target.callbacks = [self._step]
+                else:
+                    target.callbacks.append(self._step)
+                return
+            if sim._micro or (sim._heap and sim._heap[0][0] <= sim.now):
+                self._waiting_on = target
+                sim.call_soon(self._step, target)
+                return
+            # Inline tail continuation (DESIGN.md §5): the event has already
+            # fired (a get() on a non-empty channel) and nothing else is due
+            # at this instant, so the resume this would enqueue is the
+            # loop's very next pick — keep going without the round trip.
+            if target._ok:
+                value, exc = target._value, None
+            else:
+                value, exc = None, target._value
 
 
 class Channel:
@@ -385,10 +446,12 @@ class Channel:
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
-        event = Event(self.sim, name=self.name)
+        event = Event(self.sim, self.name)
         items = self._items
         if items:
-            event.succeed(items.popleft())
+            # born triggered: nobody can be waiting on it yet
+            event._triggered = True
+            event._value = items.popleft()
             if self._space_waiters:
                 self._notify_space()
         else:
@@ -458,6 +521,101 @@ class Channel:
         return removed
 
 
+class DeadlineQueue:
+    """Timers that share one callback and arrive in (nearly) deadline order,
+    behind a **single** heap entry.
+
+    The idiom for "after a timeout, check whether X still needs doing"
+    armed once per packet or per operation (flush retransmission, the
+    delete grace period): the deadlines are ``now + constant``, so they
+    arrive sorted, and a deque with one armed heap entry at the head's due
+    time replaces one heap entry per timer — the heap stays the size of
+    the *live* schedule instead of filling with checks that will find
+    nothing to do.
+
+    Every timer fires at the bit-identical ``(time, seq)`` key
+    ``Simulator.schedule`` would have given it: the absolute due time
+    (``now + delay``, computed once) and the sequence number are fixed in
+    :meth:`add`, and the heap entry armed for a timer carries exactly that
+    key. A deadline earlier than the queue's tail (a lowered timeout, a
+    shorter backoff) simply gets a heap entry of its own.
+
+    ``settled(*args)``, if given, says a queued timer's callback would be a
+    no-op (and will stay one); such timers are dropped when they reach the
+    head, without costing an event. Timers due at the same instant with
+    nothing else scheduled between them (one batch's grace periods) fire
+    from one event, in order.
+    """
+
+    __slots__ = ("sim", "_callback", "_settled", "_entries")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        callback: Callable,
+        settled: Optional[Callable[..., bool]] = None,
+    ):
+        self.sim = sim
+        self._callback = callback
+        self._settled = settled
+        self._entries: deque = deque()  # (due, seq, args), sorted; head is armed
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(self, delay: float, *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay`` microseconds."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        due = sim.now + delay
+        entries = self._entries
+        if not entries:
+            entries.append((due, seq, args))
+            sim._push(due, seq, self._fire, ())
+        elif due >= entries[-1][0]:
+            entries.append((due, seq, args))
+        else:
+            sim._push(due, seq, self._callback, args)
+
+    def _fire(self) -> None:
+        entries = self._entries
+        more = True
+        while more:
+            args = entries.popleft()[2]
+            more = self._advance()  # before the callback, which may add()
+            self._callback(*args)
+
+    def _advance(self) -> bool:
+        """Drop settled heads, then arm the new head and return False —
+        unless it is due this very instant and is what the run loop would
+        pick next (timers armed for one instant by one batch): then leave it
+        queued and return True, for :meth:`_fire` to run without a round
+        trip through the heap. Nothing a callback can schedule sorts before
+        an already-queued key, so this is decided before the callback runs."""
+        entries = self._entries
+        settled = self._settled
+        sim = self.sim
+        while entries:
+            due, seq, args = entries[0]
+            if settled is not None and settled(*args):
+                entries.popleft()
+                continue
+            heap = sim._heap
+            micro = sim._micro
+            if (
+                due > sim.now
+                or (micro and micro[0][0] < seq)
+                or (heap and heap[0][0] <= due and heap[0][1] < seq)
+            ):
+                sim._push(due, seq, self._fire, ())
+                return False
+            return True
+        return False
+
+
 class Simulator:
     """The discrete event loop.
 
@@ -476,10 +634,14 @@ class Simulator:
 
     Hence the next callback is the microtask head unless the heap head is due
     at ``now`` with a smaller ``seq`` (scheduled earlier at this instant).
+
+    ``_heap`` and ``_micro`` are private to this module (chclint CHC011):
+    the inline tail continuations ask them "is anything else due now?",
+    which is only meaningful from a call that returns straight to the loop.
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_heap",
         "_micro",
         "_seq",
@@ -490,7 +652,9 @@ class Simulator:
     )
 
     def __init__(self):
-        self._now = 0.0
+        # Virtual time, µs. Read-only outside this module; a plain attribute
+        # because a property cost 59 calls per packet.
+        self.now = 0.0
         self._heap: List[tuple] = []
         self._micro: deque = deque()
         self._seq = 0
@@ -503,10 +667,6 @@ class Simulator:
         # Diagnostic only: not an engine counter, not part of any digest.
         self.crashed: List[Tuple[str, BaseException]] = []
 
-    @property
-    def now(self) -> float:
-        return self._now
-
     def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` microseconds."""
         seq = self._seq
@@ -518,9 +678,21 @@ class Simulator:
             self._seq = seq
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         heap = self._heap
-        heapq.heappush(heap, (self._now + delay, seq, callback, args))
+        heapq.heappush(heap, (self.now + delay, seq, callback, args))
         if len(heap) > self.heap_peak:
             self.heap_peak = len(heap)
+
+    def _push(self, due: float, seq: int, callback: Callable, args: tuple) -> None:
+        """Heap-insert under an already-allocated key (DeadlineQueue)."""
+        heap = self._heap
+        heapq.heappush(heap, (due, seq, callback, args))
+        if len(heap) > self.heap_peak:
+            self.heap_peak = len(heap)
+
+    @property
+    def heap_size(self) -> int:
+        """Timers pending on the time heap right now."""
+        return len(self._heap)
 
     def call_soon(self, callback: Callable, *args: Any) -> None:
         """Enqueue ``callback(*args)`` to run at the current instant.
@@ -549,6 +721,12 @@ class Simulator:
         """Start a process driving ``generator``; returns its Process event."""
         return Process(self, generator, name=name)
 
+    def deadline_queue(
+        self, callback: Callable, settled: Optional[Callable[..., bool]] = None
+    ) -> DeadlineQueue:
+        """A :class:`DeadlineQueue` of ``callback`` timers on this simulator."""
+        return DeadlineQueue(self, callback, settled)
+
     def run(self, until: Optional[float] = None, max_events: int = 200_000_000) -> float:
         """Run until both queues drain or ``until`` (µs) is reached.
 
@@ -561,7 +739,7 @@ class Simulator:
         popleft = micro.popleft
         count = 0
         micro_count = 0
-        now = self._now  # mirror of self._now; only this loop advances it
+        now = self.now  # mirror of self.now; only this loop advances it
         try:
             while heap or micro:
                 if micro and (
@@ -572,10 +750,10 @@ class Simulator:
                 else:
                     time = heap[0][0]
                     if until is not None and time > until:
-                        self._now = until
+                        self.now = until
                         return until
                     _time, _seq, callback, args = heappop(heap)
-                    now = self._now = time
+                    now = self.now = time
                 callback(*args)
                 count += 1
                 if count > max_events:
@@ -585,9 +763,9 @@ class Simulator:
         finally:
             self.events_processed += count
             self.microtasks_processed += micro_count
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def next_event_time(self) -> Optional[float]:
         """Due time of the earliest pending work, or None when idle.
@@ -598,7 +776,7 @@ class Simulator:
         due *now*; otherwise the heap head bounds the sleep.
         """
         if self._micro:
-            return self._now
+            return self.now
         if self._heap:
             return self._heap[0][0]
         return None
@@ -617,7 +795,7 @@ class Simulator:
         popleft = micro.popleft
         count = 0
         micro_count = 0
-        now = self._now
+        now = self.now
         try:
             while (heap or micro) and not proc._triggered:
                 if micro and (
@@ -627,7 +805,7 @@ class Simulator:
                     micro_count += 1
                 else:
                     time, _seq, callback, args = heappop(heap)
-                    now = self._now = time
+                    now = self.now = time
                 callback(*args)
                 count += 1
                 if count > 200_000_000:

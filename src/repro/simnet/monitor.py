@@ -77,7 +77,7 @@ def engine_counters(sim, network=None) -> EngineCounters:
         events_processed=sim.events_processed,
         microtasks_processed=sim.microtasks_processed,
         heap_peak=sim.heap_peak,
-        heap_size=len(sim._heap),
+        heap_size=sim.heap_size,
         rpc_retries=getattr(network, "rpc_retries", 0),
         rpc_timeouts=getattr(network, "rpc_timeouts", 0),
         rpc_gaveups=getattr(network, "rpc_gaveups", 0),

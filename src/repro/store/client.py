@@ -185,6 +185,12 @@ class StoreClient:
         self._owner_waiters: Dict[str, List[Event]] = {}
         self._pending_acks: Dict[int, Tuple[Event, Any]] = {}  # ack_id -> (event, request)
         self._ack_seq = 0
+        # One armed heap entry for all outstanding flushes; an ACKed flush's
+        # timer is dropped without firing.
+        self._retransmit_timers = sim.deadline_queue(
+            self._maybe_retransmit,
+            settled=lambda ack_id, _request, _attempt: ack_id not in self._pending_acks,
+        )
         # Fast-path flush batching (§6): while a batch is open, non-blocking
         # flushes are accumulated instead of sent, then coalesced into one
         # BatchedOpRequest per destination store at batch_flush().
@@ -600,9 +606,7 @@ class StoreClient:
             delay = self.retransmit_timeout_us * (
                 self.FLUSH_BACKOFF ** min(attempt, self.FLUSH_BACKOFF_CAP)
             )
-            self.sim.schedule(
-                delay, self._maybe_retransmit, ack_id, request, attempt
-            )
+            self._retransmit_timers.add(delay, ack_id, request, attempt)
 
     def _on_flush_reply(self, ack_id: int, request: OpRequest, attempt: int,
                         event: Event) -> None:

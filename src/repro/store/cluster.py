@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence
 from repro.store.datastore import DatastoreInstance
 from repro.store.keys import parse_storage_key
 from repro.store.operations import OperationFn
+from repro.util import Memo
 
 
 class StoreCluster:
@@ -31,6 +32,8 @@ class StoreCluster:
         # so state audits that fold ``instances`` into one map see the
         # replica's (authoritative) copy of a migrated key last.
         self._replicas: List[str] = []
+        # storage key -> endpoint; cleared whenever routing changes
+        self._endpoint_memo = Memo(self._route_key)
 
     @property
     def instances(self) -> List[DatastoreInstance]:
@@ -41,9 +44,13 @@ class StoreCluster:
         if store_name not in self._instances:
             raise KeyError(f"unknown store instance {store_name!r}")
         self._vertex_assignment[vertex_id] = store_name
+        self._endpoint_memo.clear()
 
     def endpoint_for_key(self, storage_key: str) -> str:
         """Name of the store instance holding ``storage_key``."""
+        return self._endpoint_memo[storage_key]
+
+    def _route_key(self, storage_key: str) -> str:
         try:
             vertex, _obj, _flow = parse_storage_key(storage_key)
         except ValueError:
@@ -77,6 +84,7 @@ class StoreCluster:
         for vertex, store in list(self._vertex_assignment.items()):
             if store == old_name:
                 self._vertex_assignment[vertex] = replacement.name
+        self._endpoint_memo.clear()
 
     def add_replica(
         self, replica: DatastoreInstance, vertices: Sequence[str] = ()
@@ -113,6 +121,7 @@ class StoreCluster:
         any.
         """
         self._vertex_assignment.pop(vertex_id, None)
+        self._endpoint_memo.clear()
 
     def register_custom_op(self, name: str, fn: OperationFn) -> None:
         """Load a developer-supplied operation on every store instance."""

@@ -29,7 +29,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, U
 
 from repro.analysis import runtime as _sanitize
 from repro.simnet.engine import Channel, Process, Simulator
-from repro.util import stable_hash
+from repro.util import Memo, stable_hash
 from repro.simnet.network import Network
 from repro.simnet.rpc import RpcEndpoint, RpcRequest
 from repro.store.keys import vertex_of_key
@@ -180,6 +180,8 @@ class DatastoreInstance:
         self.sim = sim
         self.name = name
         self.n_threads = n_threads
+        # storage key -> index of the thread that owns it
+        self._thread_memo = Memo(lambda key: stable_hash(key) % n_threads)
         self.op_service_us = op_service_us
         self.per_key_metadata_us = 0.02  # bulk ownership moves (§7.3 R2)
         self.registry = registry or default_registry()
@@ -354,7 +356,7 @@ class DatastoreInstance:
 
     def _thread_for(self, key: str) -> Channel:
         # Stable hash: each key maps to exactly one thread, reproducibly.
-        return self._queues[stable_hash(key) % self.n_threads]
+        return self._queues[self._thread_memo[key]]
 
     def _inflight(self) -> int:
         return sum(len(queue) for queue in self._queues)
@@ -402,9 +404,7 @@ class DatastoreInstance:
                     continue
                 groups: Dict[int, List[OpRequest]] = {}
                 for entry in payload.entries:
-                    groups.setdefault(
-                        stable_hash(entry.key) % self.n_threads, []
-                    ).append(entry)
+                    groups.setdefault(self._thread_memo[entry.key], []).append(entry)
                 state = _BatchState(len(groups))
                 for idx, entries in groups.items():
                     self._queues[idx].put((_BatchShard(tuple(entries), state), request))

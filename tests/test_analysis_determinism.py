@@ -7,10 +7,15 @@ property the CI determinism-smoke job gates on.
 """
 
 from repro.analysis.determinism import (
+    ENGINE_COUNTERS,
     _canon,
     chaos_digest,
     check_determinism,
+    engine_counters_of,
+    observable_digest,
     overload_digest,
+    run_equivalence_once,
+    runtime_digest,
 )
 
 
@@ -27,6 +32,26 @@ class TestCanon:
 
     def test_floats_canonicalise_by_repr(self):
         assert _canon(0.1 + 0.2) == repr(0.1 + 0.2)
+
+
+class TestDigestHalves:
+    def test_engine_counters_move_only_the_counter_half(self):
+        """What the engine spent is digested apart from what the run did."""
+        runtime = run_equivalence_once(3, False, packets=60, flows=4)
+        observable, full = observable_digest(runtime), runtime_digest(runtime)
+        counters = engine_counters_of(runtime)
+        assert tuple(counters) == ENGINE_COUNTERS
+        assert counters["events_processed"] == runtime.sim.events_processed > 0
+        runtime.sim.events_processed += 1  # an engine that spent one event more
+        assert observable_digest(runtime) == observable
+        assert engine_counters_of(runtime) != counters
+        assert runtime_digest(runtime) != full
+
+    def test_anything_the_run_did_moves_the_observable_half(self):
+        runtime = run_equivalence_once(3, False, packets=60, flows=4)
+        observable = observable_digest(runtime)
+        runtime.roots[0].stats.deleted += 1
+        assert observable_digest(runtime) != observable
 
 
 class TestSameSeedDigests:

@@ -258,6 +258,20 @@ class TestRules:
         assert lint.check_source(own, Path("repro/core/mod.py")) == []
 
 
+    def test_chc011_engine_queues_private_to_the_engine(self):
+        findings = fixture_findings("bad_chc011.py")
+        assert [(f.code, f.line) for f in findings] == [("CHC011", 5)] * 3
+        assert "heap_size" in findings[0].message
+        source = "def depth(sim):\n    return len(sim._heap)\n"
+        assert lint.check_source(source, Path("repro/simnet/engine.py")) == []
+        for path in ("repro/simnet/monitor.py", "repro/store/client.py", "tools/x.py"):
+            flagged = lint.check_source(source, Path(path))
+            assert [f.code for f in flagged] == ["CHC011"], path
+        # a class's own ``self._heap`` is not the simulator's
+        own = "class Q:\n    def push(self, x):\n        self._heap.append(x)\n"
+        assert lint.check_source(own, Path("benchmarks/legacy_engine.py")) == []
+
+
 class TestMechanics:
     def test_good_fixture_is_clean(self):
         assert fixture_findings("good.py") == []

@@ -131,6 +131,31 @@ class TestSplitterRouting:
         assert splitter.route(make_packet()) == ["v-R"]
 
 
+    def test_memoised_route_follows_membership_and_scope_changes(self):
+        splitter = Splitter("v", ["v-0", "v-1", "v-2"], partition_fields=("src_ip",))
+        ports = range(2000, 2040)
+
+        def agrees_with_a_splitter_that_never_saw_these_flows():
+            fresh = Splitter(
+                "v", splitter.hash_members, partition_fields=splitter.partition_fields
+            )
+            for port in ports:
+                packet, twin = make_packet(sport=port), make_packet(sport=port)
+                assert splitter.key_of(packet) == fresh.key_of(twin)
+                assert splitter.route(packet) == fresh.route(twin)
+
+        agrees_with_a_splitter_that_never_saw_these_flows()  # and memoises them
+        splitter.partition_fields = FIVE_TUPLE
+        agrees_with_a_splitter_that_never_saw_these_flows()
+        assert len({splitter.route(make_packet(sport=p))[0] for p in ports}) == 3
+        splitter.remove_instance("v-1")
+        agrees_with_a_splitter_that_never_saw_these_flows()
+        splitter.add_instance("v-9", join_hash=True)
+        agrees_with_a_splitter_that_never_saw_these_flows()
+        splitter.replace_instance("v-0", "v-0r")
+        agrees_with_a_splitter_that_never_saw_these_flows()
+
+
 class TestSplitterScopes:
     def test_refine_walks_finer(self):
         splitter = Splitter(

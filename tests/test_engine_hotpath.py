@@ -7,6 +7,12 @@ Covers the semantics the deque/microtask rewrite must preserve:
 * deterministic event ordering — the microtask fast-path must produce the
   *bit-for-bit identical* execution order of a heap-only engine, proven
   against a reference implementation embedded in this file;
+* inline tail continuations — process-level tie storms replay the seed
+  engine's exact ``(time, tag)`` trace, with fewer events;
+* :class:`DeadlineQueue` — every timer at the bit-identical instant and
+  tie-break order ``Simulator.schedule`` would give it, behind one heap
+  entry, settled timers dropped without an event;
+* a deterministic events-per-packet / heap-peak gate on a 600-packet chain;
 * RPC waiter hygiene — a timed-out call's stale waiter leaves ``_pending``
   and a lost race's :class:`AnyOf` detaches from the losing events;
 * the hot-path counters surfaced through :mod:`repro.simnet.monitor`.
@@ -14,11 +20,22 @@ Covers the semantics the deque/microtask rewrite must preserve:
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import importlib.util
+import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.simnet.engine import AnyOf, Channel, Event, SimulationError
+from repro.simnet.engine import (
+    AnyOf,
+    Channel,
+    Event,
+    Interrupt,
+    SimulationError,
+    Simulator,
+)
 from repro.simnet.monitor import channel_depth_peaks, engine_counters
 from repro.simnet.network import Link, Network
 from repro.simnet.rpc import RpcEndpoint, RpcTimeout
@@ -251,6 +268,396 @@ def test_negative_delay_rejected_and_seq_not_burned(sim):
     sim.schedule(0.0, trace.append, "b")
     sim.run()
     assert trace == ["a", "b"]
+
+
+# ---------------------------------------------------------------------------
+# inline tail continuations vs the always-enqueue seed engine
+# ---------------------------------------------------------------------------
+
+
+def _load_seed_engine():
+    """``benchmarks/legacy_engine.py``: the seed engine, one heap, every
+    wake-up enqueued — the reference the inline rule must be invisible to."""
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "benchmarks", "legacy_engine.py"
+    )
+    spec = importlib.util.spec_from_file_location("legacy_engine", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SEED_ENGINE = _load_seed_engine()
+
+N_CHANNELS = 2
+DELAYS = st.integers(0, 3)  # small integers: every instant is a tie storm
+STEPS = st.one_of(
+    st.tuples(st.just("sleep"), DELAYS),
+    st.tuples(st.just("put"), st.integers(0, N_CHANNELS - 1)),
+    st.tuples(st.just("get"), st.integers(0, N_CHANNELS - 1)),
+    st.tuples(st.just("race"), st.integers(0, N_CHANNELS - 1), DELAYS),
+    st.tuples(st.just("kill"), st.integers(0, 5)),
+    st.tuples(st.just("interrupt"), st.integers(0, 5)),
+)
+PROGRAMS = st.lists(st.lists(STEPS, max_size=8), min_size=1, max_size=6)
+
+
+def _run_program(engine, program):
+    """Interpret ``program`` (one step list per process) on ``engine``;
+    returns the ``(time, tag)`` trace of every step and interruption."""
+    sim = engine.Simulator()
+    channels = [engine.Channel(sim, name=f"c{i}") for i in range(N_CHANNELS)]
+    trace = []
+    procs = []
+
+    def body(pid, steps):
+        for index, step in enumerate(steps):
+            tag = f"p{pid}.{index}.{step[0]}"
+            try:
+                if step[0] == "sleep":
+                    yield sim.timeout(float(step[1]))
+                elif step[0] == "put":
+                    channels[step[1]].put(tag)
+                elif step[0] == "get":
+                    tag += ":" + (yield channels[step[1]].get())
+                elif step[0] == "race":
+                    get = channels[step[1]].get()
+                    winner, _value = yield sim.any_of([get, sim.timeout(float(step[2]))])
+                    tag += ":get" if winner is get else ":timer"
+                elif step[1] < len(procs) and step[1] != pid:
+                    getattr(procs[step[1]], step[0])()
+            except engine.Interrupt:
+                tag += "!interrupted"
+            trace.append((sim.now, tag))
+
+    for pid, steps in enumerate(program):
+        procs.append(sim.process(body(pid, steps), name=f"p{pid}"))
+    sim.run()
+    return sim, trace
+
+
+# a sleeper parked on an inline-eligible timer (nothing else due at t=2),
+# interrupted / killed at t=1 by a process that then sleeps past it
+PARKED_INTERRUPT = [[("sleep", 2), ("put", 0)], [("sleep", 1), ("interrupt", 0), ("sleep", 3)]]
+PARKED_KILL = [[("sleep", 2), ("put", 0)], [("sleep", 1), ("kill", 0), ("sleep", 3)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROGRAMS)
+@example(PARKED_INTERRUPT)
+@example(PARKED_KILL)
+def test_process_tie_storms_replay_the_seed_engine_trace(program):
+    import repro.simnet.engine as engine
+
+    _seed_sim, expected = _run_program(SEED_ENGINE, program)
+    _sim, actual = _run_program(engine, program)
+    assert actual == expected
+
+
+def test_lone_sleeper_costs_one_event_per_wake_up(sim):
+    """start + 3 x (timer fire, resumed inline) — not 3 x (fire, resume)."""
+    woke = []
+
+    def sleeper():
+        for _ in range(3):
+            yield sim.timeout(1.0)
+            woke.append(sim.now)
+
+    sim.process(sleeper())
+    sim.run()
+    assert woke == [1.0, 2.0, 3.0]
+    assert sim.events_processed == 4
+
+
+def test_get_on_a_non_empty_channel_continues_inline(sim):
+    channel = Channel(sim, name="c")
+    for item in range(5):
+        channel.put(item)
+    got = []
+
+    def drain():
+        while len(got) < 5:
+            got.append((yield channel.get()))
+
+    sim.process(drain())
+    sim.run()
+    assert got == [0, 1, 2, 3, 4]
+    assert sim.events_processed == 1  # the process start; no resume round trips
+
+
+def test_wake_up_is_enqueued_when_something_else_is_due_now(sim):
+    """The rule's condition: with a tie at the instant, the resume goes
+    through the microtask queue behind the earlier-scheduled work."""
+    order = []
+
+    def sleeper():
+        yield sim.timeout(1.0)
+        order.append("sleeper")
+
+    sim.process(sleeper())
+    sim.run(until=0.5)
+    sim.schedule(0.5, order.append, "tie")  # also due at t=1, scheduled later
+    sim.run()
+    assert order == ["tie", "sleeper"]
+    assert sim.events_processed == 4  # start, fire, tie, resume
+
+
+def test_killed_process_parked_on_an_inline_timer_never_resumes(sim):
+    ran = []
+
+    def sleeper():
+        yield sim.timeout(2.0)
+        ran.append("resumed")
+
+    proc = sim.process(sleeper())
+    sim.run(until=1.0)
+    proc.kill()
+    sim.run()
+    assert ran == [] and not proc.alive
+
+
+def test_interrupted_process_ignores_the_stale_inline_wake_up(sim):
+    log = []
+
+    def sleeper():
+        try:
+            yield sim.timeout(2.0)
+        except Interrupt as interrupt:
+            log.append(("interrupted", sim.now, interrupt.cause))
+        yield sim.timeout(5.0)
+        log.append(("done", sim.now))
+
+    proc = sim.process(sleeper())
+    sim.run(until=1.0)
+    proc.interrupt("why")
+    sim.run()
+    # the first timer still fires at t=2 — into a process now waiting on
+    # another event — and must not wake it early
+    assert log == [("interrupted", 1.0, "why"), ("done", 6.0)]
+
+
+# ---------------------------------------------------------------------------
+# deadline queues
+# ---------------------------------------------------------------------------
+
+
+class TestDeadlineQueue:
+    @staticmethod
+    def _twin_traces(load):
+        """Run ``load(arm, sim, emit)`` twice: ``arm(delay, *args)`` = one
+        heap entry per timer (``sim.schedule``), and = a DeadlineQueue. A
+        timer calls what ``load`` returns, or ``emit`` if it returns None."""
+        traces = []
+        sims = []
+        for queued in (False, True):
+            sim = Simulator()
+            trace = []
+            on_fire = []
+
+            def emit(tag, sim=sim, trace=trace):
+                trace.append((sim.now, tag))
+
+            def fire(*args, on_fire=on_fire):
+                on_fire[0](*args)
+
+            if queued:
+                arm = sim.deadline_queue(fire).add
+            else:
+                def arm(delay, *args, sim=sim, fire=fire):
+                    sim.schedule(delay, fire, *args)
+            on_fire.append(load(arm, sim, emit) or emit)
+            sim.run()
+            traces.append(trace)
+            sims.append(sim)
+        return traces, sims
+
+    def test_same_instants_and_tie_order_behind_one_heap_entry(self):
+        def load(arm, sim, emit):
+            def tick(k):
+                # 0.1 * k accumulates rounding: due times must be the
+                # now + delay floats computed at insert, not re-derived
+                arm(0.7, f"timer{k}")
+                sim.schedule(0.7, emit, f"tie{k}")  # same instant, later seq
+                if k < 50:
+                    sim.schedule(0.1, tick, k + 1)
+
+            tick(0)
+
+        (scheduled, queued), (plain_sim, queue_sim) = self._twin_traces(load)
+        assert queued == scheduled
+        assert len(queued) == 102
+        # 8 ties + the tick either way; 8 timers outstanding vs 1 armed entry
+        assert (plain_sim.heap_peak, queue_sim.heap_peak) == (17, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # when the timer is armed
+                st.booleans(),  # through the queue (else a plain schedule)
+                st.integers(0, 3),  # its delay — 0 included
+                st.one_of(st.none(), st.tuples(st.booleans(), st.integers(0, 2))),
+            ),
+            max_size=12,
+        )
+    )
+    def test_same_instant_heads_fire_in_schedule_order(self, plan):
+        """Timers sharing an instant fire from one event — in exactly the
+        order, relative to every plain ``schedule`` and microtask at that
+        instant, that one heap entry each would give (a fired timer may arm
+        a follow-up, zero-delay included)."""
+
+        def load(arm, sim, emit):
+            def fire(tag, follow_up):
+                emit(tag)
+                if follow_up is not None:
+                    start(f"{tag}+", *follow_up, None)
+
+            def start(tag, queued, delay, follow_up):
+                if queued:
+                    arm(float(delay), tag, follow_up)
+                else:
+                    sim.schedule(float(delay), fire, tag, follow_up)
+
+            for index, (at, queued, delay, follow_up) in enumerate(plan):
+                sim.schedule(float(at), start, f"t{index}", queued, delay, follow_up)
+            return fire
+
+        (scheduled, queued), _sims = self._twin_traces(load)
+        assert queued == scheduled
+
+    def test_one_batchs_timers_cost_one_event(self, sim):
+        fired = []
+        queue = sim.deadline_queue(fired.append)
+
+        def batch():
+            for k in range(16):
+                queue.add(10.0, k)
+
+        sim.schedule(1.0, batch)
+        sim.run()
+        assert fired == list(range(16)) and sim.now == 11.0
+        assert sim.events_processed == 2  # the batch, then all 16 timers
+
+    def test_non_monotone_insert_gets_its_own_heap_entry(self):
+        def load(arm, sim, emit):
+            arm(10.0, "slow")
+            arm(10.0, "slow-too")
+            arm(3.0, "fast")  # earlier than the queue's tail
+            sim.schedule(1.0, arm, 2.0, "fast-tie")  # due at 3.0 too, later seq
+            arm(0.0, "now")  # zero delay: due this instant, before any later work
+            sim.schedule(0.0, emit, "micro")
+
+        (scheduled, queued), _sims = self._twin_traces(load)
+        assert queued == scheduled == [
+            (0.0, "now"), (0.0, "micro"), (3.0, "fast"), (3.0, "fast-tie"),
+            (10.0, "slow"), (10.0, "slow-too"),
+        ]
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.deadline_queue(lambda: None).add(-1.0)
+
+    def test_settled_heads_are_dropped_without_an_event(self, sim):
+        fired = []
+        done = set()
+        queue = sim.deadline_queue(fired.append, settled=lambda k: k in done)
+        for k in range(10):
+            sim.schedule(float(k), queue.add, 100.0, k)
+        # everything but 0 (the armed head), 6 and 9 settles long before due
+        sim.schedule(50.0, done.update, {1, 2, 3, 4, 5, 7, 8})
+        sim.run()
+        assert fired == [0, 6, 9]
+        assert sim.now == 109.0
+        assert len(queue) == 0
+        assert sim.events_processed == 10 + 1 + 3  # adds, the settle, 3 fires
+        assert sim.heap_peak <= 11  # never one entry per queued timer on top
+
+    def test_lossy_link_retransmits_at_the_parents_instants(self):
+        """40 flushes over a 40 %-loss link, the timeout lowered live after
+        the 20th (non-monotone deadlines): every reissue at the instant, and
+        in the order, the per-op ``sim.schedule`` of the parent commit gave
+        (digest recorded there)."""
+        from repro.simnet.network import Link, Network
+        from repro.store.client import StoreClient
+        from repro.store.cluster import StoreCluster
+        from repro.store.datastore import DatastoreInstance
+        from tests.conftest import default_specs, make_packet
+
+        sim = Simulator()
+        network = Network(sim, Link(latency_us=14.0), seed=7)
+        store = DatastoreInstance(sim, network, "store0", n_threads=4)
+        network.connect("nf-rt", "store0", Link(latency_us=14.0, loss=0.4))
+        client = StoreClient(
+            sim, network, StoreCluster([store]), vertex_id="nf", instance_id="nf-rt",
+            specs=default_specs(), wait_for_acks=False, retransmit_timeout_us=100.0,
+        )
+        instants = []
+        reissue = client._reissue
+
+        def spy(request, attempt):
+            instants.append((sim.now, attempt))
+            reissue(request, attempt)
+
+        client._reissue = spy
+
+        def body():
+            for clock in range(1, 41):
+                client.begin_packet(make_packet(clock=clock))
+                yield from client.update("counter", None, "incr", 1)
+                yield sim.timeout(7.0)
+                if clock == 20:
+                    client.retransmit_timeout_us = 40.0
+            yield sim.timeout(60_000)
+
+        sim.run_process(body())
+        assert store.peek(client._key("counter", None)) == 40  # exactly once each
+        assert client.stats.retransmissions == len(instants) == 93
+        assert instants[:3] == [(100.0, 1), (107.0, 1), (114.0, 1)]
+        assert instants[-1] == (2222.3125, 8)
+        assert hashlib.sha256(repr(instants).encode()).hexdigest().startswith(
+            "b773b4f1c980f066"
+        )
+        assert sim.heap_peak < 40  # ACKed flushes do not sit on the heap
+
+    def test_acked_flushes_cost_no_timer_events(self, sim, network, client_factory, store):
+        client = client_factory("nf-q", wait_for_acks=False, retransmit_timeout_us=500.0)
+
+        def body():
+            for _ in range(200):
+                yield from client.update("counter", None, "incr", 1)
+                yield sim.timeout(1.0)
+            yield sim.timeout(2_000.0)
+
+        sim.run_process(body())
+        assert store.peek(client._key("counter", None)) == 200
+        assert client.stats.retransmissions == 0
+        assert len(client._retransmit_timers) == 0
+        # ~30 messages in flight plus ONE armed entry for the 200 outstanding
+        # timers (the parent's heap held all 200 on top)
+        assert sim.heap_peak < 60
+
+
+# ---------------------------------------------------------------------------
+# the count: engine events per packet on a 600-packet chain (no wall clock)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fastpath, events_per_packet, heap_peak",
+    # parent (PR 15): 80.8 events/packet and heap peak 2376 off, 27.3 / 758 on;
+    # recorded here: 64.1 / 290 off, 20.7 / 204 on
+    [(False, 66.0, 350), (True, 21.5, 250)],
+)
+def test_events_per_packet_and_heap_peak_ceilings(fastpath, events_per_packet, heap_peak):
+    from repro.analysis.determinism import run_equivalence_once
+
+    runtime = run_equivalence_once(1, fastpath, packets=600, flows=12)
+    assert runtime.sim.crashed == []
+    assert runtime.egress_meter.packets > 0
+    assert sum(root.stats.deleted for root in runtime.roots) == 600
+    assert runtime.sim.events_processed / 600 <= events_per_packet
+    assert runtime.sim.heap_peak <= heap_peak
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ import pytest
 
 from repro.analysis.determinism import (
     check_fastpath_equivalence,
+    engine_counters_of,
     flow_egress_digest,
+    observable_digest,
     per_flow_state,
     run_equivalence_once,
-    runtime_digest,
     seeded_workload,
 )
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
@@ -461,7 +462,9 @@ class TestBatchedTransport:
 
 
 # ----------------------------------------------------------------------
-# nothing observable moved: full runtime digests recorded at the parent
+# nothing observable moved: runtime digests recorded at the parent, in two
+# halves — what the run did (held byte-for-byte across engine changes) and
+# what the engine spent on it (re-recorded by the PR that moves it)
 # ----------------------------------------------------------------------
 
 with open(
@@ -490,17 +493,20 @@ def paper_chain_run(seed):
 
 
 def store_path_digests():
-    """Egress, sojourns, every stats object and the engine counters of the
-    runs the store path carries — regenerate at a parent commit with
-    ``PYTHONPATH=<parent>/src python -c "import tests.test_fastpath as t;
-    print(t.store_path_digests())"``."""
+    """Egress, sojourns, every stats object (``observable``) and the engine
+    counters (``engine``) of the runs the store path carries — regenerate
+    at a parent commit with ``PYTHONPATH=<parent>/src python -c "import
+    tests.test_fastpath as t; print(t.store_path_digests())"``."""
     digests = {}
 
     def record(name, runtime):
         # (the attribute postdates the commit the fixture was recorded at)
         assert getattr(runtime.sim, "crashed", []) == []
-        digests[name] = runtime_digest(runtime)
-        # ClientStats is not part of runtime_digest; the benchmark reads it
+        digests[name] = {
+            "observable": observable_digest(runtime),
+            "engine": engine_counters_of(runtime),
+        }
+        # ClientStats is not part of either half; the benchmark reads it
         digests[name + "/client_stats"] = {
             instance_id: dataclasses.asdict(instance.client.stats)
             for instance_id, instance in sorted(runtime.instances.items())

@@ -13,7 +13,7 @@ from repro.simnet.failures import FailureInjector
 from repro.store.cluster import StoreCluster
 from repro.store.datastore import DatastoreInstance
 from repro.store.keys import StateKey
-from repro.util import fields_subset, stable_hash
+from repro.util import Memo, fields_subset, stable_hash
 from tests.conftest import make_packet
 from tests.test_cloning import SlowCounterNF
 
@@ -31,6 +31,22 @@ class TestUtil:
         assert fields_subset(("src_ip",), ("src_ip", "dst_ip"))
         assert not fields_subset(("src_ip", "dst_port"), ("src_ip",))
         assert fields_subset((), ("src_ip",))
+
+
+    def test_memo_computes_once_per_argument(self):
+        calls = []
+        memo = Memo(lambda arg: calls.append(arg) or arg * 2)
+        assert [memo[3], memo[3], memo[4], memo[3]] == [6, 6, 8, 6]
+        assert calls == [3, 4]
+        memo.clear()  # what the owner does when fn's other inputs change
+        assert memo[3] == 6 and calls == [3, 4, 3]
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(Memo, "LIMIT", 8)
+        memo = Memo(lambda arg: -arg)
+        for arg in range(100):
+            assert memo[arg] == -arg
+            assert len(memo) <= 8
 
 
 class TestFailureInjector:
@@ -130,6 +146,19 @@ class TestClusterRouting:
         cluster.replace_instance("olds", b)
         key = StateKey("nat", "x").storage_key()
         assert cluster.endpoint_for_key(key) == "news"
+
+    def test_memoised_route_follows_every_routing_change(self, sim, network):
+        stores = [DatastoreInstance(sim, network, name) for name in ("ma", "mb")]
+        cluster = StoreCluster(stores)
+        key = StateKey("nat", "x").storage_key()
+        hashed = cluster.endpoint_for_key(key)  # now memoised
+        other = "mb" if hashed == "ma" else "ma"
+        cluster.assign_vertex("nat", other)
+        assert cluster.endpoint_for_key(key) == other
+        cluster.replace_instance(other, DatastoreInstance(sim, network, "mc"))
+        assert cluster.endpoint_for_key(key) == "mc"
+        cluster.unassign_vertex("nat")
+        assert cluster.endpoint_for_key(key) == ("mc" if hashed == other else hashed)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,36 @@ class TestStampingAndLogging:
         assert small.stats.dropped_at_threshold == 7
 
 
+class TestPruneAggregation:
+    def test_one_timer_and_one_message_per_grace_window(self, sim, network, store):
+        """A clock waits one to two grace periods; each fire drains a whole
+        window in one batched message, in delete order (the drain is a
+        ``popleft`` per clock — it was ``list.pop(0)``, quadratic at the
+        ~12.5k clocks a chain4 window holds)."""
+        from repro.store.protocol import BatchedPruneRequest, PruneRequest
+
+        root = Root(
+            sim, network, "root-p", forward=lambda packet: None,
+            store_endpoint="store0", prune_grace_us=100.0,
+        )
+        sent = []
+        root.endpoint.send = lambda dst, message: sent.append((sim.now, dst, message))
+        for clock in range(1, 5001):
+            sim.schedule(clock * 0.01, root._queue_prune, clock)  # t = 0.01 .. 50
+        sim.schedule(130.0, root._queue_prune, 9000)  # lands in the second window
+        sim.schedule(260.0, root._queue_prune, 9001)
+        sim.run()
+        assert sent == [
+            # the first fire finds only clock 1 past its grace period ...
+            (100.01, "store0", PruneRequest(clock=1)),
+            # ... the second drains the rest of that window in one message
+            (200.01, "store0", BatchedPruneRequest(tuple(range(2, 5001)))),
+            (300.01, "store0", PruneRequest(clock=9000)),
+            (400.01, "store0", PruneRequest(clock=9001)),
+        ]
+        assert not root._prune_queue and not root._prune_timer_armed
+
+
 class TestDeleteProtocol:
     def test_delete_without_updates(self, sim, root, forwarded):
         root.inject(make_packet())

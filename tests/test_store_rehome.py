@@ -14,8 +14,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.determinism import overload_digest, runtime_digest
+from repro.analysis.determinism import (
+    engine_counters_of,
+    observable_digest,
+    require_no_crash,
+)
 from repro.chaos.director import ChaosDirector
+from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
+from repro.chaos.overload import run_overload_scenario
 from repro.core.autoscaler import AutoscaleController
 from repro.ops import MaintenanceDirector
 from repro.ops.campaign import SCENARIOS, build_runtime, run_scenario
@@ -286,7 +292,8 @@ def test_crash_recovery_keeps_store_configuration():
 
 
 # ----------------------------------------------------------------------
-# behaviour preserved: digests recorded at the parent commit
+# behaviour preserved: digests recorded at the parent commit, in two halves
+# (see tests/test_fastpath.py): what the run did, and what the engine spent
 # ----------------------------------------------------------------------
 
 with open(
@@ -295,17 +302,29 @@ with open(
     PARENT_DIGESTS = json.load(_fh)
 
 
+def _halves(runtime):
+    require_no_crash(runtime)
+    return {
+        "observable": observable_digest(runtime),
+        "engine": engine_counters_of(runtime),
+    }
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_store_replace_digest_matches_parent(seed):
     captured = []
     run_scenario(
         SCENARIOS["store-replace"], seed,
-        collect_runtime=lambda rt: captured.append(runtime_digest(rt)),
+        collect_runtime=lambda rt: captured.append(_halves(rt)),
     )
     assert captured[0] == PARENT_DIGESTS["ops/store-replace"][str(seed)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_store_hot_scale_out_digest_matches_parent(seed):
-    digest = overload_digest("store-hot", seed, autoscale=True)
-    assert digest == PARENT_DIGESTS["overload/store-hot/auto=true"][str(seed)]
+    captured = []
+    run_overload_scenario(
+        OVERLOAD_SCENARIOS["store-hot"], seed, autoscale=True,
+        collect_runtime=lambda rt: captured.append(_halves(rt)),
+    )
+    assert captured[0] == PARENT_DIGESTS["overload/store-hot/auto=true"][str(seed)]
