@@ -80,6 +80,16 @@ CHC011 ``Simulator._heap`` / ``._micro`` touched outside
        before returning to the run loop; copied anywhere else it
        reorders same-instant work. Monitors read ``Simulator.heap_size``
        / ``next_event_time()`` instead.
+CHC012 A relay process: ``<sim>.process(f(...))`` where every ``yield`` of
+       ``f`` (defined in the same module) is ``<expr>.get()`` and there
+       is no ``yield from``. Such a loop only moves items from a mailbox
+       to a handler; it adds no simulated time and costs an event, a
+       ``Channel.get`` and a generator resume per item. A relay is a
+       handler, not a process (DESIGN.md §5): give the producer the
+       handler (``RpcEndpoint(on_request=..., on_message=...)``). A
+       process is for code that *waits or serves* — a second kind of
+       ``yield`` (a timeout, an RPC) makes it one. Benchmark code is
+       exempt: the engine micro-benchmarks time exactly that loop.
 ====== =================================================================
 
 Suppression: append ``# chclint: disable=CHC003`` (comma-separate for
@@ -115,6 +125,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC009": "CampaignPool constructed outside the shared campaign runner",
     "CHC010": "DatastoreInstance private state mutated outside repro.store",
     "CHC011": "Simulator scheduling queues touched outside repro.simnet.engine",
+    "CHC012": "relay process: a generator that only forwards what it get()s",
 }
 
 #: Path fragments whose files may read the wall clock (CHC002 exempt):
@@ -268,6 +279,8 @@ def _exempt_codes(path: Path) -> Set[str]:
         exempt.add("CHC010")
     if path.name == "engine.py" and "simnet" in parts:
         exempt.add("CHC011")
+    if "benchmarks" in parts:
+        exempt.add("CHC012")
     return exempt
 
 
@@ -299,6 +312,36 @@ def _call_name(node: ast.Call) -> Optional[str]:
     return None
 
 
+def _own_nodes(function: ast.AST) -> Iterable[ast.AST]:
+    """Nodes of a function body, not descending into nested definitions."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_relay(function: ast.AST) -> bool:
+    """A generator whose every ``yield`` is ``<expr>.get()`` (CHC012)."""
+    yields = 0
+    for node in _own_nodes(function):
+        if isinstance(node, (ast.YieldFrom, ast.Await)):
+            return False
+        if isinstance(node, ast.Yield):
+            value = node.value
+            if not (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute)
+                and value.func.attr == "get"
+            ):
+                return False
+            yields += 1
+    return yields > 0
+
+
 class _Checker(ast.NodeVisitor):
     def __init__(self, path: Path, rel: str):
         self.path = path
@@ -317,8 +360,18 @@ class _Checker(ast.NodeVisitor):
         self.self_set_attrs: Set[str] = set()
         # CHC005 context
         self.function_stack: List[str] = []
+        # CHC012: names of this module's relay generators
+        self.relays: Set[str] = set()
 
     # ------------------------------------------------------------------
+
+    def visit_Module(self, node: ast.Module) -> None:
+        self.relays = {
+            function.name
+            for function in ast.walk(node)
+            if isinstance(function, ast.FunctionDef) and _is_relay(function)
+        }
+        self.generic_visit(node)
 
     def report(self, node: ast.AST, code: str, message: str) -> None:
         if code in self.disabled:
@@ -501,6 +554,20 @@ class _Checker(ast.NodeVisitor):
                 or (func.attr in STORE_MUTATORS and _store_private(func.value))
             ),
         )
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "process"
+            and node.args
+            and isinstance(node.args[0], ast.Call)
+            and _call_name(node.args[0]) in self.relays
+        ):
+            self.report(
+                node,
+                "CHC012",
+                f"{_call_name(node.args[0])}() only forwards what it get()s — "
+                "a relay is a handler, not a process (DESIGN.md §5): hand the "
+                "producer a callback instead of a mailbox and a loop",
+            )
         if _call_name(node) == "CampaignPool":
             self.report(
                 node,

@@ -364,9 +364,9 @@ class ChainRuntime:
             on_drop=lambda item, _iid=instance_id: self._on_nic_drop(_iid, item),
             # handover markers and recovery traffic must never tail-drop
             never_drop=_is_control_item,
-            # a bounded instance input pushes back on the NIC drain (BLOCK)
+            # a bounded instance input pushes back on the NIC (BLOCK)
             deliver_wait=instance.input.space_event,
-            # deadlock-sanitizer nodes: this ring, and the rx loop it feeds
+            # deadlock-sanitizer nodes: this ring, and the receive side it feeds
             wait_labels=(f"nic:{instance_id}", f"rx:{instance_id}"),
         )
         self.filters[instance_id] = DuplicateFilter(
@@ -732,6 +732,12 @@ class ChainRuntime:
             self.root_for(packet.clock).report_done(
                 packet.clock, packet.bitvector, packet.generation
             )
+        if packet.replayed:
+            # A bulk replayed copy shed short of its target: the target
+            # must stop waiting for it, or it buffers live traffic forever.
+            target = self.instances.get(packet.replay_target)
+            if target is not None:
+                target.replay_copy_lost()
 
     def _on_nic_drop(self, instance_id: str, item: Any) -> None:
         """A finite NIC ring tail-dropped ``item`` (satellite: unified

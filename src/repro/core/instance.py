@@ -1,9 +1,10 @@
 """The NF instance runtime (§4.2, §6).
 
-One :class:`NFInstance` models a multi-threaded NF process: a receive loop
-pulls from the framework-managed input queue and shards packets across
-worker threads by flow (per-flow order is preserved; cross-flow updates may
-interleave, exactly as in the C++ prototype). Each worker charges the NF's
+One :class:`NFInstance` models a multi-threaded NF process: the receive
+side shards arriving packets across worker threads by flow (per-flow order
+is preserved; cross-flow updates may interleave, exactly as in the C++
+prototype), holding them in the framework-managed input queue only while
+a full worker queue pushes back. Each worker charges the NF's
 per-packet CPU cost, runs the vertex program (whose state accesses go
 through the store client and consume simulated RTTs per Table 1), records
 the per-packet processing time, and hands outputs back to the runtime.
@@ -33,6 +34,7 @@ from repro.core.nf_api import NetworkFunction, StateAPI
 from repro.core.splitter import MoveMarker
 from repro.simnet.engine import Channel, Process, Simulator
 from repro.simnet.monitor import LatencyRecorder, ThroughputMeter
+from repro.simnet.rpc import RpcRequest
 from repro.store.client import StoreClient
 from repro.traffic.packet import Packet, scope_fields
 from repro.util import Memo, stable_hash
@@ -133,7 +135,7 @@ class NFInstance:
         self.queue_capacity = queue_capacity
         self.overload_policy = overload_policy
         # BLOCK bounds the input channel itself (the NIC parks on its space
-        # event) and each worker queue (the receive loop parks, filling the
+        # event) and each worker queue (the receive side parks, filling the
         # input). DROP/SHED leave channels unbounded and enforce the bound
         # on total depth at enqueue, where the shed decision is made.
         input_capacity = queue_capacity if overload_policy == POLICY_BLOCK else None
@@ -156,6 +158,10 @@ class NFInstance:
         self.stats = InstanceStats()
 
         self._alive = True
+        # BLOCK: the packet the receive side is parked with, waiting for room
+        # in its (full) worker queue; arrivals meanwhile wait in ``input``.
+        self._rx_held: Optional[Packet] = None
+        self._rx_parked_in: Any = None  # sanitizer holding the rx->wkr edge
         self._buffering = start_buffering
         self._live_buffer: List[Packet] = []
         self._replay_seen = 0           # replayed packets this target processed
@@ -190,8 +196,7 @@ class NFInstance:
             sim.process(worker_body(q), name=f"{instance_id}-w{i}")
             for i, q in enumerate(self._worker_queues)
         ]
-        self._processes.append(sim.process(self._receive_loop(), name=f"{instance_id}-rx"))
-        self._processes.append(sim.process(self._query_loop(), name=f"{instance_id}-queries"))
+        client.endpoint.on_request = self._on_query
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -221,6 +226,8 @@ class NFInstance:
         self._alive = False
         for process in self._processes:
             process.kill()
+        self._rx_held = None
+        self._rx_unpark()
         self.client.fail()
         self.input.clear()
         for queue in self._worker_queues:
@@ -242,6 +249,12 @@ class NFInstance:
         """Release once the replay-end marker AND the full generation landed."""
         if self._replay_release is not None and self._replay_seen >= self._replay_release:
             self.stop_buffering()
+
+    def replay_copy_lost(self) -> None:
+        """A replayed copy bound for this target was shed on the way: it
+        counts towards the generation like one that arrived."""
+        self._replay_seen += 1
+        self._maybe_stop_buffering()
 
     # ------------------------------------------------------------------
     # fast-path flow latch (§6)
@@ -278,40 +291,48 @@ class NFInstance:
     # ------------------------------------------------------------------
 
     def enqueue(self, packet: Packet) -> bool:
-        """Admit ``packet`` to the input queue.
+        """Admit ``packet`` and route it to its worker queue.
 
         Returns ``True`` when the packet was taken (admitted, or shed with
         accounting — either way the sender is done with it) and ``False``
-        only under the BLOCK policy when the bounded input is full: the
-        delivering NIC then parks on ``input.space_event()`` and retries,
-        which is what propagates backpressure upstream.
+        only under the BLOCK policy when the receive side is parked and the
+        bounded input behind it is full: the delivering NIC then parks on
+        ``input.space_event()`` and retries, which is what propagates
+        backpressure upstream.
         """
+        if not self._alive:
+            # Fail-stop loses packets in flight towards the instance (replay
+            # recovers them). Taking them keeps the NIC serving, so a crash
+            # under BLOCK cannot wedge the upstream ring.
+            return True
         packet.queued_at = self.sim.now
         if self.queue_capacity is None:
-            self.input.put(packet)
+            self._route(packet)
             return True
-        if (
+        # Control-plane and recovery traffic is never refused or shed:
+        # losing a barrier/replay marker wedges handover or replay.
+        forced = (
             packet.control is not None
             or packet.mark_first
             or packet.replayed
             or packet.replay_end
-        ):
-            # Control-plane and recovery traffic is never refused or shed:
-            # losing a barrier/replay marker wedges handover or replay.
-            self.input.put_forced(packet)
-            return True
-        policy = self.overload_policy
-        if policy == POLICY_BLOCK:
+        )
+        if self._rx_held is not None:
+            # BLOCK, receive side parked: wait in line behind its packet
+            if forced:
+                self.input.put_forced(packet)
+                return True
             return self.input.put(packet)
-        if self.queue_depth < self.queue_capacity:
-            self.input.put(packet)
+        policy = self.overload_policy
+        if forced or policy == POLICY_BLOCK or self.queue_depth < self.queue_capacity:
+            self._route(packet)
             return True
         victim = packet
         if policy == POLICY_SHED:
             evicted = self._evict_lower_priority(packet)
             if evicted is not None:
                 victim = evicted
-                self.input.put(packet)
+                self._route(packet)
         self.stats.shed += 1
         self._uncount(victim)
         self.runtime.note_shed(self, victim, SHED_CAUSE_QUEUE)
@@ -341,42 +362,49 @@ class NFInstance:
         del best_queue._items[best_index]
         return victim
 
-    def _receive_loop(self) -> Generator:
-        while self._alive:
-            packet: Packet = yield self.input.get()
-            if packet.control is not None and packet.mark_last:
-                # Handover barrier: every worker must pass it (§5.1 step 5
-                # happens only after all queued packets of the flow drain).
-                # Forced put: the barrier must reach every worker even when
-                # its queue is at capacity.
-                self.stats.control_markers += 1
-                for queue in self._worker_queues:
-                    queue.put_forced(packet)
-                continue
-            if self._buffering and not packet.replayed:
-                self._live_buffer.append(packet)
-                self.stats.buffered += 1
-                continue
-            shard = self._shard_memo[packet.five_tuple]
-            queue = self._worker_queues[shard]
-            while not queue.put(packet):
-                # BLOCK policy: park until the worker drains one; packets
-                # meanwhile accumulate in the bounded input, whose fullness
-                # pushes back on the delivering NIC.
-                suite = _sanitize.ACTIVE
-                if suite is not None:
-                    suite.wait_edge(
-                        self.sim, f"rx:{self.instance_id}", f"wkr:{self.instance_id}"
-                    )
-                try:
-                    yield queue.space_event()
-                finally:
-                    if suite is not None:
-                        suite.release_edge(
-                            f"rx:{self.instance_id}", f"wkr:{self.instance_id}"
-                        )
-                if not self._alive:
-                    return
+    def _route(self, packet: Packet) -> None:
+        """Receive side: hand one admitted packet to the worker(s)."""
+        if packet.control is not None and packet.mark_last:
+            # Handover barrier: every worker must pass it (§5.1 step 5
+            # happens only after all queued packets of the flow drain).
+            # Forced put: the barrier must reach every worker even when
+            # its queue is at capacity.
+            self.stats.control_markers += 1
+            for queue in self._worker_queues:
+                queue.put_forced(packet)
+            return
+        if self._buffering and not packet.replayed:
+            self._live_buffer.append(packet)
+            self.stats.buffered += 1
+            return
+        queue = self._worker_queues[self._shard_memo[packet.five_tuple]]
+        if not queue.put(packet):
+            # BLOCK policy: park with the packet until the worker drains
+            # one; arrivals meanwhile accumulate in the bounded input, whose
+            # fullness pushes back on the delivering NIC.
+            self._rx_held = packet
+            suite = self._rx_parked_in = _sanitize.ACTIVE
+            if suite is not None:
+                suite.wait_edge(
+                    self.sim, f"rx:{self.instance_id}", f"wkr:{self.instance_id}"
+                )
+            queue.space_event().add_callback(self._rx_resume)
+
+    def _rx_resume(self, _event) -> None:
+        """The full worker queue drained one: place the held packet, then
+        everything that queued up in ``input`` behind it, in order."""
+        self._rx_unpark()
+        if not self._alive:
+            return
+        packet, self._rx_held = self._rx_held, None
+        self._route(packet)
+        while self._rx_held is None and len(self.input):
+            self._route(self.input.try_get())
+
+    def _rx_unpark(self) -> None:
+        suite, self._rx_parked_in = self._rx_parked_in, None
+        if suite is not None:
+            suite.release_edge(f"rx:{self.instance_id}", f"wkr:{self.instance_id}")
 
     def _dispatch(self, packet: Packet) -> None:
         shard = self._shard_memo[packet.five_tuple]
@@ -415,22 +443,20 @@ class NFInstance:
                 return marker
         return None
 
-    def _query_loop(self) -> Generator:
+    def _on_query(self, request: RpcRequest) -> None:
         """Serve framework queries addressed to this instance.
 
         A recovering root queries downstream instances for the current flow
         allocation (§5.4 "Root": "retrieves how to partition traffic by
         querying downstream instances' flow allocation").
         """
-        while self._alive:
-            request = yield self.client.endpoint.requests.get()
-            if request.payload == "allocation":
-                allocation = self.runtime.splitter(self.vertex_name).allocation()
-                self.client.endpoint.respond(request, allocation)
-            else:
-                self.client.endpoint.respond(
-                    request, RuntimeError("unknown instance query"), ok=False
-                )
+        if request.payload == "allocation":
+            allocation = self.runtime.splitter(self.vertex_name).allocation()
+            self.client.endpoint.respond(request, allocation)
+        else:
+            self.client.endpoint.respond(
+                request, RuntimeError("unknown instance query"), ok=False
+            )
 
     # ------------------------------------------------------------------
     # packet processing

@@ -33,10 +33,10 @@ from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.analysis import runtime as _sanitize
 from repro.core.clock import LogicalClock
-from repro.simnet.engine import Channel, Process, Simulator
+from repro.simnet.engine import Channel, Simulator
 from repro.simnet.monitor import LatencyRecorder
-from repro.simnet.network import Network
-from repro.simnet.rpc import RpcEndpoint, RpcTimeout
+from repro.simnet.network import Envelope, Network
+from repro.simnet.rpc import RpcEndpoint, RpcRequest, RpcTimeout
 from repro.store.protocol import (
     BatchedCommitSignal,
     BatchedPruneRequest,
@@ -167,7 +167,10 @@ class Root:
         self._prune_timer_armed = False
 
         self.clock = clock or LogicalClock(root_id=root_id)
-        self.endpoint = RpcEndpoint(sim, network, name)
+        self.endpoint = RpcEndpoint(
+            sim, network, name,
+            on_request=self._on_request, on_message=self._on_message,
+        )
         # A failover root adopts its predecessor's input channel, so packets
         # buffered while the root was down are processed first (§5.4).
         self.input = input_channel if input_channel is not None else Channel(
@@ -182,11 +185,7 @@ class Root:
         self._alive = True
         self._since_persist = 0
 
-        self._processes: List[Process] = [
-            sim.process(self._inject_loop(), name=f"{name}-inject"),
-            sim.process(self._message_loop(), name=f"{name}-messages"),
-            sim.process(self._request_loop(), name=f"{name}-requests"),
-        ]
+        self._inject_proc = sim.process(self._inject_loop(), name=f"{name}-inject")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -202,8 +201,7 @@ class Root:
         if not self._alive:
             return
         self._alive = False
-        for process in self._processes:
-            process.kill()
+        self._inject_proc.kill()
         self.endpoint.fail()
         if not self.log_in_store:
             self.log.clear()
@@ -419,35 +417,31 @@ class Root:
     # message handling
     # ------------------------------------------------------------------
 
-    def _message_loop(self) -> Generator:
-        while self._alive:
-            envelope = yield self.endpoint.messages.get()
-            payload = envelope.payload
-            if isinstance(payload, CommitSignal):
-                self.on_commit_signal(payload)
-            elif isinstance(payload, BatchedCommitSignal):
-                # transport aggregation from a batch-served store shard:
-                # process each entry exactly as an individual signal
-                for clock, vector_tag in payload.signals:
-                    self.on_commit_signal(CommitSignal(clock, vector_tag))
-            elif isinstance(payload, DeleteRequest):
-                self.report_done(payload.clock, payload.vector, payload.generation)
-            elif isinstance(payload, BatchedDeleteRequest):
-                for clock, vector, generation in payload.entries:
-                    self.report_done(clock, vector, generation)
+    def _on_message(self, envelope: Envelope) -> None:
+        payload = envelope.payload
+        if isinstance(payload, CommitSignal):
+            self.on_commit_signal(payload)
+        elif isinstance(payload, BatchedCommitSignal):
+            # transport aggregation from a batch-served store shard:
+            # process each entry exactly as an individual signal
+            for clock, vector_tag in payload.signals:
+                self.on_commit_signal(CommitSignal(clock, vector_tag))
+        elif isinstance(payload, DeleteRequest):
+            self.report_done(payload.clock, payload.vector, payload.generation)
+        elif isinstance(payload, BatchedDeleteRequest):
+            for clock, vector, generation in payload.entries:
+                self.report_done(clock, vector, generation)
 
-    def _request_loop(self) -> Generator:
+    def _on_request(self, request: RpcRequest) -> None:
         """Server half of the synchronous delete mode (§7.2 "XOR check and
         delete request"): respond once the delete is recorded, so the last
         NF can release the output packet knowing replay cannot duplicate it."""
-        while self._alive:
-            request = yield self.endpoint.requests.get()
-            payload = request.payload
-            if isinstance(payload, DeleteRequest):
-                self.report_done(payload.clock, payload.vector, payload.generation)
-                self.endpoint.respond(request, True)
-            else:
-                self.endpoint.respond(request, RuntimeError("bad root request"), ok=False)
+        payload = request.payload
+        if isinstance(payload, DeleteRequest):
+            self.report_done(payload.clock, payload.vector, payload.generation)
+            self.endpoint.respond(request, True)
+        else:
+            self.endpoint.respond(request, RuntimeError("bad root request"), ok=False)
 
     # ------------------------------------------------------------------
     # replay (§5.3, §5.4)

@@ -442,7 +442,7 @@ class Channel:
         while getters and items:
             getters.popleft().succeed(items.popleft())
         if self._space_waiters:
-            self._notify_space()
+            self.notify_space()
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
@@ -453,7 +453,7 @@ class Channel:
             event._triggered = True
             event._value = items.popleft()
             if self._space_waiters:
-                self._notify_space()
+                self.notify_space()
         else:
             self._getters.append(event)
         return event
@@ -463,7 +463,7 @@ class Channel:
         if self._items:
             item = self._items.popleft()
             if self._space_waiters:
-                self._notify_space()
+                self.notify_space()
             return item
         return None
 
@@ -487,9 +487,15 @@ class Channel:
             self._space_waiters.append(event)
         return event
 
-    def _notify_space(self) -> None:
-        # One waiter per free slot: a woken producer usually puts
-        # immediately, so over-waking would just thrash.
+    def notify_space(self) -> None:
+        """Wake producers parked on :meth:`space_event` while there is room.
+
+        Called on every dequeue; a server that takes an item without it
+        ever entering the queue (an idle :class:`~repro.simnet.nic.Nic`)
+        calls it for that item too, so no producer stays parked behind an
+        empty queue. One waiter per free slot: a woken producer usually
+        puts immediately, so over-waking would just thrash.
+        """
         waiters = self._space_waiters
         while waiters and self.has_space():
             waiter = waiters.popleft()
@@ -510,14 +516,14 @@ class Channel:
         self._items = deque(item for item in self._items if not predicate(item))
         removed = before - len(self._items)
         if removed and self._space_waiters:
-            self._notify_space()
+            self.notify_space()
         return removed
 
     def clear(self) -> int:
         removed = len(self._items)
         self._items.clear()
         if removed and self._space_waiters:
-            self._notify_space()
+            self.notify_space()
         return removed
 
 

@@ -10,9 +10,12 @@ drops, and every drop is reported through ``on_drop`` so the runtime can
 fold it into the Network per-cause ledger — ring drops are never silent.
 ``never_drop`` exempts control-plane items (handover markers) from tail
 drop, and ``deliver_wait`` lets the receiving NF push back: when
-``deliver`` returns ``False`` the drain loop parks until the receiver has
+``deliver`` returns ``False`` the port parks until the receiver has
 space, which in turn fills this ring and slows *its* upstream — hop-by-hop
 backpressure.
+
+The port is a callback-driven FIFO server, not a process (DESIGN.md §5,
+§8): one scheduled completion per item, no wake-ups in between.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ GBPS_TO_BITS_PER_US = 1_000.0  # 1 Gbps == 1000 bits per microsecond
 
 
 class Nic:
-    """A FIFO transmit queue drained at ``rate_gbps``.
+    """A FIFO transmit queue served at ``rate_gbps``.
 
     ``deliver`` is invoked with each item once its serialisation delay has
     elapsed. ``queue_limit`` (packets) models a finite ring: when exceeded,
@@ -50,7 +53,7 @@ class Nic:
         self.sim = sim
         self.name = name
         # (this NIC's wait-graph node, its receiver's node) — used by the
-        # deadlock sanitizer when the drain parks on ``deliver_wait``.
+        # deadlock sanitizer while the server is parked on ``deliver_wait``.
         self.wait_labels = wait_labels or (f"nic:{name}", f"rx:{name}")
         self.rate_bits_per_us = rate_gbps * GBPS_TO_BITS_PER_US
         self.deliver = deliver
@@ -59,13 +62,17 @@ class Nic:
         self.on_drop = on_drop
         self.never_drop = never_drop
         self.deliver_wait = deliver_wait
+        # The ring holds what waits behind the item on the wire; the item
+        # being serialised has left it (so a ring of N admits N + 1).
         self._queue = Channel(sim, name=f"{name}-txq", capacity=queue_limit)
+        self._busy = False  # an item is on the wire, or parked on the receiver
+        # the deadlock sanitizer holding this port's edge while it is parked
+        self._parked_in: Any = None
         self.tx_packets = 0
         self.tx_bits = 0
         self.drops = 0
         self.deliver_stalls = 0
         self._alive = True
-        sim.process(self._drain(), name=f"{name}-drain")
 
     @property
     def txq_depth_peak(self) -> int:
@@ -75,19 +82,31 @@ class Nic:
     def fail(self) -> None:
         self._alive = False
         self._queue.clear()
+        self._unpark()
 
     def has_space(self) -> bool:
         """Whether :meth:`send` would currently be accepted (not tail drop)."""
-        return self._alive and self._queue.has_space()
+        return self._alive and (not self._busy or self._queue.has_space())
 
     def space_event(self) -> Event:
         """Event firing when the ring can accept a packet (backpressure)."""
         return self._queue.space_event()
 
     def send(self, item: Any, size_bits: int) -> bool:
-        """Enqueue ``item`` for transmission; returns False on tail drop."""
+        """Hand ``item`` to the port; returns False on tail drop.
+
+        An idle port starts serialising at once; a busy one queues the item
+        on the ring.
+        """
         if not self._alive:
             return False
+        if not self._busy:
+            self._busy = True
+            self._serialise(item, size_bits)
+            # it went past the ring, not around its bookkeeping: a producer
+            # still parked on space_event() gets its wake-up
+            self._queue.notify_space()
+            return True
         if self.never_drop is not None and self.never_drop(item):
             # Control-plane traffic (handover markers) bypasses the bound:
             # losing a marker would wedge the Figure-4 barrier.
@@ -100,32 +119,40 @@ class Nic:
             return False
         return True
 
-    def _drain(self):
-        while True:
-            item, size_bits = yield self._queue.get()
-            if not self._alive:
-                return
-            wire_bits = size_bits + self.per_packet_overhead_bits
-            yield self.sim.timeout(wire_bits / self.rate_bits_per_us)
-            if not self._alive:
-                return
-            while True:
-                accepted = self.deliver(item)
-                # Legacy receivers return None (always accept); a bounded
-                # receiver returns False to push back.
-                if accepted is False and self.deliver_wait is not None:
-                    self.deliver_stalls += 1
-                    suite = _sanitize.ACTIVE
-                    if suite is not None:
-                        suite.wait_edge(self.sim, *self.wait_labels)
-                    try:
-                        yield self.deliver_wait()
-                    finally:
-                        if suite is not None:
-                            suite.release_edge(*self.wait_labels)
-                    if not self._alive:
-                        return
-                    continue
-                break
-            self.tx_packets += 1
-            self.tx_bits += size_bits
+    def _serialise(self, item: Any, size_bits: int) -> None:
+        wire_bits = size_bits + self.per_packet_overhead_bits
+        self.sim.schedule(
+            wire_bits / self.rate_bits_per_us, self._transmitted, item, size_bits
+        )
+
+    def _transmitted(self, item: Any, size_bits: int) -> None:
+        """``item``'s last bit left the wire: hand it over, start the next."""
+        if not self._alive:
+            return
+        # Legacy receivers return None (always accept); a bounded receiver
+        # returns False to push back, and the port parks until it has room.
+        if self.deliver(item) is False and self.deliver_wait is not None:
+            self.deliver_stalls += 1
+            suite = self._parked_in = _sanitize.ACTIVE
+            if suite is not None:
+                suite.wait_edge(self.sim, *self.wait_labels)
+            self.deliver_wait().add_callback(
+                lambda _event: self._retry(item, size_bits)
+            )
+            return
+        self.tx_packets += 1
+        self.tx_bits += size_bits
+        following = self._queue.try_get()
+        if following is None:
+            self._busy = False
+        else:
+            self._serialise(*following)
+
+    def _retry(self, item: Any, size_bits: int) -> None:
+        self._unpark()
+        self._transmitted(item, size_bits)
+
+    def _unpark(self) -> None:
+        suite, self._parked_in = self._parked_in, None
+        if suite is not None:
+            suite.release_edge(*self.wait_labels)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.analysis import runtime as _sanitize
 from repro.simnet.engine import Channel, Event, Simulator
@@ -80,21 +80,37 @@ class _Wire:
 class RpcEndpoint:
     """A network endpoint speaking request/response and one-way messages.
 
-    Servers consume :attr:`requests` (a channel of :class:`RpcRequest`) and
-    answer with :meth:`respond`. Clients use :meth:`call` (a generator to be
-    driven with ``yield from``) or :meth:`call_event` for event-style use.
-    One-way messages land in :attr:`messages`.
+    Servers handle each :class:`RpcRequest` in ``on_request`` and answer
+    with :meth:`respond`; one-way messages go to ``on_message`` (as the
+    delivered :class:`Envelope`, payload unwrapped). Both are called
+    synchronously at the delivery instant, in send order per (src, dst)
+    (DESIGN.md §5: a relay is a handler, not a process). An endpoint given
+    no handler keeps the mailboxes: requests queue on :attr:`requests`,
+    messages on :attr:`messages`, for a consumer to ``get()``. Clients use
+    :meth:`call` (a generator to be driven with ``yield from``) or
+    :meth:`call_event` for event-style use.
     """
 
     _ids = itertools.count(1)
 
-    def __init__(self, sim: Simulator, network: Network, name: str):
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Network,
+        name: str,
+        on_request: Optional[Callable[[RpcRequest], Any]] = None,
+        on_message: Optional[Callable[[Envelope], Any]] = None,
+    ):
         self.sim = sim
         self.network = network
         self.name = name
         self.requests = Channel(sim, name=f"rpc-requests({name})")
         self.messages = Channel(sim, name=f"rpc-messages({name})")
-        self._pending: Dict[int, Event] = {}
+        self.on_request = on_request or self.requests.put
+        self.on_message = on_message or self.messages.put
+        # request id -> (waiter, on_reply): the response delivery triggers
+        # the waiter, then calls on_reply(waiter) right there
+        self._pending: Dict[int, Tuple[Event, Optional[Callable[[Event], Any]]]] = {}
         self._alive = True
         # Replay silence: the endpoint keeps receiving and processing but
         # every outbound frame (response or one-way) is silently dropped.
@@ -127,26 +143,24 @@ class RpcEndpoint:
             return
         wire: _Wire = envelope.payload
         if wire.kind == "request":
-            self.requests.put(
+            self.on_request(
                 RpcRequest(
-                    request_id=wire.request_id,
-                    src=envelope.src,
-                    dst=self.name,
-                    payload=wire.payload,
-                    received_at=self.sim.now,
+                    wire.request_id, envelope.src, self.name, wire.payload, self.sim.now
                 )
             )
         elif wire.kind == "response":
-            waiter = self._pending.pop(wire.request_id, None)
+            waiter, on_reply = self._pending.pop(wire.request_id, (None, None))
             if waiter is not None and not waiter.triggered:
                 if wire.ok:
                     waiter.succeed(wire.payload)
                 else:
                     waiter.fail(RpcError(wire.payload))
+                if on_reply is not None:
+                    on_reply(waiter)
         elif wire.kind == "oneway":
             # Unwrap the wire frame: consumers see the application payload.
             envelope.payload = wire.payload
-            self.messages.put(envelope)
+            self.on_message(envelope)
 
     def send(self, dst: str, payload: Any) -> None:
         """Fire a one-way message (no response expected)."""
@@ -154,21 +168,34 @@ class RpcEndpoint:
             return
         self.network.send(self.name, dst, _Wire("oneway", 0, payload))
 
-    def _issue(self, dst: str, payload: Any) -> Tuple[int, Event]:
+    def _issue(
+        self,
+        dst: str,
+        payload: Any,
+        on_reply: Optional[Callable[[Event], Any]] = None,
+    ) -> Tuple[int, Event]:
         """Send one request frame; returns ``(request_id, waiter)``."""
         request_id = next(self._ids)
         waiter = self.sim.event(name="rpc")
-        self._pending[request_id] = waiter
+        self._pending[request_id] = (waiter, on_reply)
         self.network.send(self.name, dst, _Wire("request", request_id, payload))
         return request_id, waiter
 
-    def call_event(self, dst: str, payload: Any) -> Event:
+    def call_event(
+        self,
+        dst: str,
+        payload: Any,
+        on_reply: Optional[Callable[[Event], Any]] = None,
+    ) -> Event:
         """Issue a request; returns the event that fires with the response.
 
-        No timeout handling — callers that need retransmission use
+        ``on_reply(event)``, if given, is called from the response delivery
+        itself, right after the event triggers — for a caller that only
+        does bookkeeping on the reply and should not cost a wake-up. No
+        timeout handling — callers that need retransmission use
         :meth:`call`.
         """
-        return self._issue(dst, payload)[1]
+        return self._issue(dst, payload, on_reply)[1]
 
     def call(
         self,

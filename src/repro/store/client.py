@@ -32,7 +32,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.analysis import runtime as _sanitize
 from repro.simnet.engine import Event, Simulator
-from repro.simnet.network import Network
+from repro.simnet.network import Envelope, Network
 from repro.simnet.rpc import RpcEndpoint, RpcGaveUp
 from repro.store.breaker import CircuitBreaker
 from repro.store.cluster import StoreCluster
@@ -167,7 +167,9 @@ class StoreClient:
         # open breaker serves instead of hammering a saturated store.
         self._overload_rng = random.Random(stable_hash(instance_id) ^ 0x0BAD)
         self._stale: Dict[str, Any] = {}
-        self.endpoint = RpcEndpoint(sim, network, instance_id)
+        self.endpoint = RpcEndpoint(
+            sim, network, instance_id, on_message=self._on_callback
+        )
         self.wal = WriteAheadLog(instance_id)
         self.stats = ClientStats()
 
@@ -202,7 +204,6 @@ class StoreClient:
         self._default_ctx = PacketContext()
 
         self._alive = True
-        self._callback_proc = sim.process(self._callback_loop(), name=f"{instance_id}-callbacks")
 
     # ------------------------------------------------------------------
     # lifecycle / packet context
@@ -221,7 +222,6 @@ class StoreClient:
         if not self._alive:
             return
         self._alive = False
-        self._callback_proc.kill()
         self.endpoint.fail()
         self._cache.clear()
         self._readheavy_cache.clear()
@@ -458,8 +458,7 @@ class StoreClient:
         if self._batch is not None:
             self._batch.append(request)
         else:
-            ack = self.endpoint.call_event(self._dst(request.key), request)
-            self._track_ack(request, ack)
+            self._send_tracked(self._dst(request.key), request)
 
     def _nonblocking(self, request: OpRequest) -> Optional[Event]:
         """Offload an op; returns the ACK only if the caller must await it
@@ -572,10 +571,8 @@ class StoreClient:
         acks: List[Event] = []
         for dst, group in groups.items():
             batch = BatchedOpRequest(entries=tuple(group), instance=self.instance_id)
-            ack = self.endpoint.call_event(dst, batch)
-            self._track_ack(batch, ack, attempt)
+            acks.append(self._send_tracked(dst, batch, attempt))
             self.stats_batches_sent += 1
-            acks.append(ack)
         return acks
 
     @staticmethod
@@ -591,22 +588,26 @@ class StoreClient:
             self.stats.retransmissions += 1
             self._send_batched(list(request.entries), attempt)
             return
-        ack = self.endpoint.call_event(self._dst(request.key), request)
+        self._send_tracked(self._dst(request.key), request, attempt)
         self.stats.retransmissions += 1
-        self._track_ack(request, ack, attempt)
 
-    def _track_ack(self, request: OpRequest, ack: Event, attempt: int = 0) -> None:
+    def _send_tracked(self, dst: str, request: Any, attempt: int = 0) -> Event:
+        """Send a flush whose ACK is tracked (ack_barrier, retransmission);
+        its reply is handled inside the response delivery itself."""
         self._ack_seq += 1
         ack_id = self._ack_seq
-        self._pending_acks[ack_id] = (ack, request)
-        ack.add_callback(
-            lambda event: self._on_flush_reply(ack_id, request, attempt, event)
+        ack = self.endpoint.call_event(
+            dst,
+            request,
+            on_reply=lambda event: self._on_flush_reply(ack_id, request, attempt, event),
         )
+        self._pending_acks[ack_id] = (ack, request)
         if self.retransmit_timeout_us is not None:
             delay = self.retransmit_timeout_us * (
                 self.FLUSH_BACKOFF ** min(attempt, self.FLUSH_BACKOFF_CAP)
             )
             self._retransmit_timers.add(delay, ack_id, request, attempt)
+        return ack
 
     def _on_flush_reply(self, ack_id: int, request: OpRequest, attempt: int,
                         event: Event) -> None:
@@ -977,18 +978,16 @@ class StoreClient:
     # callback handling
     # ------------------------------------------------------------------
 
-    def _callback_loop(self):
-        while self._alive:
-            envelope = yield self.endpoint.messages.get()
-            message = envelope.payload
-            if not isinstance(message, CallbackMessage):
-                continue
-            self.stats.callbacks_received += 1
-            if message.kind == "value":
-                if message.key in self._readheavy_cache or message.key in self._watched:
-                    self._readheavy_cache[message.key] = message.value
-            elif message.kind == "owner" and message.owner is None:
-                waiters = self._owner_waiters.pop(message.key, [])
-                for event in waiters:
-                    if not event.triggered:
-                        event.succeed(message.key)
+    def _on_callback(self, envelope: Envelope) -> None:
+        message = envelope.payload
+        if not isinstance(message, CallbackMessage):
+            return
+        self.stats.callbacks_received += 1
+        if message.kind == "value":
+            if message.key in self._readheavy_cache or message.key in self._watched:
+                self._readheavy_cache[message.key] = message.value
+        elif message.kind == "owner" and message.owner is None:
+            waiters = self._owner_waiters.pop(message.key, [])
+            for event in waiters:
+                if not event.triggered:
+                    event.succeed(message.key)

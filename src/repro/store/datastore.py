@@ -30,7 +30,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, U
 from repro.analysis import runtime as _sanitize
 from repro.simnet.engine import Channel, Process, Simulator
 from repro.util import Memo, stable_hash
-from repro.simnet.network import Network
+from repro.simnet.network import Envelope, Network
 from repro.simnet.rpc import RpcEndpoint, RpcRequest
 from repro.store.keys import vertex_of_key
 from repro.store.operations import OperationRegistry, default_registry
@@ -206,7 +206,10 @@ class DatastoreInstance:
         self.inflight_limit = inflight_limit
         self.overload_retry_after_us = overload_retry_after_us
 
-        self.endpoint = RpcEndpoint(sim, network, name)
+        self.endpoint = RpcEndpoint(
+            sim, network, name,
+            on_request=self._on_request, on_message=self._on_message,
+        )
         self._data: Dict[str, Any] = {}
         self._owners: Dict[str, Optional[str]] = {}
         self._clones: Dict[str, str] = {}  # original instance -> active clone
@@ -251,8 +254,6 @@ class DatastoreInstance:
             sim.process(self._thread_loop(queue), name=f"{name}-thread{i}")
             for i, queue in enumerate(self._queues)
         ]
-        self._processes.append(sim.process(self._dispatch_loop(), name=f"{name}-dispatch"))
-        self._processes.append(sim.process(self._message_loop(), name=f"{name}-messages"))
         if checkpoint_interval_us:
             self._processes.append(
                 sim.process(self._checkpoint_loop(), name=f"{name}-checkpoint")
@@ -378,94 +379,93 @@ class DatastoreInstance:
         )
         return True
 
-    def _dispatch_loop(self):
-        while self._alive:
-            request: RpcRequest = yield self.endpoint.requests.get()
-            payload = request.payload
-            if isinstance(payload, OpRequest):
-                # Both blocking and non-blocking ops are serialized through
-                # the key's thread; a non-blocking op is ACK'd as soon as it
-                # is applied (the requester is not waiting either way), so
-                # an ACK always means the update is durable in the store —
-                # which makes the client's ack_barrier() a true fence for
-                # handover flushes (§5.1).
-                if self._admission_reject(request):
-                    continue
-                self._thread_for(payload.key).put((payload, request))
-            elif isinstance(payload, (ReadRequest, LockReadRequest)):
-                if self._admission_reject(request):
-                    continue
-                self._thread_for(payload.key).put((payload, request))
-            elif isinstance(payload, BatchedOpRequest):
-                # Data-plane load, so subject to admission control like the
-                # individual ops it replaces. The batch is sharded so each
-                # entry still runs on the thread owning its key.
-                if self._admission_reject(request):
-                    continue
-                groups: Dict[int, List[OpRequest]] = {}
-                for entry in payload.entries:
-                    groups.setdefault(self._thread_memo[entry.key], []).append(entry)
-                state = _BatchState(len(groups))
-                for idx, entries in groups.items():
-                    self._queues[idx].put((_BatchShard(tuple(entries), state), request))
-            elif isinstance(
-                payload, (WriteRequest, OwnerRequest, WriteUnlockRequest)
-            ):
-                self._thread_for(payload.key).put((payload, request))
-            elif isinstance(payload, BulkOwnerMove):
-                self._thread_for(payload.notify_key or payload.new_instance).put(
-                    (payload, request)
-                )
-            elif isinstance(payload, CloneRegistration):
-                if payload.register:
-                    self._clones[payload.original] = payload.clone
-                else:
-                    if self._clones.get(payload.original) == payload.clone:
-                        del self._clones[payload.original]
-                suite = _sanitize.ACTIVE
-                if suite is not None:
-                    suite.note_store_clone(
-                        self.sim, payload.original, payload.clone, payload.register
-                    )
-                self._respond(request, True)
-            elif isinstance(payload, TakeoverRequest):
-                self._thread_for(payload.new_instance).put((payload, request))
-            elif isinstance(payload, WatchRequest):
-                watchers = self._watcher_map(payload.kind).setdefault(payload.key, set())
-                watchers.add(payload.endpoint)
-                self._respond(request, True)
-            elif isinstance(payload, UnwatchRequest):
-                self._watcher_map(payload.kind).get(payload.key, set()).discard(payload.endpoint)
-                self._respond(request, True)
-            elif isinstance(payload, PruneRequest):
-                self._prune(payload.clock)
-            elif isinstance(payload, BatchedPruneRequest):
-                for clock in payload.clocks:
-                    self._prune(clock)
-            elif isinstance(payload, NonDetRequest):
-                self._respond(request, self._nondet_value(payload))
-            elif isinstance(payload, SnapshotRequest):
-                snapshot = {
-                    k: copy.deepcopy(v)
-                    for k, v in self._data.items()
-                    if k.startswith(payload.prefix)
-                }
-                self._respond(request, snapshot)
-            elif isinstance(payload, CheckpointControl):
-                self.take_checkpoint()
-                self._respond(request, self.last_checkpoint.taken_at)
+    def _on_request(self, request: RpcRequest) -> None:
+        """Queue one request on the thread owning its key, or answer it
+        right here (the endpoint calls this at the delivery instant)."""
+        payload = request.payload
+        if isinstance(payload, OpRequest):
+            # Both blocking and non-blocking ops are serialized through
+            # the key's thread; a non-blocking op is ACK'd as soon as it
+            # is applied (the requester is not waiting either way), so
+            # an ACK always means the update is durable in the store —
+            # which makes the client's ack_barrier() a true fence for
+            # handover flushes (§5.1).
+            if self._admission_reject(request):
+                return
+            self._thread_for(payload.key).put((payload, request))
+        elif isinstance(payload, (ReadRequest, LockReadRequest)):
+            if self._admission_reject(request):
+                return
+            self._thread_for(payload.key).put((payload, request))
+        elif isinstance(payload, BatchedOpRequest):
+            # Data-plane load, so subject to admission control like the
+            # individual ops it replaces. The batch is sharded so each
+            # entry still runs on the thread owning its key.
+            if self._admission_reject(request):
+                return
+            groups: Dict[int, List[OpRequest]] = {}
+            for entry in payload.entries:
+                groups.setdefault(self._thread_memo[entry.key], []).append(entry)
+            state = _BatchState(len(groups))
+            for idx, entries in groups.items():
+                self._queues[idx].put((_BatchShard(tuple(entries), state), request))
+        elif isinstance(
+            payload, (WriteRequest, OwnerRequest, WriteUnlockRequest)
+        ):
+            self._thread_for(payload.key).put((payload, request))
+        elif isinstance(payload, BulkOwnerMove):
+            self._thread_for(payload.notify_key or payload.new_instance).put(
+                (payload, request)
+            )
+        elif isinstance(payload, CloneRegistration):
+            if payload.register:
+                self._clones[payload.original] = payload.clone
             else:
-                self._respond(request, RuntimeError(f"bad request {payload!r}"), ok=False)
+                if self._clones.get(payload.original) == payload.clone:
+                    del self._clones[payload.original]
+            suite = _sanitize.ACTIVE
+            if suite is not None:
+                suite.note_store_clone(
+                    self.sim, payload.original, payload.clone, payload.register
+                )
+            self._respond(request, True)
+        elif isinstance(payload, TakeoverRequest):
+            self._thread_for(payload.new_instance).put((payload, request))
+        elif isinstance(payload, WatchRequest):
+            watchers = self._watcher_map(payload.kind).setdefault(payload.key, set())
+            watchers.add(payload.endpoint)
+            self._respond(request, True)
+        elif isinstance(payload, UnwatchRequest):
+            self._watcher_map(payload.kind).get(payload.key, set()).discard(payload.endpoint)
+            self._respond(request, True)
+        elif isinstance(payload, PruneRequest):
+            self._prune(payload.clock)
+        elif isinstance(payload, BatchedPruneRequest):
+            for clock in payload.clocks:
+                self._prune(clock)
+        elif isinstance(payload, NonDetRequest):
+            self._respond(request, self._nondet_value(payload))
+        elif isinstance(payload, SnapshotRequest):
+            snapshot = {
+                k: copy.deepcopy(v)
+                for k, v in self._data.items()
+                if k.startswith(payload.prefix)
+            }
+            self._respond(request, snapshot)
+        elif isinstance(payload, CheckpointControl):
+            self.take_checkpoint()
+            self._respond(request, self.last_checkpoint.taken_at)
+        else:
+            self._respond(request, RuntimeError(f"bad request {payload!r}"), ok=False)
 
-    def _message_loop(self):
-        """Consume one-way messages (prune notifications from the root)."""
-        while self._alive:
-            envelope = yield self.endpoint.messages.get()
-            if isinstance(envelope.payload, PruneRequest):
-                self._prune(envelope.payload.clock)
-            elif isinstance(envelope.payload, BatchedPruneRequest):
-                for clock in envelope.payload.clocks:
-                    self._prune(clock)
+    def _on_message(self, envelope: Envelope) -> None:
+        """One-way messages: prune notifications from the root."""
+        payload = envelope.payload
+        if isinstance(payload, PruneRequest):
+            self._prune(payload.clock)
+        elif isinstance(payload, BatchedPruneRequest):
+            for clock in payload.clocks:
+                self._prune(clock)
 
     def _watcher_map(self, kind: str) -> Dict[str, Set[str]]:
         return self._value_watchers if kind == "value" else self._owner_watchers

@@ -272,6 +272,32 @@ class TestRules:
         assert lint.check_source(own, Path("benchmarks/legacy_engine.py")) == []
 
 
+    def test_chc012_a_relay_is_a_handler_not_a_process(self):
+        findings = fixture_findings("bad_chc012.py")
+        # the mailbox loop and the module-level forwarder; the loop that
+        # also sleeps a service time is a server and passes
+        assert [(f.code, f.line) for f in findings] == [("CHC012", 9), ("CHC012", 33)]
+        assert "a relay is a handler, not a process" in findings[0].message
+        relay = (
+            "def loop(box):\n"
+            "    while True:\n"
+            "        handle((yield box.get()))\n"
+            "def start(sim, box):\n"
+            "    sim.process(loop(box))\n"
+        )
+        for path in ("repro/core/root.py", "repro/store/datastore.py", "tools/x.py"):
+            assert [f.code for f in lint.check_source(relay, Path(path))] == ["CHC012"], path
+        # the engine micro-benchmarks time exactly this loop
+        assert lint.check_source(relay, Path("benchmarks/bench_engine_micro.py")) == []
+        # a second kind of wait makes it a process: a timeout, a delegated RPC
+        for extra in ("        yield sim.timeout(1.0)\n", "        yield from call()\n"):
+            served = relay.replace("def start", extra + "def start")
+            assert lint.check_source(served, Path("repro/core/root.py")) == []
+        # a consumer defined elsewhere cannot be judged from here
+        elsewhere = "def start(sim, other):\n    sim.process(other.loop())\n"
+        assert lint.check_source(elsewhere, Path("repro/core/root.py")) == []
+
+
 class TestMechanics:
     def test_good_fixture_is_clean(self):
         assert fixture_findings("good.py") == []

@@ -163,3 +163,89 @@ class TestRpc:
             return values
 
         assert sim.run_process(body()) == ["SLOW", "FAST"]
+
+
+class TestRpcHandlers:
+    """Requests and one-way messages go to handlers, called from the
+    delivery itself (DESIGN.md §5: a relay is a handler, not a process)."""
+
+    def test_handlers_see_each_senders_traffic_in_send_order(self, sim, network):
+        seen = []
+        RpcEndpoint(
+            sim, network, "server",
+            on_request=lambda request: seen.append(
+                ("request", request.src, request.payload, request.received_at)
+            ),
+            on_message=lambda envelope: seen.append(
+                ("message", envelope.src, envelope.payload, sim.now)
+            ),
+        )
+        clients = [RpcEndpoint(sim, network, name) for name in ("a", "b")]
+        for index in range(6):
+            client = clients[index % 2]
+            if index % 3:
+                client.send("server", index)
+            else:
+                client.call_event("server", index)
+        sim.run()
+        # delivered at the delivery instant, not a wake-up later...
+        assert {entry[3] for entry in seen} == {14.0}
+        # ...and in send order on every (src, dst) path
+        for name in ("a", "b"):
+            path = [payload for _kind, src, payload, _at in seen if src == name]
+            assert path == sorted(path) and len(path) == 3
+        assert sim.events_processed == 6  # one delivery each, no wake-ups
+
+    def test_a_handler_runs_inside_the_delivery_event(self, sim, network):
+        order = []
+        RpcEndpoint(sim, network, "server", on_message=lambda _e: order.append("handler"))
+        client = RpcEndpoint(sim, network, "client")
+        client.send("server", "x")
+        # same instant, scheduled later: must still come after the handler
+        sim.schedule(14.0, order.append, "later at the same instant")
+        sim.run()
+        assert order == ["handler", "later at the same instant"]
+
+    def test_nothing_is_delivered_after_fail(self, sim, network):
+        seen = []
+        server = RpcEndpoint(
+            sim, network, "server", on_request=seen.append, on_message=seen.append
+        )
+        client = RpcEndpoint(sim, network, "client")
+        client.send("server", "in flight when the server dies")
+        client.call_event("server", "so is this")
+        sim.schedule(5.0, server.fail)
+        sim.run()
+        assert seen == []
+        assert network.drops["endpoint_down"] == 2
+
+    def test_a_handler_exception_surfaces_from_run(self, sim, network):
+        def broken(_request):
+            raise KeyError("bug in a handler")
+
+        RpcEndpoint(sim, network, "server", on_request=broken)
+        RpcEndpoint(sim, network, "client").call_event("server", "x")
+        # the loop this replaced died silently and the endpoint went deaf
+        with pytest.raises(KeyError, match="bug in a handler"):
+            sim.run()
+
+    def test_default_handlers_fill_the_mailboxes(self, sim, network):
+        server = RpcEndpoint(sim, network, "server")
+        client = RpcEndpoint(sim, network, "client")
+        client.call_event("server", "q")
+        client.send("server", "m")
+        sim.run()
+        assert [request.payload for request in server.requests.items()] == ["q"]
+        assert [envelope.payload for envelope in server.messages.items()] == ["m"]
+
+    def test_on_reply_runs_in_the_response_delivery(self, sim, network):
+        server = RpcEndpoint(sim, network, "server")
+        server.on_request = lambda request: server.respond(request, "pong")
+        client = RpcEndpoint(sim, network, "client")
+        replies = []
+        waiter = client.call_event(
+            "server", "ping", on_reply=lambda event: replies.append((sim.now, event.value))
+        )
+        sim.run()
+        assert replies == [(28.0, "pong")] and waiter.value == "pong"
+        assert sim.events_processed == 2  # request delivery, response delivery

@@ -1,9 +1,13 @@
 """Unit tests for the NIC model and the measurement helpers."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.runtime import sanitized
+from repro.simnet.engine import Channel, Simulator
 from repro.simnet.monitor import LatencyRecorder, ThroughputMeter, percentile, percentiles
 from repro.simnet.nic import Nic
+from tests.reference_nic import DrainNic
 
 
 class TestNic:
@@ -48,6 +52,137 @@ class TestNic:
         nic.fail()
         sim.run()
         assert received == []
+
+
+# ----------------------------------------------------------------------
+# the callback-driven FIFO server against the generator process it replaced
+# ----------------------------------------------------------------------
+
+
+def replay_on(nic_class, ring, inbox_capacity, overhead_bits, actions):
+    """Run one schedule of sends / receiver takes / a failure against a NIC
+    implementation; returns everything an observer of the port can see.
+
+    Every action is scheduled before the run starts, so at an instant it
+    shares with one of the port's own completions the action comes first
+    on either implementation (its sequence number is lower): the schedules
+    are full of such ties and what each party sees must still be identical.
+    The trace is kept per party — the senders, the receiver, the consumer,
+    the ring-space watchers — because where two of them act in one instant
+    their relative order is exactly what a handler may move (DESIGN.md §5).
+    """
+    sim = Simulator()
+    inbox = Channel(sim, name="inbox", capacity=inbox_capacity)
+    seen = {"send": [], "drop": [], "deliver": [], "take": [], "ring-space": []}
+
+    def deliver(item):
+        accepted = inbox.put(item)
+        seen["deliver"].append((sim.now, item, accepted))
+        return accepted
+
+    nic = nic_class(
+        sim, 1.0, deliver, queue_limit=ring, per_packet_overhead_bits=overhead_bits,
+        on_drop=lambda item: seen["drop"].append((sim.now, item)),
+        never_drop=lambda item: item[0] == "ctl",
+        deliver_wait=inbox.space_event,
+    )
+
+    def send(item, bits):
+        space = nic.has_space()
+        seen["send"].append((sim.now, item, space, nic.send(item, bits)))
+
+    def watch_ring(tag):
+        nic.space_event().add_callback(
+            lambda _event: seen["ring-space"].append((sim.now, tag))
+        )
+
+    for index, (kind, at, arg) in enumerate(actions):
+        if kind in ("pkt", "ctl"):
+            sim.schedule(at, send, (kind, index), arg)
+        elif kind == "take":
+            sim.schedule(at, lambda: seen["take"].append((sim.now, inbox.try_get())))
+        elif kind == "watch":
+            sim.schedule(at, watch_ring, index)
+        else:
+            sim.schedule(at, nic.fail)
+    sim.run()
+    # (not the final ``now``: a port failed in the instant it accepted an
+    # item leaves that item's completion behind as a no-op event)
+    seen["left in the inbox"] = inbox.items()
+    return (
+        seen, nic.drops, nic.tx_packets, nic.tx_bits, nic.deliver_stalls,
+        nic.txq_depth_peak, nic.has_space(),
+    )
+
+
+# integer instants, and sizes that serialise in whole and fractional
+# microseconds at 1 Gbps: completions keep landing on action instants
+_INSTANT = st.integers(min_value=0, max_value=40).map(float)
+_BITS = st.sampled_from([500, 1_000, 1_500, 2_000, 3_000])
+_ACTION = st.one_of(
+    st.tuples(st.just("pkt"), _INSTANT, _BITS),
+    st.tuples(st.just("pkt"), _INSTANT, _BITS),
+    st.tuples(st.just("ctl"), _INSTANT, _BITS),
+    st.tuples(st.just("take"), _INSTANT, st.none()),
+    st.tuples(st.just("watch"), _INSTANT, st.none()),
+    st.tuples(st.just("fail"), _INSTANT, st.none()),
+)
+
+
+class TestFifoServerMatchesTheDrainProcess:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        ring=st.sampled_from([None, 1, 2, 3]),
+        inbox_capacity=st.sampled_from([None, 1, 2]),
+        overhead_bits=st.sampled_from([0, 600]),
+        actions=st.lists(_ACTION, min_size=1, max_size=30),
+    )
+    # two producers parked on a ring of one, one slot freed, the port goes
+    # idle: the next item (handed straight to the wire) must wake the other
+    @example(
+        ring=1, inbox_capacity=None, overhead_bits=0,
+        actions=[("pkt", 20.0, 500), ("pkt", 21.0, 500), ("watch", 20.0, None),
+                 ("watch", 20.0, None), ("pkt", 19.0, 1_000)],
+    )
+    def test_same_schedule_same_trace(self, ring, inbox_capacity, overhead_bits, actions):
+        args = (ring, inbox_capacity, overhead_bits, actions)
+        assert replay_on(Nic, *args) == replay_on(DrainNic, *args)
+
+    def test_a_refusing_receiver_parks_the_port_until_it_frees_space(self):
+        actions = [("pkt", 0.0, 1_000)] * 4 + [("take", 10.0, None), ("take", 20.0, None)]
+        got = replay_on(Nic, 8, 1, 0, actions)
+        assert got == replay_on(DrainNic, 8, 1, 0, actions)
+        seen, drops, tx_packets, _bits, stalls, peak, _space = got
+        delivered = [(at, item[1]) for at, item, accepted in seen["deliver"] if accepted]
+        assert delivered == [(1.0, 0), (10.0, 1), (20.0, 2)]
+        assert (drops, tx_packets, stalls, peak) == (0, 3, 3, 3)  # the 4th is still parked
+
+    def test_failure_mid_serialisation_delivers_nothing_more(self):
+        actions = [("pkt", 0.0, 2_000), ("pkt", 0.0, 2_000), ("fail", 1.0, None)]
+        got = replay_on(Nic, None, None, 0, actions)
+        assert got == replay_on(DrainNic, None, None, 0, actions)
+        assert got[0]["deliver"] == []
+
+    def test_one_event_per_item_and_none_while_idle(self, sim):
+        nic = Nic(sim, 1.0, deliver=lambda item: None)
+        sim.run()
+        assert sim.events_processed == 0  # an idle port is not a parked process
+        for index in range(5):
+            nic.send(index, 1_000)
+        sim.run()
+        assert (nic.tx_packets, sim.events_processed) == (5, 5)
+
+    def test_failing_a_parked_port_releases_its_wait_edge(self, sim):
+        with sanitized() as suite:
+            inbox = Channel(sim, capacity=1)
+            nic = Nic(sim, 1.0, inbox.put, deliver_wait=inbox.space_event)
+            nic.send("a", 1_000)
+            nic.send("b", 1_000)
+            sim.run()
+            assert nic.deliver_stalls == 1
+            assert suite.waits._edges  # parked: the edge is held
+            nic.fail()
+            assert not suite.waits._edges
 
 
 class TestPercentiles:

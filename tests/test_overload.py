@@ -10,9 +10,17 @@ from repro.chaos.overload import (
     measure_load_point,
     run_overload_scenario,
 )
+from repro.analysis.runtime import sanitized
+from repro.core.chain_runtime import ChainRuntime, RuntimeParams
+from repro.core.dag import LogicalChain
 from repro.core.instance import POLICY_SHED
+from repro.nfs.firewall import Firewall
+from repro.nfs.load_balancer import LoadBalancer
+from repro.nfs.nat import Nat
 from repro.simnet.engine import Channel, Simulator
+from repro.simnet.failures import FailureInjector
 from repro.simnet.nic import Nic
+from repro.traffic.packet import ACK, SYN, FiveTuple, Packet
 from repro.store.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from tests.conftest import make_packet
 
@@ -164,10 +172,16 @@ class TestInstancePolicies:
             instance.enqueue(packet)
         vip = make_packet(sport=3000, priority=5)
         assert instance.enqueue(vip)
-        queued = list(instance.input._items)
-        assert vip in queued
-        assert instance.stats.shed == 1  # one low-priority victim evicted
+        assert instance.queue_depth == 3  # the VIP took a victim's place...
+        assert instance.stats.shed == 1  # ...one low-priority packet, evicted
         assert runtime.network.drops["overload_queue"] == 1
+        # and a packet that outranks nobody is itself the one shed
+        assert instance.enqueue(make_packet(sport=2003, priority=0))
+        assert instance.queue_depth == 3
+        assert instance.stats.shed == 2
+        sim.run(until=10_000.0)
+        assert instance.stats.processed == 3
+        assert [p.five_tuple.src_port for _v, p in runtime.egress.items()].count(3000) == 1
 
     def test_control_packets_never_shed(self, sim):
         runtime = self._runtime(
@@ -186,10 +200,187 @@ class TestInstancePolicies:
             sim, instance_queue_capacity=2, overload_policy="block"
         )
         instance = runtime.instances["entry-0"]
-        assert instance.enqueue(make_packet(sport=2000))
-        assert instance.enqueue(make_packet(sport=2001))
-        assert not instance.enqueue(make_packet(sport=2002))
+        # One flow, so one worker queue (bound 1): it fills, the receive
+        # side parks holding the next packet, the input (bound 2) fills
+        # behind it — and only then is the sender refused.
+        taken = [instance.enqueue(make_packet(sport=2000)) for _ in range(6)]
+        assert taken == [True, True, True, True, False, False]
+        assert instance.queue_depth == 3  # worker queue + input; one in hand
+        assert instance.input.depth_peak == 2
         assert instance.stats.shed == 0  # refused upstream, not shed
+        sim.run(until=10_000.0)
+        assert instance.stats.processed == 4 and instance.queue_depth == 0
+
+
+# ----------------------------------------------------------------------
+# BLOCK end to end: the receive side routes directly and parks on a full
+# worker queue; backpressure climbs hop by hop and drains back down
+# ----------------------------------------------------------------------
+
+
+class TestBlockBackpressureChain:
+    FLOWS = 4
+
+    def _run(self, sim):
+        """entry -> exit, one worker each, bounds of 4 everywhere, ``exit``
+        20x slower than the link: four warm-up packets (the cold-cache
+        store round trips), then a burst the exit cannot keep up with."""
+        runtime = build_runtime(
+            sim, 3, overload_policy="block", instance_queue_capacity=4,
+            nic_queue_limit=4, n_workers=1, proc_time_overrides={"exit": 40.0},
+            checkpoint_interval_us=None,
+        )
+
+        def source():
+            for index in range(28):
+                flow = index % self.FLOWS
+                runtime.inject(Packet(
+                    FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6),
+                    payload=f"f{flow}-{index // self.FLOWS}",
+                ))
+                yield sim.timeout(100.0 if index < self.FLOWS else 1.5)
+
+        sim.process(source())
+        sim.run(until=1_000_000)
+        return runtime
+
+    def test_a_slow_worker_backs_the_whole_path_up_and_it_drains(self, sim):
+        with sanitized() as suite:
+            edges = set()
+            add = suite.waits.add
+
+            def spy(src, dst, soft=False):
+                if not soft:
+                    edges.add((src, dst))
+                add(src, dst, soft=soft)
+
+            suite.waits.add = spy
+            runtime = self._run(sim)
+            exit_0, nic = runtime.instances["exit-0"], runtime.nics["exit-0"]
+            # the relay parked on the full worker queue and the input filled,
+            assert exit_0._worker_queues[0].depth_peak == exit_0.worker_capacity == 4
+            assert exit_0.input.depth_peak == 4
+            # so the NIC stalled on it and its ring filled,
+            assert nic.deliver_stalls > 0 and nic.txq_depth_peak == 4
+            # so the upstream worker's emit waited for ring space
+            assert edges >= {
+                ("rx:exit-0", "wkr:exit-0"),
+                ("nic:exit-0", "rx:exit-0"),
+                ("wkr:entry-0", "nic:exit-0"),
+            }
+            # ...and every one of those waits ended
+            assert suite.waits._edges == {}
+        assert sim.crashed == []
+        assert exit_0.queue_depth == 0 and exit_0._rx_held is None
+        # nothing vanished: what did not egress was a counted ring drop (the
+        # has_space check races the link-delayed send), and the log drained
+        root = runtime.roots[0]
+        assert len(runtime.egress) + runtime.network.drops["nic_ring"] == 28
+        assert (root.stats.injected, root.stats.deleted, len(root.log)) == (28, 28, 0)
+        assert check_sheds_accounted(runtime, 28) == []
+        # per-flow order survived the parking and the drain
+        per_flow = {}
+        for _vertex, packet in runtime.egress.items():
+            flow, seq = packet.payload.split("-")
+            per_flow.setdefault(flow, []).append(int(seq))
+        assert len(per_flow) == self.FLOWS
+        assert all(seqs == sorted(seqs) for seqs in per_flow.values())
+
+    def test_failing_a_parked_instance_releases_its_wait_edge(self, sim):
+        with sanitized() as suite:
+            runtime = build_runtime(
+                sim, 3, overload_policy="block", instance_queue_capacity=2, n_workers=1
+            )
+            instance = runtime.instances["entry-0"]
+            for _ in range(3):
+                instance.enqueue(make_packet(sport=2000))
+            assert instance._rx_held is not None
+            assert suite.waits._edges == {"rx:entry-0": {"wkr:entry-0": 1}}
+            instance.fail()
+            assert suite.waits._edges == {}
+            # the parked callback still fires (fail() cleared the queue)
+            sim.run(until=10_000.0)
+            assert instance._rx_held is None and instance.queue_depth == 0
+
+
+# ----------------------------------------------------------------------
+# a crash in the middle of a BLOCK chain (two bugs, one repro)
+# ----------------------------------------------------------------------
+
+
+def crash_mid_burst(capacity):
+    """firewall -> nat -> lb under BLOCK with every bound at ``capacity``:
+    16 flows open at leisure, then 584 packets arrive 1.2 us apart (just
+    over line rate) and nat-0 crashes 200 us into the burst; an attached
+    supervisor fails it over and replays the root log at nat-0r."""
+    flows, packets = 16, 600
+    sim = Simulator()
+    chain = LogicalChain("crash-under-block")
+    chain.add_vertex("firewall", Firewall, entry=True)
+    chain.add_vertex("nat", Nat)
+    chain.add_vertex("lb", LoadBalancer)
+    chain.add_edge("firewall", "nat")
+    chain.add_edge("nat", "lb")
+    runtime = ChainRuntime(sim, chain, params=RuntimeParams(
+        overload_policy="block", instance_queue_capacity=capacity,
+        nic_queue_limit=capacity,
+    ))
+    injector = FailureInjector(sim)
+    runtime.attach_supervisor(injector)
+
+    def source():
+        for index in range(packets):
+            flow = index % flows
+            opening = index < flows
+            runtime.inject(Packet(
+                FiveTuple(f"10.0.0.{1 + flow}", "52.0.0.1", 5000 + flow, 80, 6),
+                flags=SYN if opening else ACK,
+                payload=f"f{flow}-{index // flows}",
+            ))
+            yield sim.timeout(40.0 if opening else 1.2)
+
+    sim.process(source())
+    injector.fail_at(flows * 40.0 + 200.0, runtime.instances["nat-0"])
+    sim.run(until=2_000_000)
+    assert sim.crashed == []
+    return runtime
+
+
+class TestCrashUnderBackpressure:
+    def _assert_recovered(self, runtime):
+        root = runtime.roots[0]
+        replacement = runtime.instances["nat-0r"]
+        assert not replacement._buffering and replacement._live_buffer == []
+        assert replacement._replay_seen == replacement._replay_release > 0
+        assert all(i.queue_depth == 0 for i in runtime.instances.values())
+        assert (root.stats.injected, root.stats.deleted, len(root.log)) == (600, 600, 0)
+
+    def test_a_dead_instance_does_not_wedge_its_upstream(self):
+        # Bounds of 4: packets in flight to the dead nat-0 used to pile up
+        # in its input, park its NIC for good and, ring full, freeze every
+        # firewall worker in _await_hop_space — nat-0r never saw a packet.
+        runtime = crash_mid_burst(4)
+        assert runtime.instances["firewall-0"].stats.processed > 300
+        assert runtime.instances["nat-0r"].stats.processed > 100
+        assert runtime.instances["nat-0"].queue_depth == 0  # taken and discarded
+        self._assert_recovered(runtime)
+
+    def test_a_shed_replayed_copy_still_counts_towards_its_generation(self, monkeypatch):
+        # Bounds of 64: no wedge, but live traffic steals entry-ring slots
+        # from replayed copies; the shed ones never reached nat-0r, which
+        # kept waiting for them with 400 live packets buffered.
+        shed_replays = []
+        note_shed = ChainRuntime.note_shed
+
+        def spy(self, instance, packet, cause="overload_queue"):
+            if packet.replayed:
+                shed_replays.append(packet.replay_target)
+            note_shed(self, instance, packet, cause)
+
+        monkeypatch.setattr(ChainRuntime, "note_shed", spy)
+        runtime = crash_mid_burst(64)
+        assert shed_replays and set(shed_replays) == {"nat-0r"}
+        self._assert_recovered(runtime)
 
 
 # ----------------------------------------------------------------------

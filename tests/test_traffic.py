@@ -1,5 +1,7 @@
 """Unit tests for packets, flows, traces, scenarios and replay."""
 
+import dataclasses
+
 import pytest
 
 from repro.simnet.engine import Simulator
@@ -53,6 +55,18 @@ class TestPacketFlags:
         assert clone.pkt_id == packet.pkt_id
         assert clone.clock == 77
         assert clone is not packet
+
+    def test_copy_carries_every_field(self):
+        # copy() spells the fields out positionally; a field added to the
+        # dataclass but not to copy() fails here, where replace() could not
+        names = [f.name for f in dataclasses.fields(Packet)]
+        distinct = {name: ("value-of", name) for name in names}
+        packet = Packet(**distinct)
+        clone = packet.copy()
+        assert clone == packet and vars(clone) == distinct
+        assert list(vars(clone)) == names  # constructor-built: key-sharing dict
+        clone.bitvector = 0
+        assert packet.bitvector == ("value-of", "bitvector")
 
     def test_size_bits(self):
         assert Packet(FiveTuple("a", "b", 1, 2), size_bytes=100).size_bits == 800

@@ -13,18 +13,19 @@ Usage::
     PYTHONPATH=src python tools/perf_report.py -o out.json
 
 The acceptance bars are >=2x event throughput vs the seed on
-``channel_churn`` and ``timer_storm``, and >=2x wall speedup from the
-batched match-action fast path on ``chain_pipeline`` (fastpath off vs on,
-same machine), all at full size; ``--check`` makes the exit status enforce
-them (used by the release checklist, not CI — CI machines are too noisy
-for a hard wall-clock gate).
+``channel_churn`` and ``timer_storm`` at full size, and — one rule, for
+``--check`` and ``--quick`` alike — a ``chain_pipeline`` fast-path
+speedup (fastpath off vs on, same machine) no more than 20% below the
+committed ``BENCH_engine.json`` figure. The fast-path bar is relative
+because every general-path win narrows that ratio (the off side has more
+to gain): an absolute 2x would have to be re-argued by each of them.
+``--check`` makes the exit status enforce the bars (used by the release
+checklist, not CI — CI machines are too noisy for a hard wall-clock gate).
 
 ``--quick`` is the CI perf-smoke mode: it runs only ``chain_pipeline``
-(off vs on) at reduced size and fails if the measured fast-path speedup
-falls more than 20% below the committed ``BENCH_engine.json`` figure.
-The gate compares the off/on *ratio*, not raw seconds — the ratio is
-same-machine relative, so it transfers across CI hosts where absolute
-wall-clock does not.
+(off vs on) at reduced size against the same floor. The gate compares the
+off/on *ratio*, not raw seconds — the ratio is same-machine relative, so
+it transfers across CI hosts where absolute wall-clock does not.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import os
 import platform
 import sys
+from typing import Optional, Tuple
 
 import _bootstrap
 
@@ -42,12 +44,27 @@ _bootstrap.ensure_benchmarks_importable()
 
 REPO_ROOT = _bootstrap.REPO_ROOT
 
-ACCEPTANCE = {"channel_churn": 2.0, "timer_storm": 2.0, "chain_pipeline": 2.0}
+COMMITTED = os.path.join(REPO_ROOT, "BENCH_engine.json")
 
-# --quick: tolerated relative drop of the chain_pipeline fast-path speedup
-# vs the committed BENCH_engine.json before CI fails the perf-smoke job.
-QUICK_TOLERANCE = 0.20
+# vs the seed engine, full size
+ACCEPTANCE = {"channel_churn": 2.0, "timer_storm": 2.0}
+
+# Tolerated relative drop of the chain_pipeline fast-path speedup vs the
+# committed BENCH_engine.json (--check at full size, --quick in CI).
+FASTPATH_TOLERANCE = 0.20
 QUICK_KWARGS = dict(packets=600, flows=50)
+
+
+def fastpath_floor(baseline_path: str) -> Optional[Tuple[float, float]]:
+    """``(committed chain_pipeline speedup, the floor it implies)``, or
+    None (after saying why) when there is no usable baseline."""
+    try:
+        with open(baseline_path) as fh:
+            committed = json.load(fh)["scenarios"]["chain_pipeline"]["speedup"]
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"no usable chain_pipeline baseline ({exc})")
+        return None
+    return committed, committed * (1.0 - FASTPATH_TOLERANCE)
 
 
 def build_payload(smoke: bool, repeats: int, jobs: str = "1") -> dict:
@@ -63,7 +80,10 @@ def build_payload(smoke: bool, repeats: int, jobs: str = "1") -> dict:
         "jobs": resolve_jobs(jobs),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "acceptance": {name: f">={bar}x" for name, bar in ACCEPTANCE.items()},
+        "acceptance": {
+            **{name: f">={bar}x" for name, bar in ACCEPTANCE.items()},
+            "chain_pipeline": f">={1.0 - FASTPATH_TOLERANCE:.2f} of the committed figure",
+        },
     }
     return payload
 
@@ -106,13 +126,11 @@ def run_quick(repeats: int, baseline_path: str) -> int:
         _, wall = chain_pipeline(new_engine, fastpath=True, **QUICK_KWARGS)
         best_on = min(best_on, wall)
     measured = best_off / best_on
-    try:
-        with open(baseline_path) as fh:
-            committed = json.load(fh)["scenarios"]["chain_pipeline"]["speedup"]
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"perf-smoke: no usable baseline ({exc}); measured {measured:.2f}x")
+    baseline = fastpath_floor(baseline_path)
+    if baseline is None:
+        print(f"perf-smoke: measured {measured:.2f}x, nothing to gate against")
         return 0
-    floor = committed * (1.0 - QUICK_TOLERANCE)
+    committed, floor = baseline
     verdict = "OK" if measured >= floor else "REGRESSED"
     print(
         f"perf-smoke {verdict}: chain_pipeline fast-path speedup "
@@ -146,7 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "-o",
         "--output",
-        default=os.path.join(REPO_ROOT, "BENCH_engine.json"),
+        default=COMMITTED,
         help="output path (default: BENCH_engine.json at the repo root)",
     )
     args = parser.parse_args(argv)
@@ -156,6 +174,8 @@ def main(argv=None) -> int:
     if args.quick:
         return run_quick(args.repeats, args.output)
 
+    # read before the run overwrites it (the default output is that file)
+    baseline = fastpath_floor(COMMITTED) if args.check else None
     payload = build_payload(args.smoke, args.repeats, jobs=args.jobs)
     with open(args.output, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -164,8 +184,11 @@ def main(argv=None) -> int:
     print(f"\nwrote {args.output}")
 
     if args.check:
+        bars = dict(ACCEPTANCE)
+        if baseline is not None:
+            bars["chain_pipeline"] = round(baseline[1], 2)
         failed = []
-        for name, bar in ACCEPTANCE.items():
+        for name, bar in bars.items():
             speedup = payload["scenarios"][name]["speedup"]
             if speedup < bar:
                 failed.append(f"{name}: {speedup}x < {bar}x")
@@ -173,7 +196,8 @@ def main(argv=None) -> int:
             print("acceptance FAILED: " + "; ".join(failed), file=sys.stderr)
             return 1
         print("acceptance OK: " + ", ".join(
-            f"{name} {payload['scenarios'][name]['speedup']}x" for name in ACCEPTANCE
+            f"{name} {payload['scenarios'][name]['speedup']}x (>= {bar}x)"
+            for name, bar in bars.items()
         ))
     return 0
 
