@@ -217,7 +217,8 @@ def _declarative_chain():
 
 def seeded_workload(seed: int, packets: int, flows: int) -> List[Any]:
     """Deterministic packet list: seeded flow interleaving, SYN-led flows,
-    occasional FINs — exercises every branch of the four declarative NFs."""
+    occasional FINs — every packet is admitted by all four NFs (the
+    branches that drop are ``tests/test_fastpath.py::TestDroppingBranches``)."""
     import random
 
     from repro.traffic.packet import ACK, FIN, SYN, FiveTuple, Packet

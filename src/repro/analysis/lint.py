@@ -31,14 +31,14 @@ CHC005 NF code (``repro/nfs/``) writing state outside the store API:
        statements, or reaching into store internals (``_data``,
        ``_cache``, ``_owners``). Per-flow/shared state must go through
        the scope API or it is invisible to handover and recovery.
-CHC006 Declarative NF (``repro/nfs/``) breaking its match-action
-       contract: ``fast_action`` touching a state object not listed in
-       ``match_action_form()``'s ``tables``, a non-literal table name
-       (not statically checkable), or ``fast_match`` touching state at
-       all. The fused fast path (DESIGN.md §10) plans shared lookups
-       and cache bracketing from the declared table set, so an
-       undeclared access would execute against unjournaled state and
-       slip past the batching on/off equivalence guarantee.
+CHC006 Speculative NF (``repro/nfs/``, ``speculative = True``) writing
+       to its input packet: ``process`` assigning to an attribute or item
+       of its ``packet`` parameter. The fast path (DESIGN.md §10) runs
+       the body ahead against a shadow of the store and, when that
+       declines, runs it again from the top on the general path — the
+       journal is dropped, but a field written on the packet would
+       survive into the second run and downstream. Copy first
+       (``out = packet.copy()``), as the NAT and the load balancer do.
 CHC007 Splitter membership / instance retirement mutated outside the
        sanctioned control-plane modules: assigning to or calling
        mutating methods on ``.hash_members``, or calling
@@ -119,7 +119,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC003": "unsorted set/dict.values() iteration feeding scheduling or emission",
     "CHC004": "id(obj) used as a persisted key",
     "CHC005": "NF state write bypassing the store API",
-    "CHC006": "declarative NF touching state outside its declared match-action tables",
+    "CHC006": "speculative NF writing to its input packet",
     "CHC007": "splitter membership or retirement mutated outside director/autoscaler APIs",
     "CHC008": "raw socket/pickle import outside repro.dist.transport",
     "CHC009": "CampaignPool constructed outside the shared campaign runner",
@@ -322,6 +322,15 @@ def _own_nodes(function: ast.AST) -> Iterable[ast.AST]:
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
         ):
             stack.extend(ast.iter_child_nodes(node))
+
+
+def _write_targets(node: ast.AST) -> List[ast.AST]:
+    """What an assignment / ``del`` statement writes to ([] for other nodes)."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
 
 
 def _is_relay(function: ast.AST) -> bool:
@@ -875,105 +884,46 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
-    # CHC006: declarative fast path confined to declared tables
+    # CHC006: a speculative body leaves its input packet alone
     # (only active under repro/nfs/)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _declared_tables(cls: ast.ClassDef) -> Optional[Set[str]]:
-        """The ``tables=(...)`` literal of the class's MatchActionForm,
-        or None when the class declares no form / no checkable literal."""
-        for item in cls.body:
-            if not (isinstance(item, ast.FunctionDef) and item.name == "match_action_form"):
-                continue
-            for node in ast.walk(item):
-                if not (isinstance(node, ast.Call) and _call_name(node) == "MatchActionForm"):
-                    continue
-                tables_arg: Optional[ast.AST] = node.args[0] if node.args else None
-                for keyword in node.keywords:
-                    if keyword.arg == "tables":
-                        tables_arg = keyword.value
-                if isinstance(tables_arg, (ast.Tuple, ast.List)) and all(
-                    isinstance(el, ast.Constant) and isinstance(el.value, str)
-                    for el in tables_arg.elts
-                ):
-                    return {el.value for el in tables_arg.elts}
-        return None
-
-    #: FastState accessors whose first argument names a state object.
-    FAST_STATE_METHODS = {"get", "read", "update", "delete"}
-
     def _check_chc006(self, cls: ast.ClassDef) -> None:
-        if "CHC006" in self.disabled:
-            return
-        declared = self._declared_tables(cls)
+        if "CHC006" in self.disabled or not any(
+            isinstance(item, ast.Assign)
+            and isinstance(item.value, ast.Constant)
+            and item.value.value is True
+            and any(isinstance(t, ast.Name) and t.id == "speculative" for t in item.targets)
+            for item in cls.body
+        ):
+            return  # the class does not set ``speculative = True``
         for item in cls.body:
-            if not isinstance(item, ast.FunctionDef):
-                continue
-            if item.name == "fast_match":
-                self._chc006_match_is_pure(item)
-            elif item.name == "fast_action" and declared is not None:
-                self._chc006_action_tables(item, declared)
-
-    def _state_param(self, fn: ast.FunctionDef) -> Optional[str]:
-        # fast_action(self, packet, state) — the FastState is the third arg
-        args = fn.args.args
-        return args[2].arg if len(args) >= 3 else None
-
-    def _chc006_match_is_pure(self, fn: ast.FunctionDef) -> None:
-        # fast_match(self, packet): any extra arg would be state — and the
-        # contract says match is a pure header predicate
-        state_names = {arg.arg for arg in fn.args.args[2:]}
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and (
-                    node.func.value.id in state_names
-                    or (node.func.value.id == "state")
-                )
-            ):
-                self.report(
-                    node,
-                    "CHC006",
-                    "fast_match must be a pure header predicate — it runs "
-                    "before the executor decides state availability, so any "
-                    "state access here is unjournaled",
-                )
-
-    def _chc006_action_tables(self, fn: ast.FunctionDef, declared: Set[str]) -> None:
-        state_name = self._state_param(fn)
-        if state_name is None:
-            return
-        for node in ast.walk(fn):
+            # process(self, packet, state): the packet is the second argument
             if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == state_name
-                and node.func.attr in self.FAST_STATE_METHODS
+                isinstance(item, ast.FunctionDef)
+                and item.name == "process"
+                and len(item.args.args) >= 2
             ):
                 continue
-            first = node.args[0] if node.args else None
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                if first.value not in declared:
-                    self.report(
-                        node,
-                        "CHC006",
-                        f"fast_action touches state object {first.value!r} "
-                        "not listed in match_action_form tables — the fused "
-                        "plan cannot journal or bracket it, breaking "
-                        "batching on/off equivalence",
-                    )
-            else:
-                self.report(
-                    node,
-                    "CHC006",
-                    f"fast_action passes a non-literal table name to "
-                    f"{state_name}.{node.func.attr}(...) — the declared-"
-                    "tables contract must be statically checkable",
-                )
+            packet = item.args.args[1].arg
+            for node in _own_nodes(item):
+                for target in _write_targets(node):
+                    base = target
+                    while isinstance(base, (ast.Attribute, ast.Subscript)):
+                        base = base.value
+                    if (
+                        base is not target
+                        and isinstance(base, ast.Name)
+                        and base.id == packet
+                    ):
+                        self.report(
+                            node,
+                            "CHC006",
+                            f"speculative process() writes to its input "
+                            f"{packet!r} — a declined run-ahead reruns the "
+                            "body, and the write would survive the decline; "
+                            f"copy first (out = {packet}.copy())",
+                        )
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._check_chc006(node)

@@ -128,9 +128,9 @@ class RuntimeParams:
     root_id_base: int = 0
     root_clock_resume: Optional[int] = None
 
-    # --- batched match-action fast path (§6 "software P4") ---------------
-    # When on, NFs that declare a MatchActionForm run batched worker loops
-    # with fused dispatch into adjacent declarative NFs. Off by default:
+    # --- batched run-ahead fast path (§6 "software P4") ------------------
+    # When on, NFs marked ``speculative`` run batched worker loops with
+    # fused dispatch into adjacent speculative NFs. Off by default:
     # the general path is the semantic baseline the fast path must match
     # byte-for-byte (see tools/determinism_check.py --fastpath-equivalence).
     # Incompatible with wait_for_acks (EO/EO+C models serialize every op).
@@ -973,7 +973,7 @@ class ChainRuntime:
         replication, no overrides and no armed ``mark_first`` (any past or
         pending move permanently disables fusion into the vertex, which is
         conservative but keeps the Figure 4 windows airtight) — plus a
-        declarative fast path at the target and a clear per-flow latch.
+        fast-path executor at the target and a clear per-flow latch.
         """
         if vertex_name in self._paused_vertices:
             return None  # maintenance splice: everything takes the gated path
@@ -1037,6 +1037,8 @@ class ChainRuntime:
     def _forget_clock(self, clock: int) -> None:
         for dup_filter in self.filters.values():
             dup_filter.forget(clock)
+        for instance in self.instances.values():
+            instance._seen_clocks.discard(clock)
 
     # ------------------------------------------------------------------
     # failure handling (chaos campaigns, §5.4)

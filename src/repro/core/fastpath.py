@@ -1,4 +1,4 @@
-"""Batched, fused match-action fast path for NF chains (§6, "software P4").
+"""Batched, fused run-ahead fast path for NF chains (§6, "software P4").
 
 Per-packet dispatch — one generator resume, one worker-queue hop and a
 handful of store-flush events per packet per NF — dominates the hot path
@@ -7,27 +7,29 @@ et al. and Lemur show that NF logic whose state is per-flow-partitionable
 compiles into match-action pipelines executed in bulk. This module is the
 Python analogue:
 
-* NFs declare a :class:`~repro.core.nf_api.MatchActionForm` — a pure
-  header-field ``match`` predicate plus a synchronous ``action`` run
-  against a :class:`~repro.core.nf_api.FastState`;
-* each eligible instance replaces its per-packet worker loops with
+* an NF opts in with ``speculative = True``; its one ``process`` body is
+  **run ahead** against a :class:`ShadowState` — the
+  :class:`~repro.core.nf_api.StateAPI` adapter that answers from the
+  instance's local caches without ever yielding to the engine;
+* each such instance replaces its per-packet worker loops with
   **batched worker loops**: same flow-sharded queues, but one generator
   resume services a whole batch, per-packet service time is charged as one
   lump timeout, and the batch's state flushes coalesce into one
   :class:`~repro.store.protocol.BatchedOpRequest` per destination store
   instead of one RPC per update;
-* adjacent declarative NFs are **fused**: when the downstream vertex is a
-  single quiescent instance with a form, the packet executes its action
+* adjacent speculative NFs are **fused**: when the downstream vertex is a
+  single quiescent instance with an executor, the packet runs its body
   inline instead of crossing the NIC/queue machinery.
 
 Correctness contract (what the equivalence tests in
 ``tests/test_fastpath.py`` pin down):
 
-* the action is **speculative** — every state access goes through a
+* the run-ahead is **speculative** — every state access goes through a
   :class:`ShadowState` journal; any access that cannot be served from the
-  local caches raises :class:`~repro.core.nf_api.NotFast`, the journal is
-  discarded, and the packet reruns through the unmodified general path
-  with zero visible side effects;
+  local caches raises :class:`~repro.core.nf_api.NotFast` (and a body that
+  really yields is closed), the journal is discarded, and the packet
+  reruns through the unmodified general path with zero visible side
+  effects;
 * on success the journal — *resolved* entries: object, storage key, op,
   and the value the shadow computed — is applied once by
   ``StoreClient.commit``, which stamps each op through the same
@@ -50,45 +52,46 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.nf_api import MatchActionForm, NetworkFunction, NotFast, FastState, Output
-from repro.core.splitter import MoveMarker
+from repro.core.nf_api import NetworkFunction, NotFast, Output, StateAPI
 from repro.store.client import JournalEntry, StateRef, StoreClient
 from repro.store.spec import CacheStrategy
 from repro.traffic.packet import Packet
 
 
-class ShadowState(FastState):
-    """Speculative, local-only view over a :class:`StoreClient`.
+class ShadowState(StateAPI):
+    """Speculative, local-only :class:`StateAPI` over a :class:`StoreClient`.
 
     Reads come from the client's caches (overlaid with this packet's own
     speculative writes); updates apply the registry function to the shadow
     copy and append a *resolved* entry to the journal. Nothing touches the
     client — its caches, stats, WAL, the bit vector or the network — until
     the executor hands the journal to :meth:`StoreClient.commit`, and it
-    only does that after the whole action succeeded.
+    only does that after the whole body returned.
+
+    Every method is a generator that returns at once or raises
+    :class:`NotFast`; none ever yields, which is what lets
+    :func:`run_ahead` finish a body with a single ``send``.
     """
 
-    __slots__ = ("client", "tables", "values", "journal", "cached_reads")
+    __slots__ = ("client", "values", "journal", "cached_reads")
 
-    def __init__(self, client: StoreClient, tables: Tuple[str, ...]):
+    def __init__(self, client: StoreClient):
         self.client = client
-        self.tables = tables
         self.values: Dict[str, Any] = {}
         self.journal: List[JournalEntry] = []
         self.cached_reads = 0  # client-cache hits, counted at commit
 
     def _resolve(self, obj_name: str, flow_key: Optional[Tuple]) -> Tuple[StateRef, str]:
         ref = self.client._refs.get(obj_name)
-        if ref is None or obj_name not in self.tables:
-            # Outside the declared table set: the CHC006 contract. Decline
-            # rather than error — the general path will run the NF's real
-            # logic (and raise there if the object is truly undeclared).
+        if ref is None:
+            # Undeclared: decline rather than error — the general path
+            # runs the same body and raises there.
             raise NotFast(obj_name)
         return ref, self.client._key(obj_name, flow_key)
 
-    # -- FastState ------------------------------------------------------
+    # -- StateAPI -------------------------------------------------------
 
-    def get(self, obj_name: str, flow_key: Optional[Tuple]) -> Any:
+    def read(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
         client = self.client
         ref, storage_key = self._resolve(obj_name, flow_key)
         if storage_key in self.values:
@@ -105,6 +108,7 @@ class ShadowState(FastState):
             raise NotFast(storage_key)  # cold: the general path seeds it
         self.cached_reads += 1
         return cache[storage_key]
+        yield  # pragma: no cover - generator protocol
 
     def update(
         self,
@@ -113,7 +117,7 @@ class ShadowState(FastState):
         op: str,
         *args: Any,
         need_result: bool = False,
-    ) -> Any:
+    ) -> Generator:
         client = self.client
         ref, storage_key = self._resolve(obj_name, flow_key)
         if client._caches_writes(ref):
@@ -140,14 +144,42 @@ class ShadowState(FastState):
         # READ_HEAVY updates and non-exclusive SPLIT_AWARE updates run
         # blocking at the store by design.
         raise NotFast(storage_key)
+        yield  # pragma: no cover - generator protocol
+
+    def nondet(self, purpose: str, kind: str = "random") -> Generator:
+        # the value is drawn (and logged for replay) at the store
+        raise NotFast(purpose)
+        yield  # pragma: no cover - generator protocol
+
+
+def run_ahead(
+    nf: NetworkFunction, packet: Packet, shadow: ShadowState
+) -> Optional[List[Output]]:
+    """Run ``nf.process`` to completion without the engine; None declines.
+
+    Against a :class:`ShadowState` every ``yield from state...`` returns at
+    once, so one ``send`` either finishes the body (its return value is
+    the outputs) or surfaces the reason it cannot finish here: a state
+    access raised :class:`NotFast`, or the body yielded something of its
+    own for the engine to wait on. Either way the caller drops the shadow
+    and the general path runs the same body from the top.
+    """
+    body = nf.process(packet, shadow)
+    try:
+        body.send(None)
+    except StopIteration as stop:
+        return stop.value or []
+    except NotFast:
+        return None
+    body.close()
+    return None
 
 
 class FastPathExecutor:
     """The per-instance fast loop plus the fused-dispatch walk."""
 
-    def __init__(self, instance, form: MatchActionForm, batch_size: int):
+    def __init__(self, instance, batch_size: int):
         self.instance = instance
-        self.form = form
         self.batch_size = max(1, batch_size)
         self.client: StoreClient = instance.client
         self.stats_fast = 0
@@ -157,7 +189,7 @@ class FastPathExecutor:
     # -- eligibility ----------------------------------------------------
 
     def eligible(self, packet: Packet) -> bool:
-        """Cheap pre-checks before attempting the speculative action."""
+        """Cheap pre-checks before attempting the run-ahead."""
         instance = self.instance
         return (
             packet.control is None
@@ -168,41 +200,25 @@ class FastPathExecutor:
             and packet.replay_target is None
             and not instance._pending_moves
             and not instance._buffering
-            and self.form.match(packet)
         )
 
     # -- execution ------------------------------------------------------
 
     def execute(self, packet: Packet) -> Optional[List[Output]]:
-        """Run the action speculatively; commit and return outputs, or None.
+        """Run the NF's body ahead; commit and return outputs, or None.
 
-        On success this performs *all* the per-packet bookkeeping the
-        general path's ``_process_packet`` does (seen-clock accounting,
-        latency/throughput records, committing the journal to the client).
+        A decline leaves nothing behind: the shadow is dropped before
+        anything reached the client or the instance.
         """
         instance = self.instance
-        shadow = ShadowState(self.client, self.form.tables)
-        try:
-            outputs = self.form.action(packet, shadow)
-        except NotFast:
-            self.stats_fallback += 1
-            return None
+        shadow = ShadowState(self.client)
+        outputs = run_ahead(instance.nf, packet, shadow)
         if outputs is None:
             self.stats_fallback += 1
             return None
-        if packet.clock in instance._seen_clocks:
-            instance.stats.duplicates_seen += 1
-        elif packet.clock:
-            instance._seen_clocks.add(packet.clock)
+        instance._note_clock(packet)
         self.client.commit(packet, shadow.journal, shadow.cached_reads)
-        now = instance.sim.now
-        instance.recorder.record(instance.proc_time_us, timestamp=now)
-        if packet.queued_at:
-            instance.sojourn.record(now - packet.queued_at, timestamp=now)
-        instance.throughput.add(packet.size_bits, now)
-        instance.stats.processed += 1
-        if not outputs:
-            instance.stats.dropped += 1
+        instance._account(packet, outputs, instance.proc_time_us)
         self.stats_fast += 1
         return outputs
 
@@ -213,10 +229,10 @@ class FastPathExecutor:
         worker queue; sharding and per-shard FIFO order are unchanged).
 
         One generator resume drains up to ``batch_size`` queued packets.
-        Eligible ones run the declarative action (synchronously, with
-        fused downstream dispatch); everything else — barriers, move
-        markers, replayed traffic, declined packets — goes through the
-        unmodified general machinery inline, so it cannot be overtaken.
+        Eligible ones run the NF's body ahead (synchronously, with fused
+        downstream dispatch); everything else — barriers, move markers,
+        replayed traffic, declined packets — goes through the unmodified
+        general machinery inline, so it cannot be overtaken.
         Per-packet service time for fast packets is charged as one lump
         timeout at the end of the batch: one timer event instead of one
         per packet, which is where the engine-event win comes from.
@@ -236,26 +252,18 @@ class FastPathExecutor:
             deletes: List[Tuple[str, int, int, int]] = []
             debt = 0.0
             for packet in batch:
-                if packet.control is not None and packet.mark_last:
-                    # handover barrier: this loop is this queue's barrier
-                    # participant, exactly like the general worker loop
-                    yield from instance._on_last_marker(packet.control)
-                    continue
-                if self.eligible(packet):
-                    outputs = self.execute(packet)
-                    if outputs is not None:
-                        debt += instance.proc_time_us
-                        debt += yield from self._emit_fused(
-                            packet, outputs, touched, deletes
-                        )
-                        if not instance._alive:
-                            return
-                        instance._uncount(packet)
-                        continue
-                # General path, inline (replicates _worker_loop's move
-                # handling): blocking state access may stall this queue —
-                # required, later packets of the shard must not overtake.
-                yield from self._general_fallback(packet)
+                outputs = self.execute(packet) if self.eligible(packet) else None
+                if outputs is None:
+                    # General path, inline: blocking state access may stall
+                    # this queue — required, later packets of the shard
+                    # must not overtake.
+                    yield from instance._serve(packet)
+                else:
+                    debt += instance.proc_time_us
+                    debt += yield from self._emit_fused(
+                        packet, outputs, touched, deletes
+                    )
+                    instance._uncount(packet)
                 if not instance._alive:
                     return
             for client in touched:
@@ -264,23 +272,6 @@ class FastPathExecutor:
                 self._flush_deletes(deletes)
             if debt > 0.0:
                 yield sim.timeout(debt)
-
-    def _general_fallback(self, packet: Packet) -> Generator:
-        """Run one packet through the general path, move handling included
-        (mirrors the body of ``NFInstance._worker_loop``)."""
-        instance = self.instance
-        marker = None
-        if packet.mark_first and isinstance(packet.control, MoveMarker):
-            marker = packet.control
-            packet.mark_first = False
-            packet.control = None
-            if marker.new_instance != instance.instance_id:
-                marker = instance._matching_pending_move(packet)
-        else:
-            marker = instance._matching_pending_move(packet)
-        if marker is not None:
-            yield from instance._ensure_moved_in(marker)
-        yield from instance._process_packet(packet)
 
     # -- fused dispatch -------------------------------------------------
 
@@ -363,31 +354,29 @@ class FastPathExecutor:
 
 
 def install_fastpath(instance, batch_size: int) -> Optional[FastPathExecutor]:
-    """Attach a fast-path executor to an instance whose NF declares a form.
+    """Attach a fast-path executor to an instance whose NF opted in.
 
     Called by :class:`~repro.core.instance.NFInstance` at construction;
-    returns None (instance stays fully general) when the NF has no
-    declarative form.
+    returns None (instance stays fully general) when the NF is not
+    ``speculative``.
     """
-    nf: NetworkFunction = instance.nf
-    form = nf.match_action_form()
-    if form is None:
+    if not instance.nf.speculative:
         return None
-    return FastPathExecutor(instance, form, batch_size)
+    return FastPathExecutor(instance, batch_size)
 
 
 def compiled_plan(runtime) -> Dict[str, Any]:
     """The chain compiler's fusion plan, for reports and tests.
 
-    Lists which vertices are declarative, and the maximal runs of adjacent
-    declarative vertices that batch-dispatch can fuse (static view — at
+    Lists which vertices run ahead, and the maximal runs of adjacent such
+    vertices that batch-dispatch can fuse (static view — at
     run time each fused hop is additionally gated on splitter quiescence
     and the per-flow in-flight latch).
     """
     declarative = {
         name
         for name, vertex in runtime.chain.vertices.items()
-        if vertex.nf_factory().match_action_form() is not None
+        if vertex.nf_factory().speculative
     }
     runs: List[List[str]] = []
     consumed = set()

@@ -177,7 +177,6 @@ class NFInstance:
         # dispatch into this instance requires the flow's count to be zero,
         # so a fused packet can never overtake a general-path one.
         self._inflight_flows: Dict[Tuple, int] = {}
-        self._track_inflight = fastpath_enabled
         self._fastpath = None
         if fastpath_enabled and extra_delay is None:
             from repro.core.fastpath import install_fastpath
@@ -264,11 +263,12 @@ class NFInstance:
         """One more packet of this flow is bound for this instance.
 
         Called by the runtime when a copy is dispatched here (before the
-        NIC/link delay, so the in-flight window is covered). No-op unless
-        the fast path is on — the latch only exists to keep fused dispatch
-        from overtaking general-path packets of the same flow.
+        NIC/link delay, so the in-flight window is covered). No-op without
+        an executor — the latch only exists to keep fused dispatch from
+        overtaking general-path packets of the same flow, and
+        ``fast_target`` never fuses into an instance that has none.
         """
-        if not self._track_inflight or packet.mark_last:
+        if self._fastpath is None or packet.mark_last:
             return
         key = packet.five_tuple.canonical().key()
         self._inflight_flows[key] = self._inflight_flows.get(key, 0) + 1
@@ -277,7 +277,7 @@ class NFInstance:
         """The packet's journey through this instance ended (processed,
         shed, evicted, or ring-dropped). Floored at zero: packets injected
         directly in tests never went through the counting side."""
-        if not self._track_inflight or packet.mark_last:
+        if self._fastpath is None or packet.mark_last:
             return
         key = packet.five_tuple.canonical().key()
         count = self._inflight_flows.get(key, 0)
@@ -413,29 +413,22 @@ class NFInstance:
     def _worker_loop(self, queue: Channel) -> Generator:
         while self._alive:
             packet: Packet = yield queue.get()
-            if packet.control is not None and packet.mark_last:
-                yield from self._on_last_marker(packet.control)
-                continue
-            marker: Optional[MoveMarker] = None
-            if packet.mark_first and isinstance(packet.control, MoveMarker):
-                marker = packet.control
-                # Consume the marker HERE: an NF that forwards the same
-                # packet object would otherwise leak it downstream, where
-                # the next vertex's worker blocks forever on a handover
-                # that isn't for its vertex.
-                packet.mark_first = False
-                packet.control = None
-                if marker.new_instance != self.instance_id:
-                    # not our move (e.g. a straggler-clone copy): ordinary
-                    # traffic as far as this instance is concerned
-                    marker = self._matching_pending_move(packet)
-            else:
-                marker = self._matching_pending_move(packet)
-            if marker is not None:
-                yield from self._ensure_moved_in(marker)
-            yield from self._process_packet(packet)
+            yield from self._serve(packet)
 
-    def _matching_pending_move(self, packet: Packet) -> Optional[MoveMarker]:
+    def _inbound_move(self, packet: Packet) -> Optional[MoveMarker]:
+        """The incomplete inbound move ``packet`` belongs to, if any."""
+        if packet.mark_first and isinstance(packet.control, MoveMarker):
+            marker = packet.control
+            # Consume the marker HERE: an NF that forwards the same
+            # packet object would otherwise leak it downstream, where
+            # the next vertex's worker blocks forever on a handover
+            # that isn't for its vertex.
+            packet.mark_first = False
+            packet.control = None
+            if marker.new_instance == self.instance_id:
+                return marker
+            # not our move (e.g. a straggler-clone copy): ordinary
+            # traffic as far as this instance is concerned
         if not self._pending_moves:
             return None
         for marker in self._pending_moves.values():
@@ -462,12 +455,18 @@ class NFInstance:
     # packet processing
     # ------------------------------------------------------------------
 
-    def _process_packet(self, packet: Packet) -> Generator:
+    def _serve(self, packet: Packet) -> Generator:
+        """One dequeued item through the general path — what a worker does
+        between two ``get()``s, and what the batched fast loop falls back
+        to for whatever it cannot run ahead."""
+        if packet.control is not None and packet.mark_last:
+            yield from self._on_last_marker(packet.control)
+            return
+        marker = self._inbound_move(packet)
+        if marker is not None:
+            yield from self._ensure_moved_in(marker)
         start = self.sim.now
-        if packet.clock in self._seen_clocks:
-            self.stats.duplicates_seen += 1
-        elif packet.clock:
-            self._seen_clocks.add(packet.clock)
+        self._note_clock(packet)
         api = CHCStateAPI(self.client, self.client.make_context(packet))
         delay = self.proc_time_us
         if self.extra_delay is not None:
@@ -476,11 +475,7 @@ class NFInstance:
         outputs = yield from self.nf.process(packet, api)
         if not self._alive:
             return
-        self.recorder.record(self.sim.now - start, timestamp=self.sim.now)
-        if packet.queued_at:
-            self.sojourn.record(self.sim.now - packet.queued_at, timestamp=self.sim.now)
-        self.throughput.add(packet.size_bits, self.sim.now)
-        self.stats.processed += 1
+        self._account(packet, outputs, self.sim.now - start)
         if packet.replay_target == self.instance_id:
             # §5.3: "The clone's ID is cleared once it processed the packet"
             # — downstream of the target the copy is ordinary traffic again,
@@ -491,8 +486,6 @@ class NFInstance:
             self._maybe_stop_buffering()
         was_replay_end = packet.replay_end
         replay_total = packet.replay_total
-        if not outputs:
-            self.stats.dropped += 1
         yield from self.runtime.emit(self, packet, outputs or [])
         # Release the flow latch only after the emit completed: a fused
         # packet must not slip past this one while emit is parked on
@@ -506,6 +499,25 @@ class NFInstance:
             # same-flow predecessor that is still in flight.
             self._replay_release = replay_total or self._replay_seen
             self._maybe_stop_buffering()
+
+    def _note_clock(self, packet: Packet) -> None:
+        """Count a clock this instance already served (a replayed or cloned
+        copy); the runtime forgets clocks as the root deletes them."""
+        if packet.clock in self._seen_clocks:
+            self.stats.duplicates_seen += 1
+        elif packet.clock:
+            self._seen_clocks.add(packet.clock)
+
+    def _account(self, packet: Packet, outputs, service_us: float) -> None:
+        """Per-packet records of a completed NF visit, on either path."""
+        now = self.sim.now
+        self.recorder.record(service_us, timestamp=now)
+        if packet.queued_at:
+            self.sojourn.record(now - packet.queued_at, timestamp=now)
+        self.throughput.add(packet.size_bits, now)
+        self.stats.processed += 1
+        if not outputs:
+            self.stats.dropped += 1
 
     # ------------------------------------------------------------------
     # handover protocol (Figure 4)

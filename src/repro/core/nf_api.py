@@ -11,16 +11,17 @@ An NF author subclasses :class:`NetworkFunction`:
 * optionally declare custom store operations (:meth:`custom_operations`)
   which CHC loads into the datastore (§4.3).
 
-The same NF code runs unchanged under CHC and under the baseline adapters
-(:mod:`repro.baselines`), which substitute a different :class:`StateAPI`
-implementation — that is what makes the head-to-head comparisons in the
-evaluation apples-to-apples.
+The same NF code runs unchanged under CHC, under the baseline adapters
+(:mod:`repro.baselines`) and on the batched fast path
+(:mod:`repro.core.fastpath`), each of which substitutes a different
+:class:`StateAPI` implementation — that is what makes the head-to-head
+comparisons in the evaluation apples-to-apples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.store.operations import OperationFn, OperationRegistry, default_registry
 from repro.store.spec import StateObjectSpec
@@ -45,7 +46,9 @@ class StateAPI:
 
     All methods are generators (``yield from``); the CHC implementation
     defers to the store client, the traditional baseline answers from a
-    local dict with zero simulated delay.
+    local dict with zero simulated delay, and the fast path's
+    :class:`~repro.core.fastpath.ShadowState` answers from the client's
+    caches or declines.
     """
 
     def read(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
@@ -106,77 +109,27 @@ class LocalStateAPI(StateAPI):
 
 
 class NotFast(Exception):
-    """A fast-path state access cannot be served locally.
+    """A speculative state access cannot be served locally.
 
-    Raised by :class:`FastState` implementations when the requested object
-    is not warm in the local cache (or its strategy requires a blocking
-    store round-trip). The fast-path executor catches it, discards every
-    speculative effect of the action, and reruns the packet through the
-    general path — so raising it mid-action is always safe.
+    Raised by :class:`~repro.core.fastpath.ShadowState` when the requested
+    object is not warm in the local cache (or its strategy requires a
+    blocking store round-trip). The fast-path executor catches it, discards
+    every speculative effect of the run-ahead, and reruns the packet through
+    the general path — so raising it mid-``process`` is always safe.
     """
-
-
-class FastState:
-    """Synchronous, local-only state access for declarative actions.
-
-    The executor binds this to the NF instance's cached state. Accesses
-    are **speculative**: updates are journalled against shadow copies and
-    only committed to the real client (WAL, bit-vector tags, sequence
-    numbers, flush batching) once the whole action has succeeded. Any
-    access that would need a store round-trip raises :class:`NotFast`.
-    """
-
-    def get(self, obj_name: str, flow_key: Optional[Tuple]) -> Any:
-        raise NotImplementedError
-
-    def update(
-        self,
-        obj_name: str,
-        flow_key: Optional[Tuple],
-        op: str,
-        *args: Any,
-        need_result: bool = False,
-    ) -> Any:
-        """Apply an operation; returns the op's return value.
-
-        ``need_result=True`` marks ops whose return value the action
-        consumes — for strategies where delivering it would require a
-        blocking store round-trip, the implementation raises
-        :class:`NotFast` instead.
-        """
-        raise NotImplementedError
-
-
-@dataclass
-class MatchActionForm:
-    """An NF's declarative match-action form (§6 "software P4").
-
-    ``tables`` — the state objects the action is allowed to touch. This is
-    the fast path's static contract: chclint rule CHC006 rejects actions
-    that access (in particular cross-flow) state outside this set, and the
-    executor enforces it dynamically by raising :class:`NotFast`.
-
-    ``match`` — a pure predicate over packet **header fields** selecting
-    the packets this form can handle (typically established-flow traffic).
-    It must not touch state; packets failing it take the general path.
-
-    ``action`` — ``action(packet, state) -> Optional[List[Output]]``.
-    Runs synchronously against a :class:`FastState`; returns the outputs
-    (``[]`` drops the packet), or ``None`` to decline and fall back. It
-    must implement exactly the same per-packet semantics as ``process``
-    for every packet that matches and whose state is locally available —
-    the batching on/off equivalence tests hold NFs to that.
-    """
-
-    tables: Tuple[str, ...]
-    match: Callable[[Packet], bool]
-    action: Callable[[Packet, FastState], Optional[List[Output]]]
 
 
 class NetworkFunction:
     """Base class for vertex programs."""
 
     name: str = "nf"
+
+    #: Opt in to the batched fast path (§6): ``process`` may be run ahead
+    #: against a :class:`~repro.core.fastpath.ShadowState` and re-run on the
+    #: general path when that declines, so everything it does before its
+    #: last state access must be repeatable — no write to ``self`` that
+    #: matters (chclint CHC005) or to the input packet (CHC006).
+    speculative: bool = False
 
     def state_specs(self) -> Dict[str, StateObjectSpec]:
         """Declared state objects; keys are object names."""
@@ -193,16 +146,6 @@ class NetworkFunction:
     def custom_operations(self) -> Dict[str, OperationFn]:
         """Developer-loaded store operations (§4.3)."""
         return {}
-
-    def match_action_form(self) -> Optional[MatchActionForm]:
-        """The NF's declarative fast-path form, if it has one (§6).
-
-        Default None: the NF only has the general (generator) path. NFs
-        that return a form are eligible for batched, fused dispatch; the
-        generator path remains the source of truth for packets the form
-        declines.
-        """
-        return None
 
     def process(self, packet: Packet, state: StateAPI) -> Generator:
         """Handle one packet; returns a list of :class:`Output`.

@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.core.nf_api import (
-    FastState,
-    MatchActionForm,
-    NetworkFunction,
-    Output,
-    StateAPI,
-)
+from repro.core.nf_api import NetworkFunction, Output, StateAPI
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.packet import Packet
 
@@ -55,6 +49,7 @@ class Firewall(NetworkFunction):
     """See module docstring."""
 
     name = "firewall"
+    speculative = True
 
     def __init__(self, rules: Tuple[FirewallRule, ...] = DEFAULT_RULES, default_action: str = "deny"):
         self.rules = tuple(rules)
@@ -99,32 +94,6 @@ class Firewall(NetworkFunction):
                 # when no static rule matches it.
                 yield from state.update("conn_allowed", flow, "set", True)
             return [Output(packet)]
-        self.denied += 1  # chclint: disable=CHC005 — host-local diagnostic counter
         yield from state.update("denied_count", None, "incr", 1)
-        return []
-
-    # -- declarative fast path (§6) -------------------------------------
-
-    def fast_match(self, packet: Packet) -> bool:
-        return True  # all firewall logic is expressible; cold flows decline dynamically
-
-    def fast_action(self, packet: Packet, state: FastState):
-        """Mirror of :meth:`process` against locally cached state."""
-        flow = self.flow_key(packet)
-        allowed = state.get("conn_allowed", flow)
-        if allowed:
-            return [Output(packet)]
-        if self._static_action(packet) == "allow":
-            if packet.is_syn:
-                state.update("conn_allowed", flow, "set", True)
-            return [Output(packet)]
         self.denied += 1  # chclint: disable=CHC005 — host-local diagnostic counter
-        state.update("denied_count", None, "incr", 1)
         return []
-
-    def match_action_form(self) -> MatchActionForm:
-        return MatchActionForm(
-            tables=("conn_allowed", "denied_count"),
-            match=self.fast_match,
-            action=self.fast_action,
-        )

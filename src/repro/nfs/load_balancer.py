@@ -17,13 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Sequence, Tuple
 
-from repro.core.nf_api import (
-    FastState,
-    MatchActionForm,
-    NetworkFunction,
-    Output,
-    StateAPI,
-)
+from repro.core.nf_api import NetworkFunction, Output, StateAPI
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.packet import Packet
 
@@ -34,6 +28,7 @@ class LoadBalancer(NetworkFunction):
     """See module docstring."""
 
     name = "lb"
+    speculative = True
 
     def __init__(self, servers: Sequence[str] = DEFAULT_SERVERS, rewrite: bool = False):
         if not servers:
@@ -113,38 +108,3 @@ class LoadBalancer(NetworkFunction):
             ft = packet.five_tuple
             out.five_tuple = type(ft)(ft.src_ip, backend, ft.src_port, ft.dst_port, ft.proto)
         return [Output(out)]
-
-    # -- declarative fast path (§6) -------------------------------------
-
-    def fast_match(self, packet: Packet) -> bool:
-        return True  # bound connections are served locally; cold state declines
-
-    def fast_action(self, packet: Packet, state: FastState):
-        """Mirror of :meth:`process` against locally cached state."""
-        flow = self.flow_key(packet)
-        backend = state.get("conn_map", flow)
-        if backend is None:
-            if not packet.is_syn:
-                state.update("server_bytes", None, "incr", packet.size_bytes)
-                return [Output(packet)]
-            backend = state.update(
-                "server_conns", None, "pick_least_loaded", self.servers,
-                need_result=True,
-            )
-            state.update("conn_map", flow, "set", backend)
-        state.update("server_bytes", None, "incr", packet.size_bytes)
-        if packet.is_fin or packet.is_rst:
-            state.update("server_conns", None, "release_conn", backend)
-        out = packet
-        if self.rewrite:
-            out = packet.copy()
-            ft = packet.five_tuple
-            out.five_tuple = type(ft)(ft.src_ip, backend, ft.src_port, ft.dst_port, ft.proto)
-        return [Output(out)]
-
-    def match_action_form(self) -> MatchActionForm:
-        return MatchActionForm(
-            tables=("server_conns", "server_bytes", "conn_map"),
-            match=self.fast_match,
-            action=self.fast_action,
-        )

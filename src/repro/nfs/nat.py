@@ -29,13 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Tuple
 
-from repro.core.nf_api import (
-    FastState,
-    MatchActionForm,
-    NetworkFunction,
-    Output,
-    StateAPI,
-)
+from repro.core.nf_api import NetworkFunction, Output, StateAPI
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.packet import PROTO_TCP, Packet
 
@@ -51,6 +45,7 @@ class Nat(NetworkFunction):
     """See module docstring."""
 
     name = "nat"
+    speculative = True
 
     def __init__(
         self,
@@ -148,56 +143,6 @@ class Nat(NetworkFunction):
         if self.rewrite and mapping is not None:
             packet = self._translate(packet, mapping)
         return [Output(packet)]
-
-    # -- declarative fast path (§6) -------------------------------------
-
-    def fast_match(self, packet: Packet) -> bool:
-        return True  # established flows are served locally; cold state declines
-
-    def fast_action(self, packet: Packet, state: FastState):
-        """Mirror of :meth:`process` against locally cached state.
-
-        The counters journal non-blocking; the port allocation applies
-        against the exclusively-cached free list (``nat_pop_port`` through
-        the same registry the store runs). A cold ``port_map``/free list
-        raises NotFast and the general path seeds the caches.
-        """
-        flow = self.flow_key(packet)
-        state.update("total_packets", None, "incr", 1)
-        if packet.five_tuple.proto == PROTO_TCP:
-            state.update("total_tcp_packets", None, "incr", 1)
-        mapping = None
-        if not packet.is_syn:
-            mapping = state.get("port_map", flow)
-        if mapping is None and (self._is_outbound(packet) or not self.rewrite):
-            port = state.update(
-                "available_ports",
-                None,
-                "nat_pop_port",
-                self.port_range[0],
-                self.port_range[1],
-                need_result=True,
-            )
-            if port is None:
-                self.ports_exhausted += 1  # chclint: disable=CHC005 — host-local diagnostic counter
-                return []
-            mapping = (self.external_ip, port)
-            state.update("port_map", flow, "set", mapping)
-        if self.rewrite and mapping is not None:
-            packet = self._translate(packet, mapping)
-        return [Output(packet)]
-
-    def match_action_form(self) -> MatchActionForm:
-        return MatchActionForm(
-            tables=(
-                "available_ports",
-                "total_tcp_packets",
-                "total_packets",
-                "port_map",
-            ),
-            match=self.fast_match,
-            action=self.fast_action,
-        )
 
     def _translate(self, packet: Packet, mapping: Tuple[str, int]) -> Packet:
         external_ip, external_port = mapping

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator
 
-from repro.core.nf_api import (
-    FastState,
-    MatchActionForm,
-    NetworkFunction,
-    Output,
-    StateAPI,
-)
+from repro.core.nf_api import NetworkFunction, Output, StateAPI
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.packet import Packet
 
@@ -26,6 +20,7 @@ class RateLimiter(NetworkFunction):
     """See module docstring."""
 
     name = "ratelimiter"
+    speculative = True
 
     def __init__(self, limit: int = 64, window: int = 256):
         if limit <= 0 or window <= 0:
@@ -70,26 +65,3 @@ class RateLimiter(NetworkFunction):
             self.dropped += 1  # chclint: disable=CHC005 — host-local diagnostic counter
             return []
         return [Output(packet)]
-
-    # -- declarative fast path (§6) -------------------------------------
-
-    def fast_match(self, packet: Packet) -> bool:
-        return True  # probe applies to warm buckets; cold hosts decline
-
-    def fast_action(self, packet: Packet, state: FastState):
-        """Mirror of :meth:`process`: one ``rate_probe`` on the host's
-        (exclusively cached) bucket. A cold bucket raises NotFast."""
-        host = packet.five_tuple.src_ip
-        admitted = state.update(
-            "bucket", (host,), "rate_probe", packet.clock, self.limit,
-            need_result=True,
-        )
-        if not admitted:
-            self.dropped += 1  # chclint: disable=CHC005 — host-local diagnostic counter
-            return []
-        return [Output(packet)]
-
-    def match_action_form(self) -> MatchActionForm:
-        return MatchActionForm(
-            tables=("bucket",), match=self.fast_match, action=self.fast_action
-        )

@@ -1,49 +1,12 @@
-"""Declarative NF fast paths breaking the match-action contract (CHC006)."""
+"""Speculative NF bodies writing to their input packet (CHC006)."""
 
 
-class UndeclaredTableNF:
-    def fast_match(self, packet):
-        return packet.dport == 80
+class StampingNF:
+    speculative = True
 
-    def fast_action(self, packet, state):
-        state.update("declared", None, "incr", 1)
-        state.update("undeclared", None, "incr", 1)  # not in tables
-        return []
-
-    def match_action_form(self):
-        return MatchActionForm(
-            tables=("declared",),
-            match=self.fast_match,
-            action=self.fast_action,
-        )
-
-
-class DynamicTableNF:
-    def fast_match(self, packet):
-        return True
-
-    def fast_action(self, packet, state):
-        table = "conn_" + packet.proto
-        return [state.get(table, None)]  # non-literal table name
-
-    def match_action_form(self):
-        return MatchActionForm(
-            tables=("conn_tcp", "conn_udp"),
-            match=self.fast_match,
-            action=self.fast_action,
-        )
-
-
-class StatefulMatchNF:
-    def fast_match(self, packet, state):
-        return state.get("hits", None) > 0  # match must be a pure predicate
-
-    def fast_action(self, packet, state):
+    def process(self, packet, state):
+        packet.payload = "seen"  # attribute of the input packet
+        packet.meta["hops"] = 1  # item of one of its attributes
+        packet.size_bytes += 4  # augmented assignment
+        yield from state.update("hits", None, "incr", 1)
         return [packet]
-
-    def match_action_form(self):
-        return MatchActionForm(
-            tables=("hits",),
-            match=self.fast_match,
-            action=self.fast_action,
-        )

@@ -102,44 +102,46 @@ class TestRules:
 
     def test_chc006_declarative_contract(self):
         findings = fixture_findings(Path("nfs") / "bad_chc006.py")
-        codes = [f.code for f in findings]
-        assert codes and set(codes) == {"CHC006"}
-        messages = " ".join(f.message for f in findings)
-        assert "'undeclared'" in messages  # table missing from the form
-        assert "non-literal" in messages  # dynamic table name
-        assert "pure header predicate" in messages  # stateful fast_match
-        assert len(findings) == 3
+        # attribute, item-of-attribute and augmented writes to the packet
+        assert [(f.code, f.line) for f in findings] == [
+            ("CHC006", 8), ("CHC006", 9), ("CHC006", 10),
+        ]
+        assert "copy first" in findings[0].message
 
-    def test_chc006_declared_tables_pass(self):
+    def test_chc006_copy_first_passes(self):
         source = (
             "class GoodNF:\n"
-            "    def fast_action(self, packet, state):\n"
-            "        state.update('conn', None, 'set', 1)\n"
-            "        return []\n"
-            "    def match_action_form(self):\n"
-            "        return MatchActionForm(\n"
-            "            tables=('conn',), match=None, action=self.fast_action)\n"
+            "    speculative = True\n"
+            "    def process(self, packet, state):\n"
+            "        out = packet.copy()\n"
+            "        out.five_tuple = None\n"
+            "        packet = out  # rebinding the name is not a write\n"
+            "        yield from state.update('conn', None, 'set', 1)\n"
+            "        return [out]\n"
         )
         assert lint.check_source(source, Path("nfs/good_nf.py")) == []
 
     def test_chc006_inactive_outside_nfs_dirs(self):
         source = (
             "class C:\n"
-            "    def fast_action(self, packet, state):\n"
-            "        state.update('anything', None, 'set', 1)\n"
-            "    def match_action_form(self):\n"
-            "        return MatchActionForm(tables=(), match=None, action=None)\n"
+            "    speculative = True\n"
+            "    def process(self, packet, state):\n"
+            "        packet.payload = 'x'\n"
         )
         assert lint.check_source(source, Path("core/mod.py")) == []
+        assert [
+            f.code for f in lint.check_source(source, Path("nfs/mod.py"))
+        ] == ["CHC006"]
 
-    def test_chc006_no_form_means_no_contract(self):
-        # an imperative-only NF (no match_action_form) is out of scope
-        source = (
-            "class PlainNF:\n"
-            "    def fast_action(self, packet, state):\n"
-            "        state.update('whatever', None, 'set', 1)\n"
-        )
-        assert lint.check_source(source, Path("nfs/plain.py")) == []
+    def test_chc006_no_opt_in_means_no_contract(self):
+        # an NF that is never run ahead is never run twice
+        for opt_in in ("", "    speculative = False\n"):
+            source = (
+                "class PlainNF:\n" + opt_in +
+                "    def process(self, packet, state):\n"
+                "        packet.payload = 'x'\n"
+            )
+            assert lint.check_source(source, Path("nfs/plain.py")) == []
 
     def test_chc007_membership_and_retirement(self):
         findings = fixture_findings("bad_chc007.py")

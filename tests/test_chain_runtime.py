@@ -194,12 +194,17 @@ class TestDuplicateFilter:
         runtime = build(sim, [("a", CountingNF, 1)], [], params=params)
         packet = make_packet()
         runtime.inject(packet)
-        sim.run()
+        # processed and deleted, its 10 ms grace window still open: a late
+        # copy is recognised until the runtime forgets the clock
+        sim.run(until=1_000.0)
+        assert runtime.root.stats.deleted == 1
         duplicate = packet.copy()
         runtime._deliver("a", duplicate)
         sim.run()
-        assert runtime.instances_of("a")[0].stats.processed == 2
-        assert runtime.instances_of("a")[0].stats.duplicates_seen == 1
+        instance = runtime.instances_of("a")[0]
+        assert instance.stats.processed == 2
+        assert instance.stats.duplicates_seen == 1
+        assert not instance._seen_clocks  # forgotten with the filters' copy
 
 
 class TestTraceRun:

@@ -421,8 +421,9 @@ class TestCommit:
     def _journal(self, client, script):
         from repro.core.fastpath import ShadowState
 
-        shadow = ShadowState(client, tables=tuple(client.specs))
-        script(shadow)
+        shadow = ShadowState(client)
+        for _ in script(shadow):  # a generator over the shadow, like an NF body
+            raise AssertionError("a local state access yielded to the engine")
         return shadow
 
     def test_sibling_worker_closed_the_shared_batch(self, sim, client_factory, store):
@@ -437,8 +438,8 @@ class TestCommit:
 
         def ops(flow):
             def script(shadow):
-                shadow.update("flow_state", flow, "set", 5)
-                shadow.update("counter", None, "incr", 1)
+                yield from shadow.update("flow_state", flow, "set", 5)
+                yield from shadow.update("counter", None, "incr", 1)
 
             return script
 
@@ -468,7 +469,7 @@ class TestCommit:
         from tests.conftest import make_packet
 
         client._cache[client._key("flow_state", FLOW)] = 7
-        shadow = self._journal(client, lambda s: s.get("flow_state", FLOW))
+        shadow = self._journal(client, lambda s: s.read("flow_state", FLOW))
         assert shadow.cached_reads == 1 and client.stats.cached_reads == 0
         client.commit(make_packet(clock=3), shadow.journal, shadow.cached_reads)
         assert client.stats.cached_reads == 1

@@ -11,7 +11,7 @@ order, which batching legally reserializes (§10.4).
 
 Unit tests pin the mechanism underneath: the chain compiler's fusion
 plan, ShadowState's local-serve/decline rules, eligibility gating, and
-the speculative-journal discipline (a declined action leaves zero
+the speculative-journal discipline (a declined run-ahead leaves zero
 visible side effects).
 """
 
@@ -22,6 +22,7 @@ import os
 import pytest
 
 from repro.analysis.determinism import (
+    _declarative_chain,
     check_fastpath_equivalence,
     engine_counters_of,
     flow_egress_digest,
@@ -31,10 +32,12 @@ from repro.analysis.determinism import (
     seeded_workload,
 )
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
-from repro.core.fastpath import ShadowState, compiled_plan
-from repro.core.nf_api import NotFast
+from repro.core.dag import LogicalChain
+from repro.core.fastpath import FastPathExecutor, ShadowState, compiled_plan, run_ahead
+from repro.core.nf_api import NetworkFunction, NotFast, Output
 from repro.simnet.engine import Simulator
-from repro.traffic.packet import ACK, SYN, FiveTuple, Packet
+from repro.store.spec import AccessPattern, Scope, StateObjectSpec
+from repro.traffic.packet import ACK, RST, SYN, FiveTuple, Packet
 from tests.conftest import make_packet
 
 SEEDS = (11, 23)
@@ -118,10 +121,82 @@ class TestEquivalence:
         assert_equivalent(off, on)
 
 
+def branch_workload():
+    """``(inject time in µs, packet)`` for the branches ``seeded_workload``
+    never reaches. One host per flow (the rate limiter's bucket is per
+    host) and the three flows that compete for the NAT's two ports start
+    200 µs apart, so injection order fixes who gets them (§10.4)."""
+    flows = {
+        # SYN-led, an RST in the middle, and over the limiter's 6 per window
+        "limited": (0.0, "10.0.1.1", [SYN, ACK, ACK, RST | ACK] + [ACK] * 8),
+        # a source no firewall rule allows
+        "denied": (100.0, "192.168.9.9", [SYN, ACK, ACK, ACK]),
+        # never sends a SYN: takes the second port, unbound at the LB
+        "midflow": (200.0, "10.0.2.1", [ACK] * 4),
+        # both ports are gone by now
+        "portless": (400.0, "10.0.3.1", [SYN, ACK, ACK]),
+    }
+    timed = []
+    for index, (name, (start, host, flags)) in enumerate(sorted(flows.items())):
+        five_tuple = FiveTuple(host, "52.0.0.1", 6000 + index, 80, 6)
+        for seq, flag in enumerate(flags):
+            packet = Packet(five_tuple, flags=flag, payload=f"{name}-{seq}")
+            timed.append((start + 30.0 * seq, packet))
+    return sorted(timed, key=lambda item: item[0])
+
+
+def run_branches(fastpath):
+    from repro.nfs import Nat, RateLimiter
+
+    sim = Simulator()
+    chain = _declarative_chain()
+    chain.vertices["nat"].nf_factory = lambda: Nat(port_range=(40_000, 40_002))
+    chain.vertices["ratelimiter"].nf_factory = lambda: RateLimiter(limit=6, window=10_000)
+    runtime = ChainRuntime(sim, chain, params=RuntimeParams(fastpath_enabled=fastpath))
+    for when, packet in branch_workload():
+        sim.schedule(when, runtime.inject, packet)
+    sim.run(until=1_000_000.0)
+    return runtime
+
+
+class TestDroppingBranches:
+    def test_equivalence_where_the_body_drops(self, monkeypatch):
+        """Deny, rate-limit drop, port exhaustion, RST and an unbound
+        mid-flow packet: same egress, state, drop counts and root log with
+        the fast path off and on — and the fast path really took them."""
+        fast = set()
+        original = FastPathExecutor.execute
+
+        def spying(self, packet):
+            outputs = original(self, packet)
+            if outputs is not None:
+                fast.add((self.instance.vertex_name, packet.payload, len(outputs)))
+            return outputs
+
+        monkeypatch.setattr(FastPathExecutor, "execute", spying)
+        off, on = run_branches(False), run_branches(True)
+        assert_equivalent(off, on)
+        # 4 denied, 3 without a port, 12 - 6 over the limit, none at the LB
+        drops = {"firewall-0": 4, "nat-0": 3, "ratelimiter-0": 6, "lb-0": 0}
+        for runtime in (off, on):
+            assert {
+                instance_id: instance.stats.dropped
+                for instance_id, instance in runtime.instances.items()
+            } == drops
+            assert sum(root.stats.deleted for root in runtime.roots) == 23
+            assert all(len(root.log) == 0 for root in runtime.roots)
+            assert len(runtime.egress._items) == 23 - sum(drops.values())
+        # each branch ran ahead at least once (the first packet of a flow
+        # is cold and declines; payloads name the flow and its sequence)
+        assert ("firewall", "denied-3", 0) in fast
+        assert ("nat", "portless-2", 0) in fast
+        assert ("ratelimiter", "limited-11", 0) in fast
+        assert ("lb", "limited-3", 1) in fast  # the RST
+        assert ("lb", "midflow-3", 1) in fast  # no SYN ever bound it
+
+
 class TestCompiler:
     def _runtime(self, fastpath=True):
-        from repro.analysis.determinism import _declarative_chain
-
         sim = Simulator()
         runtime = ChainRuntime(
             sim,
@@ -137,24 +212,90 @@ class TestCompiler:
         assert plan["fused_runs"] == [["firewall", "nat", "ratelimiter", "lb"]]
 
     def test_non_declarative_nf_gets_no_executor(self):
-        from repro.core.dag import LogicalChain
-        from repro.nfs.nat import Nat
-        from repro.nfs.portscan import PortscanDetector
+        from repro.nfs import Dpi, Ids, Nat, PortscanDetector, Scrubber, TrojanDetector
 
-        sim = Simulator()
-        chain = LogicalChain("mixed")
-        chain.add_vertex("nat", Nat, entry=True)
-        chain.add_vertex("scan", PortscanDetector)
-        chain.add_edge("nat", "scan")
-        runtime = ChainRuntime(sim, chain, params=RuntimeParams(fastpath_enabled=True))
-        assert runtime.instances["nat-0"]._fastpath is not None
-        assert runtime.instances["scan-0"]._fastpath is None
-        # and the plan shows no fusable run (a single declarative vertex)
-        assert compiled_plan(runtime)["fused_runs"] == []
+        for imperative in (Dpi, Ids, PortscanDetector, Scrubber, TrojanDetector):
+            sim = Simulator()
+            chain = LogicalChain("mixed")
+            chain.add_vertex("nat", Nat, entry=True)
+            chain.add_vertex("other", imperative)
+            chain.add_edge("nat", "other")
+            runtime = ChainRuntime(sim, chain, params=RuntimeParams(fastpath_enabled=True))
+            assert runtime.instances["nat-0"]._fastpath is not None
+            assert runtime.instances["other-0"]._fastpath is None
+            # and the plan shows no fusable run (a single declarative vertex)
+            assert compiled_plan(runtime)["fused_runs"] == []
+
+    def test_exactly_four_nfs_opt_in(self):
+        import repro.nfs
+
+        nfs = [
+            cls
+            for cls in map(repro.nfs.__dict__.get, repro.nfs.__all__)
+            if issubclass(cls, NetworkFunction)
+        ]
+        assert len(nfs) == 9
+        assert sorted(cls.__name__ for cls in nfs if cls.speculative) == [
+            "Firewall", "LoadBalancer", "Nat", "RateLimiter",
+        ]
 
     def test_fastpath_disabled_installs_nothing(self):
         _, runtime = self._runtime(fastpath=False)
         assert all(i._fastpath is None for i in runtime.instances.values())
+
+
+def _drive(gen):
+    """Run a state-access generator that must not yield (PR 6's helper)."""
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("a local state access yielded to the engine")
+
+
+class Decliner(NetworkFunction):
+    """A warm read and one journalled update, then a step only the general
+    path can take — so every run-ahead is declined with work to discard."""
+
+    speculative = True
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def state_specs(self):
+        return {
+            "mark": StateObjectSpec(
+                "mark", Scope.PER_FLOW, AccessPattern.READ_HEAVY, initial_value=False
+            )
+        }
+
+    def process(self, packet, state):
+        flow = packet.five_tuple.canonical().key()
+        yield from state.read("mark", flow)
+        yield from state.update("mark", flow, "set", True)
+        yield from self.general_only(state)
+        return [Output(packet)]
+
+
+class YieldsToEngine(Decliner):
+    name = "yielder"
+
+    def general_only(self, state):
+        yield self.sim.timeout(1.0)
+
+
+class DrawsNondet(Decliner):
+    name = "drawer"
+
+    def general_only(self, state):
+        yield from state.nondet("coin")
+
+
+def decliner_runtime(nf_class, fastpath):
+    sim = Simulator()
+    chain = LogicalChain("decliner")
+    chain.add_vertex("nf", lambda: nf_class(sim), entry=True)
+    return ChainRuntime(sim, chain, params=RuntimeParams(fastpath_enabled=fastpath))
 
 
 class TestShadowState:
@@ -162,59 +303,83 @@ class TestShadowState:
         _, runtime = TestCompiler()._runtime()
         return runtime.instances["firewall-0"].client
 
-    def test_undeclared_table_declines(self):
-        shadow = ShadowState(self._client(), tables=("conn_allowed",))
-        with pytest.raises(NotFast):
-            shadow.get("denied_count", None)
+    def test_shadow_is_a_state_api(self):
+        """Same three signatures as every other adapter (mypy gates the
+        module in CI; this is the part that runs offline)."""
+        import inspect
+
+        from repro.core.nf_api import StateAPI
+
+        assert issubclass(ShadowState, StateAPI)
+        for name in ("read", "update", "nondet"):
+            assert inspect.signature(getattr(ShadowState, name)) == inspect.signature(
+                getattr(StateAPI, name)
+            )
+            assert inspect.isgeneratorfunction(getattr(ShadowState, name))
 
     def test_unknown_object_declines(self):
-        shadow = ShadowState(self._client(), tables=("nonexistent",))
+        shadow = ShadowState(self._client())
         with pytest.raises(NotFast):
-            shadow.get("nonexistent", None)
+            _drive(shadow.read("nonexistent", None))
 
     def test_cold_per_flow_read_declines(self):
-        shadow = ShadowState(self._client(), tables=("conn_allowed", "denied_count"))
+        shadow = ShadowState(self._client())
         with pytest.raises(NotFast):
-            shadow.get("conn_allowed", ("10.0.0.9", "52.0.0.1", 9, 80, 6))
+            _drive(shadow.read("conn_allowed", ("10.0.0.9", "52.0.0.1", 9, 80, 6)))
 
     def test_overwrite_op_applies_on_cold_cache(self):
         client = self._client()
-        shadow = ShadowState(client, tables=("conn_allowed", "denied_count"))
+        shadow = ShadowState(client)
         flow = ("10.0.0.9", "52.0.0.1", 9, 80, 6)
-        shadow.update("conn_allowed", flow, "set", True)
-        assert shadow.get("conn_allowed", flow) is True
+        _drive(shadow.update("conn_allowed", flow, "set", True))
+        assert _drive(shadow.read("conn_allowed", flow)) is True
         assert len(shadow.journal) == 1
         # speculative: nothing reached the client cache or the wire
         storage_key = client._key("conn_allowed", flow)
         assert storage_key not in client._cache
 
     def test_declined_action_leaves_no_side_effects(self):
-        client = self._client()
-        shadow = ShadowState(client, tables=("conn_allowed",))
-        flow = ("10.0.0.9", "52.0.0.1", 9, 80, 6)
-        warm = ("10.0.0.8", "52.0.0.1", 8, 80, 6)
-        client._cache[client._key("conn_allowed", warm)] = True
-        stats_before = dataclasses.asdict(client.stats)
-        cache_before = dict(client._cache)
-        # a cache hit, a speculative write, then a decline: the general
-        # path re-runs the packet and counts that read itself
-        assert shadow.get("conn_allowed", warm) is True
-        shadow.update("conn_allowed", flow, "set", True)
-        with pytest.raises(NotFast):
-            shadow.update("denied_count", None, "incr", 1)  # undeclared
-        # the journal is simply dropped: nothing reached the client
-        assert dataclasses.asdict(client.stats) == stats_before
-        assert client._cache == cache_before
-        assert client._owned == {} and client.wal.updates == []
+        """A body that journals an update and then really yields, and one
+        that draws a nondet value, are declined with zero residue — and
+        complete on the general path exactly as with the fast path off."""
 
+        def residue(instance, packet):
+            return {
+                **client_surface(instance.client, packet),
+                "readheavy_cache": dict(instance.client._readheavy_cache),
+                "seen_clocks": set(instance._seen_clocks),
+                "instance_stats": dataclasses.asdict(instance.stats),
+            }
 
-def _drive(gen):
-    """PR 6's helper: run a client generator that must not yield."""
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("fast-path journal replay blocked unexpectedly")
+        for nf_class in (YieldsToEngine, DrawsNondet):
+            instance = decliner_runtime(nf_class, True).instances["nf-0"]
+            executor, client = instance._fastpath, instance.client
+            packet = Packet(flow_tuple(1), flags=ACK)
+            packet.clock = (1 << 56) | 9001
+            flow = packet.five_tuple.canonical().key()
+            client._cache[client._key("mark", flow)] = False  # the read hits
+            client.batch_begin()  # as the worker loop does before executing
+            before = residue(instance, packet)
+            # a cache hit, a speculative write, then the decline: the general
+            # path re-runs the packet and counts that read itself
+            assert executor.eligible(packet)
+            assert executor.execute(packet) is None
+            assert (executor.stats_fast, executor.stats_fallback) == (0, 1)
+            assert residue(instance, packet) == before
+
+            def run(fastpath):
+                runtime = decliner_runtime(nf_class, fastpath)
+                for injected in seeded_workload(3, 60, 4):
+                    runtime.inject(injected)
+                runtime.sim.run(until=1_000_000.0)
+                return runtime
+
+            off, on = run(False), run(True)
+            assert_equivalent(off, on, require_fast=False)
+            assert len(on.egress._items) == 60
+            executor = on.instances["nf-0"]._fastpath
+            assert (executor.stats_fast, executor.stats_fallback) == (0, 60)
+            assert on.instances["nf-0"].client.stats == off.instances["nf-0"].client.stats
 
 
 class RecordingShadow(ShadowState):
@@ -224,12 +389,14 @@ class RecordingShadow(ShadowState):
 
     __slots__ = ("calls",)
 
-    def __init__(self, client, tables):
-        super().__init__(client, tables)
+    def __init__(self, client):
+        super().__init__(client)
         self.calls = []
 
     def update(self, obj_name, flow_key, op, *args, need_result=False):
-        value = super().update(obj_name, flow_key, op, *args, need_result=need_result)
+        value = yield from super().update(
+            obj_name, flow_key, op, *args, need_result=need_result
+        )
         local = self.journal[-1][-1]
         self.calls.append((obj_name, flow_key, op, args, need_result and local))
         return value
@@ -314,8 +481,6 @@ class TestCommitIsTheOldReplay:
     def _warm_instance(self, instance_id):
         """An instance of the declarative chain after 120 packets on the
         *general* path (so nothing under test produced the warm state)."""
-        from repro.analysis.determinism import _declarative_chain
-
         sim = Simulator()
         runtime = ChainRuntime(
             sim, _declarative_chain(), params=RuntimeParams(fastpath_enabled=False)
@@ -329,13 +494,13 @@ class TestCommitIsTheOldReplay:
     def _run(self, instance_id, make_packet, apply, script=None):
         instance = self._warm_instance(instance_id)
         client = instance.client
-        form = instance.nf.match_action_form()
         packet = make_packet(instance)
         packet.clock = (1 << 56) | 9001  # root 1's clock space, like a live packet
         client.batch_begin()
-        shadow = RecordingShadow(client, form.tables)
+        shadow = RecordingShadow(client)
         if script is None:
-            assert form.action(packet, shadow) is not None
+            # the executor's own helper, over the NF's one body
+            assert run_ahead(instance.nf, packet, shadow) is not None
         else:
             script(shadow)
         assert shadow.journal, "vacuous: nothing to commit"
@@ -364,7 +529,7 @@ class TestCommitIsTheOldReplay:
 
     def test_need_result_pop_lands_in_the_cold_set(self):
         """The NAT's SYN path consumes the popped port: the value the
-        shadow handed the action is what the committed entries hold."""
+        shadow handed the body is what the committed entries hold."""
         committed, shadow = self._assert_same(*COMMIT_CASES["nat-syn-cold-set"])
         by_obj = {entry[0].name: entry for entry in shadow.journal}
         assert by_obj["available_ports"][3] == "nat_pop_port"
@@ -376,13 +541,15 @@ class TestCommitIsTheOldReplay:
         assert claimed == [port_map[2]]  # first write of the per-flow key only
 
     def test_overwrite_on_a_cold_key(self):
-        """No action of the four NFs reaches a cold ``set`` without a read
+        """No body of the four NFs reaches a cold ``set`` without a read
         first except the NAT's; the shadow allows it for any per-flow key."""
         cold = ("10.9.9.9", "52.0.0.1", 9, 80, 6)
         committed, shadow = self._assert_same(
             "firewall-0",
             lambda i: new_flow(i, 60),
-            script=lambda shadow: shadow.update("conn_allowed", cold, "set", True),
+            script=lambda shadow: _drive(
+                shadow.update("conn_allowed", cold, "set", True)
+            ),
         )
         storage_key = shadow.journal[0][2]
         assert committed["cache"][storage_key] is True
@@ -392,8 +559,8 @@ class TestCommitIsTheOldReplay:
         flow = ("10.9.9.9", "52.0.0.1", 9, 80, 6)
 
         def script(shadow):
-            shadow.update("conn_allowed", flow, "set", False)
-            shadow.update("conn_allowed", flow, "set", True)
+            _drive(shadow.update("conn_allowed", flow, "set", False))
+            _drive(shadow.update("conn_allowed", flow, "set", True))
 
         committed, shadow = self._assert_same(
             "firewall-0", lambda i: new_flow(i, 61), script=script
@@ -455,6 +622,18 @@ class TestBatchedTransport:
         for runtime in (off, on):
             assert sum(r.stats.deleted for r in runtime.roots) == 2000
             assert all(not i.client._pending_acks for i in runtime.instances.values())
+
+    def test_seen_clocks_are_forgotten_with_the_filters(self):
+        """A drained run plus one grace window leaves no per-packet memory
+        behind on either path (the instances' seen-clock sets used to grow
+        by one int per packet for the life of the runtime)."""
+        for fastpath in (False, True):
+            runtime = run_equivalence_once(5, fastpath, packets=300, flows=10)
+            assert sum(root.stats.deleted for root in runtime.roots) == 300
+            for instance in runtime.instances.values():
+                assert instance.stats.processed == 300
+                assert len(instance._seen_clocks) == 0
+            assert all(len(f) == 0 for f in runtime.filters.values())
 
     def test_off_run_is_untouched(self):
         off = run_equivalence_once(5, False, packets=150, flows=6)
