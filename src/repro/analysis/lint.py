@@ -40,15 +40,15 @@ CHC006 Speculative NF (``repro/nfs/``, ``speculative = True``) writing
        survive into the second run and downstream. Copy first
        (``out = packet.copy()``), as the NAT and the load balancer do.
 CHC007 Splitter membership / instance retirement mutated outside the
-       sanctioned control-plane modules: assigning to or calling
-       mutating methods on ``.hash_members``, or calling
-       ``.retire_instance(...)``, anywhere but the splitter itself, the
-       autoscaler, the chain runtime, recovery, or the maintenance
-       director (``repro/ops``). ``hash_members`` is a *stable* list —
+       modules that own them: assigning to or calling mutating methods
+       on ``.hash_members``, or calling ``.retire_instance(...)``,
+       anywhere but the splitter itself, the chain runtime, recovery and
+       ``core/handover.py``. ``hash_members`` is a *stable* list —
        poking it mid-traffic silently remaps flow partitions without a
-       Figure-4 handover (state loss), and retiring an instance that
-       has not been drained through the director APIs strands owned
-       state.
+       Figure-4 handover (state loss) — and an instance leaves service
+       through ``handover.evacuate`` (the autoscaler and the maintenance
+       director call it like anyone else): a hand-written drain strands
+       owned state or the packet its probe could not see.
 CHC008 ``import socket`` / ``import pickle`` anywhere but
        ``repro/dist/transport.py``. The transport module is the single
        place raw sockets and wire encoding live: it frames messages,
@@ -120,7 +120,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC004": "id(obj) used as a persisted key",
     "CHC005": "NF state write bypassing the store API",
     "CHC006": "speculative NF writing to its input packet",
-    "CHC007": "splitter membership or retirement mutated outside director/autoscaler APIs",
+    "CHC007": "splitter membership or retirement mutated outside splitter/runtime/handover",
     "CHC008": "raw socket/pickle import outside repro.dist.transport",
     "CHC009": "CampaignPool constructed outside the shared campaign runner",
     "CHC010": "DatastoreInstance private state mutated outside repro.store",
@@ -141,16 +141,14 @@ WALL_CLOCK_EXEMPT_PARTS = ("tools", "benchmarks", "bench", "parallel", "dist")
 RAW_TRANSPORT_MODULES = ("socket", "pickle")
 
 #: Modules sanctioned to mutate splitter membership / retire instances
-#: (CHC007 exempt): the splitter's own implementation, the control-plane
-#: layers that drive Figure-4 handovers (autoscaler, chain runtime,
-#: recovery), and the maintenance director package (``repro/ops``).
+#: (CHC007 exempt): the splitter's own implementation, the chain runtime,
+#: recovery, and the one drain-then-retire primitive (``handover.evacuate``).
 MEMBERSHIP_EXEMPT_FILES = {
     "splitter.py",
-    "autoscaler.py",
     "chain_runtime.py",
     "recovery.py",
+    "handover.py",
 }
-MEMBERSHIP_EXEMPT_PARTS = ("ops",)
 
 #: ``DatastoreInstance`` private containers (CHC010): mutable only from
 #: ``repro/store/`` — everyone else goes through ``repro.store.rehome``.
@@ -266,7 +264,7 @@ def _exempt_codes(path: Path) -> Set[str]:
     if "nfs" not in parts:
         exempt.add("CHC005")
         exempt.add("CHC006")
-    if path.name in MEMBERSHIP_EXEMPT_FILES or parts & set(MEMBERSHIP_EXEMPT_PARTS):
+    if path.name in MEMBERSHIP_EXEMPT_FILES:
         exempt.add("CHC007")
     if path.name == "transport.py" and "dist" in parts:
         exempt.add("CHC008")
@@ -545,15 +543,15 @@ class _Checker(ast.NodeVisitor):
                 "CHC007",
                 f".hash_members.{func.attr}(...) rewrites the stable hash "
                 "partition in place — membership changes must go through "
-                "Splitter.replace_instance / the director and autoscaler APIs",
+                "Splitter.replace_instance / handover.evacuate",
             )
         if isinstance(func, ast.Attribute) and func.attr == "retire_instance":
             self.report(
                 node,
                 "CHC007",
                 ".retire_instance(...) called directly — retirement must go "
-                "through the maintenance director or autoscaler, which drain "
-                "owned state via the Figure-4 handover first",
+                "through handover.evacuate, which moves owned state via the "
+                "Figure-4 handover and retires in the instant nothing is in flight",
             )
         self._check_chc010(
             node,
@@ -744,8 +742,7 @@ class _Checker(ast.NodeVisitor):
                     "CHC007",
                     "assignment to .hash_members rewrites the stable hash "
                     "partition — membership changes must go through "
-                    "Splitter.replace_instance / the director and autoscaler "
-                    "APIs",
+                    "Splitter.replace_instance / handover.evacuate",
                 )
 
     def _check_chc010(self, node: ast.AST, mutates: bool) -> None:
@@ -768,8 +765,8 @@ class _Checker(ast.NodeVisitor):
                         node,
                         "CHC007",
                         "del on .hash_members rewrites the stable hash "
-                        "partition — membership changes must go through the "
-                        "director and autoscaler APIs",
+                        "partition — membership changes must go through "
+                        "Splitter.replace_instance / handover.evacuate",
                     )
         self.generic_visit(node)
 

@@ -117,22 +117,24 @@ def build_runtime(sim: Simulator, seed: int, **overrides) -> ChainRuntime:
 
 
 def paced_source(
-    sim: Simulator, runtime: ChainRuntime, n_packets: int, name: str
+    sim: Simulator, runtime: ChainRuntime, n_packets: int, name: str,
+    first_flow: int = 0, start_us: float = 0.0, gap_us: float = GAP_US,
 ) -> None:
-    """Start a paced source of ``n_packets`` packets over N_FLOWS flows,
-    payload identities ``f<flow>-<seq>`` (shared with the ops campaign)."""
+    """Start a paced source of ``n_packets`` packets over N_FLOWS flows
+    (numbered from ``first_flow``), payload identities ``f<flow>-<seq>``
+    (shared with the ops campaign)."""
 
     def source():
-        seq_per_flow = [0] * N_FLOWS
+        if start_us:
+            yield sim.timeout(start_us)
         for index in range(n_packets):
-            flow = index % N_FLOWS
-            seq_per_flow[flow] += 1
+            flow = first_flow + index % N_FLOWS
             packet = Packet(
                 FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6),
-                payload=f"f{flow}-{seq_per_flow[flow]}",
+                payload=f"f{flow}-{index // N_FLOWS + 1}",
             )
             runtime.inject(packet)
-            yield sim.timeout(GAP_US)
+            yield sim.timeout(gap_us)
 
     sim.process(source(), name=name)
 
@@ -279,17 +281,19 @@ def clean_run(
 
 _reference_run = partial(clean_run, build_runtime, inject_workload)
 
-#: Per-process reference-run cache: one clean run per (workload, config,
-#: ref-seed), computed lazily inside whichever process needs it.
+#: Per-process reference-run cache: one clean run per (family, the spec's
+#: own workload if it has one, config, ref-seed), computed lazily inside
+#: whichever process needs it.
 #: Fork-spawned workers inherit the parent's warm entries; the cache is
 #: deterministic (a reference run is a pure function of its key), so
 #: sharing it across campaigns in one process is safe.
-_REFERENCE_CACHE: Dict[Tuple[Callable, str, int], RunSnapshot] = {}
+_REFERENCE_CACHE: Dict[Tuple, RunSnapshot] = {}
 
 
 def cached_reference(reference_run: Callable, spec: Any, ref_seed: int) -> RunSnapshot:
     """``reference_run(ref_seed, spec)``, at most once per process."""
-    key = (reference_run, repr(sorted(spec.runtime_overrides.items())), ref_seed)
+    config = repr(sorted(spec.runtime_overrides.items()))
+    key = (reference_run, getattr(spec, "workload", None), config, ref_seed)
     if key not in _REFERENCE_CACHE:
         _REFERENCE_CACHE[key] = reference_run(ref_seed, spec)
     return _REFERENCE_CACHE[key]

@@ -15,12 +15,10 @@ instances join only ``splitter.instances`` and receive traffic exclusively
 via the per-key overrides that :func:`~repro.core.handover.move_flows`
 installs, which is exactly the splitter's documented contract.
 
-Scale-in is drain-then-retire: the victim's owned keys move back to their
-hash homes, its queues and NIC ring empty, the flush ACK fence passes, and
-only then does :meth:`ChainRuntime.retire_instance` remove it. If the
-drain budget expires the retirement is aborted (the instance keeps
-running) rather than risk dropping state — an autoscaler must degrade to
-"too many instances", never to "lost flows".
+Scale-in is :func:`~repro.core.handover.evacuate` with the hash home as
+every key's destination. If the drain budget expires the retirement is
+aborted (the instance keeps running) rather than risk dropping state — an
+autoscaler must degrade to "too many instances", never to "lost flows".
 """
 
 from __future__ import annotations
@@ -28,10 +26,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.handover import move_flows, owned_scope_keys
+from repro.core.handover import evacuate, move_flows, owned_scope_keys
 from repro.store.datastore import DatastoreInstance
 from repro.store.rehome import Rehoming
-from repro.util import stable_hash
+
+#: How often a store scale-out's lame duck is polled for its catch-up gate.
+STORE_DRAIN_POLL_US = 200.0
 
 
 @dataclass
@@ -69,7 +69,6 @@ class AutoscaleController:
         min_instances: int = 1,
         max_instances: int = 4,
         cooldown_us: float = 5_000.0,
-        drain_poll_us: float = 200.0,
         drain_budget_us: float = 50_000.0,
     ):
         self.runtime = runtime
@@ -77,7 +76,6 @@ class AutoscaleController:
         self.min_instances = min_instances
         self.max_instances = max_instances
         self.cooldown_us = cooldown_us
-        self.drain_poll_us = drain_poll_us
         self.drain_budget_us = drain_budget_us
         self.stats = AutoscaleStats()
         self.actions: List[ScaleAction] = []
@@ -186,64 +184,27 @@ class AutoscaleController:
             self._last_done[vertex_name] = self.sim.now
 
     # ------------------------------------------------------------------
-    # scale-in: move state home, drain, then retire
+    # scale-in: evacuate the victim towards the hash homes
     # ------------------------------------------------------------------
-
-    def _hash_home(self, splitter, scope_key: Tuple) -> str:
-        # The victim never sat in hash_members, so its hash home is always
-        # another instance — no self-moves.
-        return splitter.hash_members[stable_hash(scope_key) % len(splitter.hash_members)]
-
-    def _victim_keys_by_home(self, vertex_name: str, victim) -> Dict[str, Dict[Tuple, str]]:
-        splitter = self.runtime.splitter(vertex_name)
-        by_home: Dict[str, Dict[Tuple, str]] = {}
-        for scope_key, holder in owned_scope_keys(self.runtime, vertex_name, victim).items():
-            by_home.setdefault(self._hash_home(splitter, scope_key), {})[scope_key] = holder
-        return by_home
 
     def _scale_in(self, vertex_name: str, victim_id: str) -> Generator:
         started = self.sim.now
         action = ScaleAction("scale_in", vertex_name, victim_id, started)
-        deadline = started + self.drain_budget_us
-        splitter = self.runtime.splitter(vertex_name)
-        victim = self.runtime.instances[victim_id]
         try:
-            while True:
-                # 1. hand every owned flow back to its hash home via the
-                #    Figure-4 machinery (ownership + buffering, no loss)
-                by_home = self._victim_keys_by_home(vertex_name, victim)
-                for home, keys in sorted(by_home.items()):
-                    result = yield from move_flows(
-                        self.runtime, vertex_name, list(keys), home, current_of=keys
-                    )
-                    action.keys_moved += result.n_keys
-                    # a key now routed to its hash home needs no override
-                    for scope_key in keys:
-                        if splitter.overrides.get(scope_key) == home:
-                            del splitter.overrides[scope_key]
-
-                # 2. drain: queued packets, NIC ring, un-ACK'd flushes
-                while self.sim.now < deadline:
-                    nic = self.runtime.nics.get(victim_id)
-                    if victim.queue_depth == 0 and (nic is None or len(nic._queue) == 0):
-                        break
-                    yield self.sim.timeout(self.drain_poll_us)
-                yield victim.client.ack_barrier()
-
-                # 3. re-check: packets drained in step 2 may have claimed
-                #    new ownership (a flow's first packet landed mid-drain)
-                if not self._victim_keys_by_home(vertex_name, victim):
-                    break
-                if self.sim.now >= deadline:
-                    action.ok = False
-                    action.note = "drain budget exceeded; retirement aborted"
-                    self.stats.aborted += 1
-                    return
-            self.runtime.retire_instance(victim_id)
-            spawned = self._spawned.get(vertex_name, [])
-            if victim_id in spawned:
-                spawned.remove(victim_id)
-            yield from self.runtime.notify_split_changed(vertex_name)
+            # The victim never sat in hash_members, so every key it owns
+            # has another instance for a hash home — no self-moves.
+            action.keys_moved, stuck = yield from evacuate(
+                self.runtime,
+                self.runtime.instances[victim_id],
+                self.runtime.splitter(vertex_name).hash_home,
+                deadline=started + self.drain_budget_us,
+            )
+            if stuck:
+                action.ok = False
+                action.note = f"{stuck}; retirement aborted"
+                self.stats.aborted += 1
+                return
+            self._spawned[vertex_name].remove(victim_id)
             self.stats.scale_ins += 1
         finally:
             action.finished_at = self.sim.now
@@ -343,7 +304,7 @@ class AutoscaleController:
         # copies go either way, so audits folding all stores into one map
         # see only the replica's: the permanent per-vertex mute keeps a
         # later straggler invisible, which makes an overrun cosmetic.
-        stuck = yield from move.drain(self.drain_poll_us, self.drain_budget_us)
+        stuck = yield from move.drain(STORE_DRAIN_POLL_US, self.drain_budget_us)
         if stuck:
             action.ok = False
             action.note = f"{stuck}; stale copies GC'd anyway"

@@ -219,17 +219,7 @@ class ChainRuntime:
         self._sinks: Set[str] = set(chain.sinks())
 
         for index, (name, vertex) in enumerate(chain.vertices.items()):
-            self.store.assign_vertex(name, self.stores[index % n_store_instances].name)
-            self.vertex_instances[name] = []
-            probe_nf = vertex.nf_factory()
-            for op_name, op_fn in probe_nf.custom_operations().items():
-                self.store.register_custom_op(op_name, op_fn)
-            for k in range(vertex.parallelism):
-                self.add_instance(name, suffix=str(k))
-            scopes = probe_nf.scope() or [FIVE_TUPLE]
-            self.splitters[name] = Splitter(
-                name, list(self.vertex_instances[name]), scopes=scopes
-            )
+            self._build_vertex(name, vertex, self.stores[index % n_store_instances].name)
 
         # --- roots ---------------------------------------------------------
         # §4.1/§5: R root instances, statically partitioned input, each
@@ -283,13 +273,30 @@ class ChainRuntime:
         # quiesce a vertex this way; see pause_vertex_input).
         self._paused_vertices: Dict[str, Event] = {}
 
-        self._apply_exclusivity()
         if start_managers:
             self.start_vertex_managers()
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
+
+    def _build_vertex(self, name: str, vertex, store_name: str) -> None:
+        """Everything a vertex needs before traffic can reach it (initial
+        build and :meth:`splice_insert_vertex`)."""
+        self.store.assign_vertex(name, store_name)
+        probe_nf = vertex.nf_factory()
+        for op_name, op_fn in probe_nf.custom_operations().items():
+            self.store.register_custom_op(op_name, op_fn)
+        self.vertex_instances[name] = []
+        # The splitter first, already naming every instance: add_instance
+        # derives each client's caching rights from the split it joins.
+        self.splitters[name] = Splitter(
+            name,
+            [f"{name}-{k}" for k in range(vertex.parallelism)],
+            scopes=probe_nf.scope() or [FIVE_TUPLE],
+        )
+        for k in range(vertex.parallelism):
+            self.add_instance(name, suffix=str(k))
 
     def add_instance(
         self,
@@ -374,37 +381,43 @@ class ChainRuntime:
         )
         for root in getattr(self, "roots", []):
             self.network.connect(root.name, instance_id, Link(self.params.root_link_us))
-        splitter = self.splitters.get(vertex_name)
-        if splitter is not None and join_splitter:
-            splitter.add_instance(instance_id)
-        if splitter is not None:
-            # late-added instances (scale-up, clone, failover) derive their
-            # caching rights from the current split like everyone else
-            for obj_name, spec in instance.client.specs.items():
-                instance.client._exclusive[obj_name] = splitter.grants_exclusive(spec)
+        if join_splitter:
+            self.splitters[vertex_name].add_instance(instance_id)
+        self._apply_exclusivity([instance])
         return instance
 
-    def retire_instance(self, instance_id: str) -> NFInstance:
-        """Gracefully remove an instance (autoscaler scale-in, §8).
+    def _apply_exclusivity(self, instances=None) -> None:
+        """Tell clients (all, by default) which cross-flow objects the
+        current split confines to them (§4.3 "Cross-flow state"). Free —
+        nothing is flushed — so only for a fresh instance or a build-time
+        change of the split; a live one is :meth:`notify_split_changed`."""
+        for instance in instances or self.instances.values():
+            splitter = self.splitters[instance.vertex_name]
+            for obj_name, spec in instance.client.specs.items():
+                instance.client._exclusive[obj_name] = splitter.grants_exclusive(spec)
 
-        The caller must already have drained it: queues empty, pending
-        flush ACKs fenced, owned per-flow state moved away via the Figure-4
-        handover. Unlike :meth:`NFInstance.fail` this is an *orderly*
-        retirement — the supervisor will not treat it as a crash.
+    def retire_instance(self, instance_id: str) -> NFInstance:
+        """Remove a drained instance (``handover.evacuate``, vertex removal).
+
+        Unlike :meth:`NFInstance.fail` this is an *orderly* retirement —
+        the supervisor will not treat it as a crash — so it refuses an
+        instance that still has packet copies dispatched to it: they would
+        be handed to a closed port or die with its workers, in no ledger.
         """
-        instance = self.instances.pop(instance_id, None)
+        instance = self.instances.get(instance_id)
         if instance is None:
             raise KeyError(f"unknown instance {instance_id!r}")
+        if instance.inbound:
+            raise RuntimeError(
+                f"{instance_id}: retired with {instance.inbound} packet copies in flight"
+            )
+        del self.instances[instance_id]
         self.vertex_instances[instance.vertex_name] = [
             i for i in self.vertex_instances[instance.vertex_name] if i != instance_id
         ]
-        splitter = self.splitters.get(instance.vertex_name)
-        if splitter is not None:
-            splitter.remove_instance(instance_id)
-        nic = self.nics.pop(instance_id, None)
-        if nic is not None:
-            nic.fail()
-        self.filters.pop(instance_id, None)
+        self.splitters[instance.vertex_name].remove_instance(instance_id)
+        self.nics.pop(instance_id).fail()
+        del self.filters[instance_id]
         instance.fail()
         return instance
 
@@ -479,40 +492,19 @@ class ChainRuntime:
         )
         if edge is None:
             raise KeyError(f"no plain edge {src!r} -> {dst!r} (label {label!r})")
-        self.chain.add_vertex(name, nf_factory, parallelism=parallelism)
-        self.store.assign_vertex(
+        vertex = self.chain.add_vertex(name, nf_factory, parallelism=parallelism)
+        self._build_vertex(
             name,
+            vertex,
             store_name or self.stores[(len(self.chain.vertices) - 1) % len(self.stores)].name,
         )
-        probe_nf = nf_factory()
-        for op_name, op_fn in probe_nf.custom_operations().items():
-            self.store.register_custom_op(op_name, op_fn)
-        self.vertex_instances[name] = []
-        for k in range(parallelism):
-            self.add_instance(name, suffix=str(k))
-        scopes = probe_nf.scope() or [FIVE_TUPLE]
-        self.splitters[name] = Splitter(
-            name, list(self.vertex_instances[name]), scopes=scopes
-        )
-        splitter = self.splitters[name]
-        for instance in self.instances_of(name):
-            for obj_name, spec in instance.client.specs.items():
-                instance.client._exclusive[obj_name] = splitter.grants_exclusive(spec)
         # routing cutover: src -> name -> dst, in place of src -> dst
         edge.dst = name
         self.chain.add_edge(name, dst, label="out")
         self._sinks = set(self.chain.sinks())
         self.chain.validate()
         if self.managers:
-            interval = getattr(
-                next(iter(self.managers.values())), "interval_us", 1_000.0
-            )
-            self.managers[name] = VertexManager(
-                self.sim,
-                name,
-                instances_fn=lambda v=name: self.instances_of(v),
-                interval_us=interval,
-            )
+            self._start_manager(name, next(iter(self.managers.values())).interval_us)
         return self.instances_of(name)
 
     def splice_remove_vertex(self, name: str) -> None:
@@ -568,30 +560,20 @@ class ChainRuntime:
         return self.splitters[vertex_name]
 
     def start_vertex_managers(self, interval_us: float = 1_000.0) -> None:
-        for name, vertex in self.chain.vertices.items():
-            if name in self.managers:
-                continue
-            self.managers[name] = VertexManager(
-                self.sim,
-                name,
-                instances_fn=lambda v=name: self.instances_of(v),
-                interval_us=interval_us,
-                scaling_logic=vertex.scaling_logic,
-                straggler_logic=vertex.straggler_logic,
-            )
+        for name in self.chain.vertices:
+            if name not in self.managers:
+                self._start_manager(name, interval_us)
 
-    def _apply_exclusivity(self) -> None:
-        """Tell every client which cross-flow objects the current split
-        confines to it (§4.3 "Cross-flow state"). Free at build time."""
-        for vertex_name, instance_ids in self.vertex_instances.items():
-            splitter = self.splitters[vertex_name]
-            for instance_id in instance_ids:
-                instance = self.instances.get(instance_id)
-                if instance is None:
-                    continue
-                for obj_name, spec in instance.client.specs.items():
-                    exclusive = splitter.grants_exclusive(spec)
-                    instance.client._exclusive[obj_name] = exclusive
+    def _start_manager(self, name: str, interval_us: float) -> None:
+        vertex = self.chain.vertices[name]
+        self.managers[name] = VertexManager(
+            self.sim,
+            name,
+            instances_fn=lambda: self.instances_of(name),
+            interval_us=interval_us,
+            scaling_logic=vertex.scaling_logic,
+            straggler_logic=vertex.straggler_logic,
+        )
 
     def rebalance_vertex(self, vertex_name: str, finer_fields=None) -> Generator:
         """Walk the vertex's partitioning one scope finer (§4.1).
@@ -824,8 +806,8 @@ class ChainRuntime:
                 continue
             target = self.instances.get(dst)
             if target is not None:
-                # Fast-path flow latch: counted at dispatch (not arrival)
-                # so the NIC/link in-flight window blocks fusion too.
+                # Counted at dispatch (not arrival), so the NIC/link
+                # in-flight window holds a retirement (and fusion) back too.
                 target._count_inflight(copy)
             nic = self.nics[dst]
             self.sim.schedule(

@@ -349,7 +349,14 @@ class FastPathExecutor:
             )
             current = target
             outputs = fused
-        yield from runtime.emit(current, packet, outputs, delete_sink=deletes)
+        # The emit runs on the last fused-into instance's behalf and may park
+        # (backpressure, a pause gate): that instance is not finished with
+        # the packet until it returns — or this worker is killed.
+        current.inbound += 1
+        try:
+            yield from runtime.emit(current, packet, outputs, delete_sink=deletes)
+        finally:
+            current._release()
         return debt
 
 

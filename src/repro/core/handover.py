@@ -16,12 +16,16 @@ is ever rejected by the store's ownership check. Order preservation: the
 new instance starts processing strictly after the old instance's last
 moved packet (the buffer drains in arrival order), so updates hit the
 store in upstream-splitter arrival order.
+
+:func:`evacuate` is the one way an instance leaves service under traffic
+(scale-in, rolling upgrade, upgrade rollback): move what it owns, wait
+until it is :func:`quiesce`-d, and retire it in the instant that is true.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Iterable, Tuple
+from typing import Callable, Dict, Generator, Iterable, Optional, Tuple
 
 
 @dataclass
@@ -111,3 +115,67 @@ def move_flows(
         started_at=started_at,
         finished_at=runtime.sim.now,
     )
+
+
+def quiesce(runtime, instance, deadline: float) -> Generator:
+    """Gate: nothing dispatched to ``instance`` is unfinished, flushes ACK'd.
+
+    Waits for ``instance.inbound`` to reach zero (or ``deadline``), then for
+    the flush ACK fence. The verdict holds *in the instant it is returned*:
+    a copy dispatched during either wait counts against it, so a caller
+    that retires on True does so before its next ``yield``.
+    """
+    sim = runtime.sim
+    if instance.inbound and sim.now < deadline:
+        yield sim.any_of([instance.quiescent(), sim.timeout(deadline - sim.now)])
+    if instance.inbound or not instance.alive:
+        return False
+    yield instance.client.ack_barrier()
+    return instance.alive and not instance.inbound
+
+
+def evacuate(
+    runtime,
+    instance,
+    destination_of: Callable[[Tuple], str],
+    deadline: float,
+    replace_with: Optional[str] = None,
+) -> Generator:
+    """Take ``instance`` out of service under traffic, loss-free.
+
+    Rounds of { move every scope key it owns to ``destination_of(key)``;
+    :func:`quiesce` } until it is idle and owns nothing — a flow whose first
+    packet was in flight when a round began claims ownership mid-drain and
+    is moved by the next. In that same instant (no ``yield``, so no copy
+    can be dispatched to a port about to close) ``replace_with`` takes its
+    hash slot if given and it is retired; caching exclusivity is re-derived
+    after. Returns ``(keys moved, None)``, or — nothing retired — the
+    reason as second item: a missed ``deadline`` or a dead ``instance``.
+    """
+    vertex_name = instance.vertex_name
+    splitter = runtime.splitter(vertex_name)
+    moved = 0
+    while True:
+        by_destination: Dict[str, Dict[Tuple, str]] = {}
+        for scope_key, holder in owned_scope_keys(runtime, vertex_name, instance).items():
+            by_destination.setdefault(destination_of(scope_key), {})[scope_key] = holder
+        for destination, keys in sorted(by_destination.items()):
+            result = yield from move_flows(
+                runtime, vertex_name, list(keys), destination, current_of=keys
+            )
+            moved += result.n_keys
+        splitter.drop_home_overrides()
+        idle = yield from quiesce(runtime, instance, deadline)
+        if idle and not owned_scope_keys(runtime, vertex_name, instance):
+            break
+        if not instance.alive:
+            return moved, "instance died"
+        if runtime.sim.now >= deadline:
+            return moved, "ownership never quiesced" if idle else "drain budget exceeded"
+    if replace_with is not None:
+        # same slot in hash_members, so the hash partition is unchanged
+        splitter.replace_instance(instance.instance_id, replace_with)
+        splitter.drop_home_overrides()
+    runtime.retire_instance(instance.instance_id)
+    yield from runtime.notify_split_changed(vertex_name)
+    return moved, None

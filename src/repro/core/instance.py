@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 from repro.analysis import runtime as _sanitize
 from repro.core.nf_api import NetworkFunction, StateAPI
 from repro.core.splitter import MoveMarker
-from repro.simnet.engine import Channel, Process, Simulator
+from repro.simnet.engine import Channel, Event, Process, Simulator
 from repro.simnet.monitor import LatencyRecorder, ThroughputMeter
 from repro.simnet.rpc import RpcRequest
 from repro.store.client import StoreClient
@@ -171,11 +171,16 @@ class NFInstance:
         self._seen_clocks: Set[int] = set()
         self._barrier_counts: Dict[int, int] = {}
 
-        # Fast-path flow latch (§6): packets of a flow in flight towards or
-        # queued inside this instance. Counted at _deliver time (covers the
-        # NIC/link window), decremented when processing completes; fused
-        # dispatch into this instance requires the flow's count to be zero,
-        # so a fused packet can never overtake a general-path one.
+        # Packet copies dispatched to this instance and not yet finished
+        # with it: counted at _deliver time (so the link, the wire and the
+        # ring are inside the count), uncounted once emit returned or the
+        # copy was shed. ``inbound`` is what handover.quiesce asks before a
+        # retirement; the per-flow split is the fast-path latch (§6), kept
+        # only where an executor reads it: fused dispatch into this instance
+        # requires the flow's count to be zero, so a fused packet can never
+        # overtake a general-path one.
+        self.inbound = 0
+        self._quiescent: Optional[Event] = None
         self._inflight_flows: Dict[Tuple, int] = {}
         self._fastpath = None
         if fastpath_enabled and extra_delay is None:
@@ -234,6 +239,9 @@ class NFInstance:
         self._live_buffer.clear()
         self._pending_moves.clear()
         self._inflight_flows.clear()
+        self.inbound = 0
+        if self._quiescent is not None:
+            self._settled()
 
     def stop_buffering(self) -> None:
         """Replay finished (or was empty): release buffered live traffic."""
@@ -256,28 +264,32 @@ class NFInstance:
         self._maybe_stop_buffering()
 
     # ------------------------------------------------------------------
-    # fast-path flow latch (§6)
+    # in-flight accounting: the retirement gate and the fusion latch (§6)
     # ------------------------------------------------------------------
 
     def _count_inflight(self, packet: Packet) -> None:
-        """One more packet of this flow is bound for this instance.
+        """One more packet copy is bound for this instance.
 
         Called by the runtime when a copy is dispatched here (before the
-        NIC/link delay, so the in-flight window is covered). No-op without
-        an executor — the latch only exists to keep fused dispatch from
-        overtaking general-path packets of the same flow, and
+        NIC/link delay, so the in-flight window is covered). The per-flow
+        half is skipped without an executor — it only keeps fused dispatch
+        from overtaking general-path packets of the same flow, and
         ``fast_target`` never fuses into an instance that has none.
         """
-        if self._fastpath is None or packet.mark_last:
+        if packet.mark_last:
             return
-        key = packet.five_tuple.canonical().key()
-        self._inflight_flows[key] = self._inflight_flows.get(key, 0) + 1
+        self.inbound += 1
+        if self._fastpath is not None:
+            key = packet.five_tuple.canonical().key()
+            self._inflight_flows[key] = self._inflight_flows.get(key, 0) + 1
 
     def _uncount(self, packet: Packet) -> None:
         """The packet's journey through this instance ended (processed,
-        shed, evicted, or ring-dropped). Floored at zero: packets injected
-        directly in tests never went through the counting side."""
-        if self._fastpath is None or packet.mark_last:
+        shed, evicted, or ring-dropped)."""
+        if packet.mark_last:
+            return
+        self._release()
+        if self._fastpath is None:
             return
         key = packet.five_tuple.canonical().key()
         count = self._inflight_flows.get(key, 0)
@@ -285,6 +297,26 @@ class NFInstance:
             self._inflight_flows.pop(key, None)
         else:
             self._inflight_flows[key] = count - 1
+
+    def _release(self) -> None:
+        """One counted copy is finished with this instance. Floored at
+        zero: packets injected directly in tests were never counted."""
+        if self.inbound > 0:
+            self.inbound -= 1
+            if not self.inbound and self._quiescent is not None:
+                self._settled()
+
+    def quiescent(self) -> Event:
+        """Fires when ``inbound`` next reaches zero (or the instance dies);
+        ask while it is non-zero. Waiters resume later in that instant, so
+        they re-read the count."""
+        if self._quiescent is None:
+            self._quiescent = self.sim.event(name=f"quiescent({self.instance_id})")
+        return self._quiescent
+
+    def _settled(self) -> None:
+        event, self._quiescent = self._quiescent, None
+        event.succeed(None)
 
     # ------------------------------------------------------------------
     # receive path

@@ -95,7 +95,6 @@ class Splitter:
         self._pending_first: Dict[Tuple, str] = {}
         self._pending_first_marker: Dict[Tuple, "MoveMarker"] = {}
         self.replicate: Dict[str, str] = {}  # original instance -> clone
-        self.routed = 0
 
     # ------------------------------------------------------------------
     # routing
@@ -114,7 +113,7 @@ class Splitter:
         # Partition on the canonical tuple so both directions of a flow hit
         # the same instance (rule 1 of §4.1).
         key = scope_fields(five_tuple.canonical(), self._partition_fields)
-        return key, self.hash_members[stable_hash(key) % len(self.hash_members)]
+        return key, self.hash_home(key)
 
     def key_of(self, packet: Packet) -> Tuple:
         return self._flow_memo[packet.five_tuple][0]
@@ -126,7 +125,6 @@ class Splitter:
         straggler's clone is active. Mutates the packet to apply a pending
         ``mark_first`` (Figure 4 step 2).
         """
-        self.routed += 1
         # A replayed packet targeted at one of our instances must reach
         # exactly that instance (§5.3 #3: it carries the clone's ID).
         if packet.replay_target is not None and packet.replay_target in self.instances:
@@ -205,10 +203,18 @@ class Splitter:
     # moves (Figure 4 steps 1-2)
     # ------------------------------------------------------------------
 
+    def hash_home(self, scope_key: Tuple) -> str:
+        """Where ``scope_key`` routes when no override names it."""
+        return self.hash_members[stable_hash(scope_key) % len(self.hash_members)]
+
     def current_instance_for(self, scope_key: Tuple) -> str:
-        return self.overrides.get(
-            scope_key, self.hash_members[stable_hash(scope_key) % len(self.hash_members)]
-        )
+        return self.overrides.get(scope_key) or self.hash_home(scope_key)
+
+    def drop_home_overrides(self) -> None:
+        """An override naming the key's own hash home routes nothing."""
+        for scope_key, pinned in list(self.overrides.items()):
+            if pinned == self.hash_home(scope_key):
+                del self.overrides[scope_key]
 
     def begin_move(
         self, scope_keys, new_instance: str, current_of: Optional[Dict[Tuple, str]] = None

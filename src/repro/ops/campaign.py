@@ -30,12 +30,12 @@ still match exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.chaos.campaign import (
     HORIZON_US,
+    N_FLOWS,
     EntryCounterNF,
     ReferenceCheckedFamily,
     SinkCounterNF,
@@ -75,6 +75,11 @@ from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 N_PACKETS = 240
 OP_AT_US = 90.0
 MONITOR_WINDOW_US = 50.0
+# Flows that start while the operation is in flight ("upgrade-new-flows"):
+# spaced wider than one Figure-4 move, so an evacuation that has to move
+# each of them as it appears still converges (ROADMAP: sustained arrival).
+LATE_ROUNDS = 3
+LATE_GAP_US = 40.0
 
 
 class ScrubNF(NetworkFunction):
@@ -137,6 +142,23 @@ def inject_workload(sim: Simulator, runtime: ChainRuntime) -> None:
     paced_source(sim, runtime, N_PACKETS, "ops-source")
 
 
+def inject_with_late_flows(sim: Simulator, runtime: ChainRuntime) -> None:
+    """:func:`inject_workload` plus N_FLOWS flows nobody has seen before
+    ``OP_AT_US``: each first packet is routed to whichever instance is its
+    hash home *at that instant* — the one being taken out of service, for
+    as long as it holds its slot."""
+    inject_workload(sim, runtime)
+    paced_source(
+        sim,
+        runtime,
+        LATE_ROUNDS * N_FLOWS,
+        "ops-late-flows",
+        first_flow=N_FLOWS,
+        start_us=OP_AT_US + LATE_GAP_US / 2,
+        gap_us=LATE_GAP_US,
+    )
+
+
 # --- scenarios ----------------------------------------------------------
 
 
@@ -150,6 +172,8 @@ class OpsScenarioSpec:
     operations: Callable[[MaintenanceDirector], Generator]
     #: optional unplanned-fault overlay executed by the chaos director
     build_schedule: Optional[Callable[[int], Schedule]] = None
+    #: traffic for this scenario and for the reference run it is checked against
+    workload: Callable[[Simulator, ChainRuntime], None] = inject_workload
     loss_allowance: int = 0
     expect_log_drained: bool = True
     #: minimum egress packets per goodput window; None disables the
@@ -235,6 +259,12 @@ SCENARIOS: Dict[str, OpsScenarioSpec] = {
             operations=_plan_rolling_upgrade,
             build_schedule=_upgrade_crash_overlay,
         ),
+        OpsScenarioSpec(
+            name="upgrade-new-flows",
+            description="rolling entry upgrade while new flows send their first packets",
+            operations=_plan_rolling_upgrade,
+            workload=inject_with_late_flows,
+        ),
     ]
 }
 
@@ -249,7 +279,7 @@ class OpsOutcome:
     scenario: str
     seed: int
     violations: List[InvariantViolation]
-    operations: List[Dict[str, Any]]  # OperationRecord.as_dict() per op
+    operations: List[Dict[str, Any]]  # asdict(OperationRecord) per op
     operation_us: List[float]  # completed-operation durations
     goodput_windows: int
     min_window_egress: Optional[int]
@@ -279,7 +309,8 @@ def _filter_state(
     return kept
 
 
-_reference_run = partial(clean_run, build_runtime, inject_workload)
+def _reference_run(seed: int, spec: OpsScenarioSpec) -> RunSnapshot:
+    return clean_run(build_runtime, spec.workload, seed, spec)
 
 
 def run_scenario(
@@ -312,7 +343,7 @@ def run_scenario(
     if spec.build_schedule is not None:
         chaos.execute(spec.build_schedule(seed), runtime)
     sim.process(spec.operations(director), name=f"ops-{spec.name}")
-    inject_workload(sim, runtime)
+    spec.workload(sim, runtime)
     sim.run(until=HORIZON_US)
 
     if collect_runtime is not None:
@@ -355,7 +386,7 @@ def run_scenario(
         scenario=spec.name,
         seed=seed,
         violations=violations,
-        operations=[record.as_dict() for record in director.records],
+        operations=[asdict(record) for record in director.records],
         operation_us=[
             record.duration_us for record in director.completed()
         ],

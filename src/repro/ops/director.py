@@ -9,11 +9,12 @@ drain/quiesce confirmation before the next begins, with
 abort-and-rollback when a gate times out:
 
 * **rolling NF upgrade** (:meth:`~MaintenanceDirector.rolling_upgrade`) —
-  per instance: spawn the replacement, hand every owned flow over via the
-  Figure-4 protocol, drain queues/NIC/flush-ACKs, take the old instance's
-  hash slot with ``splitter.replace_instance`` (same slot, so the hash
-  partition never flips) and retire it. A drain that exhausts its budget
-  rolls the flows back and retires the *replacement* instead.
+  per instance: spawn the replacement and
+  :func:`~repro.core.handover.evacuate` the old instance onto it (every
+  owned flow over the Figure-4 protocol; in the instant the old instance
+  is idle the replacement takes its hash slot, so the hash partition never
+  flips, and the old one is retired). A drain that exhausts its budget
+  evacuates the *replacement* back onto the old instance instead.
 * **store-node replacement** (:meth:`~MaintenanceDirector.replace_store`)
   — the whole-node case of the store re-homing protocol
   (:mod:`repro.store.rehome`): snapshot + routing swap in one sim
@@ -41,9 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.handover import move_flows, owned_scope_keys
+from repro.core.handover import evacuate, quiesce
 from repro.store.rehome import Rehoming
-from repro.util import stable_hash
+
+#: hot_reload's settle gate: how long the new config runs before read-back.
+RELOAD_SETTLE_US = 20.0
 
 
 class OperationAborted(RuntimeError):
@@ -59,15 +62,6 @@ class OperationStep:
     finished_at: float = 0.0
     ok: bool = True
     note: str = ""
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "ok": self.ok,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -85,17 +79,6 @@ class OperationRecord:
     @property
     def duration_us(self) -> float:
         return self.finished_at - self.started_at
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "status": self.status,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "note": self.note,
-            "steps": [step.as_dict() for step in self.steps],
-        }
 
 
 class GoodputMonitor:
@@ -144,7 +127,6 @@ class MaintenanceDirector:
     def __init__(
         self,
         runtime,
-        drain_poll_us: float = 20.0,
         drain_budget_us: float = 30_000.0,
         catchup_poll_us: float = 50.0,
         monitor_window_us: float = 100.0,
@@ -152,7 +134,6 @@ class MaintenanceDirector:
     ):
         self.runtime = runtime
         self.sim = runtime.sim
-        self.drain_poll_us = drain_poll_us
         self.drain_budget_us = drain_budget_us
         self.catchup_poll_us = catchup_poll_us
         self.monitor = monitor or GoodputMonitor(runtime, window_us=monitor_window_us)
@@ -191,40 +172,6 @@ class MaintenanceDirector:
     def completed(self) -> List[OperationRecord]:
         return [r for r in self.records if r.status == "completed"]
 
-    def aborted(self) -> List[OperationRecord]:
-        return [r for r in self.records if r.status == "aborted"]
-
-    def report(self) -> Dict[str, Any]:
-        return {
-            "operations": [record.as_dict() for record in self.records],
-            "completed": len(self.completed()),
-            "aborted": len(self.aborted()),
-            "goodput_windows": len(self.monitor.windows),
-        }
-
-    # ------------------------------------------------------------------
-    # shared drain gates
-    # ------------------------------------------------------------------
-
-    def _drain_instance(self, instance, deadline: float) -> Generator:
-        """Gate: queues empty, NIC ring empty, flush ACKs fenced.
-
-        Returns True if the gate passed before ``deadline``. The first
-        wait is one hop latency: packets already committed to the wire
-        (``sim.schedule(hop_link_us, nic.send, ...)``) are invisible to
-        the queue probes until they land.
-        """
-        yield self.sim.timeout(self.runtime.params.hop_link_us)
-        while True:
-            nic = self.runtime.nics.get(instance.instance_id)
-            if instance.queue_depth == 0 and (nic is None or len(nic._queue) == 0):
-                break
-            if self.sim.now >= deadline:
-                return False
-            yield self.sim.timeout(self.drain_poll_us)
-        yield instance.client.ack_barrier()
-        return True
-
     # ------------------------------------------------------------------
     # operation: rolling NF upgrade
     # ------------------------------------------------------------------
@@ -261,82 +208,46 @@ class MaintenanceDirector:
         self, record: OperationRecord, vertex_name: str, old_id: str
     ) -> Generator:
         runtime = self.runtime
-        splitter = runtime.splitter(vertex_name)
-        old = runtime.instances[old_id]
         self._seq += 1
-        new = runtime.add_instance(vertex_name, suffix=f"u{self._seq}")
-        new_id = new.instance_id
+        new_id = runtime.add_instance(vertex_name, suffix=f"u{self._seq}").instance_id
 
         step = self._step(record, f"handover:{old_id}->{new_id}")
-        deadline = self.sim.now + self.drain_budget_us
-        moved = 0
-        while True:
-            # 1. move every owned flow to the replacement (Figure 4:
-            #    ownership + in-order buffering, no loss)
-            keys = owned_scope_keys(runtime, vertex_name, old)
-            if keys:
-                result = yield from move_flows(
-                    runtime, vertex_name, list(keys), new_id, current_of=keys
-                )
-                moved += result.n_keys
-            # 2. drain gate: nothing queued, nothing on the ring, all
-            #    flushes ACK'd
-            drained = yield from self._drain_instance(old, deadline)
-            if not drained:
-                self._close(step, self.sim, ok=False, note="drain budget exceeded")
-                yield from self._rollback_upgrade(record, vertex_name, old_id, new_id)
-                raise OperationAborted(
-                    f"{old_id}: drain budget exceeded; flows restored"
-                )
-            # 3. re-check: a flow's first packet can claim ownership on the
-            #    old instance mid-drain — it must be moved too
-            if not owned_scope_keys(runtime, vertex_name, old):
-                break
-            if self.sim.now >= deadline:
-                self._close(step, self.sim, ok=False, note="ownership never quiesced")
-                yield from self._rollback_upgrade(record, vertex_name, old_id, new_id)
-                raise OperationAborted(
-                    f"{old_id}: ownership never quiesced; flows restored"
-                )
+        # flows to the replacement, which takes the old hash slot in the
+        # instant the old instance is found idle (chclint CHC007 keeps
+        # retirement inside handover.evacuate)
+        moved, stuck = yield from evacuate(
+            runtime,
+            runtime.instances[old_id],
+            lambda _key: new_id,
+            deadline=self.sim.now + self.drain_budget_us,
+            replace_with=new_id,
+        )
+        if stuck:
+            self._close(step, self.sim, ok=False, note=stuck)
+            failed = yield from self._rollback_upgrade(record, old_id, new_id)
+            outcome = f"rollback: {failed}" if failed else "flows restored"
+            raise OperationAborted(f"{old_id}: {stuck}; {outcome}")
         self._close(step, self.sim, note=f"{moved} keys moved")
 
-        step = self._step(record, f"cutover:{old_id}->{new_id}")
-        # same slot in hash_members, so the hash partition is unchanged —
-        # this is the one sanctioned way a membership list changes outside
-        # failover (chclint CHC007 guards the discipline)
-        splitter.replace_instance(old_id, new_id)
-        self._drop_home_overrides(splitter, new_id)
-        runtime.retire_instance(old_id)
-        yield from runtime.notify_split_changed(vertex_name)
-        self._close(step, self.sim)
-
-    @staticmethod
-    def _drop_home_overrides(splitter, holder: str) -> None:
-        """An override naming the key's own hash home routes nothing."""
-        members = splitter.hash_members
-        for scope_key, pinned in list(splitter.overrides.items()):
-            if pinned == holder and members[stable_hash(scope_key) % len(members)] == holder:
-                del splitter.overrides[scope_key]
-
     def _rollback_upgrade(
-        self, record: OperationRecord, vertex_name: str, old_id: str, new_id: str
+        self, record: OperationRecord, old_id: str, new_id: str
     ) -> Generator:
-        """Reverse a half-done instance upgrade: flows back, retire the new."""
-        runtime = self.runtime
+        """Reverse a half-done instance upgrade: flows back, retire the new.
+
+        The replacement sits outside ``hash_members``, so once its flows are
+        back nothing routes to it and its drain is monotone; if it still
+        cannot finish, both instances stay (never roll forward, or back, on
+        an unconfirmed gate).
+        """
         step = self._step(record, f"rollback:{new_id}->{old_id}")
-        new = runtime.instances.get(new_id)
-        if new is not None:
-            keys = owned_scope_keys(runtime, vertex_name, new)
-            if keys:
-                yield from move_flows(
-                    runtime, vertex_name, list(keys), old_id, current_of=keys
-                )
-            splitter = runtime.splitter(vertex_name)
-            self._drop_home_overrides(splitter, old_id)
-            yield from self._drain_instance(new, self.sim.now + self.drain_budget_us)
-            runtime.retire_instance(new_id)
-            yield from runtime.notify_split_changed(vertex_name)
-        self._close(step, self.sim)
+        _moved, stuck = yield from evacuate(
+            self.runtime,
+            self.runtime.instances[new_id],
+            lambda _key: old_id,
+            deadline=self.sim.now + self.drain_budget_us,
+        )
+        self._close(step, self.sim, ok=not stuck, note=stuck or "")
+        return stuck
 
     # ------------------------------------------------------------------
     # operation: store-node replacement under traffic
@@ -440,15 +351,13 @@ class MaintenanceDirector:
         try:
             step = self._step(record, "drain")
             deadline = self.sim.now + self.drain_budget_us
+            # behind the pause gate nothing new is dispatched to the vertex,
+            # so an instance found idle stays idle until the splice
             for instance in runtime.instances_of(name):
-                drained = yield from self._drain_instance(instance, deadline)
-                if not drained:
+                if not (yield from quiesce(runtime, instance, deadline)):
                     raise OperationAborted(
                         f"{instance.instance_id}: drain budget exceeded"
                     )
-            # the drained instances' last emissions are on the wire to the
-            # downstream ring; let them land before the cutover
-            yield self.sim.timeout(runtime.params.hop_link_us)
             self._close(step, self.sim)
 
             step = self._step(record, "disown")
@@ -564,10 +473,10 @@ class MaintenanceDirector:
             return record
         self._close(step, self.sim, note=f"{len(applied)} params")
 
-        # settle gate: one poll interval under the new config, then verify
-        # every applier reads back the requested value
+        # settle gate: a moment under the new config, then verify every
+        # applier reads back the requested value
         step = self._step(record, "verify")
-        yield self.sim.timeout(self.drain_poll_us)
+        yield self.sim.timeout(RELOAD_SETTLE_US)
         stale = [key for key in changes if appliers[key][0]() != changes[key]]
         if stale:
             for key, old_value in reversed(applied):

@@ -9,23 +9,39 @@ Coverage in three layers:
 * **gates and rollback** — a drain gate that cannot pass must abort the
   operation and restore the pre-operation structure (flows back on the
   old instance, replacement retired, vertex still spliced in);
+* **first packets at the cutover** — flows nobody has seen before arrive
+  in the instants just before an instance leaves service (on the hop
+  link, on the wire, in a worker's hands across a blocking store call):
+  a sweep over both cutovers of a rolling upgrade, and a hypothesis
+  property over arrival schedules around ``handover.evacuate``;
 * **primitives** — the vertex-input pause gate, the goodput monitor's
   window accounting, the operations-specific invariant checkers, and the
   chaos director's ``newest`` crash selector used by overlay schedules.
 """
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.chaos.campaign import SinkCounterNF
 from repro.chaos.director import ChaosDirector
 from repro.chaos.invariants import (
+    check_exactly_once,
+    check_flow_ordering,
     check_no_downtime,
     check_operation_converged,
     snapshot_run,
 )
 from repro.chaos.schedule import CrashNF
+from repro.core.chain_runtime import ChainRuntime, RuntimeParams
+from repro.core.dag import LogicalChain
+from repro.core.handover import evacuate, move_flows, owned_scope_keys
+from repro.core.nf_api import NetworkFunction, Output
 from repro.ops import GoodputMonitor, MaintenanceDirector
 from repro.ops.campaign import (
     HORIZON_US,
+    N_PACKETS,
     OP_AT_US,
     SCENARIOS,
     ScrubNF,
@@ -36,13 +52,19 @@ from repro.ops.campaign import (
 )
 from repro.simnet.engine import Simulator
 from repro.simnet.monitor import RecoveryTimeline
+from repro.store.spec import AccessPattern, Scope, StateObjectSpec
+from repro.traffic.packet import FiveTuple, Packet
 
 _REFERENCES = {}
 
 
+def _egress_counts(runtime):
+    return Counter(packet.payload for _vertex, packet in runtime.egress._items)
+
+
 def _run(spec, seed, collect_runtime=None):
     """run_scenario with a per-config reference cache (keeps tests fast)."""
-    key = repr(sorted(spec.runtime_overrides.items()))
+    key = (spec.workload, repr(sorted(spec.runtime_overrides.items())))
     if key not in _REFERENCES:
         _REFERENCES[key] = _reference_run(seed, spec)
     return run_scenario(
@@ -150,8 +172,38 @@ class TestUpgradeAbort:
         assert list(runtime.splitter("entry").hash_members) == before
         assert all(i in runtime.instances for i in before)
         assert not any("u" in i.split("-", 1)[1] for i in runtime.instances)
-        # the chain kept running: rollback is not an outage
-        assert len(runtime.egress) > 0
+        # the chain kept running, and the rollback cost nothing: every
+        # packet left exactly once and every root log drained
+        assert sorted(_egress_counts(runtime).values()) == [1] * N_PACKETS
+        assert all(not root.log for root in runtime.roots)
+        assert sim.crashed == []
+
+    def test_rollback_acts_on_its_gate(self):
+        # the same stuck upgrade, but the replacement dies just before the
+        # rollback reaches it: the rollback's own gate cannot confirm, so
+        # the step closes failed and nothing is retired on its say-so (the
+        # old code ignored the verdict and retired regardless)
+        sim = Simulator()
+        runtime = build_runtime(sim, 4, proc_time_us=400.0)
+        director = MaintenanceDirector(runtime, drain_budget_us=60.0)
+        before = list(runtime.vertex_instances["entry"])
+
+        def plan():
+            yield sim.timeout(OP_AT_US)
+            yield from director.rolling_upgrade("entry")
+
+        sim.process(plan())
+        sim.schedule(OP_AT_US + 59.0, lambda: runtime.instances["entry-u1"].fail())
+        inject_workload(sim, runtime)
+        sim.run(until=HORIZON_US)
+
+        record = director.records[0]
+        assert record.status == "aborted"
+        rollback = record.steps[-1]
+        assert rollback.name == "rollback:entry-u1->entry-0"
+        assert not rollback.ok and rollback.note == "instance died"
+        assert runtime.vertex_instances["entry"] == before + ["entry-u1"]
+        assert sim.crashed == []
 
 
 class TestTopologyAborts:
@@ -210,6 +262,227 @@ class TestHotReload:
 
 
 # ----------------------------------------------------------------------
+# first packets at the cutover
+# ----------------------------------------------------------------------
+
+WARM_PACKETS, WARM_FLOWS, NEW_FLOWS = 40, 8, 6
+
+
+class ReadFirstNF(NetworkFunction):
+    """Entry NF that reads a shared, store-resident counter before it
+    touches per-flow state: every packet sits in its worker's hands for one
+    blocking store round trip — in no queue, on no ring, and (a flow's
+    first packet) owning nothing yet."""
+
+    name = "entry"
+
+    def state_specs(self):
+        return {
+            "hits": StateObjectSpec(
+                "hits", Scope.PER_FLOW, AccessPattern.READ_WRITE_OFTEN, initial_value=0
+            ),
+            "total": StateObjectSpec(
+                "total", Scope.CROSS_FLOW, AccessPattern.WRITE_MOSTLY, (), initial_value=0
+            ),
+        }
+
+    def process(self, packet, state):
+        yield from state.read("total", None)
+        yield from state.update("hits", packet.five_tuple.canonical().key(), "incr", 1)
+        yield from state.update("total", None, "incr", 1)
+        return [Output(packet)]
+
+
+def _read_first_runtime(sim, seed):
+    chain = LogicalChain("ops-read-first")
+    chain.add_vertex("entry", ReadFirstNF, parallelism=2, entry=True)
+    chain.add_vertex("exit", SinkCounterNF)
+    chain.add_edge("entry", "exit")
+    return ChainRuntime(sim, chain, params=RuntimeParams(seed=seed), n_store_instances=2)
+
+
+def _packet(flow, seq):
+    return Packet(
+        FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6), payload=f"f{flow}-{seq}"
+    )
+
+
+def _upgrade_under_first_packets(build, new_flows_at):
+    """``rolling_upgrade("entry")`` at OP_AT_US over a warm chain, with
+    NEW_FLOWS never-seen flows injected at one instant; returns the
+    instants an instance was retired and what went wrong (nothing)."""
+    sim = Simulator()
+    runtime = build(sim, 1)
+    director = MaintenanceDirector(runtime)
+    retired = []
+    retire = runtime.retire_instance
+    runtime.retire_instance = lambda iid: (retired.append(sim.now), retire(iid))[1]
+
+    def warm():
+        for index in range(WARM_PACKETS):
+            runtime.inject(_packet(index % WARM_FLOWS, index // WARM_FLOWS))
+            yield sim.timeout(3.0)
+
+    def plan():
+        yield sim.timeout(OP_AT_US)
+        yield from director.rolling_upgrade("entry")
+
+    sim.process(warm())
+    sim.process(plan())
+    expected = WARM_PACKETS
+    if new_flows_at is not None:
+        expected += NEW_FLOWS
+        # no two on one worker of one instance: each first packet is alone
+        # in its worker's hands, with nothing queued behind it to give it away
+        old = runtime.instances["entry-0"]
+        splitter = runtime.splitter("entry")
+        taken = set()
+        for flow in range(WARM_FLOWS, 64):
+            packet = _packet(flow, 0)
+            home = splitter.hash_home(splitter.key_of(packet))
+            slot = (home, old._shard_memo[packet.five_tuple])
+            if slot not in taken and len(taken) < NEW_FLOWS:
+                taken.add(slot)
+                sim.schedule(new_flows_at, runtime.inject, packet)
+        assert len(taken) == NEW_FLOWS
+    sim.run(until=20_000.0)
+
+    counts = _egress_counts(runtime)
+    problems = []
+    if sorted(counts.values()) != [1] * expected:
+        problems.append(f"{expected - len(counts)} of {expected} packets lost")
+    residue = sum(len(root.log) for root in runtime.roots)
+    if residue:
+        problems.append(f"{residue} root-log entries left")
+    if [r.status for r in director.records] != ["completed"]:
+        problems.append(f"operation {director.records[0].status}")
+    if sim.crashed:
+        problems.append(f"crashed: {sim.crashed}")
+    return retired, problems
+
+
+class TestFirstPacketsAtTheCutover:
+    """The window the 60-run ops campaign never opened: its source cycles
+    flows that all exist before OP_AT_US. The old instance stays the hash
+    home of every new flow until the cutover, so a first packet dispatched
+    to it just before is on the hop link, on the wire, or in a worker's
+    hands when the gate looks. At the parent of the PR that added
+    ``handover.evacuate`` both sweeps lose packets (operation `completed`,
+    no drop ledger entry): 30 of 72 instants and 75 of 80."""
+
+    @staticmethod
+    def _sweep(build, lead_us, step_us):
+        cutovers, problems = _upgrade_under_first_packets(build, None)
+        assert len(cutovers) == 2 and not problems, problems
+        failed = {}
+        for cutover in cutovers:
+            for index in range(int(lead_us / step_us)):
+                at = cutover - lead_us + index * step_us
+                _retired, problems = _upgrade_under_first_packets(build, at)
+                if problems:
+                    failed[round(at, 3)] = problems
+        return failed
+
+    def test_on_the_link_and_the_wire(self):
+        # the ops campaign's own chain; 9 us covers the hop link, the NIC
+        # serialisation and the service time before each cutover
+        assert self._sweep(build_runtime, lead_us=9.0, step_us=0.25) == {}
+
+    def test_in_a_worker_parked_on_a_store_read(self):
+        # the queue_depth blind spot: the cold read holds the packet for a
+        # store round trip (28 us) with every queue and ring empty
+        assert self._sweep(_read_first_runtime, lead_us=40.0, step_us=1.0) == {}
+
+    def test_retiring_an_instance_with_packets_in_flight_raises(self):
+        sim = Simulator()
+        runtime = build_runtime(sim, 1)
+        runtime.inject(_packet(0, 0))
+        sim.run(until=4.0)  # past the root, on the hop link to an entry instance
+        (busy,) = [i for i in runtime.instances_of("entry") if i.inbound]
+        with pytest.raises(RuntimeError, match="1 packet copies in flight"):
+            runtime.retire_instance(busy.instance_id)
+        assert busy.instance_id in runtime.instances  # refused, not half-done
+        sim.run(until=1_000.0)
+        assert busy.inbound == 0 and len(runtime.egress) == 1
+        runtime.retire_instance(busy.instance_id)
+
+
+OLD_FLOWS = 6
+#: (quarter-microseconds from 8 us before the evacuation starts, flow) —
+#: flows below OLD_FLOWS are warm and owned, the rest have never been seen.
+#: The first move lands ~30 us in; what is dispatched to the victim in the
+#: few microseconds before that is what a gate can miss.
+ARRIVALS = st.lists(
+    st.tuples(st.integers(0, 240), st.integers(0, OLD_FLOWS + 3)), max_size=10
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrivals=ARRIVALS, scale_in=st.booleans())
+def test_evacuate_under_any_arrival_schedule(arrivals, scale_in):
+    """Whatever arrives around an ``evacuate`` — packets of flows the victim
+    owns, first packets of flows it is still the hash home of — every
+    packet leaves exactly once and in per-flow order, and the victim has
+    nothing in flight in the instant it is retired."""
+    sim = Simulator()
+    runtime = build_runtime(sim, 1)
+    splitter = runtime.splitter("entry")
+    sent = Counter()
+    outcome, inbound_at_retirement = [], []
+    retire = runtime.retire_instance
+    runtime.retire_instance = lambda iid: (
+        inbound_at_retirement.append(runtime.instances[iid].inbound), retire(iid)
+    )[1]
+
+    def inject(flow):
+        sent[flow] += 1
+        runtime.inject(_packet(flow, sent[flow]))
+
+    def scenario():
+        for index in range(2 * OLD_FLOWS):
+            inject(index % OLD_FLOWS)
+            yield sim.timeout(3.0)
+        yield sim.timeout(60.0)  # warm traffic through, every flow owned
+        spare = runtime.add_instance("entry", "x").instance_id
+        if scale_in:
+            # scale-in: the victim sits outside hash_members, holding flows
+            # that were moved onto it
+            victim = runtime.instances[spare]
+            holders = {}
+            for instance in runtime.instances_of("entry"):
+                holders.update(owned_scope_keys(runtime, "entry", instance))
+            yield from move_flows(runtime, "entry", list(holders), spare, current_of=holders)
+            destination_of, replace_with = splitter.hash_home, None
+        else:
+            # upgrade: the victim holds a hash slot the spare takes over
+            victim = runtime.instances["entry-0"]
+            destination_of, replace_with = (lambda _key: spare), spare
+        for quarter_us, flow in arrivals:
+            sim.schedule(quarter_us / 4, inject, flow)
+        yield sim.timeout(8.0)
+        outcome.append(
+            (
+                yield from evacuate(
+                    runtime, victim, destination_of, sim.now + 5_000.0, replace_with
+                )
+            )
+        )
+        assert victim.instance_id not in runtime.instances
+
+    sim.process(scenario())
+    sim.run(until=10_000.0)
+
+    assert sim.crashed == []
+    assert len(outcome) == 1 and outcome[0][1] is None, outcome
+    assert inbound_at_retirement == [0]
+    egress = snapshot_run(runtime).egress
+    assert len(egress) == 2 * OLD_FLOWS + len(arrivals)
+    assert check_exactly_once(egress) == [] and check_flow_ordering(egress) == []
+    assert all(not root.log for root in runtime.roots)
+    assert check_operation_converged(runtime) == []
+
+
+# ----------------------------------------------------------------------
 # primitives
 # ----------------------------------------------------------------------
 
@@ -246,8 +519,6 @@ class TestPauseGate:
         sim.process(toggle())
         inject_workload(sim, runtime)
         sim.run(until=HORIZON_US)
-        from repro.ops.campaign import N_PACKETS
-
         assert len(runtime.egress) == N_PACKETS
         assert not runtime._paused_vertices
 

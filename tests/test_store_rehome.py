@@ -236,7 +236,7 @@ def test_scale_out_gate_waits_for_a_queued_bulk_owner_move():
     runtime = build_runtime(sim, 0)
     hot = runtime.store.instance_named("store0")
     assert runtime.store.vertices_assigned_to("store0") == ["entry", "exit"]
-    controller = AutoscaleController(runtime, drain_poll_us=20.0)
+    controller = AutoscaleController(runtime)
     hot.stats.overload_rejections = 1  # the node the controller will split
     caller = RpcEndpoint(sim, runtime.network, "probe")
     moved_key = "exit\x1fflow\x1f1"
