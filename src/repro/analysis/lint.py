@@ -39,16 +39,21 @@ CHC006 Speculative NF (``repro/nfs/``, ``speculative = True``) writing
        journal is dropped, but a field written on the packet would
        survive into the second run and downstream. Copy first
        (``out = packet.copy()``), as the NAT and the load balancer do.
-CHC007 Splitter membership / instance retirement mutated outside the
-       modules that own them: assigning to or calling mutating methods
-       on ``.hash_members``, or calling ``.retire_instance(...)``,
-       anywhere but the splitter itself, the chain runtime, recovery and
-       ``core/handover.py``. ``hash_members`` is a *stable* list —
-       poking it mid-traffic silently remaps flow partitions without a
-       Figure-4 handover (state loss) — and an instance leaves service
-       through ``handover.evacuate`` (the autoscaler and the maintenance
-       director call it like anyone else): a hand-written drain strands
-       owned state or the packet its probe could not see.
+CHC007 Instance membership written outside ``core/chain_runtime.py``
+       (and the splitter it drives): assigning to, through, or calling a
+       mutating method on ``.hash_members`` / ``.vertex_instances``, or
+       calling a splitter's ``add_instance`` / ``remove_instance`` /
+       ``replace_instance``. Which instances exist and where their
+       traffic goes is eight containers with one postcondition
+       (DESIGN.md "Instance membership"); ``ChainRuntime.add_instance``
+       / ``.replace_instance`` / ``.retire_instance`` are the only
+       writers, and every hand-edited subset has left a corpse or a
+       doubled slot behind. Also ``.retire_instance(...)`` called
+       anywhere but ``core/handover.py`` and ``core/cloning.py``: a live
+       instance leaves service through ``handover.evacuate`` (the
+       autoscaler and the maintenance director call it like anyone
+       else) — a hand-written drain strands owned state or the packet
+       its probe could not see.
 CHC008 ``import socket`` / ``import pickle`` anywhere but
        ``repro/dist/transport.py``. The transport module is the single
        place raw sockets and wire encoding live: it frames messages,
@@ -120,7 +125,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC004": "id(obj) used as a persisted key",
     "CHC005": "NF state write bypassing the store API",
     "CHC006": "speculative NF writing to its input packet",
-    "CHC007": "splitter membership or retirement mutated outside splitter/runtime/handover",
+    "CHC007": "instance membership written outside chain_runtime, or a hand-rolled retirement",
     "CHC008": "raw socket/pickle import outside repro.dist.transport",
     "CHC009": "CampaignPool constructed outside the shared campaign runner",
     "CHC010": "DatastoreInstance private state mutated outside repro.store",
@@ -140,15 +145,15 @@ WALL_CLOCK_EXEMPT_PARTS = ("tools", "benchmarks", "bench", "parallel", "dist")
 #: (CHC008): raw sockets and ambient-authority serialization.
 RAW_TRANSPORT_MODULES = ("socket", "pickle")
 
-#: Modules sanctioned to mutate splitter membership / retire instances
-#: (CHC007 exempt): the splitter's own implementation, the chain runtime,
-#: recovery, and the one drain-then-retire primitive (``handover.evacuate``).
-MEMBERSHIP_EXEMPT_FILES = {
-    "splitter.py",
-    "chain_runtime.py",
-    "recovery.py",
-    "handover.py",
-}
+#: The writers of instance membership (CHC007 exempt): the chain runtime
+#: and the splitter whose lists it drives.
+MEMBERSHIP_EXEMPT_FILES = {"splitter.py", "chain_runtime.py"}
+#: Who else may call ``ChainRuntime.retire_instance``: the drain-then-retire
+#: primitive (``handover.evacuate``) and §5.3's retain, which kills first.
+RETIREMENT_CALLERS = {"handover.py", "cloning.py"}
+#: The membership lists CHC007 guards, and a splitter's own writers.
+MEMBERSHIP_ATTRS = {"hash_members", "vertex_instances"}
+SPLITTER_MEMBERSHIP_METHODS = {"add_instance", "remove_instance", "replace_instance"}
 
 #: ``DatastoreInstance`` private containers (CHC010): mutable only from
 #: ``repro/store/`` — everyone else goes through ``repro.store.rehome``.
@@ -161,8 +166,8 @@ STORE_MUTATORS = {"add", "discard", "remove", "pop", "popitem", "clear", "update
 #: The simulator's two scheduling queues (CHC011): private to the engine.
 ENGINE_PRIVATE_ATTRS = {"_heap", "_micro"}
 
-#: List-mutating method names: calling any of these on ``.hash_members``
-#: rewrites the stable hash partition in place.
+#: Mutating method names: calling any of these on (an item of) a
+#: membership container rewrites it in place.
 MUTATING_LIST_METHODS = {
     "append",
     "extend",
@@ -173,6 +178,8 @@ MUTATING_LIST_METHODS = {
     "sort",
     "reverse",
     "__setitem__",
+    "update",
+    "setdefault",
 }
 
 WALL_CLOCK_TIME_ATTRS = {
@@ -291,6 +298,29 @@ def _store_private(node: ast.AST) -> bool:
         and node.attr in STORE_PRIVATE_ATTRS
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     )
+
+
+def _membership_attr(node: ast.AST) -> Optional[str]:
+    """``x.hash_members`` / ``x.vertex_instances[v]`` -> the attribute name."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and node.attr in MEMBERSHIP_ATTRS:
+        return node.attr
+    return None
+
+
+def _is_splitter(node: ast.AST) -> bool:
+    """Receiver heuristic: ``splitter`` / ``rt.splitter(v)`` / ``rt.splitters[v]``."""
+    while isinstance(node, (ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return "splitter" in name.lower()
+
+
+_MEMBERSHIP_ADVICE = (
+    "membership has one writer: ChainRuntime.add_instance / "
+    ".replace_instance / .retire_instance (DESIGN.md \"Instance membership\")"
+)
 
 
 def _is_id_call(node: ast.AST) -> bool:
@@ -531,21 +561,32 @@ class _Checker(ast.NodeVisitor):
                 f".{func.attr}(id(...)) persists an object id as a key; ids are "
                 "reused after GC — key on a monotonic id field instead",
             )
-        # CHC007: .hash_members.<mutator>(...) and .retire_instance(...)
+        # CHC007: membership mutators, splitter joins/exits, .retire_instance(...)
+        if isinstance(func, ast.Attribute) and func.attr in MUTATING_LIST_METHODS:
+            attr = _membership_attr(func.value)
+            if attr is not None:
+                self.report(
+                    node,
+                    "CHC007",
+                    f".{attr}.{func.attr}(...) edits instance membership in "
+                    f"place — {_MEMBERSHIP_ADVICE}",
+                )
         if (
             isinstance(func, ast.Attribute)
-            and func.attr in MUTATING_LIST_METHODS
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr == "hash_members"
+            and func.attr in SPLITTER_MEMBERSHIP_METHODS
+            and _is_splitter(func.value)
         ):
             self.report(
                 node,
                 "CHC007",
-                f".hash_members.{func.attr}(...) rewrites the stable hash "
-                "partition in place — membership changes must go through "
-                "Splitter.replace_instance / handover.evacuate",
+                f"Splitter.{func.attr}(...) called directly edits half the "
+                f"books — {_MEMBERSHIP_ADVICE}",
             )
-        if isinstance(func, ast.Attribute) and func.attr == "retire_instance":
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "retire_instance"
+            and self.path.name not in RETIREMENT_CALLERS
+        ):
             self.report(
                 node,
                 "CHC007",
@@ -726,23 +767,18 @@ class _Checker(ast.NodeVisitor):
                         return node
         return None
 
-    def _check_chc007_assign(self, targets: Iterable[ast.AST], node: ast.AST) -> None:
+    def _check_chc007_assign(
+        self, targets: Iterable[ast.AST], node: ast.AST, verb: str = "assignment to"
+    ) -> None:
         if "CHC007" in self.disabled:
             return
         for target in targets:
-            is_direct = isinstance(target, ast.Attribute) and target.attr == "hash_members"
-            is_item = (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "hash_members"
-            )
-            if is_direct or is_item:
+            attr = _membership_attr(target)
+            if attr is not None:
                 self.report(
                     node,
                     "CHC007",
-                    "assignment to .hash_members rewrites the stable hash "
-                    "partition — membership changes must go through "
-                    "Splitter.replace_instance / handover.evacuate",
+                    f"{verb} .{attr} rewrites instance membership — {_MEMBERSHIP_ADVICE}",
                 )
 
     def _check_chc010(self, node: ast.AST, mutates: bool) -> None:
@@ -757,17 +793,7 @@ class _Checker(ast.NodeVisitor):
 
     def visit_Delete(self, node: ast.Delete) -> None:
         self._check_chc010(node, any(map(_store_private, node.targets)))
-        if "CHC007" not in self.disabled:
-            for target in node.targets:
-                inner = target.value if isinstance(target, ast.Subscript) else target
-                if isinstance(inner, ast.Attribute) and inner.attr == "hash_members":
-                    self.report(
-                        node,
-                        "CHC007",
-                        "del on .hash_members rewrites the stable hash "
-                        "partition — membership changes must go through "
-                        "Splitter.replace_instance / handover.evacuate",
-                    )
+        self._check_chc007_assign(node.targets, node, "del on")
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:

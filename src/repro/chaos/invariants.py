@@ -18,6 +18,10 @@ list of :class:`InvariantViolation` (empty = the guarantee held):
 * **no stranded ownership**: every per-flow key's owner recorded at a
   store names an alive, registered NF instance — failovers and handovers
   must never leave state owned by the dead.
+* **one set of books** (DESIGN.md "Instance membership"): the eight
+  containers that say which instances exist and where their traffic goes
+  agree with each other — a protocol that hand-edits a subset of them
+  leaves a corpse or a doubled slot for the next operation to trip over.
 * **flush give-ups / recovery failures**: bounded retransmission means a
   client can abandon a flush; on an otherwise-healed network that signals
   lost state, so surviving clients must end with zero give-ups, and every
@@ -245,6 +249,62 @@ def check_ownership(runtime) -> List[InvariantViolation]:
     return violations
 
 
+def check_membership(runtime, supervisor=None) -> List[InvariantViolation]:
+    """The membership containers agree (DESIGN.md "Instance membership").
+
+    Per vertex, ``vertex_instances`` lists each instance once and names the
+    same set as ``Splitter.instances``; every hash slot, override target and
+    ``replicate`` endpoint is a member; ``instances``, ``nics`` and
+    ``filters`` hold exactly the listed ids; and a listed instance is alive —
+    unless its own recovery is what ``supervisor`` has queued or running.
+    """
+    violations: List[InvariantViolation] = []
+
+    def _bad(detail: str) -> None:
+        violations.append(InvariantViolation("membership", detail))
+
+    listed: set = set()
+    if set(runtime.vertex_instances) != set(runtime.splitters):
+        _bad(
+            f"vertices with an instance list {sorted(runtime.vertex_instances)} != "
+            f"vertices with a splitter {sorted(runtime.splitters)}"
+        )
+    for vertex, splitter in sorted(runtime.splitters.items()):
+        members = runtime.vertex_instances.get(vertex, [])
+        listed.update(members)
+        if len(set(members)) != len(members):
+            _bad(f"{vertex!r}: vertex_instances lists an instance twice: {members}")
+        if len(set(splitter.instances)) != len(splitter.instances):
+            _bad(f"{vertex!r}: splitter lists an instance twice: {splitter.instances}")
+        if set(members) != set(splitter.instances):
+            _bad(
+                f"{vertex!r}: vertex_instances {members} != splitter.instances "
+                f"{splitter.instances}"
+            )
+        routed = {
+            "hash_members": splitter.hash_members,
+            "overrides": splitter.overrides.values(),
+            "replicate": [*splitter.replicate, *splitter.replicate.values()],
+        }
+        for container, names in routed.items():
+            strangers = sorted(set(names) - set(members))
+            if strangers:
+                _bad(f"{vertex!r}: {container} names non-members {strangers}")
+    for container in ("instances", "nics", "filters"):
+        keys = set(getattr(runtime, container))
+        if keys != listed:
+            _bad(
+                f"runtime.{container} != vertex_instances: only in "
+                f"{container} {sorted(keys - listed)}, only listed "
+                f"{sorted(listed - keys)}"
+            )
+    recovering = [] if supervisor is None else supervisor.recovering()
+    for instance_id, instance in sorted(runtime.instances.items()):
+        if not instance.alive and instance not in recovering:
+            _bad(f"{instance_id!r} is dead and still a member")
+    return violations
+
+
 def check_log_drained(runtime) -> List[InvariantViolation]:
     """Every root's packet log is empty once traffic quiesced.
 
@@ -363,38 +423,19 @@ def check_operation_converged(runtime) -> List[InvariantViolation]:
 
     Planned operations (rolling upgrade, store replacement, topology
     splice, hot reload — ``repro.ops``) move through transitional states:
-    paused vertices, in-flight handovers, splitters naming both old and new
-    instances, a lame-duck store beside its successor. This checker asserts
-    the run *ended* convergent — every name the routing layer can emit
-    resolves to an alive component and no transition is still half-taken.
+    paused vertices, in-flight handovers, a lame-duck store beside its
+    successor. This checker asserts the run *ended* convergent — every store
+    name the routing layer can emit resolves to an alive component and no
+    transition is still half-taken (instances: :func:`check_membership`).
     """
     violations: List[InvariantViolation] = []
 
     def _bad(detail: str) -> None:
         violations.append(InvariantViolation("operation-converged", detail))
 
-    for vertex, splitter in sorted(runtime.splitters.items()):
+    for vertex in sorted(set(runtime.splitters) | set(runtime.vertex_instances)):
         if vertex not in runtime.chain.vertices:
-            _bad(f"splitter for {vertex!r} outlives its removed vertex")
-        named = (
-            set(splitter.instances)
-            | set(splitter.hash_members)
-            | set(splitter.overrides.values())
-        )
-        for instance_id in sorted(named):
-            instance = runtime.instances.get(instance_id)
-            if instance is None or not instance.alive:
-                _bad(
-                    f"splitter {vertex!r} routes to "
-                    f"{'unknown' if instance is None else 'dead'} instance "
-                    f"{instance_id!r}"
-                )
-    for vertex, instance_ids in sorted(runtime.vertex_instances.items()):
-        if vertex not in runtime.chain.vertices:
-            _bad(f"instance list for {vertex!r} outlives its removed vertex")
-        for instance_id in instance_ids:
-            if instance_id not in runtime.instances:
-                _bad(f"{vertex!r} lists unregistered instance {instance_id!r}")
+            _bad(f"splitter / instance list for {vertex!r} outlives its removed vertex")
     if runtime._paused_vertices:
         _bad(f"vertices still input-paused: {sorted(runtime._paused_vertices)}")
     stuck_moves = {}
@@ -482,6 +523,7 @@ def check_invariants(
     violations += check_exactly_once(snapshot.egress)
     violations += check_flow_ordering(snapshot.egress)
     violations += check_ownership(runtime)
+    violations += check_membership(runtime, supervisor)
     violations += check_no_gaveups(runtime)
     if reference is not None:
         violations += check_loss_free_state(

@@ -36,6 +36,7 @@ from repro.chaos.invariants import (
     check_flow_ordering,
     check_log_drained,
     check_no_gaveups,
+    check_membership,
     check_ownership,
     check_sheds_accounted,
     egress_records,
@@ -327,6 +328,7 @@ def check_overload_invariants(
     violations += check_exactly_once(egress)
     violations += check_flow_ordering(egress)
     violations += check_ownership(runtime)
+    violations += check_membership(runtime)
     violations += check_log_drained(runtime)
     violations += check_no_gaveups(runtime)
     return violations

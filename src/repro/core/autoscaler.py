@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.handover import evacuate, move_flows, owned_scope_keys
+from repro.core.handover import evacuate, move_flows, routed_scope_keys
 from repro.store.datastore import DatastoreInstance
 from repro.store.rehome import Rehoming
 
@@ -145,7 +145,8 @@ class AutoscaleController:
         load: Dict[str, int] = {}
         for instance in self._alive_instances(vertex_name):
             load[instance.instance_id] = instance.queue_depth
-            holders.update(owned_scope_keys(self.runtime, vertex_name, instance))
+            for scope_key in routed_scope_keys(self.runtime, vertex_name, instance):
+                holders[scope_key] = instance.instance_id
         return holders, load
 
     def _scale_out(self, vertex_name: str) -> Generator:
@@ -166,13 +167,11 @@ class AutoscaleController:
                     holders.items(),
                     key=lambda kv: (-load.get(kv[1], 0), kv[0]),
                 )[:share]
-                chosen = dict(ranked)
                 result = yield from move_flows(
                     self.runtime,
                     vertex_name,
-                    list(chosen),
+                    [scope_key for scope_key, _holder in ranked],
                     new.instance_id,
-                    current_of=chosen,
                 )
                 action.keys_moved = result.n_keys
             yield from self.runtime.notify_split_changed(vertex_name)

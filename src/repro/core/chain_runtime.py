@@ -141,7 +141,6 @@ class RuntimeParams:
     # Bounded instance queues: total backlog bound per NF instance (None =
     # unbounded, the seed's behaviour) and the policy applied when full.
     instance_queue_capacity: Optional[int] = None
-    worker_queue_capacity: Optional[int] = None  # BLOCK: per-worker bound
     overload_policy: str = "block"  # "block" | "drop" | "shed"
     # Finite NIC rings: tail drops are folded into the Network drop ledger
     # and reported to the root so shed packets are never silent loss.
@@ -304,7 +303,6 @@ class ChainRuntime:
         suffix: str,
         start_buffering: bool = False,
         extra_delay=None,
-        join_splitter: bool = True,
     ) -> NFInstance:
         """Create one instance of a vertex (initial build, scale-up, clone,
         or failover all come through here)."""
@@ -351,7 +349,6 @@ class ChainRuntime:
             extra_delay=extra_delay,
             start_buffering=start_buffering,
             queue_capacity=self.params.instance_queue_capacity,
-            worker_capacity=self.params.worker_queue_capacity,
             overload_policy=self.params.overload_policy,
             fastpath_enabled=(
                 self.params.fastpath_enabled and not self.params.wait_for_acks
@@ -381,8 +378,7 @@ class ChainRuntime:
         )
         for root in getattr(self, "roots", []):
             self.network.connect(root.name, instance_id, Link(self.params.root_link_us))
-        if join_splitter:
-            self.splitters[vertex_name].add_instance(instance_id)
+        self.splitters[vertex_name].add_instance(instance_id)
         self._apply_exclusivity([instance])
         return instance
 
@@ -397,25 +393,43 @@ class ChainRuntime:
                 instance.client._exclusive[obj_name] = splitter.grants_exclusive(spec)
 
     def retire_instance(self, instance_id: str) -> NFInstance:
-        """Remove a drained instance (``handover.evacuate``, vertex removal).
+        """Remove an instance that has no successor (``handover.evacuate``,
+        vertex removal, the clone a §5.3 mitigation did not keep).
 
-        Unlike :meth:`NFInstance.fail` this is an *orderly* retirement —
-        the supervisor will not treat it as a crash — so it refuses an
+        Unlike :meth:`NFInstance.fail` this is an *orderly* exit — the
+        supervisor will not treat it as a crash — so it refuses a live
         instance that still has packet copies dispatched to it: they would
         be handed to a closed port or die with its workers, in no ledger.
+        A dead one has nothing left to lose (``_deliver`` keeps counting
+        copies toward a corpse) and is never refused.
         """
-        instance = self.instances.get(instance_id)
-        if instance is None:
-            raise KeyError(f"unknown instance {instance_id!r}")
-        if instance.inbound:
+        return self._leave(instance_id)
+
+    def replace_instance(self, old_id: str, new_id: str) -> NFInstance:
+        """Retire ``old_id`` with ``new_id`` as its successor (failover,
+        upgrade cutover, a kept clone): it takes the hash slot — no flow
+        remaps — the overrides and the place in ``vertex_instances``, and
+        its caching rights are derived from the split it now holds."""
+        return self._leave(old_id, new_id)
+
+    def _leave(self, instance_id: str, successor_id: Optional[str] = None) -> NFInstance:
+        """Both exits (DESIGN.md §8 "Instance membership")."""
+        instance = self.instances[instance_id]
+        if instance.alive and instance.inbound:
             raise RuntimeError(
                 f"{instance_id}: retired with {instance.inbound} packet copies in flight"
             )
+        members = self.vertex_instances[instance.vertex_name]
+        splitter = self.splitters[instance.vertex_name]
+        if successor_id is None:
+            members.remove(instance_id)
+            splitter.remove_instance(instance_id)
+        else:
+            members.remove(successor_id)
+            members[members.index(instance_id)] = successor_id
+            splitter.replace_instance(instance_id, successor_id)
+            self._apply_exclusivity([self.instances[successor_id]])
         del self.instances[instance_id]
-        self.vertex_instances[instance.vertex_name] = [
-            i for i in self.vertex_instances[instance.vertex_name] if i != instance_id
-        ]
-        self.splitters[instance.vertex_name].remove_instance(instance_id)
         self.nics.pop(instance_id).fail()
         del self.filters[instance_id]
         instance.fail()
@@ -535,8 +549,7 @@ class ChainRuntime:
         self.chain.edges.remove(out_edges[0])
         del self.chain.vertices[name]
         for instance_id in list(self.vertex_instances.get(name, ())):
-            if instance_id in self.instances:
-                self.retire_instance(instance_id)
+            self.retire_instance(instance_id)
         self.vertex_instances.pop(name, None)
         self.splitters.pop(name, None)
         manager = self.managers.pop(name, None)
@@ -550,11 +563,7 @@ class ChainRuntime:
         return self.instances[instance_id]
 
     def instances_of(self, vertex_name: str) -> List[NFInstance]:
-        return [
-            self.instances[i]
-            for i in self.vertex_instances[vertex_name]
-            if i in self.instances
-        ]
+        return [self.instances[i] for i in self.vertex_instances[vertex_name]]
 
     def splitter(self, vertex_name: str) -> Splitter:
         return self.splitters[vertex_name]

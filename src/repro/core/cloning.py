@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.core.recovery import replay_all_roots
-from repro.store.keys import StateKey
+from repro.core.recovery import metadata_call, replay_all_roots
 from repro.store.protocol import CloneRegistration, TakeoverRequest
 
 
@@ -50,10 +49,6 @@ class CloneController:
         self.runtime = runtime
         self.sessions = []
 
-    def _store_endpoint_for(self, vertex: str) -> str:
-        probe_key = StateKey(vertex, "_").storage_key()
-        return self.runtime.store.endpoint_for_key(probe_key)
-
     def mitigate(self, straggler_id: str, clone_suffix: Optional[str] = None) -> Generator:
         """Launch a clone for ``straggler_id`` (process body; returns the
         :class:`CloneSession` once replay has been issued)."""
@@ -74,9 +69,8 @@ class CloneController:
         # message; the clone reads actual values lazily from the store —
         # "CHC initializes the clone with the straggler's latest state from
         # the datastore").
-        yield clone.client.endpoint.call_event(
-            self._store_endpoint_for(vertex),
-            CloneRegistration(original=straggler_id, clone=clone.instance_id),
+        yield from metadata_call(
+            runtime, clone, CloneRegistration(original=straggler_id, clone=clone.instance_id)
         )
 
         # Replicate incoming traffic to straggler + clone from now on; the
@@ -84,10 +78,7 @@ class CloneController:
         runtime.splitter(vertex).replicate[straggler_id] = clone.instance_id
 
         # Replay all logged packets from the root(s), targeted at the clone.
-        replayed = yield from replay_all_roots(runtime, clone.instance_id)
-        session.replayed = len(replayed)
-        if not replayed:
-            clone.stop_buffering()
+        session.replayed = yield from replay_all_roots(runtime, clone)
         return session
 
     def retain(self, session: CloneSession, keep: str) -> Generator:
@@ -101,33 +92,31 @@ class CloneController:
         co-owner throughout, so no update is ever rejected meanwhile.
         """
         runtime = self.runtime
-        splitter = runtime.splitter(session.vertex)
-        store = self._store_endpoint_for(session.vertex)
         clone = runtime.instance(session.clone_id)
         straggler = runtime.instance(session.straggler_id)
 
         if keep == "clone":
-            # 1. atomic switchover: clone takes the routing slot, the
-            #    straggler stops receiving and dies. Packets already
-            #    delivered while replication was on have live clone copies.
-            splitter.replicate.pop(session.straggler_id, None)
-            splitter.replace_instance(session.straggler_id, session.clone_id)
+            # 1. atomic switchover: the straggler dies and the clone takes
+            #    its routing slot. Packets already delivered while
+            #    replication was on have live clone copies.
             straggler.fail()
+            runtime.replace_instance(session.straggler_id, session.clone_id)
             session.resolved = session.clone_id
             # 2. ownership moves wholesale to the clone (background RTT).
-            yield clone.client.endpoint.call_event(
-                store,
+            yield from metadata_call(
+                runtime,
+                clone,
                 TakeoverRequest(
                     old_instance=session.straggler_id, new_instance=session.clone_id
                 ),
             )
         else:
-            splitter.replicate.pop(session.straggler_id, None)
-            splitter.remove_instance(session.clone_id)
             clone.fail()
+            runtime.retire_instance(session.clone_id)
             session.resolved = session.straggler_id
-            yield straggler.client.endpoint.call_event(
-                store,
+            yield from metadata_call(
+                runtime,
+                straggler,
                 CloneRegistration(
                     original=session.straggler_id,
                     clone=session.clone_id,

@@ -25,7 +25,7 @@ until it is :func:`quiesce`-d, and retire it in the instant that is true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Iterable, Optional, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 
 @dataclass
@@ -45,10 +45,8 @@ class MoveResult:
 
 
 def owned_scope_keys(runtime, vertex_name: str, instance) -> Dict[Tuple, str]:
-    """Scope keys ``instance`` holds per-flow state for, mapped to its id.
-
-    The ``current_of`` map :func:`move_flows` takes to move them all away.
-    """
+    """Scope keys ``instance``'s client records as owned, mapped to its id
+    (the ``current_of`` map :func:`move_flows` takes after a refinement)."""
     fields = runtime.splitter(vertex_name).partition_fields
     owned: Dict[Tuple, str] = {}
     for _sk, (_obj, flow_key) in instance.client.owned_items().items():
@@ -56,6 +54,20 @@ def owned_scope_keys(runtime, vertex_name: str, instance) -> Dict[Tuple, str]:
         if scope_key is not None:
             owned[scope_key] = instance.instance_id
     return owned
+
+
+def routed_scope_keys(runtime, vertex_name: str, instance) -> List[Tuple]:
+    """The owned scope keys that also route to ``instance``: what it holds.
+
+    A client's record is optimistic — a claim the store rejected (a failover
+    replacement is replayed every logged packet, its siblings' flows
+    included) is never un-recorded — and a move on its word takes a key's
+    routing from the instance that does own it. Only a scope refinement,
+    which has just changed what routing says, reads the raw record.
+    """
+    route = runtime.splitter(vertex_name).current_instance_for
+    owned = owned_scope_keys(runtime, vertex_name, instance)
+    return [key for key in owned if route(key) == instance.instance_id]
 
 
 def move_flows(
@@ -147,35 +159,33 @@ def evacuate(
     :func:`quiesce` } until it is idle and owns nothing — a flow whose first
     packet was in flight when a round began claims ownership mid-drain and
     is moved by the next. In that same instant (no ``yield``, so no copy
-    can be dispatched to a port about to close) ``replace_with`` takes its
-    hash slot if given and it is retired; caching exclusivity is re-derived
-    after. Returns ``(keys moved, None)``, or — nothing retired — the
-    reason as second item: a missed ``deadline`` or a dead ``instance``.
+    can be dispatched to a port about to close) it leaves the runtime's
+    membership, ``replace_with`` succeeding it if given; the survivors'
+    caching exclusivity is re-derived after. Returns ``(keys moved,
+    None)``, or — nothing retired — the reason as second item: a missed
+    ``deadline`` or a dead ``instance`` (a corpse still "owns" keys, and a
+    Figure-4 move its side could never answer would strand the flow).
     """
     vertex_name = instance.vertex_name
     splitter = runtime.splitter(vertex_name)
     moved = 0
-    while True:
-        by_destination: Dict[str, Dict[Tuple, str]] = {}
-        for scope_key, holder in owned_scope_keys(runtime, vertex_name, instance).items():
-            by_destination.setdefault(destination_of(scope_key), {})[scope_key] = holder
+    while instance.alive:
+        by_destination: Dict[str, List[Tuple]] = {}
+        for scope_key in routed_scope_keys(runtime, vertex_name, instance):
+            by_destination.setdefault(destination_of(scope_key), []).append(scope_key)
         for destination, keys in sorted(by_destination.items()):
-            result = yield from move_flows(
-                runtime, vertex_name, list(keys), destination, current_of=keys
-            )
+            result = yield from move_flows(runtime, vertex_name, keys, destination)
             moved += result.n_keys
         splitter.drop_home_overrides()
         idle = yield from quiesce(runtime, instance, deadline)
-        if idle and not owned_scope_keys(runtime, vertex_name, instance):
-            break
-        if not instance.alive:
-            return moved, "instance died"
-        if runtime.sim.now >= deadline:
+        if idle and not routed_scope_keys(runtime, vertex_name, instance):
+            if replace_with is None:
+                runtime.retire_instance(instance.instance_id)
+            else:
+                runtime.replace_instance(instance.instance_id, replace_with)
+                splitter.drop_home_overrides()
+            yield from runtime.notify_split_changed(vertex_name)
+            return moved, None
+        if instance.alive and runtime.sim.now >= deadline:
             return moved, "ownership never quiesced" if idle else "drain budget exceeded"
-    if replace_with is not None:
-        # same slot in hash_members, so the hash partition is unchanged
-        splitter.replace_instance(instance.instance_id, replace_with)
-        splitter.drop_home_overrides()
-    runtime.retire_instance(instance.instance_id)
-    yield from runtime.notify_split_changed(vertex_name)
-    return moved, None
+    return moved, "instance died"

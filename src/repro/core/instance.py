@@ -112,7 +112,6 @@ class NFInstance:
         extra_delay: Optional[Callable[[], float]] = None,
         start_buffering: bool = False,
         queue_capacity: Optional[int] = None,
-        worker_capacity: Optional[int] = None,
         overload_policy: str = POLICY_BLOCK,
         fastpath_enabled: bool = False,
         fastpath_batch: int = 16,
@@ -139,12 +138,9 @@ class NFInstance:
         # input). DROP/SHED leave channels unbounded and enforce the bound
         # on total depth at enqueue, where the shed decision is made.
         input_capacity = queue_capacity if overload_policy == POLICY_BLOCK else None
-        if overload_policy == POLICY_BLOCK and queue_capacity is not None:
-            if worker_capacity is None:
-                worker_capacity = max(1, queue_capacity // n_workers)
-        else:
-            worker_capacity = None
-        self.worker_capacity = worker_capacity
+        self.worker_capacity = (
+            None if input_capacity is None else max(1, queue_capacity // n_workers)
+        )
 
         self.input = Channel(
             sim, name=f"{instance_id}-input", capacity=input_capacity
@@ -189,7 +185,7 @@ class NFInstance:
             self._fastpath = install_fastpath(self, fastpath_batch)
 
         self._worker_queues = [
-            Channel(sim, name=f"{instance_id}-w{i}", capacity=worker_capacity)
+            Channel(sim, name=f"{instance_id}-w{i}", capacity=self.worker_capacity)
             for i in range(n_workers)
         ]
         worker_body = (

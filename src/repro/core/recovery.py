@@ -20,7 +20,7 @@ network" (Theorem B.3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from repro.core.clock import LogicalClock
 from repro.core.root import Root
@@ -47,21 +47,35 @@ def _recovery_call(runtime, endpoint: RpcEndpoint, dst, payload) -> Generator:
     return result
 
 
-def replay_all_roots(runtime, target_instance: str) -> Generator:
-    """Replay every root's packet log at ``target_instance`` (§5.3, §5.4).
+def metadata_call(runtime, instance, payload) -> Generator:
+    """One bulk ownership-metadata update (takeover, clone registration)
+    sent by ``instance`` to the store node holding its vertex's state,
+    retransmitted like every recovery RPC."""
+    state_key = StateKey(instance.vertex_name, "_").storage_key()
+    result = yield from _recovery_call(
+        runtime, instance.client.endpoint, lambda: runtime.store.endpoint_for_key(state_key), payload
+    )
+    return result
+
+
+def replay_all_roots(runtime, target) -> Generator:
+    """Replay every root's packet log at the buffering instance ``target``
+    (§5.3, §5.4). Returns how many packets were replayed.
 
     With multiple roots, each holds the log for its traffic share; the
     replay-end marker rides the last root that has anything to replay, so
     the target's live-traffic buffer is released only after every replayed
-    packet has been processed. Returns the list of replayed clocks.
+    packet has been processed — or here, when there was nothing to replay.
     """
     roots_with_logs = [root for root in runtime.roots if root.log]
-    replayed: List[int] = []
-    for index, root in enumerate(roots_with_logs):
-        is_last = index == len(roots_with_logs) - 1
-        replayed += yield from root.replay(
-            target_instance, mark_end=is_last, prior_replayed=len(replayed)
+    replayed = 0
+    for root in roots_with_logs:
+        clocks = yield from root.replay(
+            target.instance_id, mark_end=root is roots_with_logs[-1], prior_replayed=replayed
         )
+        replayed += len(clocks)
+    if not replayed:
+        target.stop_buffering()
     return replayed
 
 
@@ -94,39 +108,28 @@ def fail_over_nf(runtime, failed_id: str, suffix: Optional[str] = None) -> Gener
     vertex = failed.vertex_name
     suffix = suffix or f"{failed_id.split('-', 1)[1]}r"
 
-    replacement = runtime.add_instance(
-        vertex, suffix, start_buffering=True, join_splitter=False
-    )
+    replacement = runtime.add_instance(vertex, suffix, start_buffering=True)
 
     # 1. Associate the failover instance's ID with the failed instance's
     #    state (bulk metadata update at the vertex's store instance).
-    state_key = StateKey(vertex, "_").storage_key()
-    taken = yield from _recovery_call(
+    taken = yield from metadata_call(
         runtime,
-        replacement.client.endpoint,
-        lambda: runtime.store.endpoint_for_key(state_key),
+        replacement,
         TakeoverRequest(old_instance=failed_id, new_instance=replacement.instance_id),
     )
 
     # 2. Take over routing: same hash slot, so no flows remap.
-    runtime.splitter(vertex).replace_instance(failed_id, replacement.instance_id)
-    runtime.splitter(vertex).add_instance(replacement.instance_id)
-    runtime.vertex_instances[vertex] = [
-        replacement.instance_id if i == failed_id else i
-        for i in runtime.vertex_instances[vertex]
-    ]
+    runtime.replace_instance(failed_id, replacement.instance_id)
 
     # 3. Replay logged packets through the chain at the replacement.
-    replayed = yield from replay_all_roots(runtime, replacement.instance_id)
-    if not replayed:
-        replacement.stop_buffering()
+    replayed = yield from replay_all_roots(runtime, replacement)
 
     return NFRecoveryResult(
         failed_id=failed_id,
         new_id=replacement.instance_id,
         started_at=started_at,
         finished_at=sim.now,
-        replayed=len(replayed),
+        replayed=replayed,
         state_keys_taken=taken,
     )
 

@@ -160,16 +160,18 @@ class Splitter:
             self.hash_members.remove(instance)
             self._flow_memo.clear()
         self.overrides = {k: v for k, v in self.overrides.items() if v != instance}
+        self.replicate = {o: c for o, c in self.replicate.items() if instance not in (o, c)}
 
     def replace_instance(self, old: str, new: str) -> None:
-        """Swap a failed instance for its failover in place (same slot, so
-        the hash partition is unchanged)."""
-        self.instances = [new if i == old else i for i in self.instances]
+        """``new`` takes ``old``'s slot (the hash partition is unchanged), listed
+        once even if it had already joined; ``old`` is named nowhere after."""
+        self.instances = [new if i == old else i for i in self.instances if i != new]
         self.hash_members = [new if i == old else i for i in self.hash_members]
         self._flow_memo.clear()
         for key, value in list(self.overrides.items()):
             if value == old:
                 self.overrides[key] = new
+        self.replicate = {o: c for o, c in self.replicate.items() if old not in (o, c)}
 
     def refine(self) -> bool:
         """Move to the next finer-grained scope (load imbalance response).

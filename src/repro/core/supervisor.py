@@ -87,7 +87,7 @@ class Supervisor:
         self._seq = 0
         self._wake: Optional[Event] = None
         self._store_seq = 0
-        self._in_progress = 0
+        self._running: List[Any] = []  # under recovery now (serialized: at most one)
         # Components already enqueued, held directly (identity semantics).
         # Holding the objects — not id() — keeps a strong reference, so a
         # GC'd component's reused address can never alias a new one
@@ -171,11 +171,11 @@ class Supervisor:
                 # enqueue it (it sorts first) and retry this task after
                 heapq.heappush(self._queue, (_priority, _seq, kind, component))
                 continue
-            self._in_progress += 1
+            self._running.append(component)
             try:
                 yield from self._recover(kind, component)
             finally:
-                self._in_progress -= 1
+                self._running.remove(component)
 
     def _discover_dependencies(self, kind: str) -> int:
         """Probe the components a ``kind``-recovery depends on.
@@ -258,7 +258,11 @@ class Supervisor:
     @property
     def busy(self) -> bool:
         """True while recoveries are queued or running."""
-        return bool(self._queue) or self._in_progress > 0
+        return bool(self._queue or self._running)
+
+    def recovering(self) -> List[Any]:
+        """The components whose recovery is queued or running."""
+        return [task[3] for task in self._queue] + self._running
 
     def failed_recoveries(self) -> List[RecoveryRecord]:
         return [record for record in self.records if record.error is not None]

@@ -52,6 +52,7 @@ from repro.chaos.invariants import (
     check_flow_ordering,
     check_log_drained,
     check_loss_free_state,
+    check_membership,
     check_no_downtime,
     check_no_gaveups,
     check_operation_converged,
@@ -61,6 +62,7 @@ from repro.chaos.invariants import (
 )
 from repro.chaos.schedule import CrashNF, Schedule
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
+from repro.core.cloning import CloneController
 from repro.core.dag import LogicalChain
 from repro.core.nf_api import NetworkFunction, Output
 from repro.ops.director import MaintenanceDirector
@@ -213,6 +215,36 @@ def _plan_hot_reload(director: MaintenanceDirector) -> Generator:
     )
 
 
+def _plan_upgrade_after_failover(director: MaintenanceDirector) -> Generator:
+    # the most ordinary day-2 sequence: the crash overlay below is long
+    # recovered (~31 us) when the upgrade meets what failover left behind
+    yield director.sim.timeout(OP_AT_US + 30.0)
+    yield from director.rolling_upgrade("entry")
+
+
+def _plan_mitigate_then_upgrade(director: MaintenanceDirector) -> Generator:
+    """§5.3 under the battery: clone entry-0, keep the clone (even seeds) or
+    the original (odd seeds), then upgrade the vertex — whatever ``retain``
+    left of the loser is the upgrade's first victim."""
+    controller = CloneController(director.runtime)
+    yield director.sim.timeout(OP_AT_US)
+    session = yield from controller.mitigate("entry-0")
+    yield director.sim.timeout(40.0)  # both copies of live traffic are flowing
+    keep = ("clone", "straggler")[director.runtime.params.seed % 2]
+    yield from controller.retain(session, keep)
+    yield from director.rolling_upgrade("entry")
+
+
+def _entry_crash_before_upgrade(_seed: int) -> Schedule:
+    return Schedule([CrashNF(at_us=50.0, instance_id="entry-1")])
+
+
+def _victim_crash_awaiting_its_turn(_seed: int) -> Schedule:
+    # entry-0's step runs ~60 us from OP_AT_US; entry-1 dies inside it, so
+    # the upgrade's view of the vertex is stale when entry-1's turn comes
+    return Schedule([CrashNF(at_us=OP_AT_US + 20.0, instance_id="entry-1")])
+
+
 def _upgrade_crash_overlay(_seed: int) -> Schedule:
     # an unplanned scrub-NF crash lands while the entry upgrade is mid-
     # flight: the supervisor must run real failover for the crash while
@@ -264,6 +296,31 @@ SCENARIOS: Dict[str, OpsScenarioSpec] = {
             description="rolling entry upgrade while new flows send their first packets",
             operations=_plan_rolling_upgrade,
             workload=inject_with_late_flows,
+        ),
+        OpsScenarioSpec(
+            name="upgrade-after-failover",
+            description="entry-1 crashes and is failed over, then the entry upgrade",
+            operations=_plan_upgrade_after_failover,
+            build_schedule=_entry_crash_before_upgrade,
+            # entry-1r is replayed entry-0's flows too, a rejected store
+            # round trip each, and buffers its own until ~235 us — the
+            # window entry-0's flows spend moving is empty (ROADMAP)
+            downtime_floor=None,
+        ),
+        OpsScenarioSpec(
+            name="upgrade-victim-crash",
+            description="entry-1 crashes while awaiting its turn in the entry upgrade",
+            operations=_plan_rolling_upgrade,
+            build_schedule=_victim_crash_awaiting_its_turn,
+        ),
+        OpsScenarioSpec(
+            name="mitigate-then-upgrade",
+            description="clone entry-0, retain one (seed parity), then the entry upgrade",
+            operations=_plan_mitigate_then_upgrade,
+            # retain kills the loser with copies in flight: each has a live
+            # twin, so nothing is lost, but its done-report dies with it and
+            # the log entry waits for the prune protocol (ROADMAP open item)
+            expect_log_drained=False,
         ),
     ]
 }
@@ -354,6 +411,7 @@ def run_scenario(
     violations += check_exactly_once(snapshot.egress)
     violations += check_flow_ordering(snapshot.egress)
     violations += check_ownership(runtime)
+    violations += check_membership(runtime, supervisor)
     violations += check_no_gaveups(runtime)
     violations += check_loss_free_state(
         _filter_state(snapshot.state, spec.exclude_vertices),

@@ -195,7 +195,10 @@ class MaintenanceDirector:
             vertex.nf_factory = nf_factory
         try:
             for old_id in list(self.runtime.vertex_instances[vertex_name]):
-                yield from self._upgrade_one(record, vertex_name, old_id)
+                # one that crashed awaiting its turn is gone by now: its
+                # failover replacement was built from the factory above
+                if old_id in self.runtime.instances:
+                    yield from self._upgrade_one(record, vertex_name, old_id)
         except OperationAborted as exc:
             if nf_factory is not None:
                 vertex.nf_factory = old_factory

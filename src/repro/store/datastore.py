@@ -597,10 +597,16 @@ class DatastoreInstance:
         if op.claim_owner and owner is None:
             # First write of a per-flow object: the metadata the client
             # appends to the key associates the instance (§4.3) — no
-            # separate association round trip is needed.
-            self._owners[key] = owner = op.instance
+            # separate association round trip is needed. A registered clone
+            # writes on its original's behalf (§5.3), so its first write —
+            # which can land before the original's, whose flush was lost —
+            # claims for the original: the clone may yet be deregistered.
+            self._owners[key] = owner = next(
+                (orig for orig, clone in self._clones.items() if clone == op.instance),
+                op.instance,
+            )
             if suite is not None:
-                suite.note_store_transfer(self.sim, key, op.instance, "claim")
+                suite.note_store_transfer(self.sim, key, owner, "claim")
         if (
             owner is not None
             and op.instance

@@ -148,11 +148,13 @@ class TestRules:
         codes = [f.code for f in findings]
         assert codes and set(codes) == {"CHC007"}
         # in-place mutator, item assignment, rebind, del, retire_instance,
-        # and a hand-written drain-then-retire
-        assert len(findings) == 6
-        assert {f.line for f in findings} == {5, 6, 7, 8, 9, 17}
+        # a hand-written drain-then-retire, and the old fail_over_nf: two
+        # splitter calls, the vertex_instances rewrite, an in-place edit —
+        # but neither StoreCluster.replace_instance nor the runtime's own
+        assert {f.line for f in findings} == {5, 6, 7, 8, 9, 17, 25, 26, 27, 30}
+        assert len(findings) == 10
         messages = " ".join(f.message for f in findings)
-        assert "replace_instance" in messages
+        assert "ChainRuntime.add_instance / .replace_instance" in messages
         assert "retire_instance" in messages
 
     def test_chc007_exempt_in_control_plane_modules(self):
@@ -161,12 +163,17 @@ class TestRules:
             "    s.hash_members.append(new)\n"
             "    rt.retire_instance(old)\n"
         )
-        # the splitter, the runtime, recovery and the evacuate primitive own
-        # membership and retirement; its callers (autoscaler, maintenance
-        # director) are flagged like anyone else
-        for owner in ("splitter", "chain_runtime", "recovery", "handover"):
+        # the runtime (and the splitter it drives) is the one writer of
+        # membership; evacuate and retain may call its retirement; everyone
+        # else — recovery included — is flagged for both
+        for owner in ("splitter", "chain_runtime"):
             assert lint.check_source(source, Path(f"core/{owner}.py")) == []
-        for caller in ("core/autoscaler.py", "ops/director.py", "core/mod.py"):
+        for retirer in ("handover", "cloning"):
+            flagged = lint.check_source(source, Path(f"core/{retirer}.py"))
+            assert [(f.code, f.line) for f in flagged] == [("CHC007", 2)]
+        for caller in (
+            "core/recovery.py", "core/autoscaler.py", "ops/director.py", "core/mod.py"
+        ):
             flagged = lint.check_source(source, Path(caller))
             assert [f.code for f in flagged] == ["CHC007", "CHC007"]
 

@@ -158,7 +158,7 @@ class TestScalingLogicEndToEnd:
 
     def test_manager_flags_straggler_instance(self, sim):
         runtime = build_runtime(sim, seed=6)
-        runtime.add_instance("entry", "b", join_splitter=True)
+        runtime.add_instance("entry", "b")
         # make instance b pathologically slow
         runtime.instances["entry-b"].extra_delay = lambda: 60.0
         flagged = []

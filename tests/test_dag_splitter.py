@@ -130,6 +130,18 @@ class TestSplitterRouting:
         splitter.replace_instance(old, "v-R")
         assert splitter.route(make_packet()) == ["v-R"]
 
+    def test_a_successor_that_had_joined_is_listed_once_and_old_nowhere(self):
+        splitter = self._splitter(2)
+        splitter.add_instance("v-c")  # a clone joins, replicated to
+        splitter.replicate["v-0"] = "v-c"
+        splitter.overrides[("k",)] = "v-0"
+        splitter.replace_instance("v-0", "v-c")
+        assert splitter.instances == splitter.hash_members == ["v-c", "v-1"]
+        assert splitter.overrides == {("k",): "v-c"} and splitter.replicate == {}
+        splitter.replicate["v-1"] = "v-c"
+        splitter.remove_instance("v-c")
+        assert splitter.instances == ["v-1"] and splitter.replicate == {}
+
 
     def test_memoised_route_follows_membership_and_scope_changes(self):
         splitter = Splitter("v", ["v-0", "v-1", "v-2"], partition_fields=("src_ip",))

@@ -164,6 +164,22 @@ class TestOwnership:
         result = call(sim, caller, OpRequest(key="pf", op="incr", args=(1,), instance="clone"))
         assert result.value is None
 
+    def test_a_registered_clone_claims_for_its_original(self, sim, store, caller):
+        # a clone's first write of a new flow can beat its original's (whose
+        # flush was lost): it writes on the original's behalf (§5.3), so the
+        # claim is the original's and survives the clone's deregistration
+        call(sim, caller, CloneRegistration(original="orig", clone="clone"))
+        first = OpRequest(key="pf", op="incr", args=(1,), instance="clone", claim_owner=True)
+        assert call(sim, caller, first).value == 1
+        assert store.owner_of("pf") == "orig"
+        call(sim, caller, CloneRegistration(original="orig", clone="clone", register=False))
+        late = OpRequest(key="pf", op="incr", args=(1,), instance="orig", claim_owner=True)
+        assert call(sim, caller, late).value == 2
+        assert store.stats.rejected == 0
+        # nobody's clone: the claim is the writer's own, as ever
+        call(sim, caller, OpRequest(key="pg", op="incr", instance="clone", claim_owner=True))
+        assert store.owner_of("pg") == "clone"
+
     def test_takeover_moves_all_keys(self, sim, store, caller):
         for key in ("a", "b", "c"):
             call(sim, caller, OwnerRequest(key=key, instance="old", action="associate"))

@@ -20,6 +20,7 @@ Coverage in three layers:
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,10 +34,11 @@ from repro.chaos.invariants import (
     check_operation_converged,
     snapshot_run,
 )
-from repro.chaos.schedule import CrashNF
+from repro.chaos.schedule import CrashNF, Schedule
+from repro.core.autoscaler import AutoscaleController
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
-from repro.core.handover import evacuate, move_flows, owned_scope_keys
+from repro.core.handover import evacuate, move_flows, owned_scope_keys, routed_scope_keys
 from repro.core.nf_api import NetworkFunction, Output
 from repro.ops import GoodputMonitor, MaintenanceDirector
 from repro.ops.campaign import (
@@ -114,6 +116,163 @@ class TestScenarios:
         assert "recovered" in kinds
         # ... while the planned upgrade still completed
         assert [op["status"] for op in outcome.operations] == ["completed"]
+
+
+class TestUpgradeMeetsWhatAProtocolLeftBehind:
+    """Three day-2 sequences no campaign ran before ``ChainRuntime`` became
+    the one writer of membership. At its parent: an upgrade after a finished
+    failover upgraded the replacement twice and never finished (three flows'
+    ``hits`` 10 of 40, 90 log entries); one whose victim crashed awaiting its
+    turn evacuated the corpse (95 of 240 packets never egressed); one after a
+    §5.3 mitigation picked the dead loser first."""
+
+    def test_mitigate_then_upgrade_runs_both_arms(self):
+        kept = {}
+        for seed in (0, 1):  # seed parity picks the arm; 1 ran above
+            outcome = _run(
+                SCENARIOS["mitigate-then-upgrade"], seed,
+                collect_runtime=lambda rt, seed=seed: kept.setdefault(seed, rt),
+            )
+            assert outcome.ok, [v.as_dict() for v in outcome.violations]
+            assert [op["status"] for op in outcome.operations] == ["completed"]
+            assert len(outcome.operations[0]["steps"]) == 2  # no corpse upgraded
+        assert all(
+            rt.vertex_instances["entry"] == ["entry-u1", "entry-u2"]
+            for rt in kept.values()
+        )
+
+    @pytest.mark.parametrize("after_us", [5.0, 10.0, 20.0, 30.0, 50.0, 60.0])
+    def test_victim_crashes_before_its_evacuation_begins(self, after_us):
+        # +5..+30: entry-1 dies awaiting its turn and is failed over before
+        # it comes — skipped; +50 / +60: its turn comes mid-failover —
+        # evacuate refuses the corpse, the step rolls back, the operation
+        # aborts. Never `running`. (From +62 it dies as the old side of an
+        # in-flight Figure-4 move, which nothing completes: ROADMAP.)
+        spec = replace(
+            SCENARIOS["upgrade-victim-crash"],
+            build_schedule=lambda _seed: Schedule(
+                [CrashNF(at_us=OP_AT_US + after_us, instance_id="entry-1")]
+            ),
+        )
+        outcome = _run(spec, seed=1)
+        (operation,) = outcome.operations
+        assert operation["status"] in ("completed", "aborted"), operation
+        assert operation["finished_at"] < OP_AT_US + 1_000.0
+        if after_us <= 30.0:
+            assert operation["status"] == "completed" and outcome.ok
+        left = [v.as_dict() for v in outcome.violations
+                if v.invariant != "operation-completed"]
+        assert left == []
+
+    @pytest.mark.parametrize("at_us", [110.0, 250.0, 450.0])
+    def test_scale_out_after_a_failover_sheds_only_what_its_holder_holds(self, at_us):
+        # entry-1r was replayed entry-0's flows too, and its client records
+        # those rejected claims as owned. A scale-out that believed the record
+        # named entry-1r holder of all six flows and took flow 1001's routing
+        # from entry-0, its store owner (`hits` 6..39 of 40 at 30 of 31 instants).
+        controller = {}
+
+        def plan(director):
+            controller["c"] = scaler = AutoscaleController(director.runtime)
+            yield director.sim.timeout(at_us)
+            yield from scaler._scale_out("entry")
+
+        spec = replace(
+            SCENARIOS["upgrade-after-failover"], name="scale-out-after-failover",
+            operations=plan,
+        )
+        kept = {}
+        outcome = _run(spec, seed=1, collect_runtime=lambda rt: kept.setdefault("rt", rt))
+        assert outcome.ok, [v.as_dict() for v in outcome.violations]
+        runtime, (action,) = kept["rt"], controller["c"].actions
+        assert (action.kind, action.ok, action.keys_moved) == ("scale_out", True, 2)
+        members = runtime.instances_of("entry")
+        assert [i.instance_id for i in members] == ["entry-0", "entry-1r", "entry-as1"]
+        replayed = runtime.instances["entry-1r"]
+        assert len(owned_scope_keys(runtime, "entry", replayed)) > len(
+            routed_scope_keys(runtime, "entry", replayed)
+        )
+        # what each holds is what the store says it owns: six flows, once each
+        held = {i.instance_id: routed_scope_keys(runtime, "entry", i) for i in members}
+        assert len({key for keys in held.values() for key in keys}) == 6
+        assert sum(map(len, held.values())) == 6 and len(held["entry-as1"]) == 2
+        owners = runtime.stores[0]._owners
+        for holder, keys in held.items():
+            for key in keys:
+                flow = "|".join(str(field) for field in key)
+                assert owners[f"entry\x1fhits\x1f{flow}"] == holder
+
+    def test_evacuating_a_dead_victim_returns_at_once(self):
+        sim = Simulator()
+        runtime = build_runtime(sim, 1)
+        inject_workload(sim, runtime)
+        sim.run(until=OP_AT_US)
+        victim = runtime.instances["entry-1"]
+        assert owned_scope_keys(runtime, "entry", victim)  # a corpse keeps them
+        victim.fail()
+        sent = []
+        send = runtime.nics["entry-1"].send
+        runtime.nics["entry-1"].send = lambda item, bits: (sent.append(item), send(item, bits))[1]
+        started = sim.now
+        outcome = sim.run_process(
+            evacuate(runtime, victim, lambda _key: "entry-0", sim.now + 5_000.0)
+        )
+        assert outcome == (0, "instance died") and sim.now == started
+        assert runtime.splitter("entry").overrides == {}  # no move was begun
+        sim.run(until=OP_AT_US + 50.0)
+        assert not [item for item in sent if getattr(item, "mark_last", False)]
+
+    def test_a_sole_nat_keeps_its_exclusivity_across_an_upgrade(self):
+        # Figure 8's EO+C+NA vs a store round trip per packet: a completed
+        # upgrade used to leave the replacement listed twice in its
+        # splitter, `grants_exclusive` False for good, and every new
+        # connection's port pop a blocking store op (400 of 400, p50 68 us).
+        from repro.nfs.nat import Nat
+
+        sim = Simulator()
+        chain = LogicalChain("nat")
+        chain.add_vertex("nat", lambda: Nat(port_range=(40_000, 42_000)), entry=True)
+        runtime = ChainRuntime(sim, chain, params=RuntimeParams(seed=1))
+        director = MaintenanceDirector(runtime)
+        measured = {}
+
+        def blocking_ops():
+            return sum(i.client.stats.blocking_ops for i in runtime.instances.values())
+
+        def connections(batch):
+            for index in range(400):
+                runtime.inject(Packet(
+                    FiveTuple(f"10.0.{batch}.{index % 250}", "52.0.0.1", 2000 + index, 80, 6),
+                    flags=0x02,
+                ))
+                yield sim.timeout(5.0)
+            yield sim.timeout(500.0)
+
+        def plan():
+            yield from connections(0)  # warm: seeds the shared objects
+            before = blocking_ops()
+            yield from connections(1)
+            measured["before"] = blocking_ops() - before
+            record = yield from director.rolling_upgrade("nat")
+            measured["status"] = record.status
+            yield from connections(2)  # the replacement's cold start
+            before, done = blocking_ops(), len(runtime.egress_recorder.values)
+            yield from connections(3)
+            measured["after"] = blocking_ops() - before
+            measured["p50"] = sorted(runtime.egress_recorder.values[done:])[200]
+
+        sim.process(plan())
+        sim.run(until=50_000.0)
+        assert sim.crashed == [] and len(runtime.egress) == 1600
+        assert measured["status"] == "completed"
+        assert (measured["before"], measured["after"]) == (0, 0)
+        assert measured["p50"] < 10.0
+        splitter = runtime.splitter("nat")
+        assert splitter.instances == ["nat-u1"]
+        assert all(
+            splitter.grants_exclusive(spec)
+            for spec in runtime.instances["nat-u1"].client.specs.values()
+        )
 
 
 class TestVersionedUpgrade:
@@ -315,8 +474,10 @@ def _upgrade_under_first_packets(build, new_flows_at):
     runtime = build(sim, 1)
     director = MaintenanceDirector(runtime)
     retired = []
-    retire = runtime.retire_instance
-    runtime.retire_instance = lambda iid: (retired.append(sim.now), retire(iid))[1]
+    replace = runtime.replace_instance
+    runtime.replace_instance = lambda old, new: (
+        retired.append(sim.now), replace(old, new)
+    )[1]
 
     def warm():
         for index in range(WARM_PACKETS):
@@ -429,10 +590,15 @@ def test_evacuate_under_any_arrival_schedule(arrivals, scale_in):
     splitter = runtime.splitter("entry")
     sent = Counter()
     outcome, inbound_at_retirement = [], []
-    retire = runtime.retire_instance
-    runtime.retire_instance = lambda iid: (
-        inbound_at_retirement.append(runtime.instances[iid].inbound), retire(iid)
-    )[1]
+
+    def spy(leave):  # either exit: retire (scale-in) or replace (upgrade)
+        return lambda iid, *successor: (
+            inbound_at_retirement.append(runtime.instances[iid].inbound),
+            leave(iid, *successor),
+        )[1]
+
+    runtime.retire_instance = spy(runtime.retire_instance)
+    runtime.replace_instance = spy(runtime.replace_instance)
 
     def inject(flow):
         sent[flow] += 1

@@ -312,7 +312,8 @@ def crash_mid_burst(capacity):
     """firewall -> nat -> lb under BLOCK with every bound at ``capacity``:
     16 flows open at leisure, then 584 packets arrive 1.2 us apart (just
     over line rate) and nat-0 crashes 200 us into the burst; an attached
-    supervisor fails it over and replays the root log at nat-0r."""
+    supervisor fails it over and replays the root log at nat-0r. Returns
+    the runtime and the corpse (which failover strikes from the runtime)."""
     flows, packets = 16, 600
     sim = Simulator()
     chain = LogicalChain("crash-under-block")
@@ -340,10 +341,11 @@ def crash_mid_burst(capacity):
             yield sim.timeout(40.0 if opening else 1.2)
 
     sim.process(source())
-    injector.fail_at(flows * 40.0 + 200.0, runtime.instances["nat-0"])
+    victim = runtime.instances["nat-0"]
+    injector.fail_at(flows * 40.0 + 200.0, victim)
     sim.run(until=2_000_000)
     assert sim.crashed == []
-    return runtime
+    return runtime, victim
 
 
 class TestCrashUnderBackpressure:
@@ -359,10 +361,11 @@ class TestCrashUnderBackpressure:
         # Bounds of 4: packets in flight to the dead nat-0 used to pile up
         # in its input, park its NIC for good and, ring full, freeze every
         # firewall worker in _await_hop_space — nat-0r never saw a packet.
-        runtime = crash_mid_burst(4)
+        runtime, victim = crash_mid_burst(4)
         assert runtime.instances["firewall-0"].stats.processed > 300
         assert runtime.instances["nat-0r"].stats.processed > 100
-        assert runtime.instances["nat-0"].queue_depth == 0  # taken and discarded
+        assert victim.queue_depth == 0  # taken and discarded
+        assert "nat-0" not in runtime.instances
         self._assert_recovered(runtime)
 
     def test_a_shed_replayed_copy_still_counts_towards_its_generation(self, monkeypatch):
@@ -378,7 +381,7 @@ class TestCrashUnderBackpressure:
             note_shed(self, instance, packet, cause)
 
         monkeypatch.setattr(ChainRuntime, "note_shed", spy)
-        runtime = crash_mid_burst(64)
+        runtime, _victim = crash_mid_burst(64)
         assert shed_replays and set(shed_replays) == {"nat-0r"}
         self._assert_recovered(runtime)
 
