@@ -25,7 +25,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.store.operations import OperationFn, OperationRegistry, default_registry
 from repro.store.spec import StateObjectSpec
-from repro.traffic.packet import Packet, scope_fields
+from repro.traffic.packet import Packet
 
 
 @dataclass
@@ -154,19 +154,6 @@ class NetworkFunction:
         an empty list drops the packet.
         """
         raise NotImplementedError
-
-    # Convenience for implementations -----------------------------------
-
-    @staticmethod
-    def key_for(packet: Packet, fields: Tuple[str, ...]) -> Tuple:
-        """Project the packet onto a scope's fields."""
-        return scope_fields(packet.five_tuple, fields)
-
-    def coarsest_scope(self) -> Tuple[str, ...]:
-        scopes = self.scope()
-        if not scopes:
-            return ()
-        return scopes[-1]
 
     def __repr__(self) -> str:
         return f"<NF {self.name}>"

@@ -27,9 +27,10 @@ pass fully replaces the original pass in the bookkeeping.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.analysis import runtime as _sanitize
 from repro.core.clock import LogicalClock
@@ -66,7 +67,6 @@ class BatchedDeleteRequest:
     entries: tuple
 
 
-@dataclass
 class LogEntry:
     """Root-side record of one in-flight packet.
 
@@ -76,33 +76,58 @@ class LogEntry:
     matches the committed XOR — e.g. the original pass may complete after
     a replay was launched (its missing commit regenerated by the replay),
     or the replay pass may complete when the original died.
+
+    ``outstanding`` and ``reported`` are rows indexed by generation:
+    ``array('q')``, because copy counts and 32-bit tags fit and neither row
+    is then an object the collector walks.
     """
 
-    packet: Packet
-    dst_instance: str
-    logged_at: float
-    generation: int = 0
-    committed_vector: int = 0
-    outstanding: Dict[int, int] = field(default_factory=lambda: {0: 1})
-    reported: Dict[int, int] = field(default_factory=lambda: {0: 0})
-    reports: int = 0
-    # Entry restored from the store after a root failover: commit signals
-    # from before the crash are gone, so the XOR check cannot be satisfied
-    # for already-committed updates. A completed *replay* generation is
-    # accepted instead — safe because replayed updates are retransmitted,
-    # idempotent (dedup by (key, clock, seq)) ops.
-    restored: bool = False
-    # Entry in flight across a datastore-instance recovery: the dead
-    # store's already-sent commit signals are re-sent by the recovery's
-    # WAL re-execution, so XOR parity is unreliable. The rebuilt state
-    # provably reflects every logged operation (Theorems B.5.1–B.5.3), so
-    # such an entry may delete on copy-count alone.
-    vector_unreliable: bool = False
+    __slots__ = (
+        "packet", "dst_instance", "logged_at", "generation", "committed_vector",
+        "outstanding", "reported", "reports", "restored", "vector_unreliable",
+    )
+
+    def __init__(
+        self,
+        packet: Packet,
+        dst_instance: str,
+        logged_at: float,
+        generation: int = 0,
+        committed_vector: int = 0,
+        outstanding: Iterable[int] = (1,),
+        reported: Iterable[int] = (0,),
+        reports: int = 0,
+        restored: bool = False,
+        vector_unreliable: bool = False,
+    ):
+        self.packet = packet
+        self.dst_instance = dst_instance
+        self.logged_at = logged_at
+        self.generation = generation
+        self.committed_vector = committed_vector
+        self.outstanding = array("q", outstanding)
+        self.reported = array("q", reported)
+        self.reports = reports
+        # Entry restored from the store after a root failover: commit signals
+        # from before the crash are gone, so the XOR check cannot be satisfied
+        # for already-committed updates. A completed *replay* generation is
+        # accepted instead — safe because replayed updates are retransmitted,
+        # idempotent (dedup by (key, clock, seq)) ops.
+        self.restored = restored
+        # Entry in flight across a datastore-instance recovery: the dead
+        # store's already-sent commit signals are re-sent by the recovery's
+        # WAL re-execution, so XOR parity is unreliable. The rebuilt state
+        # provably reflects every logged operation (Theorems B.5.1–B.5.3), so
+        # such an entry may delete on copy-count alone.
+        self.vector_unreliable = vector_unreliable
 
     @property
     def complete(self) -> bool:
-        # asked on every commit signal and delete report: a plain loop
-        for gen, count in self.outstanding.items():
+        # asked on every commit signal and delete report, which mostly find
+        # copies still out in every generation: one C-level scan says so
+        if 0 not in self.outstanding:
+            return False
+        for gen, count in enumerate(self.outstanding):
             if count == 0 and (
                 self.reported[gen] == self.committed_vector
                 or (self.restored and gen > 0)
@@ -308,14 +333,14 @@ class Root:
         """A copy branched (mirror edge / clone replication): more copies
         are now in flight. Framework-internal bookkeeping (no message)."""
         entry = self.log.get(clock)
-        if entry is None or generation not in entry.outstanding:
+        if entry is None or generation >= len(entry.outstanding):
             return
         entry.outstanding[generation] += delta
 
     def report_done(self, clock: int, vector: int, generation: int = 0) -> None:
         """One copy's journey ended (sink, drop, or duplicate absorption)."""
         entry = self.log.get(clock)
-        if entry is None or generation not in entry.outstanding:
+        if entry is None or generation >= len(entry.outstanding):
             return
         entry.outstanding[generation] -= 1
         entry.reported[generation] ^= vector
@@ -480,8 +505,8 @@ class Root:
             if entry is None:
                 continue  # deleted while we were replaying
             entry.generation += 1
-            entry.outstanding[entry.generation] = 1
-            entry.reported[entry.generation] = 0
+            entry.outstanding.append(1)
+            entry.reported.append(0)
             copy = entry.packet.copy()
             copy.replayed = True
             copy.replay_target = target_instance
@@ -528,8 +553,6 @@ class Root:
                 packet=packet.copy(),
                 dst_instance="",
                 logged_at=self.sim.now,
-                outstanding={0: 1},
-                reported={0: 0},
                 restored=True,
             )
             restored += 1

@@ -32,9 +32,6 @@ class InstanceReport:
     processed_delta: int
     mean_latency_us: Optional[float]
 
-    def rate_per_interval(self) -> int:
-        return self.processed_delta
-
 
 @dataclass
 class ManagerEvent:

@@ -221,6 +221,7 @@ class StoreNode:
             "name": self.name,
             "data": dict(self.store._data),
             "owners": dict(self.store._owners),
+            # one per logged (key, clock, seq) identity
             "update_log_entries": len(self.store._update_log),
             "stats": {
                 "ops_applied": self.store.stats.ops_applied,

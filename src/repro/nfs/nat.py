@@ -37,10 +37,6 @@ DEFAULT_PORT_RANGE = (40_000, 40_512)
 INTERNAL_PREFIX = "10."
 
 
-class NatPortsExhausted(RuntimeError):
-    """No free external port was available for a new connection."""
-
-
 class Nat(NetworkFunction):
     """See module docstring."""
 

@@ -12,12 +12,14 @@ model".
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 PERCENTILES_FIG8 = (5, 25, 50, 75, 95)
+_NO_TIMESTAMP = float("nan")
 
 
 @dataclass
@@ -127,16 +129,20 @@ class LatencyRecorder:
     ``record`` is called with the measured per-packet processing time; the
     timestamp defaults to nothing (pure distribution) but experiments that
     plot time series (Figures 9, 13) pass the simulation clock.
+
+    Samples live in two ``array('d')`` columns — a packet's sample is two
+    unboxed doubles, not two float objects — so a value reads back as a
+    float and a missing timestamp is stored as NaN.
     """
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.values: List[float] = []
-        self.timestamps: List[Optional[float]] = []
+        self.values = array("d")
+        self.timestamps = array("d")
 
     def record(self, value: float, timestamp: Optional[float] = None) -> None:
         self.values.append(value)
-        self.timestamps.append(timestamp)
+        self.timestamps.append(_NO_TIMESTAMP if timestamp is None else timestamp)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -167,7 +173,7 @@ class LatencyRecorder:
     def windowed_mean(self, window_us: float) -> List[Tuple[float, float]]:
         """Average latency per time window — Figure 13's 500µs windows."""
         samples = [
-            (t, v) for t, v in zip(self.timestamps, self.values) if t is not None
+            (t, v) for t, v in zip(self.timestamps, self.values) if t == t  # not NaN
         ]
         if not samples:
             return []
@@ -213,9 +219,6 @@ class RecoveryTimeline:
         event = TimelineEvent(at=at, kind=kind, component=component, detail=detail)
         self.events.append(event)
         return event
-
-    def of_kind(self, kind: str) -> List[TimelineEvent]:
-        return [event for event in self.events if event.kind == kind]
 
     def recovery_durations(self, since: str = "failed") -> Dict[str, float]:
         """``{component: duration_us}`` from ``since`` to "recovered".

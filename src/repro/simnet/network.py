@@ -182,9 +182,6 @@ class Network:
         else:
             self._down.discard(name)
 
-    def is_down(self, name: str) -> bool:
-        return name in self._down
-
     # ------------------------------------------------------------------
     # partitions and time-windowed degradation (chaos campaign hooks)
     # ------------------------------------------------------------------
@@ -297,9 +294,6 @@ class Network:
         self._links[(src, dst)] = link
         if bidirectional:
             self._links[(dst, src)] = link
-
-    def link_for(self, src: str, dst: str) -> Link:
-        return self._links.get((src, dst), self.default_link)
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Send ``payload`` from ``src`` to ``dst`` over the appropriate link."""

@@ -70,6 +70,11 @@ _ROOT_ID_SHIFT = 56
 
 # What the per-op body returns as the value of a write by a non-owner.
 _REJECTED = object()
+# What the dedup log holds for an identity it never logged.
+_UNLOGGED = object()
+
+#: One logged update: (key, packet clock, op seq).
+Identity = Tuple[str, int, int]
 
 
 @dataclass
@@ -78,8 +83,8 @@ class Checkpoint:
 
     ``ts`` maps key -> {instance -> clock of that instance's last executed
     update on the key at checkpoint time}. ``update_log`` is the
-    duplicate-suppression log at checkpoint time ((key, clock) -> {seq ->
-    committed value}): recovery seeds the replacement with it so a client
+    duplicate-suppression log at checkpoint time (identity -> committed
+    value): recovery seeds the replacement with it so a client
     retransmitting an op whose effect the checkpoint already contains is
     emulated rather than double-applied.
     """
@@ -87,7 +92,7 @@ class Checkpoint:
     taken_at: float
     data: Dict[str, Any]
     ts: Dict[str, Dict[str, int]]
-    update_log: Dict[Tuple[str, int], Dict[int, Any]] = field(default_factory=dict)
+    update_log: Dict[Identity, Any] = field(default_factory=dict)
 
 
 class _BatchState:
@@ -220,11 +225,14 @@ class DatastoreInstance:
         self._lock_waiters: Dict[str, List] = {}
         self._value_watchers: Dict[str, Set[str]] = {}
         self._owner_watchers: Dict[str, Set[str]] = {}
-        # (key, clock) -> {op seq -> committed value} for that packet
-        self._update_log: Dict[Tuple[str, int], Dict[int, Any]] = {}
-        # clock -> update-log keys logged under it, so the per-packet
-        # prune on delete is O(keys touched), not O(log size)
-        self._log_clocks: Dict[int, List[Tuple[str, int]]] = {}
+        # (key, clock, op seq) -> committed value: one flat row per update,
+        # not a dict per (key, clock), so the collector has nothing to walk
+        self._update_log: Dict[Identity, Any] = {}
+        # clock -> identities logged under it, so the per-packet prune on
+        # delete is O(updates of the packet), not O(log size)
+        self._log_clocks: Dict[int, List[Identity]] = {}
+        # the log's largest size seen by a prune (see _prune)
+        self._log_high_water = 0
         # Clocks whose duplicate-suppression log was pruned. A prune means
         # the root saw the packet's full commit vector, so *every* update
         # with that clock was already applied — any copy that arrives later
@@ -331,8 +339,8 @@ class DatastoreInstance:
             for key in [k for k in table if vertex_of_key(k) == vertex_id]:
                 del table[key]
         # _log_clocks entries stay: _prune pops _update_log with a default
-        for log_key in [k for k in self._update_log if vertex_of_key(k[0]) == vertex_id]:
-            del self._update_log[log_key]
+        for identity in [i for i in self._update_log if vertex_of_key(i[0]) == vertex_id]:
+            del self._update_log[identity]
 
     def fail(self) -> None:
         """Fail-stop: all in-memory state vanishes; endpoint goes dark.
@@ -645,7 +653,7 @@ class DatastoreInstance:
             return _REJECTED, False
 
         clock = op.clock
-        log_key = None
+        identity = None
         if clock and op.log_update and self.dedup_enabled:
             if clock in self._pruned_clocks:
                 # Straggler duplicate of an already-pruned packet: the prune
@@ -654,9 +662,9 @@ class DatastoreInstance:
                 # awaiting this copy), so the logged value is not needed.
                 self.stats.ops_emulated += 1
                 return None, True
-            log_key = (key, clock)
-            committed = self._update_log.get(log_key)
-            if committed is not None and op.seq in committed:
+            identity = (key, clock, op.seq)
+            committed = self._update_log.get(identity, _UNLOGGED)
+            if committed is not _UNLOGGED:
                 # Duplicate: an update with this (key, clock, seq) identity
                 # was already applied — emulate it (Figure 5b): return the
                 # logged value without touching state or re-signalling root.
@@ -665,7 +673,7 @@ class DatastoreInstance:
                 # initializes the clone with the straggler's latest state
                 # from the datastore", §5.3).
                 self.stats.ops_emulated += 1
-                return committed[op.seq], True
+                return committed, True
 
         if suite is not None:
             # Applied (not emulated, not rejected) mutation: the ownership
@@ -683,8 +691,8 @@ class DatastoreInstance:
                 ts = self._ts[key] = {}
             if clock > ts.get(instance, 0):
                 ts[instance] = clock
-        if log_key is not None:
-            self._log_committed(log_key, op.seq, return_value)
+        if identity is not None:
+            self._log_committed(identity, return_value)
         tag = op.vector_tag
         if (
             tag
@@ -839,25 +847,33 @@ class DatastoreInstance:
                 self._nondet[cache_key] = self._nondet_rng.random()
         return self._nondet[cache_key]
 
-    def _log_committed(self, log_key: Tuple[str, int], seq: int, return_value: Any) -> None:
-        """Record a committed update of ``log_key = (key, clock)`` in the
-        duplicate-suppression log."""
-        entry = self._update_log.get(log_key)
-        if entry is None:
-            entry = self._update_log[log_key] = {}
-            clock = log_key[1]
-            log_keys = self._log_clocks.get(clock)
-            if log_keys is None:
-                self._log_clocks[clock] = [log_key]
+    def _log_committed(self, identity: Identity, return_value: Any) -> None:
+        """Record a committed update in the duplicate-suppression log."""
+        log = self._update_log
+        if identity not in log:
+            clock = identity[1]
+            identities = self._log_clocks.get(clock)
+            if identities is None:
+                self._log_clocks[clock] = [identity]
             else:
-                log_keys.append(log_key)
-        entry[seq] = return_value
+                identities.append(identity)
+        log[identity] = return_value
 
     def _prune(self, clock: int) -> None:
         """Drop duplicate-suppression logs for a packet that left the chain."""
         self._pruned_clocks.add(clock)
-        for log_key in self._log_clocks.pop(clock, ()):
-            self._update_log.pop(log_key, None)
+        log = self._update_log
+        for identity in self._log_clocks.pop(clock, ()):
+            log.pop(identity, None)
+        size = len(log)
+        if size > self._log_high_water:
+            self._log_high_water = size
+        elif size * 8 < self._log_high_water:
+            # A dict keeps its largest table after pops: re-pack the two
+            # once they drained to an eighth, so a burst's table goes back.
+            self._update_log = dict(log)
+            self._log_clocks = dict(self._log_clocks)
+            self._log_high_water = size
         if self._nondet:
             for nd_key in [k for k in self._nondet if k[0] == clock]:
                 del self._nondet[nd_key]
@@ -871,9 +887,7 @@ class DatastoreInstance:
             taken_at=self.sim.now,
             data=copy.deepcopy(self._data),
             ts={key: dict(per_key) for key, per_key in self._ts.items()},
-            update_log={
-                log_key: dict(seqs) for log_key, seqs in self._update_log.items()
-            },
+            update_log=dict(self._update_log),
         )
         return self.last_checkpoint
 
@@ -895,7 +909,7 @@ class DatastoreInstance:
         return sorted(k for k in self._data if k.startswith(prefix))
 
     def logged_clocks(self, key: str) -> List[int]:
-        return sorted(clock for (k, clock) in self._update_log if k == key)
+        return sorted({clock for (k, clock, _seq) in self._update_log if k == key})
 
     def vertex_write_load(self, vertex_id: str) -> int:
         """Recent-write proxy: unpruned dedup-log entries for the vertex.
@@ -906,7 +920,5 @@ class DatastoreInstance:
         carry most of a store's load).
         """
         return sum(
-            len(seqs)
-            for (key, _clock), seqs in self._update_log.items()
-            if vertex_of_key(key) == vertex_id
+            1 for (key, _clock, _seq) in self._update_log if vertex_of_key(key) == vertex_id
         )

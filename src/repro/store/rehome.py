@@ -17,14 +17,17 @@ off-ring replica) are its callers; crash recovery shares
 from __future__ import annotations
 
 import copy
-from typing import Generator, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Generator, Optional, Sequence, Set
 
-from repro.store.datastore import ALL_VERTICES, DatastoreInstance, VertexSet, vertex_set
+from repro.store.datastore import (
+    ALL_VERTICES,
+    DatastoreInstance,
+    Identity,
+    VertexSet,
+    vertex_set,
+)
 from repro.store.keys import vertex_of_key
 from repro.store.operations import OperationRegistry
-
-#: One logged update: (key, packet clock, op seq).
-Identity = Tuple[str, int, int]
 
 
 def successor(
@@ -52,17 +55,17 @@ def successor(
 
 
 def seed_log(
-    dst: DatastoreInstance, update_log, moved: VertexSet = ALL_VERTICES
+    dst: DatastoreInstance, update_log: Dict[Identity, Any], moved: VertexSet = ALL_VERTICES
 ) -> Set[Identity]:
     """Seed ``dst``'s dedup log from ``update_log``; returns what it now covers."""
-    covered: Set[Identity] = set()
-    for log_key, seqs in update_log.items():
-        key, clock = log_key
-        if vertex_of_key(key) in moved:
-            for seq, value in seqs.items():
-                dst._log_committed(log_key, seq, value)
-                covered.add((key, clock, seq))
-    return covered
+    seeded = {
+        identity: value
+        for identity, value in update_log.items()
+        if vertex_of_key(identity[0]) in moved
+    }
+    for identity, value in seeded.items():
+        dst._log_committed(identity, value)
+    return set(seeded)
 
 
 def transfer(
@@ -148,22 +151,17 @@ class Rehoming:
     def _observe(self) -> bool:
         """Note identities the muted ``src`` committed since last asked."""
         fresh = {
-            (key, clock, seq)
-            for (key, clock), seqs in self.src._update_log.items()
-            if vertex_of_key(key) in self._moved
-            for seq in seqs
+            identity
+            for identity in self.src._update_log
+            if vertex_of_key(identity[0]) in self._moved
         } - self.covered - self.pending
         self.pending |= fresh
         return bool(fresh)
 
     def _landed(self, identity: Identity) -> bool:
-        key, clock, seq = identity
         # a pruned clock means the root saw the packet's full commit
         # vector — and only ``dst`` still signals for these keys
-        return (
-            seq in self.dst._update_log.get((key, clock), ())
-            or clock in self.dst._pruned_clocks
-        )
+        return identity in self.dst._update_log or identity[1] in self.dst._pruned_clocks
 
     def drain(self, poll_us: float, budget_us: float) -> Generator:
         """The drain gate. Returns ``""`` once passed, else why it never did.

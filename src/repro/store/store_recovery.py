@@ -36,7 +36,7 @@ from repro.store.datastore import Checkpoint, DatastoreInstance
 from repro.store.rehome import seed_log, successor
 from repro.store.operations import OperationRegistry
 from repro.store.protocol import OpRequest
-from repro.store.wal import ReadLogEntry, UpdateLogEntry, WriteAheadLog
+from repro.store.wal import ReadLogEntry, UpdateLogEntry, WriteAheadLog, entries_after
 
 
 def select_ts(
@@ -118,10 +118,9 @@ def plan_shared_key_recovery(
     entries: List[Tuple[str, UpdateLogEntry]] = []
     for instance in sorted(wals):
         start_clock = base_ts.get(instance)
-        if start_clock is None:
-            pending = wals[instance].updates_for(key)
-        else:
-            pending = wals[instance].updates_after(key, start_clock)
+        pending = update_logs[instance]
+        if start_clock is not None:
+            pending = entries_after(pending, start_clock)
         entries.extend((instance, entry) for entry in pending)
     return RecoveryPlan(
         key=key,
@@ -241,7 +240,7 @@ def recover_store_instance(
     covered = seed_log(replacement, checkpoint.update_log) if checkpoint else set()
     wals = {client.instance_id: client.wal for client in clients}
     shared_keys = sorted(
-        {entry.key for wal in wals.values() for entry in wal.updates}
+        {key for wal in wals.values() for key in wal.updated_keys()}
         | (set(checkpoint.data) - set(replacement._data) if checkpoint else set())
     )
     for key in shared_keys:

@@ -662,7 +662,7 @@ def store_state(node):
     return (
         dict(store._data),
         dict(store._owners),
-        {key: dict(entry) for key, entry in store._update_log.items()},
+        dict(store._update_log),
         {clock: list(keys) for clock, keys in store._log_clocks.items()},
     )
 

@@ -705,6 +705,67 @@ def test_python_calls_per_packet_ceilings(fastpath, calls_per_packet):
     assert calls / 600 <= calls_per_packet
 
 
+@pytest.mark.parametrize(
+    "fastpath, retained_per_packet, per_packet_in_flight",
+    # Objects the collector tracks, counted with gc.get_objects() after a
+    # gc.collect(), grown since set-up. Recorded with flat records (3.11):
+    # 1.11 / 1.39 retained per injected packet, off / on, which is the
+    # egress tuple; 26.18 / 14.61 per packet in flight at the backlog's
+    # peak (477 / 479 us). The parent's records, one UpdateLogEntry per
+    # cross-flow update among them, counted 5.14 / 5.42 and 28.32 / 15.46.
+    [(False, 2.25, 27.0), (True, 2.25, 15.0)],
+    ids=["fastpath-off", "fastpath-on"],
+)
+def test_tracked_objects_retained_per_packet_ceilings(
+    fastpath, retained_per_packet, per_packet_in_flight
+):
+    """A record kept per packet as a graph of Python objects makes every
+    full collection walk all of them; this count sees one such object per
+    packet, exactly, without a wall clock. The first run finds the peak of
+    the backlog (the most packets in the root log), the second counts what
+    the runtime holds at that instant."""
+    import gc
+
+    from repro.analysis.determinism import run_equivalence_once
+
+    def tracked() -> int:
+        gc.collect()
+        return len(gc.get_objects())
+
+    def in_flight(runtime) -> int:
+        return sum(len(root.log) for root in runtime.roots)
+
+    backlog = []
+    counts = {}
+
+    def sample(sim, runtime):
+        def tick():
+            backlog.append((in_flight(runtime), -sim.now))
+            if sim.next_event_time() is not None:
+                sim.schedule(1.0, tick)
+
+        sim.schedule(0.0, tick)
+        counts["set-up"] = tracked()
+
+    runtime = run_equivalence_once(1, fastpath, packets=600, flows=12, fault=sample)
+    assert sum(root.stats.deleted for root in runtime.roots) == 600
+    assert (tracked() - counts["set-up"]) / 600 <= retained_per_packet
+
+    peak, minus_at = max(backlog)
+
+    def probe(sim, runtime):
+        def look():
+            counts["peak"] = tracked()
+            counts["in flight"] = in_flight(runtime)
+
+        sim.schedule(-minus_at, look)
+        counts["set-up"] = tracked()
+
+    run_equivalence_once(1, fastpath, packets=600, flows=12, fault=probe)
+    assert counts["in flight"] == peak > 100
+    assert (counts["peak"] - counts["set-up"]) / peak <= per_packet_in_flight
+
+
 # ---------------------------------------------------------------------------
 # RPC waiter hygiene
 # ---------------------------------------------------------------------------

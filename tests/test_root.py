@@ -279,15 +279,15 @@ def reference_complete(entry):
             or (entry.restored and gen > 0)
             or entry.vector_unreliable
         )
-        for gen, count in entry.outstanding.items()
+        for gen, count in enumerate(entry.outstanding)
     )
 
 
 TAGS = [0, 0x1, 0x2, 0x3, 0x00010001]
 log_entries = st.builds(
     lambda generations, counts, reported, committed, restored, unreliable: dict(
-        outstanding={gen: counts[gen] for gen in range(generations)},
-        reported={gen: reported[gen] for gen in range(generations)},
+        outstanding=counts[:generations],  # generation-indexed rows
+        reported=reported[:generations],
         committed_vector=committed,
         restored=restored,
         vector_unreliable=unreliable,
@@ -299,6 +299,12 @@ log_entries = st.builds(
     restored=st.booleans(),
     unreliable=st.booleans(),
 )
+
+
+def entry_fields(entry):
+    """A log entry's fields, by value (a slotted ``LogEntry`` compares by
+    identity)."""
+    return {name: getattr(entry, name) for name in LogEntry.__slots__}
 
 
 def make_entry(fields, packet):
@@ -335,7 +341,8 @@ class TestCommitFold:
                 root.log[clock] = make_entry(fields, packets[clock])
             for message in messages:
                 root._on_message(Envelope("store0", "root0", message))
-            return root.stats, root.log, deleted, list(root._prune_queue)
+            log = {clock: entry_fields(entry) for clock, entry in root.log.items()}
+            return root.stats, log, deleted, list(root._prune_queue)
 
         one_by_one = root_after([CommitSignal(clock, tag) for clock, tag in signals])
         batched = root_after([BatchedCommitSignal(tuple(signals))])

@@ -290,11 +290,40 @@ def run(store_class, scenario) -> Dict[str, Any]:
     return observed
 
 
+def run_both(scenario) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The reference store and the real one through ``scenario``.
+
+    The reference keeps its ``(key, clock) -> {seq -> value}`` dedup log; it
+    is flattened into the real store's ``(key, clock, seq) -> value`` rows,
+    every identity and value kept. ``_log_clocks`` compares each clock's
+    identities sorted: the order one clock lists them in is not observable.
+    """
+    reference = run(ReferenceStore, scenario)
+    nested = reference["_update_log"]
+    reference["_update_log"] = {
+        (key, clock, seq): value
+        for (key, clock), seqs in nested.items()
+        for seq, value in seqs.items()
+    }
+    reference["_log_clocks"] = {
+        clock: sorted(
+            (key, log_clock, seq)
+            for key, log_clock in log_keys
+            for seq in nested[(key, log_clock)]
+        )
+        for clock, log_keys in reference["_log_clocks"].items()
+    }
+    change = run(DatastoreInstance, scenario)
+    change["_log_clocks"] = {
+        clock: sorted(identities) for clock, identities in change["_log_clocks"].items()
+    }
+    return reference, change
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=st.lists(steps, min_size=1, max_size=14))
 def test_batch_apply_matches_the_per_entry_loop(scenario):
-    reference = run(ReferenceStore, scenario)
-    change = run(DatastoreInstance, scenario)
+    reference, change = run_both(scenario)
     for name in reference:
         assert change[name] == reference[name], name
 
@@ -330,8 +359,7 @@ def test_every_branch_of_the_body_is_compared():
         ("lame", "w"),
         ("batch", [nb(w_a, "v-0", r1c1)]),  # muted: no signal, no reply
     ]
-    reference = run(ReferenceStore, scenario)
-    change = run(DatastoreInstance, scenario)
+    reference, change = run_both(scenario)
     for name in reference:
         assert change[name] == reference[name], name
 

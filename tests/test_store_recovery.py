@@ -1,7 +1,12 @@
 """Datastore recovery tests, including the paper's Figure 7 worked example."""
 
+from types import SimpleNamespace
 
+from hypothesis import given, settings, strategies as st
+
+from repro.core.clock import SEQUENCE_MASK, make_clock
 from repro.simnet.network import Network, Link
+from repro.store import wal as wal_module
 from repro.store.cluster import StoreCluster
 from repro.store.client import StoreClient
 from repro.store.datastore import Checkpoint, DatastoreInstance
@@ -12,7 +17,7 @@ from repro.store.store_recovery import (
     recover_store_instance,
     select_ts,
 )
-from repro.store.wal import WriteAheadLog
+from repro.store.wal import UpdateLogEntry, WriteAheadLog
 
 KEY = "v\x1fshared\x1f"
 
@@ -178,3 +183,127 @@ class TestFullStoreRecovery:
         assert cluster.endpoint_for_key(counter_key) == "storeB"
         # per-flow state recovered from the owners' caches
         assert result.reexecuted_ops >= 3
+
+
+# ---------------------------------------------------------------------------
+# the columnar WAL against the list of entries it replaced
+# ---------------------------------------------------------------------------
+
+
+class ListWal:
+    """The update half of the WAL as it was: one ``UpdateLogEntry`` per
+    update, kept in a list, every query a scan of it."""
+
+    def __init__(self):
+        self.updates = []
+
+    def log_update(self, clock, key, op, args, seq=0, at=0.0):
+        self.updates.append(UpdateLogEntry(clock, key, op, args, seq, at))
+
+    def updates_for(self, key):
+        return [entry for entry in self.updates if entry.key == key]
+
+    def updates_after(self, key, clock):
+        entries = self.updates_for(key)
+        for index, entry in enumerate(entries):
+            if entry.clock == clock:
+                return entries[index + 1 :]
+        return entries
+
+    def truncate(self):
+        self.updates.clear()
+
+    def __len__(self):
+        return len(self.updates)
+
+
+WAL_KEYS = ["v\x1fshared\x1f", "v\x1fhits\x1fa", "w\x1ftotal\x1f"]
+# root id 255 sets the top bit: a signed 64-bit column would overflow
+WAL_CLOCKS = [
+    0, 1, 2, make_clock(1, 3), make_clock(127, 1), make_clock(128, 1),
+    make_clock(255, 0), make_clock(255, SEQUENCE_MASK),
+]
+wal_steps = st.one_of(
+    st.tuples(
+        st.just("log"),
+        st.sampled_from(WAL_CLOCKS),
+        st.sampled_from(WAL_KEYS),
+        st.sampled_from(["incr", "set", "add_to_set"]),
+        # equal under ==, told apart by type: none may turn into another
+        st.sampled_from([(1,), (True,), (1.0,), (2, "x"), ()]),
+        st.integers(0, 3),
+        st.floats(0.0, 1e6, allow_nan=False),
+    ),
+    st.just(("truncate",)),
+)
+
+
+class TestColumnarWal:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(wal_steps, max_size=30))
+    def test_reads_back_what_the_list_of_entries_held(self, steps):
+        wal, reference = WriteAheadLog("I1"), ListWal()
+        for step in steps:
+            for log in (wal, reference):
+                if step[0] == "log":
+                    log.log_update(*step[1:])
+                else:
+                    log.truncate()
+        assert wal.updates == reference.updates
+        assert repr(wal.updates) == repr(reference.updates)  # args types and floats too
+        assert len(wal) == len(reference)
+        assert wal.updated_keys() == list(dict.fromkeys(e.key for e in reference.updates))
+        for key in WAL_KEYS:
+            assert repr(wal.updates_for(key)) == repr(reference.updates_for(key))
+            for clock in WAL_CLOCKS:
+                assert repr(wal.updates_after(key, clock)) == repr(
+                    reference.updates_after(key, clock)
+                )
+
+    def test_store_recovery_views_each_logged_update_once(self, sim, monkeypatch):
+        """K keys over N logged updates: recovery builds N read views in
+        total, not one scan of every WAL per key (K x N)."""
+        built = []
+
+        class Counted(UpdateLogEntry):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(wal_module, "UpdateLogEntry", Counted)
+        keys = [f"v\x1fshared{k}\x1f" for k in range(6)]
+        wals = {instance: WriteAheadLog(instance) for instance in ("I1", "I2")}
+        logged = 0
+        for clock in range(1, 21):
+            for index, key in enumerate(keys):
+                if (clock + index) % 3 == 0:
+                    wals["I1" if clock % 2 else "I2"].log_update(clock, key, "incr", (1,))
+                    logged += 1
+        network = Network(sim, Link(latency_us=14.0), seed=3)
+        failed = DatastoreInstance(sim, network, "storeA", checkpoint_interval_us=None)
+        # the checkpoint covers I1 up to clock 9 on the first key: a
+        # positional cut, not another scan
+        failed.last_checkpoint = Checkpoint(
+            taken_at=0.0, data={keys[0]: 2}, ts={keys[0]: {"I1": 9}}
+        )
+        failed.fail()
+        clients = [
+            SimpleNamespace(
+                instance_id=instance,
+                wal=wal,
+                per_flow_snapshot=dict,
+                drop_pending_flushes=lambda snapshot: None,
+                cancel_pending_flushes=lambda covered: None,
+            )
+            for instance, wal in wals.items()
+        ]
+        result = sim.run_process(
+            recover_store_instance(sim, StoreCluster([failed]), failed, clients, "storeB")
+        )
+        assert sorted(result.shared_keys) == sorted(keys)
+        assert len(built) == logged == 40
+        first = [e for e in wals["I1"].updates_for(keys[0]) if e.clock <= 9]
+        assert result.reexecuted_ops == logged - len(first)
+        assert result.replacement.peek(keys[0]) == 2 + result.shared_keys[keys[0]].reexecuted_ops
