@@ -11,8 +11,10 @@ Three layers, all optional at runtime:
   installed via :func:`repro.analysis.runtime.sanitized`. Product code
   carries ``if ACTIVE is not None`` hooks that cost one global read when
   the suite is off.
-- :mod:`repro.analysis.determinism` — same-seed double-run digesting, the
-  direct guard for BENCH_* trustworthiness (``tools/determinism_check.py``).
+- :mod:`repro.analysis.determinism` — run digests, the direct guard for
+  BENCH_* trustworthiness; :mod:`repro.analysis.campaign` runs every
+  chaos and overload scenario twice per seed and compares them
+  (``tools/campaign.py determinism``).
 
 Only :mod:`repro.analysis.runtime` is imported by product modules; it is
 stdlib-only, so the hooks add no import weight and no cycles.

@@ -1,22 +1,27 @@
-"""Same-seed double-run determinism checking (DESIGN.md §9.3).
+"""Run digests and the fast-path equivalence surface (DESIGN.md §9.3, §10).
 
 Every BENCH_* number and every chaos/overload invariant gate assumes a
 scenario run is a pure function of its seed. This module makes that
-checkable: run a scenario N times under one seed, digest the full
-observable stream of each run (ordered egress, drop ledger, shed causes,
-per-component stats, engine counters), and compare. Any divergence —
-a stray ``set`` iteration, a wall-clock read, a process-global counter
-leaking into routing — shows up as a digest mismatch.
+checkable: :func:`runtime_digest` hashes the full observable stream of a
+finished run (ordered egress, drop ledger, shed causes, per-component
+stats, engine counters), so two same-seed runs compare by digest. Any
+divergence — a stray ``set`` iteration, a wall-clock read, a
+process-global counter leaking into routing — shows up as a mismatch.
+The same-seed gate over the chaos and overload scenarios is the
+``determinism`` campaign family (:mod:`repro.analysis.campaign`,
+``tools/campaign.py determinism``); the batching on/off equivalence is
+``tests/test_fastpath.py::TestEquivalence``.
 
-Driven by ``tools/determinism_check.py`` and the CI determinism-smoke
-job.
+This module knows no scenario family and imports nothing of
+``repro.parallel`` or ``repro.chaos`` at load time: the benchmark harness
+imports it for its round digests.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 
 def _canon(obj: Any) -> Any:
@@ -281,228 +286,3 @@ def run_equivalence_once(
         fault(sim, runtime)
     sim.run(until=horizon_us)
     return runtime
-
-
-def _equivalence_case(item: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool work function: one seed's batching-off-vs-on comparison."""
-    seed = item["seed"]
-    packets, flows, batch = item["packets"], item["flows"], item["batch"]
-    try:
-        off = run_equivalence_once(seed, False, packets, flows, batch)
-        on = run_equivalence_once(seed, True, packets, flows, batch)
-        require_no_crash(off)
-        require_no_crash(on)
-    except Exception as exc:
-        return {
-            "seed": seed,
-            "error": f"{type(exc).__name__}: {exc}",
-            "fast_hits": 0,
-            "ok": False,
-        }
-    fast_hits = sum(
-        instance._fastpath.stats_fast
-        for instance in on.instances.values()
-        if instance._fastpath is not None
-    )
-    egress_off = flow_egress_digest(off)
-    egress_on = flow_egress_digest(on)
-    state_off = per_flow_state(off)
-    state_on = per_flow_state(on)
-    return {
-        "seed": seed,
-        "egress_off": egress_off,
-        "egress_on": egress_on,
-        "egress_match": egress_off == egress_on,
-        "state_match": state_off == state_on,
-        "state_diff": sorted(
-            key
-            for key in set(state_off) | set(state_on)
-            if state_off.get(key) != state_on.get(key)
-        )[:8],
-        "fast_hits": fast_hits,
-        "egress_packets": on.egress_meter.packets,
-        "ok": egress_off == egress_on
-        and state_off == state_on
-        and fast_hits > 0,
-    }
-
-
-def check_fastpath_equivalence(
-    seeds: Sequence[int],
-    packets: int = 400,
-    flows: int = 12,
-    batch: int = 16,
-    progress: Optional[Any] = None,
-    jobs: Any = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-) -> Dict[str, Any]:
-    """Run batching off/on per seed; compare the equivalence surface.
-
-    A case passes when per-flow egress digests match, per-flow state
-    matches, and the batched run actually took the fast path for at
-    least one packet (otherwise the check is vacuous). ``jobs`` fans the
-    per-seed cases across worker processes.
-    """
-    from repro.parallel import CampaignPool
-
-    items = [
-        {"seed": seed, "packets": packets, "flows": flows, "batch": batch}
-        for seed in seeds
-    ]
-    pool = CampaignPool(jobs=jobs, timeout_s=timeout_s, retries=retries)
-
-    def on_result(result) -> None:
-        if progress is not None:
-            progress(result.value)
-
-    pooled = pool.map(_equivalence_case, items, progress=on_result)
-    cases: List[Dict[str, Any]] = pooled.values()
-    infra_failures = [failure.as_dict() for failure in pooled.infra_failures]
-    return {
-        "packets": packets,
-        "flows": flows,
-        "batch": batch,
-        "seeds": list(seeds),
-        "cases": cases,
-        "mismatches": [case for case in cases if not case["ok"]],
-        "infra_failures": infra_failures,
-        "pool": pooled.stats(),
-        "ok": all(case["ok"] for case in cases) and not infra_failures,
-    }
-
-
-def chaos_digest(scenario: str, seed: int, sanitize: bool = False) -> str:
-    """Digest one chaos-campaign run of ``scenario`` under ``seed``."""
-    from repro.analysis.runtime import maybe_sanitized
-    from repro.chaos.campaign import (
-        SCENARIOS,
-        _reference_run,
-        cached_reference,
-        run_scenario,
-    )
-
-    spec = SCENARIOS[scenario]
-    # the clean reference is not digested: same-seed repeats share one
-    reference = cached_reference(_reference_run, spec, seed)
-    captured: List[str] = []
-    with maybe_sanitized(sanitize):
-        run_scenario(
-            spec,
-            seed,
-            reference=reference,
-            collect_runtime=lambda runtime: captured.append(checked_digest(runtime)),
-        )
-    return captured[0]
-
-
-def overload_digest(
-    scenario: str, seed: int, autoscale: bool = False, sanitize: bool = False
-) -> str:
-    """Digest one overload-scenario run of ``scenario`` under ``seed``."""
-    from repro.analysis.runtime import maybe_sanitized
-    from repro.chaos.overload import SCENARIOS, run_overload_scenario
-
-    captured: List[str] = []
-    with maybe_sanitized(sanitize):
-        run_overload_scenario(
-            SCENARIOS[scenario],
-            seed,
-            autoscale=autoscale,
-            collect_runtime=lambda runtime: captured.append(checked_digest(runtime)),
-        )
-    return captured[0]
-
-
-def _determinism_case(item: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool work function: one (kind, scenario, seed) double-run case.
-
-    A run that raises yields a failed case (``ok: False`` with the
-    error recorded) instead of aborting the whole check — per-run
-    isolation, matching the campaign runners.
-    """
-    digest_fn = chaos_digest if item["kind"] == "chaos" else overload_digest
-    case: Dict[str, Any] = {
-        "kind": item["kind"],
-        "scenario": item["scenario"],
-        "seed": item["seed"],
-        "digests": [],
-        "ok": False,
-    }
-    try:
-        case["digests"] = [
-            digest_fn(item["scenario"], item["seed"], sanitize=item["sanitize"])
-            for _ in range(item["runs"])
-        ]
-        case["ok"] = len(set(case["digests"])) == 1
-    except Exception as exc:
-        case["error"] = f"{type(exc).__name__}: {exc}"
-    return case
-
-
-def check_determinism(
-    seeds: Sequence[int],
-    runs: int = 2,
-    chaos: Sequence[str] = (),
-    overload: Sequence[str] = (),
-    sanitize: bool = False,
-    progress: Optional[Any] = None,
-    jobs: Any = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-) -> Dict[str, Any]:
-    """Run each scenario ``runs`` times per seed; report digest mismatches.
-
-    Returns a report dict with one entry per (scenario, seed) giving the
-    digests observed and whether they all agree; ``report["ok"]`` is the
-    overall verdict. ``jobs`` fans the independent cases across worker
-    processes (the ``runs`` same-seed executions of one case stay inside
-    one worker so their digests compare within a single process); lost
-    or hung workers appear under ``report["infra_failures"]`` and fail
-    the verdict.
-    """
-    from repro.parallel import CampaignPool
-
-    items = [
-        {"kind": "chaos", "scenario": name, "seed": seed, "runs": runs,
-         "sanitize": sanitize}
-        for name in chaos
-        for seed in seeds
-    ] + [
-        {"kind": "overload", "scenario": name, "seed": seed, "runs": runs,
-         "sanitize": sanitize}
-        for name in overload
-        for seed in seeds
-    ]
-    pool = CampaignPool(jobs=jobs, timeout_s=timeout_s, retries=retries)
-
-    def on_result(result) -> None:
-        if progress is not None:
-            progress(result.value)
-
-    pooled = pool.map(_determinism_case, items, progress=on_result)
-    cases: List[Dict[str, Any]] = pooled.values()  # submission order
-    infra_failures = [failure.as_dict() for failure in pooled.infra_failures]
-
-    # Different seeds should (almost always) produce different streams;
-    # identical cross-seed digests suggest the seed isn't reaching the run.
-    by_scenario: Dict[str, set] = {}
-    for case in cases:
-        if case["ok"]:
-            by_scenario.setdefault(f"{case['kind']}:{case['scenario']}", set()).add(
-                case["digests"][0]
-            )
-    seed_sensitivity = {
-        scenario: len(digests) > 1 or len(seeds) <= 1
-        for scenario, digests in by_scenario.items()
-    }
-    return {
-        "runs_per_seed": runs,
-        "seeds": list(seeds),
-        "cases": cases,
-        "seed_sensitivity": seed_sensitivity,
-        "mismatches": [case for case in cases if not case["ok"]],
-        "infra_failures": infra_failures,
-        "pool": pooled.stats(),
-        "ok": all(case["ok"] for case in cases) and not infra_failures,
-    }

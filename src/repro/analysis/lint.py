@@ -63,9 +63,8 @@ CHC008 ``import socket`` / ``import pickle`` anywhere but
        reconnect/backoff/fault-counter machinery the distributed-fabric
        evidence checks rely on.
 CHC009 A ``CampaignPool`` constructed anywhere but ``repro/parallel/``
-       (the pool and the one shared campaign runner),
-       ``repro/analysis/determinism.py`` (double-run cases are not
-       scenario sweeps) or benchmark code. A scenario family declares
+       (the pool and the one shared campaign runner). A scenario family
+       — the determinism gate's same-seed double runs included — declares
        itself to ``repro.parallel.campaign`` instead of fanning out its
        own items: a second runner means a second copy of the work
        function, merge order, failure taxonomy and payload envelope to
@@ -94,7 +93,7 @@ CHC012 A relay process: ``<sim>.process(f(...))`` where every ``yield`` of
        handler (``RpcEndpoint(on_request=..., on_message=...)``). A
        process is for code that *waits or serves* — a second kind of
        ``yield`` (a timeout, an RPC) makes it one. Benchmark code is
-       exempt: the engine micro-benchmarks time exactly that loop.
+       exempt: ``benchmarks/perf/direct.py`` times exactly that loop.
 ====== =================================================================
 
 Suppression: append ``# chclint: disable=CHC003`` (comma-separate for
@@ -275,10 +274,7 @@ def _exempt_codes(path: Path) -> Set[str]:
         exempt.add("CHC007")
     if path.name == "transport.py" and "dist" in parts:
         exempt.add("CHC008")
-    if (
-        parts & {"parallel", "benchmarks"}
-        or (path.name == "determinism.py" and "analysis" in parts)
-    ):
+    if "parallel" in parts:
         exempt.add("CHC009")
     if "store" in parts:
         exempt.add("CHC010")

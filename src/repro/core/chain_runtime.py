@@ -132,7 +132,7 @@ class RuntimeParams:
     # When on, NFs marked ``speculative`` run batched worker loops with
     # fused dispatch into adjacent speculative NFs. Off by default:
     # the general path is the semantic baseline the fast path must match
-    # byte-for-byte (see tools/determinism_check.py --fastpath-equivalence).
+    # byte-for-byte (see tests/test_fastpath.py::TestEquivalence).
     # Incompatible with wait_for_acks (EO/EO+C models serialize every op).
     fastpath_enabled: bool = False
     fastpath_batch: int = 16

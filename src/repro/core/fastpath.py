@@ -2,7 +2,7 @@
 
 Per-packet dispatch — one generator resume, one worker-queue hop and a
 handful of store-flush events per packet per NF — dominates the hot path
-once flows are established (BENCH_engine.json ``chain_pipeline``). Cascone
+once flows are established (the ``chain4_general`` ledger workload). Cascone
 et al. and Lemur show that NF logic whose state is per-flow-partitionable
 compiles into match-action pipelines executed in bulk. This module is the
 Python analogue:

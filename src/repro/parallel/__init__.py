@@ -11,7 +11,7 @@ explicit worker-lifecycle handling (per-run timeouts, crashed workers,
 bounded retry), a deterministic merge layer that keeps BENCH payloads
 byte-identical regardless of job count or completion order, and — in
 :mod:`repro.parallel.campaign` — the one harness (work item, work
-function, runner, report envelope, CLI) the four scenario families
+function, runner, report envelope, CLI) the five scenario families
 declare themselves to instead of each carrying a copy.
 
 Failure taxonomy (the distinction every campaign payload now carries):

@@ -2,8 +2,8 @@
 
 A campaign sweeps independent ``(scenario, seed)`` runs, checks each,
 merges the outcomes in submission order and serializes a BENCH payload.
-This module owns what the four families — chaos, overload, ops, dist —
-have in common: the picklable :class:`WorkItem`, the never-raise work
+This module owns what the five families — chaos, overload, ops, dist,
+determinism — have in common: the picklable :class:`WorkItem`, the never-raise work
 function, the :class:`~repro.parallel.pool.CampaignPool` fan-out, the
 :class:`CampaignReport` and its payload envelope (``campaign``,
 ``violations``, ``failures``, ``infra_failures``), and the CLI behind
@@ -46,6 +46,7 @@ FAMILIES: Dict[str, str] = {
     "overload": "repro.chaos.overload",
     "ops": "repro.ops.campaign",
     "dist": "repro.dist.campaign",
+    "determinism": "repro.analysis.campaign",
 }
 
 

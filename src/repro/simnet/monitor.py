@@ -5,9 +5,9 @@ time percentiles (Figure 8), CDFs (Figures 11–12), time series of
 per-packet latency (Figures 9 and 13), and Gbps goodput (Figure 10).
 
 This module also surfaces the engine's hot-path counters (events processed,
-microtasks, heap peak, channel depth peaks) for the perf harness in
-``benchmarks/bench_engine_micro.py`` — see DESIGN.md "Engine performance
-model".
+microtasks, heap peak, channel depth peaks) for the count gates in
+``tests/test_engine_hotpath.py`` and the ``benchmarks/perf`` ledger — see
+DESIGN.md "Engine performance model".
 """
 
 from __future__ import annotations

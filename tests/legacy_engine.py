@@ -1,11 +1,12 @@
 """Faithful copy of the PRE-OVERHAUL simulation engine (the repo seed).
 
-This module exists solely as the baseline for ``bench_engine_micro.py`` /
-``tools/perf_report.py``: the hot-path overhaul replaced the O(n)
-``list.pop(0)`` channels and the heap-only zero-delay scheduling, and the
-perf harness proves the win by running the same microbenchmarks against
-this snapshot. Do NOT use it for anything else, and do not "fix" it — its
-inefficiencies are the point.
+The reference ``repro.simnet.engine`` is replayed against: the hypothesis
+tie-storm tests in ``tests/test_engine_hotpath.py`` run the same
+process / timeout / channel / kill / interrupt programs on both engines
+and require identical traces, so the engine's inline tail continuations
+and microtask FIFO stay invisible to any schedule. Not used by the
+simulator. Do not "fix" it: one heap, every wake-up enqueued, is the
+semantics the current engine must reproduce.
 
 Snapshot of ``src/repro/simnet/engine.py`` as of the seed commit, verbatim
 below the original docstring.

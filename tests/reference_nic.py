@@ -6,8 +6,8 @@ callback-driven FIFO server: a ``_drain`` process that ``get``s from the
 ring, sleeps one serialisation time on a ``Timeout``, delivers, and parks
 on ``deliver_wait()`` when the receiver refuses. Kept verbatim (only the
 class name changed) so send schedules can be replayed on both and the
-deliver instants, drops and counters compared — the ``benchmarks/
-legacy_engine.py`` precedent. Not used by the simulator.
+deliver instants, drops and counters compared, as ``tests/
+legacy_engine.py`` is for the engine. Not used by the simulator.
 """
 
 from __future__ import annotations

@@ -3,20 +3,37 @@
 The digest pipeline is itself part of the trusted base: `_canon` must
 erase container-order noise without erasing real differences, and a
 scenario run twice under one seed must digest identically — that is the
-property the CI determinism-smoke job gates on.
+property the ``determinism`` campaign family (and the CI
+determinism-smoke job) gates on. The family must also be able to fail:
+a known-answer mutant that leaks a process-global counter into a stats
+field has to turn the gate red.
 """
 
+import itertools
+import json
+
+import pytest
+
+from repro.analysis.campaign import FAMILY, RUNS, chaos_digest, overload_digest
 from repro.analysis.determinism import (
     ENGINE_COUNTERS,
     _canon,
-    chaos_digest,
-    check_determinism,
     engine_counters_of,
     observable_digest,
-    overload_digest,
+    require_no_crash,
     run_equivalence_once,
     runtime_digest,
 )
+from repro.parallel.campaign import WorkItem, run_campaign
+from repro.parallel.campaign import main as campaign_main
+
+
+def _chaos(name, seed):
+    """``chaos_digest``'s arguments for one chaos scenario, the clean
+    reference taken the way the family takes it."""
+    scenario = f"chaos:{name}"
+    reference = FAMILY.reference(WorkItem(FAMILY.name, scenario, seed))
+    return FAMILY.scenarios[scenario], seed, reference
 
 
 class TestCanon:
@@ -56,7 +73,8 @@ class TestDigestHalves:
 
 class TestSameSeedDigests:
     def test_chaos_run_digests_identically_per_seed(self):
-        assert chaos_digest("nf-crash", seed=3) == chaos_digest("nf-crash", seed=3)
+        args = _chaos("nf-crash", 3)
+        assert chaos_digest(*args) == chaos_digest(*args)
 
     def test_chaos_digest_repeats_share_one_reference_run(self, monkeypatch):
         # the clean reference is never digested; re-running it per digest
@@ -71,50 +89,55 @@ class TestSameSeedDigests:
             return real(seed, spec)
 
         monkeypatch.setattr(campaign, "_reference_run", counting)
-        digests = {chaos_digest("nf-crash", seed=3) for _ in range(3)}
-        assert len(digests) == 1
+        report = run_campaign("determinism", [3], scenario_names=["chaos:nf-crash"])
+        (outcome,) = report.outcomes
+        assert len(outcome.digests) == RUNS and len(set(outcome.digests)) == 1
         assert calls == [(3, "nf-crash")]
         # and the digest does not depend on where the reference came from
         monkeypatch.undo()
-        assert digests == {chaos_digest("nf-crash", seed=3)}
+        assert outcome.digests[0] == chaos_digest(*_chaos("nf-crash", 3))
 
     def test_overload_run_digests_identically_per_seed(self):
-        assert overload_digest("overload-burst", seed=3) == overload_digest(
-            "overload-burst", seed=3
-        )
+        spec = FAMILY.scenarios["overload:overload-burst"]
+        assert overload_digest(spec, 3) == overload_digest(spec, 3)
 
-    def test_check_determinism_report_shape(self):
-        report = check_determinism(seeds=[0], runs=2, chaos=["nf-crash"])
-        assert report["ok"] is True
-        assert report["mismatches"] == []
-        (case,) = report["cases"]
-        assert case["kind"] == "chaos"
-        assert case["scenario"] == "nf-crash"
-        assert len(case["digests"]) == 2
-        assert len(set(case["digests"])) == 1
+    def test_determinism_family_report_shape(self):
+        report = run_campaign("determinism", [0], scenario_names=["chaos:nf-crash"])
+        assert report.ok
+        (outcome,) = report.outcomes
+        assert (outcome.scenario, outcome.seed) == ("chaos:nf-crash", 0)
+        assert len(outcome.digests) == RUNS == 2
+        assert len(set(outcome.digests)) == 1
+        payload = report.as_dict()
+        assert payload["violations"] == [] and payload["failures"] == []
+        assert payload["scenarios"] == {
+            "chaos:nf-crash": {
+                "runs": 1,
+                "failed_runs": 0,
+                "violations": 0,
+                "digests": {"0": outcome.digests[0]},
+                "seed_sensitive": None,  # one seed cannot tell
+            }
+        }
 
 
 class TestCrashedProcessFailsTheRun:
     """A worker that dies of an exception used to show only downstream
     (undeleted packets); the checks now name it and fail the case."""
 
-    def _break_the_fast_path(self, monkeypatch):
+    def test_equivalence_gate_reports_the_worker_by_name(self, monkeypatch):
         from repro.core.fastpath import FastPathExecutor
 
         def broken(self, packet):
             raise AttributeError("'NoneType' object has no attribute 'append'")
 
         monkeypatch.setattr(FastPathExecutor, "execute", broken)
-
-    def test_equivalence_gate_reports_the_worker_by_name(self, monkeypatch):
-        from repro.analysis.determinism import check_fastpath_equivalence
-
-        self._break_the_fast_path(monkeypatch)
-        report = check_fastpath_equivalence([3], packets=60, flows=4)
-        assert report["ok"] is False
-        (case,) = report["cases"]
-        assert "crashed" in case["error"] and "firewall-0-w" in case["error"]
-        assert "AttributeError" in case["error"]
+        on = run_equivalence_once(3, True, packets=60, flows=4)
+        with pytest.raises(RuntimeError) as excinfo:
+            require_no_crash(on)
+        error = str(excinfo.value)
+        assert "crashed" in error and "firewall-0-w" in error
+        assert "AttributeError" in error
 
     def test_determinism_check_fails_instead_of_digesting(self, monkeypatch):
         from repro.simnet.engine import Simulator
@@ -131,7 +154,33 @@ class TestCrashedProcessFailsTheRun:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(Simulator, "run", run_with_a_crash)
-        report = check_determinism(seeds=[0], runs=2, chaos=["nf-crash"])
-        assert report["ok"] is False
-        (case,) = report["cases"]
-        assert "doomed-worker" in case["error"] and case["digests"] == []
+        report = run_campaign("determinism", [0], scenario_names=["chaos:nf-crash"])
+        assert not report.ok and report.outcomes == []
+        (failure,) = report.failures
+        assert failure.scenario == "chaos:nf-crash"
+        assert "doomed-worker" in failure.error
+
+
+class TestKnownAnswer:
+    """The gate can fail: a mutant whose second same-seed run diverges."""
+
+    def test_a_leaking_global_counter_fails_the_gate(self, monkeypatch, tmp_path, capsys):
+        import repro.core.root as root
+
+        leak = itertools.count()
+
+        class LeakyRootStats(root.RootStats):
+            # a process-global counter leaking into a digested stats field
+            def __init__(self):
+                super().__init__(replayed=next(leak))
+
+        monkeypatch.setattr(root, "RootStats", LeakyRootStats)
+        out = tmp_path / "determinism.json"
+        args = ["determinism", "--seeds", "1", "--scenarios", "chaos:nf-crash"]
+        assert campaign_main(args + ["-q", "-o", str(out)]) == 1
+        assert "INVARIANT VIOLATIONS: 1" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        (violation,) = payload["violations"]
+        assert violation["invariant"] == "same-seed-digest"
+        assert (violation["scenario"], violation["seed"]) == ("chaos:nf-crash", 0)
+        assert payload["scenarios"]["chaos:nf-crash"]["digests"] == {"0": None}

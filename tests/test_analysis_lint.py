@@ -227,18 +227,22 @@ class TestRules:
         assert {f.line for f in findings} == {8, 12}
         assert "CampaignFamily" in findings[0].message
 
-    def test_chc009_exempt_in_the_shared_runner_and_determinism(self):
+    def test_chc009_exempt_only_in_the_shared_runner(self):
         source = (
             "from repro.parallel import CampaignPool\n"
             "pool = CampaignPool(jobs=2)\n"
         )
-        # one runner: the pool's own package, plus the determinism
-        # double-runs (cases, not scenario sweeps) and benchmark sweeps
+        # one runner: the pool's own package
         assert lint.check_source(source, Path("repro/parallel/campaign.py")) == []
-        assert lint.check_source(source, Path("repro/analysis/determinism.py")) == []
-        assert lint.check_source(source, Path("benchmarks/bench_x.py")) == []
-        # a scenario family (or a tool) fanning out its own items is flagged
-        for path in ("repro/chaos/campaign.py", "repro/analysis/other.py", "tools/x.py"):
+        # a scenario family, the determinism double runs, a benchmark or a
+        # tool fanning out its own items is flagged
+        for path in (
+            "repro/chaos/campaign.py",
+            "repro/analysis/determinism.py",
+            "repro/analysis/other.py",
+            "benchmarks/bench_x.py",
+            "tools/x.py",
+        ):
             flagged = lint.check_source(source, Path(path))
             assert [f.code for f in flagged] == ["CHC009"], path
         # importing or annotating with the class is not constructing it
@@ -285,7 +289,7 @@ class TestRules:
             assert [f.code for f in flagged] == ["CHC011"], path
         # a class's own ``self._heap`` is not the simulator's
         own = "class Q:\n    def push(self, x):\n        self._heap.append(x)\n"
-        assert lint.check_source(own, Path("benchmarks/legacy_engine.py")) == []
+        assert lint.check_source(own, Path("tests/legacy_engine.py")) == []
 
 
     def test_chc012_a_relay_is_a_handler_not_a_process(self):
@@ -303,8 +307,8 @@ class TestRules:
         )
         for path in ("repro/core/root.py", "repro/store/datastore.py", "tools/x.py"):
             assert [f.code for f in lint.check_source(relay, Path(path))] == ["CHC012"], path
-        # the engine micro-benchmarks time exactly this loop
-        assert lint.check_source(relay, Path("benchmarks/bench_engine_micro.py")) == []
+        # the benchmark's direct-drive engine loops time exactly this loop
+        assert lint.check_source(relay, Path("benchmarks/perf/direct.py")) == []
         # a second kind of wait makes it a process: a timeout, a delegated RPC
         for extra in ("        yield sim.timeout(1.0)\n", "        yield from call()\n"):
             served = relay.replace("def start", extra + "def start")

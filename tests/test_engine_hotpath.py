@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import importlib.util
-import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -39,6 +37,7 @@ from repro.simnet.engine import (
 from repro.simnet.monitor import channel_depth_peaks, engine_counters
 from repro.simnet.network import Link, Network
 from repro.simnet.rpc import RpcEndpoint, RpcTimeout
+from tests import legacy_engine
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +271,9 @@ def test_negative_delay_rejected_and_seq_not_burned(sim):
 
 # ---------------------------------------------------------------------------
 # inline tail continuations vs the always-enqueue seed engine
+# (tests/legacy_engine.py: one heap, every wake-up enqueued)
 # ---------------------------------------------------------------------------
 
-
-def _load_seed_engine():
-    """``benchmarks/legacy_engine.py``: the seed engine, one heap, every
-    wake-up enqueued — the reference the inline rule must be invisible to."""
-    path = os.path.join(
-        os.path.dirname(__file__), os.pardir, "benchmarks", "legacy_engine.py"
-    )
-    spec = importlib.util.spec_from_file_location("legacy_engine", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-SEED_ENGINE = _load_seed_engine()
 
 N_CHANNELS = 2
 DELAYS = st.integers(0, 3)  # small integers: every instant is a tie storm
@@ -349,7 +335,7 @@ PARKED_KILL = [[("sleep", 2), ("put", 0)], [("sleep", 1), ("kill", 0), ("sleep",
 def test_process_tie_storms_replay_the_seed_engine_trace(program):
     import repro.simnet.engine as engine
 
-    _seed_sim, expected = _run_program(SEED_ENGINE, program)
+    _seed_sim, expected = _run_program(legacy_engine, program)
     _sim, actual = _run_program(engine, program)
     assert actual == expected
 
@@ -894,3 +880,37 @@ class TestEngineCounters:
         sim.run()
         assert seen == [1]
         assert sim.microtasks_processed >= 1
+
+    def test_timer_storm_fan_outs_never_touch_the_heap(self, sim):
+        """Zero-delay delivery fan-outs racing a heap deep in armed timers
+        (retransmit timers at high load) ride the microtask FIFO: the heap
+        sees the periodic timers' fires and nothing else, where the seed
+        engine sifted every fan-out callback through it."""
+        armed, timers, fires, fanout = 2_000, 40, 6, 8
+        for b in range(armed):
+            sim.schedule(10_000.0 + b, lambda: None)
+        delivered = []
+
+        def deliver(event):
+            sim.schedule(0.0, delivered.append, event.value)
+
+        def periodic(k, delay):
+            def fire(left):
+                event = Event(sim, name="fan")
+                for _ in range(fanout):
+                    event.add_callback(deliver)
+                sim.schedule(0.0, event.succeed, k)
+                if left > 1:
+                    sim.schedule(delay, fire, left - 1)
+
+            return fire
+
+        for k in range(timers):
+            delay = 1.0 + (k % 7) * 0.5
+            sim.schedule(delay, periodic(k, delay), fires)
+        sim.run(until=9_999.0)
+        snapshot = engine_counters(sim)
+        assert len(delivered) == timers * fires * fanout
+        assert snapshot.heap_events == timers * fires
+        assert snapshot.heap_peak == armed + timers
+        assert snapshot.microtasks_processed == timers * fires * (2 * fanout + 1)

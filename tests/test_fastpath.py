@@ -23,7 +23,6 @@ import pytest
 
 from repro.analysis.determinism import (
     _declarative_chain,
-    check_fastpath_equivalence,
     engine_counters_of,
     flow_egress_digest,
     observable_digest,
@@ -64,8 +63,13 @@ def assert_equivalent(off, on, require_fast=True):
 
 class TestEquivalence:
     def test_batching_on_off_equivalence(self):
-        report = check_fastpath_equivalence(SEEDS, packets=300, flows=10)
-        assert report["ok"], report["mismatches"]
+        # (seed, packets, flows): SEEDS at 300 x 10, and seeds 0 and 1 at
+        # run_equivalence_once's default 400 x 12
+        cases = [(seed, 300, 10) for seed in SEEDS] + [(0, 400, 12), (1, 400, 12)]
+        for seed, packets, flows in cases:
+            off = run_equivalence_once(seed, False, packets=packets, flows=flows)
+            on = run_equivalence_once(seed, True, packets=packets, flows=flows)
+            assert_equivalent(off, on)
 
     def test_equivalence_with_mid_batch_handover(self):
         """A Figure-4 move lands mid-run: the mark_last barrier must fence

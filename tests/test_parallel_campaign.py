@@ -5,7 +5,7 @@ to serial), the failure taxonomy (invariant violation vs failed run vs
 infra failure), worker lifecycle (crash retry, per-run timeout), and the
 per-run exception isolation the serial runner gets from the same code
 path. The campaign and CLI layers run once per in-process family (chaos,
-overload, ops) through the one shared harness
+overload, ops, determinism) through the one shared harness
 (``repro.parallel.campaign``); the dist family's report and row
 aggregator are driven with hand-built outcomes, no child processes.
 
@@ -137,6 +137,8 @@ FAMILY_CASES = {
     "chaos": ("nf-crash", _chaos_spec, 1),
     "overload": ("slow-store", _overload_spec, 2),
     "ops": ("rolling-upgrade", _ops_spec, 1),
+    # one item = the same-seed runs of one chaos or overload scenario
+    "determinism": ("chaos:nf-crash", _chaos_spec, 1),
 }
 IN_PROCESS_FAMILIES = sorted(FAMILY_CASES)
 #: skip overload's knee sweep where a test is not about it
@@ -580,10 +582,11 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "campaign_golde
 @needs_fork
 @pytest.mark.parametrize("family_name", IN_PROCESS_FAMILIES)
 def test_cli_payload_matches_parent_commit_golden(family_name, tmp_path):
-    # tests/fixtures/campaign_golden/*.json were written by the four
-    # per-family tools this harness replaced, with the arguments recorded
-    # in their meta blocks. The one CLI must reproduce them — serially and
-    # fanned out — with the same meta key set.
+    # tests/fixtures/campaign_golden/*.json were written by the per-family
+    # tools this harness replaced (determinism.json by the family itself,
+    # holding the digests the standalone tool it replaced wrote), with the
+    # arguments recorded in their meta blocks. The one CLI must reproduce
+    # them — serially and fanned out — with the same meta key set.
     with open(os.path.join(GOLDEN_DIR, f"{family_name}.json")) as fh:
         golden = json.load(fh)
     args = [
@@ -618,6 +621,7 @@ SHARED_FLAGS = {
         ("overload", {"--sanitize", "--no-sweep"}),
         ("ops", {"--sanitize", "--quick"}),
         ("dist", {"--quick"}),
+        ("determinism", {"--sanitize"}),
     ],
 )
 def test_cli_subcommand_keeps_exactly_its_old_tools_flags(family_name, own, capsys):

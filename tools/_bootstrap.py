@@ -36,9 +36,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: importable.
 SRC_DIR = os.path.join(REPO_ROOT, "src")
 
-#: The benchmark harness directory (``bench_engine_micro`` et al.).
-BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
-
 
 def ensure_path(directory: str) -> None:
     """Prepend ``directory`` to ``sys.path`` exactly once."""
@@ -51,10 +48,3 @@ def ensure_repro_importable() -> None:
     if importlib.util.find_spec("repro") is not None:
         return
     ensure_path(SRC_DIR)
-
-
-def ensure_benchmarks_importable() -> None:
-    """Make the ``benchmarks/`` harness modules importable."""
-    if importlib.util.find_spec("bench_engine_micro") is not None:
-        return
-    ensure_path(BENCH_DIR)

@@ -4,10 +4,11 @@
 One harness (``repro.parallel.campaign``, DESIGN.md §11.1) serves every
 family; the subcommand picks which:
 
-    chaos     fault injection and recovery       -> BENCH_recovery.json
-    overload  saturation, shedding, elasticity   -> BENCH_overload.json
-    ops       planned day-2 operations           -> BENCH_operations.json
-    dist      real processes over real sockets   -> BENCH_dist.json
+    chaos        fault injection and recovery     -> BENCH_recovery.json
+    overload     saturation, shedding, elasticity -> BENCH_overload.json
+    ops          planned day-2 operations         -> BENCH_operations.json
+    dist         real processes over real sockets -> BENCH_dist.json
+    determinism  same-seed runs digest alike      -> BENCH_determinism.json
 
 Usage::
 
@@ -19,6 +20,8 @@ Usage::
     PYTHONPATH=src python tools/campaign.py ops --quick --jobs 2
     PYTHONPATH=src python tools/campaign.py dist --seeds 3 \
         --scenarios shard-kill store-kill
+    PYTHONPATH=src python tools/campaign.py determinism --seeds 2 \
+        --scenarios chaos:nf-crash overload:overload-burst --jobs 2
 
 ``<family> --help`` says what the family's runs are checked for and lists
 its flags. ``--jobs N|auto`` fans the independent runs across worker
