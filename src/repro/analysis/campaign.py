@@ -16,8 +16,9 @@ is run under.
 :data:`FAMILY` declares the family to the shared harness
 (:mod:`repro.parallel.campaign`, ``tools/campaign.py determinism``),
 which writes ``BENCH_determinism.json``. Its scenarios are the chaos
-family's as ``chaos:<name>`` and the overload family's as
-``overload:<name>`` (autoscaler off).
+family's as ``chaos:<name>``, the overload family's as
+``overload:<name>`` (autoscaler off) and the planned-operations family's
+as ``ops:<name>`` — the runs that reallocate flows through Figure 4.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.analysis.determinism import checked_digest
 from repro.chaos import campaign as chaos
 from repro.chaos import overload
 from repro.chaos.invariants import InvariantViolation, RunSnapshot
+from repro.ops import campaign as ops
 from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 
 #: Same-seed executions per (scenario, seed).
@@ -60,6 +62,14 @@ def overload_digest(spec: overload.OverloadSpec, seed: int) -> str:
     return _digest(overload.run_overload_scenario, spec, seed)
 
 
+def ops_digest(
+    spec: ops.OpsScenarioSpec, seed: int, reference: Optional[RunSnapshot]
+) -> str:
+    """Digest one maintenance run of ``spec`` under ``seed``; as for chaos,
+    the clean ``reference`` only feeds the invariant checks."""
+    return _digest(ops.run_scenario, spec, seed, reference=reference)
+
+
 @dataclass
 class DeterminismOutcome:
     """The :data:`RUNS` digests of one (scenario, seed)."""
@@ -75,8 +85,8 @@ class DeterminismOutcome:
 
 
 class DeterminismFamily(CampaignFamily):
-    """Determinism gate: N seeds x the chaos and overload scenarios, each run
-    twice under its seed in one worker; any two same-seed runs whose digests
+    """Determinism gate: N seeds x the chaos, overload and ops scenarios, each
+    run twice under its seed in one worker; any two same-seed runs whose digests
     (ordered egress, drops, every stats object, engine counters) differ are a
     same-seed-digest violation, and a run in which a simulation process
     crashed is a failed run naming it. Records each scenario's digest per seed
@@ -88,18 +98,23 @@ class DeterminismFamily(CampaignFamily):
     scenarios = {
         **{f"chaos:{name}": spec for name, spec in chaos.SCENARIOS.items()},
         **{f"overload:{name}": spec for name, spec in overload.SCENARIOS.items()},
+        **{f"ops:{name}": spec for name, spec in ops.SCENARIOS.items()},
     }
 
     def reference(self, item: WorkItem) -> Optional[RunSnapshot]:
         spec = self.scenarios[item.scenario]
         if isinstance(spec, chaos.ScenarioSpec):
             return chaos.cached_reference(chaos._reference_run, spec, item.seed)
+        if isinstance(spec, ops.OpsScenarioSpec):
+            return chaos.cached_reference(ops._reference_run, spec, item.seed)
         return None
 
     def run(self, item: WorkItem, reference: Optional[RunSnapshot]) -> DeterminismOutcome:
         spec = self.scenarios[item.scenario]
         if isinstance(spec, chaos.ScenarioSpec):
             digest = partial(chaos_digest, spec, item.seed, reference)
+        elif isinstance(spec, ops.OpsScenarioSpec):
+            digest = partial(ops_digest, spec, item.seed, reference)
         else:
             digest = partial(overload_digest, spec, item.seed)
         digests = [digest() for _ in range(RUNS)]
@@ -129,7 +144,7 @@ class DeterminismFamily(CampaignFamily):
     def render(self, payload: Dict[str, Any]) -> str:
         lines = [
             "determinism campaign (digest = sha256 of a run's observable stream)",
-            f"{'scenario':<24} {'runs':>5} {'fail':>5} {'viol':>5} {'sensitive':>9}"
+            f"{'scenario':<30} {'runs':>5} {'fail':>5} {'viol':>5} {'sensitive':>9}"
             "  seed:digest",
         ]
         for name, row in payload["scenarios"].items():
@@ -139,7 +154,7 @@ class DeterminismFamily(CampaignFamily):
                 for seed, digest in row["digests"].items()
             )
             lines.append(
-                f"{name:<24} {row['runs']:>5} {row['failed_runs']:>5}"
+                f"{name:<30} {row['runs']:>5} {row['failed_runs']:>5}"
                 f" {row['violations']:>5} {sensitive:>9}  {digests}"
             )
         return "\n".join(lines)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional
 
+from repro.core.chain_runtime import HOP_LINK_US
 from repro.core.nf_api import LocalStateAPI, NetworkFunction
 from repro.simnet.engine import Channel, Process, Simulator
 from repro.simnet.monitor import LatencyRecorder, ThroughputMeter
@@ -122,7 +123,7 @@ class TraditionalNFHarness:
 
 class TraditionalChain:
     """Several traditional NFs wired in sequence (for the §7.1 chain
-    overhead comparison): packet hops cost ``hop_link_us`` each, exactly
+    overhead comparison): packet hops cost ``HOP_LINK_US`` each, exactly
     as in the CHC runtime, so the measured difference is pure state
     management overhead."""
 
@@ -130,14 +131,12 @@ class TraditionalChain:
         self,
         sim: Simulator,
         nfs: List[NetworkFunction],
-        hop_link_us: float = 3.0,
         n_workers: int = 8,
         proc_time_us: float = 2.0,
         nic_rate_gbps: float = 10.0,
         nic_overhead_bits: int = 600,
     ):
         self.sim = sim
-        self.hop_link_us = hop_link_us
         self.egress_recorder = LatencyRecorder(name="traditional-chain")
         self.egress_meter = ThroughputMeter(name="traditional-chain")
         self.stages: List[TraditionalNFHarness] = []
@@ -161,7 +160,7 @@ class TraditionalChain:
 
     def _make_hop(self, nxt: TraditionalNFHarness):
         def hop(packet: Packet) -> None:
-            self.sim.schedule(self.hop_link_us, nxt.nic.send, packet, packet.size_bits)
+            self.sim.schedule(HOP_LINK_US, nxt.nic.send, packet, packet.size_bits)
 
         return hop
 
@@ -174,5 +173,5 @@ class TraditionalChain:
     def inject(self, packet: Packet) -> None:
         packet.ingress_time = self.sim.now
         self.sim.schedule(
-            self.hop_link_us, self.stages[0].nic.send, packet, packet.size_bits
+            HOP_LINK_US, self.stages[0].nic.send, packet, packet.size_bits
         )

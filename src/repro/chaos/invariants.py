@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.core import handover
+
 _INTERNAL_MARKERS = ("__root__", "__move__", "__nondet__")
 
 
@@ -438,13 +440,7 @@ def check_operation_converged(runtime) -> List[InvariantViolation]:
             _bad(f"splitter / instance list for {vertex!r} outlives its removed vertex")
     if runtime._paused_vertices:
         _bad(f"vertices still input-paused: {sorted(runtime._paused_vertices)}")
-    stuck_moves = {}
-    for vertex, pending in runtime._inflight_moves.items():
-        # completed moves are pruned lazily (moves_in_flight side effect),
-        # so triggered entries are normal — only untriggered ones are stuck
-        live = sum(1 for event in pending.values() if not event.triggered)
-        if live:
-            stuck_moves[vertex] = live
+    stuck_moves = handover.stuck_moves(runtime)
     if stuck_moves:
         _bad(f"handovers still in flight at end of run: {stuck_moves}")
     if runtime._sinks != set(runtime.chain.sinks()):

@@ -108,12 +108,6 @@ class Schedule:
     def sorted(self) -> List[FaultAction]:
         return sorted(self.actions, key=lambda a: a.at_us)
 
-    @property
-    def crash_count(self) -> int:
-        return sum(
-            isinstance(a, (CrashNF, CrashRoot, CrashStore)) for a in self.actions
-        )
-
 
 def random_schedule(
     seed: int,

@@ -26,7 +26,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.handover import evacuate, move_flows, routed_scope_keys
+from repro.core.handover import (
+    evacuate, move_flows, notify_split_changed, routed_scope_keys,
+)
 from repro.store.datastore import DatastoreInstance
 from repro.store.rehome import Rehoming
 
@@ -174,7 +176,7 @@ class AutoscaleController:
                     new.instance_id,
                 )
                 action.keys_moved = result.n_keys
-            yield from self.runtime.notify_split_changed(vertex_name)
+            yield from notify_split_changed(self.runtime, vertex_name)
             self.stats.scale_outs += 1
         finally:
             action.finished_at = self.sim.now

@@ -10,8 +10,9 @@
 * one splitter per vertex (all upstream producers share the downstream
   vertex's partitioning, as §4.1 requires);
 * the per-instance duplicate filters (§5.3) and the packet-copy accounting
-  that feeds the root's delete protocol (Figure 6);
-* handover rendezvous used by the Figure 4 protocol.
+  that feeds the root's delete protocol (Figure 6).
+
+The Figure 4 handover and the §4.1 scope walk are :mod:`repro.core.handover`.
 
 Experiments use it like::
 
@@ -34,6 +35,7 @@ from repro.core.bitvector import TagRegistry
 from repro.core.clock import LogicalClock, clock_root
 from repro.core.dag import LogicalChain
 from repro.core.duplicates import DuplicateFilter
+from repro.core.handover import Move
 from repro.core.instance import (
     NFInstance,
     POLICY_BLOCK,
@@ -42,7 +44,7 @@ from repro.core.instance import (
 )
 from repro.core.nf_api import Output
 from repro.core.root import DeleteRequest, Root
-from repro.core.splitter import FIVE_TUPLE, MoveMarker, Splitter
+from repro.core.splitter import FIVE_TUPLE, Splitter
 from repro.core.vertex_manager import VertexManager
 from repro.simnet.engine import Channel, Event, Simulator
 from repro.simnet.monitor import (
@@ -58,9 +60,6 @@ from repro.store.client import StoreClient
 from repro.store.cluster import StoreCluster
 from repro.store.datastore import DatastoreInstance
 from repro.traffic.packet import Packet
-
-_FIELD_POSITION = {"src_ip": 0, "dst_ip": 1, "src_port": 2, "dst_port": 3, "proto": 4}
-
 
 def _is_control_item(item: Any) -> bool:
     """NIC never-drop predicate: in-band control traffic only.
@@ -79,14 +78,20 @@ def _is_control_item(item: Any) -> bool:
     )
 
 
+# Latency model (all µs): NF<->store links are STORE_LINK_US one-way (RTT
+# ≈ 28µs, matching §7.2's 29µs clock-persist cost); NF->NF hops are
+# HOP_LINK_US; the root<->last-NF delete path is ROOT_LINK_US one-way (§7.2
+# reports a 7.9µs median synchronous delete).
+STORE_LINK_US = 14.0
+HOP_LINK_US = 3.0
+ROOT_LINK_US = 4.0
+# Worker threads per datastore instance.
+STORE_THREADS = 4
+
+
 @dataclass
 class RuntimeParams:
     """Calibrated simulation constants and CHC configuration toggles.
-
-    Latency model (all µs): NF<->store links are ``store_link_us`` one-way
-    (RTT ≈ 28µs, matching §7.2's 29µs clock-persist cost); NF->NF hops are
-    ``hop_link_us``; the root<->last-NF delete path is ``root_link_us``
-    one-way (§7.2 reports a 7.9µs median synchronous delete).
 
     Model toggles map to §7.1's externalization models:
 
@@ -95,9 +100,6 @@ class RuntimeParams:
     * EO+C+NA   — ``caching_enabled=True,  wait_for_acks=False`` (default)
     """
 
-    store_link_us: float = 14.0
-    hop_link_us: float = 3.0
-    root_link_us: float = 4.0
     proc_time_us: float = 2.0
     proc_time_overrides: Dict[str, float] = field(default_factory=dict)
     n_workers: int = 8
@@ -112,8 +114,6 @@ class RuntimeParams:
     clock_persist_every: int = 100
     log_in_store: bool = False
     local_log_cost_us: float = 1.0
-    log_threshold: int = 500_000
-    store_threads: int = 4
     store_op_service_us: float = 0.196
     checkpoint_interval_us: Optional[float] = None
     seed: int = 0
@@ -168,7 +168,6 @@ class ChainRuntime:
         params: Optional[RuntimeParams] = None,
         n_store_instances: int = 1,
         n_roots: int = 1,
-        start_managers: bool = False,
         store_cluster: Optional[StoreCluster] = None,
     ):
         chain.validate()
@@ -176,7 +175,7 @@ class ChainRuntime:
         self.chain = chain
         self.params = params or RuntimeParams()
         self.network = Network(
-            sim, Link(latency_us=self.params.store_link_us), seed=self.params.seed
+            sim, Link(latency_us=STORE_LINK_US), seed=self.params.seed
         )
         self.tags = TagRegistry()
 
@@ -194,7 +193,7 @@ class ChainRuntime:
                     sim,
                     self.network,
                     f"store{i}",
-                    n_threads=self.params.store_threads,
+                    n_threads=STORE_THREADS,
                     op_service_us=self.params.store_op_service_us,
                     root_endpoint="root{root_id}",
                     checkpoint_interval_us=self.params.checkpoint_interval_us,
@@ -240,7 +239,6 @@ class ChainRuntime:
                 persist_every=self.params.clock_persist_every,
                 log_in_store=self.params.log_in_store,
                 local_log_cost_us=self.params.local_log_cost_us,
-                log_threshold=self.params.log_threshold,
                 store_endpoints_for_prune=[s.name for s in self.stores],
                 clock=(
                     LogicalClock.resume_from(
@@ -255,25 +253,20 @@ class ChainRuntime:
         for root in self.roots:
             root.on_deleted.append(self._on_packet_deleted)
             for instance_id in self.instances:
-                self.network.connect(root.name, instance_id, Link(self.params.root_link_us))
+                self.network.connect(root.name, instance_id, Link(ROOT_LINK_US))
 
         # --- egress & bookkeeping -----------------------------------------
         self.egress = Channel(sim, name="egress")
         self.egress_recorder = LatencyRecorder(name="chain-egress")
         self.egress_meter = ThroughputMeter(name="chain-egress")
         self.duplicates_suppressed = 0
-        self._move_events: Dict[Tuple[str, Tuple], Event] = {}
-        # (vertex) -> {(partition fields, scope key) -> completion event} for
-        # moves whose ownership transfer has not landed yet; move_flows
-        # serialises against overlapping entries (see moves_in_flight).
-        self._inflight_moves: Dict[str, Dict[Tuple, Event]] = {}
+        # The Figure-4 move table (vertex -> move id -> record), written
+        # and read only by repro.core.handover.
+        self.moves: Dict[str, Dict[int, Move]] = {}
         # vertex -> resume event: while present, workers emitting into that
         # vertex park on the event (maintenance-director topology splices
         # quiesce a vertex this way; see pause_vertex_input).
         self._paused_vertices: Dict[str, Event] = {}
-
-        if start_managers:
-            self.start_vertex_managers()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -377,7 +370,7 @@ class ChainRuntime:
             instance_id, enabled=self.params.suppress_duplicates
         )
         for root in getattr(self, "roots", []):
-            self.network.connect(root.name, instance_id, Link(self.params.root_link_us))
+            self.network.connect(root.name, instance_id, Link(ROOT_LINK_US))
         self.splitters[vertex_name].add_instance(instance_id)
         self._apply_exclusivity([instance])
         return instance
@@ -386,7 +379,7 @@ class ChainRuntime:
         """Tell clients (all, by default) which cross-flow objects the
         current split confines to them (§4.3 "Cross-flow state"). Free —
         nothing is flushed — so only for a fresh instance or a build-time
-        change of the split; a live one is :meth:`notify_split_changed`."""
+        change of the split; a live one is ``handover.notify_split_changed``."""
         for instance in instances or self.instances.values():
             splitter = self.splitters[instance.vertex_name]
             for obj_name, spec in instance.client.specs.items():
@@ -584,59 +577,6 @@ class ChainRuntime:
             straggler_logic=vertex.straggler_logic,
         )
 
-    def rebalance_vertex(self, vertex_name: str, finer_fields=None) -> Generator:
-        """Walk the vertex's partitioning one scope finer (§4.1).
-
-        "The framework ... considers progressively finer grained scopes and
-        repeats the above process until load is even." Refinement remaps
-        some flow groups to other instances; every remapped group moves via
-        the Figure 4 handover, so the walk is loss-free and order-
-        preserving, and caching exclusivity is re-derived afterwards.
-
-        Returns the list of :class:`MoveResult`, or ``None`` when already
-        at the finest declared scope.
-        """
-        from repro.core.handover import move_flows, owned_scope_keys
-
-        splitter = self.splitter(vertex_name)
-        if finer_fields is None:
-            ordered = splitter.scopes
-            try:
-                index = ordered.index(splitter.partition_fields)
-            except ValueError:
-                index = len(ordered)
-            if index == 0:
-                return None
-            finer_fields = ordered[index - 1]
-        splitter.partition_fields = tuple(finer_fields)
-
-        # Which owned flow groups now route elsewhere?
-        pending: Dict[str, Dict[Tuple, str]] = {}
-        for instance in self.instances_of(vertex_name):
-            if not instance.alive:
-                continue
-            for scope_key in owned_scope_keys(self, vertex_name, instance):
-                destination = splitter.current_instance_for(scope_key)
-                if destination != instance.instance_id:
-                    pending.setdefault(destination, {})[scope_key] = instance.instance_id
-        results = []
-        for destination, holders in sorted(pending.items()):
-            outcome = yield from move_flows(
-                self, vertex_name, list(holders), destination, current_of=holders
-            )
-            results.append(outcome)
-        yield from self.notify_split_changed(vertex_name)
-        return results
-
-    def notify_split_changed(self, vertex_name: str) -> Generator:
-        """Re-evaluate caching exclusivity after a split change; clients
-        losing exclusivity flush (Figure 9's experiment pivots on this)."""
-        splitter = self.splitters[vertex_name]
-        for instance in self.instances_of(vertex_name):
-            for obj_name, spec in instance.client.specs.items():
-                exclusive = splitter.grants_exclusive(spec)
-                yield from instance.client.set_exclusive(obj_name, exclusive)
-
     # ------------------------------------------------------------------
     # traffic path
     # ------------------------------------------------------------------
@@ -701,7 +641,7 @@ class ChainRuntime:
         # let the previous copy's link-delayed nic.send land before probing
         # ring space, otherwise a zero-pace storm passes the check faster
         # than sends arrive and overruns the ring anyway
-        yield self.sim.timeout(self.params.hop_link_us)
+        yield self.sim.timeout(HOP_LINK_US)
         yield from self._await_hop_space(self.chain.entry, packet, emitter_id="replay")
 
     # ------------------------------------------------------------------
@@ -820,7 +760,7 @@ class ChainRuntime:
                 target._count_inflight(copy)
             nic = self.nics[dst]
             self.sim.schedule(
-                self.params.hop_link_us, nic.send, copy, copy.size_bits
+                HOP_LINK_US, nic.send, copy, copy.size_bits
             )
             reached.append(dst)
         return reached
@@ -1112,110 +1052,3 @@ class ChainRuntime:
         if fastpath:
             report["fastpath"] = fastpath
         return report
-
-    # ------------------------------------------------------------------
-    # handover rendezvous (Figure 4; used by NFInstance and handover.py)
-    # ------------------------------------------------------------------
-
-    def move_event(self, vertex_name: str, marker: MoveMarker) -> Event:
-        key = (vertex_name, marker.move_id)
-        event = self._move_events.get(key)
-        if event is None:
-            event = self.sim.event(name=f"move({vertex_name},#{marker.move_id})")
-            self._move_events[key] = event
-        return event
-
-    def moves_in_flight(self, vertex_name: str, fields, scope_keys) -> List[Event]:
-        """Completion events of pending moves that conflict with a new move.
-
-        A conflict is a pending move of the *same* scope key, or any pending
-        move recorded under different partition fields (after a §4.1 scope
-        refinement the keys are incomparable, so be conservative). Starting
-        an overlapping move before the prior transfer lands would consult
-        stale routing: the prior move's target is named old-holder before it
-        actually owns anything, its release covers no keys, and the flow's
-        updates are rejected by the store's ownership check from then on.
-        Triggered entries are pruned as a side effect.
-        """
-        table = self._inflight_moves.get(vertex_name)
-        if not table:
-            return []
-        waits: List[Event] = []
-        wanted = set(scope_keys)
-        for (entry_fields, scope_key), event in list(table.items()):
-            if event.triggered:
-                del table[(entry_fields, scope_key)]
-                continue
-            if entry_fields != fields or scope_key in wanted:
-                if event not in waits:
-                    waits.append(event)
-        return waits
-
-    def note_move_started(self, vertex_name: str, marker: MoveMarker, event: Event) -> None:
-        """Record an issued move so later overlapping moves wait for it."""
-        table = self._inflight_moves.setdefault(vertex_name, {})
-        for scope_key in marker.scope_keys:
-            table[(marker.fields, scope_key)] = event
-
-    @staticmethod
-    def _project(flow_key: Tuple, fields: Tuple[str, ...]) -> Optional[Tuple]:
-        """Project a canonical five-tuple flow key onto partition fields."""
-        if len(flow_key) != 5:
-            return None
-        try:
-            return tuple(flow_key[_FIELD_POSITION[f]] for f in fields)
-        except KeyError:
-            return None
-
-    def _move_notify_key(self, vertex_name: str, marker: MoveMarker) -> str:
-        return f"{vertex_name}\x1f__move__\x1f{marker.move_id}"
-
-    def release_moved_state(self, instance: NFInstance, marker: MoveMarker) -> Generator:
-        """Old-instance side of Figure 4 step 5: hand matching per-flow keys
-        to the new instance in one bulk metadata update.
-
-        The new instance's client *adopts* the released keys (ownership
-        metadata only, no values — its cache stays cold): the store names it
-        owner from this transfer on, and a later move of the same flows must
-        find these keys in its ``owned_items`` even if no packet of the
-        moved flows arrives in between.
-        """
-        moved = [
-            (storage_key, obj_name, flow_key)
-            for storage_key, (obj_name, flow_key) in instance.client.owned_items().items()
-            if flow_key is not None
-            and self._project(flow_key, marker.fields) in marker.scope_keys
-        ]
-        notify_key = self._move_notify_key(instance.vertex_name, marker)
-        yield from instance.client.release_keys_bulk(
-            [storage_key for storage_key, _obj, _fk in moved],
-            marker.new_instance,
-            notify_key,
-        )
-        target = self.instances.get(marker.new_instance)
-        if target is not None and target.alive:
-            target.client.adopt_keys(moved)
-        event = self.move_event(instance.vertex_name, marker)
-        if not event.triggered:
-            event.succeed(moved)
-
-    def moved_state_available(self, instance: NFInstance, marker: MoveMarker) -> Generator:
-        """New-instance side of step 3: consult the store (one RTT for the
-        owner check / callback registration), then the rendezvous event."""
-        event = self.move_event(instance.vertex_name, marker)
-        if event.triggered:
-            return True
-        notify_key = self._move_notify_key(instance.vertex_name, marker)
-        from repro.store.protocol import WatchRequest
-
-        yield instance.client.endpoint.call_event(
-            self.store.endpoint_for_key(notify_key),
-            WatchRequest(key=notify_key, endpoint=instance.instance_id, kind="owner"),
-        )
-        return event.triggered
-
-    def wait_for_handover(self, instance: NFInstance, marker: MoveMarker) -> Generator:
-        event = self.move_event(instance.vertex_name, marker)
-        if not event.triggered:
-            yield event
-        return True

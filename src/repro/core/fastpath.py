@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.core.chain_runtime import HOP_LINK_US
 from repro.core.nf_api import NetworkFunction, NotFast, Output, StateAPI
 from repro.store.client import JournalEntry, StateRef, StoreClient
 from repro.store.spec import CacheStrategy
@@ -343,7 +344,7 @@ class FastPathExecutor:
             dup_filter.admit(packet)
             executor.stats_fused_in += 1
             debt += (
-                params.hop_link_us
+                HOP_LINK_US
                 + (packet.size_bits + params.nic_overhead_bits) / wire_rate
                 + target.proc_time_us
             )
@@ -370,35 +371,3 @@ def install_fastpath(instance, batch_size: int) -> Optional[FastPathExecutor]:
     if not instance.nf.speculative:
         return None
     return FastPathExecutor(instance, batch_size)
-
-
-def compiled_plan(runtime) -> Dict[str, Any]:
-    """The chain compiler's fusion plan, for reports and tests.
-
-    Lists which vertices run ahead, and the maximal runs of adjacent such
-    vertices that batch-dispatch can fuse (static view — at
-    run time each fused hop is additionally gated on splitter quiescence
-    and the per-flow in-flight latch).
-    """
-    declarative = {
-        name
-        for name, vertex in runtime.chain.vertices.items()
-        if vertex.nf_factory().speculative
-    }
-    runs: List[List[str]] = []
-    consumed = set()
-    for name in runtime.chain.vertices:
-        if name not in declarative or name in consumed:
-            continue
-        run = [name]
-        consumed.add(name)
-        nxt = runtime.fusion_successor(name, "out")
-        while nxt in declarative and nxt not in consumed:
-            run.append(nxt)
-            consumed.add(nxt)
-            nxt = runtime.fusion_successor(nxt, "out")
-        runs.append(run)
-    return {
-        "declarative": sorted(declarative),
-        "fused_runs": [run for run in runs if len(run) > 1],
-    }

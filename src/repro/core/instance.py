@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.analysis import runtime as _sanitize
+from repro.core import handover
 from repro.core.nf_api import NetworkFunction, StateAPI
 from repro.core.splitter import MoveMarker
 from repro.simnet.engine import Channel, Event, Process, Simulator
@@ -163,7 +164,6 @@ class NFInstance:
         self._replay_seen = 0           # replayed packets this target processed
         self._replay_release: Optional[int] = None  # generation size, from marker
         self._pending_moves: Dict[int, MoveMarker] = {}  # inbound, incomplete
-        self._completed_moves: Set[int] = set()
         self._seen_clocks: Set[int] = set()
         self._barrier_counts: Dict[int, int] = {}
 
@@ -568,11 +568,11 @@ class NFInstance:
         Only *operations* are flushed (they were already streamed to the
         store non-blocking; the barrier just waits for their ACKs) — no
         state is serialised or copied, which is why CHC's move is ~35X
-        faster than OpenNF's (§7.3 R2). Per-key ownership release is
-        delegated to the runtime, which knows the moved keys.
+        faster than OpenNF's (§7.3 R2). The bulk ownership release is
+        :func:`repro.core.handover.release`.
         """
         yield self.client.ack_barrier()
-        yield from self.runtime.release_moved_state(self, marker)
+        yield from handover.release(self.runtime, self, marker)
 
     def _ensure_moved_in(self, marker: MoveMarker) -> Generator:
         """New-instance side: Figure 4 steps 3-4, 6-7.
@@ -582,15 +582,13 @@ class NFInstance:
         handover notification releases the wait. Blocking the worker (all
         of a flow's packets shard to one worker) *is* the buffering of
         step 4 — packets queue behind this one in FIFO order, so updates
-        happen in upstream arrival order (step 8's guarantee).
+        happen in upstream arrival order (step 8's guarantee). A move that
+        has already completed costs nothing, and its packets stop being
+        diverted here even while a sibling worker still waits out its RTT.
         """
-        if marker.move_id in self._completed_moves:
-            return
-        self._pending_moves[marker.move_id] = marker
-        available = yield from self.runtime.moved_state_available(self, marker)
-        if not available:
-            yield from self.runtime.wait_for_handover(self, marker)
-        self._completed_moves.add(marker.move_id)
+        if not handover.completed(self.runtime, self.vertex_name, marker):
+            self._pending_moves[marker.move_id] = marker
+            yield from handover.await_release(self.runtime, self, marker)
         self._pending_moves.pop(marker.move_id, None)
 
     def __repr__(self) -> str:

@@ -47,6 +47,10 @@ from repro.store.protocol import (
 )
 from repro.traffic.packet import Packet
 
+# Log entries at which the root stops admitting input: some NF cannot keep
+# up, so drop at the root rather than bloat the log (§5).
+LOG_THRESHOLD = 500_000
+
 
 @dataclass
 class DeleteRequest:
@@ -164,7 +168,7 @@ class Root:
         persist_every: int = 100,
         log_in_store: bool = False,
         local_log_cost_us: float = 1.0,
-        log_threshold: int = 200_000,
+        log_threshold: int = LOG_THRESHOLD,
         prune_grace_us: float = 10_000.0,
         store_endpoints_for_prune: Optional[List[str]] = None,
         clock: Optional[LogicalClock] = None,

@@ -72,8 +72,8 @@ class Splitter:
         self.vertex_name = vertex_name
         self.instances: List[str] = list(instances)
         # Per-splitter move-id allocation: move ids are only ever used
-        # vertex-scoped ((vertex, move_id) tuples, per-instance move sets,
-        # the vertex-prefixed move notify key), and the notify key is
+        # vertex-scoped (the per-vertex move table, per-instance pending
+        # moves, the vertex-prefixed move notify key), and the notify key is
         # *hashed* for store shard/thread routing — a process-global
         # counter would make same-seed runs route moves differently.
         self._move_ids = iter(range(1, 1 << 62))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
+from repro.core.chain_runtime import STORE_THREADS
 from repro.core.clock import clock_root, clock_sequence
 from repro.core.root import Root
 from repro.dist.node import ControlLink, Pacer, load_config
@@ -122,7 +123,7 @@ class StoreNode:
             self.sim,
             self.network,
             self.name,
-            n_threads=int(config.get("store_threads", 4)),
+            n_threads=STORE_THREADS,
             op_service_us=float(config.get("store_op_service_us", 0.196)),
             root_endpoint="root{root_id}",
             dedup_enabled=True,

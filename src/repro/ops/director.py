@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.core.chain_runtime import HOP_LINK_US
 from repro.core.handover import evacuate, quiesce
 from repro.store.rehome import Rehoming
 
@@ -327,7 +328,7 @@ class MaintenanceDirector:
         # settle gate: the first packets through the new NF cold-miss its
         # state; one wire hop is enough for routing to be observably live
         step = self._step(record, "settle")
-        yield self.sim.timeout(self.runtime.params.hop_link_us)
+        yield self.sim.timeout(HOP_LINK_US)
         self._close(step, self.sim)
         self._finish(record, "completed")
         return record

@@ -72,8 +72,3 @@ class FailureInjector:
         if delay < 0:
             raise ValueError(f"fail_at({time_us}) is in the past (now={self.sim.now})")
         self.sim.schedule(delay, self.fail_now, component)
-
-    def fail_together_at(self, time_us: float, components: List[Failable]) -> None:
-        """Correlated failure: several components crash at the same instant."""
-        for component in components:
-            self.fail_at(time_us, component)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.analysis import runtime as _sanitize
 from repro.simnet.engine import Event, Simulator
@@ -192,7 +192,6 @@ class StoreClient:
         }
         # (obj name, flow key) -> storage key; the reverse of _owned's values
         self._keys: Dict[Tuple[str, Optional[Tuple]], str] = {}
-        self._owner_waiters: Dict[str, List[Event]] = {}
         self._pending_acks: Dict[int, Tuple[Event, Any]] = {}  # ack_id -> (event, request)
         self._ack_seq = 0
         # One armed heap entry for all outstanding flushes; an ACKed flush's
@@ -398,9 +397,12 @@ class StoreClient:
         strategy = ref.strategy
         if strategy is None or strategy is CacheStrategy.NON_BLOCKING:
             if not need_result:
-                ack = self._nonblocking(request)
-                if ack is not None:
-                    yield ack
+                self._nonblocking(request)
+                if self.wait_for_acks:
+                    # The packet waits for the bare ACK on the blocking
+                    # send path: an Overloaded reply is retried there, not
+                    # taken for the ACK (which would lose the op).
+                    yield from self._blocking_call(storage_key, request)
                 return None
         elif self._caches_writes(ref):
             self._claim(request, ref, flow_key)
@@ -463,15 +465,15 @@ class StoreClient:
         else:
             self._send_tracked(self._dst(request.key), request)
 
-    def _nonblocking(self, request: OpRequest) -> Optional[Event]:
-        """Offload an op; returns the ACK only if the caller must await it
-        (``wait_for_acks``, the EO / EO+C models)."""
+    def _nonblocking(self, request: OpRequest) -> None:
+        """Offload an op: the store answers it with a bare ACK. Flushed
+        here, unless ``wait_for_acks`` (the EO / EO+C models) has the
+        caller send it and await that ACK."""
         self.stats.nonblocking_ops += 1
         if self.wait_for_acks:
             request.blocking = False
-            return self.endpoint.call_event(self._dst(request.key), request)
+            return
         self._flush(request)
-        return None
 
     def _note_cache_fill(self, storage_key: str) -> None:
         """Ownership-sanitizer hook: this client now caches ``storage_key``.
@@ -771,29 +773,6 @@ class StoreClient:
     # ownership / handover primitives (Figure 4)
     # ------------------------------------------------------------------
 
-    def _ensure_owned(
-        self, storage_key: str, obj_name: str = "", flow_key: Optional[Tuple] = None
-    ) -> Generator:
-        """Associate this instance with a per-flow object on first touch."""
-        if storage_key in self._owned:
-            return
-        yield from self._blocking_call(
-            storage_key,
-            OwnerRequest(key=storage_key, instance=self.instance_id, action="associate"),
-        )
-        self._owned[storage_key] = (obj_name, flow_key)
-
-    def get_owner(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
-        storage_key = self._key(obj_name, flow_key)
-        owner = yield from self._blocking_call(
-            storage_key, OwnerRequest(key=storage_key, action="get")
-        )
-        return owner
-
-    def associate(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
-        storage_key = self._key(obj_name, flow_key)
-        yield from self._ensure_owned(storage_key, obj_name, flow_key)
-
     def disassociate(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
         """Flush the cached value, then release ownership (Figure 4 step 5)."""
         storage_key = self._key(obj_name, flow_key)
@@ -809,21 +788,6 @@ class StoreClient:
         )
         self._owned.pop(storage_key, None)
         self._keys.pop((obj_name, flow_key), None)
-
-    def watch_owner(self, obj_name: str, flow_key: Optional[Tuple]) -> Generator:
-        """Register for ownership-change callbacks on a per-flow object."""
-        storage_key = self._key(obj_name, flow_key)
-        yield from self._blocking_call(
-            storage_key,
-            WatchRequest(key=storage_key, endpoint=self.instance_id, kind="owner"),
-        )
-
-    def on_owner_released(self, obj_name: str, flow_key: Optional[Tuple]) -> Event:
-        """Event fired when the object's owner becomes vacant (step 6)."""
-        storage_key = self._key(obj_name, flow_key)
-        event = self.sim.event(name=f"owner-released({storage_key})")
-        self._owner_waiters.setdefault(storage_key, []).append(event)
-        return event
 
     def owned_items(self) -> Dict[str, Tuple[str, Optional[Tuple]]]:
         """storage_key -> (object name, flow key) for owned per-flow state."""
@@ -931,22 +895,7 @@ class StoreClient:
         retransmitting them afterwards would double-apply.
         """
         keys = set(storage_keys)
-        dropped = 0
-        for ack_id, (_event, request) in list(self._pending_acks.items()):
-            if isinstance(request, BatchedOpRequest):
-                surviving = tuple(e for e in request.entries if e.key not in keys)
-                if len(surviving) != len(request.entries):
-                    dropped += len(request.entries) - len(surviving)
-                    if surviving:
-                        # The retransmit closure holds this same object, so
-                        # shrinking it in place covers future reissues too.
-                        request.entries = surviving
-                    else:
-                        del self._pending_acks[ack_id]
-            elif request.key in keys:
-                del self._pending_acks[ack_id]
-                dropped += 1
-        return dropped
+        return self._cancel_pending(lambda op: op.key in keys)
 
     def cancel_pending_flushes(self, identities) -> int:
         """Cancel un-ACK'd flushes whose ``(key, clock, seq)`` is covered.
@@ -958,21 +907,26 @@ class StoreClient:
         Un-covered pending flushes keep retransmitting: they were lost in
         flight and the retransmission is what recovers them.
         """
+        return self._cancel_pending(
+            lambda op: (op.key, op.clock, op.seq) in identities
+        )
+
+    def _cancel_pending(self, covered: Callable[[OpRequest], bool]) -> int:
+        """Stop tracking every un-ACK'd op ``covered`` selects; returns how
+        many. A batch loses only its covered entries."""
         cancelled = 0
         for ack_id, (_event, request) in list(self._pending_acks.items()):
             if isinstance(request, BatchedOpRequest):
-                surviving = tuple(
-                    e
-                    for e in request.entries
-                    if (e.key, e.clock, e.seq) not in identities
-                )
+                surviving = tuple(e for e in request.entries if not covered(e))
                 if len(surviving) != len(request.entries):
                     cancelled += len(request.entries) - len(surviving)
                     if surviving:
+                        # The retransmit closure holds this same object, so
+                        # shrinking it in place covers future reissues too.
                         request.entries = surviving
                     else:
                         del self._pending_acks[ack_id]
-            elif (request.key, request.clock, request.seq) in identities:
+            elif covered(request):
                 del self._pending_acks[ack_id]
                 cancelled += 1
         return cancelled
@@ -989,8 +943,3 @@ class StoreClient:
         if message.kind == "value":
             if message.key in self._readheavy_cache or message.key in self._watched:
                 self._readheavy_cache[message.key] = message.value
-        elif message.kind == "owner" and message.owner is None:
-            waiters = self._owner_waiters.pop(message.key, [])
-            for event in waiters:
-                if not event.triggered:
-                    event.succeed(message.key)

@@ -557,10 +557,9 @@ class DatastoreInstance:
             self._respond(request, outcome)
         elif isinstance(payload, OwnerRequest):
             outcome = self._handle_owner(payload)
-            if payload.action != "get":
-                mirror_ack = self._replicate(payload)
-                if mirror_ack is not None:
-                    yield mirror_ack
+            mirror_ack = self._replicate(payload)
+            if mirror_ack is not None:
+                yield mirror_ack
             self._respond(request, outcome)
         elif isinstance(payload, LockReadRequest):
             self._handle_lock_read(payload, request)
@@ -807,8 +806,6 @@ class DatastoreInstance:
 
     def _handle_owner(self, request: OwnerRequest) -> Optional[str]:
         key = request.key
-        if request.action == "get":
-            return self._owners.get(key)
         if request.action == "associate":
             self._owners[key] = request.instance
         elif request.action == "disassociate":

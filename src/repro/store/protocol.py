@@ -112,11 +112,11 @@ class WriteRequest:
 
 @dataclass
 class OwnerRequest:
-    """Read or update ownership metadata (per-flow state association)."""
+    """Update ownership metadata (per-flow state association)."""
 
     key: str
     instance: str = ""
-    action: str = "get"  # "get" | "associate" | "disassociate"
+    action: str = "associate"  # "associate" | "disassociate"
 
 
 @dataclass

@@ -161,15 +161,6 @@ def recover_shared_key(
     )
 
 
-def promote_replica(cluster: StoreCluster, failed: DatastoreInstance, mirror: DatastoreInstance) -> None:
-    """Instant recovery path when the failed instance had a mirror: swap
-    routing to the replica (its data, ownership metadata and duplicate-
-    suppression logs track the primary's). Read-heavy cache callbacks are
-    re-established lazily as clients re-register on their next miss.
-    """
-    cluster.replace_instance(failed.name, mirror)
-
-
 @dataclass
 class StoreRecoveryResult:
     """What a completed store-instance recovery produced."""

@@ -14,7 +14,13 @@ import json
 
 import pytest
 
-from repro.analysis.campaign import FAMILY, RUNS, chaos_digest, overload_digest
+from repro.analysis.campaign import (
+    FAMILY,
+    RUNS,
+    chaos_digest,
+    ops_digest,
+    overload_digest,
+)
 from repro.analysis.determinism import (
     ENGINE_COUNTERS,
     _canon,
@@ -100,6 +106,13 @@ class TestSameSeedDigests:
     def test_overload_run_digests_identically_per_seed(self):
         spec = FAMILY.scenarios["overload:overload-burst"]
         assert overload_digest(spec, 3) == overload_digest(spec, 3)
+
+    def test_ops_run_digests_identically_per_seed(self):
+        """A rolling upgrade under new flows: Figure-4 moves, run twice."""
+        scenario = "ops:upgrade-new-flows"
+        reference = FAMILY.reference(WorkItem(FAMILY.name, scenario, 3))
+        args = FAMILY.scenarios[scenario], 3, reference
+        assert ops_digest(*args) == ops_digest(*args)
 
     def test_determinism_family_report_shape(self):
         report = run_campaign("determinism", [0], scenario_names=["chaos:nf-crash"])

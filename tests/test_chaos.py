@@ -22,6 +22,8 @@ import pytest
 from repro.chaos import (
     SCENARIOS,
     ChaosDirector,
+    CrashNF,
+    CrashRoot,
     CrashStore,
     DetectionModel,
     LinkLossBurst,
@@ -36,6 +38,8 @@ from repro.simnet.engine import Simulator
 from repro.simnet.failures import FailureInjector
 from repro.simnet.network import Link, Network
 from repro.simnet.rpc import RpcEndpoint, RpcGaveUp
+
+CRASHES = (CrashNF, CrashRoot, CrashStore)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +256,7 @@ class TestRandomSchedule:
         schedule = random_schedule(
             7, (0.0, 1_000.0), n_faults=12, crash_weight=1.0, max_crashes=2
         )
-        assert schedule.crash_count <= 2
+        assert sum(isinstance(a, CRASHES) for a in schedule.actions) <= 2
 
     def test_actions_inside_window(self):
         schedule = random_schedule(9, (200.0, 300.0), n_faults=6)
@@ -369,7 +373,7 @@ class TestScenarios:
     def test_scenario_holds_invariants(self, name):
         outcome = _run(SCENARIOS[name], seed=1)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
-        if SCENARIOS[name].build_schedule(1).crash_count:
+        if any(isinstance(a, CRASHES) for a in SCENARIOS[name].build_schedule(1).actions):
             assert outcome.recovery_us  # something actually failed over
 
     def test_heartbeat_detection_correlated_crash(self):

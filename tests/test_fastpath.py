@@ -32,7 +32,7 @@ from repro.analysis.determinism import (
 )
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
-from repro.core.fastpath import FastPathExecutor, ShadowState, compiled_plan, run_ahead
+from repro.core.fastpath import FastPathExecutor, ShadowState, run_ahead
 from repro.core.nf_api import NetworkFunction, NotFast, Output
 from repro.simnet.engine import Simulator
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
@@ -211,9 +211,14 @@ class TestCompiler:
 
     def test_fusion_plan_covers_declarative_run(self):
         _, runtime = self._runtime()
-        plan = compiled_plan(runtime)
-        assert plan["declarative"] == ["firewall", "lb", "nat", "ratelimiter"]
-        assert plan["fused_runs"] == [["firewall", "nat", "ratelimiter", "lb"]]
+        with_executor = sorted(
+            i.vertex_name for i in runtime.instances.values() if i._fastpath is not None
+        )
+        assert with_executor == ["firewall", "lb", "nat", "ratelimiter"]
+        run = ["firewall"]
+        while runtime.fusion_successor(run[-1], "out") is not None:
+            run.append(runtime.fusion_successor(run[-1], "out"))
+        assert run == ["firewall", "nat", "ratelimiter", "lb"]
 
     def test_non_declarative_nf_gets_no_executor(self):
         from repro.nfs import Dpi, Ids, Nat, PortscanDetector, Scrubber, TrojanDetector
@@ -227,8 +232,9 @@ class TestCompiler:
             runtime = ChainRuntime(sim, chain, params=RuntimeParams(fastpath_enabled=True))
             assert runtime.instances["nat-0"]._fastpath is not None
             assert runtime.instances["other-0"]._fastpath is None
-            # and the plan shows no fusable run (a single declarative vertex)
-            assert compiled_plan(runtime)["fused_runs"] == []
+            # so the one fusable hop leads to an instance that cannot run
+            # ahead: no fused run (a single declarative vertex)
+            assert runtime.fusion_successor("nat", "out") == "other"
 
     def test_exactly_four_nfs_opt_in(self):
         import repro.nfs

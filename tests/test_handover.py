@@ -6,16 +6,27 @@ old instance during the move) and **order preservation** (updates happen
 in arrival order at the upstream splitter).
 """
 
+import json
+import os
+
 import pytest
 
+from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
+from repro.chaos.overload import run_overload_scenario
+from repro.core import handover
 from repro.core.chain_runtime import ChainRuntime
 from repro.core.dag import LogicalChain
 from repro.core.handover import move_flows
 from repro.core.nf_api import NetworkFunction, Output
+from repro.core.splitter import FIVE_TUPLE
+from repro.ops.campaign import SCENARIOS as OPS_SCENARIOS
+from repro.ops.campaign import run_scenario
+from repro.simnet.engine import Simulator
 from repro.store.keys import StateKey
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.packet import FiveTuple
 from tests.conftest import make_packet
+from tests.test_store_rehome import _halves
 
 
 class FlowCounterNF(NetworkFunction):
@@ -173,3 +184,73 @@ class TestHandover:
         )
         assert runtime.root.stats.injected == 60
         assert runtime.root.stats.deleted == 60
+
+
+# ----------------------------------------------------------------------
+# behaviour preserved: the runs that reallocate through Figure 4, pinned
+# in two halves (see tests/test_fastpath.py) at the commit before the
+# protocol moved into core.handover
+# ----------------------------------------------------------------------
+
+with open(
+    os.path.join(os.path.dirname(__file__), "fixtures", "handover_digests.json")
+) as _fh:
+    PINNED_DIGESTS = json.load(_fh)
+
+OPS_PINNED = (
+    "rolling-upgrade",
+    "upgrade-new-flows",
+    "upgrade-after-failover",
+    "upgrade-victim-crash",
+    "mitigate-then-upgrade",
+    "topology-remove",
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", OPS_PINNED)
+def test_ops_digest_is_pinned(name, seed):
+    captured = []
+    run_scenario(
+        OPS_SCENARIOS[name], seed,
+        collect_runtime=lambda rt: captured.append(_halves(rt)),
+    )
+    assert captured[0] == PINNED_DIGESTS[f"ops/{name}"][str(seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["flash-crowd", "overload-burst"])
+def test_autoscaled_overload_digest_is_pinned(name, seed):
+    captured = []
+    run_overload_scenario(
+        OVERLOAD_SCENARIOS[name], seed, autoscale=True,
+        collect_runtime=lambda rt: captured.append(_halves(rt)),
+    )
+    assert captured[0] == PINNED_DIGESTS[f"overload/{name}/auto=true"][str(seed)]
+
+
+def test_scope_walk_digest_is_pinned():
+    """tests/test_rebalance.py's refinement: six flows of one host, walked
+    from per-host to per-flow partitioning after 13 rounds."""
+    FlowCounterNF.observed = []
+    sim = Simulator()
+    chain = LogicalChain("walk")
+    chain.add_vertex("fc", FlowCounterNF, parallelism=2, entry=True)
+    runtime = ChainRuntime(sim, chain)
+    splitter = runtime.splitter("fc")
+    splitter.scopes = [FIVE_TUPLE, ("src_ip",)]
+    splitter.partition_fields = ("src_ip",)
+    runtime._apply_exclusivity()
+
+    def source():
+        for round_ in range(40):
+            for flow in range(6):
+                runtime.inject(flow_packet(0, 1000 + flow))
+                yield sim.timeout(2.0)
+            if round_ == 12:
+                sim.process(handover.rebalance(runtime, "fc"))
+
+    sim.process(source())
+    sim.run(until=60_000_000)
+    assert splitter.partition_fields == FIVE_TUPLE
+    assert _halves(runtime) == PINNED_DIGESTS["rebalance/refine"]

@@ -69,17 +69,6 @@ class TestFailureInjector:
         with pytest.raises(ValueError):
             injector.fail_at(5.0, store)
 
-    def test_correlated_failure(self, sim, network):
-        a = DatastoreInstance(sim, network, "a")
-        b = DatastoreInstance(sim, network, "b")
-        injector = FailureInjector(sim)
-        times = []
-        injector.on_failure(lambda c: times.append(sim.now))
-        injector.fail_together_at(30.0, [a, b])
-        sim.run(until=50.0)
-        assert times == [30.0, 30.0]
-        assert not a.alive and not b.alive
-
 
 class TestBenchHelpers:
     def test_params_for_models(self):

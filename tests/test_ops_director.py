@@ -38,7 +38,9 @@ from repro.chaos.schedule import CrashNF, Schedule
 from repro.core.autoscaler import AutoscaleController
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
-from repro.core.handover import evacuate, move_flows, owned_scope_keys, routed_scope_keys
+from repro.core.handover import (
+    evacuate, move_flows, owned_scope_keys, routed_scope_keys, stuck_moves,
+)
 from repro.core.nf_api import NetworkFunction, Output
 from repro.ops import GoodputMonitor, MaintenanceDirector
 from repro.ops.campaign import (
@@ -739,13 +741,21 @@ class TestOperationsCheckers:
     def test_only_untriggered_moves_count_as_stuck(self):
         sim = Simulator()
         runtime = build_runtime(sim, 9)
-        done = sim.event(name="done-move")
-        done.succeed()
-        runtime._inflight_moves.setdefault("entry", {})[1] = done
+        key = FiveTuple("10.0.0.1", "10.9.0.1", 1000, 80, 6).key()
+        away = next(
+            i for i in runtime.splitter("entry").instances
+            if i != runtime.splitter("entry").current_instance_for(key)
+        )
+        move = sim.process(move_flows(runtime, "entry", [key], away))
+        sim.run(until=1.0)  # the marker is still on its way to the old side
+        assert stuck_moves(runtime) == {"entry": 1}
+        assert [v.detail for v in check_operation_converged(runtime)] == [
+            "handovers still in flight at end of run: {'entry': 1}"
+        ]
+        sim.run(until=1_000.0)
+        assert move.triggered and move.value.n_markers == 1
+        assert stuck_moves(runtime) == {}
         assert check_operation_converged(runtime) == []
-        runtime._inflight_moves["entry"][2] = sim.event(name="stuck-move")
-        violations = check_operation_converged(runtime)
-        assert any("handover" in v.detail for v in violations)
 
     def test_no_downtime_checker(self):
         assert check_no_downtime([], label="x")  # no samples = a violation

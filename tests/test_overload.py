@@ -3,7 +3,7 @@ control, the circuit breaker, and the closed-loop autoscaler."""
 
 import pytest
 
-from repro.chaos.campaign import build_runtime
+from repro.chaos.campaign import EntryCounterNF, SinkCounterNF, build_runtime
 from repro.chaos.invariants import check_sheds_accounted
 from repro.chaos.overload import (
     OVERLOAD_SCENARIOS,
@@ -22,6 +22,7 @@ from repro.simnet.failures import FailureInjector
 from repro.simnet.nic import Nic
 from repro.traffic.packet import ACK, SYN, FiveTuple, Packet
 from repro.store.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.store.keys import StateKey
 from tests.conftest import make_packet
 
 
@@ -475,6 +476,31 @@ class TestStoreAdmission:
         assert outcome.stale_reads > 0
         assert outcome.goodput_ratio == 1.0  # stale path keeps capacity
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
+
+    def test_eo_model_retries_rejected_offloads(self):
+        """EO (``wait_for_acks``): a packet awaits each offloaded op's ACK.
+        An ``Overloaded`` admission reply is not that ACK — the op was not
+        applied — so it must be retried, not taken as done."""
+        chain = LogicalChain("eo")
+        chain.add_vertex("entry", EntryCounterNF, parallelism=4, entry=True)
+        chain.add_vertex("exit", SinkCounterNF)
+        chain.add_edge("entry", "exit")
+        sim = Simulator()
+        runtime = ChainRuntime(sim, chain, RuntimeParams(
+            wait_for_acks=True, caching_enabled=False, store_inflight_limit=1,
+        ))
+        for i in range(200):
+            packet = make_packet(src=f"10.1.0.{i % 64}", sport=1000 + i % 64)
+            sim.schedule(i * 0.05, runtime.inject, packet)
+        sim.run(until=50_000.0)
+        assert not sim.crashed
+        rejections = sum(s.stats.overload_rejections for s in runtime.stores)
+        assert rejections > 0
+        assert rejections == sum(
+            i.client.stats.overload_rejections for i in runtime.instances.values()
+        )
+        total = StateKey("entry", "total").storage_key()
+        assert runtime.store.instance_for_key(total).peek(total) == 200
 
 
 # ----------------------------------------------------------------------

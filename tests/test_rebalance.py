@@ -1,6 +1,7 @@
 """Scope-aware partitioning walk (§4.1) with loss-free refinement."""
 
 
+from repro.core import handover
 from repro.core.chain_runtime import ChainRuntime
 from repro.core.dag import LogicalChain
 from repro.core.splitter import FIVE_TUPLE
@@ -66,7 +67,7 @@ class TestRefinement:
                     done["rebalanced"] = True
 
                     def rebalance():
-                        done["moves"] = yield from runtime.rebalance_vertex("fc")
+                        done["moves"] = yield from handover.rebalance(runtime, "fc")
 
                     sim.process(rebalance())
 
@@ -94,7 +95,7 @@ class TestRefinement:
                     yield sim.timeout(2.0)
                 if round_ == 15 and "r" not in done:
                     done["r"] = True
-                    sim.process(runtime.rebalance_vertex("fc"))
+                    sim.process(handover.rebalance(runtime, "fc"))
 
         sim.process(source())
         sim.run(until=60_000_000)
@@ -110,7 +111,7 @@ class TestRefinement:
         splitter.partition_fields = FIVE_TUPLE
 
         def body():
-            result = yield from runtime.rebalance_vertex("fc")
+            result = yield from handover.rebalance(runtime, "fc")
             return result
 
         assert sim.run_process(body()) is None
@@ -121,7 +122,7 @@ class TestRefinement:
         runtime = ChainRuntime(sim, chain)
 
         def body():
-            yield from runtime.rebalance_vertex("dpi")
+            yield from handover.rebalance(runtime, "dpi")
 
         sim.run_process(body())
         assert runtime.splitter("dpi").partition_fields == FIVE_TUPLE

@@ -11,7 +11,6 @@ from repro.simnet.rpc import RpcEndpoint
 from repro.store.cluster import StoreCluster
 from repro.store.datastore import DatastoreInstance
 from repro.store.protocol import OpRequest, OwnerRequest, ReadRequest
-from repro.store.store_recovery import promote_replica
 
 
 @pytest.fixture
@@ -93,7 +92,7 @@ class TestReplication:
             )
         sim.run()
         primary.fail()  # together with, say, the NF whose state it held
-        promote_replica(cluster, primary, mirror)
+        cluster.replace_instance(primary.name, mirror)
         assert cluster.endpoint_for_key("k") == "mirror0"
         read = call(sim, caller, ReadRequest(key="k"), "mirror0")
         assert read.value == 10
