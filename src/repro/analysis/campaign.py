@@ -2,7 +2,7 @@
 
 Every BENCH_* number and every "0 violations" verdict assumes a scenario
 run is a pure function of its seed. This family checks it. One item runs
-one chaos or overload scenario :data:`RUNS` times under one seed, inside
+one chaos, ops or overload scenario :data:`RUNS` times under one seed, inside
 one worker, and digests each run with
 :func:`~repro.analysis.determinism.checked_digest` (a run in which a
 simulation process crashed raises instead, naming the process). Digests
@@ -52,7 +52,7 @@ def _digest(run: Callable, spec: Any, seed: int, **kwargs: Any) -> str:
 def chaos_digest(
     spec: chaos.ScenarioSpec, seed: int, reference: Optional[RunSnapshot]
 ) -> str:
-    """Digest one chaos-campaign run of ``spec`` under ``seed``. The clean
+    """Digest one chaos or ops run of ``spec`` under ``seed``. The clean
     ``reference`` only feeds the invariant checks, not the digest."""
     return _digest(chaos.run_scenario, spec, seed, reference=reference)
 
@@ -60,14 +60,6 @@ def chaos_digest(
 def overload_digest(spec: overload.OverloadSpec, seed: int) -> str:
     """Digest one overload run of ``spec`` under ``seed``, autoscaler off."""
     return _digest(overload.run_overload_scenario, spec, seed)
-
-
-def ops_digest(
-    spec: ops.OpsScenarioSpec, seed: int, reference: Optional[RunSnapshot]
-) -> str:
-    """Digest one maintenance run of ``spec`` under ``seed``; as for chaos,
-    the clean ``reference`` only feeds the invariant checks."""
-    return _digest(ops.run_scenario, spec, seed, reference=reference)
 
 
 @dataclass
@@ -104,17 +96,13 @@ class DeterminismFamily(CampaignFamily):
     def reference(self, item: WorkItem) -> Optional[RunSnapshot]:
         spec = self.scenarios[item.scenario]
         if isinstance(spec, chaos.ScenarioSpec):
-            return chaos.cached_reference(chaos._reference_run, spec, item.seed)
-        if isinstance(spec, ops.OpsScenarioSpec):
-            return chaos.cached_reference(ops._reference_run, spec, item.seed)
+            return chaos.cached_reference(spec, item.seed)
         return None
 
     def run(self, item: WorkItem, reference: Optional[RunSnapshot]) -> DeterminismOutcome:
         spec = self.scenarios[item.scenario]
         if isinstance(spec, chaos.ScenarioSpec):
             digest = partial(chaos_digest, spec, item.seed, reference)
-        elif isinstance(spec, ops.OpsScenarioSpec):
-            digest = partial(ops_digest, spec, item.seed, reference)
         else:
             digest = partial(overload_digest, spec, item.seed)
         digests = [digest() for _ in range(RUNS)]

@@ -14,9 +14,13 @@ Layers:
 * :mod:`repro.chaos.director` — :class:`ChaosDirector`, a
   :class:`~repro.simnet.failures.FailureInjector` with a configurable
   failure-detection model, executing schedules against a runtime;
-* :mod:`repro.chaos.invariants` — the post-run checkers;
-* :mod:`repro.chaos.campaign` — named scenarios, the single-run driver
-  :func:`run_scenario`, and the chaos campaign family;
+* :mod:`repro.chaos.invariants` — the post-run checkers and the one
+  battery, :func:`check_invariants`, that chaos, ops and overload runs
+  are all checked with;
+* :mod:`repro.chaos.campaign` — named fault scenarios, the one
+  disturbed-run driver :func:`run_scenario` (a :class:`ScenarioSpec` is a
+  fault schedule, a maintenance plan — :mod:`repro.ops.campaign`'s
+  scenarios — or both), and the chaos campaign family;
 * :mod:`repro.chaos.overload` — overload scenarios (§8): bursts, slow
   stores and flash crowds, with shed accounting and the autoscaler loop,
   and the overload campaign family.

@@ -1,17 +1,22 @@
-"""Named chaos scenarios and the chaos campaign family.
+"""Named chaos scenarios, the one disturbed-run driver, and the chaos family.
 
-A scenario = a fault schedule template + the invariant profile it must
-satisfy. :func:`run_scenario` executes one (seed, scenario) pair twice —
-once clean (the reference run) and once under chaos with a
+A scenario (:class:`ScenarioSpec`) is a disturbance plus the invariant
+profile the run must satisfy: a fault schedule, a maintenance plan
+(:mod:`repro.ops.campaign`'s scenarios), or both. :func:`run_scenario`
+executes one (seed, scenario) pair twice — once clean (the reference run,
+:func:`clean_run`) and once disturbed, with a
 :class:`~repro.chaos.director.ChaosDirector` and a
-:class:`~repro.core.supervisor.Supervisor` — then checks the chaos run
-against the reference with :func:`repro.chaos.invariants.check_invariants`.
+:class:`~repro.core.supervisor.Supervisor` always attached and a
+:class:`~repro.ops.director.MaintenanceDirector` when there is a plan —
+then checks the disturbed run against the reference with
+:func:`repro.chaos.invariants.check_invariants`.
 
-The workload is a two-vertex chain (per-flow + cross-flow state at the
-entry, cross-flow state at the sink) carrying ``N_PACKETS`` packets over
-``N_FLOWS`` flows; every packet's payload is stamped ``"f<flow>-<seq>"``
-so identities compare across runs even when a root failover shifts the
-clock space (footnote 5).
+The chaos workload is a two-vertex chain (per-flow + cross-flow state at
+the entry, cross-flow state at the sink) carrying ``N_PACKETS`` packets
+over ``N_FLOWS`` flows; every packet's payload is stamped
+``"f<flow>-<seq>"`` so identities compare across runs even when a root
+failover shifts the clock space (footnote 5). A scenario may bring its own
+chain and traffic (``build_runtime`` / ``workload``).
 
 :data:`FAMILY` declares the family to the shared harness
 (:mod:`repro.parallel.campaign`, ``tools/campaign.py chaos``), which sweeps
@@ -22,9 +27,8 @@ seeds x scenarios; the family aggregates recovery-time distributions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.chaos.director import ChaosDirector, DetectionModel
 from repro.chaos.invariants import (
@@ -44,6 +48,7 @@ from repro.chaos.schedule import (
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.core.nf_api import NetworkFunction, Output
+from repro.ops.director import MaintenanceDirector
 from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 from repro.simnet.engine import Simulator
 from repro.simnet.monitor import PERCENTILES_FIG8, RecoveryTimeline, percentiles
@@ -57,6 +62,8 @@ N_FLOWS = 6
 GAP_US = 3.0
 FAULT_AT_US = 120.0
 HORIZON_US = 400_000.0
+#: goodput window of a maintenance plan's no-downtime check
+MONITOR_WINDOW_US = 50.0
 
 
 class EntryCounterNF(NetworkFunction):
@@ -149,13 +156,30 @@ def inject_workload(sim: Simulator, runtime: ChainRuntime) -> None:
 
 @dataclass
 class ScenarioSpec:
-    """A named fault pattern plus its invariant profile."""
+    """A named disturbance — fault schedule, maintenance plan, or both —
+    plus the chain and traffic it disturbs and its invariant profile."""
 
     name: str
     description: str
-    build_schedule: Callable[[int], Schedule]
+    #: unplanned faults, executed by the chaos director
+    build_schedule: Optional[Callable[[int], Schedule]] = None
+    #: maintenance plan: a generator run as a sim process; paces itself and
+    #: drives the :class:`~repro.ops.director.MaintenanceDirector`
+    operations: Optional[Callable[[MaintenanceDirector], Generator]] = None
+    #: the chain, and the traffic for this scenario and for the reference
+    #: run it is checked against
+    build_runtime: Callable[..., ChainRuntime] = build_runtime
+    workload: Callable[[Simulator, ChainRuntime], None] = inject_workload
     loss_allowance: int = 0
     expect_log_drained: bool = True
+    #: minimum egress packets per goodput window while an operation runs;
+    #: None disables the no-downtime check (a removal's pause gate is a
+    #: bounded planned stall — loss-free and order-preserving, but not
+    #: stall-free)
+    downtime_floor: Optional[int] = 1
+    #: vertices whose state keys are excluded from the loss-free diff
+    #: (topology edits make them exist in only one of the two runs)
+    exclude_vertices: Tuple[str, ...] = ()
     runtime_overrides: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -250,7 +274,8 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
 
 @dataclass
 class ScenarioOutcome:
-    """One (scenario, seed) chaos run, checked against its reference."""
+    """One (scenario, seed) disturbed run, checked against its reference.
+    The operation fields stay empty for a run without a maintenance plan."""
 
     scenario: str
     seed: int
@@ -259,43 +284,41 @@ class ScenarioOutcome:
     protocol_us: Dict[str, float]  # component -> recovery_started->recovered
     egress_count: int
     reference_egress_count: int
-    engine: Dict[str, Any]
     timeline: List[Dict[str, Any]]
+    operations: List[Dict[str, Any]] = field(default_factory=list)  # asdict(OperationRecord)
+    operation_us: List[float] = field(default_factory=list)  # completed-operation durations
+    goodput_windows: int = 0
+    min_window_egress: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def clean_run(
-    build_runtime: Callable, inject_workload: Callable, seed: int, spec: Any
-) -> RunSnapshot:
-    """The fault-free run of a workload that chaos (and ops) runs of
-    ``spec`` are checked against."""
+def clean_run(seed: int, spec: ScenarioSpec) -> RunSnapshot:
+    """The undisturbed run of ``spec``'s chain and workload that its
+    disturbed runs are checked against."""
     sim = Simulator()
-    runtime = build_runtime(sim, seed, **spec.runtime_overrides)
-    inject_workload(sim, runtime)
+    runtime = spec.build_runtime(sim, seed, **spec.runtime_overrides)
+    spec.workload(sim, runtime)
     sim.run(until=HORIZON_US)
     return snapshot_run(runtime)
 
 
-_reference_run = partial(clean_run, build_runtime, inject_workload)
-
-#: Per-process reference-run cache: one clean run per (family, the spec's
-#: own workload if it has one, config, ref-seed), computed lazily inside
-#: whichever process needs it.
+#: Per-process reference-run cache: one clean run per (chain, workload,
+#: config, ref-seed), computed lazily inside whichever process needs it.
 #: Fork-spawned workers inherit the parent's warm entries; the cache is
 #: deterministic (a reference run is a pure function of its key), so
 #: sharing it across campaigns in one process is safe.
 _REFERENCE_CACHE: Dict[Tuple, RunSnapshot] = {}
 
 
-def cached_reference(reference_run: Callable, spec: Any, ref_seed: int) -> RunSnapshot:
-    """``reference_run(ref_seed, spec)``, at most once per process."""
+def cached_reference(spec: ScenarioSpec, ref_seed: int) -> RunSnapshot:
+    """``clean_run(ref_seed, spec)``, at most once per process."""
     config = repr(sorted(spec.runtime_overrides.items()))
-    key = (reference_run, getattr(spec, "workload", None), config, ref_seed)
+    key = (spec.build_runtime, spec.workload, config, ref_seed)
     if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = reference_run(ref_seed, spec)
+        _REFERENCE_CACHE[key] = clean_run(ref_seed, spec)
     return _REFERENCE_CACHE[key]
 
 
@@ -306,33 +329,41 @@ def run_scenario(
     reference: Optional[RunSnapshot] = None,
     collect_runtime: Optional[Callable] = None,
 ) -> ScenarioOutcome:
-    """Run one chaos run for ``spec`` under ``seed`` and check invariants.
+    """Run ``spec`` disturbed under ``seed`` and check invariants.
 
     ``reference`` lets a campaign reuse one clean run per (scenario,
-    runtime-config) — the reference is seed-independent for this workload
-    (injection times and identities are fixed; seeds only perturb the
-    chaos run's failures and network randomness).
+    runtime-config) — the reference is seed-independent for these
+    workloads (injection times and identities are fixed; seeds only
+    perturb the disturbed run's failures and network randomness).
 
     ``collect_runtime`` is called with the finished :class:`ChainRuntime`
     before this function returns — the determinism checker digests the
     whole event/egress stream from it.
     """
     if reference is None:
-        reference = _reference_run(seed, spec)
+        reference = clean_run(seed, spec)
 
     sim = Simulator()
-    runtime = build_runtime(sim, seed, **spec.runtime_overrides)
+    runtime = spec.build_runtime(sim, seed, **spec.runtime_overrides)
     timeline = RecoveryTimeline()
-    director = ChaosDirector(
+    chaos = ChaosDirector(
         sim,
         network=runtime.network,
         detection=detection,
         seed=seed,
         timeline=timeline,
     )
-    supervisor = runtime.attach_supervisor(director, timeline=timeline)
-    director.execute(spec.build_schedule(seed), runtime)
-    inject_workload(sim, runtime)
+    supervisor = runtime.attach_supervisor(chaos, timeline=timeline)
+    # process-creation order is part of every digest: the director's
+    # goodput monitor, then the fault schedule, then the plan, then traffic
+    director = None
+    if spec.operations is not None:
+        director = MaintenanceDirector(runtime, monitor_window_us=MONITOR_WINDOW_US)
+    if spec.build_schedule is not None:
+        chaos.execute(spec.build_schedule(seed), runtime)
+    if director is not None:
+        sim.process(spec.operations(director), name=f"ops-{spec.name}")
+    spec.workload(sim, runtime)
     sim.run(until=HORIZON_US)
 
     if collect_runtime is not None:
@@ -343,8 +374,12 @@ def run_scenario(
         supervisor=supervisor,
         loss_allowance=spec.loss_allowance,
         expect_log_drained=spec.expect_log_drained,
+        exclude_vertices=spec.exclude_vertices,
+        director=director,
+        downtime_floor=spec.downtime_floor,
+        label=spec.name,
     )
-    return ScenarioOutcome(
+    outcome = ScenarioOutcome(
         scenario=spec.name,
         seed=seed,
         violations=violations,
@@ -352,9 +387,15 @@ def run_scenario(
         protocol_us=timeline.recovery_durations(since="recovery_started"),
         egress_count=len(runtime.egress),
         reference_egress_count=len(reference.egress),
-        engine=runtime.engine_report(),
         timeline=timeline.as_dicts(),
     )
+    if director is not None:
+        windows = director.monitor.windows
+        outcome.operations = [asdict(record) for record in director.records]
+        outcome.operation_us = [r.duration_us for r in director.completed()]
+        outcome.goodput_windows = len(windows)
+        outcome.min_window_egress = min((c for _t, c in windows), default=None)
+    return outcome
 
 
 # --- campaign family (repro.parallel.campaign, DESIGN.md §11.1) ----------
@@ -370,18 +411,24 @@ def fig8_percentiles(samples: Sequence[float]) -> Dict[str, float]:
 
 
 class ReferenceCheckedFamily(CampaignFamily):
-    """A family whose every run is checked against a clean reference run:
-    one per (config, first seed of the sweep), cached, serves every seed
-    (see :func:`run_scenario`). Items carry ``(ref_seed, variant)``."""
-
-    reference_run: Callable
+    """A family of :class:`ScenarioSpec` runs, each checked against a clean
+    reference run: one per (chain, workload, config, first seed of the
+    sweep), cached, serves every seed (see :func:`run_scenario`). Items
+    carry ``(ref_seed, detection)``."""
 
     def items(self, names, seeds, variant) -> List[WorkItem]:
         return super().items(names, seeds, (seeds[0], variant)) if seeds else []
 
     def reference(self, item: WorkItem) -> RunSnapshot:
-        return cached_reference(
-            self.reference_run, self.scenarios[item.scenario], item.variant[0]
+        return cached_reference(self.scenarios[item.scenario], item.variant[0])
+
+    def run(self, item: WorkItem, reference: RunSnapshot) -> ScenarioOutcome:
+        _ref_seed, detection = item.variant
+        return run_scenario(
+            self.scenarios[item.scenario],
+            item.seed,
+            detection=detection,
+            reference=reference,
         )
 
 
@@ -395,7 +442,6 @@ class ChaosFamily(ReferenceCheckedFamily):
     output = "BENCH_recovery.json"
     default_seeds = 20
     scenarios = SCENARIOS
-    reference_run = staticmethod(_reference_run)
 
     flags = {
         "--detection-us": dict(
@@ -418,15 +464,6 @@ class ChaosFamily(ReferenceCheckedFamily):
             "detection_us": args.detection_us,
             "detection_misses": args.detection_misses,
         }
-
-    def run(self, item: WorkItem, reference: RunSnapshot) -> ScenarioOutcome:
-        _ref_seed, detection = item.variant
-        return run_scenario(
-            self.scenarios[item.scenario],
-            item.seed,
-            detection=detection,
-            reference=reference,
-        )
 
     def aggregate(self, report: CampaignReport) -> Dict[str, Any]:
         rows: Dict[str, Any] = {}

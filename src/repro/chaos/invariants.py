@@ -1,4 +1,4 @@
-"""Machine-checkable correctness invariants for chaos runs.
+"""Machine-checkable correctness invariants for disturbed runs.
 
 Each checker encodes a guarantee the paper proves for CHC and returns a
 list of :class:`InvariantViolation` (empty = the guarantee held):
@@ -27,6 +27,12 @@ list of :class:`InvariantViolation` (empty = the guarantee held):
   lost state, so surviving clients must end with zero give-ups, and every
   supervised recovery must have completed successfully.
 
+:func:`check_invariants` is the one battery every disturbed run is
+checked with — a chaos or ops scenario
+(:func:`repro.chaos.campaign.run_scenario`) and an overload run
+(:func:`repro.chaos.overload.run_overload_scenario`); what it runs beyond
+the core depends on what the caller passes.
+
 Identity: the campaign workload stamps each injected packet's ``payload``
 with ``"f<flow>-<seq>"``. Unlike clocks, payload identities are stable
 across a root failover (the recovered clock resumes *past* the unpersisted
@@ -39,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import handover
+from repro.store.keys import parse_storage_key
 
 _INTERNAL_MARKERS = ("__root__", "__move__", "__nondet__")
 
@@ -503,37 +510,87 @@ def check_no_downtime(
     return violations
 
 
+def _without_vertices(
+    state: Dict[str, Any], vertices: Tuple[str, ...]
+) -> Dict[str, Any]:
+    if not vertices:
+        return state
+    kept: Dict[str, Any] = {}
+    for key, value in state.items():
+        try:
+            vertex, _obj, _flow = parse_storage_key(key)
+        except ValueError:
+            vertex = key
+        if vertex not in vertices:
+            kept[key] = value
+    return kept
+
+
 def check_invariants(
     runtime,
     reference: Optional[RunSnapshot] = None,
     supervisor=None,
     loss_allowance: int = 0,
     expect_log_drained: bool = True,
-    expect_converged: bool = False,
-    downtime_windows: Optional[List[Tuple[float, int]]] = None,
-    downtime_floor: int = 1,
+    exclude_vertices: Tuple[str, ...] = (),
+    director=None,
+    downtime_floor: Optional[int] = 1,
+    label: str = "operation",
+    injected: Optional[int] = None,
 ) -> List[InvariantViolation]:
-    """Run the full battery; returns every violation found."""
-    snapshot = snapshot_run(runtime)
+    """Run the battery after a disturbed run; returns every violation found.
+
+    The core always runs: exactly-once, per-flow ordering, ownership,
+    membership, flush give-ups and (``expect_log_drained``) the drained
+    root log. Each argument adds its checks:
+
+    * ``reference`` — loss-free state and egress completeness against that
+      clean run, both within ``loss_allowance``; ``exclude_vertices``'
+      state keys are left out of the state diff on both sides;
+    * ``supervisor`` — membership forgives the instances it is still
+      recovering, and every supervised recovery must have completed;
+    * ``director`` (a :class:`~repro.ops.director.MaintenanceDirector`) —
+      the run converged, goodput stayed at or above ``downtime_floor``
+      (``None``: not checked) in every window sampled while an operation
+      ran (violations name ``label``), and every recorded operation
+      completed (an abort is a correct *response* to a stuck gate, but a
+      scenario's plan is expected to finish);
+    * ``injected`` — every injected packet left the chain or is in the
+      drop ledger (overload, §8).
+    """
+    egress = egress_records(runtime)
     violations: List[InvariantViolation] = []
-    violations += check_exactly_once(snapshot.egress)
-    violations += check_flow_ordering(snapshot.egress)
+    if injected is not None:
+        violations += check_sheds_accounted(runtime, injected)
+    violations += check_exactly_once(egress)
+    violations += check_flow_ordering(egress)
     violations += check_ownership(runtime)
     violations += check_membership(runtime, supervisor)
     violations += check_no_gaveups(runtime)
     if reference is not None:
         violations += check_loss_free_state(
-            snapshot.state, reference.state, loss_allowance
+            _without_vertices(chain_state(runtime), exclude_vertices),
+            _without_vertices(reference.state, exclude_vertices),
+            loss_allowance,
         )
-        violations += check_egress_complete(
-            snapshot.egress, reference.egress, loss_allowance
-        )
+        violations += check_egress_complete(egress, reference.egress, loss_allowance)
     if expect_log_drained:
         violations += check_log_drained(runtime)
     if supervisor is not None:
         violations += check_recoveries_succeeded(supervisor)
-    if expect_converged:
+    if director is not None:
         violations += check_operation_converged(runtime)
-    if downtime_windows is not None:
-        violations += check_no_downtime(downtime_windows, floor=downtime_floor)
+        if downtime_floor is not None:
+            violations += check_no_downtime(
+                director.monitor.windows, floor=downtime_floor, label=label
+            )
+        for record in director.records:
+            if record.status != "completed":
+                violations.append(
+                    InvariantViolation(
+                        "operation-completed",
+                        f"{record.kind}({record.target}) ended {record.status}"
+                        + (f": {record.note}" if record.note else ""),
+                    )
+                )
     return violations

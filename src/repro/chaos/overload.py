@@ -3,9 +3,10 @@
 Chaos scenarios crash components; overload scenarios *saturate* them. The
 contract under overload is different from the contract under failure: the
 chain may shed load, but every shed must be accounted in the drop ledger
-(:func:`repro.chaos.invariants.check_sheds_accounted`), exactly-once and
-per-flow ordering must hold for everything that does get through, and no
-state may be lost or stranded.
+(:func:`repro.chaos.invariants.check_sheds_accounted`, which the one
+battery, :func:`~repro.chaos.invariants.check_invariants`, runs first when
+given ``injected``), exactly-once and per-flow ordering must hold for
+everything that does get through, and no state may be lost or stranded.
 
 Three named scenarios:
 
@@ -32,13 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.campaign import EntryCounterNF, SinkCounterNF
 from repro.chaos.invariants import (
     InvariantViolation,
-    check_exactly_once,
-    check_flow_ordering,
-    check_log_drained,
-    check_no_gaveups,
-    check_membership,
-    check_ownership,
-    check_sheds_accounted,
+    check_invariants,
     egress_records,
 )
 from repro.core.autoscaler import AutoscaleController
@@ -318,22 +313,6 @@ class OverloadOutcome:
         return not self.violations
 
 
-def check_overload_invariants(
-    runtime: ChainRuntime, injected: int
-) -> List[InvariantViolation]:
-    """The overload battery: shed accounting plus the correctness core."""
-    egress = egress_records(runtime)
-    violations: List[InvariantViolation] = []
-    violations += check_sheds_accounted(runtime, injected)
-    violations += check_exactly_once(egress)
-    violations += check_flow_ordering(egress)
-    violations += check_ownership(runtime)
-    violations += check_membership(runtime)
-    violations += check_log_drained(runtime)
-    violations += check_no_gaveups(runtime)
-    return violations
-
-
 def run_overload_scenario(
     spec: OverloadSpec,
     seed: int,
@@ -409,7 +388,7 @@ def run_overload_scenario(
         ),
         breaker_opens=breaker_opens,
         autoscaler=controller.report() if controller is not None else None,
-        violations=check_overload_invariants(runtime, injected),
+        violations=check_invariants(runtime, injected=injected),
     )
 
 

@@ -1,24 +1,28 @@
 """Named planned-operation scenarios and the ops campaign family.
 
 The chaos campaign's mirror image: instead of a fault schedule, every
-scenario runs a *maintenance plan* — a
-:class:`~repro.ops.director.MaintenanceDirector` operation sequence —
-against live traffic, with a :class:`~repro.chaos.director.ChaosDirector`
-and :class:`~repro.core.supervisor.Supervisor` attached so unplanned
-crashes can overlay planned work (and so orderly retirements exercise the
-supervisor's retired-guards). Each run is checked against a clean
-reference with the full chaos invariant battery *plus* the two
-operations-specific checkers:
-:func:`~repro.chaos.invariants.check_operation_converged` (no
-transitional structure survives the run) and
+scenario carries a *maintenance plan* — a
+:class:`~repro.ops.director.MaintenanceDirector` operation sequence — run
+against live traffic. An ops scenario is a chaos
+:class:`~repro.chaos.campaign.ScenarioSpec` with ``operations`` set and
+this module's chain and traffic, so it runs in the one disturbed-run
+driver, :func:`~repro.chaos.campaign.run_scenario`: a
+:class:`~repro.chaos.director.ChaosDirector` and
+:class:`~repro.core.supervisor.Supervisor` are attached, so unplanned
+crashes (``build_schedule``) can overlay planned work and orderly
+retirements exercise the supervisor's retired-guards. Each run is checked
+against a clean reference with the one battery,
+:func:`~repro.chaos.invariants.check_invariants`, which for a plan adds
+:func:`~repro.chaos.invariants.check_operation_converged` (no transitional
+structure survives the run),
 :func:`~repro.chaos.invariants.check_no_downtime` (goodput never stalled
-while an operation was executing).
+while an operation was executing) and the ``operation-completed`` check.
 
 The workload is a three-vertex chain — ``entry`` (per-flow + shared
 state, two instances) -> ``scrub`` (per-flow state) -> ``exit`` (shared
 state) — over two store nodes, long enough that every operation starts,
 finishes, and settles while packets are still flowing. Topology-edit
-scenarios change which vertices exist, so their state comparison filters
+scenarios change which vertices exist, so their state comparison excludes
 the spliced vertex's keys (the reference run never ran the edit);
 everything else — egress identities, per-flow order, ownership — must
 still match exactly.
@@ -30,35 +34,17 @@ still match exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Generator
 
 from repro.chaos.campaign import (
-    HORIZON_US,
     N_FLOWS,
     EntryCounterNF,
     ReferenceCheckedFamily,
+    ScenarioSpec,
     SinkCounterNF,
-    clean_run,
     fig8_percentiles,
     paced_source,
-)
-from repro.chaos.director import ChaosDirector
-from repro.chaos.invariants import (
-    InvariantViolation,
-    RunSnapshot,
-    check_egress_complete,
-    check_exactly_once,
-    check_flow_ordering,
-    check_log_drained,
-    check_loss_free_state,
-    check_membership,
-    check_no_downtime,
-    check_no_gaveups,
-    check_operation_converged,
-    check_ownership,
-    check_recoveries_succeeded,
-    snapshot_run,
 )
 from repro.chaos.schedule import CrashNF, Schedule
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
@@ -66,17 +52,14 @@ from repro.core.cloning import CloneController
 from repro.core.dag import LogicalChain
 from repro.core.nf_api import NetworkFunction, Output
 from repro.ops.director import MaintenanceDirector
-from repro.parallel.campaign import CampaignReport, WorkItem
+from repro.parallel.campaign import CampaignReport
 from repro.simnet.engine import Simulator
-from repro.simnet.monitor import RecoveryTimeline
-from repro.store.keys import parse_storage_key
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 
 # --- workload -----------------------------------------------------------
 
 N_PACKETS = 240
 OP_AT_US = 90.0
-MONITOR_WINDOW_US = 50.0
 # Flows that start while the operation is in flight ("upgrade-new-flows"):
 # spaced wider than one Figure-4 move, so an evacuation that has to move
 # each of them as it appears still converges (ROADMAP: sustained arrival).
@@ -164,28 +147,10 @@ def inject_with_late_flows(sim: Simulator, runtime: ChainRuntime) -> None:
 # --- scenarios ----------------------------------------------------------
 
 
-@dataclass
-class OpsScenarioSpec:
-    """A named maintenance plan plus its invariant profile."""
-
-    name: str
-    description: str
-    #: generator run as a sim process; paces itself and drives the director
-    operations: Callable[[MaintenanceDirector], Generator]
-    #: optional unplanned-fault overlay executed by the chaos director
-    build_schedule: Optional[Callable[[int], Schedule]] = None
-    #: traffic for this scenario and for the reference run it is checked against
-    workload: Callable[[Simulator, ChainRuntime], None] = inject_workload
-    loss_allowance: int = 0
-    expect_log_drained: bool = True
-    #: minimum egress packets per goodput window; None disables the
-    #: no-downtime check (a removal's pause gate is a bounded planned
-    #: stall — loss-free and order-preserving, but not stall-free)
-    downtime_floor: Optional[int] = 1
-    #: vertices whose state keys are excluded from the loss-free diff
-    #: (topology edits make them exist in only one of the two runs)
-    exclude_vertices: Tuple[str, ...] = ()
-    runtime_overrides: Dict[str, Any] = field(default_factory=dict)
+#: an ops scenario: a chaos ScenarioSpec on this module's chain and traffic
+_ops_scenario = partial(
+    ScenarioSpec, build_runtime=build_runtime, workload=inject_workload
+)
 
 
 def _plan_rolling_upgrade(director: MaintenanceDirector) -> Generator:
@@ -254,50 +219,50 @@ def _upgrade_crash_overlay(_seed: int) -> Schedule:
     return Schedule([CrashNF(at_us=OP_AT_US + 60.0, vertex="scrub")])
 
 
-SCENARIOS: Dict[str, OpsScenarioSpec] = {
+SCENARIOS: Dict[str, ScenarioSpec] = {
     spec.name: spec
     for spec in [
-        OpsScenarioSpec(
+        _ops_scenario(
             name="rolling-upgrade",
             description="replace both entry instances one at a time under traffic",
             operations=_plan_rolling_upgrade,
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="store-replace",
             description="live-replace store0 (entry+exit state) with WAL catch-up",
             operations=_plan_store_replace,
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="topology-insert",
             description="splice a patch NF between scrub and exit mid-traffic",
             operations=_plan_topology_insert,
             exclude_vertices=("patch",),
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="topology-remove",
             description="splice the scrub NF out, preserving per-flow order",
             operations=_plan_topology_remove,
             exclude_vertices=("scrub",),
             downtime_floor=None,  # the pause gate is a bounded planned stall
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="hot-reload",
             description="hot-apply retransmit timeout + service time changes",
             operations=_plan_hot_reload,
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="upgrade-crash-overlay",
             description="unplanned scrub-NF crash during the rolling entry upgrade",
             operations=_plan_rolling_upgrade,
             build_schedule=_upgrade_crash_overlay,
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="upgrade-new-flows",
             description="rolling entry upgrade while new flows send their first packets",
             operations=_plan_rolling_upgrade,
             workload=inject_with_late_flows,
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="upgrade-after-failover",
             description="entry-1 crashes and is failed over, then the entry upgrade",
             operations=_plan_upgrade_after_failover,
@@ -307,13 +272,13 @@ SCENARIOS: Dict[str, OpsScenarioSpec] = {
             # window entry-0's flows spend moving is empty (ROADMAP)
             downtime_floor=None,
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="upgrade-victim-crash",
             description="entry-1 crashes while awaiting its turn in the entry upgrade",
             operations=_plan_rolling_upgrade,
             build_schedule=_victim_crash_awaiting_its_turn,
         ),
-        OpsScenarioSpec(
+        _ops_scenario(
             name="mitigate-then-upgrade",
             description="clone entry-0, retain one (seed parity), then the entry upgrade",
             operations=_plan_mitigate_then_upgrade,
@@ -326,167 +291,19 @@ SCENARIOS: Dict[str, OpsScenarioSpec] = {
 }
 
 
-# --- driver -------------------------------------------------------------
-
-
-@dataclass
-class OpsOutcome:
-    """One (scenario, seed) maintenance run, checked against reference."""
-
-    scenario: str
-    seed: int
-    violations: List[InvariantViolation]
-    operations: List[Dict[str, Any]]  # asdict(OperationRecord) per op
-    operation_us: List[float]  # completed-operation durations
-    goodput_windows: int
-    min_window_egress: Optional[int]
-    egress_count: int
-    reference_egress_count: int
-    engine: Dict[str, Any]
-    timeline: List[Dict[str, Any]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _filter_state(
-    state: Dict[str, Any], exclude_vertices: Tuple[str, ...]
-) -> Dict[str, Any]:
-    if not exclude_vertices:
-        return state
-    kept: Dict[str, Any] = {}
-    for key, value in state.items():
-        try:
-            vertex, _obj, _flow = parse_storage_key(key)
-        except ValueError:
-            vertex = key
-        if vertex not in exclude_vertices:
-            kept[key] = value
-    return kept
-
-
-def _reference_run(seed: int, spec: OpsScenarioSpec) -> RunSnapshot:
-    return clean_run(build_runtime, spec.workload, seed, spec)
-
-
-def run_scenario(
-    spec: OpsScenarioSpec,
-    seed: int,
-    reference: Optional[RunSnapshot] = None,
-    collect_runtime: Optional[Callable] = None,
-) -> OpsOutcome:
-    """Run one maintenance run for ``spec`` under ``seed``; check it.
-
-    The battery is the chaos one plus the two operations checkers, with
-    the loss-free state diff filtered by ``spec.exclude_vertices`` (a
-    topology edit's spliced vertex exists in only one of the runs) and an
-    ``operation-completed`` assertion that every planned operation the
-    director recorded actually finished (an abort is a correct *response*
-    to a stuck gate, but the campaign's scenarios are all expected to
-    complete).
-    """
-    if reference is None:
-        reference = _reference_run(seed, spec)
-
-    sim = Simulator()
-    runtime = build_runtime(sim, seed, **spec.runtime_overrides)
-    timeline = RecoveryTimeline()
-    chaos = ChaosDirector(
-        sim, network=runtime.network, seed=seed, timeline=timeline
-    )
-    supervisor = runtime.attach_supervisor(chaos, timeline=timeline)
-    director = MaintenanceDirector(runtime, monitor_window_us=MONITOR_WINDOW_US)
-    if spec.build_schedule is not None:
-        chaos.execute(spec.build_schedule(seed), runtime)
-    sim.process(spec.operations(director), name=f"ops-{spec.name}")
-    spec.workload(sim, runtime)
-    sim.run(until=HORIZON_US)
-
-    if collect_runtime is not None:
-        collect_runtime(runtime)
-
-    snapshot = snapshot_run(runtime)
-    violations: List[InvariantViolation] = []
-    violations += check_exactly_once(snapshot.egress)
-    violations += check_flow_ordering(snapshot.egress)
-    violations += check_ownership(runtime)
-    violations += check_membership(runtime, supervisor)
-    violations += check_no_gaveups(runtime)
-    violations += check_loss_free_state(
-        _filter_state(snapshot.state, spec.exclude_vertices),
-        _filter_state(reference.state, spec.exclude_vertices),
-        spec.loss_allowance,
-    )
-    violations += check_egress_complete(
-        snapshot.egress, reference.egress, spec.loss_allowance
-    )
-    if spec.expect_log_drained:
-        violations += check_log_drained(runtime)
-    violations += check_recoveries_succeeded(supervisor)
-    violations += check_operation_converged(runtime)
-    if spec.downtime_floor is not None:
-        violations += check_no_downtime(
-            director.monitor.windows, floor=spec.downtime_floor, label=spec.name
-        )
-    for record in director.records:
-        if record.status != "completed":
-            violations.append(
-                InvariantViolation(
-                    "operation-completed",
-                    f"{record.kind}({record.target}) ended {record.status}"
-                    + (f": {record.note}" if record.note else ""),
-                )
-            )
-
-    windows = director.monitor.windows
-    return OpsOutcome(
-        scenario=spec.name,
-        seed=seed,
-        violations=violations,
-        operations=[asdict(record) for record in director.records],
-        operation_us=[
-            record.duration_us for record in director.completed()
-        ],
-        goodput_windows=len(windows),
-        min_window_egress=min((c for _t, c in windows), default=None),
-        egress_count=len(runtime.egress),
-        reference_egress_count=len(reference.egress),
-        engine=runtime.engine_report(),
-        timeline=timeline.as_dicts(),
-    )
-
-
 # --- campaign family (repro.parallel.campaign, DESIGN.md §11.1) ----------
-
-QUICK_SEEDS = 2
 
 
 class OpsFamily(ReferenceCheckedFamily):
     """Planned-operations campaign: N seeds x the maintenance scenarios run
-    under live traffic, checked against the full chaos invariant battery plus
-    the operations checkers (the runtime converges back to a clean steady
+    under live traffic, checked against the one invariant battery with its
+    maintenance checks (the runtime converges back to a clean steady
     state, every planned operation completes, goodput stays above the
     scenario's floor while it is in flight); records BENCH_operations.json."""
 
     name = "ops"
     output = "BENCH_operations.json"
     scenarios = SCENARIOS
-    reference_run = staticmethod(_reference_run)
-
-    flags = {
-        "--quick": dict(
-            action="store_true", help=f"CI smoke mode: {QUICK_SEEDS} seeds per scenario"
-        )
-    }
-
-    def options(self, args) -> Tuple[None, Dict[str, Any]]:
-        if args.quick:
-            args.seeds = min(args.seeds, QUICK_SEEDS)
-        return None, {}
-
-    def run(self, item: WorkItem, reference: RunSnapshot) -> OpsOutcome:
-        return run_scenario(self.scenarios[item.scenario], item.seed, reference=reference)
 
     def aggregate(self, report: CampaignReport) -> Dict[str, Any]:
         rows: Dict[str, Any] = {}

@@ -18,7 +18,6 @@ from repro.analysis.campaign import (
     FAMILY,
     RUNS,
     chaos_digest,
-    ops_digest,
     overload_digest,
 )
 from repro.analysis.determinism import (
@@ -88,13 +87,15 @@ class TestSameSeedDigests:
         import repro.chaos.campaign as campaign
 
         calls = []
-        real = campaign._reference_run
+        real = campaign.clean_run
 
         def counting(seed, spec):
             calls.append((seed, spec.name))
             return real(seed, spec)
 
-        monkeypatch.setattr(campaign, "_reference_run", counting)
+        # start cold: an earlier test may have left this reference cached
+        monkeypatch.setattr(campaign, "_REFERENCE_CACHE", {})
+        monkeypatch.setattr(campaign, "clean_run", counting)
         report = run_campaign("determinism", [3], scenario_names=["chaos:nf-crash"])
         (outcome,) = report.outcomes
         assert len(outcome.digests) == RUNS and len(set(outcome.digests)) == 1
@@ -112,7 +113,7 @@ class TestSameSeedDigests:
         scenario = "ops:upgrade-new-flows"
         reference = FAMILY.reference(WorkItem(FAMILY.name, scenario, 3))
         args = FAMILY.scenarios[scenario], 3, reference
-        assert ops_digest(*args) == ops_digest(*args)
+        assert chaos_digest(*args) == chaos_digest(*args)
 
     def test_determinism_family_report_shape(self):
         report = run_campaign("determinism", [0], scenario_names=["chaos:nf-crash"])

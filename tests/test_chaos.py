@@ -33,7 +33,7 @@ from repro.chaos import (
     random_schedule,
     run_scenario,
 )
-from repro.chaos.campaign import _reference_run
+from repro.chaos.campaign import cached_reference
 from repro.simnet.engine import Simulator
 from repro.simnet.failures import FailureInjector
 from repro.simnet.network import Link, Network
@@ -357,15 +357,11 @@ class TestRpcHardening:
 # end-to-end scenarios under supervision
 # ----------------------------------------------------------------------
 
-_REFERENCES = {}
-
-
 def _run(spec, seed, detection=None):
-    """run_scenario with a per-config reference cache (keeps tests fast)."""
-    key = repr(sorted(spec.runtime_overrides.items()))
-    if key not in _REFERENCES:
-        _REFERENCES[key] = _reference_run(seed, spec)
-    return run_scenario(spec, seed, detection=detection, reference=_REFERENCES[key])
+    """run_scenario with the campaign's reference cache (keeps tests fast)."""
+    return run_scenario(
+        spec, seed, detection=detection, reference=cached_reference(spec, seed)
+    )
 
 
 class TestScenarios:
@@ -436,7 +432,7 @@ class TestBrokenRecoveryCaught:
         from repro.simnet.monitor import RecoveryTimeline
 
         spec = SCENARIOS["nf-crash"]
-        reference = _REFERENCES.setdefault("[]", _reference_run(1, spec))
+        reference = cached_reference(spec, 1)
 
         def broken_nf_failover(runtime, component):
             return None

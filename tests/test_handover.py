@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.chaos.campaign import run_scenario
 from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
 from repro.chaos.overload import run_overload_scenario
 from repro.core import handover
@@ -20,7 +21,6 @@ from repro.core.handover import move_flows
 from repro.core.nf_api import NetworkFunction, Output
 from repro.core.splitter import FIVE_TUPLE
 from repro.ops.campaign import SCENARIOS as OPS_SCENARIOS
-from repro.ops.campaign import run_scenario
 from repro.simnet.engine import Simulator
 from repro.store.keys import StateKey
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec

@@ -25,7 +25,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos.campaign import SinkCounterNF
+from repro.chaos.campaign import (
+    HORIZON_US,
+    SinkCounterNF,
+    cached_reference,
+    run_scenario,
+)
 from repro.chaos.director import ChaosDirector
 from repro.chaos.invariants import (
     check_exactly_once,
@@ -44,35 +49,27 @@ from repro.core.handover import (
 from repro.core.nf_api import NetworkFunction, Output
 from repro.ops import GoodputMonitor, MaintenanceDirector
 from repro.ops.campaign import (
-    HORIZON_US,
     N_PACKETS,
     OP_AT_US,
     SCENARIOS,
     ScrubNF,
-    _reference_run,
     build_runtime,
     inject_workload,
-    run_scenario,
 )
 from repro.simnet.engine import Simulator
 from repro.simnet.monitor import RecoveryTimeline
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.packet import FiveTuple, Packet
 
-_REFERENCES = {}
-
-
 def _egress_counts(runtime):
     return Counter(packet.payload for _vertex, packet in runtime.egress._items)
 
 
 def _run(spec, seed, collect_runtime=None):
-    """run_scenario with a per-config reference cache (keeps tests fast)."""
-    key = (spec.workload, repr(sorted(spec.runtime_overrides.items())))
-    if key not in _REFERENCES:
-        _REFERENCES[key] = _reference_run(seed, spec)
+    """run_scenario with the campaign's reference cache (keeps tests fast)."""
     return run_scenario(
-        spec, seed, reference=_REFERENCES[key], collect_runtime=collect_runtime
+        spec, seed, reference=cached_reference(spec, seed),
+        collect_runtime=collect_runtime,
     )
 
 

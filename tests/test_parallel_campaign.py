@@ -23,6 +23,7 @@ import multiprocessing
 import os
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -30,7 +31,6 @@ from repro.chaos.campaign import ScenarioSpec
 from repro.chaos.invariants import InvariantViolation
 from repro.chaos.overload import OverloadSpec
 from repro.ops.campaign import SCENARIOS as OPS_SCENARIOS
-from repro.ops.campaign import OpsScenarioSpec
 from repro.parallel import (
     CampaignPool,
     InfraFailure,
@@ -123,10 +123,12 @@ def _overload_spec(name, hook):
 
 
 def _ops_spec(name, hook):
-    return OpsScenarioSpec(
+    """A ScenarioSpec on the ops chain: hot-reload's plan, ``hook`` as its
+    fault overlay."""
+    return replace(
+        OPS_SCENARIOS["hot-reload"],
         name=name,
         description="test scenario",
-        operations=OPS_SCENARIOS["hot-reload"].operations,
         build_schedule=hook,
     )
 
@@ -619,7 +621,7 @@ SHARED_FLAGS = {
     [
         ("chaos", {"--sanitize", "--detection-us", "--detection-misses"}),
         ("overload", {"--sanitize", "--no-sweep"}),
-        ("ops", {"--sanitize", "--quick"}),
+        ("ops", {"--sanitize"}),
         ("dist", {"--quick"}),
         ("determinism", {"--sanitize"}),
     ],

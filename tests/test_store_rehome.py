@@ -19,12 +19,13 @@ from repro.analysis.determinism import (
     observable_digest,
     require_no_crash,
 )
+from repro.chaos.campaign import run_scenario
 from repro.chaos.director import ChaosDirector
 from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
 from repro.chaos.overload import run_overload_scenario
 from repro.core.autoscaler import AutoscaleController
 from repro.ops import MaintenanceDirector
-from repro.ops.campaign import SCENARIOS, build_runtime, run_scenario
+from repro.ops.campaign import SCENARIOS, build_runtime
 from repro.simnet.engine import Simulator
 from repro.simnet.rpc import RpcEndpoint
 from repro.store.cluster import StoreCluster

@@ -11,6 +11,7 @@ lame-duck battery itself lives in tests/test_store_rehome.py.
 
 import pytest
 
+from repro.chaos.campaign import HORIZON_US, cached_reference, run_scenario
 from repro.chaos.director import ChaosDirector
 from repro.chaos.invariants import (
     check_egress_complete,
@@ -21,13 +22,10 @@ from repro.chaos.invariants import (
 )
 from repro.ops import MaintenanceDirector
 from repro.ops.campaign import (
-    HORIZON_US,
     OP_AT_US,
     SCENARIOS,
-    _reference_run,
     build_runtime,
     inject_workload,
-    run_scenario,
 )
 from repro.simnet.engine import Simulator
 from repro.simnet.monitor import RecoveryTimeline
@@ -103,16 +101,6 @@ class TestReplaySilence:
 # the protocol under live traffic
 # ----------------------------------------------------------------------
 
-_REFERENCES = {}
-
-
-def _reference(spec, seed):
-    key = repr(sorted(spec.runtime_overrides.items()))
-    if key not in _REFERENCES:
-        _REFERENCES[key] = _reference_run(seed, spec)
-    return _REFERENCES[key]
-
-
 class TestReplaceUnderTraffic:
     def test_zero_loss_and_clean_teardown(self):
         spec = SCENARIOS["store-replace"]
@@ -120,7 +108,7 @@ class TestReplaceUnderTraffic:
         outcome = run_scenario(
             spec,
             seed=5,
-            reference=_reference(spec, 5),
+            reference=cached_reference(spec, 5),
             collect_runtime=lambda rt: caught.setdefault("rt", rt),
         )
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
@@ -138,7 +126,7 @@ class TestReplaceUnderTraffic:
         # identities the muted node committed post-snapshot must have been
         # watched (not copied) and re-landed on the replacement
         spec = SCENARIOS["store-replace"]
-        outcome = run_scenario(spec, seed=6, reference=_reference(spec, 6))
+        outcome = run_scenario(spec, seed=6, reference=cached_reference(spec, 6))
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         catchup = next(
             step
@@ -151,7 +139,7 @@ class TestReplaceUnderTraffic:
 class TestStoreCrashMidReplacement:
     def test_old_node_crash_during_catchup_loses_nothing(self):
         spec = SCENARIOS["store-replace"]
-        reference = _reference(spec, 2)
+        reference = cached_reference(spec, 2)
         sim = Simulator()
         runtime = build_runtime(sim, 2)
         timeline = RecoveryTimeline()

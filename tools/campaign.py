@@ -17,7 +17,7 @@ Usage::
         --detection-us 50 --detection-misses 2           # heartbeat detector
     PYTHONPATH=src python tools/campaign.py overload --seeds 3 \
         --scenarios overload-burst --no-sweep --jobs 2   # CI smoke
-    PYTHONPATH=src python tools/campaign.py ops --quick --jobs 2
+    PYTHONPATH=src python tools/campaign.py ops --seeds 2 --jobs 2
     PYTHONPATH=src python tools/campaign.py dist --seeds 3 \
         --scenarios shard-kill store-kill
     PYTHONPATH=src python tools/campaign.py determinism --seeds 2 \
