@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.analysis.determinism import checked_digest
 from repro.chaos import campaign as chaos
 from repro.chaos import overload
-from repro.chaos.invariants import InvariantViolation, RunSnapshot
+from repro.chaos.invariants import InvariantViolation
 from repro.ops import campaign as ops
 from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 
@@ -38,28 +38,19 @@ from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 RUNS = 2
 
 
-def _digest(run: Callable, spec: Any, seed: int, **kwargs: Any) -> str:
-    captured: List[str] = []
-    run(
-        spec,
-        seed,
-        collect_runtime=lambda runtime: captured.append(checked_digest(runtime)),
-        **kwargs,
-    )
-    return captured[0]
-
-
-def chaos_digest(
-    spec: chaos.ScenarioSpec, seed: int, reference: Optional[RunSnapshot]
-) -> str:
-    """Digest one chaos or ops run of ``spec`` under ``seed``. The clean
-    ``reference`` only feeds the invariant checks, not the digest."""
-    return _digest(chaos.run_scenario, spec, seed, reference=reference)
+def chaos_digest(spec: chaos.ScenarioSpec, seed: int) -> str:
+    """Digest one chaos or ops run of ``spec`` under ``seed``: the
+    disturbed run alone — no clean reference run, no invariant check."""
+    return checked_digest(chaos.disturbed_run(spec, seed).runtime)
 
 
 def overload_digest(spec: overload.OverloadSpec, seed: int) -> str:
     """Digest one overload run of ``spec`` under ``seed``, autoscaler off."""
-    return _digest(overload.run_overload_scenario, spec, seed)
+    captured: List[str] = []
+    overload.run_overload_scenario(
+        spec, seed, collect_runtime=lambda runtime: captured.append(checked_digest(runtime))
+    )
+    return captured[0]
 
 
 @dataclass
@@ -93,16 +84,10 @@ class DeterminismFamily(CampaignFamily):
         **{f"ops:{name}": spec for name, spec in ops.SCENARIOS.items()},
     }
 
-    def reference(self, item: WorkItem) -> Optional[RunSnapshot]:
+    def run(self, item: WorkItem, reference: Any) -> DeterminismOutcome:
         spec = self.scenarios[item.scenario]
         if isinstance(spec, chaos.ScenarioSpec):
-            return chaos.cached_reference(spec, item.seed)
-        return None
-
-    def run(self, item: WorkItem, reference: Optional[RunSnapshot]) -> DeterminismOutcome:
-        spec = self.scenarios[item.scenario]
-        if isinstance(spec, chaos.ScenarioSpec):
-            digest = partial(chaos_digest, spec, item.seed, reference)
+            digest = partial(chaos_digest, spec, item.seed)
         else:
             digest = partial(overload_digest, spec, item.seed)
         digests = [digest() for _ in range(RUNS)]

@@ -94,6 +94,17 @@ CHC012 A relay process: ``<sim>.process(f(...))`` where every ``yield`` of
        process is for code that *waits or serves* — a second kind of
        ``yield`` (a timeout, an RPC) makes it one. Benchmark code is
        exempt: ``benchmarks/perf/direct.py`` times exactly that loop.
+CHC013 Import-time weight on a chain process (``repro/`` only): a
+       module-level ``import numpy`` anywhere, or a module-level import
+       of the campaign layer (``repro.parallel``, ``repro.*.campaign``,
+       ``repro.chaos.overload``) from a dataplane package (``core``,
+       ``simnet``, ``store``, ``nfs``, ``traffic``, ``dist`` — but not
+       ``dist/campaign.py``). A shard, a store node and a failover
+       instance start as fresh processes, and whatever their import
+       graph loads is start-up time and resident memory they pay
+       before the first packet (DESIGN.md §9.1). Import inside the
+       function that needs it, or move what the dataplane needs into a
+       module without campaign imports (``repro.chaos.counters``).
 ====== =================================================================
 
 Suppression: append ``# chclint: disable=CHC003`` (comma-separate for
@@ -130,6 +141,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC010": "DatastoreInstance private state mutated outside repro.store",
     "CHC011": "Simulator scheduling queues touched outside repro.simnet.engine",
     "CHC012": "relay process: a generator that only forwards what it get()s",
+    "CHC013": "numpy, or the campaign layer on the dataplane, imported at module level",
 }
 
 #: Path fragments whose files may read the wall clock (CHC002 exempt):
@@ -143,6 +155,10 @@ WALL_CLOCK_EXEMPT_PARTS = ("tools", "benchmarks", "bench", "parallel", "dist")
 #: Modules whose import is confined to ``repro/dist/transport.py``
 #: (CHC008): raw sockets and ambient-authority serialization.
 RAW_TRANSPORT_MODULES = ("socket", "pickle")
+
+#: Packages a chain process runs (CHC013): their module-level imports are
+#: loaded by every shard, store node and failover instance at start-up.
+DATAPLANE_PACKAGES = {"core", "simnet", "store", "nfs", "traffic", "dist"}
 
 #: The writers of instance membership (CHC007 exempt): the chain runtime
 #: and the splitter whose lists it drives.
@@ -282,7 +298,30 @@ def _exempt_codes(path: Path) -> Set[str]:
         exempt.add("CHC011")
     if "benchmarks" in parts:
         exempt.add("CHC012")
+    if _repro_package(path) is None:
+        exempt.add("CHC013")
     return exempt
+
+
+def _repro_package(path: Path) -> Optional[str]:
+    """The package under ``repro/`` that ``path`` belongs to (``""`` for a
+    top-level module), or None for a file outside ``repro/``."""
+    dirs = path.parts[:-1]
+    if "repro" not in dirs:
+        return None
+    below = dirs[len(dirs) - dirs[::-1].index("repro"):]
+    return below[0] if below else ""
+
+
+def _campaign_layer(module: str) -> bool:
+    """``repro.parallel[.*]``, ``repro.<package>.campaign`` or
+    ``repro.chaos.overload`` (CHC013)."""
+    parts = module.split(".")
+    return parts[0] == "repro" and (
+        parts[1:2] == ["parallel"]
+        or parts[2:3] == ["campaign"]
+        or parts[1:3] == ["chaos", "overload"]
+    )
 
 
 def _store_private(node: ast.AST) -> bool:
@@ -395,6 +434,11 @@ class _Checker(ast.NodeVisitor):
         self.function_stack: List[str] = []
         # CHC012: names of this module's relay generators
         self.relays: Set[str] = set()
+        # CHC013: does this file run in a chain process?
+        package = _repro_package(path)
+        self.dataplane = package in DATAPLANE_PACKAGES and not (
+            package == "dist" and path.name == "campaign.py"
+        )
 
     # ------------------------------------------------------------------
 
@@ -423,8 +467,34 @@ class _Checker(ast.NodeVisitor):
     # imports (alias bookkeeping + CHC001/CHC002 from-imports)
     # ------------------------------------------------------------------
 
+    def _check_chc013(self, node: ast.AST, modules: Sequence[str]) -> None:
+        """A module-level import of numpy, or of the campaign layer from a
+        dataplane package."""
+        if self.function_stack:
+            return  # paid only by the caller of that function
+        if modules[0].split(".")[0] == "numpy":
+            self.report(
+                node,
+                "CHC013",
+                f"module-level import of {modules[0]}: every process that imports "
+                "this module loads numpy at start-up; import it inside the "
+                "function that needs it (DESIGN.md §9.1)",
+            )
+            return
+        campaign = next((m for m in modules if _campaign_layer(m)), None)
+        if self.dataplane and campaign is not None:
+            self.report(
+                node,
+                "CHC013",
+                f"module-level import of {campaign} from a dataplane package: "
+                "every shard, store node and failover instance would load the "
+                "campaign layer at start-up; import from a module without "
+                "campaign imports, or inside the function (DESIGN.md §9.1)",
+            )
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
+            self._check_chc013(node, [alias.name])
             bound = alias.asname or alias.name.split(".")[0]
             if alias.name == "random":
                 self.random_modules.add(bound)
@@ -452,6 +522,10 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module and not node.level:
+            self._check_chc013(
+                node, [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            )
         if node.module and node.module.split(".")[0] in RAW_TRANSPORT_MODULES:
             self.report(
                 node,

@@ -11,6 +11,8 @@ Theorem B.2.1).
 Layers:
 
 * :mod:`repro.chaos.schedule` — fault actions and seeded random schedules;
+* :mod:`repro.chaos.counters` — the counter NFs of every chain the
+  campaigns disturb and of each :mod:`repro.dist` shard;
 * :mod:`repro.chaos.director` — :class:`ChaosDirector`, a
   :class:`~repro.simnet.failures.FailureInjector` with a configurable
   failure-detection model, executing schedules against a runtime;
@@ -27,61 +29,8 @@ Layers:
 
 Sweeps run on the one shared harness, :mod:`repro.parallel.campaign`
 (``tools/campaign.py chaos`` / ``tools/campaign.py overload``).
+
+The package re-exports nothing: callers name the submodule, so a process
+that imports only :mod:`repro.chaos.invariants` (a shard, the benchmark)
+does not load the campaign runner (DESIGN.md §9.1).
 """
-
-from repro.chaos.campaign import (
-    SCENARIOS,
-    ScenarioOutcome,
-    ScenarioSpec,
-    run_scenario,
-)
-from repro.chaos.director import ChaosDirector, DetectionModel
-from repro.chaos.invariants import (
-    InvariantViolation,
-    check_invariants,
-    check_sheds_accounted,
-)
-from repro.chaos.overload import (
-    OVERLOAD_SCENARIOS,
-    OverloadOutcome,
-    OverloadSpec,
-    measure_load_point,
-    run_overload_scenario,
-)
-from repro.chaos.schedule import (
-    CrashNF,
-    CrashRoot,
-    CrashStore,
-    Heal,
-    LatencySpike,
-    LinkLossBurst,
-    Partition,
-    Schedule,
-    random_schedule,
-)
-
-__all__ = [
-    "ChaosDirector",
-    "CrashNF",
-    "CrashRoot",
-    "CrashStore",
-    "DetectionModel",
-    "Heal",
-    "InvariantViolation",
-    "LatencySpike",
-    "LinkLossBurst",
-    "Partition",
-    "OVERLOAD_SCENARIOS",
-    "OverloadOutcome",
-    "OverloadSpec",
-    "SCENARIOS",
-    "Schedule",
-    "ScenarioOutcome",
-    "ScenarioSpec",
-    "check_invariants",
-    "check_sheds_accounted",
-    "measure_load_point",
-    "random_schedule",
-    "run_overload_scenario",
-    "run_scenario",
-]

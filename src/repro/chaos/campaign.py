@@ -4,18 +4,20 @@ A scenario (:class:`ScenarioSpec`) is a disturbance plus the invariant
 profile the run must satisfy: a fault schedule, a maintenance plan
 (:mod:`repro.ops.campaign`'s scenarios), or both. :func:`run_scenario`
 executes one (seed, scenario) pair twice — once clean (the reference run,
-:func:`clean_run`) and once disturbed, with a
+:func:`clean_run`) and once disturbed (:func:`disturbed_run`), with a
 :class:`~repro.chaos.director.ChaosDirector` and a
 :class:`~repro.core.supervisor.Supervisor` always attached and a
 :class:`~repro.ops.director.MaintenanceDirector` when there is a plan —
-then checks the disturbed run against the reference with
-:func:`repro.chaos.invariants.check_invariants`.
+then checks the disturbed run against the reference
+(:func:`check_scenario`, which calls
+:func:`repro.chaos.invariants.check_invariants`).
 
 The chaos workload is a two-vertex chain (per-flow + cross-flow state at
-the entry, cross-flow state at the sink) carrying ``N_PACKETS`` packets
-over ``N_FLOWS`` flows; every packet's payload is stamped
-``"f<flow>-<seq>"`` so identities compare across runs even when a root
-failover shifts the clock space (footnote 5). A scenario may bring its own
+the entry, cross-flow state at the sink; the NFs are in
+:mod:`repro.chaos.counters`) carrying ``N_PACKETS`` packets over
+``N_FLOWS`` flows; every packet's payload is stamped ``"f<flow>-<seq>"``
+so identities compare across runs even when a root failover shifts the
+clock space (footnote 5). A scenario may bring its own
 chain and traffic (``build_runtime`` / ``workload``).
 
 :data:`FAMILY` declares the family to the shared harness
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.chaos.counters import EntryCounterNF, SinkCounterNF
 from repro.chaos.director import ChaosDirector, DetectionModel
 from repro.chaos.invariants import (
     InvariantViolation,
@@ -47,12 +50,11 @@ from repro.chaos.schedule import (
 )
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
-from repro.core.nf_api import NetworkFunction, Output
+from repro.core.supervisor import Supervisor
 from repro.ops.director import MaintenanceDirector
 from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 from repro.simnet.engine import Simulator
 from repro.simnet.monitor import PERCENTILES_FIG8, RecoveryTimeline, percentiles
-from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 from repro.traffic.packet import FiveTuple, Packet
 
 # --- workload -----------------------------------------------------------
@@ -64,47 +66,6 @@ FAULT_AT_US = 120.0
 HORIZON_US = 400_000.0
 #: goodput window of a maintenance plan's no-downtime check
 MONITOR_WINDOW_US = 50.0
-
-
-class EntryCounterNF(NetworkFunction):
-    """Per-flow hit counter + shared total: exercises PER_FLOW_CACHE and
-    NON_BLOCKING offload on every packet (the state classes whose recovery
-    Theorems B.5.1/B.5.2 cover)."""
-
-    name = "entry"
-
-    def state_specs(self):
-        return {
-            "hits": StateObjectSpec(
-                "hits", Scope.PER_FLOW, AccessPattern.READ_WRITE_OFTEN, initial_value=0
-            ),
-            "total": StateObjectSpec(
-                "total", Scope.CROSS_FLOW, AccessPattern.WRITE_MOSTLY, (), initial_value=0
-            ),
-        }
-
-    def process(self, packet, state):
-        flow = packet.five_tuple.canonical().key()
-        yield from state.update("hits", flow, "incr", 1)
-        yield from state.update("total", None, "incr", 1)
-        return [Output(packet)]
-
-
-class SinkCounterNF(NetworkFunction):
-    """Shared seen-counter at the chain exit."""
-
-    name = "exit"
-
-    def state_specs(self):
-        return {
-            "seen": StateObjectSpec(
-                "seen", Scope.CROSS_FLOW, AccessPattern.WRITE_MOSTLY, (), initial_value=0
-            ),
-        }
-
-    def process(self, packet, state):
-        yield from state.update("seen", None, "incr", 1)
-        return [Output(packet)]
 
 
 def build_runtime(sim: Simulator, seed: int, **overrides) -> ChainRuntime:
@@ -322,27 +283,24 @@ def cached_reference(spec: ScenarioSpec, ref_seed: int) -> RunSnapshot:
     return _REFERENCE_CACHE[key]
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    seed: int,
-    detection: Optional[DetectionModel] = None,
-    reference: Optional[RunSnapshot] = None,
-    collect_runtime: Optional[Callable] = None,
-) -> ScenarioOutcome:
-    """Run ``spec`` disturbed under ``seed`` and check invariants.
+@dataclass
+class DisturbedRun:
+    """A finished disturbed run of ``spec`` under ``seed``, not yet checked."""
 
-    ``reference`` lets a campaign reuse one clean run per (scenario,
-    runtime-config) — the reference is seed-independent for these
-    workloads (injection times and identities are fixed; seeds only
-    perturb the disturbed run's failures and network randomness).
+    spec: ScenarioSpec
+    seed: int
+    runtime: ChainRuntime
+    timeline: RecoveryTimeline
+    supervisor: Supervisor
+    director: Optional[MaintenanceDirector]
 
-    ``collect_runtime`` is called with the finished :class:`ChainRuntime`
-    before this function returns — the determinism checker digests the
-    whole event/egress stream from it.
-    """
-    if reference is None:
-        reference = clean_run(seed, spec)
 
+def disturbed_run(
+    spec: ScenarioSpec, seed: int, detection: Optional[DetectionModel] = None
+) -> DisturbedRun:
+    """Run ``spec``'s chain and workload under ``seed`` with its fault
+    schedule and maintenance plan, a chaos director and a supervisor
+    attached. The determinism gate digests this half alone."""
     sim = Simulator()
     runtime = spec.build_runtime(sim, seed, **spec.runtime_overrides)
     timeline = RecoveryTimeline()
@@ -365,13 +323,17 @@ def run_scenario(
         sim.process(spec.operations(director), name=f"ops-{spec.name}")
     spec.workload(sim, runtime)
     sim.run(until=HORIZON_US)
+    return DisturbedRun(spec, seed, runtime, timeline, supervisor, director)
 
-    if collect_runtime is not None:
-        collect_runtime(runtime)
+
+def check_scenario(run: DisturbedRun, reference: RunSnapshot) -> ScenarioOutcome:
+    """Check a disturbed run against the clean ``reference`` with the one
+    invariant battery and collect its recovery and operation figures."""
+    spec, runtime, timeline, director = run.spec, run.runtime, run.timeline, run.director
     violations = check_invariants(
         runtime,
         reference=reference,
-        supervisor=supervisor,
+        supervisor=run.supervisor,
         loss_allowance=spec.loss_allowance,
         expect_log_drained=spec.expect_log_drained,
         exclude_vertices=spec.exclude_vertices,
@@ -381,7 +343,7 @@ def run_scenario(
     )
     outcome = ScenarioOutcome(
         scenario=spec.name,
-        seed=seed,
+        seed=run.seed,
         violations=violations,
         recovery_us=timeline.recovery_durations(since="failed"),
         protocol_us=timeline.recovery_durations(since="recovery_started"),
@@ -396,6 +358,31 @@ def run_scenario(
         outcome.goodput_windows = len(windows)
         outcome.min_window_egress = min((c for _t, c in windows), default=None)
     return outcome
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    seed: int,
+    detection: Optional[DetectionModel] = None,
+    reference: Optional[RunSnapshot] = None,
+    collect_runtime: Optional[Callable] = None,
+) -> ScenarioOutcome:
+    """Run ``spec`` disturbed under ``seed`` and check invariants.
+
+    ``reference`` lets a campaign reuse one clean run per (scenario,
+    runtime-config) — the reference is seed-independent for these
+    workloads (injection times and identities are fixed; seeds only
+    perturb the disturbed run's failures and network randomness).
+
+    ``collect_runtime`` is called with the finished :class:`ChainRuntime`
+    before it is checked.
+    """
+    if reference is None:
+        reference = clean_run(seed, spec)
+    run = disturbed_run(spec, seed, detection)
+    if collect_runtime is not None:
+        collect_runtime(run.runtime)
+    return check_scenario(run, reference)
 
 
 # --- campaign family (repro.parallel.campaign, DESIGN.md §11.1) ----------

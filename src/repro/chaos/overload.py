@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.campaign import EntryCounterNF, SinkCounterNF
+from repro.chaos.counters import EntryCounterNF, SinkCounterNF
 from repro.chaos.invariants import (
     InvariantViolation,
     check_invariants,

@@ -28,7 +28,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.campaign import EntryCounterNF, SinkCounterNF
+from repro.chaos.counters import EntryCounterNF, SinkCounterNF
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.dist.node import ControlLink, Pacer, load_config

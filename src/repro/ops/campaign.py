@@ -39,13 +39,12 @@ from typing import Any, Dict, Generator
 
 from repro.chaos.campaign import (
     N_FLOWS,
-    EntryCounterNF,
     ReferenceCheckedFamily,
     ScenarioSpec,
-    SinkCounterNF,
     fig8_percentiles,
     paced_source,
 )
+from repro.chaos.counters import EntryCounterNF, SinkCounterNF
 from repro.chaos.schedule import CrashNF, Schedule
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.cloning import CloneController

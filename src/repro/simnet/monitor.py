@@ -12,11 +12,10 @@ DESIGN.md "Engine performance model".
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 PERCENTILES_FIG8 = (5, 25, 50, 75, 95)
 _NO_TIMESTAMP = float("nan")
@@ -100,11 +99,42 @@ def channel_depth_peaks(channels: Mapping[str, object]) -> Dict[str, int]:
     return peaks
 
 
+def _ascending(samples: Iterable[float]) -> List[float]:
+    """``samples`` as sorted floats; ``[nan]`` if any sample is NaN (numpy
+    sorts NaN last and then answers NaN at every percentile)."""
+    ordered = sorted(map(float, samples))
+    return [math.nan] if any(map(math.isnan, ordered)) else ordered
+
+
+def _interpolate(ordered: Sequence[float], q: float) -> float:
+    """``np.percentile``'s default ("linear") method on an ascending list,
+    step for step, so the result is the same float: the virtual index
+    ``(n - 1) * q / 100``, its neighbours, and the two-branch lerp numpy
+    uses to stay monotone."""
+    if not 0 <= q <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    last = len(ordered) - 1
+    index = last * (q / 100)
+    if index >= last:
+        # numpy clamps both neighbours to index -1 and measures from there
+        below = above = ordered[last]
+        fraction = index + 1
+    else:
+        lower = math.floor(index)
+        below, above = ordered[lower], ordered[lower + 1]
+        fraction = index - lower
+    diff = above - below
+    if fraction < 0.5:
+        return below + diff * fraction
+    return above - diff * (1 - fraction)
+
+
 def percentile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile of ``samples`` (linear interpolation)."""
+    """The ``q``-th percentile of ``samples`` (linear interpolation, equal
+    to ``np.percentile``)."""
     if len(samples) == 0:
         raise ValueError("no samples")
-    return float(np.percentile(np.asarray(samples, dtype=float), q))
+    return _interpolate(_ascending(samples), q)
 
 
 def percentiles(samples: Sequence[float], qs: Iterable[float] = PERCENTILES_FIG8) -> Dict[float, float]:
@@ -114,13 +144,12 @@ def percentiles(samples: Sequence[float], qs: Iterable[float] = PERCENTILES_FIG8
     payload builders aggregate whatever a scenario produced, and a
     scenario whose every run crashed (or recorded zero recoveries) must
     serialize as an empty distribution, not abort the report. A single
-    sample is its own value at every percentile (``np.percentile``
-    handles that natively).
+    sample is its own value at every percentile.
     """
     if len(samples) == 0:
         return {}
-    array = np.asarray(samples, dtype=float)
-    return {float(q): float(np.percentile(array, q)) for q in qs}
+    ordered = _ascending(samples)
+    return {float(q): _interpolate(ordered, q) for q in qs}
 
 
 class LatencyRecorder:
@@ -159,12 +188,16 @@ class LatencyRecorder:
     def mean(self) -> float:
         if not self.values:
             raise ValueError("no samples")
+        import numpy as np  # figures only: a chain run never needs numpy
+
         return float(np.mean(self.values))
 
     def cdf(self, points: int = 200) -> List[Tuple[float, float]]:
         """(value, cumulative fraction) pairs for CDF plots."""
         if not self.values:
             return []
+        import numpy as np
+
         ordered = np.sort(np.asarray(self.values, dtype=float))
         n = len(ordered)
         indices = np.unique(np.linspace(0, n - 1, min(points, n)).astype(int))
@@ -177,6 +210,8 @@ class LatencyRecorder:
         ]
         if not samples:
             return []
+        import numpy as np
+
         samples.sort()
         out: List[Tuple[float, float]] = []
         start = samples[0][0]

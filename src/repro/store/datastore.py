@@ -470,9 +470,13 @@ class DatastoreInstance:
             self._respond(request, RuntimeError(f"bad request {payload!r}"), ok=False)
 
     def _on_message(self, envelope: Envelope) -> None:
-        """One-way messages: prune notifications from the root."""
+        """One-way messages from the root: prune notifications, and the
+        delete of a store-kept log entry (a fire-and-forget ``set`` to
+        None, applied on the key's thread like any op, with no reply)."""
         payload = envelope.payload
-        if isinstance(payload, PruneRequest):
+        if isinstance(payload, OpRequest):
+            self._thread_for(payload.key).put((payload, None))
+        elif isinstance(payload, PruneRequest):
             self._prune(payload.clock)
         elif isinstance(payload, BatchedPruneRequest):
             for clock in payload.clocks:

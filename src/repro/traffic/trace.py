@@ -10,6 +10,9 @@ depend on:
 ``scale`` shrinks packet counts (a Python discrete-event simulation cannot
 usefully chew through 6.4M packets per experiment) while keeping
 packets-per-connection ratios and size mixes intact.
+
+numpy is imported inside the functions that generate or describe a trace:
+a process that only replays packets never loads it (DESIGN.md §9.1).
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.traffic.flows import FlowSpec, flow_packets, interleave
 from repro.traffic.packet import FiveTuple, PROTO_TCP, PROTO_UDP, Packet
@@ -55,6 +56,8 @@ class Trace:
         return iter(self.packets)
 
     def stats(self) -> TraceStats:
+        import numpy as np
+
         sizes = [p.size_bytes for p in self.packets]
         conns = {p.five_tuple.canonical() for p in self.packets}
         return TraceStats(
@@ -97,6 +100,8 @@ def make_trace(
     """
     if n_connections <= 0 or n_packets <= 0:
         raise ValueError("need positive packet and connection counts")
+    import numpy as np
+
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed)
 

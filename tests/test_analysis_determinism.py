@@ -23,22 +23,20 @@ from repro.analysis.campaign import (
 from repro.analysis.determinism import (
     ENGINE_COUNTERS,
     _canon,
+    checked_digest,
     engine_counters_of,
     observable_digest,
     require_no_crash,
     run_equivalence_once,
     runtime_digest,
 )
-from repro.parallel.campaign import WorkItem, run_campaign
+from repro.parallel.campaign import run_campaign
 from repro.parallel.campaign import main as campaign_main
 
 
 def _chaos(name, seed):
-    """``chaos_digest``'s arguments for one chaos scenario, the clean
-    reference taken the way the family takes it."""
-    scenario = f"chaos:{name}"
-    reference = FAMILY.reference(WorkItem(FAMILY.name, scenario, seed))
-    return FAMILY.scenarios[scenario], seed, reference
+    """``chaos_digest``'s arguments for one chaos scenario."""
+    return FAMILY.scenarios[f"chaos:{name}"], seed
 
 
 class TestCanon:
@@ -82,8 +80,8 @@ class TestSameSeedDigests:
         assert chaos_digest(*args) == chaos_digest(*args)
 
     def test_chaos_digest_repeats_share_one_reference_run(self, monkeypatch):
-        # the clean reference is never digested; re-running it per digest
-        # doubled the cost of every determinism case
+        # the clean reference is never digested, so the gate takes none:
+        # one reference per (scenario, seed) was pure cost
         import repro.chaos.campaign as campaign
 
         calls = []
@@ -93,16 +91,21 @@ class TestSameSeedDigests:
             calls.append((seed, spec.name))
             return real(seed, spec)
 
-        # start cold: an earlier test may have left this reference cached
+        # start cold: a reference an earlier test cached would hide a call
         monkeypatch.setattr(campaign, "_REFERENCE_CACHE", {})
         monkeypatch.setattr(campaign, "clean_run", counting)
         report = run_campaign("determinism", [3], scenario_names=["chaos:nf-crash"])
         (outcome,) = report.outcomes
         assert len(outcome.digests) == RUNS and len(set(outcome.digests)) == 1
-        assert calls == [(3, "nf-crash")]
-        # and the digest does not depend on where the reference came from
+        assert calls == []
+        # and the digest is the one the checked run's runtime digests to
         monkeypatch.undo()
-        assert outcome.digests[0] == chaos_digest(*_chaos("nf-crash", 3))
+        spec = FAMILY.scenarios["chaos:nf-crash"]
+        checked = []
+        campaign.run_scenario(
+            spec, 3, collect_runtime=lambda rt: checked.append(checked_digest(rt))
+        )
+        assert outcome.digests[0] == chaos_digest(*_chaos("nf-crash", 3)) == checked[0]
 
     def test_overload_run_digests_identically_per_seed(self):
         spec = FAMILY.scenarios["overload:overload-burst"]
@@ -110,10 +113,8 @@ class TestSameSeedDigests:
 
     def test_ops_run_digests_identically_per_seed(self):
         """A rolling upgrade under new flows: Figure-4 moves, run twice."""
-        scenario = "ops:upgrade-new-flows"
-        reference = FAMILY.reference(WorkItem(FAMILY.name, scenario, 3))
-        args = FAMILY.scenarios[scenario], 3, reference
-        assert chaos_digest(*args) == chaos_digest(*args)
+        spec = FAMILY.scenarios["ops:upgrade-new-flows"]
+        assert chaos_digest(spec, 3) == chaos_digest(spec, 3)
 
     def test_determinism_family_report_shape(self):
         report = run_campaign("determinism", [0], scenario_names=["chaos:nf-crash"])

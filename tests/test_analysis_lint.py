@@ -318,6 +318,33 @@ class TestRules:
         assert lint.check_source(elsewhere, Path("repro/core/root.py")) == []
 
 
+    def test_chc013_import_time_weight_on_a_chain_process(self):
+        findings = fixture_findings(Path("repro") / "dist" / "bad_chc013.py")
+        # numpy twice, then repro.parallel.campaign / chaos.overload /
+        # ops.campaign; function-level imports and campaign-free modules pass
+        assert [(f.code, f.line) for f in findings] == [
+            ("CHC013", line) for line in (3, 4, 5, 6, 7)
+        ]
+        assert "numpy" in findings[0].message
+        assert "repro.chaos.overload" in findings[3].message
+        # known answer: the shard's import of the chaos NFs before they left
+        # the campaign runner
+        shard = "from repro.chaos.campaign import EntryCounterNF, SinkCounterNF\n"
+        for package in ("core", "simnet", "store", "nfs", "traffic", "dist"):
+            flagged = lint.check_source(shard, Path(f"src/repro/{package}/mod.py"))
+            assert [f.code for f in flagged] == ["CHC013"], package
+        for path in ("src/repro/chaos/overload.py", "src/repro/ops/campaign.py",
+                     "src/repro/dist/campaign.py", "src/repro/analysis/campaign.py"):
+            assert lint.check_source(shard, Path(path)) == [], path
+        # numpy at module level is flagged anywhere under repro/, never outside
+        numpy = "import numpy as np\n"
+        for path in ("src/repro/analysis/lint.py", "src/repro/dist/campaign.py",
+                     "src/repro/util.py"):
+            assert [f.code for f in lint.check_source(numpy, Path(path))] == ["CHC013"]
+        for path in ("benchmarks/plot.py", "tests/test_x.py", "tools/campaign.py"):
+            assert lint.check_source(numpy, Path(path)) == [], path
+
+
 class TestMechanics:
     def test_good_fixture_is_clean(self):
         assert fixture_findings("good.py") == []

@@ -8,7 +8,7 @@ Three layers of coverage:
   the heartbeat :class:`~repro.chaos.director.DetectionModel`, seeded
   random schedules, and bounded RPC retransmission (``RpcGaveUp``);
 * **end-to-end scenarios** — every named scenario in
-  :data:`repro.chaos.SCENARIOS` runs under a
+  :data:`repro.chaos.campaign.SCENARIOS` runs under a
   :class:`~repro.core.supervisor.Supervisor` and must satisfy the full
   invariant battery; a deliberately broken recovery protocol must be
   *caught* by the checkers (the regression that proves the checkers have
@@ -19,21 +19,17 @@ import random
 
 import pytest
 
-from repro.chaos import (
-    SCENARIOS,
-    ChaosDirector,
+from repro.chaos.campaign import SCENARIOS, ScenarioSpec, cached_reference, run_scenario
+from repro.chaos.director import ChaosDirector, DetectionModel
+from repro.chaos.invariants import check_invariants
+from repro.chaos.schedule import (
     CrashNF,
     CrashRoot,
     CrashStore,
-    DetectionModel,
     LinkLossBurst,
     Schedule,
-    ScenarioSpec,
-    check_invariants,
     random_schedule,
-    run_scenario,
 )
-from repro.chaos.campaign import cached_reference
 from repro.simnet.engine import Simulator
 from repro.simnet.failures import FailureInjector
 from repro.simnet.network import Link, Network

@@ -1,5 +1,8 @@
 """Unit tests for the NIC model and the measurement helpers."""
 
+import math
+from array import array
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -198,6 +201,42 @@ class TestPercentiles:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             percentile([], 50)
+        with pytest.raises(ValueError):
+            percentile(array("d"), 50)
+        assert percentiles([]) == {} and percentiles(array("d")) == {}
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        samples=st.lists(st.floats(), min_size=1, max_size=40)
+        | st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0, 1e300]), min_size=1, max_size=40),
+        q=st.sampled_from([0, 100, 50, 99.9]) | st.floats(0, 100),
+        as_array=st.booleans(),
+    )
+    @example(samples=[7.0], q=0, as_array=False)
+    @example(samples=[7.0], q=100, as_array=True)
+    @example(samples=[2.0, 2.0, 2.0, 1.0], q=37.5, as_array=False)
+    @example(samples=[1.0, float("nan"), 3.0], q=50, as_array=True)
+    @example(samples=[1.0, float("inf")], q=50, as_array=False)
+    def test_same_float_as_numpy(self, samples, q, as_array):
+        """The pure-Python interpolation is numpy's "linear" method, so a
+        chain process gets ``np.percentile``'s answer without numpy."""
+        import numpy as np
+
+        data = array("d", samples) if as_array else samples
+        with np.errstate(all="ignore"):
+            expected = float(np.percentile(np.asarray(samples, dtype=float), q))
+            expected_fig8 = {
+                float(p): float(np.percentile(np.asarray(samples, dtype=float), p))
+                for p in (q, 5, 25, 50, 75, 95)
+            }
+
+        def same(got, want):
+            return type(got) is float and (got == want or math.isnan(got) and math.isnan(want))
+
+        assert same(percentile(data, q), expected)
+        got = percentiles(data, (q, 5, 25, 50, 75, 95))
+        assert got.keys() == expected_fig8.keys()
+        assert all(same(got[p], expected_fig8[p]) for p in got)
 
 
 class TestLatencyRecorder:

@@ -263,6 +263,31 @@ class TestFailure:
         kept.fail()
         assert len(kept.log) == 1
 
+    def test_store_applies_the_delete_of_a_store_kept_entry(self, sim, network, store):
+        """A deleted entry must leave the store too: else a failover root
+        restores, and replays, a packet its predecessor already retired,
+        and every checkpoint copies the packet until the run ends."""
+        kept = Root(
+            sim, network, "root-s", forward=lambda p: None,
+            store_endpoint="store0", log_in_store=True, prune_grace_us=0.0,
+        )
+        for _ in range(3):
+            kept.inject(make_packet())
+        sim.run()
+        prefix = Root.log_key_prefix(kept.root_id)
+        retired, live = sorted(kept.log)[:2], sorted(kept.log)[2]
+        for clock in retired:
+            kept.report_done(clock, 0)
+        sim.run()
+        assert kept.stats.deleted == 2
+        assert [store.peek(prefix + str(clock)) for clock in retired] == [None, None]
+        assert store.peek(prefix + str(live)) is not None
+        successor = Root(sim, network, "root-t", forward=lambda p: None)
+        assert successor.restore_log(
+            {key: store.peek(key) for key in store.keys(prefix)}
+        ) == 1
+        assert list(successor.log) == [live]
+
 
 # ---------------------------------------------------------------------------
 # the commit fold: a batch of signals is the same signals one by one
