@@ -24,7 +24,8 @@ from repro.core.splitter import FIVE_TUPLE
 from repro.nfs import Nat, PortscanDetector
 from repro.simnet.engine import Simulator
 from repro.store.datastore import DatastoreInstance
-from repro.traffic import ReplaySource, make_trace2
+from repro.traffic.trace import make_trace2
+from repro.traffic.workload import ReplaySource
 
 
 def probe_packets(n_hosts=6, probes_per_host=150):

@@ -14,7 +14,8 @@ from repro.bench.report import ResultTable, write_result
 from repro.bench.scenarios import build_paper_chain
 from repro.nfs import LoadBalancer, Nat, PortscanDetector
 from repro.simnet.engine import Simulator
-from repro.traffic import ReplaySource, make_trace2
+from repro.traffic.trace import make_trace2
+from repro.traffic.workload import ReplaySource
 
 PAPER_OVERHEAD_US = 11.3
 

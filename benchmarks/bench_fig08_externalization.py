@@ -18,7 +18,7 @@ from repro.bench.calibration import MODELS, bench_scale
 from repro.bench.report import ResultTable, write_result
 from repro.bench.scenarios import run_single_nf
 from repro.nfs import LoadBalancer, Nat, PortscanDetector, TrojanDetector
-from repro.traffic import make_trace2
+from repro.traffic.trace import make_trace2
 
 NFS = {
     "nat": Nat,

@@ -6,14 +6,12 @@ RTTs); the portscan and trojan detectors are unaffected. EO+C+NA restores
 ~9.43Gbps for all NFs.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.bench.calibration import bench_scale
 from repro.bench.report import ResultTable, write_result
 from repro.bench.scenarios import run_single_nf
 from repro.nfs import LoadBalancer, Nat, PortscanDetector, TrojanDetector
-from repro.traffic import make_trace2
+from repro.traffic.trace import make_trace2
 
 NFS = {
     "nat": Nat,

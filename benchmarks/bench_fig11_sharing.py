@@ -11,13 +11,11 @@ import numpy as np
 
 from conftest import run_once
 from repro.baselines.opennf import OpenNfController, OpenNfSharedStateHarness
-from repro.bench.calibration import bench_scale
 from repro.bench.report import ResultTable, write_result
 from repro.core.chain_runtime import ChainRuntime
 from repro.core.dag import LogicalChain
 from repro.nfs import Nat
 from repro.simnet.engine import Simulator
-from repro.traffic import ReplaySource, make_trace2
 from repro.util import stable_hash
 
 PAPER = {"chc_median": 1.8, "opennf_median": 166.0}

@@ -22,7 +22,8 @@ from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.nfs import Nat
 from repro.simnet.engine import Simulator
-from repro.traffic import ReplaySource, make_trace2
+from repro.traffic.trace import make_trace2
+from repro.traffic.workload import ReplaySource
 
 PAPER = {"p75_ratio": 6.0, "median_ratio": 2.7, "ftmb_p75_us": 25.5}
 LOAD = 0.3

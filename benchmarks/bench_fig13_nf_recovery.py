@@ -8,14 +8,13 @@ returns to normal within 4.5ms / 5.6ms at 30% / 50% load.
 """
 
 from conftest import run_once
-from repro.bench.calibration import bench_scale
 from repro.bench.report import ResultTable, write_result
 from repro.core.chain_runtime import ChainRuntime
 from repro.core.dag import LogicalChain
 from repro.core.recovery import fail_over_nf
 from repro.nfs import Nat
 from repro.simnet.engine import Simulator
-from repro.traffic import ReplaySource
+from repro.traffic.workload import ReplaySource
 from repro.traffic.packet import ACK, FIN, FiveTuple, Packet, SYN
 
 PAPER = {"spike_ms": 4.0, 0.3: 4.5, 0.5: 5.6}

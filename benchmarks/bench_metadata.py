@@ -19,7 +19,8 @@ from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.nfs import Nat
 from repro.simnet.engine import Simulator
-from repro.traffic import ReplaySource, make_trace2
+from repro.traffic.trace import make_trace2
+from repro.traffic.workload import ReplaySource
 
 N_PACKETS = 3_000
 

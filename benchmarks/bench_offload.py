@@ -18,7 +18,8 @@ from repro.nfs import Nat
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Link, Network
 from repro.store.datastore import DatastoreInstance
-from repro.traffic import ReplaySource, make_trace2
+from repro.traffic.trace import make_trace2
+from repro.traffic.workload import ReplaySource
 from repro.util import stable_hash
 
 PAPER_RATIO = 2.17

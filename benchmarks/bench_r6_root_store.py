@@ -12,7 +12,8 @@ from repro.core.dag import LogicalChain
 from repro.core.recovery import fail_over_root
 from repro.nfs import Nat
 from repro.simnet.engine import Simulator
-from repro.traffic import ReplaySource, make_trace2
+from repro.traffic.trace import make_trace2
+from repro.traffic.workload import ReplaySource
 
 PAPER_US = 41.2
 

@@ -18,7 +18,8 @@ from repro.core.cloning import CloneController
 from repro.core.dag import LogicalChain
 from repro.nfs import Nat, PortscanDetector
 from repro.simnet.engine import Simulator
-from repro.traffic import ReplaySource, make_trace2
+from repro.traffic.trace import make_trace2
+from repro.traffic.workload import ReplaySource
 
 PAPER = {
     (0.3, "packets"): 13_768, (0.5, "packets"): 34_351,

@@ -15,10 +15,13 @@ Afterwards it verifies the two properties §5.1 promises:
 Run:  python examples/elastic_scaling.py
 """
 
-from repro import ChainRuntime, LogicalChain, Simulator, move_flows
+from repro.core.chain_runtime import ChainRuntime
+from repro.core.dag import LogicalChain
+from repro.core.handover import move_flows
 from repro.core.nf_api import NetworkFunction, Output
-from repro.store import AccessPattern, Scope, StateObjectSpec
-from repro.traffic import FiveTuple, Packet
+from repro.simnet.engine import Simulator
+from repro.store.spec import AccessPattern, Scope, StateObjectSpec
+from repro.traffic.packet import FiveTuple, Packet
 
 
 class FlowCounter(NetworkFunction):

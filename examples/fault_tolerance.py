@@ -15,11 +15,14 @@ crash must be invisible in the numbers.
 Run:  python examples/fault_tolerance.py
 """
 
-from repro import ChainRuntime, LogicalChain, Simulator, fail_over_nf
+from repro.core.chain_runtime import ChainRuntime
+from repro.core.dag import LogicalChain
 from repro.core.nf_api import NetworkFunction, Output
-from repro.store import AccessPattern, Scope, StateObjectSpec
+from repro.core.recovery import fail_over_nf
+from repro.simnet.engine import Simulator
 from repro.store.keys import StateKey
-from repro.traffic import FiveTuple, Packet
+from repro.store.spec import AccessPattern, Scope, StateObjectSpec
+from repro.traffic.packet import FiveTuple, Packet
 
 
 class CountingNF(NetworkFunction):

@@ -10,8 +10,12 @@ correctness bookkeeping.
 Run:  python examples/quickstart.py
 """
 
-from repro import ChainRuntime, LogicalChain, ReplaySource, Simulator, make_trace2
+from repro.core.chain_runtime import ChainRuntime
+from repro.core.dag import LogicalChain
 from repro.nfs import LoadBalancer, Nat, PortscanDetector, TrojanDetector
+from repro.simnet.engine import Simulator
+from repro.traffic.trace import make_trace2
+from repro.traffic.workload import ReplaySource
 
 
 def main() -> None:

@@ -18,10 +18,13 @@ Run:  python examples/straggler_mitigation.py
 
 import random
 
-from repro import ChainRuntime, CloneController, LogicalChain, Simulator
+from repro.core.chain_runtime import ChainRuntime
+from repro.core.cloning import CloneController
+from repro.core.dag import LogicalChain
 from repro.nfs import Nat, PortscanDetector
+from repro.simnet.engine import Simulator
 from repro.store.keys import StateKey
-from repro.traffic import FiveTuple, Packet
+from repro.traffic.packet import FiveTuple, Packet
 
 N_PACKETS = 600
 

@@ -16,10 +16,12 @@ Run:  python examples/trojan_chain.py
 
 import random
 
-from repro import ReplaySource, Simulator
 from repro.bench.scenarios import build_trojan_chain
-from repro.traffic import inject_trojan_signatures, make_trace2
+from repro.simnet.engine import Simulator
 from repro.traffic.packet import PORT_FTP, FiveTuple, Packet
+from repro.traffic.trace import make_trace2
+from repro.traffic.trojan import inject_trojan_signatures
+from repro.traffic.workload import ReplaySource
 
 
 def run(use_clocks: bool, seed: int = 3):

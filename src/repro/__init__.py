@@ -7,10 +7,12 @@ paper-to-module mapping.
 
 Quickstart::
 
-    from repro import (
-        ChainRuntime, LogicalChain, ReplaySource, Simulator, make_trace2,
-    )
+    from repro.core.chain_runtime import ChainRuntime
+    from repro.core.dag import LogicalChain
     from repro.nfs import Nat, PortscanDetector
+    from repro.simnet.engine import Simulator
+    from repro.traffic.trace import make_trace2
+    from repro.traffic.workload import ReplaySource
 
     sim = Simulator()
     chain = LogicalChain("demo")
@@ -22,54 +24,10 @@ Quickstart::
     ReplaySource(sim, trace.packets, runtime.inject, load_fraction=0.5)
     sim.run()
     print(runtime.egress_recorder.summary())
+
+Packages re-export nothing (only :mod:`repro.nfs` and :mod:`repro.bench`
+do): callers name the submodule, so a process loads only the layer it
+runs — a store node never loads the chain (DESIGN.md §9.1).
 """
 
-from repro.core import (
-    ChainRuntime,
-    CloneController,
-    LogicalChain,
-    NetworkFunction,
-    Output,
-    RuntimeParams,
-    StateAPI,
-    fail_over_nf,
-    fail_over_root,
-    move_flows,
-)
-from repro.simnet import Simulator
-from repro.store import (
-    AccessPattern,
-    DatastoreInstance,
-    Scope,
-    StateObjectSpec,
-    StoreClient,
-    StoreCluster,
-)
-from repro.traffic import Packet, FiveTuple, ReplaySource, make_trace1, make_trace2
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AccessPattern",
-    "ChainRuntime",
-    "CloneController",
-    "DatastoreInstance",
-    "FiveTuple",
-    "LogicalChain",
-    "NetworkFunction",
-    "Output",
-    "Packet",
-    "ReplaySource",
-    "RuntimeParams",
-    "Scope",
-    "Simulator",
-    "StateAPI",
-    "StateObjectSpec",
-    "StoreClient",
-    "StoreCluster",
-    "fail_over_nf",
-    "fail_over_root",
-    "make_trace1",
-    "make_trace2",
-    "move_flows",
-]

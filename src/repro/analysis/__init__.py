@@ -19,7 +19,3 @@ Three layers, all optional at runtime:
 Only :mod:`repro.analysis.runtime` is imported by product modules; it is
 stdlib-only, so the hooks add no import weight and no cycles.
 """
-
-from repro.analysis import runtime
-
-__all__ = ["runtime"]

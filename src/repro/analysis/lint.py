@@ -105,6 +105,14 @@ CHC013 Import-time weight on a chain process (``repro/`` only): a
        before the first packet (DESIGN.md §9.1). Import inside the
        function that needs it, or move what the dataplane needs into a
        module without campaign imports (``repro.chaos.counters``).
+CHC014 A package ``__init__`` under ``repro/`` importing a submodule at
+       module level (``from repro.core.root import Root``, ``from . import
+       x``). Every ``python -m repro.dist.<x>`` imports each package on
+       its path first, so an eager re-export makes a store node load the
+       chain (DESIGN.md §9.1). Callers name the submodule; a PEP 562
+       ``__getattr__`` that imports on first access (``repro.traffic``'s
+       lazy table) passes. ``repro.nfs`` and ``repro.bench`` are exempt:
+       no dataplane process imports them.
 ====== =================================================================
 
 Suppression: append ``# chclint: disable=CHC003`` (comma-separate for
@@ -142,6 +150,7 @@ ALL_RULES: Dict[str, str] = {
     "CHC011": "Simulator scheduling queues touched outside repro.simnet.engine",
     "CHC012": "relay process: a generator that only forwards what it get()s",
     "CHC013": "numpy, or the campaign layer on the dataplane, imported at module level",
+    "CHC014": "package __init__ importing a submodule at module level",
 }
 
 #: Path fragments whose files may read the wall clock (CHC002 exempt):
@@ -159,6 +168,10 @@ RAW_TRANSPORT_MODULES = ("socket", "pickle")
 #: Packages a chain process runs (CHC013): their module-level imports are
 #: loaded by every shard, store node and failover instance at start-up.
 DATAPLANE_PACKAGES = {"core", "simnet", "store", "nfs", "traffic", "dist"}
+
+#: Packages whose ``__init__`` may re-export (CHC014 exempt): the NFs and
+#: the figure helpers, which no dataplane process imports.
+REEXPORTING_PACKAGES = {"nfs", "bench"}
 
 #: The writers of instance membership (CHC007 exempt): the chain runtime
 #: and the splitter whose lists it drives.
@@ -298,8 +311,11 @@ def _exempt_codes(path: Path) -> Set[str]:
         exempt.add("CHC011")
     if "benchmarks" in parts:
         exempt.add("CHC012")
-    if _repro_package(path) is None:
+    package = _repro_package(path)
+    if package is None:
         exempt.add("CHC013")
+    if package is None or path.name != "__init__.py" or package in REEXPORTING_PACKAGES:
+        exempt.add("CHC014")
     return exempt
 
 
@@ -492,9 +508,23 @@ class _Checker(ast.NodeVisitor):
                 "campaign imports, or inside the function (DESIGN.md §9.1)",
             )
 
+    def _check_chc014(self, node: ast.AST, module: str, level: int = 0) -> None:
+        """A package ``__init__`` importing a repro module at module level."""
+        if self.function_stack or not (level or module.split(".")[0] == "repro"):
+            return
+        self.report(
+            node,
+            "CHC014",
+            f"package __init__ imports {'.' * level + module} at module level: "
+            "every process that imports anything in this package loads it; "
+            "re-export nothing and let callers name the submodule "
+            "(DESIGN.md §9.1)",
+        )
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self._check_chc013(node, [alias.name])
+            self._check_chc014(node, alias.name)
             bound = alias.asname or alias.name.split(".")[0]
             if alias.name == "random":
                 self.random_modules.add(bound)
@@ -522,6 +552,7 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self._check_chc014(node, node.module or "", node.level)
         if node.module and not node.level:
             self._check_chc013(
                 node, [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]

@@ -19,19 +19,3 @@
 All baselines run the *same* vertex programs (:class:`NetworkFunction`)
 as CHC — only the state-management discipline differs.
 """
-
-from repro.baselines.ftmb import FtmbHarness
-from repro.baselines.opennf import OpenNfController, OpenNfSharedStateHarness, opennf_move
-from repro.baselines.statelessnf import LockingStateAPI, StatelessNfHarness
-from repro.baselines.traditional import TraditionalChain, TraditionalNFHarness
-
-__all__ = [
-    "FtmbHarness",
-    "LockingStateAPI",
-    "OpenNfController",
-    "OpenNfSharedStateHarness",
-    "StatelessNfHarness",
-    "TraditionalChain",
-    "TraditionalNFHarness",
-    "opennf_move",
-]

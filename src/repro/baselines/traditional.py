@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional
 
-from repro.core.chain_runtime import HOP_LINK_US
 from repro.core.nf_api import LocalStateAPI, NetworkFunction
 from repro.simnet.engine import Channel, Process, Simulator
 from repro.simnet.monitor import LatencyRecorder, ThroughputMeter
+from repro.simnet.network import HOP_LINK_US
 from repro.simnet.nic import Nic
 from repro.traffic.packet import Packet
 from repro.util import stable_hash

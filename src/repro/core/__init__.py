@@ -26,43 +26,3 @@ This package is the paper's primary contribution:
 * :mod:`~repro.core.vertex_manager` — statistics aggregation feeding
   operator-supplied scaling/straggler logic (§3).
 """
-
-from repro.core.bitvector import TagRegistry, encode_tag
-from repro.core.chain_runtime import ChainRuntime, RuntimeParams
-from repro.core.clock import LogicalClock, clock_root, clock_sequence
-from repro.core.cloning import CloneController
-from repro.core.dag import Edge, LogicalChain, Vertex
-from repro.core.handover import move_flows
-from repro.core.instance import NFInstance
-from repro.core.nf_api import NetworkFunction, Output, StateAPI
-from repro.core.recovery import fail_over_nf, fail_over_root
-from repro.core.root import Root
-from repro.core.splitter import Splitter
-from repro.core.supervisor import RecoveryRecord, Supervisor
-from repro.core.vertex_manager import VertexManager
-
-__all__ = [
-    "ChainRuntime",
-    "CloneController",
-    "Edge",
-    "LogicalChain",
-    "LogicalClock",
-    "NFInstance",
-    "NetworkFunction",
-    "Output",
-    "RecoveryRecord",
-    "Root",
-    "RuntimeParams",
-    "Splitter",
-    "StateAPI",
-    "Supervisor",
-    "TagRegistry",
-    "Vertex",
-    "VertexManager",
-    "clock_root",
-    "clock_sequence",
-    "encode_tag",
-    "fail_over_nf",
-    "fail_over_root",
-    "move_flows",
-]

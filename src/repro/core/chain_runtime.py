@@ -43,7 +43,7 @@ from repro.core.instance import (
     SHED_CAUSE_QUEUE,
 )
 from repro.core.nf_api import Output
-from repro.core.root import DeleteRequest, Root
+from repro.core.root import Root
 from repro.core.splitter import FIVE_TUPLE, Splitter
 from repro.core.vertex_manager import VertexManager
 from repro.simnet.engine import Channel, Event, Simulator
@@ -53,12 +53,13 @@ from repro.simnet.monitor import (
     channel_depth_peaks,
     engine_counters,
 )
-from repro.simnet.network import Link, Network
+from repro.simnet.network import HOP_LINK_US, ROOT_LINK_US, STORE_LINK_US, Link, Network
 from repro.simnet.nic import Nic
 from repro.store.breaker import CircuitBreaker
 from repro.store.client import StoreClient
 from repro.store.cluster import StoreCluster
 from repro.store.datastore import DatastoreInstance
+from repro.store.protocol import DeleteRequest
 from repro.traffic.packet import Packet
 
 def _is_control_item(item: Any) -> bool:
@@ -77,16 +78,6 @@ def _is_control_item(item: Any) -> bool:
         or getattr(item, "replay_end", False)
     )
 
-
-# Latency model (all µs): NF<->store links are STORE_LINK_US one-way (RTT
-# ≈ 28µs, matching §7.2's 29µs clock-persist cost); NF->NF hops are
-# HOP_LINK_US; the root<->last-NF delete path is ROOT_LINK_US one-way (§7.2
-# reports a 7.9µs median synchronous delete).
-STORE_LINK_US = 14.0
-HOP_LINK_US = 3.0
-ROOT_LINK_US = 4.0
-# Worker threads per datastore instance.
-STORE_THREADS = 4
 
 
 @dataclass
@@ -193,7 +184,6 @@ class ChainRuntime:
                     sim,
                     self.network,
                     f"store{i}",
-                    n_threads=STORE_THREADS,
                     op_service_us=self.params.store_op_service_us,
                     root_endpoint="root{root_id}",
                     checkpoint_interval_us=self.params.checkpoint_interval_us,

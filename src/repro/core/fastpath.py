@@ -52,9 +52,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.chain_runtime import HOP_LINK_US
 from repro.core.nf_api import NetworkFunction, NotFast, Output, StateAPI
+from repro.simnet.network import HOP_LINK_US
 from repro.store.client import JournalEntry, StateRef, StoreClient
+from repro.store.protocol import BatchedDeleteRequest, DeleteRequest
 from repro.store.spec import CacheStrategy
 from repro.traffic.packet import Packet
 
@@ -278,8 +279,6 @@ class FastPathExecutor:
 
     def _flush_deletes(self, deletes: List[Tuple[str, int, int, int]]) -> None:
         """Send the batch's last-NF delete reports, one message per root."""
-        from repro.core.root import BatchedDeleteRequest, DeleteRequest
-
         by_root: Dict[str, List[Tuple[int, int, int]]] = {}
         for root_name, clock, vector, generation in deletes:
             by_root.setdefault(root_name, []).append((clock, vector, generation))

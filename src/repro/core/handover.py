@@ -37,11 +37,9 @@ from typing import (
     Callable, Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple,
 )
 
-# chain_runtime imports this module (through instance): read its constants
-# at call time, through the module
-from repro.core import chain_runtime
 from repro.core.splitter import MoveMarker
 from repro.simnet.engine import Event
+from repro.simnet.network import HOP_LINK_US
 from repro.store.protocol import WatchRequest
 from repro.traffic.packet import FiveTuple, scope_fields
 
@@ -205,7 +203,7 @@ def move_flows(
         events.append(event)
         # The marker travels the same path as data to the old instance.
         sim.schedule(
-            chain_runtime.HOP_LINK_US,
+            HOP_LINK_US,
             runtime.nics[marker.old_instance].send,
             control_packet,
             control_packet.size_bits,

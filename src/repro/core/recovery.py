@@ -25,7 +25,7 @@ from typing import Generator, Optional
 from repro.core.clock import LogicalClock
 from repro.core.root import Root
 from repro.simnet.rpc import RpcEndpoint
-from repro.store.keys import StateKey
+from repro.store.keys import StateKey, root_clock_key, root_log_key
 from repro.store.protocol import ReadRequest, SnapshotRequest, TakeoverRequest
 
 # Retransmissions per recovery-protocol RPC before giving up. Recovery must
@@ -167,7 +167,7 @@ def fail_over_root(runtime, root: Optional[Root] = None) -> Generator:
         runtime,
         bootstrap,
         store_endpoint,
-        ReadRequest(key=Root.recovered_clock_key(old_root.root_id)),
+        ReadRequest(key=root_clock_key(old_root.root_id)),
     )
     persisted = read.value or 0
     log_snapshot = {}
@@ -177,7 +177,7 @@ def fail_over_root(runtime, root: Optional[Root] = None) -> Generator:
             runtime,
             bootstrap,
             store_endpoint,
-            SnapshotRequest(prefix=Root.log_key_prefix(old_root.root_id)),
+            SnapshotRequest(prefix=root_log_key(old_root.root_id)),
         )
 
     # Query the entry vertex's instances for their flow allocation, in

@@ -38,10 +38,14 @@ from repro.simnet.engine import Channel, Simulator
 from repro.simnet.monitor import LatencyRecorder
 from repro.simnet.network import Envelope, Network
 from repro.simnet.rpc import RpcEndpoint, RpcRequest, RpcTimeout
+from repro.store.keys import root_clock_key, root_log_key
+from repro.store.operations import DELETE_OP
 from repro.store.protocol import (
     BatchedCommitSignal,
+    BatchedDeleteRequest,
     BatchedPruneRequest,
     CommitSignal,
+    DeleteRequest,
     OpRequest,
     PruneRequest,
 )
@@ -50,25 +54,6 @@ from repro.traffic.packet import Packet
 # Log entries at which the root stops admitting input: some NF cannot keep
 # up, so drop at the root rather than bloat the log (§5).
 LOG_THRESHOLD = 500_000
-
-
-@dataclass
-class DeleteRequest:
-    """Chain -> root: one copy of packet ``clock`` finished its journey."""
-
-    clock: int
-    vector: int
-    generation: int = 0
-
-
-@dataclass
-class BatchedDeleteRequest:
-    """Chain -> root: delete reports for a fast-path batch, in one message.
-
-    Each ``(clock, vector, generation)`` entry is processed exactly as an
-    individual :class:`DeleteRequest`, in order (§6 fast path)."""
-
-    entries: tuple
 
 
 class LogEntry:
@@ -152,9 +137,6 @@ class RootStats:
 
 class Root:
     """See module docstring."""
-
-    CLOCK_KEY_FMT = "__root__\x1froot{root_id}_clock\x1f"
-    LOG_KEY_FMT = "__root__\x1froot{root_id}_log\x1f{clock}"
 
     def __init__(
         self,
@@ -273,7 +255,7 @@ class Root:
                     yield from self.endpoint.call(
                         self.store_endpoint,
                         OpRequest(
-                            key=self.CLOCK_KEY_FMT.format(root_id=self.root_id),
+                            key=root_clock_key(self.root_id),
                             op="set",
                             args=(self.clock.last_issued_sequence,),
                             instance=self.name,
@@ -298,7 +280,7 @@ class Root:
                 yield self.endpoint.call_event(
                     self.store_endpoint,
                     OpRequest(
-                        key=self.LOG_KEY_FMT.format(root_id=self.root_id, clock=packet.clock),
+                        key=root_log_key(self.root_id, packet.clock),
                         op="set",
                         args=(entry.packet,),
                         instance=self.name,
@@ -388,9 +370,8 @@ class Root:
             self.endpoint.send(
                 self.store_endpoint,
                 OpRequest(
-                    key=self.LOG_KEY_FMT.format(root_id=self.root_id, clock=clock),
-                    op="set",
-                    args=(None,),
+                    key=root_log_key(self.root_id, clock),
+                    op=DELETE_OP,
                     instance=self.name,
                     blocking=False,
                     log_update=False,
@@ -532,14 +513,6 @@ class Root:
     # recovery helpers (new-root bootstrap, §5.4 "Root")
     # ------------------------------------------------------------------
 
-    @classmethod
-    def recovered_clock_key(cls, root_id: int) -> str:
-        return cls.CLOCK_KEY_FMT.format(root_id=root_id)
-
-    @classmethod
-    def log_key_prefix(cls, root_id: int) -> str:
-        return cls.LOG_KEY_FMT.format(root_id=root_id, clock="")
-
     def restore_log(self, snapshot: Dict[str, Packet]) -> int:
         """Rebuild the packet log from a store snapshot (store-kept mode).
 
@@ -548,8 +521,6 @@ class Root:
         """
         restored = 0
         for raw_key, packet in snapshot.items():
-            if packet is None:
-                continue  # deleted entries are overwritten with None
             clock = int(raw_key.rsplit("\x1f", 1)[-1])
             if clock in self.log:
                 continue

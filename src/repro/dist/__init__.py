@@ -24,25 +24,3 @@ package re-hosts the same engine, unchanged, across OS process boundaries:
   (:mod:`repro.parallel.campaign`, DESIGN.md §11.1) and writes
   ``BENCH_dist.json``.
 """
-
-from repro.dist.transport import (  # noqa: F401
-    CodecError,
-    Connection,
-    FrameDecoder,
-    Listener,
-    TransportCounters,
-    decode_body,
-    encode_frame,
-    encode_value,
-)
-
-__all__ = [
-    "CodecError",
-    "Connection",
-    "FrameDecoder",
-    "Listener",
-    "TransportCounters",
-    "decode_body",
-    "encode_frame",
-    "encode_value",
-]

@@ -5,8 +5,8 @@
 (:mod:`repro.parallel.campaign`, ``tools/campaign.py dist``), so they sweep
 on the same conventions as every other campaign (DESIGN.md §11):
 submission-order merge, the three-way failure taxonomy (invariant
-violation / :class:`~repro.parallel.RunFailure` /
-:class:`~repro.parallel.InfraFailure`), per-run timeout and crash
+violation / :class:`~repro.parallel.merge.RunFailure` /
+:class:`~repro.parallel.pool.InfraFailure`), per-run timeout and crash
 quarantine. :class:`~repro.dist.fabric.FabricError` is already folded
 into ``DistOutcome.infra_error`` (and ``DistOutcome.ok``) by the fabric
 itself; anything else escaping a run is a harness bug recorded as a

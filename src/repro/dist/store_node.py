@@ -28,9 +28,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.core.chain_runtime import STORE_THREADS
 from repro.core.clock import clock_root, clock_sequence
-from repro.core.root import Root
 from repro.dist.node import ControlLink, Pacer, load_config
 from repro.dist.transport import (
     ControlFrame,
@@ -44,6 +42,7 @@ from repro.dist.transport import (
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Envelope, Link, Network
 from repro.store.datastore import DatastoreInstance
+from repro.store.keys import root_clock_key
 
 #: Wire payload types whose effects change store state — these (and only
 #: these) are WAL-logged. Reads and snapshots are harmless to lose.
@@ -123,7 +122,6 @@ class StoreNode:
             self.sim,
             self.network,
             self.name,
-            n_threads=STORE_THREADS,
             op_service_us=float(config.get("store_op_service_us", 0.196)),
             root_endpoint="root{root_id}",
             dedup_enabled=True,
@@ -202,7 +200,7 @@ class StoreNode:
         incarnation (the distributed analogue of footnote 5's skip-ahead).
         """
         floor = 0
-        persisted = self.store._data.get(Root.recovered_clock_key(root_id))
+        persisted = self.store._data.get(root_clock_key(root_id))
         if isinstance(persisted, int):
             floor = max(floor, persisted)
         for clock in self.store._log_clocks:

@@ -56,7 +56,6 @@ from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.root import BatchedDeleteRequest, DeleteRequest
 from repro.simnet.rpc import _Wire
 from repro.store import protocol as _proto
 from repro.traffic.packet import FiveTuple, Packet
@@ -227,6 +226,8 @@ def _register_protocol() -> None:
         "CallbackMessage",
         "CommitSignal",
         "BatchedCommitSignal",
+        "DeleteRequest",
+        "BatchedDeleteRequest",
         "PruneRequest",
         "BatchedPruneRequest",
         "NonDetRequest",
@@ -234,8 +235,6 @@ def _register_protocol() -> None:
         "CheckpointControl",
     ):
         register_message(getattr(_proto, name))
-    register_message(DeleteRequest)
-    register_message(BatchedDeleteRequest)
     register_message(FiveTuple)
     register_message(Packet)
     register_message(_Wire, fields=("kind", "request_id", "payload", "ok"))

@@ -8,11 +8,3 @@ steps and abort-with-rollback on timeout — all while the chaos invariant
 battery (plus the operations-specific convergence and no-downtime
 checkers) must hold.
 """
-
-from repro.ops.director import (  # noqa: F401
-    GoodputMonitor,
-    MaintenanceDirector,
-    OperationAborted,
-    OperationRecord,
-    OperationStep,
-)

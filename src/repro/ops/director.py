@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.chain_runtime import HOP_LINK_US
 from repro.core.handover import evacuate, quiesce
+from repro.simnet.network import HOP_LINK_US
 from repro.store.rehome import Rehoming
 
 #: hot_reload's settle gate: how long the new config runs before read-back.

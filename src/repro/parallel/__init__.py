@@ -28,27 +28,3 @@ Failure taxonomy (the distinction every campaign payload now carries):
 All three fail the campaign exit code; only violations indict the
 dataplane.
 """
-
-from repro.parallel.pool import (
-    CampaignPool,
-    InfraFailure,
-    PoolOutcome,
-    WorkResult,
-    resolve_jobs,
-)
-from repro.parallel.merge import (
-    RunFailure,
-    merge_sanitizer_reports,
-    payloads_equal_modulo_meta,
-)
-
-__all__ = [
-    "CampaignPool",
-    "InfraFailure",
-    "PoolOutcome",
-    "RunFailure",
-    "WorkResult",
-    "merge_sanitizer_reports",
-    "payloads_equal_modulo_meta",
-    "resolve_jobs",
-]

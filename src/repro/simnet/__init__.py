@@ -21,49 +21,3 @@ Public surface:
 * :mod:`~repro.simnet.monitor` — latency recorders / throughput meters.
 * :mod:`~repro.simnet.failures` — fail-stop failure injection.
 """
-
-from repro.simnet.engine import (
-    Channel,
-    Event,
-    Interrupt,
-    Process,
-    ProcessKilled,
-    Simulator,
-)
-from repro.simnet.failures import FailureInjector
-from repro.simnet.monitor import (
-    LatencyRecorder,
-    RecoveryTimeline,
-    ThroughputMeter,
-    TimelineEvent,
-    percentile,
-    percentiles,
-)
-from repro.simnet.network import Degradation, Link, Network
-from repro.simnet.nic import Nic
-from repro.simnet.rpc import RpcEndpoint, RpcError, RpcGaveUp, RpcRequest, RpcTimeout
-
-__all__ = [
-    "Channel",
-    "Degradation",
-    "Event",
-    "FailureInjector",
-    "Interrupt",
-    "LatencyRecorder",
-    "Link",
-    "Network",
-    "Nic",
-    "Process",
-    "ProcessKilled",
-    "RecoveryTimeline",
-    "RpcEndpoint",
-    "RpcError",
-    "RpcGaveUp",
-    "RpcRequest",
-    "RpcTimeout",
-    "Simulator",
-    "ThroughputMeter",
-    "TimelineEvent",
-    "percentile",
-    "percentiles",
-]

@@ -30,6 +30,14 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.simnet.engine import Channel, Simulator
 
+# The chain's latency model (all µs): NF<->store links are STORE_LINK_US
+# one-way (RTT ≈ 28µs, matching §7.2's 29µs clock-persist cost); NF->NF hops
+# are HOP_LINK_US; the root<->last-NF delete path is ROOT_LINK_US one-way
+# (§7.2 reports a 7.9µs median synchronous delete).
+STORE_LINK_US = 14.0
+HOP_LINK_US = 3.0
+ROOT_LINK_US = 4.0
+
 
 @dataclass
 class Link:

@@ -24,30 +24,3 @@ Appendix A's store-computed non-deterministic values have no module of
 their own: a store instance computes and remembers them per packet clock
 (``DatastoreInstance._nondet_value``).
 """
-
-from repro.store.client import StoreClient
-from repro.store.cluster import StoreCluster
-from repro.store.datastore import DatastoreInstance
-from repro.store.keys import StateKey
-from repro.store.operations import OperationRegistry, default_registry
-from repro.store.spec import AccessPattern, CacheStrategy, Scope, StateObjectSpec
-from repro.store.store_recovery import recover_store_instance, select_ts
-from repro.store.wal import ReadLogEntry, UpdateLogEntry, WriteAheadLog
-
-__all__ = [
-    "AccessPattern",
-    "CacheStrategy",
-    "DatastoreInstance",
-    "OperationRegistry",
-    "ReadLogEntry",
-    "Scope",
-    "StateKey",
-    "StateObjectSpec",
-    "StoreClient",
-    "StoreCluster",
-    "UpdateLogEntry",
-    "WriteAheadLog",
-    "default_registry",
-    "recover_store_instance",
-    "select_ts",
-]

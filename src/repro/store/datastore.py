@@ -33,7 +33,7 @@ from repro.util import Memo, stable_hash
 from repro.simnet.network import Envelope, Network
 from repro.simnet.rpc import RpcEndpoint, RpcRequest
 from repro.store.keys import vertex_of_key
-from repro.store.operations import OperationRegistry, default_registry
+from repro.store.operations import DELETE_OP, OperationRegistry, default_registry
 from repro.store.protocol import (
     BatchedOpRequest,
     BatchedCommitSignal,
@@ -61,6 +61,8 @@ from repro.store.protocol import (
 )
 
 DEFAULT_OP_SERVICE_US = 0.196  # ~5.1M ops/s per thread (§7.1 datastore bench)
+# Worker threads per datastore instance.
+STORE_THREADS = 4
 
 # Logical clocks carry the issuing root's instance ID in their high bits
 # (§5: "we encode the identifier of the root instance into the higher order
@@ -173,7 +175,7 @@ class DatastoreInstance:
         sim: Simulator,
         network: Network,
         name: str,
-        n_threads: int = 4,
+        n_threads: int = STORE_THREADS,
         op_service_us: float = DEFAULT_OP_SERVICE_US,
         registry: Optional[OperationRegistry] = None,
         root_endpoint: Optional[str] = None,
@@ -471,8 +473,8 @@ class DatastoreInstance:
 
     def _on_message(self, envelope: Envelope) -> None:
         """One-way messages from the root: prune notifications, and the
-        delete of a store-kept log entry (a fire-and-forget ``set`` to
-        None, applied on the key's thread like any op, with no reply)."""
+        delete of a store-kept log entry (a fire-and-forget ``delete`` op,
+        applied on the key's thread like any op, with no reply)."""
         payload = envelope.payload
         if isinstance(payload, OpRequest):
             self._thread_for(payload.key).put((payload, None))
@@ -682,8 +684,13 @@ class DatastoreInstance:
             # Applied (not emulated, not rejected) mutation: the ownership
             # sanitizer checks the writer against the last one it saw.
             suite.note_store_apply(self.sim, key, instance)
-        new_value, return_value = self.registry.apply(op.op, self._data.get(key), op.args)
-        self._data[key] = new_value
+        if op.op == DELETE_OP:
+            # the root retiring a store-kept log entry: the key goes, so the
+            # store-kept log is O(packets in flight), not O(packets seen)
+            new_value, return_value = None, self._data.pop(key, None)
+        else:
+            new_value, return_value = self.registry.apply(op.op, self._data.get(key), op.args)
+            self._data[key] = new_value
         self.stats.ops_applied += 1
         if clock and instance:
             # Monotone per instance: a loss-retransmitted op can arrive

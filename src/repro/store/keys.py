@@ -58,3 +58,15 @@ def vertex_of_key(raw: str) -> str:
     per-vertex lame duck) agrees with where the router sends that key.
     """
     return raw.split("\x1f", 1)[0]
+
+
+def root_clock_key(root_id: int) -> str:
+    """Where root ``root_id`` persists its clock; a new root resumes above
+    it (§5.4 "Root")."""
+    return f"__root__\x1froot{root_id}_clock\x1f"
+
+
+def root_log_key(root_id: int, clock: object = "") -> str:
+    """Root ``root_id``'s store-kept log entry for ``clock`` (§7.2); with no
+    clock, the prefix every such entry shares."""
+    return f"__root__\x1froot{root_id}_log\x1f{clock}"

@@ -17,6 +17,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 OperationFn = Callable[..., Tuple[Any, Any]]
 
+# Reserved: the store itself applies it by removing the key (the root
+# retiring a store-kept log entry), so no registry may bind the name.
+DELETE_OP = "delete"
+
 
 class UnknownOperation(KeyError):
     """Raised when an NF offloads an operation the store does not know."""
@@ -84,6 +88,8 @@ class OperationRegistry:
         self._ops: Dict[str, OperationFn] = {}
 
     def register(self, name: str, fn: OperationFn, allow_replace: bool = False) -> None:
+        if name == DELETE_OP:
+            raise ValueError(f"operation name {name!r} is reserved by the store")
         if name in self._ops and not allow_replace:
             raise ValueError(f"operation {name!r} already registered")
         self._ops[name] = fn

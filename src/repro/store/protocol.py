@@ -1,4 +1,6 @@
-"""Wire messages between the client-side library and store instances."""
+"""Wire messages of the chain: client library <-> store instances, and the
+chain's and stores' reports to the root (every class the
+:mod:`repro.dist.transport` codec registers, bar the packet and frames)."""
 
 from __future__ import annotations
 
@@ -236,6 +238,25 @@ class BatchedCommitSignal:
     """
 
     signals: Tuple[Tuple[int, int], ...]
+
+
+@dataclass
+class DeleteRequest:
+    """Chain -> root: one copy of packet ``clock`` finished its journey."""
+
+    clock: int
+    vector: int
+    generation: int = 0
+
+
+@dataclass
+class BatchedDeleteRequest:
+    """Chain -> root: delete reports for a fast-path batch, in one message.
+
+    Each ``(clock, vector, generation)`` entry is processed exactly as an
+    individual :class:`DeleteRequest`, in order (§6 fast path)."""
+
+    entries: tuple
 
 
 @dataclass

@@ -9,42 +9,25 @@ heavy-tailed flow lengths — under a seeded RNG so every experiment is
 deterministic. Experiments in the paper depend only on these statistics
 and on controllable event ordering (e.g. where trojan signatures sit in
 the stream), all of which the generators reproduce.
+
+The package re-exports nothing but the two names
+``benchmarks/perf/simbench.py`` imports from it, and those only on first
+access (PEP 562): every :mod:`repro.dist` process imports
+:mod:`repro.traffic.packet`, and must not pay for the trace generators on
+the way (DESIGN.md §9.1).
 """
 
-from repro.traffic.packet import (
-    PROTO_TCP,
-    PROTO_UDP,
-    FiveTuple,
-    Packet,
-    SYN,
-    ACK,
-    FIN,
-    RST,
-)
-from repro.traffic.flows import Flow, FlowSpec, flow_packets
-from repro.traffic.trace import Trace, TraceStats, make_trace, make_trace1, make_trace2
-from repro.traffic.trojan import TrojanScenario, inject_trojan_signatures
-from repro.traffic.workload import ReplaySource, load_interval_us
+#: Lazily re-exported names -> the submodule that defines them.
+_LAZY = {
+    "ReplaySource": "repro.traffic.workload",
+    "make_trace2": "repro.traffic.trace",
+}
 
-__all__ = [
-    "ACK",
-    "FIN",
-    "FiveTuple",
-    "Flow",
-    "FlowSpec",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "Packet",
-    "RST",
-    "ReplaySource",
-    "SYN",
-    "Trace",
-    "TraceStats",
-    "TrojanScenario",
-    "flow_packets",
-    "inject_trojan_signatures",
-    "load_interval_us",
-    "make_trace",
-    "make_trace1",
-    "make_trace2",
-]
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(module), name)

@@ -1,7 +1,7 @@
 """Grows a private campaign harness instead of declaring a family (CHC009)."""
 
 from repro import parallel
-from repro.parallel import CampaignPool
+from repro.parallel.pool import CampaignPool
 
 
 def fifth_harness(work, items):

@@ -229,7 +229,7 @@ class TestRules:
 
     def test_chc009_exempt_only_in_the_shared_runner(self):
         source = (
-            "from repro.parallel import CampaignPool\n"
+            "from repro.parallel.pool import CampaignPool\n"
             "pool = CampaignPool(jobs=2)\n"
         )
         # one runner: the pool's own package
@@ -247,7 +247,7 @@ class TestRules:
             assert [f.code for f in flagged] == ["CHC009"], path
         # importing or annotating with the class is not constructing it
         assert lint.check_source(
-            "from repro.parallel import CampaignPool\n"
+            "from repro.parallel.pool import CampaignPool\n"
             "def f(pool: CampaignPool): return pool\n",
             Path("repro/chaos/campaign.py"),
         ) == []
@@ -343,6 +343,28 @@ class TestRules:
             assert [f.code for f in lint.check_source(numpy, Path(path))] == ["CHC013"]
         for path in ("benchmarks/plot.py", "tests/test_x.py", "tools/campaign.py"):
             assert lint.check_source(numpy, Path(path)) == [], path
+
+    def test_chc014_a_package_init_re_exports_nothing(self):
+        source = (FIXTURES / "bad_chc014.py").read_text()
+        init = Path("src/repro/store/__init__.py")
+        findings = lint.check_source(source, init)
+        # the five repro imports at module level; json and the lazy table pass
+        assert [(f.code, f.line) for f in findings] == [
+            ("CHC014", line) for line in (7, 8, 9, 10, 11)
+        ]
+        assert "repro.store.client" in findings[0].message
+        assert ".spec" in findings[4].message
+        # only a package __init__ under repro/, and not the two that re-export
+        for path in ("src/repro/store/client.py", "src/repro/nfs/__init__.py",
+                     "src/repro/bench/__init__.py", "benchmarks/__init__.py",
+                     "tests/__init__.py"):
+            assert lint.check_source(source, Path(path)) == [], path
+        assert [f.code for f in lint.check_source(source, Path("src/repro/__init__.py"))] \
+            == ["CHC014"] * 5
+        # known answer: the store node's path before package inits went empty
+        dist = "from repro.dist.transport import (  # noqa: F401\n    Connection,\n)\n"
+        flagged = lint.check_source(dist, Path("src/repro/dist/__init__.py"))
+        assert [(f.code, f.line) for f in flagged] == [("CHC014", 1)]
 
 
 class TestMechanics:

@@ -380,6 +380,20 @@ class TestScenarios:
         kinds = [e["kind"] for e in outcome.timeline]
         assert kinds.count("recovered") == 2
 
+    def test_a_clean_nf_plus_root_run_leaves_no_root_log_keys(self):
+        """The root's delete of a store-kept log entry removes the key: a
+        finished run's store keeps no dead key per packet the roots ever
+        logged for every checkpoint to copy (80 of them before)."""
+        stores = []
+        outcome = run_scenario(
+            SCENARIOS["nf-plus-root"], 1,
+            reference=cached_reference(SCENARIOS["nf-plus-root"], 1),
+            collect_runtime=lambda runtime: stores.extend(runtime.stores),
+        )
+        assert outcome.ok, [v.as_dict() for v in outcome.violations]
+        root_keys = [key for store in stores for key in store.keys("__root__")]
+        assert [key for key in root_keys if "_log\x1f" in key] == []
+
     def test_timeline_ordering_and_detection_split(self):
         outcome = _run(
             SCENARIOS["nf-crash"],

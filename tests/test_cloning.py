@@ -12,7 +12,7 @@ from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.cloning import CloneController
 from repro.core.dag import LogicalChain
 from repro.core.nf_api import NetworkFunction, Output
-from repro.ops import MaintenanceDirector
+from repro.ops.director import MaintenanceDirector
 from repro.simnet.engine import Simulator
 from repro.store.keys import StateKey
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec

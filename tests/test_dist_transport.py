@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.root import BatchedDeleteRequest
 from repro.dist.shard import RemoteStoreHandle
 from repro.dist.store_node import FrameWAL, StoreNode
 from repro.dist.transport import (
@@ -43,6 +42,7 @@ from repro.store.cluster import StoreCluster
 from repro.store.datastore import DatastoreInstance
 from repro.store.protocol import (
     BatchedCommitSignal,
+    BatchedDeleteRequest,
     BatchedOpRequest,
     BatchedPruneRequest,
     CheckpointControl,

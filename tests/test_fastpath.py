@@ -666,7 +666,8 @@ def paper_chain_run(seed):
     """The §7.1 chain (imperative NFs, cross-flow state, blocking reads,
     half the visits off the fast path) over a small seeded Trace2."""
     from repro.bench import build_paper_chain
-    from repro.traffic import ReplaySource, make_trace2
+    from repro.traffic.trace import make_trace2
+    from repro.traffic.workload import ReplaySource
 
     sim = Simulator()
     runtime = build_paper_chain(

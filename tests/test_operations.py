@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.store.operations import UnknownOperation, default_registry
+from repro.store.operations import DELETE_OP, UnknownOperation, default_registry
 
 
 @pytest.fixture
@@ -80,6 +80,15 @@ class TestRegistry:
     def test_allow_replace(self, registry):
         registry.register("incr", lambda v, n=1: (0, 0), allow_replace=True)
         assert registry.apply("incr", 5, ()) == (0, 0)
+
+    def test_delete_is_reserved(self, registry):
+        # the store applies DELETE_OP itself (it removes the key): an NF
+        # binding the name would see its own function while the store
+        # silently dropped the object
+        for allow_replace in (False, True):
+            with pytest.raises(ValueError, match="reserved"):
+                registry.register(DELETE_OP, lambda v: (v, v), allow_replace=allow_replace)
+        assert DELETE_OP not in registry
 
     def test_copy_is_independent(self, registry):
         clone = registry.copy()

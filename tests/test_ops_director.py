@@ -47,7 +47,7 @@ from repro.core.handover import (
     evacuate, move_flows, owned_scope_keys, routed_scope_keys, stuck_moves,
 )
 from repro.core.nf_api import NetworkFunction, Output
-from repro.ops import GoodputMonitor, MaintenanceDirector
+from repro.ops.director import GoodputMonitor, MaintenanceDirector
 from repro.ops.campaign import (
     N_PACKETS,
     OP_AT_US,

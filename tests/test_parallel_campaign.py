@@ -31,14 +31,8 @@ from repro.chaos.campaign import ScenarioSpec
 from repro.chaos.invariants import InvariantViolation
 from repro.chaos.overload import OverloadSpec
 from repro.ops.campaign import SCENARIOS as OPS_SCENARIOS
-from repro.parallel import (
-    CampaignPool,
-    InfraFailure,
-    RunFailure,
-    merge_sanitizer_reports,
-    payloads_equal_modulo_meta,
-    resolve_jobs,
-)
+from repro.parallel.merge import RunFailure, merge_sanitizer_reports, payloads_equal_modulo_meta
+from repro.parallel.pool import CampaignPool, InfraFailure, resolve_jobs
 from repro.parallel.campaign import CampaignReport, load_family, run_campaign
 from repro.parallel.campaign import main as campaign_main
 from repro.simnet.monitor import percentiles

@@ -5,10 +5,11 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.root import DeleteRequest, LogEntry, Root
+from repro.core.root import LogEntry, Root
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Envelope, Network
-from repro.store.protocol import BatchedCommitSignal, CommitSignal
+from repro.store.keys import root_clock_key, root_log_key
+from repro.store.protocol import BatchedCommitSignal, CommitSignal, DeleteRequest
 from tests.conftest import make_packet
 
 
@@ -58,7 +59,7 @@ class TestStampingAndLogging:
         for _ in range(200):
             root.inject(make_packet())
         sim.run()
-        persisted = store.peek(Root.recovered_clock_key(0))
+        persisted = store.peek(root_clock_key(0))
         assert persisted == 200
 
     def test_threshold_drops(self, sim, network, store):
@@ -274,7 +275,7 @@ class TestFailure:
         for _ in range(3):
             kept.inject(make_packet())
         sim.run()
-        prefix = Root.log_key_prefix(kept.root_id)
+        prefix = root_log_key(kept.root_id)
         retired, live = sorted(kept.log)[:2], sorted(kept.log)[2]
         for clock in retired:
             kept.report_done(clock, 0)
@@ -282,6 +283,8 @@ class TestFailure:
         assert kept.stats.deleted == 2
         assert [store.peek(prefix + str(clock)) for clock in retired] == [None, None]
         assert store.peek(prefix + str(live)) is not None
+        # the retired keys are gone, not kept with the value None
+        assert store.keys(prefix) == [prefix + str(live)]
         successor = Root(sim, network, "root-t", forward=lambda p: None)
         assert successor.restore_log(
             {key: store.peek(key) for key in store.keys(prefix)}

@@ -24,7 +24,7 @@ from repro.chaos.director import ChaosDirector
 from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
 from repro.chaos.overload import run_overload_scenario
 from repro.core.autoscaler import AutoscaleController
-from repro.ops import MaintenanceDirector
+from repro.ops.director import MaintenanceDirector
 from repro.ops.campaign import SCENARIOS, build_runtime
 from repro.simnet.engine import Simulator
 from repro.simnet.rpc import RpcEndpoint

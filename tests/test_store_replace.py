@@ -20,7 +20,7 @@ from repro.chaos.invariants import (
     check_loss_free_state,
     snapshot_run,
 )
-from repro.ops import MaintenanceDirector
+from repro.ops.director import MaintenanceDirector
 from repro.ops.campaign import (
     OP_AT_US,
     SCENARIOS,
