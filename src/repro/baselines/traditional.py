@@ -16,7 +16,7 @@ from repro.core.nf_api import LocalStateAPI, NetworkFunction
 from repro.simnet.engine import Channel, Process, Simulator
 from repro.simnet.monitor import LatencyRecorder, ThroughputMeter
 from repro.simnet.network import HOP_LINK_US
-from repro.simnet.nic import Nic
+from repro.simnet.nic import NIC_OVERHEAD_BITS, NIC_RATE_GBPS, Nic
 from repro.traffic.packet import Packet
 from repro.util import stable_hash
 
@@ -31,8 +31,6 @@ class TraditionalNFHarness:
         name: str = "traditional",
         n_workers: int = 8,
         proc_time_us: float = 2.0,
-        nic_rate_gbps: float = 10.0,
-        nic_overhead_bits: int = 600,
         extra_delay: Optional[Callable[[], float]] = None,
         deliver: Optional[Callable[[Packet], None]] = None,
     ):
@@ -63,10 +61,10 @@ class TraditionalNFHarness:
         ]
         self.nic = Nic(
             sim,
-            nic_rate_gbps,
+            NIC_RATE_GBPS,
             deliver=self._dispatch,
             name=f"{name}-nic",
-            per_packet_overhead_bits=nic_overhead_bits,
+            per_packet_overhead_bits=NIC_OVERHEAD_BITS,
         )
 
     @property
@@ -127,30 +125,14 @@ class TraditionalChain:
     as in the CHC runtime, so the measured difference is pure state
     management overhead."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        nfs: List[NetworkFunction],
-        n_workers: int = 8,
-        proc_time_us: float = 2.0,
-        nic_rate_gbps: float = 10.0,
-        nic_overhead_bits: int = 600,
-    ):
+    def __init__(self, sim: Simulator, nfs: List[NetworkFunction]):
         self.sim = sim
         self.egress_recorder = LatencyRecorder(name="traditional-chain")
         self.egress_meter = ThroughputMeter(name="traditional-chain")
-        self.stages: List[TraditionalNFHarness] = []
-        for index, nf in enumerate(nfs):
-            stage = TraditionalNFHarness(
-                sim,
-                nf,
-                name=f"t{index}-{nf.name}",
-                n_workers=n_workers,
-                proc_time_us=proc_time_us,
-                nic_rate_gbps=nic_rate_gbps,
-                nic_overhead_bits=nic_overhead_bits,
-            )
-            self.stages.append(stage)
+        self.stages = [
+            TraditionalNFHarness(sim, nf, name=f"t{index}-{nf.name}")
+            for index, nf in enumerate(nfs)
+        ]
         for index, stage in enumerate(self.stages):
             if index + 1 < len(self.stages):
                 nxt = self.stages[index + 1]

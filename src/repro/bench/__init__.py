@@ -11,7 +11,6 @@
 
 from repro.bench.calibration import (
     MODELS,
-    CalibratedParams,
     bench_scale,
     params_for_model,
 )
@@ -24,7 +23,6 @@ from repro.bench.scenarios import (
 )
 
 __all__ = [
-    "CalibratedParams",
     "MODELS",
     "ResultTable",
     "SingleNfResult",

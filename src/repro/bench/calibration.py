@@ -25,8 +25,6 @@ import os
 
 from repro.core.chain_runtime import RuntimeParams
 
-CalibratedParams = RuntimeParams  # the calibrated defaults live on RuntimeParams
-
 MODELS = ("T", "EO", "EO+C", "EO+C+NA")
 
 

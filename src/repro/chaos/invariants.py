@@ -45,9 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import handover
-from repro.store.keys import parse_storage_key
-
-_INTERNAL_MARKERS = ("__root__", "__move__", "__nondet__")
+from repro.store.keys import is_internal_key, parse_storage_key
 
 
 @dataclass
@@ -70,16 +68,12 @@ class RunSnapshot:
     # (payload identity, clock) in egress order
 
 
-def _is_internal(key: str) -> bool:
-    return any(marker in key for marker in _INTERNAL_MARKERS)
-
-
 def chain_state(runtime) -> Dict[str, Any]:
     """Final application-visible store state (internal keys filtered)."""
     state: Dict[str, Any] = {}
     for store in runtime.store.instances:
         for key in store.keys():
-            if not _is_internal(key):
+            if not is_internal_key(key):
                 state[key] = store.peek(key)
     return state
 
@@ -230,7 +224,7 @@ def check_ownership_map(
     alive = set(alive_instances)
     violations: List[InvariantViolation] = []
     for key, owner in sorted(owners.items()):
-        if owner is None or _is_internal(key):
+        if owner is None or is_internal_key(key):
             continue
         if owner not in alive:
             violations.append(

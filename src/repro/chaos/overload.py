@@ -53,6 +53,18 @@ CAPACITY_PPS_US = N_WORKERS / ENTRY_PROC_US  # packets per µs
 
 DRAIN_US = 60_000.0
 
+# Autoscaler tuning for an autoscaled run (the scale-up trigger is per
+# scenario, ``OverloadSpec.scale_queue_threshold``): scale down below this
+# backlog, and never past this many instances of a vertex.
+SCALE_LOW_THRESHOLD = 4
+MAX_INSTANCES = 3
+# Store-tier elasticity (DESIGN.md §8): scale out after STORE_WINDOWS_OVER
+# windows of STORE_WINDOW_US in a row, each adding at least
+# STORE_REJECTION_THRESHOLD admission rejections.
+STORE_REJECTION_THRESHOLD = 8
+STORE_WINDOW_US = 200.0
+STORE_WINDOWS_OVER = 3
+
 
 class ReadThroughEntryNF(EntryCounterNF):
     """Entry NF that additionally *blocks* on a shared-counter read per
@@ -111,17 +123,12 @@ class OverloadSpec:
     read_through: bool = False
     store_spike: Optional[StoreSpike] = None
     runtime_overrides: Dict[str, Any] = field(default_factory=dict)
-    # autoscaler tuning when enabled for a run
+    # the autoscaler's scale-up backlog when enabled for a run
     scale_queue_threshold: int = 48
-    scale_low_threshold: int = 4
-    max_instances: int = 3
     # store-side elasticity (DESIGN.md §8): an extra store-heavy vertex in
-    # the chain plus the rejection-hysteresis scale-out of the store tier
+    # the chain and, when autoscaled, the rejection-hysteresis scale-out of
+    # the store tier up to ``max_stores`` nodes
     store_heavy: bool = False
-    store_scale: bool = False
-    store_rejection_threshold: int = 8
-    store_window_us: float = 200.0
-    store_windows_over: int = 3
     max_stores: int = 2
 
     @property
@@ -181,12 +188,7 @@ SCENARIOS: Dict[str, OverloadSpec] = {
             store_spike=StoreSpike(
                 at_us=800.0, extra_latency_us=150.0, duration_us=1_200.0
             ),
-            runtime_overrides=dict(
-                breaker_enabled=True,
-                breaker_failure_threshold=4,
-                breaker_open_us=400.0,
-                breaker_slow_call_us=60.0,
-            ),
+            runtime_overrides=dict(breaker_enabled=True),
             # read-through capacity is latency-bound; backlog never reaches
             # the CPU-bound threshold, so keep the scale trigger low
             scale_queue_threshold=24,
@@ -204,7 +206,6 @@ SCENARIOS: Dict[str, OverloadSpec] = {
             ),
             phases=_store_hot(0),
             store_heavy=True,
-            store_scale=True,
             runtime_overrides=dict(
                 store_op_service_us=16.0,
                 store_inflight_limit=12,
@@ -230,7 +231,7 @@ def build_overload_runtime(
     scaling = (
         default_scaling_logic(
             queue_threshold=spec.scale_queue_threshold,
-            low_threshold=spec.scale_low_threshold,
+            low_threshold=SCALE_LOW_THRESHOLD,
             settle_intervals=5,
         )
         if autoscale
@@ -327,14 +328,14 @@ def run_overload_scenario(
         controller = AutoscaleController(
             runtime,
             min_instances=1,
-            max_instances=spec.max_instances,
+            max_instances=MAX_INSTANCES,
             cooldown_us=1_500.0,
         )
-        if spec.store_scale:
+        if spec.store_heavy:
             controller.enable_store_elasticity(
-                rejection_threshold=spec.store_rejection_threshold,
-                window_us=spec.store_window_us,
-                windows_over=spec.store_windows_over,
+                rejection_threshold=STORE_REJECTION_THRESHOLD,
+                window_us=STORE_WINDOW_US,
+                windows_over=STORE_WINDOWS_OVER,
                 max_stores=spec.max_stores,
             )
     if spec.store_spike is not None:

@@ -54,7 +54,7 @@ from repro.simnet.monitor import (
     engine_counters,
 )
 from repro.simnet.network import HOP_LINK_US, ROOT_LINK_US, STORE_LINK_US, Link, Network
-from repro.simnet.nic import Nic
+from repro.simnet.nic import NIC_OVERHEAD_BITS, NIC_RATE_GBPS, Nic
 from repro.store.breaker import CircuitBreaker
 from repro.store.client import StoreClient
 from repro.store.cluster import StoreCluster
@@ -79,6 +79,14 @@ def _is_control_item(item: Any) -> bool:
     )
 
 
+# The circuit breaker each store client gets under ``breaker_enabled``
+# (DESIGN.md §8): open after 4 consecutive failures — a store call slower
+# than 60 µs (about twice the uncontended round trip) counts as one — and
+# stay open 400 µs (plus seeded jitter) before a half-open probe.
+BREAKER_FAILURE_THRESHOLD = 4
+BREAKER_OPEN_US = 400.0
+BREAKER_SLOW_CALL_US = 60.0
+
 
 @dataclass
 class RuntimeParams:
@@ -94,8 +102,6 @@ class RuntimeParams:
     proc_time_us: float = 2.0
     proc_time_overrides: Dict[str, float] = field(default_factory=dict)
     n_workers: int = 8
-    nic_rate_gbps: float = 10.0
-    nic_overhead_bits: int = 600
     wait_for_acks: bool = False
     retransmit_timeout_us: Optional[float] = 500.0
     caching_enabled: bool = True
@@ -139,11 +145,9 @@ class RuntimeParams:
     # Store admission control: aggregate thread-queue budget per instance.
     store_inflight_limit: Optional[int] = None
     store_overload_retry_us: float = 50.0
-    # Client-side circuit breaker over store access.
+    # Client-side circuit breaker over store access, tuned by the module's
+    # BREAKER_* constants.
     breaker_enabled: bool = False
-    breaker_failure_threshold: int = 5
-    breaker_open_us: float = 2_000.0
-    breaker_slow_call_us: Optional[float] = None
 
     def proc_time_for(self, vertex: str) -> float:
         return self.proc_time_overrides.get(vertex, self.proc_time_us)
@@ -300,9 +304,9 @@ class ChainRuntime:
             breaker = CircuitBreaker(
                 self.sim,
                 name=f"{instance_id}-breaker",
-                failure_threshold=self.params.breaker_failure_threshold,
-                open_us=self.params.breaker_open_us,
-                slow_call_us=self.params.breaker_slow_call_us,
+                failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                open_us=BREAKER_OPEN_US,
+                slow_call_us=BREAKER_SLOW_CALL_US,
                 seed=self.params.seed,
             )
         client = StoreClient(
@@ -342,11 +346,11 @@ class ChainRuntime:
         self.vertex_instances[vertex_name].append(instance_id)
         self.nics[instance_id] = Nic(
             self.sim,
-            self.params.nic_rate_gbps,
+            NIC_RATE_GBPS,
             deliver=instance.enqueue,
             name=f"{instance_id}-nic",
             queue_limit=self.params.nic_queue_limit,
-            per_packet_overhead_bits=self.params.nic_overhead_bits,
+            per_packet_overhead_bits=NIC_OVERHEAD_BITS,
             # ring tail drops feed the unified drop ledger + root accounting
             on_drop=lambda item, _iid=instance_id: self._on_nic_drop(_iid, item),
             # handover markers and recovery traffic must never tail-drop

@@ -54,6 +54,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.nf_api import NetworkFunction, NotFast, Output, StateAPI
 from repro.simnet.network import HOP_LINK_US
+from repro.simnet.nic import NIC_OVERHEAD_BITS, NIC_RATE_GBPS
 from repro.store.client import JournalEntry, StateRef, StoreClient
 from repro.store.protocol import BatchedDeleteRequest, DeleteRequest
 from repro.store.spec import CacheStrategy
@@ -308,10 +309,9 @@ class FastPathExecutor:
         with the batch, so the whole fused run's state flushes coalesce.
         """
         runtime = self.instance.runtime
-        params = runtime.params
         current = self.instance
         debt = 0.0
-        wire_rate = params.nic_rate_gbps * 1000.0  # bits/µs
+        wire_rate = NIC_RATE_GBPS * 1000.0  # bits/µs
         while len(outputs) == 1 and outputs[0].packet is packet:
             dst_vertex = runtime.fusion_successor(current.vertex_name, outputs[0].edge)
             if dst_vertex is None:
@@ -344,7 +344,7 @@ class FastPathExecutor:
             executor.stats_fused_in += 1
             debt += (
                 HOP_LINK_US
-                + (packet.size_bits + params.nic_overhead_bits) / wire_rate
+                + (packet.size_bits + NIC_OVERHEAD_BITS) / wire_rate
                 + target.proc_time_us
             )
             current = target

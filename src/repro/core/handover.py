@@ -40,6 +40,7 @@ from typing import (
 from repro.core.splitter import MoveMarker
 from repro.simnet.engine import Event
 from repro.simnet.network import HOP_LINK_US
+from repro.store.keys import MOVE_MARKER
 from repro.store.protocol import WatchRequest
 from repro.traffic.packet import FiveTuple, scope_fields
 
@@ -223,7 +224,7 @@ def move_flows(
 
 def _notify_key(vertex_name: str, marker: MoveMarker) -> str:
     """The store key a move's bulk release notifies its watchers on."""
-    return f"{vertex_name}\x1f__move__\x1f{marker.move_id}"
+    return f"{vertex_name}\x1f{MOVE_MARKER}\x1f{marker.move_id}"
 
 
 def release(runtime, instance, marker: MoveMarker) -> Generator:

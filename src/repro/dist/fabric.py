@@ -54,8 +54,10 @@ from repro.dist.shard import (
 )
 from repro.dist.transport import ControlFrame, Listener, Peer, control_frame
 from repro.simnet.engine import Simulator
+from repro.store.keys import is_internal_key
 
-_INTERNAL_MARKERS = ("__root__", "__move__", "__nondet__")
+#: How long a partition refuses reconnects, or a stalled store stops reading.
+FAULT_WINDOW_S = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +76,9 @@ class DistScenario:
     #: provable loss: the injection window plus flushes the dead client
     #: never got to retransmit), never exceed it
     loss_allowance: int = 0
-    expect_log_drained: bool = True
     #: evidence the scenario must produce to count as "really happened"
     requires_distinct_pids: Optional[str] = None  # child name whose pid must change
     requires_socket_faults: bool = False
-    fault_window_s: float = 0.25
 
 
 DIST_SCENARIOS: Dict[str, DistScenario] = {
@@ -363,7 +363,7 @@ class Fabric:
 
     def _inject_fault(self, store_port: int) -> None:
         fault = self.scenario.fault
-        window = self.scenario.fault_window_s
+        window = FAULT_WINDOW_S
         if fault == "none":
             return
         if fault == "shard_kill":
@@ -482,7 +482,7 @@ class Fabric:
             key: value
             for key, value in store_snapshot["data"].items()
             if key.startswith(f"{prefix}-")
-            and not any(marker in key for marker in _INTERNAL_MARKERS)
+            and not is_internal_key(key)
         }
         owners = {
             key: owner
@@ -498,8 +498,7 @@ class Fabric:
             owners, shard_snapshot["alive_instances"], store_name="store0"
         )
         violations += check_gaveup_counts(shard_snapshot["gaveups"])
-        if self.scenario.expect_log_drained:
-            violations += check_log_lengths(shard_snapshot["root_logs"])
+        violations += check_log_lengths(shard_snapshot["root_logs"])
         return violations
 
     def _check_evidence(

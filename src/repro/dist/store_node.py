@@ -60,7 +60,6 @@ _MUTATING_TYPES = (
     "CloneRegistration",
     "TakeoverRequest",
     "WatchRequest",
-    "UnwatchRequest",
     "LockReadRequest",
     "WriteUnlockRequest",
     "NonDetRequest",

@@ -220,7 +220,6 @@ def _register_protocol() -> None:
         "CloneRegistration",
         "TakeoverRequest",
         "WatchRequest",
-        "UnwatchRequest",
         "LockReadRequest",
         "WriteUnlockRequest",
         "CallbackMessage",
@@ -232,7 +231,6 @@ def _register_protocol() -> None:
         "BatchedPruneRequest",
         "NonDetRequest",
         "SnapshotRequest",
-        "CheckpointControl",
     ):
         register_message(getattr(_proto, name))
     register_message(FiveTuple)

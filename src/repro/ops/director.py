@@ -27,10 +27,11 @@ abort-and-rollback when a gate times out:
   strictly longer); removal holds the runtime's vertex-input pause gate
   while the spliced-out vertex drains and disowns its per-flow state,
   because a bypass packet could otherwise overtake an in-flight one.
-* **config hot-reload** (:meth:`~MaintenanceDirector.hot_reload`) — a
-  registry of hot-applicable parameters with per-key appliers; old values
-  are snapshotted first, and any failure rolls back everything already
-  applied.
+* **config hot-reload** (:meth:`~MaintenanceDirector.hot_reload`) — the
+  two hot-applicable parameters (``retransmit_timeout_us``,
+  ``proc_time_us``), each written on the params and on every live object
+  holding it; old values are snapshotted first, and a value that does not
+  read back everywhere rolls back everything already applied.
 
 Every operation runs with the :class:`GoodputMonitor` armed, so the
 ``no-downtime`` invariant checker can prove the chain kept externalizing
@@ -40,7 +41,7 @@ packets through the whole procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.handover import evacuate, quiesce
 from repro.simnet.network import HOP_LINK_US
@@ -393,98 +394,67 @@ class MaintenanceDirector:
     # operation: config hot-reload
     # ------------------------------------------------------------------
 
-    def _reload_appliers(self) -> Dict[str, Any]:
-        """Hot-reloadable parameter registry: key -> (getter, applier).
+    def _reload_holders(self) -> Dict[str, Callable[[], List[Any]]]:
+        """Hot-reloadable parameters: key -> the live objects holding it.
 
-        Every applier writes the live objects *and* the params dataclass,
-        so instances added after the reload inherit the new value too.
+        A reload writes the key under the same attribute name on
+        ``runtime.params`` — which instances added after it are built from
+        (bar a vertex with a ``proc_time_overrides`` entry) — and on every
+        live holder; verify reads all of them back.
         """
         runtime = self.runtime
-
-        def _set_overload_policy(value):
-            runtime.params.overload_policy = value
-            for instance in runtime.instances.values():
-                instance.overload_policy = value
-
-        def _set_nic_queue_limit(value):
-            runtime.params.nic_queue_limit = value
-            for nic in runtime.nics.values():
-                nic.queue_limit = value
-
-        def _set_retransmit_timeout(value):
-            runtime.params.retransmit_timeout_us = value
-            for instance in runtime.instances.values():
-                instance.client.retransmit_timeout_us = value
-
-        def _set_proc_time(value):
-            runtime.params.proc_time_us = value
-            for instance in runtime.instances.values():
-                instance.proc_time_us = value
-
-        def _set_checkpoint_interval(value):
-            runtime.params.checkpoint_interval_us = value
-            for store in runtime.store.instances:
-                if store.checkpoint_interval_us:
-                    # the running loop reads the attribute each cycle; a
-                    # store built without a loop cannot grow one hot
-                    store.checkpoint_interval_us = value
-
         return {
-            "overload_policy": (
-                lambda: runtime.params.overload_policy, _set_overload_policy
-            ),
-            "nic_queue_limit": (
-                lambda: runtime.params.nic_queue_limit, _set_nic_queue_limit
-            ),
-            "retransmit_timeout_us": (
-                lambda: runtime.params.retransmit_timeout_us, _set_retransmit_timeout
-            ),
-            "proc_time_us": (lambda: runtime.params.proc_time_us, _set_proc_time),
-            "checkpoint_interval_us": (
-                lambda: runtime.params.checkpoint_interval_us,
-                _set_checkpoint_interval,
-            ),
+            "retransmit_timeout_us": lambda: [
+                instance.client for instance in runtime.instances.values()
+            ],
+            "proc_time_us": lambda: list(runtime.instances.values()),
         }
 
     def hot_reload(self, changes: Dict[str, Any]) -> Generator:
         """Apply config ``changes`` without restarting anything.
 
-        All-or-nothing: old values are snapshotted first; an unknown key
-        (or an applier raising) rolls back every change already applied.
+        All-or-nothing: an unknown key aborts before anything is written,
+        and a value that does not read back everywhere after the settle
+        gate rolls back every change.
         """
         record = self._begin("hot_reload", ",".join(sorted(changes)))
-        appliers = self._reload_appliers()
+        holders = self._reload_holders()
+        params = self.runtime.params
         step = self._step(record, "validate")
-        unknown = sorted(set(changes) - set(appliers))
+        unknown = sorted(set(changes) - set(holders))
         if unknown:
             self._close(step, self.sim, ok=False, note=f"not hot-reloadable: {unknown}")
             self._finish(record, "aborted", note=f"not hot-reloadable: {unknown}")
             return record
         self._close(step, self.sim)
 
+        def apply(key: str, value: Any) -> None:
+            setattr(params, key, value)
+            for holder in holders[key]():
+                setattr(holder, key, value)
+
         step = self._step(record, "apply")
         applied: List[Tuple[str, Any]] = []
-        try:
-            for key in sorted(changes):
-                getter, applier = appliers[key]
-                applied.append((key, getter()))
-                applier(changes[key])
-        except Exception as exc:  # roll back what already landed
-            for key, old_value in reversed(applied):
-                appliers[key][1](old_value)
-            self._close(step, self.sim, ok=False, note=repr(exc))
-            self._finish(record, "aborted", note=repr(exc))
-            return record
+        for key in sorted(changes):
+            applied.append((key, getattr(params, key)))
+            apply(key, changes[key])
         self._close(step, self.sim, note=f"{len(applied)} params")
 
-        # settle gate: a moment under the new config, then verify every
-        # applier reads back the requested value
+        # settle gate: a moment under the new config, then verify the
+        # params and every live holder read back the requested value
         step = self._step(record, "verify")
         yield self.sim.timeout(RELOAD_SETTLE_US)
-        stale = [key for key in changes if appliers[key][0]() != changes[key]]
+        stale = [
+            key
+            for key in changes
+            if any(
+                getattr(holder, key) != changes[key]
+                for holder in [params, *holders[key]()]
+            )
+        ]
         if stale:
             for key, old_value in reversed(applied):
-                appliers[key][1](old_value)
+                apply(key, old_value)
             self._close(step, self.sim, ok=False, note=f"did not stick: {stale}")
             self._finish(record, "aborted", note=f"did not stick: {stale}")
             return record

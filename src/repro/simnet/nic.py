@@ -27,6 +27,13 @@ from repro.simnet.engine import Channel, Event, Simulator
 
 GBPS_TO_BITS_PER_US = 1_000.0  # 1 Gbps == 1000 bits per microsecond
 
+#: The calibrated port every NF instance (and every traditional-baseline
+#: stage) is built with (DESIGN.md §4): 10 Gbps line rate, plus 600 bits of
+#: per-packet framing (preamble, inter-frame gap, headers) on the wire —
+#: what brings MTU-sized goodput down to ~9.5 Gbps.
+NIC_RATE_GBPS = 10.0
+NIC_OVERHEAD_BITS = 600
+
 
 class Nic:
     """A FIFO transmit queue served at ``rate_gbps``.

@@ -36,7 +36,7 @@ from repro.simnet.network import Envelope, Network
 from repro.simnet.rpc import RpcEndpoint, RpcGaveUp
 from repro.store.breaker import CircuitBreaker
 from repro.store.cluster import StoreCluster
-from repro.store.keys import StateKey
+from repro.store.keys import NONDET_MARKER, StateKey
 from repro.store.operations import OperationRegistry, default_registry
 from repro.store.protocol import (
     BatchedOpRequest,
@@ -873,7 +873,7 @@ class StoreClient:
     ) -> Generator:
         """Store-computed non-deterministic value for the current packet."""
         ctx = ctx or self._default_ctx
-        storage_key = self._key("__nondet__", None)
+        storage_key = self._key(NONDET_MARKER, None)
         value = yield from self._blocking_call(
             storage_key, NonDetRequest(clock=ctx.clock, purpose=purpose, kind=kind)
         )

@@ -42,7 +42,6 @@ from repro.store.protocol import (
     CloneRegistration,
     LockReadRequest,
     CallbackMessage,
-    CheckpointControl,
     CommitSignal,
     NonDetRequest,
     OpRequest,
@@ -54,7 +53,6 @@ from repro.store.protocol import (
     ReadResult,
     SnapshotRequest,
     TakeoverRequest,
-    UnwatchRequest,
     WatchRequest,
     WriteRequest,
     WriteUnlockRequest,
@@ -448,14 +446,6 @@ class DatastoreInstance:
             watchers = self._watcher_map(payload.kind).setdefault(payload.key, set())
             watchers.add(payload.endpoint)
             self._respond(request, True)
-        elif isinstance(payload, UnwatchRequest):
-            self._watcher_map(payload.kind).get(payload.key, set()).discard(payload.endpoint)
-            self._respond(request, True)
-        elif isinstance(payload, PruneRequest):
-            self._prune(payload.clock)
-        elif isinstance(payload, BatchedPruneRequest):
-            for clock in payload.clocks:
-                self._prune(clock)
         elif isinstance(payload, NonDetRequest):
             self._respond(request, self._nondet_value(payload))
         elif isinstance(payload, SnapshotRequest):
@@ -465,9 +455,6 @@ class DatastoreInstance:
                 if k.startswith(payload.prefix)
             }
             self._respond(request, snapshot)
-        elif isinstance(payload, CheckpointControl):
-            self.take_checkpoint()
-            self._respond(request, self.last_checkpoint.taken_at)
         else:
             self._respond(request, RuntimeError(f"bad request {payload!r}"), ok=False)
 

@@ -16,6 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+# The framework's own keys carry one of these markers: the root's clock and
+# store-kept log (§5.4, §7.2), a Figure-4 move's release notification, and
+# Appendix A's non-deterministic values. They are bookkeeping, not NF state,
+# so state comparisons skip them.
+ROOT_MARKER = "__root__"
+MOVE_MARKER = "__move__"
+NONDET_MARKER = "__nondet__"
+_INTERNAL_MARKERS = (ROOT_MARKER, MOVE_MARKER, NONDET_MARKER)
+
 
 @dataclass(frozen=True)
 class StateKey:
@@ -60,13 +69,18 @@ def vertex_of_key(raw: str) -> str:
     return raw.split("\x1f", 1)[0]
 
 
+def is_internal_key(raw: str) -> bool:
+    """Whether a storage key is framework bookkeeping rather than NF state."""
+    return any(marker in raw for marker in _INTERNAL_MARKERS)
+
+
 def root_clock_key(root_id: int) -> str:
     """Where root ``root_id`` persists its clock; a new root resumes above
     it (§5.4 "Root")."""
-    return f"__root__\x1froot{root_id}_clock\x1f"
+    return f"{ROOT_MARKER}\x1froot{root_id}_clock\x1f"
 
 
 def root_log_key(root_id: int, clock: object = "") -> str:
     """Root ``root_id``'s store-kept log entry for ``clock`` (§7.2); with no
     clock, the prefix every such entry shares."""
-    return f"__root__\x1froot{root_id}_log\x1f{clock}"
+    return f"{ROOT_MARKER}\x1froot{root_id}_log\x1f{clock}"

@@ -182,13 +182,6 @@ class WatchRequest:
 
 
 @dataclass
-class UnwatchRequest:
-    key: str
-    endpoint: str
-    kind: str = "value"
-
-
-@dataclass
 class LockReadRequest:
     """Acquire the key's lock, then read (StatelessNF-style access [17]).
 
@@ -295,10 +288,3 @@ class SnapshotRequest:
     """Ask a store instance for a full state snapshot (tests/recovery)."""
 
     prefix: str = ""
-
-
-@dataclass
-class CheckpointControl:
-    """Start/stop periodic checkpointing or force one now."""
-
-    action: str = "force"  # "force"

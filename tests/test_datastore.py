@@ -5,7 +5,6 @@ import pytest
 from repro.simnet.rpc import RpcEndpoint
 from repro.store.protocol import (
     BulkOwnerMove,
-    CheckpointControl,
     CloneRegistration,
     LockReadRequest,
     NonDetRequest,
@@ -245,7 +244,7 @@ class TestTsMetadata:
 class TestCheckpointNonDetMisc:
     def test_checkpoint_snapshot(self, sim, store, caller):
         call(sim, caller, OpRequest(key="k", op="incr", args=(7,), instance="i", clock=2))
-        call(sim, caller, CheckpointControl())
+        store.take_checkpoint()
         call(sim, caller, OpRequest(key="k", op="incr", args=(1,), instance="i", clock=3))
         assert store.last_checkpoint.data["k"] == 7
         assert store.last_checkpoint.ts["k"] == {"i": 2}
@@ -285,7 +284,7 @@ class TestCheckpointNonDetMisc:
 
     def test_fail_clears_state_keeps_checkpoint(self, sim, store, caller):
         call(sim, caller, OpRequest(key="k", op="incr", args=(1,), instance="i", clock=1))
-        call(sim, caller, CheckpointControl())
+        store.take_checkpoint()
         store.fail()
         assert not store.alive
         assert store.peek("k") is None

@@ -45,7 +45,6 @@ from repro.store.protocol import (
     BatchedDeleteRequest,
     BatchedOpRequest,
     BatchedPruneRequest,
-    CheckpointControl,
     CommitSignal,
     OpRequest,
     OpResult,
@@ -237,7 +236,6 @@ class TestCodec:
             PruneRequest(clock=65537),
             BatchedPruneRequest(clocks=(1, 2, 3)),
             SnapshotRequest(prefix="s0-"),
-            CheckpointControl(),
             BatchedDeleteRequest(entries=((1, 2, 0), (3, 4, 1))),
             BatchedCommitSignal(signals=((65537, 1), (65538, 2))),
             BatchedOpRequest(

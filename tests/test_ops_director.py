@@ -20,7 +20,7 @@ Coverage in three layers:
 """
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +47,7 @@ from repro.core.handover import (
     evacuate, move_flows, owned_scope_keys, routed_scope_keys, stuck_moves,
 )
 from repro.core.nf_api import NetworkFunction, Output
-from repro.ops.director import GoodputMonitor, MaintenanceDirector
+from repro.ops.director import RELOAD_SETTLE_US, GoodputMonitor, MaintenanceDirector
 from repro.ops.campaign import (
     N_PACKETS,
     OP_AT_US,
@@ -387,20 +387,68 @@ class TestTopologyAborts:
         assert "patch" not in runtime.chain.vertices
 
 
+def _live_config(runtime):
+    """Every value a reload could have written: the params and the live
+    objects built from them (instances, clients, NIC rings, stores)."""
+    return (
+        asdict(runtime.params),
+        [
+            (i.proc_time_us, i.overload_policy, i.client.retransmit_timeout_us)
+            for i in runtime.instances.values()
+        ],
+        [(nic.queue_limit, nic._queue.capacity) for nic in runtime.nics.values()],
+        [store.checkpoint_interval_us for store in runtime.stores],
+    )
+
+
+#: RuntimeParams fields that are not hot-reloadable, with a value to try.
+NOT_RELOADABLE = {
+    "n_workers": 4,
+    "overload_policy": "drop",
+    "nic_queue_limit": 64,
+    "checkpoint_interval_us": None,
+}
+
+
 class TestHotReload:
-    def test_unknown_key_aborts_without_side_effects(self):
+    @pytest.mark.parametrize("key", sorted(NOT_RELOADABLE))
+    def test_unknown_key_aborts_without_side_effects(self, key):
         sim = Simulator()
-        runtime = build_runtime(sim, 6)
+        runtime = build_runtime(sim, 6, nic_queue_limit=4)
         director = MaintenanceDirector(runtime)
-        before = runtime.params.proc_time_us
+        before = _live_config(runtime)
         sim.process(
-            director.hot_reload({"proc_time_us": 9.0, "n_workers": 4})
+            director.hot_reload({"proc_time_us": 9.0, key: NOT_RELOADABLE[key]})
         )
         sim.run(until=1_000.0)
         record = director.records[0]
         assert record.status == "aborted"
-        assert "n_workers" in record.note
-        assert runtime.params.proc_time_us == before
+        assert f"not hot-reloadable: [{key!r}]" in record.note
+        assert _live_config(runtime) == before
+        assert not sim.crashed
+
+    def test_verify_reads_back_every_live_holder(self):
+        # an instance put back to its old value inside the settle gate:
+        # the params still read the new value, the instance does not
+        sim = Simulator()
+        runtime = build_runtime(sim, 6)
+        director = MaintenanceDirector(runtime)
+        before = _live_config(runtime)
+        victim = runtime.instances["scrub-0"]
+        old = victim.proc_time_us
+
+        def put_back():
+            yield sim.timeout(RELOAD_SETTLE_US / 2)
+            assert victim.proc_time_us == 3.5  # the apply step wrote it
+            victim.proc_time_us = old
+
+        sim.process(director.hot_reload({"proc_time_us": 3.5}))
+        sim.process(put_back())
+        sim.run(until=1_000.0)
+        record = director.records[0]
+        assert record.status == "aborted"
+        assert record.note == "did not stick: ['proc_time_us']"
+        assert _live_config(runtime) == before
 
     def test_applies_to_params_and_live_objects(self):
         sim = Simulator()

@@ -1,6 +1,8 @@
 """Overload resilience (§8): bounded queues, backpressure, admission
 control, the circuit breaker, and the closed-loop autoscaler."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos.campaign import EntryCounterNF, SinkCounterNF, build_runtime
@@ -626,15 +628,7 @@ class TestStoreElasticity:
         # overload-burst chains entry+exit onto one store, but with
         # max_stores=1 the watcher must skip rather than thrash
         spec = OVERLOAD_SCENARIOS["store-hot"]
-        capped = type(spec)(
-            name=spec.name,
-            description=spec.description,
-            phases=spec.phases,
-            store_heavy=spec.store_heavy,
-            store_scale=spec.store_scale,
-            runtime_overrides=spec.runtime_overrides,
-            max_stores=1,
-        )
+        capped = dataclasses.replace(spec, max_stores=1)
         outcome = run_overload_scenario(capped, seed=0, autoscale=True)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         assert outcome.autoscaler["store_scale_outs"] == 0
