@@ -4,7 +4,8 @@ Each shard hosts an unmodified :class:`~repro.core.chain_runtime.ChainRuntime`
 — entry/exit NF instances, a root with its packet log and clock, the real
 :class:`~repro.store.client.StoreClient` machinery — and bridges every
 store-bound message onto a framed-TCP connection to the shared store node.
-The bridge is deliberately dumb: it moves envelopes, nothing else. All
+The bridge is deliberately dumb: it moves envelopes, nothing else — each
+loop turn's as one :class:`~repro.dist.transport.DataBatch` frame. All
 delivery semantics (RPC retransmission and :class:`RpcGaveUp`, flush
 retransmission against the dedup log, commit-signal accounting) come from
 the in-process protocol stack, now absorbing *real* socket loss instead of
@@ -12,10 +13,11 @@ simulated loss.
 
 Durable identity across SIGKILL: the shard appends every injected packet
 to an injection ledger and every egressed packet to an egress ledger
-(flushed line-JSON) **before/as** the event happens. A respawned
-incarnation reads its own injection ledger and resumes each flow at the
-last injected sequence + 1 — packets that were in flight when the process
-died are simply lost (bounded, provable loss: the fabric checks final
+(line-JSON, flushed once per loop turn) — an injection line before the
+packet enters the chain, an egress line before the turn sends anything.
+A respawned incarnation reads its own injection ledger and resumes each
+flow at the last injected sequence + 1 — packets that were in flight when
+the process died are simply lost (bounded, provable loss: the fabric checks final
 state *trails* the reference by at most the window, never exceeds it, and
 egress stays exactly-once because no identity is ever injected twice).
 Its root resumes above the clock floor the store derived from the dead
@@ -32,7 +34,13 @@ from repro.chaos.counters import EntryCounterNF, SinkCounterNF
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
 from repro.dist.node import ControlLink, Pacer, load_config
-from repro.dist.transport import Connection, DataFrame, control_frame, data_frame, wait_readable
+from repro.dist.transport import (
+    Connection,
+    DataBatch,
+    DataFrame,
+    control_frame,
+    wait_readable,
+)
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Envelope, Network
 from repro.store.cluster import StoreCluster
@@ -184,7 +192,9 @@ class ShardWorker:
         self.started = bool(config.get("autostart", False))
         self.running = True
         self._store_recovered_pending = False
-        self._held_prunes: List[Any] = []
+        self._held_prunes: List[DataFrame] = []
+        #: This loop turn's store-bound envelopes, sent as one batch.
+        self._outbox: List[DataFrame] = []
         self._inj_fh = open(self.injection_ledger_path, "a", encoding="utf-8")
         self._egr_fh = open(self.egress_ledger_path, "a", encoding="utf-8")
 
@@ -217,7 +227,7 @@ class ShardWorker:
     def _bridge_out(self, envelope: Envelope) -> bool:
         if envelope.dst != self.store_name:
             return False
-        frame = data_frame(envelope.src, envelope.dst, envelope.payload)
+        frame = DataFrame(envelope.src, envelope.dst, envelope.payload)
         inner = getattr(envelope.payload, "payload", None)
         if type(inner).__name__ in _PRUNE_TYPES and self._pending_flushes() > 0:
             # The race this guards: the store's commit signal (store->root)
@@ -231,57 +241,69 @@ class ShardWorker:
             # are one-way fire-and-forget messages, so delaying them is
             # invisible to the root.
             self._held_prunes.append(frame)
-            self.bridge_tx += 1
-            return True
-        self.store_conn.send_obj(frame)
+        else:
+            self._outbox.append(frame)
         self.bridge_tx += 1
         return True
 
     def _release_held_prunes(self) -> None:
         if self._held_prunes and self._pending_flushes() == 0:
-            for frame in self._held_prunes:
-                self.store_conn.send_obj(frame)
+            self._outbox += self._held_prunes
             self._held_prunes.clear()
 
-    def _handle_store_frame(self, frame: Any) -> None:
-        if not isinstance(frame, DataFrame):
-            return
-        self.bridge_rx += 1
-        self.network.send(frame.src, frame.dst, frame.payload)
+    def _pump_store(self, now_real: float) -> None:
+        """Queue the turn's envelopes as one batch, then move bytes both ways."""
+        if self._outbox:
+            self.store_conn.send_obj(DataBatch(self._outbox))
+            self._outbox = []
+        for batch in self.store_conn.pump(now_real):
+            if type(batch) is not DataBatch:
+                continue
+            self.bridge_rx += len(batch.frames)
+            for frame in batch.frames:
+                self.network.send(frame.src, frame.dst, frame.payload)
 
     # -- workload ------------------------------------------------------
 
     def _inject_some(self) -> None:
-        while (
-            self._order_pos < len(self._order)
-            and self.injected - self.egressed < self.inject_window
-        ):
-            flow, seq, payload = self._order[self._order_pos]
-            self._order_pos += 1
-            # ledger first: once a packet identity is on disk it is never
-            # injected again by any future incarnation
-            self._inj_fh.write(
+        room = self.inject_window - (self.injected - self.egressed)
+        start = self._order_pos
+        batch = self._order[start:start + max(0, room)]
+        if not batch:
+            return
+        # ledger first, the whole batch in one write: once a packet identity
+        # is on disk it is never injected again by any future incarnation
+        self._inj_fh.write(
+            "".join(
                 json.dumps({"flow": flow, "seq": seq, "payload": payload}) + "\n"
+                for flow, seq, payload in batch
             )
-            self._inj_fh.flush()
+        )
+        self._inj_fh.flush()
+        self._order_pos += len(batch)
+        for flow, _seq, payload in batch:
             self.runtime.inject(
                 Packet(
                     FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6),
                     payload=payload,
                 )
             )
-            self.injected += 1
+        self.injected += len(batch)
 
     def _drain_egress(self) -> None:
-        items = self.runtime.egress._items
-        while self._egress_drained < len(items):
-            _vertex, packet = items[self._egress_drained]
-            self._egress_drained += 1
-            self.egressed += 1
-            self._egr_fh.write(
+        items = self.runtime.egress._items  # a deque: index from the near end
+        fresh = [items[index] for index in range(self._egress_drained, len(items))]
+        if not fresh:
+            return
+        self._egress_drained += len(fresh)
+        self.egressed += len(fresh)
+        self._egr_fh.write(
+            "".join(
                 json.dumps({"payload": packet.payload, "clock": packet.clock}) + "\n"
+                for _vertex, packet in fresh
             )
-            self._egr_fh.flush()
+        )
+        self._egr_fh.flush()
 
     @property
     def workload_done(self) -> bool:
@@ -376,8 +398,7 @@ class ShardWorker:
     def run(self) -> None:
         while self.running:
             now_real = self.pacer.now_real()
-            for frame in self.store_conn.pump(now_real):
-                self._handle_store_frame(frame)
+            self._pump_store(now_real)
             for command in self.control.poll(now_real):
                 self._handle_command(command)
             if self.started:
@@ -394,8 +415,7 @@ class ShardWorker:
                 self._inject_some()
             # flush whatever the engine emitted toward the store / fabric
             now_real = self.pacer.now_real()
-            for frame in self.store_conn.pump(now_real):
-                self._handle_store_frame(frame)
+            self._pump_store(now_real)
             for command in self.control.poll(now_real):
                 self._handle_command(command)
             wait_readable(

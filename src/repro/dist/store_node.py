@@ -5,16 +5,19 @@ exact engine the in-process simulator uses, unchanged — behind a listening
 socket. Shard processes bridge their store-client traffic here; replies,
 commit signals, and watch callbacks flow back over the same connections.
 
-Durability model (matches the paper's recovery assumptions): every
-*mutating* inbound frame is appended to a frame write-ahead log **before**
-it is dispatched into the engine. When the fabric SIGKILLs this process
-and respawns it with ``recover: true``, the new process replays the log
-into a fresh instance with its RPC output muted, which rebuilds ``_data``,
-the ownership map, the clock-keyed dedup log, and the recorded
+Durability model (matches the paper's recovery assumptions): every inbound
+frame is a :class:`~repro.dist.transport.DataBatch` of one peer loop turn's
+envelopes, and every batch holding a *mutating* envelope is appended to a
+frame write-ahead log **before** any of its envelopes is dispatched into
+the engine. When the fabric SIGKILLs this process and respawns it with
+``recover: true``, the new process replays the mutating envelopes of the
+log into a fresh instance with its RPC output muted, which rebuilds
+``_data``, the ownership map, the clock-keyed dedup log, and the recorded
 non-deterministic values. Replay is idempotent against torn tails: a
-mutation whose frame hit the log but whose ACK never reached the client is
+mutation whose batch hit the log but whose ACK never reached the client is
 retransmitted by the client and suppressed by the dedup log, exactly the
-emulation path of §5.3.
+emulation path of §5.3. Replies leave the same way they arrive: one batch
+per peer per loop turn.
 
 Fault hooks (driven by the fabric over the control channel) break *real*
 sockets: ``sever`` RST-closes live shard connections, ``refuse`` makes the
@@ -32,11 +35,11 @@ from repro.core.clock import clock_root, clock_sequence
 from repro.dist.node import ControlLink, Pacer, load_config
 from repro.dist.transport import (
     ControlFrame,
+    DataBatch,
     DataFrame,
     FrameDecoder,
     Listener,
     Peer,
-    data_frame,
     wait_readable,
 )
 from repro.simnet.engine import Simulator
@@ -44,9 +47,10 @@ from repro.simnet.network import Envelope, Link, Network
 from repro.store.datastore import DatastoreInstance
 from repro.store.keys import root_clock_key
 
-#: Wire payload types whose effects change store state — these (and only
-#: these) are WAL-logged. Reads and snapshots are harmless to lose.
-#: Prunes are deliberately NOT logged: they only reclaim dedup-log memory,
+#: Wire payload types whose effects change store state — a batch holding
+#: one is WAL-logged, and only these are replayed from it. Reads and
+#: snapshots are harmless to lose.
+#: Prunes are deliberately NOT replayed: they only reclaim dedup-log memory,
 #: and replaying one would wipe the (key, clock) dedup entry that a
 #: retransmitted duplicate logged *after* it in the WAL still needs — the
 #: replay would then re-apply the duplicate. Skipping them keeps replay
@@ -72,13 +76,13 @@ def _is_mutating(payload: Any) -> bool:
 
 
 class FrameWAL:
-    """Append-only log of frames exactly as they arrived on the wire (a
-    plain concatenation ``FrameDecoder().feed`` reads back), replayable
+    """Append-only log of batch frames exactly as they arrived on the wire
+    (a plain concatenation ``FrameDecoder().feed`` reads back), replayable
     across process death.
 
     No fsync: the crash model is process kill, not host power loss, and a
-    torn tail (a frame cut mid-write by SIGKILL) is simply skipped on
-    replay — the client never saw an ACK for it and retransmits.
+    torn tail (a batch cut mid-write by SIGKILL) is skipped whole on
+    replay — the client never saw an ACK for any of its ops and retransmits.
     """
 
     def __init__(self, path: str) -> None:
@@ -131,6 +135,8 @@ class StoreNode:
         self.listener = Listener(port=int(config.get("data_port", 0)))
         self.peers: List[Peer] = []
         self.routes: Dict[str, Peer] = {}
+        #: This loop turn's outbound envelopes per peer, sent as one batch each.
+        self._outboxes: Dict[Peer, List[DataFrame]] = {}
         self.wal = FrameWAL(config["wal_path"])
         self.network.default_route = self._bridge_out
         self.bridge_tx = 0
@@ -155,9 +161,20 @@ class StoreNode:
             # no live route: drop, exactly like a network loss — the
             # client-side retransmission machinery owns recovery
             return False
-        peer.send_obj(data_frame(envelope.src, envelope.dst, envelope.payload))
+        self._outboxes.setdefault(peer, []).append(
+            DataFrame(envelope.src, envelope.dst, envelope.payload)
+        )
         self.bridge_tx += 1
         return True
+
+    def _pump_peers(self) -> None:
+        """Queue each peer's batch for the turn, then move bytes both ways."""
+        for peer, frames in self._outboxes.items():
+            peer.send_obj(DataBatch(frames))
+        self._outboxes.clear()
+        for peer in self.peers:
+            for frame in peer.pump():
+                self._handle_peer_frame(peer, frame)
 
     def _handle_peer_frame(self, peer: Peer, frame: Any) -> None:
         if isinstance(frame, ControlFrame):
@@ -165,29 +182,32 @@ class StoreNode:
                 for endpoint_name in frame.body.get("names", ()):
                     self.routes[endpoint_name] = peer
             return
-        if not isinstance(frame, DataFrame):
+        if type(frame) is not DataBatch:
             return
-        self.routes[frame.src] = peer  # passive route learning
-        if _is_mutating(frame.payload):
+        if any(_is_mutating(envelope.payload) for envelope in frame.frames):
             self.wal.append(frame.raw)  # the bytes received, not a re-encoding
-        self.bridge_rx += 1
-        self.network.send(frame.src, frame.dst, frame.payload)
+        self.bridge_rx += len(frame.frames)
+        for envelope in frame.frames:
+            self.routes[envelope.src] = peer  # passive route learning
+            self.network.send(envelope.src, envelope.dst, envelope.payload)
 
     # -- recovery ------------------------------------------------------
 
     def recover(self) -> int:
-        """Replay the WAL into the fresh engine with output muted."""
-        frames = FrameWAL.read_frames(self.wal.path)
+        """Replay the WAL's mutating envelopes into the fresh engine with
+        output muted; returns the number of logged batches."""
+        batches = FrameWAL.read_frames(self.wal.path)
         self.store.endpoint.mute_output = True
         saved_limit = self.store.inflight_limit
         self.store.inflight_limit = None
-        for frame in frames:
-            if isinstance(frame, DataFrame):
-                self.network.send(frame.src, frame.dst, frame.payload)
+        for batch in batches:
+            for envelope in batch.frames:
+                if _is_mutating(envelope.payload):
+                    self.network.send(envelope.src, envelope.dst, envelope.payload)
         self.sim.run()
         self.store.endpoint.mute_output = False
         self.store.inflight_limit = saved_limit
-        return len(frames)
+        return len(batches)
 
     # -- control commands ----------------------------------------------
 
@@ -307,17 +327,13 @@ class StoreNode:
             if self.stall_until_real is not None and now_real >= self.stall_until_real:
                 self._end_stall()
             self.peers.extend(self.listener.accept_ready(now_real))
-            for peer in self.peers:
-                for frame in peer.pump():
-                    self._handle_peer_frame(peer, frame)
+            self._pump_peers()
             for command in self.control.poll(now_real):
                 self._handle_command(command)
             self.sim.run(until=max(self.sim.now, self.pacer.virtual_now()))
             # flush anything the engine just emitted (and handle any command
             # that raced in — poll() results must never be discarded)
-            for peer in self.peers:
-                for frame in peer.pump():
-                    self._handle_peer_frame(peer, frame)
+            self._pump_peers()
             for command in self.control.poll(self.pacer.now_real()):
                 self._handle_command(command)
             self.peers = [p for p in self.peers if p.alive or p.stalled]

@@ -17,8 +17,9 @@ body is a tagged-union encoding of plain data:
 * dicts as ``{"__d__": [[k, v], ...]}`` (key order preserved, non-string
   keys allowed),
 * registered message classes (the store wire protocol, the RPC ``_Wire``
-  envelope, packets, and the frame envelopes :class:`DataFrame` /
-  :class:`ControlFrame`) as ``{"__c__": "<Name>", "a": [field values...]}``.
+  envelope, packets, the frame bodies :class:`DataBatch` /
+  :class:`ControlFrame` and the batch element :class:`DataFrame`) as
+  ``{"__c__": "<Name>", "a": [field values...]}``.
 
 Anything else is a :class:`CodecError` — an unserializable payload is a bug
 in the sender, not something to smuggle through with pickle. Encoding is
@@ -185,12 +186,21 @@ def decode_body(payload: bytes) -> Any:
 
 @dataclasses.dataclass
 class DataFrame:
-    """A simulation envelope crossing a process boundary."""
+    """A simulation envelope crossing a process boundary (one element of a
+    :class:`DataBatch`)."""
 
     src: str
     dst: str
     payload: Any
-    #: The frame bytes this envelope arrived as (set by :class:`FrameDecoder`,
+
+
+@dataclasses.dataclass
+class DataBatch:
+    """The data-path frame body: every envelope one loop turn of a sender
+    addressed to one peer, in send order."""
+
+    frames: List[DataFrame]
+    #: The frame bytes this batch arrived as (set by :class:`FrameDecoder`,
     #: empty on one built locally) — what the store node appends to its WAL.
     raw: bytes = dataclasses.field(default=b"", compare=False, repr=False)
 
@@ -236,7 +246,8 @@ def _register_protocol() -> None:
     register_message(FiveTuple)
     register_message(Packet)
     register_message(_Wire, fields=("kind", "request_id", "payload", "ok"))
-    register_message(DataFrame, fields=("src", "dst", "payload"))
+    register_message(DataFrame)
+    register_message(DataBatch, fields=("frames",))
     register_message(ControlFrame)
 
 
@@ -252,7 +263,7 @@ class FrameDecoder:
     def feed(self, data: bytes) -> List[Any]:
         """Append raw bytes; return every now-complete decoded frame body.
 
-        A :class:`DataFrame` comes back with its ``raw`` frame bytes. The
+        A :class:`DataBatch` comes back with its ``raw`` frame bytes. The
         walk is an offset over ``data``: nothing is moved per frame, and
         only the unfinished tail is kept (copied once per feed)."""
         if self._tail:
@@ -268,7 +279,7 @@ class FrameDecoder:
             if stop > end:
                 break
             body = decode_body(data[start:stop])
-            if type(body) is DataFrame:
+            if type(body) is DataBatch:
                 body.raw = data[offset:stop]
             frames.append(body)
             offset = stop

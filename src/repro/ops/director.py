@@ -398,16 +398,23 @@ class MaintenanceDirector:
         """Hot-reloadable parameters: key -> the live objects holding it.
 
         A reload writes the key under the same attribute name on
-        ``runtime.params`` — which instances added after it are built from
-        (bar a vertex with a ``proc_time_overrides`` entry) — and on every
-        live holder; verify reads all of them back.
+        ``runtime.params`` — which instances added after it are built from —
+        and on every live holder; verify reads all of them back. An instance
+        of a vertex with a ``proc_time_overrides`` entry runs at its
+        override (``params.proc_time_for``), not at ``proc_time_us``, so it
+        holds no ``proc_time_us`` a reload could write.
         """
         runtime = self.runtime
+        overridden = runtime.params.proc_time_overrides
         return {
             "retransmit_timeout_us": lambda: [
                 instance.client for instance in runtime.instances.values()
             ],
-            "proc_time_us": lambda: list(runtime.instances.values()),
+            "proc_time_us": lambda: [
+                instance
+                for instance in runtime.instances.values()
+                if instance.vertex_name not in overridden
+            ],
         }
 
     def hot_reload(self, changes: Dict[str, Any]) -> Generator:
@@ -415,7 +422,8 @@ class MaintenanceDirector:
 
         All-or-nothing: an unknown key aborts before anything is written,
         and a value that does not read back everywhere after the settle
-        gate rolls back every change.
+        gate rolls back every change — each holder to the value it held
+        before, one added since to the restored params value.
         """
         record = self._begin("hot_reload", ",".join(sorted(changes)))
         holders = self._reload_holders()
@@ -428,16 +436,15 @@ class MaintenanceDirector:
             return record
         self._close(step, self.sim)
 
-        def apply(key: str, value: Any) -> None:
-            setattr(params, key, value)
-            for holder in holders[key]():
-                setattr(holder, key, value)
-
         step = self._step(record, "apply")
-        applied: List[Tuple[str, Any]] = []
+        # key -> the params value and each live holder's value before the write
+        applied: Dict[str, Tuple[Any, List[Tuple[Any, Any]]]] = {}
         for key in sorted(changes):
-            applied.append((key, getattr(params, key)))
-            apply(key, changes[key])
+            live = holders[key]()
+            applied[key] = (getattr(params, key), [(h, getattr(h, key)) for h in live])
+            setattr(params, key, changes[key])
+            for holder in live:
+                setattr(holder, key, changes[key])
         self._close(step, self.sim, note=f"{len(applied)} params")
 
         # settle gate: a moment under the new config, then verify the
@@ -453,8 +460,12 @@ class MaintenanceDirector:
             )
         ]
         if stale:
-            for key, old_value in reversed(applied):
-                apply(key, old_value)
+            for key, (old_value, prior) in applied.items():
+                setattr(params, key, old_value)
+                for holder in holders[key]():
+                    setattr(holder, key, old_value)
+                for holder, value in prior:
+                    setattr(holder, key, value)
             self._close(step, self.sim, ok=False, note=f"did not stick: {stale}")
             self._finish(record, "aborted", note=f"did not stick: {stale}")
             return record

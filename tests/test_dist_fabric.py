@@ -17,6 +17,7 @@ import time
 
 import repro
 from repro.dist.fabric import DIST_SCENARIOS, run_dist_scenario
+from repro.dist.transport import DataBatch, FrameDecoder, encode_frame
 
 
 def test_scenario_table_is_complete():
@@ -32,9 +33,9 @@ def test_scenario_table_is_complete():
             assert spec.requires_distinct_pids or spec.requires_socket_faults
 
 
-def test_no_fault_run_is_clean_and_really_distributed():
+def test_no_fault_run_is_clean_and_really_distributed(tmp_path):
     outcome = run_dist_scenario(
-        "no-fault", 3, n_shards=2, n_packets=24, n_flows=3
+        "no-fault", 3, n_shards=2, n_packets=24, n_flows=3, workdir=str(tmp_path)
     )
     assert outcome.infra_error is None
     assert outcome.violations == [], outcome.violations
@@ -48,6 +49,13 @@ def test_no_fault_run_is_clean_and_really_distributed():
     assert totals["frames_received"] > 0 and totals["frames_sent"] > 0
     for shard in ("s0", "s1"):
         assert outcome.per_shard[shard]["egressed"] == 24
+    # the WAL contract the benchmark's codec loops rely on: store0.wal is a
+    # feed-readable run of batch frames, each re-encoding to the bytes logged
+    with open(tmp_path / "store0.wal", "rb") as fh:
+        logged = FrameDecoder().feed(fh.read())
+    assert logged and all(type(batch) is DataBatch for batch in logged)
+    for batch in logged:
+        assert encode_frame(batch) == batch.raw
 
 
 def test_shard_kill_respawns_a_real_process():

@@ -25,6 +25,7 @@ from repro.dist.transport import (
     CodecError,
     Connection,
     ControlFrame,
+    DataBatch,
     DataFrame,
     FrameDecoder,
     Listener,
@@ -141,7 +142,7 @@ def messages(field_values):
 
 
 #: plain data, messages of plain data, and messages nested in messages and
-#: containers (the shape of every real frame: DataFrame > _Wire > request)
+#: containers (the shape of every real envelope: DataFrame > _Wire > request)
 wire_values = st.recursive(
     plain,
     lambda inner: st.one_of(
@@ -191,6 +192,21 @@ GOLDEN_FRAMES = [
         b'"a":["oneway",0,{"__c__":"CommitSignal","a":[65537,65537]},true]}]}',
     ),
 ]
+
+#: What a fabric socket carries: one loop turn's envelopes to one peer.
+GOLDEN_BATCH = (
+    DataBatch(
+        [
+            GOLDEN_FRAMES[0][0],
+            data_frame("root0", "store0", _Wire("oneway", 0, PruneRequest(65536))),
+        ]
+    ),
+    b'\x00\x00\x01\x8b{"__c__":"DataBatch","a":[[{"__c__":"DataFrame","a":["s0-entry-0",'
+    b'"store0",{"__c__":"_Wire","a":["request",7,{"__c__":"OpRequest","a":["s0-entry\\u001f'
+    b'hits\\u001f10.0.0.1|52.0.0.1|1004|80|6","incr",{"__t__":[1]},"s0-entry-0",65537,3,false,'
+    b'65537,true,false,false]},true]}]},{"__c__":"DataFrame","a":["root0","store0",'
+    b'{"__c__":"_Wire","a":["oneway",0,{"__c__":"PruneRequest","a":[65536]},true]}]}]]}',
+)
 
 
 class TestCodec:
@@ -290,7 +306,7 @@ class TestCodec:
     def test_registry_maps_both_ways_and_fields_are_positional(self):
         # the strategy above samples classes from the registry itself, so a
         # class registered tomorrow is covered without touching this file
-        assert {PruneRequest, Packet, _Wire, DataFrame, ControlFrame} <= set(_BY_TYPE)
+        assert {PruneRequest, Packet, _Wire, DataFrame, DataBatch, ControlFrame} <= set(_BY_TYPE)
         for cls, (name, fields) in _BY_TYPE.items():
             assert _BY_NAME[name] is cls
             message = cls(*range(len(fields)))
@@ -302,7 +318,14 @@ class TestCodec:
         assert encode_frame(frame) == golden
         (decoded,) = FrameDecoder().feed(golden)
         assert wire_text(decoded) == wire_text(frame)
-        assert decoded.raw == golden
+
+    def test_batch_frame_is_pinned_byte_for_byte(self):
+        batch, golden = GOLDEN_BATCH
+        assert encode_frame(batch) == golden
+        (decoded,) = FrameDecoder().feed(golden)
+        assert type(decoded) is DataBatch
+        assert [wire_text(f) for f in decoded.frames] == [wire_text(f) for f in batch.frames]
+        assert decoded.raw == golden and batch.raw == b""
 
     def test_unregistered_type_is_a_codec_error_not_pickled(self):
         class Sneaky:
@@ -344,14 +367,20 @@ class TestFrameDecoder:
         wire = b"".join(encode_frame(i) for i in range(20))
         assert FrameDecoder().feed(wire) == list(range(20))
 
-    def test_raw_bytes_of_each_data_frame_are_handed_back(self):
-        sent = [encode_frame(data_frame("a", "b", i)) for i in range(5)]
+    def test_raw_bytes_of_each_batch_are_handed_back(self):
+        sent = [
+            encode_frame(DataBatch([data_frame("a", "b", j) for j in range(i + 1)]))
+            for i in range(5)
+        ]
         wire = b"".join(sent)
         decoder = FrameDecoder()
         # split mid-frame: raw must still be the whole frame, prefix included
         got = decoder.feed(wire[:7]) + decoder.feed(wire[7:40]) + decoder.feed(wire[40:])
-        assert [frame.raw for frame in got] == sent
-        assert data_frame("a", "b", 0).raw == b""  # built here, never on a wire
+        assert [batch.raw for batch in got] == sent
+        assert [[f.payload for f in batch.frames] for batch in got] == [
+            list(range(i + 1)) for i in range(5)
+        ]
+        assert DataBatch([]).raw == b""  # built here, never on a wire
 
     def test_oversized_length_prefix_rejected(self):
         with pytest.raises(CodecError):
@@ -581,29 +610,41 @@ KEY_A = "s0-entry\x1fhits\x1f10.0.0.1|52.0.0.1|1000|80|6"
 KEY_B = "s0-entry\x1ftotal\x1f"
 
 
+def wal_op(request_id, key, clock, **extra):
+    request = OpRequest(key, "incr", (1,), "s0-entry-0", clock, vector_tag=65537, **extra)
+    return data_frame("s0-entry-0", "store0", _Wire("request", request_id, request))
+
+
+def wal_prune(clock):
+    return data_frame("root0", "store0", _Wire("oneway", 0, PruneRequest(clock)))
+
+
 def wal_traffic():
-    """(frame, mutating?) in send order: updates on two keys with an
-    ownership claim, a retransmitted duplicate, a write, and the kinds the
-    WAL deliberately skips (reads, prunes)."""
-
-    def op(request_id, key, clock, **extra):
-        request = OpRequest(key, "incr", (1,), "s0-entry-0", clock, vector_tag=65537, **extra)
-        return data_frame("s0-entry-0", "store0", _Wire("request", request_id, request))
-
+    """(batch of envelopes, logged?) in send order: updates on two keys with
+    an ownership claim, a retransmitted duplicate behind a read, a
+    prune-only batch (not logged), and a write sharing a batch with an
+    update. A batch is logged whole iff one of its envelopes mutates."""
     return [
-        (op(1, KEY_A, 65537, claim_owner=True, return_state=True), True),
-        (op(2, KEY_B, 65537), True),
-        (op(3, KEY_A, 65538), True),
-        (op(3, KEY_A, 65538), True),  # retransmission: logged, dedup-emulated
-        (data_frame("s0-entry-0", "store0", _Wire("request", 4, ReadRequest(KEY_A))), False),
+        ([wal_op(1, KEY_A, 65537, claim_owner=True, return_state=True)], True),
+        ([wal_op(2, KEY_B, 65537)], True),
+        ([wal_op(3, KEY_A, 65538)], True),
         (
-            data_frame(
-                "s0-entry-0", "store0", _Wire("request", 5, WriteRequest(KEY_B + "w", (1, "x")))
-            ),
+            [  # a read, then a retransmission: logged, the duplicate dedup-emulated
+                data_frame("s0-entry-0", "store0", _Wire("request", 4, ReadRequest(KEY_A))),
+                wal_op(3, KEY_A, 65538),
+            ],
             True,
         ),
-        (data_frame("root0", "store0", _Wire("oneway", 0, PruneRequest(65530))), False),
-        (op(6, KEY_B, 65539), True),
+        ([wal_prune(65530)], False),
+        (
+            [
+                data_frame(
+                    "s0-entry-0", "store0", _Wire("request", 5, WriteRequest(KEY_B + "w", (1, "x")))
+                ),
+                wal_op(6, KEY_B, 65539),
+            ],
+            True,
+        ),
     ]
 
 
@@ -640,9 +681,7 @@ def serve(node, conn, until, timeout_s=5.0):
         now = time.monotonic()
         replies += conn.pump(now)
         node.peers.extend(node.listener.accept_ready(now))
-        for peer in node.peers:
-            for frame in peer.pump():
-                node._handle_peer_frame(peer, frame)
+        node._pump_peers()
         node.sim.run()
         if until(replies):
             return replies
@@ -650,9 +689,14 @@ def serve(node, conn, until, timeout_s=5.0):
     raise AssertionError("serve timed out")
 
 
-def answered(frames):
-    """Request ids of the RPC responses among ``frames``."""
-    return [f.payload.request_id for f in frames if f.payload.kind == "response"]
+def answered(batches):
+    """Request ids of the RPC responses among ``batches``."""
+    return [
+        f.payload.request_id
+        for batch in batches
+        for f in batch.frames
+        if f.payload.kind == "response"
+    ]
 
 
 def store_state(node):
@@ -671,16 +715,16 @@ class TestFrameWal:
         sent = []
         try:
             conn.send_obj(control_frame({"type": "hello", "names": ["s0-entry-0"]}))
-            for index, (frame, mutating) in enumerate(wal_traffic()):
-                raw = encode_frame(frame)
+            for index, (frames, logged) in enumerate(wal_traffic()):
+                raw = encode_frame(DataBatch(frames))
                 if index == 1:
-                    # the same frame from a sender with another JSON style:
+                    # the same batch from a sender with another JSON style:
                     # it decodes alike, and a re-encoding would not match it
                     body = json.dumps(json.loads(raw[4:])).encode()
                     raw = struct.pack(">I", len(body)) + body
-                    assert raw != encode_frame(frame)
+                    assert raw != encode_frame(DataBatch(frames))
                 conn._txq.append(raw)
-                if mutating:
+                if logged:
                     sent.append(raw)
             replies = serve(node, conn, lambda got: len(answered(got)) == 7)
         finally:
@@ -692,10 +736,10 @@ class TestFrameWal:
         sent, replies = self.run_traffic(node)
         with open(node.wal.path, "rb") as fh:
             assert fh.read() == b"".join(sent)
-        assert node.wal.appended == len(sent) == 6
+        assert node.wal.appended == len(sent) == 5
         # and it served them: every request answered, the duplicate emulated
         assert replies == [1, 2, 3, 3, 4, 5, 6]
-        assert node.bridge_rx == len(wal_traffic())
+        assert node.bridge_rx == sum(len(frames) for frames, _ in wal_traffic()) == 8
         assert node.store.stats.ops_emulated == 1
         assert node.store.peek(KEY_A) == 2 and node.store.peek(KEY_B) == 2
 
@@ -712,9 +756,8 @@ class TestFrameWal:
         assert respawn.store.stats.ops_emulated == 1  # the duplicate, deduped again
         assert not respawn.store.endpoint.mute_output
 
-        # a WAL of re-encoded frames (what the store node wrote before)
-        # replays to that same state
-        reencoded = [encode_frame(frame) for frame, mutating in wal_traffic() if mutating]
+        # a WAL of re-encoded batches replays to that same state
+        reencoded = [encode_frame(DataBatch(frames)) for frames, logged in wal_traffic() if logged]
         with open(respawn.wal.path, "wb") as fh:
             fh.write(b"".join(reencoded))
         again = store_nodes(recover=True)
@@ -731,7 +774,22 @@ class TestFrameWal:
         assert [frame.raw for frame in frames] == sent[:-1]
         respawn = store_nodes(recover=True)
         assert respawn.recover() == len(sent) - 1
-        assert respawn.store.peek(KEY_B) == 1  # the torn op never applied
+        # the torn batch is skipped whole: neither its write nor its op applied
+        assert respawn.store.peek(KEY_B) == 1
+        assert KEY_B + "w" not in respawn.store._data
+
+    def test_logged_prune_is_not_replayed(self, store_nodes):
+        # known answer: a logged batch [OpRequest, PruneRequest] of the same
+        # clock replays the op and not the prune, so the dedup entry the
+        # prune reclaimed live is still there after recovery
+        node = store_nodes()
+        batch = encode_frame(DataBatch([wal_op(1, KEY_A, 65537), wal_prune(65537)]))
+        node.wal.append(batch)
+        node.wal.close()
+        respawn = store_nodes(recover=True)
+        assert respawn.recover() == 1
+        assert respawn.store.peek(KEY_A) == 1
+        assert 65537 in respawn.store._log_clocks
 
 
 # ---------------------------------------------------------------------------

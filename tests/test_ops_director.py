@@ -39,6 +39,7 @@ from repro.chaos.invariants import (
     check_operation_converged,
     snapshot_run,
 )
+from repro.chaos.overload import ENTRY_PROC_US, OVERLOAD_SCENARIOS, build_overload_runtime
 from repro.chaos.schedule import CrashNF, Schedule
 from repro.core.autoscaler import AutoscaleController
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
@@ -465,6 +466,62 @@ class TestHotReload:
         for instance in runtime.instances.values():
             assert instance.proc_time_us == 3.5
             assert instance.client.retransmit_timeout_us == 123.0
+
+    def test_reload_and_rollback_keep_each_override(self):
+        # the overload chain overrides both of its vertices (entry at
+        # ENTRY_PROC_US, exit at 2.0): a reload of the default touches
+        # neither, and an instance added later runs beside its siblings
+        sim = Simulator()
+        runtime = build_overload_runtime(
+            sim, 0, OVERLOAD_SCENARIOS["overload-burst"], autoscale=False
+        )
+        director = MaintenanceDirector(runtime)
+        own = {iid: i.proc_time_us for iid, i in runtime.instances.items()}
+        assert own == {"entry-0": ENTRY_PROC_US, "exit-0": 2.0}
+        sim.process(director.hot_reload({"proc_time_us": 1.5}))
+        sim.run(until=1_000.0)
+        assert director.records[0].status == "completed"
+        assert runtime.params.proc_time_us == 1.5
+        assert {iid: i.proc_time_us for iid, i in runtime.instances.items()} == own
+
+        # a forced rollback: the params are put back inside the settle gate
+        def put_back():
+            yield sim.timeout(RELOAD_SETTLE_US / 2)
+            runtime.params.proc_time_us = 1.5
+
+        sim.process(director.hot_reload({"proc_time_us": 3.0}))
+        sim.process(put_back())
+        sim.run(until=2_000.0)
+        assert director.records[1].status == "aborted"
+        assert runtime.params.proc_time_us == 1.5
+        assert {iid: i.proc_time_us for iid, i in runtime.instances.items()} == own
+
+        added = runtime.add_instance("entry", "9")
+        assert added.proc_time_us == runtime.instances["entry-0"].proc_time_us
+        assert not sim.crashed
+
+    def test_rollback_restores_each_holder_its_own_value(self):
+        # scrub overridden, entry and exit at the default: a rollback puts
+        # every instance back to what it held, override or not
+        sim = Simulator()
+        runtime = build_runtime(sim, 6, proc_time_overrides={"scrub": 5.0})
+        director = MaintenanceDirector(runtime)
+        before = _live_config(runtime)
+        own = {iid: i.proc_time_us for iid, i in runtime.instances.items()}
+        assert own["scrub-0"] == 5.0 and own["entry-0"] == runtime.params.proc_time_us
+        victim = runtime.instances["entry-1"]
+
+        def put_back():
+            yield sim.timeout(RELOAD_SETTLE_US / 2)
+            assert victim.proc_time_us == 3.5  # the apply step wrote it
+            assert runtime.instances["scrub-0"].proc_time_us == 5.0  # and not this
+            victim.proc_time_us = own["entry-1"]
+
+        sim.process(director.hot_reload({"proc_time_us": 3.5}))
+        sim.process(put_back())
+        sim.run(until=1_000.0)
+        assert director.records[0].status == "aborted"
+        assert _live_config(runtime) == before
 
 
 # ----------------------------------------------------------------------
