@@ -45,6 +45,7 @@ from repro.simnet.engine import Simulator
 from repro.simnet.network import Envelope, Network
 from repro.store.cluster import StoreCluster
 from repro.store.operations import default_registry
+from repro.store.protocol import BatchedPruneRequest, PruneRequest
 from repro.traffic.packet import FiveTuple, Packet
 
 #: Injection window: at most this many packets in flight (injected, not
@@ -54,7 +55,7 @@ INJECT_WINDOW = 16
 
 #: Prune wire types the bridge holds back while flushes are un-ACKed (see
 #: :meth:`ShardWorker._bridge_out`).
-_PRUNE_TYPES = ("PruneRequest", "BatchedPruneRequest")
+_PRUNE_TYPES = frozenset({PruneRequest, BatchedPruneRequest})
 
 
 class RemoteStoreHandle:
@@ -229,7 +230,7 @@ class ShardWorker:
             return False
         frame = DataFrame(envelope.src, envelope.dst, envelope.payload)
         inner = getattr(envelope.payload, "payload", None)
-        if type(inner).__name__ in _PRUNE_TYPES and self._pending_flushes() > 0:
+        if type(inner) in _PRUNE_TYPES and self._pending_flushes() > 0:
             # The race this guards: the store's commit signal (store->root)
             # and its flush ACK (store->client) travel independently, and a
             # broken socket can lose the ACK but not the signal. The root

@@ -44,6 +44,7 @@ from repro.dist.transport import (
 )
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Envelope, Link, Network
+from repro.store import protocol as _proto
 from repro.store.datastore import DatastoreInstance
 from repro.store.keys import root_clock_key
 
@@ -55,24 +56,25 @@ from repro.store.keys import root_clock_key
 #: retransmitted duplicate logged *after* it in the WAL still needs — the
 #: replay would then re-apply the duplicate. Skipping them keeps replay
 #: idempotent at the cost of retaining pruned entries until the next prune.
-_MUTATING_TYPES = (
-    "OpRequest",
-    "BatchedOpRequest",
-    "WriteRequest",
-    "OwnerRequest",
-    "BulkOwnerMove",
-    "CloneRegistration",
-    "TakeoverRequest",
-    "WatchRequest",
-    "LockReadRequest",
-    "WriteUnlockRequest",
-    "NonDetRequest",
+_MUTATING_TYPES = frozenset(
+    {
+        _proto.OpRequest,
+        _proto.BatchedOpRequest,
+        _proto.WriteRequest,
+        _proto.OwnerRequest,
+        _proto.BulkOwnerMove,
+        _proto.CloneRegistration,
+        _proto.TakeoverRequest,
+        _proto.WatchRequest,
+        _proto.LockReadRequest,
+        _proto.WriteUnlockRequest,
+        _proto.NonDetRequest,
+    }
 )
 
 
 def _is_mutating(payload: Any) -> bool:
-    wire_payload = getattr(payload, "payload", None)
-    return type(wire_payload).__name__ in _MUTATING_TYPES
+    return type(getattr(payload, "payload", None)) in _MUTATING_TYPES
 
 
 class FrameWAL:

@@ -26,6 +26,33 @@ in the sender, not something to smuggle through with pickle. Encoding is
 one lowering pass feeding one shared JSON encoder; decoding is the JSON
 parser alone, reviving tagged objects bottom-up through its ``object_hook``.
 
+A :class:`DataBatch` — every data-path frame — is the one message laid out
+by columns instead: ``{"__c__": "DataBatch", "a": [tags, groups]}``. Its
+envelopes are grouped by (payload class, RPC wire kind) in order of first
+appearance, and ``tags`` gives each envelope's group index in send order,
+which is how decoding restores that order. A group is
+``[class, kind, column_kinds, column...]``:
+
+* ``class`` is the registered name of the payload (the ``_Wire``'s payload
+  when the envelope carries one), or ``null`` for any other payload, which
+  then travels whole in a single ``payload`` column;
+* ``kind`` is the ``_Wire`` kind (``"request"``/``"response"``/
+  ``"oneway"``), or ``null`` when the envelope payload is not split into a
+  ``_Wire``;
+* the columns are ``src``, ``dst``, then ``request_id`` and ``ok`` when
+  ``kind`` is set, then one per registered field of ``class``;
+* ``column_kinds`` has one letter per column: ``v`` — each cell is a value
+  in the tagged form above (a column of scalars is exactly its cells),
+  ``t`` — each cell is a tuple of scalars written as an array, ``d`` — each
+  cell is a dict of scalar keys and values written as ``[k, v]`` pairs.
+
+So the common envelopes — an ``OpRequest``, its ``OpResult`` ACK, a
+``CommitSignal`` — go through the C JSON encoder and decoder with no
+per-envelope tagged object and no ``object_hook`` call. The layout is a
+function of the values alone, so a batch this encoder wrote re-encodes,
+once decoded, to the bytes it arrived as (the store WAL relies on this). A malformed batch body is a
+:class:`CodecError`.
+
 Connections
 -----------
 
@@ -53,9 +80,19 @@ import socket
 import struct
 import time
 from collections import deque
-from itertools import islice
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.simnet.rpc import _Wire
 from repro.store import protocol as _proto
@@ -155,6 +192,8 @@ def _revive(obj: Dict[str, Any]) -> Any:
         cls = _BY_NAME.get(name)
         if cls is None:
             raise CodecError(f"unknown wire message type {name!r}")
+        if cls is DataBatch:
+            return _revive_batch(obj.get("a"))
         return cls(*obj["a"])
     pairs = obj.get("__d__")
     if pairs is not None:
@@ -215,6 +254,125 @@ class ControlFrame:
 data_frame = DataFrame
 control_frame = ControlFrame
 
+# -- the columnar DataBatch layout (module docstring, "Wire format") --------
+
+_SRC, _DST, _PAYLOAD = attrgetter("src"), attrgetter("dst"), attrgetter("payload")
+_REQUEST_ID, _OK = attrgetter("request_id"), attrgetter("ok")
+
+
+def _group_key(frame: DataFrame) -> Tuple[type, Optional[str]]:
+    """(payload class, wire kind or None) of one envelope."""
+    payload = frame.payload
+    if type(payload) is _Wire and type(payload.kind) is str:
+        return type(payload.payload), payload.kind
+    return type(payload), None
+
+
+def _column(cells: List[Any]) -> Tuple[str, List[Any]]:
+    """A column's kind letter and its JSON-ready cells."""
+    if _SCALARS.issuperset(map(type, cells)):
+        return "v", cells
+    types = set(map(type, cells))
+    if types == {tuple} and _SCALARS.issuperset(map(type, chain.from_iterable(cells))):
+        return "t", cells  # the JSON encoder writes a tuple as an array
+    if types == {dict}:
+        pairs = [list(cell.items()) for cell in cells]
+        if _SCALARS.issuperset(map(type, chain.from_iterable(chain.from_iterable(pairs)))):
+            return "d", pairs
+    return "v", _lower_items(cells)
+
+
+def _lower_group(frames: List[DataFrame], cls: type, kind: Optional[str]) -> List[Any]:
+    cells = [list(map(_SRC, frames)), list(map(_DST, frames))]
+    payloads = list(map(_PAYLOAD, frames))
+    if kind is not None:
+        cells += [list(map(_REQUEST_ID, payloads)), list(map(_OK, payloads))]
+        payloads = list(map(_PAYLOAD, payloads))
+    name, fields = _BY_TYPE.get(cls, (None, ()))
+    if name is None:
+        cells.append(payloads)  # not a registered class: the payload whole
+    cells += [list(map(attrgetter(field), payloads)) for field in fields]
+    kinds, columns = zip(*map(_column, cells))
+    return [name, kind, "".join(kinds), *columns]
+
+
+def _lower_batch(batch: DataBatch) -> Dict[str, Any]:
+    frames = batch.frames
+    if type(frames) is not list or not {DataFrame}.issuperset(map(type, frames)):
+        raise CodecError("a DataBatch carries a list of DataFrames")
+    keys = list(map(_group_key, frames))
+    tag_of = {key: tag for tag, key in enumerate(dict.fromkeys(keys))}
+    tags = list(map(tag_of.__getitem__, keys))
+    groups = [
+        _lower_group(
+            frames if len(tag_of) == 1 else list(compress(frames, map(tag.__eq__, tags))),
+            cls,
+            kind,
+        )
+        for (cls, kind), tag in tag_of.items()
+    ]
+    return {"__c__": "DataBatch", "a": [tags, groups]}
+
+
+def _revive_group(group: Any, count: int) -> List[DataFrame]:
+    """One group's ``count`` envelopes, in the order its columns hold them."""
+    if type(group) is not list or len(group) < 3:
+        raise CodecError("a DataBatch group is not [class, kind, kinds, column...]")
+    name, kind, kinds, *columns = group
+    cls: Optional[type] = None
+    if name is not None:
+        cls = _BY_NAME.get(name)
+        if cls is None:
+            raise CodecError(f"unknown wire message type {name!r}")
+    if kind is not None and type(kind) is not str:
+        raise CodecError(f"DataBatch wire kind {kind!r} is not a string")
+    width = 2 + (2 if kind is not None else 0) + (len(_BY_TYPE[cls][1]) if cls else 1)
+    if type(kinds) is not str or len(kinds) != len(columns) or len(columns) != width:
+        raise CodecError(f"a {name} group needs {width} columns and kinds for each")
+    cells: List[Iterable[Any]] = []
+    for letter, column in zip(kinds, columns):
+        if type(column) is not list or len(column) != count:
+            raise CodecError(f"a {name} column is not a list of {count} cells")
+        if letter == "v":
+            cells.append(column)
+        elif letter == "t":
+            cells.append(map(tuple, column))
+        elif letter == "d":
+            cells.append(map(dict, column))
+        else:
+            raise CodecError(f"unknown DataBatch column kind {letter!r}")
+    srcs, dsts, *rest = cells
+    if kind is not None:
+        request_ids, oks, *rest = rest
+    payloads = rest[0] if cls is None else map(cls, *rest)
+    if kind is not None:
+        payloads = map(_Wire, repeat(kind), request_ids, payloads, oks)
+    return list(map(DataFrame, srcs, dsts, payloads))
+
+
+def _revive_batch(body: Any) -> DataBatch:
+    """The columnar layout back to a :class:`DataBatch`, envelopes in send
+    order; anything malformed is a :class:`CodecError`."""
+    if type(body) is not list or len(body) != 2 or not all(type(part) is list for part in body):
+        raise CodecError("a DataBatch body is [tags, groups]")
+    tags, groups = body
+    if not {int}.issuperset(map(type, tags)) or (
+        tags and not 0 <= min(tags) <= max(tags) < len(groups)
+    ):
+        raise CodecError(f"DataBatch group tags outside 0..{len(groups) - 1}")
+    try:
+        built = [_revive_group(group, tags.count(tag)) for tag, group in enumerate(groups)]
+    except CodecError:
+        raise
+    except (TypeError, ValueError) as exc:  # a cell its column kind cannot hold
+        raise CodecError(f"malformed DataBatch cell: {exc}") from exc
+    if len(built) == 1:
+        return DataBatch(built[0])
+    # every group holds exactly as many envelopes as tags name it, so no
+    # iterator runs dry here
+    iterators: List[Iterator[DataFrame]] = [iter(part) for part in built]
+    return DataBatch(list(map(next, map(iterators.__getitem__, tags))))
+
 
 def _register_protocol() -> None:
     for name in (
@@ -248,6 +406,7 @@ def _register_protocol() -> None:
     register_message(_Wire, fields=("kind", "request_id", "payload", "ok"))
     register_message(DataFrame)
     register_message(DataBatch, fields=("frames",))
+    _LOWER[DataBatch] = _lower_batch  # the one batch layout: columnar
     register_message(ControlFrame)
 
 

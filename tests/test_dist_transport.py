@@ -13,7 +13,7 @@ import struct
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dist.shard import RemoteStoreHandle
@@ -66,8 +66,9 @@ def roundtrip(body):
     return frames[0]
 
 
-# -- the codec this PR replaced, kept as the reference the new one must agree
-# -- with: a recursive isinstance walk each way over the same registry ------
+# -- the reference codec the one-pass encoder must agree with: a recursive
+# -- isinstance walk each way over the same registry, plus the columnar
+# -- DataBatch layout written out row by row ----------------------------------
 
 
 def ref_encode_value(obj):
@@ -83,6 +84,8 @@ def ref_encode_value(obj):
         return {
             "__d__": [[ref_encode_value(k), ref_encode_value(v)] for k, v in obj.items()]
         }
+    if type(obj) is DataBatch:
+        return ref_encode_batch(obj)
     entry = _BY_TYPE.get(type(obj))
     if entry is not None:
         name, fields = entry
@@ -98,12 +101,86 @@ def ref_decode_value(obj):
             return tuple(ref_decode_value(item) for item in obj["__t__"])
         if "__d__" in obj:
             return {ref_decode_value(k): ref_decode_value(v) for k, v in obj["__d__"]}
+        if obj.get("__c__") == "DataBatch":
+            return ref_decode_batch(*obj["a"])
         if "__c__" in obj:
             cls = _BY_NAME[obj["__c__"]]
             values = [ref_decode_value(item) for item in obj["a"]]
             return cls(**dict(zip(_BY_TYPE[cls][1], values)))
         raise CodecError(f"untagged dict on the wire: {sorted(obj)!r}")
     return obj
+
+
+def ref_scalar(value):
+    return value is None or type(value) in (bool, int, float, str)
+
+
+def ref_column(cells):
+    """(kind letter, JSON cells) of one batch column."""
+    if all(ref_scalar(cell) for cell in cells):
+        return "v", list(cells)
+    if all(type(cell) is tuple and all(map(ref_scalar, cell)) for cell in cells):
+        return "t", [list(cell) for cell in cells]
+    if all(
+        type(cell) is dict and all(ref_scalar(k) and ref_scalar(v) for k, v in cell.items())
+        for cell in cells
+    ):
+        return "d", [[[k, v] for k, v in cell.items()] for cell in cells]
+    return "v", [ref_encode_value(cell) for cell in cells]
+
+
+def ref_encode_batch(batch):
+    """Rows grouped by (payload class, wire kind) in order of first
+    appearance, one tag per envelope, then each group's rows as columns."""
+    rows, tags = {}, []
+    for frame in batch.frames:
+        payload, kind, row = frame.payload, None, [frame.src, frame.dst]
+        if type(payload) is _Wire and type(payload.kind) is str:
+            kind = payload.kind
+            row += [payload.request_id, payload.ok]
+            payload = payload.payload
+        entry = _BY_TYPE.get(type(payload))
+        row += [getattr(payload, f) for f in entry[1]] if entry else [payload]
+        rows.setdefault((type(payload), kind), []).append(row)
+        tags.append(list(rows).index((type(payload), kind)))
+    groups = []
+    for (cls, kind), group_rows in rows.items():
+        entry = _BY_TYPE.get(cls)
+        letters, columns = zip(*(ref_column(column) for column in zip(*group_rows)))
+        groups.append([entry[0] if entry else None, kind, "".join(letters), *columns])
+    return {"__c__": "DataBatch", "a": [tags, groups]}
+
+
+def ref_decode_batch(tags, groups):
+    per_group = []
+    for name, kind, letters, *columns in groups:
+        revived = []
+        for letter, column in zip(letters, columns):
+            if letter == "t":
+                revived.append([tuple(cell) for cell in column])
+            elif letter == "d":
+                revived.append([{k: v for k, v in cell} for cell in column])
+            else:
+                revived.append([ref_decode_value(cell) for cell in column])
+        frames = []
+        for src, dst, *rest in zip(*revived):
+            if kind is not None:
+                request_id, ok, *rest = rest
+            if name is None:
+                (payload,) = rest
+            else:
+                cls = _BY_NAME[name]
+                payload = cls(**dict(zip(_BY_TYPE[cls][1], rest)))
+            if kind is not None:
+                payload = _Wire(kind=kind, request_id=request_id, payload=payload, ok=ok)
+            frames.append(DataFrame(src=src, dst=dst, payload=payload))
+        per_group.append(frames)
+    taken = [0] * len(per_group)
+    ordered = []
+    for tag in tags:
+        ordered.append(per_group[tag][taken[tag]])
+        taken[tag] += 1
+    return DataBatch(ordered)
 
 
 def wire_text(value):
@@ -133,12 +210,20 @@ plain = st.recursive(
 
 
 def messages(field_values):
-    """An instance of any registered class, fields drawn from ``field_values``."""
-    return st.sampled_from(sorted(_BY_TYPE, key=lambda cls: cls.__name__)).flatmap(
-        lambda cls: st.tuples(*[field_values] * len(_BY_TYPE[cls][1])).map(
+    """An instance of any registered class, fields drawn from ``field_values``
+    (a DataBatch carries a list of DataFrames of them)."""
+
+    def build(cls):
+        if cls is DataBatch:
+            frame = st.tuples(field_values, field_values, field_values).map(
+                lambda values: DataFrame(*values)
+            )
+            return st.lists(frame, max_size=3).map(DataBatch)
+        return st.tuples(*[field_values] * len(_BY_TYPE[cls][1])).map(
             lambda values: cls(*values)
         )
-    )
+
+    return st.sampled_from(sorted(_BY_TYPE, key=lambda cls: cls.__name__)).flatmap(build)
 
 
 #: plain data, messages of plain data, and messages nested in messages and
@@ -150,6 +235,74 @@ wire_values = st.recursive(
     ),
     max_leaves=6,
 )
+
+endpoints = st.one_of(st.sampled_from(["s0-entry-0", "store0", "root0"]), plain)
+#: the shapes a bridge really carries: scalar and tuple-of-tuple args, a
+#: TS dict, a commit signal — so whole columns come out tuple- or dict-kind
+carried = st.one_of(
+    st.builds(
+        OpRequest,
+        key=st.text(max_size=6),
+        op=st.sampled_from(["incr", "set"]),
+        args=st.one_of(
+            st.lists(scalars, max_size=2).map(tuple),
+            st.lists(st.tuples(scalars, scalars), max_size=2).map(tuple),
+        ),
+        clock=st.integers(0, 2**40),
+        blocking=st.booleans(),
+    ),
+    st.builds(
+        OpResult,
+        value=plain,
+        ts=st.dictionaries(st.text(max_size=4), st.integers(0, 2**40), max_size=2),
+        state=st.one_of(st.none(), plain),
+    ),
+    st.builds(CommitSignal, st.integers(0, 2**40), st.integers(0, 2**32)),
+)
+inner_payloads = st.one_of(carried, messages(plain), plain)
+envelopes = st.builds(
+    DataFrame,
+    endpoints,
+    endpoints,
+    st.one_of(
+        st.builds(
+            _Wire,
+            st.sampled_from(["request", "response", "oneway"]),
+            st.integers(0, 2**31),
+            inner_payloads,
+            st.booleans(),
+        ),
+        inner_payloads,
+    ),
+)
+batches = st.lists(envelopes, max_size=12).map(DataBatch)
+
+
+def batch_body(tags, groups):
+    """A DataBatch frame body written by hand."""
+    return json.dumps({"__c__": "DataBatch", "a": [tags, groups]}).encode()
+
+
+#: one oneway PruneRequest, well formed, for the malformed cases to break
+PRUNE_GROUP = ["PruneRequest", "oneway", "vvvvv", ["root0"], ["store0"], [0], [True], [9]]
+MALFORMED_BATCHES = {
+    "column shorter than the tags": ([0, 0], [PRUNE_GROUP]),
+    "tag out of range": ([0, 1], [PRUNE_GROUP]),
+    "negative tag": ([-1], [PRUNE_GROUP]),
+    "bool tag": ([False], [PRUNE_GROUP]),
+    "unknown class": ([0], [["NoSuchMessage", *PRUNE_GROUP[1:]]]),
+    "unknown column kind": ([0], [[*PRUNE_GROUP[:2], "vvvvx", *PRUNE_GROUP[3:]]]),
+    "non-list column": ([0], [[*PRUNE_GROUP[:3], "root0", *PRUNE_GROUP[4:]]]),
+    "missing column": ([0], [PRUNE_GROUP[:-1]]),
+    "group not a list": ([0], ["PruneRequest"]),
+    "wire kind not a string": ([0], [[PRUNE_GROUP[0], 7, *PRUNE_GROUP[2:]]]),
+    "tuple cell not an array": (
+        [0],
+        [["BatchedPruneRequest", "oneway", "vvvvt", ["r"], ["s"], [0], [True], [5]]],
+    ),
+    "dict cell not pairs": ([0], [[None, None, "vvd", ["a"], ["b"], [[[1, 2, 3]]]]]),
+    "unhashable dict key": ([0], [[None, None, "vvd", ["a"], ["b"], [[[[1], 2]]]]]),
+}
 
 GOLDEN_FRAMES = [
     (
@@ -201,11 +354,10 @@ GOLDEN_BATCH = (
             data_frame("root0", "store0", _Wire("oneway", 0, PruneRequest(65536))),
         ]
     ),
-    b'\x00\x00\x01\x8b{"__c__":"DataBatch","a":[[{"__c__":"DataFrame","a":["s0-entry-0",'
-    b'"store0",{"__c__":"_Wire","a":["request",7,{"__c__":"OpRequest","a":["s0-entry\\u001f'
-    b'hits\\u001f10.0.0.1|52.0.0.1|1004|80|6","incr",{"__t__":[1]},"s0-entry-0",65537,3,false,'
-    b'65537,true,false,false]},true]}]},{"__c__":"DataFrame","a":["root0","store0",'
-    b'{"__c__":"_Wire","a":["oneway",0,{"__c__":"PruneRequest","a":[65536]},true]}]}]]}',
+    b'\x00\x00\x01E{"__c__":"DataBatch","a":[[0,1],[["OpRequest","request","vvvvvvtvvvvvvvv",'
+    b'["s0-entry-0"],["store0"],[7],[true],["s0-entry\\u001fhits\\u001f10.0.0.1|52.0.0.1|1004|80|6"],'
+    b'["incr"],[[1]],["s0-entry-0"],[65537],[3],[false],[65537],[true],[false],[false]],'
+    b'["PruneRequest","oneway","vvvvv",["root0"],["store0"],[0],[true],[65536]]]]}',
 )
 
 
@@ -309,8 +461,11 @@ class TestCodec:
         assert {PruneRequest, Packet, _Wire, DataFrame, DataBatch, ControlFrame} <= set(_BY_TYPE)
         for cls, (name, fields) in _BY_TYPE.items():
             assert _BY_NAME[name] is cls
-            message = cls(*range(len(fields)))
-            assert [getattr(roundtrip(message), f) for f in fields] == list(range(len(fields)))
+            values = list(range(len(fields)))
+            if cls is DataBatch:  # a batch carries a list of DataFrames, nothing else
+                values = [[DataFrame(*range(3))]]
+            message = cls(*values)
+            assert [getattr(roundtrip(message), f) for f in fields] == values
 
     @pytest.mark.parametrize("frame,golden", GOLDEN_FRAMES, ids=["request", "response", "commit"])
     def test_golden_frames_are_pinned_byte_for_byte(self, frame, golden):
@@ -326,6 +481,41 @@ class TestCodec:
         assert type(decoded) is DataBatch
         assert [wire_text(f) for f in decoded.frames] == [wire_text(f) for f in batch.frames]
         assert decoded.raw == golden and batch.raw == b""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches)
+    @example(DataBatch([]))
+    @example(DataBatch([data_frame("store0", "nf-0", _Wire("response", 3, True))]))
+    def test_batch_roundtrip_keeps_values_order_and_bytes(self, batch):
+        raw = encode_frame(batch)
+        (back,) = FrameDecoder().feed(raw)
+        assert type(back) is DataBatch and back.raw == raw
+        # every envelope, its payload's type and fields, in send order
+        assert [wire_text(f) for f in back.frames] == [wire_text(f) for f in batch.frames]
+        # canonical bytes: what the store WAL keeps re-encodes to itself
+        assert encode_frame(back) == raw
+        # and the reference walk writes and reads the same layout
+        assert json.dumps(encode_value(batch)) == wire_text(batch)
+        assert wire_text(ref_decode_value(json.loads(raw[4:]))) == wire_text(batch)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BATCHES))
+    def test_malformed_batch_is_a_codec_error(self, case):
+        (unbroken,) = decode_body(batch_body([0], [PRUNE_GROUP])).frames
+        assert unbroken.payload.payload == PruneRequest(9)
+        raw = batch_body(*MALFORMED_BATCHES[case])
+        with pytest.raises(CodecError):
+            decode_body(raw)
+        with pytest.raises(CodecError):
+            FrameDecoder().feed(struct.pack(">I", len(raw)) + raw)
+
+    def test_a_batch_carries_a_list_of_data_frames(self):
+        frame = data_frame("a", "b", 1)
+        for batch in (DataBatch(5), DataBatch([1]), DataBatch((frame,)), DataBatch([frame, None])):
+            with pytest.raises(CodecError):
+                encode_frame(batch)
+        for body in (b'{"__c__":"DataBatch","a":[[]]}', b'{"__c__":"DataBatch"}'):
+            with pytest.raises(CodecError):
+                decode_body(body)
 
     def test_unregistered_type_is_a_codec_error_not_pickled(self):
         class Sneaky:
