@@ -924,7 +924,7 @@ class ChainRuntime:
         """Last-NF delete request (§5.4), asynchronous form."""
         if clock == 0:
             return
-        request = DeleteRequest(clock=clock, vector=vector, generation=generation)
+        request = DeleteRequest((clock,), (vector,), (generation,))
         instance.client.endpoint.send(self.root_for(clock).name, request)
         return
         yield  # pragma: no cover - generator protocol
@@ -941,7 +941,7 @@ class ChainRuntime:
         """Synchronous delete (§7.2): wait for the root's ACK, then release
         the output — the end host can never see a duplicate even if the
         last NF fails right here (Theorem B.4.4)."""
-        request = DeleteRequest(clock=clock, vector=vector, generation=generation)
+        request = DeleteRequest((clock,), (vector,), (generation,))
         yield from instance.client.endpoint.call(self.root_for(clock).name, request)
         for child in exits:
             self._to_egress(vertex_name, child)

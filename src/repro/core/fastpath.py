@@ -56,7 +56,7 @@ from repro.core.nf_api import NetworkFunction, NotFast, Output, StateAPI
 from repro.simnet.network import HOP_LINK_US
 from repro.simnet.nic import NIC_OVERHEAD_BITS, NIC_RATE_GBPS
 from repro.store.client import JournalEntry, StateRef, StoreClient
-from repro.store.protocol import BatchedDeleteRequest, DeleteRequest
+from repro.store.protocol import DeleteRequest
 from repro.store.spec import CacheStrategy
 from repro.traffic.packet import Packet
 
@@ -284,14 +284,7 @@ class FastPathExecutor:
         for root_name, clock, vector, generation in deletes:
             by_root.setdefault(root_name, []).append((clock, vector, generation))
         for root_name, entries in by_root.items():
-            if len(entries) == 1:
-                clock, vector, generation = entries[0]
-                message: Any = DeleteRequest(
-                    clock=clock, vector=vector, generation=generation
-                )
-            else:
-                message = BatchedDeleteRequest(tuple(entries))
-            self.client.endpoint.send(root_name, message)
+            self.client.endpoint.send(root_name, DeleteRequest(*zip(*entries)))
 
     def _emit_fused(
         self,

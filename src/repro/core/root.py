@@ -40,15 +40,7 @@ from repro.simnet.network import Envelope, Network
 from repro.simnet.rpc import RpcEndpoint, RpcRequest, RpcTimeout
 from repro.store.keys import root_clock_key, root_log_key
 from repro.store.operations import DELETE_OP
-from repro.store.protocol import (
-    BatchedCommitSignal,
-    BatchedDeleteRequest,
-    BatchedPruneRequest,
-    CommitSignal,
-    DeleteRequest,
-    OpRequest,
-    PruneRequest,
-)
+from repro.store.protocol import CommitSignal, DeleteRequest, OpRequest, PruneRequest
 from repro.traffic.packet import Packet
 
 # Log entries at which the root stops admitting input: some NF cannot keep
@@ -411,10 +403,7 @@ class Root:
             ready.append(queue.popleft()[1])
         if ready:
             for store in self.store_endpoints_for_prune:
-                if len(ready) == 1:
-                    self.endpoint.send(store, PruneRequest(clock=ready[0]))
-                else:
-                    self.endpoint.send(store, BatchedPruneRequest(tuple(ready)))
+                self.endpoint.send(store, PruneRequest(tuple(ready)))
         if self._prune_queue:
             self._prune_timer_armed = True
             self.sim.schedule(self.prune_grace_us, self._flush_prunes)
@@ -426,18 +415,12 @@ class Root:
     def _on_message(self, envelope: Envelope) -> None:
         payload = envelope.payload
         if isinstance(payload, CommitSignal):
-            self.on_commit_signal(payload.clock, payload.vector_tag)
-        elif isinstance(payload, BatchedCommitSignal):
-            # transport aggregation from a batch-served store shard:
-            # process each entry exactly as an individual signal
             commit = self.on_commit_signal
-            for clock, vector_tag in payload.signals:
+            for clock, vector_tag in zip(payload.clocks, payload.vector_tags):
                 commit(clock, vector_tag)
         elif isinstance(payload, DeleteRequest):
-            self.report_done(payload.clock, payload.vector, payload.generation)
-        elif isinstance(payload, BatchedDeleteRequest):
-            for clock, vector, generation in payload.entries:
-                self.report_done(clock, vector, generation)
+            for entry in zip(payload.clocks, payload.vectors, payload.generations):
+                self.report_done(*entry)
 
     def _on_request(self, request: RpcRequest) -> None:
         """Server half of the synchronous delete mode (§7.2 "XOR check and
@@ -445,7 +428,8 @@ class Root:
         NF can release the output packet knowing replay cannot duplicate it."""
         payload = request.payload
         if isinstance(payload, DeleteRequest):
-            self.report_done(payload.clock, payload.vector, payload.generation)
+            for entry in zip(payload.clocks, payload.vectors, payload.generations):
+                self.report_done(*entry)
             self.endpoint.respond(request, True)
         else:
             self.endpoint.respond(request, RuntimeError("bad root request"), ok=False)

@@ -52,7 +52,7 @@ from repro.dist.shard import (
     build_shard_runtime,
     read_ledger,
 )
-from repro.dist.transport import ControlFrame, Listener, Peer, control_frame
+from repro.dist.transport import ControlFrame, Listener, Peer
 from repro.simnet.engine import Simulator
 from repro.store.keys import is_internal_key
 
@@ -256,7 +256,7 @@ class Fabric:
             raise FabricError(f"no live control connection to {name}")
         self._cmd_seq += 1
         cmd_id = self._cmd_seq
-        child.peer.send_obj(control_frame(dict(command, cmd_id=cmd_id)))
+        child.peer.send_obj(ControlFrame(dict(command, cmd_id=cmd_id)))
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
             self._pump(0.01)

@@ -26,7 +26,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.dist.transport import Connection, ControlFrame, control_frame
+from repro.dist.transport import Connection, ControlFrame
 
 #: Real microseconds per virtual microsecond. 20x dilation keeps the
 #: engine's hardcoded virtual budgets (root clock persist at 200 virtual
@@ -102,7 +102,7 @@ class ControlLink:
             "pid": os.getpid(),
         }
         body.update(self._hello_extra)
-        conn.send_obj(control_frame(body))
+        conn.send_obj(ControlFrame(body))
 
     def set_hello_extra(self, **fields: Any) -> None:
         """Update HELLO fields replayed on future reconnects (and announce
@@ -128,7 +128,7 @@ class ControlLink:
 
     def reply(self, command: Dict[str, Any], body: Dict[str, Any]) -> None:
         self.conn.send_obj(
-            control_frame(
+            ControlFrame(
                 {"type": "reply", "cmd_id": command.get("cmd_id"), "body": body}
             )
         )
@@ -137,7 +137,7 @@ class ControlLink:
         """Unsolicited event toward the fabric (no cmd_id)."""
         body: Dict[str, Any] = {"type": kind}
         body.update(fields)
-        self.conn.send_obj(control_frame(body))
+        self.conn.send_obj(ControlFrame(body))
 
     def fileno(self) -> Optional[int]:
         return self.conn.fileno()

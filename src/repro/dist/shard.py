@@ -36,27 +36,22 @@ from repro.core.dag import LogicalChain
 from repro.dist.node import ControlLink, Pacer, load_config
 from repro.dist.transport import (
     Connection,
+    ControlFrame,
     DataBatch,
     DataFrame,
-    control_frame,
     wait_readable,
 )
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Envelope, Network
 from repro.store.cluster import StoreCluster
 from repro.store.operations import default_registry
-from repro.store.protocol import BatchedPruneRequest, PruneRequest
+from repro.store.protocol import PruneRequest
 from repro.traffic.packet import FiveTuple, Packet
 
 #: Injection window: at most this many packets in flight (injected, not
 #: yet egressed) per shard. Bounds what a SIGKILL can lose — the fabric's
 #: loss allowance is derived from it.
 INJECT_WINDOW = 16
-
-#: Prune wire types the bridge holds back while flushes are un-ACKed (see
-#: :meth:`ShardWorker._bridge_out`).
-_PRUNE_TYPES = frozenset({PruneRequest, BatchedPruneRequest})
-
 
 class RemoteStoreHandle:
     """Stand-in for a store instance that lives in another process.
@@ -223,14 +218,14 @@ class ShardWorker:
         """Replayed after every (re)connect: announce every local endpoint
         name so the store node can route replies and commit signals here —
         including ``root{k}``, which may never send anything itself."""
-        conn.send_obj(control_frame({"type": "hello", "names": self._local_endpoints()}))
+        conn.send_obj(ControlFrame({"type": "hello", "names": self._local_endpoints()}))
 
     def _bridge_out(self, envelope: Envelope) -> bool:
         if envelope.dst != self.store_name:
             return False
         frame = DataFrame(envelope.src, envelope.dst, envelope.payload)
         inner = getattr(envelope.payload, "payload", None)
-        if type(inner) in _PRUNE_TYPES and self._pending_flushes() > 0:
+        if type(inner) is PruneRequest and self._pending_flushes() > 0:
             # The race this guards: the store's commit signal (store->root)
             # and its flush ACK (store->client) travel independently, and a
             # broken socket can lose the ACK but not the signal. The root

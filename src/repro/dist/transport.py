@@ -16,9 +16,10 @@ body is a tagged-union encoding of plain data:
 * tuples as ``{"__t__": [...]}``,
 * dicts as ``{"__d__": [[k, v], ...]}`` (key order preserved, non-string
   keys allowed),
-* registered message classes (the store wire protocol, the RPC ``_Wire``
-  envelope, packets, the frame bodies :class:`DataBatch` /
-  :class:`ControlFrame` and the batch element :class:`DataFrame`) as
+* registered message classes (every dataclass :mod:`repro.store.protocol`
+  defines, the RPC ``_Wire`` envelope, packets, the frame bodies
+  :class:`DataBatch` / :class:`ControlFrame` and the batch element
+  :class:`DataFrame`) as
   ``{"__c__": "<Name>", "a": [field values...]}``.
 
 Anything else is a :class:`CodecError` — an unserializable payload is a bug
@@ -50,8 +51,12 @@ So the common envelopes — an ``OpRequest``, its ``OpResult`` ACK, a
 ``CommitSignal`` — go through the C JSON encoder and decoder with no
 per-envelope tagged object and no ``object_hook`` call. The layout is a
 function of the values alone, so a batch this encoder wrote re-encodes,
-once decoded, to the bytes it arrived as (the store WAL relies on this). A malformed batch body is a
-:class:`CodecError`.
+once decoded, to the bytes it arrived as (the store WAL relies on this).
+
+Decoding is total: a body that is not one value of this format — bad
+UTF-8 or JSON, nesting past the recursion limit, a malformed tag, batch or
+field count — is a :class:`CodecError`, and the connection it arrived on
+is dropped (counted in ``codec_errors``) while the process goes on.
 
 Connections
 -----------
@@ -215,9 +220,17 @@ def encode_frame(body: Any) -> bytes:
 
 
 def decode_body(payload: bytes) -> Any:
-    """The value one frame body (UTF-8 JSON, exactly one value, no padding) carries."""
-    text = payload.decode("utf-8")
-    value, end = _JSON_DECODER.raw_decode(text)
+    """The value one frame body (UTF-8 JSON, exactly one value, no padding)
+    carries. Total: any body that is not one is a :class:`CodecError`,
+    whatever layer — UTF-8, JSON, nesting depth, a tag's shape, a class's
+    arity — found it wrong."""
+    try:
+        text = payload.decode("utf-8")
+        value, end = _JSON_DECODER.raw_decode(text)
+    except CodecError:
+        raise
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise CodecError(f"malformed frame body: {exc!r}") from exc
     if end != len(text):
         raise CodecError(f"{len(text) - end} stray characters after the frame body")
     return value
@@ -250,9 +263,6 @@ class ControlFrame:
 
     body: Dict[str, Any]
 
-
-data_frame = DataFrame
-control_frame = ControlFrame
 
 # -- the columnar DataBatch layout (module docstring, "Wire format") --------
 
@@ -360,12 +370,9 @@ def _revive_batch(body: Any) -> DataBatch:
         tags and not 0 <= min(tags) <= max(tags) < len(groups)
     ):
         raise CodecError(f"DataBatch group tags outside 0..{len(groups) - 1}")
-    try:
-        built = [_revive_group(group, tags.count(tag)) for tag, group in enumerate(groups)]
-    except CodecError:
-        raise
-    except (TypeError, ValueError) as exc:  # a cell its column kind cannot hold
-        raise CodecError(f"malformed DataBatch cell: {exc}") from exc
+    # a cell its column kind cannot hold raises here; decode_body makes it
+    # a CodecError
+    built = [_revive_group(group, tags.count(tag)) for tag, group in enumerate(groups)]
     if len(built) == 1:
         return DataBatch(built[0])
     # every group holds exactly as many envelopes as tags name it, so no
@@ -375,32 +382,11 @@ def _revive_batch(body: Any) -> DataBatch:
 
 
 def _register_protocol() -> None:
-    for name in (
-        "OpRequest",
-        "OpResult",
-        "BatchedOpRequest",
-        "Overloaded",
-        "ReadRequest",
-        "ReadResult",
-        "WriteRequest",
-        "OwnerRequest",
-        "BulkOwnerMove",
-        "CloneRegistration",
-        "TakeoverRequest",
-        "WatchRequest",
-        "LockReadRequest",
-        "WriteUnlockRequest",
-        "CallbackMessage",
-        "CommitSignal",
-        "BatchedCommitSignal",
-        "DeleteRequest",
-        "BatchedDeleteRequest",
-        "PruneRequest",
-        "BatchedPruneRequest",
-        "NonDetRequest",
-        "SnapshotRequest",
-    ):
-        register_message(getattr(_proto, name))
+    # the store wire vocabulary is every dataclass repro.store.protocol defines
+    for cls in vars(_proto).values():
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+            if cls.__module__ == _proto.__name__:
+                register_message(cls)
     register_message(FiveTuple)
     register_message(Packet)
     register_message(_Wire, fields=("kind", "request_id", "payload", "ok"))
@@ -469,6 +455,8 @@ class TransportCounters:
     connect_failures: int = 0
     resets: int = 0
     tx_dropped: int = 0
+    #: Connections dropped because an inbound frame did not decode.
+    codec_errors: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -546,7 +534,15 @@ class _FramedSocket:
                 self._drop_socket()
                 break
             self.counters.bytes_received += len(data)
-            frames += self._decoder.feed(data)
+            try:
+                frames += self._decoder.feed(data)
+            except CodecError:
+                # the sender is broken, not this process: drop the socket
+                # (a Connection redials with a fresh decoder, a Peer is
+                # reaped like any dead one)
+                self.counters.codec_errors += 1
+                self._drop_socket(count_reset=False)
+                break
             if len(data) < _RECV_BYTES:
                 break  # drained; what arrives later wakes the next pump
         self.counters.frames_received += len(frames)

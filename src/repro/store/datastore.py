@@ -36,8 +36,6 @@ from repro.store.keys import vertex_of_key
 from repro.store.operations import DELETE_OP, OperationRegistry, default_registry
 from repro.store.protocol import (
     BatchedOpRequest,
-    BatchedCommitSignal,
-    BatchedPruneRequest,
     BulkOwnerMove,
     CloneRegistration,
     LockReadRequest,
@@ -466,8 +464,6 @@ class DatastoreInstance:
         if isinstance(payload, OpRequest):
             self._thread_for(payload.key).put((payload, None))
         elif isinstance(payload, PruneRequest):
-            self._prune(payload.clock)
-        elif isinstance(payload, BatchedPruneRequest):
             for clock in payload.clocks:
                 self._prune(clock)
 
@@ -533,10 +529,7 @@ class DatastoreInstance:
                     if mirror_ack is not None:
                         yield mirror_ack
             for destination, sigs in by_root.items():
-                if len(sigs) == 1:
-                    self.endpoint.send(destination, CommitSignal(*sigs[0]))
-                else:
-                    self.endpoint.send(destination, BatchedCommitSignal(tuple(sigs)))
+                self.endpoint.send(destination, CommitSignal(*zip(*sigs)))
             state.remaining -= 1
             if state.remaining == 0 and request is not None:
                 self._respond(request, OpResult(value=None, emulated=state.emulated > 0))
@@ -707,7 +700,7 @@ class DatastoreInstance:
                 else:
                     signals.append((clock, tag))
             else:
-                self.endpoint.send(destination, CommitSignal(clock, tag))
+                self.endpoint.send(destination, CommitSignal((clock,), (tag,)))
             self.stats.commit_signals += 1
         if key in self._value_watchers:
             self._notify_value_watchers(key, new_value, exclude=instance)

@@ -215,57 +215,28 @@ class CallbackMessage:
 
 @dataclass
 class CommitSignal:
-    """Store → root: update for packet ``clock`` committed (Figure 6 step 2)."""
+    """Store → root: the updates ``vector_tags[i]`` of packets ``clocks[i]``
+    committed (Figure 6 step 2), one entry per op, in commit order — one
+    message per root for whatever a store thread served in one go."""
 
-    clock: int
-    vector_tag: int
-
-
-@dataclass
-class BatchedCommitSignal:
-    """Store → root: commit signals for a batch-served set of updates.
-
-    Transport aggregation only (§6 fast path): the root processes each
-    ``(clock, vector_tag)`` entry exactly as an individual
-    :class:`CommitSignal`, in order — one message instead of one per op.
-    """
-
-    signals: Tuple[Tuple[int, int], ...]
+    clocks: Tuple[int, ...]
+    vector_tags: Tuple[int, ...]
 
 
 @dataclass
 class DeleteRequest:
-    """Chain -> root: one copy of packet ``clock`` finished its journey."""
+    """Chain -> root: one copy of each packet ``clocks[i]`` finished its
+    journey with XOR vector ``vectors[i]`` in generation ``generations[i]``
+    (§5.4), in order."""
 
-    clock: int
-    vector: int
-    generation: int = 0
-
-
-@dataclass
-class BatchedDeleteRequest:
-    """Chain -> root: delete reports for a fast-path batch, in one message.
-
-    Each ``(clock, vector, generation)`` entry is processed exactly as an
-    individual :class:`DeleteRequest`, in order (§6 fast path)."""
-
-    entries: tuple
+    clocks: Tuple[int, ...]
+    vectors: Tuple[int, ...]
+    generations: Tuple[int, ...]
 
 
 @dataclass
 class PruneRequest:
-    """Root → store: packet ``clock`` left the chain; drop its update logs."""
-
-    clock: int
-
-
-@dataclass
-class BatchedPruneRequest:
-    """Root → store: prune several departed clocks in one message.
-
-    The root aggregates prunes that fall due within one grace window;
-    each clock is pruned exactly as an individual :class:`PruneRequest`.
-    """
+    """Root → store: packets ``clocks`` left the chain; drop their update logs."""
 
     clocks: Tuple[int, ...]
 

@@ -115,7 +115,7 @@ class TestDuplicateSuppression:
     def test_prune_drops_log_but_remembers_clock(self, sim, store, caller):
         call(sim, caller, OpRequest(key="k", op="incr", args=(1,), instance="a", clock=5))
         assert store.logged_clocks("k") == [5]
-        caller.send("store0", PruneRequest(clock=5))
+        caller.send("store0", PruneRequest((5,)))
         sim.run()
         # the per-op duplicate-suppression log is reclaimed...
         assert store.logged_clocks("k") == []

@@ -9,7 +9,8 @@ from repro.core.root import LogEntry, Root
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Envelope, Network
 from repro.store.keys import root_clock_key, root_log_key
-from repro.store.protocol import BatchedCommitSignal, CommitSignal, DeleteRequest
+from repro.store.datastore import DatastoreInstance
+from repro.store.protocol import CommitSignal, DeleteRequest, OpRequest, PruneRequest
 from tests.conftest import make_packet
 
 
@@ -82,8 +83,6 @@ class TestPruneAggregation:
         window in one batched message, in delete order (the drain is a
         ``popleft`` per clock — it was ``list.pop(0)``, quadratic at the
         ~12.5k clocks a chain4 window holds)."""
-        from repro.store.protocol import BatchedPruneRequest, PruneRequest
-
         root = Root(
             sim, network, "root-p", forward=lambda packet: None,
             store_endpoint="store0", prune_grace_us=100.0,
@@ -97,11 +96,11 @@ class TestPruneAggregation:
         sim.run()
         assert sent == [
             # the first fire finds only clock 1 past its grace period ...
-            (100.01, "store0", PruneRequest(clock=1)),
+            (100.01, "store0", PruneRequest((1,))),
             # ... the second drains the rest of that window in one message
-            (200.01, "store0", BatchedPruneRequest(tuple(range(2, 5001)))),
-            (300.01, "store0", PruneRequest(clock=9000)),
-            (400.01, "store0", PruneRequest(clock=9001)),
+            (200.01, "store0", PruneRequest(tuple(range(2, 5001)))),
+            (300.01, "store0", PruneRequest((9000,))),
+            (400.01, "store0", PruneRequest((9001,))),
         ]
         assert not root._prune_queue and not root._prune_timer_armed
 
@@ -175,7 +174,7 @@ class TestDeleteProtocol:
         sim.run()
         clock = forwarded[0].clock
         nf = RpcEndpoint(sim, network, "last-nf")
-        nf.send("root0", DeleteRequest(clock=clock, vector=0, generation=0))
+        nf.send("root0", DeleteRequest((clock,), (0,), (0,)))
         sim.run()
         assert clock not in root.log
 
@@ -188,7 +187,7 @@ class TestDeleteProtocol:
         nf = RpcEndpoint(sim, network, "last-nf")
 
         def body():
-            ok = yield nf.call_event("root0", DeleteRequest(clock=clock, vector=0))
+            ok = yield nf.call_event("root0", DeleteRequest((clock,), (0,), (0,)))
             return ok
 
         assert sim.run_process(body()) is True
@@ -349,29 +348,77 @@ class TestCommitFold:
         entry = make_entry(fields, make_packet())
         assert entry.complete == reference_complete(entry)
 
+    @pytest.mark.parametrize("kind", ["commit", "delete", "prune"])
     @settings(max_examples=200, deadline=None)
-    @given(
-        entries=st.dictionaries(st.integers(1, 6), log_entries, max_size=6),
-        signals=st.lists(
-            st.tuples(st.integers(0, 7), st.sampled_from(TAGS[1:])), min_size=1, max_size=12
-        ),
-    )
-    def test_a_batch_folds_like_its_signals_one_by_one(self, entries, signals):
-        packets = {clock: make_packet(clock=clock) for clock in entries}
-
-        def root_after(messages):
-            sim = Simulator()
-            root = Root(sim, Network(sim), "root0", forward=lambda packet: None,
-                        prune_grace_us=5.0, store_endpoints_for_prune=["store0"])
-            deleted = []
-            root.on_deleted.append(deleted.append)
-            for clock, fields in entries.items():
-                root.log[clock] = make_entry(fields, packets[clock])
-            for message in messages:
-                root._on_message(Envelope("store0", "root0", message))
-            log = {clock: entry_fields(entry) for clock, entry in root.log.items()}
-            return root.stats, log, deleted, list(root._prune_queue)
-
-        one_by_one = root_after([CommitSignal(clock, tag) for clock, tag in signals])
-        batched = root_after([BatchedCommitSignal(tuple(signals))])
+    @given(data=st.data())
+    def test_n_entries_fold_like_n_one_entry_messages(self, kind, data):
+        """A one-way step is one message whatever its count: an N-entry
+        ``CommitSignal`` or ``DeleteRequest`` at the root, or ``PruneRequest``
+        at the store, leaves exactly what N one-entry ones leave, in order."""
+        cls, row, start, after = ONE_WAY_STEPS[kind]
+        rows = data.draw(st.lists(row, min_size=1, max_size=12))
+        setup = data.draw(start)
+        one_by_one = after(setup, [cls(*((value,) for value in values)) for values in rows])
+        batched = after(setup, [cls(*zip(*rows))])
         assert batched == one_by_one
+
+
+def root_after(entries, messages):
+    """A root holding ``entries`` (clock -> (log entry fields, packet)),
+    after ``messages`` arrive: its stats, log, deletions and prune queue."""
+    sim = Simulator()
+    root = Root(sim, Network(sim), "root0", forward=lambda packet: None,
+                prune_grace_us=5.0, store_endpoints_for_prune=["store0"])
+    deleted = []
+    root.on_deleted.append(deleted.append)
+    for clock, (fields, packet) in entries.items():
+        root.log[clock] = make_entry(fields, packet)
+    for message in messages:
+        root._on_message(Envelope("store0", "root0", message))
+    log = {clock: entry_fields(entry) for clock, entry in root.log.items()}
+    return root.stats, log, deleted, list(root._prune_queue)
+
+
+def store_after(ops, messages):
+    """A store that applied ``ops`` (key, clock, seq), after ``messages``
+    arrive: its dedup log, pruned clocks and the log's high-water mark."""
+    sim = Simulator()
+    store = DatastoreInstance(sim, Network(sim), "store0")
+    for key, clock, seq in ops:
+        store.apply_operation(OpRequest(key, "incr", (1,), "nf-0", clock, seq))
+    for message in messages:
+        store._on_message(Envelope("root0", "store0", message))
+    return (
+        store._update_log,
+        store._log_clocks,
+        store._pruned_clocks,
+        store._log_high_water,
+        store.stats,
+    )
+
+
+clocks = st.integers(0, 7)
+log_of = st.dictionaries(st.integers(1, 6), log_entries, max_size=6).map(
+    lambda entries: {
+        clock: (fields, make_packet(clock=clock)) for clock, fields in entries.items()
+    }
+)
+#: kind -> (message class, one entry's fields, what a run starts from, run)
+ONE_WAY_STEPS = {
+    "commit": (CommitSignal, st.tuples(clocks, st.sampled_from(TAGS[1:])), log_of, root_after),
+    "delete": (
+        DeleteRequest,
+        st.tuples(clocks, st.sampled_from(TAGS), st.integers(0, 3)),
+        log_of,
+        root_after,
+    ),
+    "prune": (
+        PruneRequest,
+        st.tuples(clocks),
+        st.lists(
+            st.tuples(st.sampled_from("abc"), st.integers(1, 6), st.integers(0, 1)),
+            max_size=16,
+        ),
+        store_after,
+    ),
+}

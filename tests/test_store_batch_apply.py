@@ -26,7 +26,6 @@ from repro.simnet.network import Network
 from repro.store.datastore import DatastoreInstance, _BatchShard
 from repro.store.keys import StateKey
 from repro.store.protocol import (
-    BatchedCommitSignal,
     BatchedOpRequest,
     CloneRegistration,
     CommitSignal,
@@ -96,7 +95,7 @@ class ReferenceStore(DatastoreInstance):
             if signal_sink is not None:
                 signal_sink.setdefault(destination, []).append((op.clock, op.vector_tag))
             else:
-                self.endpoint.send(destination, CommitSignal(op.clock, op.vector_tag))
+                self.endpoint.send(destination, CommitSignal((op.clock,), (op.vector_tag,)))
             self.stats.commit_signals += 1
         if key in self._value_watchers:
             self._notify_value_watchers(key, new_value, exclude=op.instance)
@@ -137,10 +136,9 @@ class ReferenceStore(DatastoreInstance):
                 if mirror_ack is not None:
                     yield mirror_ack
         for destination, sigs in by_root.items():
-            if len(sigs) == 1:
-                self.endpoint.send(destination, CommitSignal(*sigs[0]))
-            else:
-                self.endpoint.send(destination, BatchedCommitSignal(tuple(sigs)))
+            clocks = tuple(clock for clock, _tag in sigs)
+            tags = tuple(tag for _clock, tag in sigs)
+            self.endpoint.send(destination, CommitSignal(clocks, tags))
         payload.state.remaining -= 1
         if payload.state.remaining == 0 and request is not None:
             self._respond(
@@ -333,7 +331,7 @@ def test_every_branch_of_the_body_is_compared():
     a duplicate identity, a pruned clock, a rejected writer, a first-write
     claim (a registered clone's, for its original), a lame-duck vertex, a
     value watcher, signals to two roots, and shards answered with a
-    ``CommitSignal`` and with a ``BatchedCommitSignal``."""
+    one-entry and with a multi-entry ``CommitSignal``."""
     v_a, v_b, v_total, w_a, _w_total = KEYS
     r0c1, r0c2, r0c3, r1c1, r1c2, _r1c3 = CLOCKS[1:]
     tag = 0x00010001
@@ -368,7 +366,11 @@ def test_every_branch_of_the_body_is_compared():
     assert change["_owners"][v_b] == "v-1"
     assert (change["results"][0].value, change["results"][0].state) == (3, 3)
     kinds = {type(payload).__name__ for _dst, payload in change["sent"]}
-    assert {"CommitSignal", "BatchedCommitSignal", "CallbackMessage"} <= kinds
+    assert {"CommitSignal", "CallbackMessage"} <= kinds
+    entries = {
+        len(payload.clocks) for _dst, payload in change["sent"] if type(payload) is CommitSignal
+    }
+    assert 1 in entries and max(entries) > 1
     assert {dst for dst, _payload in change["sent"]} >= {"root0", "root1", "v-1"}
     replies = {request_id: value for request_id, value, _ok in change["replies"]}
     assert sorted(replies) == [0, 1, 2, 3, 4, 6]

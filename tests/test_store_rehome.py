@@ -97,7 +97,7 @@ class TestLameDuckBattery:
     def test_no_commit_signal_reaches_the_root(self, rig, vertices):
         call(rig.sim, rig.caller, incr(VKEY, clock=3, vector_tag=1))
         settle(rig.sim)
-        assert [m.payload for m in rig.root.messages._items] == [CommitSignal(3, 1)]
+        assert [m.payload for m in rig.root.messages._items] == [CommitSignal((3,), (1,))]
         Rehoming(rig.runtime, rig.src, "dst", vertices)
         rig.caller.call_event("store0", incr(VKEY, clock=4, vector_tag=1))
         settle(rig.sim)
@@ -209,7 +209,7 @@ def test_replace_store_carries_watchers_and_pruned_clocks():
     call(sim, caller, WatchRequest(key=key, endpoint="probe-w", kind="value"))
     call(sim, caller, incr(key, clock=11))
     call(sim, caller, incr(key, clock=12))  # keeps the log non-trivial
-    caller.send("store0", PruneRequest(clock=11))
+    caller.send("store0", PruneRequest((11,)))
     settle(sim, 100.0)
     before = len(watcher.messages._items)  # the old node's own pushes
 
