@@ -4,8 +4,10 @@ Each shard hosts an unmodified :class:`~repro.core.chain_runtime.ChainRuntime`
 — entry/exit NF instances, a root with its packet log and clock, the real
 :class:`~repro.store.client.StoreClient` machinery — and bridges every
 store-bound message onto a framed-TCP connection to the shared store node.
-The bridge is deliberately dumb: it moves envelopes, nothing else — each
-loop turn's as one :class:`~repro.dist.transport.DataBatch` frame. All
+The bridge is deliberately dumb: it moves envelopes — each loop turn's as
+one :class:`~repro.dist.transport.DataBatch` frame, one-way N-entry
+messages folded by the turn's :class:`~repro.dist.transport.Outbox` — and
+hands each inbound batch to the engine as one delivery event. All
 delivery semantics (RPC retransmission and :class:`RpcGaveUp`, flush
 retransmission against the dedup log, commit-signal accounting) come from
 the in-process protocol stack, now absorbing *real* socket loss instead of
@@ -38,7 +40,7 @@ from repro.dist.transport import (
     Connection,
     ControlFrame,
     DataBatch,
-    DataFrame,
+    Outbox,
     wait_readable,
 )
 from repro.simnet.engine import Simulator
@@ -188,9 +190,9 @@ class ShardWorker:
         self.started = bool(config.get("autostart", False))
         self.running = True
         self._store_recovered_pending = False
-        self._held_prunes: List[DataFrame] = []
+        self._held_prunes: List[Envelope] = []
         #: This loop turn's store-bound envelopes, sent as one batch.
-        self._outbox: List[DataFrame] = []
+        self._outbox = Outbox()
         self._inj_fh = open(self.injection_ledger_path, "a", encoding="utf-8")
         self._egr_fh = open(self.egress_ledger_path, "a", encoding="utf-8")
 
@@ -223,7 +225,6 @@ class ShardWorker:
     def _bridge_out(self, envelope: Envelope) -> bool:
         if envelope.dst != self.store_name:
             return False
-        frame = DataFrame(envelope.src, envelope.dst, envelope.payload)
         inner = getattr(envelope.payload, "payload", None)
         if type(inner) is PruneRequest and self._pending_flushes() > 0:
             # The race this guards: the store's commit signal (store->root)
@@ -236,28 +237,28 @@ class ShardWorker:
             # bridge until every pending flush has been (re-)ACKed; they
             # are one-way fire-and-forget messages, so delaying them is
             # invisible to the root.
-            self._held_prunes.append(frame)
+            self._held_prunes.append(envelope)
         else:
-            self._outbox.append(frame)
+            self._outbox.add(envelope.src, envelope.dst, envelope.payload)
         self.bridge_tx += 1
         return True
 
     def _release_held_prunes(self) -> None:
         if self._held_prunes and self._pending_flushes() == 0:
-            self._outbox += self._held_prunes
+            for envelope in self._held_prunes:
+                self._outbox.add(envelope.src, envelope.dst, envelope.payload)
             self._held_prunes.clear()
 
     def _pump_store(self, now_real: float) -> None:
-        """Queue the turn's envelopes as one batch, then move bytes both ways."""
+        """Queue the turn's envelopes as one batch, then move bytes both ways;
+        each inbound batch re-enters the engine as one delivery event."""
         if self._outbox:
-            self.store_conn.send_obj(DataBatch(self._outbox))
-            self._outbox = []
+            self.store_conn.send_obj(DataBatch(self._outbox.take()))
         for batch in self.store_conn.pump(now_real):
             if type(batch) is not DataBatch:
                 continue
             self.bridge_rx += len(batch.frames)
-            for frame in batch.frames:
-                self.network.send(frame.src, frame.dst, frame.payload)
+            self.network.send_batch(batch.frames)
 
     # -- workload ------------------------------------------------------
 

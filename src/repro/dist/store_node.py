@@ -17,7 +17,8 @@ non-deterministic values. Replay is idempotent against torn tails: a
 mutation whose batch hit the log but whose ACK never reached the client is
 retransmitted by the client and suppressed by the dedup log, exactly the
 emulation path of §5.3. Replies leave the same way they arrive: one batch
-per peer per loop turn.
+per peer per loop turn, a turn's commit signals to one root folded into one
+message per run (:class:`~repro.dist.transport.Outbox`).
 
 Fault hooks (driven by the fabric over the control channel) break *real*
 sockets: ``sever`` RST-closes live shard connections, ``refuse`` makes the
@@ -36,9 +37,9 @@ from repro.dist.node import ControlLink, Pacer, load_config
 from repro.dist.transport import (
     ControlFrame,
     DataBatch,
-    DataFrame,
     FrameDecoder,
     Listener,
+    Outbox,
     Peer,
     wait_readable,
 )
@@ -138,7 +139,12 @@ class StoreNode:
         self.peers: List[Peer] = []
         self.routes: Dict[str, Peer] = {}
         #: This loop turn's outbound envelopes per peer, sent as one batch each.
-        self._outboxes: Dict[Peer, List[DataFrame]] = {}
+        self._outboxes: Dict[Peer, Outbox] = {}
+        #: Destination endpoint -> envelopes to it folded into an earlier
+        #: one of their turn's batch.
+        self.folded: Dict[str, int] = {}
+        #: Transport counters of the peers reaped so far.
+        self._reaped_totals: Dict[str, int] = {}
         self.wal = FrameWAL(config["wal_path"])
         self.network.default_route = self._bridge_out
         self.bridge_tx = 0
@@ -163,16 +169,18 @@ class StoreNode:
             # no live route: drop, exactly like a network loss — the
             # client-side retransmission machinery owns recovery
             return False
-        self._outboxes.setdefault(peer, []).append(
-            DataFrame(envelope.src, envelope.dst, envelope.payload)
-        )
+        outbox = self._outboxes.get(peer)
+        if outbox is None:
+            outbox = self._outboxes[peer] = Outbox()
+        if outbox.add(envelope.src, envelope.dst, envelope.payload):
+            self.folded[envelope.dst] = self.folded.get(envelope.dst, 0) + 1
         self.bridge_tx += 1
         return True
 
     def _pump_peers(self) -> None:
         """Queue each peer's batch for the turn, then move bytes both ways."""
-        for peer, frames in self._outboxes.items():
-            peer.send_obj(DataBatch(frames))
+        for peer, outbox in self._outboxes.items():
+            peer.send_obj(DataBatch(outbox.take()))
         self._outboxes.clear()
         for peer in self.peers:
             for frame in peer.pump():
@@ -191,7 +199,7 @@ class StoreNode:
         self.bridge_rx += len(frame.frames)
         for envelope in frame.frames:
             self.routes[envelope.src] = peer  # passive route learning
-            self.network.send(envelope.src, envelope.dst, envelope.payload)
+        self.network.send_batch(frame.frames)
 
     # -- recovery ------------------------------------------------------
 
@@ -251,7 +259,7 @@ class StoreNode:
         }
 
     def _counters(self) -> Dict[str, Any]:
-        totals: Dict[str, int] = {}
+        totals = dict(self._reaped_totals)
         for peer in self.peers:
             for field_name, value in peer.counters.as_dict().items():
                 totals[field_name] = totals.get(field_name, 0) + value
@@ -261,6 +269,7 @@ class StoreNode:
             "refused": self.listener.refused,
             "bridge_tx": self.bridge_tx,
             "bridge_rx": self.bridge_rx,
+            "folded": dict(self.folded),
             "wal_appended": self.wal.appended,
         }
 
@@ -320,6 +329,17 @@ class StoreNode:
                     peer.close(reset=True)
         self.stall_until_real = None
 
+    def _reap_peers(self) -> None:
+        """Forget dead peers; their transport counters stay in the totals."""
+        live: List[Peer] = []
+        for peer in self.peers:
+            if peer.alive or peer.stalled:
+                live.append(peer)
+                continue
+            for field_name, value in peer.counters.as_dict().items():
+                self._reaped_totals[field_name] = self._reaped_totals.get(field_name, 0) + value
+        self.peers = live
+
     def run(self) -> None:
         if self.config.get("recover"):
             replayed = self.recover()
@@ -338,7 +358,7 @@ class StoreNode:
             self._pump_peers()
             for command in self.control.poll(self.pacer.now_real()):
                 self._handle_command(command)
-            self.peers = [p for p in self.peers if p.alive or p.stalled]
+            self._reap_peers()
             # stalled peers are deliberately not waited on: their readable
             # bytes must sit unread for the whole half-open window
             wait_on: List[Any] = [

@@ -399,6 +399,82 @@ def _register_protocol() -> None:
 _register_protocol()
 
 
+# -- a turn's outbox: one-way N-entry messages folded (DESIGN.md §13.1) ------
+
+#: One-way messages made of parallel per-entry tuples -> those tuples. One
+#: such message with the entries of two says what the two said in turn.
+_FOLDABLE: Dict[type, Callable[[Any], Tuple[Tuple[Any, ...], ...]]] = {
+    _proto.CommitSignal: attrgetter("clocks", "vector_tags"),
+    _proto.DeleteRequest: attrgetter("clocks", "vectors", "generations"),
+    _proto.PruneRequest: lambda message: (message.clocks,),
+}
+
+
+class Outbox:
+    """One loop turn's envelopes toward one peer, in send order.
+
+    A one-way :class:`~repro.store.protocol.CommitSignal`,
+    :class:`~repro.store.protocol.DeleteRequest` or
+    :class:`~repro.store.protocol.PruneRequest` is folded into the last
+    envelope queued on its (src, dst) when that one is a one-way message of
+    the same class: the entries are concatenated in order. Anything else on
+    that (src, dst) — an RPC request or response, another class — ends the
+    run, so per-(src, dst) order, the only order the engine keeps, holds.
+    """
+
+    __slots__ = ("_frames", "_runs", "_grown")
+
+    def __init__(self) -> None:
+        self._frames: List[DataFrame] = []
+        #: (src, dst) -> the open run its last envelope heads:
+        #: ``[index in _frames, first message, messages folded into it...]``.
+        self._runs: Dict[Tuple[str, str], List[Any]] = {}
+        #: Runs something was folded into, written back by :meth:`take`.
+        self._grown: List[List[Any]] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._frames)
+
+    def add(self, src: str, dst: str, payload: Any) -> bool:
+        """Queue one envelope; True when it was folded into an earlier one."""
+        runs = self._runs
+        if type(payload) is _Wire and payload.kind == "oneway":
+            message = payload.payload
+            if type(message) in _FOLDABLE:
+                key = (src, dst)
+                run = runs.get(key)
+                if run is not None and type(run[1]) is type(message):
+                    if len(run) == 2:
+                        self._grown.append(run)
+                    run.append(message)
+                    return True
+                runs[key] = [len(self._frames), message]
+                self._frames.append(DataFrame(src, dst, payload))
+                return False
+        if runs:
+            runs.pop((src, dst), None)
+        self._frames.append(DataFrame(src, dst, payload))
+        return False
+
+    def take(self) -> List[DataFrame]:
+        """The queued envelopes, each run folded into its first; the outbox
+        starts the next turn empty."""
+        frames = self._frames
+        for index, *messages in self._grown:
+            cls = type(messages[0])
+            columns = zip(*map(_FOLDABLE[cls], messages))
+            head = frames[index]
+            wire = head.payload
+            message = cls(*(tuple(chain.from_iterable(column)) for column in columns))
+            frames[index] = DataFrame(
+                head.src, head.dst, _Wire("oneway", wire.request_id, message, wire.ok)
+            )
+        self._frames = []
+        self._runs.clear()
+        self._grown = []
+        return frames
+
+
 class FrameDecoder:
     """Incremental length-prefixed frame reassembly from a byte stream."""
 

@@ -320,6 +320,47 @@ class Network:
             delay, self._deliver, Envelope(src, dst, payload, self.sim.now)
         )
 
+    def send_batch(self, messages: Iterable[Any]) -> None:
+        """``send(m.src, m.dst, m.payload)`` for each of ``messages`` in
+        order, as one scheduled event per run of equal delay.
+
+        Partition, loss, degradation and every rng draw are applied per
+        message exactly as the N sends would. Those sends would get
+        consecutive sequence numbers at one instant, so a run of them due at
+        one time fires back to back, ahead of any microtask it spawns; one
+        event delivering the run in order runs the same callbacks in the
+        same order (DESIGN.md §5, "Batch re-injection"). The ``repro.dist``
+        bridges hand each inbound batch frame over this way.
+        """
+        now = self.sim.now
+        links = self._links
+        run: List[Envelope] = []
+        run_delay = 0.0
+        for message in messages:
+            src, dst = message.src, message.dst
+            if self._partition is not None and self._blocked_by_partition(src, dst):
+                self.drops["partition"] += 1
+                continue
+            link = links.get((src, dst)) or self.default_link
+            if self._degradations:
+                delay = self._degraded_delay(link, src, dst)
+            else:
+                delay = link.delay(self.rng)
+            if delay is None:
+                self.drops["loss"] += 1
+                continue
+            if run and delay != run_delay:
+                self.sim.schedule(run_delay, self._deliver_run, run)
+                run = []
+            run_delay = delay
+            run.append(Envelope(src, dst, message.payload, now))
+        if run:
+            self.sim.schedule(run_delay, self._deliver_run, run)
+
+    def _deliver_run(self, run: List[Envelope]) -> None:
+        for envelope in run:
+            self._deliver(envelope)
+
     def _deliver(self, envelope: Envelope) -> None:
         if envelope.dst in self._down:
             self.drops["endpoint_down"] += 1

@@ -47,6 +47,9 @@ def test_no_fault_run_is_clean_and_really_distributed(tmp_path):
     # traffic actually crossed the sockets
     totals = outcome.evidence["store_counters"]["peer_totals"]
     assert totals["frames_received"] > 0 and totals["frames_sent"] > 0
+    # the store node folded commit signals toward each shard's root
+    folded = outcome.evidence["store_counters"]["folded"]
+    assert folded.get("root0", 0) > 0 and folded.get("root1", 0) > 0, folded
     for shard in ("s0", "s1"):
         assert outcome.per_shard[shard]["egressed"] == 24
     # the WAL contract the benchmark's codec loops rely on: store0.wal is a

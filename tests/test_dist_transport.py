@@ -1119,6 +1119,19 @@ class TestABadFrameCostsAConnection:
             bad.close()
             good.close()
 
+    def test_a_reaped_peer_keeps_its_counters_in_the_totals(self, store_nodes):
+        node = store_nodes()
+        bad = Connection("127.0.0.1", node.listener.port, seed=2)
+        try:
+            bad._txq.append(framed(MALFORMED_BODIES["class without fields"]))
+            serve(node, bad, lambda _: bool(node.peers) and not node.peers[0].alive)
+            assert node._counters()["peer_totals"]["codec_errors"] == 1
+            node._reap_peers()  # what every turn of StoreNode.run does
+            assert node.peers == []
+            assert node._counters()["peer_totals"]["codec_errors"] == 1
+        finally:
+            bad.close()
+
     def test_connection_redials_with_a_fresh_decoder(self):
         listener = Listener()
         peers = []
