@@ -2,8 +2,10 @@
 
 Every BENCH_* number and every "0 violations" verdict assumes a scenario
 run is a pure function of its seed. This family checks it. One item runs
-one chaos, ops or overload scenario :data:`RUNS` times under one seed, inside
-one worker, and digests each run with
+one chaos, ops or overload scenario — each a
+:class:`~repro.chaos.campaign.ScenarioSpec` — :data:`RUNS` times under one
+seed, inside one worker, through the one disturbed-run driver
+(:func:`~repro.chaos.campaign.disturbed_run`), and digests each run with
 :func:`~repro.analysis.determinism.checked_digest` (a run in which a
 simulation process crashed raises instead, naming the process). Digests
 that disagree are a ``same-seed-digest`` violation: a stray ``set``
@@ -24,7 +26,6 @@ as ``ops:<name>`` — the runs that reallocate flows through Figure 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Dict, List
 
 from repro.analysis.determinism import checked_digest
@@ -39,18 +40,9 @@ RUNS = 2
 
 
 def chaos_digest(spec: chaos.ScenarioSpec, seed: int) -> str:
-    """Digest one chaos or ops run of ``spec`` under ``seed``: the
-    disturbed run alone — no clean reference run, no invariant check."""
+    """Digest one run of ``spec`` under ``seed``: the disturbed run alone —
+    no clean reference run, no invariant check."""
     return checked_digest(chaos.disturbed_run(spec, seed).runtime)
-
-
-def overload_digest(spec: overload.OverloadSpec, seed: int) -> str:
-    """Digest one overload run of ``spec`` under ``seed``, autoscaler off."""
-    captured: List[str] = []
-    overload.run_overload_scenario(
-        spec, seed, collect_runtime=lambda runtime: captured.append(checked_digest(runtime))
-    )
-    return captured[0]
 
 
 @dataclass
@@ -86,11 +78,7 @@ class DeterminismFamily(CampaignFamily):
 
     def run(self, item: WorkItem, reference: Any) -> DeterminismOutcome:
         spec = self.scenarios[item.scenario]
-        if isinstance(spec, chaos.ScenarioSpec):
-            digest = partial(chaos_digest, spec, item.seed)
-        else:
-            digest = partial(overload_digest, spec, item.seed)
-        digests = [digest() for _ in range(RUNS)]
+        digests = [chaos_digest(spec, item.seed) for _ in range(RUNS)]
         violations = []
         if len(set(digests)) > 1:
             violations.append(

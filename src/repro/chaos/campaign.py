@@ -2,15 +2,16 @@
 
 A scenario (:class:`ScenarioSpec`) is a disturbance plus the invariant
 profile the run must satisfy: a fault schedule, a maintenance plan
-(:mod:`repro.ops.campaign`'s scenarios), or both. :func:`run_scenario`
-executes one (seed, scenario) pair twice — once clean (the reference run,
-:func:`clean_run`) and once disturbed (:func:`disturbed_run`), with a
+(:mod:`repro.ops.campaign`'s scenarios), or both, on a chain and traffic
+— an overload scenario (:mod:`repro.chaos.overload`) saturates its chain.
+:func:`disturbed_run`, the one driver, runs a spec with a
 :class:`~repro.chaos.director.ChaosDirector` and a
 :class:`~repro.core.supervisor.Supervisor` always attached and a
-:class:`~repro.ops.director.MaintenanceDirector` when there is a plan —
-then checks the disturbed run against the reference
-(:func:`check_scenario`, which calls
-:func:`repro.chaos.invariants.check_invariants`).
+:class:`~repro.ops.director.MaintenanceDirector` when there is a plan;
+:func:`check_scenario` checks the run with
+:func:`repro.chaos.invariants.check_invariants`, against a clean
+reference (:func:`clean_run`) when given one. :func:`run_scenario` is
+both halves (chaos and ops).
 
 The chaos workload is a two-vertex chain (per-flow + cross-flow state at
 the entry, cross-flow state at the sink; the NFs are in
@@ -128,9 +129,12 @@ class ScenarioSpec:
     #: drives the :class:`~repro.ops.director.MaintenanceDirector`
     operations: Optional[Callable[[MaintenanceDirector], Generator]] = None
     #: the chain, and the traffic for this scenario and for the reference
-    #: run it is checked against
+    #: run it is checked against; a workload may return a callable giving
+    #: how many packets it injected, all of which must then be accounted
     build_runtime: Callable[..., ChainRuntime] = build_runtime
-    workload: Callable[[Simulator, ChainRuntime], None] = inject_workload
+    workload: Callable[[Simulator, ChainRuntime], Optional[Callable[[], int]]] = inject_workload
+    #: simulated time both the disturbed and the reference run stop at
+    horizon_us: float = HORIZON_US
     loss_allowance: int = 0
     expect_log_drained: bool = True
     #: minimum egress packets per goodput window while an operation runs;
@@ -244,7 +248,7 @@ class ScenarioOutcome:
     recovery_us: Dict[str, float]  # component -> failed->recovered
     protocol_us: Dict[str, float]  # component -> recovery_started->recovered
     egress_count: int
-    reference_egress_count: int
+    reference_egress_count: Optional[int]  # None: checked without a reference
     timeline: List[Dict[str, Any]]
     operations: List[Dict[str, Any]] = field(default_factory=list)  # asdict(OperationRecord)
     operation_us: List[float] = field(default_factory=list)  # completed-operation durations
@@ -262,13 +266,13 @@ def clean_run(seed: int, spec: ScenarioSpec) -> RunSnapshot:
     sim = Simulator()
     runtime = spec.build_runtime(sim, seed, **spec.runtime_overrides)
     spec.workload(sim, runtime)
-    sim.run(until=HORIZON_US)
+    sim.run(until=spec.horizon_us)
     return snapshot_run(runtime)
 
 
 #: Per-process reference-run cache: one clean run per (chain, workload,
-#: config, ref-seed), computed lazily inside whichever process needs it.
-#: Fork-spawned workers inherit the parent's warm entries; the cache is
+#: horizon, config, ref-seed), computed lazily inside whichever process
+#: needs it. Fork-spawned workers inherit the parent's warm entries; the cache is
 #: deterministic (a reference run is a pure function of its key), so
 #: sharing it across campaigns in one process is safe.
 _REFERENCE_CACHE: Dict[Tuple, RunSnapshot] = {}
@@ -277,7 +281,7 @@ _REFERENCE_CACHE: Dict[Tuple, RunSnapshot] = {}
 def cached_reference(spec: ScenarioSpec, ref_seed: int) -> RunSnapshot:
     """``clean_run(ref_seed, spec)``, at most once per process."""
     config = repr(sorted(spec.runtime_overrides.items()))
-    key = (spec.build_runtime, spec.workload, config, ref_seed)
+    key = (spec.build_runtime, spec.workload, spec.horizon_us, config, ref_seed)
     if key not in _REFERENCE_CACHE:
         _REFERENCE_CACHE[key] = clean_run(ref_seed, spec)
     return _REFERENCE_CACHE[key]
@@ -293,6 +297,8 @@ class DisturbedRun:
     timeline: RecoveryTimeline
     supervisor: Supervisor
     director: Optional[MaintenanceDirector]
+    #: packets the workload reports it injected (None: it reports none)
+    injected: Optional[int]
 
 
 def disturbed_run(
@@ -321,18 +327,23 @@ def disturbed_run(
         chaos.execute(spec.build_schedule(seed), runtime)
     if director is not None:
         sim.process(spec.operations(director), name=f"ops-{spec.name}")
-    spec.workload(sim, runtime)
-    sim.run(until=HORIZON_US)
-    return DisturbedRun(spec, seed, runtime, timeline, supervisor, director)
+    count = spec.workload(sim, runtime)
+    sim.run(until=spec.horizon_us)
+    injected = count() if count is not None else None
+    return DisturbedRun(spec, seed, runtime, timeline, supervisor, director, injected)
 
 
-def check_scenario(run: DisturbedRun, reference: RunSnapshot) -> ScenarioOutcome:
-    """Check a disturbed run against the clean ``reference`` with the one
-    invariant battery and collect its recovery and operation figures."""
+def check_scenario(
+    run: DisturbedRun, reference: Optional[RunSnapshot] = None
+) -> ScenarioOutcome:
+    """Check a disturbed run with the one invariant battery — against the
+    clean ``reference`` when there is one — and collect its recovery and
+    operation figures."""
     spec, runtime, timeline, director = run.spec, run.runtime, run.timeline, run.director
     violations = check_invariants(
         runtime,
         reference=reference,
+        injected=run.injected,
         supervisor=run.supervisor,
         loss_allowance=spec.loss_allowance,
         expect_log_drained=spec.expect_log_drained,
@@ -348,7 +359,7 @@ def check_scenario(run: DisturbedRun, reference: RunSnapshot) -> ScenarioOutcome
         recovery_us=timeline.recovery_durations(since="failed"),
         protocol_us=timeline.recovery_durations(since="recovery_started"),
         egress_count=len(runtime.egress),
-        reference_egress_count=len(reference.egress),
+        reference_egress_count=len(reference.egress) if reference is not None else None,
         timeline=timeline.as_dicts(),
     )
     if director is not None:

@@ -28,10 +28,11 @@ list of :class:`InvariantViolation` (empty = the guarantee held):
   supervised recovery must have completed successfully.
 
 :func:`check_invariants` is the one battery every disturbed run is
-checked with — a chaos or ops scenario
-(:func:`repro.chaos.campaign.run_scenario`) and an overload run
-(:func:`repro.chaos.overload.run_overload_scenario`); what it runs beyond
-the core depends on what the caller passes.
+checked with — chaos, ops and overload scenarios alike, all run by the
+one driver (:func:`repro.chaos.campaign.disturbed_run`, checked by
+:func:`repro.chaos.campaign.check_scenario`); what it runs beyond the core
+depends on what the scenario brings (a reference run, a maintenance plan,
+a workload that reports its injected count).
 
 Identity: the campaign workload stamps each injected packet's ``payload``
 with ``"f<flow>-<seq>"``. Unlike clocks, payload identities are stable

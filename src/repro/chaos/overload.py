@@ -8,34 +8,39 @@ battery, :func:`~repro.chaos.invariants.check_invariants`, runs first when
 given ``injected``), exactly-once and per-flow ordering must hold for
 everything that does get through, and no state may be lost or stranded.
 
-Three named scenarios:
+An overload scenario is a :class:`~repro.chaos.campaign.ScenarioSpec`
+(:func:`overload_scenario`) whose phased source reports what it injected,
+run by the one driver and checked with no reference run; a fault schedule
+overlays it like any other. Four named scenarios:
 
 * ``overload-burst`` — a 2x-capacity arrival burst against bounded queues;
   drop-tail sheds must be accounted and the log must still drain.
-* ``slow-store`` — a latency spike on the store links while the entry NF
-  does a blocking read per packet; the client circuit breaker must trip
-  and degrade reads to the stale cache (Table 1) instead of collapsing.
+* ``slow-store`` — a latency spike on the store links (its fault
+  schedule) while the entry NF does a blocking read per packet; the
+  client circuit breaker must trip and degrade reads to the stale cache
+  (Table 1) instead of collapsing.
 * ``flash-crowd`` — the flow population jumps 10x at 1.5x capacity; with
   the autoscaler on, goodput recovers via a real Figure-4 scale-out.
+* ``store-hot`` — a write-heavy chain saturates its one store node; with
+  the autoscaler on, a vertex is re-homed onto a fresh store replica.
 
 Every scenario runs with the autoscaler either off (graceful degradation)
-or on (elastic recovery); :func:`measure_load_point` supports the
-goodput-vs-offered-load knee sweep. :data:`FAMILY` declares both to the
-shared harness (:mod:`repro.parallel.campaign`, ``tools/campaign.py
-overload``), which writes ``BENCH_overload.json``.
+or on (elastic recovery: :func:`autoscaled`); :func:`measure_load_point`
+supports the goodput-vs-offered-load knee sweep. :data:`FAMILY` declares
+both to the shared harness (:mod:`repro.parallel.campaign`,
+``tools/campaign.py overload``), which writes ``BENCH_overload.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.chaos.campaign import DisturbedRun, ScenarioSpec, check_scenario, disturbed_run
 from repro.chaos.counters import EntryCounterNF, SinkCounterNF
-from repro.chaos.invariants import (
-    InvariantViolation,
-    check_invariants,
-    egress_records,
-)
+from repro.chaos.invariants import InvariantViolation, egress_records
+from repro.chaos.schedule import LatencySpike, Schedule
 from repro.core.autoscaler import AutoscaleController
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
@@ -54,8 +59,8 @@ CAPACITY_PPS_US = N_WORKERS / ENTRY_PROC_US  # packets per µs
 DRAIN_US = 60_000.0
 
 # Autoscaler tuning for an autoscaled run (the scale-up trigger is per
-# scenario, ``OverloadSpec.scale_queue_threshold``): scale down below this
-# backlog, and never past this many instances of a vertex.
+# scenario, build_runtime's ``scale_queue_threshold``): scale down below
+# this backlog, and never past this many instances of a vertex.
 SCALE_LOW_THRESHOLD = 4
 MAX_INSTANCES = 3
 # Store-tier elasticity (DESIGN.md §8): scale out after STORE_WINDOWS_OVER
@@ -95,7 +100,7 @@ class MidCounterNF(EntryCounterNF):
 # --- load shapes --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadPhase:
     """One segment of the offered-load profile."""
 
@@ -104,133 +109,89 @@ class LoadPhase:
     n_flows: int
 
 
-@dataclass
-class StoreSpike:
-    """A latency overlay on all store traffic for a window."""
+CAPACITY_GAP_US = 1.0 / CAPACITY_PPS_US
 
-    at_us: float
-    extra_latency_us: float
-    duration_us: float
-
-
-@dataclass
-class OverloadSpec:
-    """A named overload pattern plus its runtime configuration."""
-
-    name: str
-    description: str
-    phases: List[LoadPhase]
-    read_through: bool = False
-    store_spike: Optional[StoreSpike] = None
-    runtime_overrides: Dict[str, Any] = field(default_factory=dict)
-    # the autoscaler's scale-up backlog when enabled for a run
-    scale_queue_threshold: int = 48
-    # store-side elasticity (DESIGN.md §8): an extra store-heavy vertex in
-    # the chain and, when autoscaled, the rejection-hysteresis scale-out of
-    # the store tier up to ``max_stores`` nodes
-    store_heavy: bool = False
-    max_stores: int = 2
-
-    @property
-    def horizon_us(self) -> float:
-        return sum(phase.duration_us for phase in self.phases) + DRAIN_US
+BURST = (
+    LoadPhase(600.0, CAPACITY_GAP_US / 0.7, 6),    # 0.7x warm-up
+    LoadPhase(1_200.0, CAPACITY_GAP_US / 2.0, 6),  # 2x burst
+    LoadPhase(600.0, CAPACITY_GAP_US / 0.7, 6),    # cool-down
+)
+# Read-through capacity is ~n_workers / store RTT (~28µs): ~0.14 pkt/µs.
+# Offer ~0.7x of that throughout; the spike, not the load, is the fault.
+SLOW_STORE = (LoadPhase(3_000.0, 10.0, 6),)
+# With store_op_service_us=16 the store's capacity is 4 threads / 16µs
+# = 0.25 ops/µs; the plateau's three shared-counter updates per packet
+# offer ~0.3 ops/µs, so the store — not the NF CPUs (entry capacity is
+# 1 pkt/µs) — is the saturated resource and admission control sheds.
+STORE_HOT = (
+    LoadPhase(600.0, 14.0, 6),    # warm-up under store capacity
+    LoadPhase(1_500.0, 10.0, 6),  # store-saturating plateau
+    LoadPhase(600.0, 30.0, 6),    # cool-down: backlog drains
+)
+FLASH_CROWD = (
+    LoadPhase(600.0, CAPACITY_GAP_US / 0.7, 6),    # 0.7x over 6 flows
+    LoadPhase(1_500.0, CAPACITY_GAP_US / 1.5, 60),  # 1.5x over 60 flows
+    LoadPhase(600.0, CAPACITY_GAP_US / 0.7, 6),
+)
 
 
-def _burst(_seed: int) -> List[LoadPhase]:
-    cap_gap = 1.0 / CAPACITY_PPS_US
-    return [
-        LoadPhase(600.0, cap_gap / 0.7, 6),   # 0.7x warm-up
-        LoadPhase(1_200.0, cap_gap / 2.0, 6),  # 2x burst
-        LoadPhase(600.0, cap_gap / 0.7, 6),   # cool-down
-    ]
+def inject_phases(
+    sim: Simulator, runtime: ChainRuntime, phases: Sequence[LoadPhase]
+) -> Callable[[], int]:
+    """Start the phased source; returns how many packets it has injected."""
+    injected = 0
+
+    def source():
+        nonlocal injected
+        seq_per_flow: Dict[int, int] = {}
+        for phase in phases:
+            end = sim.now + phase.duration_us
+            index = 0
+            while sim.now < end:
+                flow = index % phase.n_flows
+                index += 1
+                seq_per_flow[flow] = seq_per_flow.get(flow, 0) + 1
+                packet = Packet(
+                    FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6),
+                    payload=f"f{flow}-{seq_per_flow[flow]}",
+                    # small frames: keep NIC serialization (~0.2µs @10G) off
+                    # the critical path so capacity is CPU-bound and the
+                    # queue-backlog scale trigger is the relevant signal
+                    size_bytes=250,
+                )
+                runtime.inject(packet)
+                injected += 1
+                yield sim.timeout(phase.gap_us)
+
+    sim.process(source(), name="overload-source")
+    return lambda: injected
 
 
-def _slow_store(_seed: int) -> List[LoadPhase]:
-    # Read-through capacity is ~n_workers / store RTT (~28µs): ~0.14 pkt/µs.
-    # Offer ~0.7x of that throughout; the spike, not the load, is the fault.
-    return [LoadPhase(3_000.0, 10.0, 6)]
+# --- chain --------------------------------------------------------------
 
 
-def _store_hot(_seed: int) -> List[LoadPhase]:
-    # With store_op_service_us=16 the store's capacity is 4 threads / 16µs
-    # = 0.25 ops/µs; the plateau's three shared-counter updates per packet
-    # offer ~0.3 ops/µs, so the store — not the NF CPUs (entry capacity is
-    # 1 pkt/µs) — is the saturated resource and admission control sheds.
-    return [
-        LoadPhase(600.0, 14.0, 6),    # warm-up under store capacity
-        LoadPhase(1_500.0, 10.0, 6),  # store-saturating plateau
-        LoadPhase(600.0, 30.0, 6),    # cool-down: backlog drains
-    ]
-
-
-def _flash_crowd(_seed: int) -> List[LoadPhase]:
-    cap_gap = 1.0 / CAPACITY_PPS_US
-    return [
-        LoadPhase(600.0, cap_gap / 0.7, 6),    # 0.7x over 6 flows
-        LoadPhase(1_500.0, cap_gap / 1.5, 60),  # 1.5x over 60 flows
-        LoadPhase(600.0, cap_gap / 0.7, 6),
-    ]
-
-
-SCENARIOS: Dict[str, OverloadSpec] = {
-    spec.name: spec
-    for spec in [
-        OverloadSpec(
-            name="overload-burst",
-            description="2x-capacity arrival burst against bounded queues",
-            phases=_burst(0),
-        ),
-        OverloadSpec(
-            name="slow-store",
-            description="store latency spike; breaker degrades reads to stale cache",
-            phases=_slow_store(0),
-            read_through=True,
-            store_spike=StoreSpike(
-                at_us=800.0, extra_latency_us=150.0, duration_us=1_200.0
-            ),
-            runtime_overrides=dict(breaker_enabled=True),
-            # read-through capacity is latency-bound; backlog never reaches
-            # the CPU-bound threshold, so keep the scale trigger low
-            scale_queue_threshold=24,
-        ),
-        OverloadSpec(
-            name="flash-crowd",
-            description="flow population jumps 10x at 1.5x capacity",
-            phases=_flash_crowd(0),
-        ),
-        OverloadSpec(
-            name="store-hot",
-            description=(
-                "write-heavy chain saturates one store node; elasticity "
-                "re-homes a vertex onto a fresh replica"
-            ),
-            phases=_store_hot(0),
-            store_heavy=True,
-            runtime_overrides=dict(
-                store_op_service_us=16.0,
-                store_inflight_limit=12,
-                store_overload_retry_us=40.0,
-            ),
-        ),
-    ]
-}
-
-# package-level alias: distinguishes these from the fault-injection
-# SCENARIOS in repro.chaos.campaign when both are imported together
-OVERLOAD_SCENARIOS = SCENARIOS
-
-
-# --- runner -------------------------------------------------------------
-
-
-def build_overload_runtime(
-    sim: Simulator, seed: int, spec: OverloadSpec, autoscale: bool
+def build_runtime(
+    sim: Simulator,
+    seed: int,
+    *,
+    read_through: bool = False,
+    store_heavy: bool = False,
+    autoscale: bool = False,
+    scale_queue_threshold: int = 48,
+    max_stores: int = 2,
+    **overrides,
 ) -> ChainRuntime:
+    """entry -> exit, or entry -> mid -> exit (a second store-heavy tenant)
+    when ``store_heavy``; ``read_through`` makes the entry block on a read.
+
+    With ``autoscale``, ``runtime.autoscaler`` (else None) scales a vertex
+    out past a backlog of ``scale_queue_threshold`` and, when
+    ``store_heavy``, the store tier up to ``max_stores`` nodes (§8)."""
     chain = LogicalChain("overload")
-    entry_nf = ReadThroughEntryNF if spec.read_through else EntryCounterNF
+    entry_nf = ReadThroughEntryNF if read_through else EntryCounterNF
     scaling = (
         default_scaling_logic(
-            queue_threshold=spec.scale_queue_threshold,
+            queue_threshold=scale_queue_threshold,
             low_threshold=SCALE_LOW_THRESHOLD,
             settle_intervals=5,
         )
@@ -239,7 +200,7 @@ def build_overload_runtime(
     )
     chain.add_vertex("entry", entry_nf, entry=True, scaling_logic=scaling)
     proc_overrides = {"entry": ENTRY_PROC_US, "exit": 2.0}
-    if spec.store_heavy:
+    if store_heavy:
         chain.add_vertex("mid", MidCounterNF)
         chain.add_vertex("exit", SinkCounterNF)
         chain.add_edge("entry", "mid")
@@ -257,37 +218,105 @@ def build_overload_runtime(
         nic_queue_limit=128,
         store_inflight_limit=48,
     )
-    params.update(spec.runtime_overrides)
-    return ChainRuntime(sim, chain, params=RuntimeParams(**params))
+    params.update(overrides)
+    runtime = ChainRuntime(sim, chain, params=RuntimeParams(**params))
+    runtime.autoscaler = None
+    if autoscale:
+        runtime.start_vertex_managers(interval_us=50.0)
+        runtime.autoscaler = AutoscaleController(
+            runtime,
+            min_instances=1,
+            max_instances=MAX_INSTANCES,
+            cooldown_us=1_500.0,
+        )
+        if store_heavy:
+            runtime.autoscaler.enable_store_elasticity(
+                rejection_threshold=STORE_REJECTION_THRESHOLD,
+                window_us=STORE_WINDOW_US,
+                windows_over=STORE_WINDOWS_OVER,
+                max_stores=max_stores,
+            )
+    return runtime
 
 
-def _inject_phases(sim: Simulator, runtime: ChainRuntime, spec: OverloadSpec):
-    """Start the phased source; returns a mutable counter dict."""
-    counters = {"injected": 0}
+# --- scenarios ----------------------------------------------------------
 
-    def source():
-        seq_per_flow: Dict[int, int] = {}
-        for phase in spec.phases:
-            end = sim.now + phase.duration_us
-            index = 0
-            while sim.now < end:
-                flow = index % phase.n_flows
-                index += 1
-                seq_per_flow[flow] = seq_per_flow.get(flow, 0) + 1
-                packet = Packet(
-                    FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6),
-                    payload=f"f{flow}-{seq_per_flow[flow]}",
-                    # small frames: keep NIC serialization (~0.2µs @10G) off
-                    # the critical path so capacity is CPU-bound and the
-                    # queue-backlog scale trigger is the relevant signal
-                    size_bytes=250,
-                )
-                runtime.inject(packet)
-                counters["injected"] += 1
-                yield sim.timeout(phase.gap_us)
 
-    sim.process(source(), name="overload-source")
-    return counters
+def overload_scenario(
+    name: str,
+    description: str,
+    phases: Sequence[LoadPhase],
+    build_schedule: Optional[Callable[[int], Schedule]] = None,
+    runtime_overrides: Optional[Dict[str, Any]] = None,
+    **chain: Any,
+) -> ScenarioSpec:
+    """A spec on :func:`build_runtime` (``chain``: its keywords) offering
+    ``phases`` and running ``DRAIN_US`` past them, autoscaler off."""
+    return ScenarioSpec(
+        name=name,
+        description=description,
+        build_schedule=build_schedule,
+        build_runtime=partial(build_runtime, **chain),
+        workload=partial(inject_phases, phases=tuple(phases)),
+        horizon_us=sum(phase.duration_us for phase in phases) + DRAIN_US,
+        runtime_overrides=runtime_overrides or {},
+    )
+
+
+def autoscaled(spec: ScenarioSpec) -> ScenarioSpec:
+    """``spec`` with the autoscaler on (elastic recovery)."""
+    return replace(spec, build_runtime=partial(spec.build_runtime, autoscale=True))
+
+
+def _store_spike(_seed: int) -> Schedule:
+    """150 µs more latency each way on the store's links for 1.2 ms."""
+    spike = dict(at_us=800.0, extra_latency_us=150.0, duration_us=1_200.0)
+    return Schedule(
+        [LatencySpike(dst="store0", **spike), LatencySpike(src="store0", **spike)]
+    )
+
+
+SCENARIOS: Dict[str, ScenarioSpec] = {
+    spec.name: spec
+    for spec in [
+        overload_scenario(
+            "overload-burst",
+            "2x-capacity arrival burst against bounded queues",
+            BURST,
+        ),
+        overload_scenario(
+            "slow-store",
+            "store latency spike; breaker degrades reads to stale cache",
+            SLOW_STORE,
+            build_schedule=_store_spike,
+            runtime_overrides=dict(breaker_enabled=True),
+            read_through=True,
+            # read-through capacity is latency-bound; backlog never reaches
+            # the CPU-bound threshold, so keep the scale trigger low
+            scale_queue_threshold=24,
+        ),
+        overload_scenario(
+            "flash-crowd",
+            "flow population jumps 10x at 1.5x capacity",
+            FLASH_CROWD,
+        ),
+        overload_scenario(
+            "store-hot",
+            "write-heavy chain saturates one store node; elasticity "
+            "re-homes a vertex onto a fresh replica",
+            STORE_HOT,
+            runtime_overrides=dict(
+                store_op_service_us=16.0,
+                store_inflight_limit=12,
+                store_overload_retry_us=40.0,
+            ),
+            store_heavy=True,
+        ),
+    ]
+}
+
+
+# --- measurements -------------------------------------------------------
 
 
 @dataclass
@@ -314,50 +343,11 @@ class OverloadOutcome:
         return not self.violations
 
 
-def run_overload_scenario(
-    spec: OverloadSpec,
-    seed: int,
-    autoscale: bool = False,
-    collect_runtime: Optional[Callable] = None,
-) -> OverloadOutcome:
-    sim = Simulator()
-    runtime = build_overload_runtime(sim, seed, spec, autoscale)
-    controller = None
-    if autoscale:
-        runtime.start_vertex_managers(interval_us=50.0)
-        controller = AutoscaleController(
-            runtime,
-            min_instances=1,
-            max_instances=MAX_INSTANCES,
-            cooldown_us=1_500.0,
-        )
-        if spec.store_heavy:
-            controller.enable_store_elasticity(
-                rejection_threshold=STORE_REJECTION_THRESHOLD,
-                window_us=STORE_WINDOW_US,
-                windows_over=STORE_WINDOWS_OVER,
-                max_stores=spec.max_stores,
-            )
-    if spec.store_spike is not None:
-        for store in runtime.stores:
-            runtime.network.degrade(
-                dst=store.name,
-                extra_latency_us=spec.store_spike.extra_latency_us,
-                start=spec.store_spike.at_us,
-                duration_us=spec.store_spike.duration_us,
-            )
-            runtime.network.degrade(
-                src=store.name,
-                extra_latency_us=spec.store_spike.extra_latency_us,
-                start=spec.store_spike.at_us,
-                duration_us=spec.store_spike.duration_us,
-            )
-    counters = _inject_phases(sim, runtime, spec)
-    sim.run(until=spec.horizon_us)
-    if collect_runtime is not None:
-        collect_runtime(runtime)
-
-    injected = counters["injected"]
+def measure(run: DisturbedRun) -> OverloadOutcome:
+    """Check a finished overload run with the one battery (no reference:
+    ``sheds-accounted`` stands in for the loss-free diff) and measure it."""
+    runtime = run.runtime
+    injected = run.injected
     egressed = len({p for p, _ in egress_records(runtime) if p is not None})
     sheds = {
         cause: count
@@ -371,10 +361,11 @@ def run_overload_scenario(
         for i in runtime.instances.values()
         if i.client.breaker is not None
     )
+    controller = runtime.autoscaler
     return OverloadOutcome(
-        scenario=spec.name,
-        seed=seed,
-        autoscale=autoscale,
+        scenario=run.spec.name,
+        seed=run.seed,
+        autoscale=controller is not None,
         injected=injected,
         egressed=egressed,
         sheds=sheds,
@@ -389,7 +380,7 @@ def run_overload_scenario(
         ),
         breaker_opens=breaker_opens,
         autoscaler=controller.report() if controller is not None else None,
-        violations=check_invariants(runtime, injected=injected),
+        violations=check_scenario(run).violations,
     )
 
 
@@ -410,12 +401,12 @@ def measure_load_point(
     1.0 with the autoscaler off and move right when it is on.
     """
     gap = 1.0 / (CAPACITY_PPS_US * multiplier)
-    spec = OverloadSpec(
-        name=f"load-{multiplier}x",
-        description="steady-load knee measurement point",
-        phases=[LoadPhase(duration_us, gap, n_flows)],
+    spec = overload_scenario(
+        f"load-{multiplier}x",
+        "steady-load knee measurement point",
+        [LoadPhase(duration_us, gap, n_flows)],
     )
-    outcome = run_overload_scenario(spec, seed, autoscale=autoscale)
+    outcome = measure(disturbed_run(autoscaled(spec) if autoscale else spec, seed))
     return {
         "multiplier": multiplier,
         "autoscale": autoscale,
@@ -530,9 +521,8 @@ class OverloadFamily(CampaignFamily):
             multiplier, autoscale = item.variant
             point = measure_load_point(multiplier, autoscale, seed=item.seed)
             return KneePoint(item.scenario, item.seed, point)
-        return run_overload_scenario(
-            self.scenarios[item.scenario], item.seed, autoscale=item.variant
-        )
+        spec = self.scenarios[item.scenario]
+        return measure(disturbed_run(autoscaled(spec) if item.variant else spec, item.seed))
 
     def status(self, outcome: Any) -> str:
         row = outcome.point if isinstance(outcome, KneePoint) else vars(outcome)

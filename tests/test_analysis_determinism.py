@@ -14,12 +14,7 @@ import json
 
 import pytest
 
-from repro.analysis.campaign import (
-    FAMILY,
-    RUNS,
-    chaos_digest,
-    overload_digest,
-)
+from repro.analysis.campaign import FAMILY, RUNS, chaos_digest
 from repro.analysis.determinism import (
     ENGINE_COUNTERS,
     _canon,
@@ -109,7 +104,7 @@ class TestSameSeedDigests:
 
     def test_overload_run_digests_identically_per_seed(self):
         spec = FAMILY.scenarios["overload:overload-burst"]
-        assert overload_digest(spec, 3) == overload_digest(spec, 3)
+        assert chaos_digest(spec, 3) == chaos_digest(spec, 3)
 
     def test_ops_run_digests_identically_per_seed(self):
         """A rolling upgrade under new flows: Figure-4 moves, run twice."""

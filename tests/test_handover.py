@@ -11,9 +11,9 @@ import os
 
 import pytest
 
-from repro.chaos.campaign import run_scenario
+from repro.chaos.campaign import disturbed_run, run_scenario
 from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
-from repro.chaos.overload import run_overload_scenario
+from repro.chaos.overload import autoscaled
 from repro.core import handover
 from repro.core.chain_runtime import ChainRuntime
 from repro.core.dag import LogicalChain
@@ -221,12 +221,8 @@ def test_ops_digest_is_pinned(name, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", ["flash-crowd", "overload-burst"])
 def test_autoscaled_overload_digest_is_pinned(name, seed):
-    captured = []
-    run_overload_scenario(
-        OVERLOAD_SCENARIOS[name], seed, autoscale=True,
-        collect_runtime=lambda rt: captured.append(_halves(rt)),
-    )
-    assert captured[0] == PINNED_DIGESTS[f"overload/{name}/auto=true"][str(seed)]
+    runtime = disturbed_run(autoscaled(OVERLOAD_SCENARIOS[name]), seed).runtime
+    assert _halves(runtime) == PINNED_DIGESTS[f"overload/{name}/auto=true"][str(seed)]
 
 
 def test_scope_walk_digest_is_pinned():

@@ -39,7 +39,8 @@ from repro.chaos.invariants import (
     check_operation_converged,
     snapshot_run,
 )
-from repro.chaos.overload import ENTRY_PROC_US, OVERLOAD_SCENARIOS, build_overload_runtime
+from repro.chaos.overload import ENTRY_PROC_US
+from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
 from repro.chaos.schedule import CrashNF, Schedule
 from repro.core.autoscaler import AutoscaleController
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
@@ -472,9 +473,7 @@ class TestHotReload:
         # ENTRY_PROC_US, exit at 2.0): a reload of the default touches
         # neither, and an instance added later runs beside its siblings
         sim = Simulator()
-        runtime = build_overload_runtime(
-            sim, 0, OVERLOAD_SCENARIOS["overload-burst"], autoscale=False
-        )
+        runtime = OVERLOAD_SCENARIOS["overload-burst"].build_runtime(sim, 0)
         director = MaintenanceDirector(runtime)
         own = {iid: i.proc_time_us for iid, i in runtime.instances.items()}
         assert own == {"entry-0": ENTRY_PROC_US, "exit-0": 2.0}

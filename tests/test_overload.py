@@ -1,17 +1,15 @@
 """Overload resilience (§8): bounded queues, backpressure, admission
 control, the circuit breaker, and the closed-loop autoscaler."""
 
-import dataclasses
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from repro.chaos.campaign import EntryCounterNF, SinkCounterNF, build_runtime
+from repro.chaos.campaign import EntryCounterNF, SinkCounterNF, build_runtime, disturbed_run
 from repro.chaos.invariants import check_sheds_accounted
-from repro.chaos.overload import (
-    OVERLOAD_SCENARIOS,
-    measure_load_point,
-    run_overload_scenario,
-)
+from repro.chaos.overload import SCENARIOS, autoscaled, measure, measure_load_point
+from repro.chaos.schedule import CrashNF, Schedule
 from repro.analysis.runtime import sanitized
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
@@ -457,23 +455,23 @@ class TestCircuitBreaker:
         assert breaker._open_until > first_open_until
 
 
+def run_overload(spec, seed=0, autoscale=False):
+    """One overload run through the one driver, measured and checked."""
+    return measure(disturbed_run(autoscaled(spec) if autoscale else spec, seed))
+
+
 class TestStoreAdmission:
     def test_rejections_are_retried_not_lost(self):
-        spec = OVERLOAD_SCENARIOS["overload-burst"]
-        sim_spec = type(spec)(
-            name=spec.name,
-            description=spec.description,
-            phases=spec.phases,
+        spec = replace(
+            SCENARIOS["overload-burst"],
             runtime_overrides=dict(store_inflight_limit=2),
         )
-        outcome = run_overload_scenario(sim_spec, seed=0)
+        outcome = run_overload(spec)
         assert outcome.store_overload_rejections > 0
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
 
     def test_slow_store_degrades_to_stale_reads(self):
-        outcome = run_overload_scenario(
-            OVERLOAD_SCENARIOS["slow-store"], seed=0
-        )
+        outcome = run_overload(SCENARIOS["slow-store"])
         assert outcome.breaker_opens > 0
         assert outcome.stale_reads > 0
         assert outcome.goodput_ratio == 1.0  # stale path keeps capacity
@@ -511,22 +509,35 @@ class TestStoreAdmission:
 
 
 class TestOverloadScenarios:
-    @pytest.mark.parametrize("name", sorted(OVERLOAD_SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
     @pytest.mark.parametrize("autoscale", [False, True])
     def test_invariants_hold(self, name, autoscale):
-        outcome = run_overload_scenario(
-            OVERLOAD_SCENARIOS[name], seed=0, autoscale=autoscale
-        )
+        outcome = run_overload(SCENARIOS[name], autoscale=autoscale)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         assert outcome.injected > 0 and outcome.egressed > 0
 
     def test_burst_sheds_are_accounted(self):
-        outcome = run_overload_scenario(
-            OVERLOAD_SCENARIOS["overload-burst"], seed=0
-        )
+        outcome = run_overload(SCENARIOS["overload-burst"])
         assert sum(outcome.sheds.values()) > 0  # 2x burst must shed
         # accounting identity: injected == egressed + ledgered sheds
         assert outcome.injected == outcome.egressed + sum(outcome.sheds.values())
+
+    def test_nf_crash_under_overload_is_recovered_and_accounted(self):
+        """A fault schedule overlays an overload run like any scenario's:
+        the entry NF crashes mid-burst, the supervisor fails it over, and
+        every injected packet still egresses or is in the drop ledger."""
+        spec = replace(
+            SCENARIOS["overload-burst"],
+            build_schedule=lambda _seed: Schedule([CrashNF(at_us=1200.0, vertex="entry")]),
+        )
+        run = disturbed_run(spec, 0)
+        outcome = measure(run)
+        (record,) = run.supervisor.records
+        assert record.kind == "nf" and record.ok
+        # the workload reported its count, so the battery ran sheds-accounted
+        assert run.injected == outcome.injected > 0
+        assert outcome.ok, [v.as_dict() for v in outcome.violations]
+        assert outcome.sheds["endpoint_down"] > 0  # the crash did hit traffic
 
     def test_sheds_accounted_checker_catches_silent_loss(self):
         sim = Simulator()
@@ -538,9 +549,9 @@ class TestOverloadScenarios:
 
 class TestAutoscaler:
     def test_scale_out_recovers_goodput(self):
-        spec = OVERLOAD_SCENARIOS["overload-burst"]
-        base = run_overload_scenario(spec, seed=0, autoscale=False)
-        elastic = run_overload_scenario(spec, seed=0, autoscale=True)
+        spec = SCENARIOS["overload-burst"]
+        base = run_overload(spec, autoscale=False)
+        elastic = run_overload(spec, autoscale=True)
         assert elastic.ok and base.ok
         assert elastic.autoscaler["scale_outs"] >= 1
         out = [a for a in elastic.autoscaler["actions"] if a["kind"] == "scale_out"]
@@ -548,9 +559,7 @@ class TestAutoscaler:
         assert elastic.goodput_ratio > base.goodput_ratio
 
     def test_scale_in_drains_and_retires(self):
-        outcome = run_overload_scenario(
-            OVERLOAD_SCENARIOS["overload-burst"], seed=0, autoscale=True
-        )
+        outcome = run_overload(SCENARIOS["overload-burst"], autoscale=True)
         assert outcome.ok
         assert outcome.autoscaler["scale_ins"] >= 1
         ins = [a for a in outcome.autoscaler["actions"] if a["kind"] == "scale_in"]
@@ -570,9 +579,9 @@ class TestStoreElasticity:
     re-homed onto a fresh replica, and the rejection rate drops."""
 
     def test_rejections_drop_after_store_scale_out(self):
-        spec = OVERLOAD_SCENARIOS["store-hot"]
-        base = run_overload_scenario(spec, seed=0, autoscale=False)
-        elastic = run_overload_scenario(spec, seed=0, autoscale=True)
+        spec = SCENARIOS["store-hot"]
+        base = run_overload(spec, autoscale=False)
+        elastic = run_overload(spec, autoscale=True)
         assert base.ok, [v.as_dict() for v in base.violations]
         assert elastic.ok, [v.as_dict() for v in elastic.violations]
         # degradation run: sustained admission-control rejections, no loss
@@ -592,14 +601,10 @@ class TestStoreElasticity:
         )
 
     def test_scale_out_re_homes_exactly_one_vertex(self):
-        spec = OVERLOAD_SCENARIOS["store-hot"]
-        collected = {}
-        outcome = run_overload_scenario(
-            spec, seed=0, autoscale=True,
-            collect_runtime=lambda rt: collected.update(rt=rt),
-        )
+        run = disturbed_run(autoscaled(SCENARIOS["store-hot"]), 0)
+        outcome = measure(run)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
-        runtime = collected["rt"]
+        runtime = run.runtime
         assert len(runtime.stores) == 2
         original, replica = runtime.stores
         action = next(
@@ -627,9 +632,9 @@ class TestStoreElasticity:
     def test_single_tenant_store_is_not_split(self):
         # overload-burst chains entry+exit onto one store, but with
         # max_stores=1 the watcher must skip rather than thrash
-        spec = OVERLOAD_SCENARIOS["store-hot"]
-        capped = dataclasses.replace(spec, max_stores=1)
-        outcome = run_overload_scenario(capped, seed=0, autoscale=True)
+        spec = autoscaled(SCENARIOS["store-hot"])
+        capped = replace(spec, build_runtime=partial(spec.build_runtime, max_stores=1))
+        outcome = run_overload(capped)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         assert outcome.autoscaler["store_scale_outs"] == 0
         assert outcome.autoscaler["store_skipped"] > 0

@@ -29,7 +29,7 @@ import pytest
 
 from repro.chaos.campaign import ScenarioSpec
 from repro.chaos.invariants import InvariantViolation
-from repro.chaos.overload import OverloadSpec
+from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
 from repro.ops.campaign import SCENARIOS as OPS_SCENARIOS
 from repro.parallel.merge import RunFailure, merge_sanitizer_reports, payloads_equal_modulo_meta
 from repro.parallel.pool import CampaignPool, InfraFailure, resolve_jobs
@@ -95,35 +95,15 @@ def _raising(_seed):
 # the shared runner through every family's own ``run``.
 
 
-class _HookedPhases(list):
-    """OverloadSpec has no callable field; its phase list is iterated as
-    soon as the run starts."""
-
-    def __init__(self, hook):
-        super().__init__()
-        self.hook = hook
-
-    def __iter__(self):
-        self.hook(0)
-        return super().__iter__()
-
-
 def _chaos_spec(name, hook):
     return ScenarioSpec(name=name, description="test scenario", build_schedule=hook)
 
 
-def _overload_spec(name, hook):
-    return OverloadSpec(name=name, description="test scenario", phases=_HookedPhases(hook))
-
-
-def _ops_spec(name, hook):
-    """A ScenarioSpec on the ops chain: hot-reload's plan, ``hook`` as its
-    fault overlay."""
-    return replace(
-        OPS_SCENARIOS["hot-reload"],
-        name=name,
-        description="test scenario",
-        build_schedule=hook,
+def _overlay(base):
+    """A spec factory: ``base``'s chain, traffic and plan with ``hook`` as
+    the fault schedule."""
+    return lambda name, hook: replace(
+        base, name=name, description="test scenario", build_schedule=hook
     )
 
 
@@ -131,8 +111,8 @@ def _ops_spec(name, hook):
 #: (scenario, seed): overload runs each with the autoscaler off and on)
 FAMILY_CASES = {
     "chaos": ("nf-crash", _chaos_spec, 1),
-    "overload": ("slow-store", _overload_spec, 2),
-    "ops": ("rolling-upgrade", _ops_spec, 1),
+    "overload": ("slow-store", _overlay(OVERLOAD_SCENARIOS["slow-store"]), 2),
+    "ops": ("rolling-upgrade", _overlay(OPS_SCENARIOS["hot-reload"]), 1),
     # one item = the same-seed runs of one chaos or overload scenario
     "determinism": ("chaos:nf-crash", _chaos_spec, 1),
 }

@@ -19,10 +19,10 @@ from repro.analysis.determinism import (
     observable_digest,
     require_no_crash,
 )
-from repro.chaos.campaign import run_scenario
+from repro.chaos.campaign import disturbed_run, run_scenario
 from repro.chaos.director import ChaosDirector
 from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
-from repro.chaos.overload import run_overload_scenario
+from repro.chaos.overload import autoscaled
 from repro.core.autoscaler import AutoscaleController
 from repro.ops.director import MaintenanceDirector
 from repro.ops.campaign import SCENARIOS, build_runtime
@@ -323,9 +323,5 @@ def test_store_replace_digest_matches_parent(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_store_hot_scale_out_digest_matches_parent(seed):
-    captured = []
-    run_overload_scenario(
-        OVERLOAD_SCENARIOS["store-hot"], seed, autoscale=True,
-        collect_runtime=lambda rt: captured.append(_halves(rt)),
-    )
-    assert captured[0] == PARENT_DIGESTS["overload/store-hot/auto=true"][str(seed)]
+    runtime = disturbed_run(autoscaled(OVERLOAD_SCENARIOS["store-hot"]), seed).runtime
+    assert _halves(runtime) == PARENT_DIGESTS["overload/store-hot/auto=true"][str(seed)]
