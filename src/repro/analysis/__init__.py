@@ -1,6 +1,6 @@
 """Correctness tooling for the CHC reproduction (DESIGN.md §9).
 
-Three layers, all optional at runtime:
+Four layers, all optional at runtime:
 
 - :mod:`repro.analysis.lint` — **chclint**, an AST lint pass enforcing the
   house rules every CHC guarantee rests on (seeded randomness, virtual
@@ -15,6 +15,9 @@ Three layers, all optional at runtime:
   BENCH_* trustworthiness; :mod:`repro.analysis.campaign` runs every
   chaos and overload scenario twice per seed and compares them
   (``tools/campaign.py determinism``).
+- :mod:`repro.analysis.ideal` — the ideal chain of the paper's chain
+  output equivalence, executed directly: the reference chaos, ops and
+  dist runs are checked against.
 
 Only :mod:`repro.analysis.runtime` is imported by product modules; it is
 stdlib-only, so the hooks add no import weight and no cycles.

@@ -13,7 +13,9 @@ iteration, a wall-clock read, a process-global counter leaking into
 routing. Each scenario's row also records its digest per seed and
 whether different seeds digest differently (``seed_sensitive``): a
 scenario that ignores its seed is one experiment however many seeds it
-is run under.
+is run under. The ideal chain :func:`~repro.chaos.campaign.run_scenario`
+checks a run against is not taken here: it runs no simulator, so it has
+nothing a seed could move.
 
 :data:`FAMILY` declares the family to the shared harness
 (:mod:`repro.parallel.campaign`, ``tools/campaign.py determinism``),
@@ -41,7 +43,7 @@ RUNS = 2
 
 def chaos_digest(spec: chaos.ScenarioSpec, seed: int) -> str:
     """Digest one run of ``spec`` under ``seed``: the disturbed run alone —
-    no clean reference run, no invariant check."""
+    no ideal-chain reference, no invariant check."""
     return checked_digest(chaos.disturbed_run(spec, seed).runtime)
 
 
@@ -76,7 +78,7 @@ class DeterminismFamily(CampaignFamily):
         **{f"ops:{name}": spec for name, spec in ops.SCENARIOS.items()},
     }
 
-    def run(self, item: WorkItem, reference: Any) -> DeterminismOutcome:
+    def run(self, item: WorkItem) -> DeterminismOutcome:
         spec = self.scenarios[item.scenario]
         digests = [chaos_digest(spec, item.seed) for _ in range(RUNS)]
         violations = []

@@ -30,11 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - the lazy import avoids a cycle
 ACTIVE: Optional["SanitizerSuite"] = None
 
 
-def active():
-    """Return the installed suite, or ``None``."""
-    return ACTIVE
-
-
 def install(suite):
     """Install ``suite`` as the process-wide sanitizer suite."""
     global ACTIVE

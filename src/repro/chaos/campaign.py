@@ -9,9 +9,9 @@ profile the run must satisfy: a fault schedule, a maintenance plan
 :class:`~repro.core.supervisor.Supervisor` always attached and a
 :class:`~repro.ops.director.MaintenanceDirector` when there is a plan;
 :func:`check_scenario` checks the run with
-:func:`repro.chaos.invariants.check_invariants`, against a clean
-reference (:func:`clean_run`) when given one. :func:`run_scenario` is
-both halves (chaos and ops).
+:func:`repro.chaos.invariants.check_invariants`, against a reference when
+given one. :func:`run_scenario` is both halves (chaos and ops), against
+the ideal chain (:func:`ideal_reference`).
 
 The chaos workload is a two-vertex chain (per-flow + cross-flow state at
 the entry, cross-flow state at the sink; the NFs are in
@@ -31,15 +31,16 @@ seeds x scenarios; the family aggregates recovery-time distributions
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.analysis.ideal import ideal_run
 from repro.chaos.counters import EntryCounterNF, SinkCounterNF
 from repro.chaos.director import ChaosDirector, DetectionModel
 from repro.chaos.invariants import (
     InvariantViolation,
     RunSnapshot,
     check_invariants,
-    snapshot_run,
 )
 from repro.chaos.schedule import (
     CrashNF,
@@ -128,12 +129,12 @@ class ScenarioSpec:
     #: maintenance plan: a generator run as a sim process; paces itself and
     #: drives the :class:`~repro.ops.director.MaintenanceDirector`
     operations: Optional[Callable[[MaintenanceDirector], Generator]] = None
-    #: the chain, and the traffic for this scenario and for the reference
-    #: run it is checked against; a workload may return a callable giving
+    #: the chain, and the traffic for this scenario and for the ideal
+    #: chain it is checked against; a workload may return a callable giving
     #: how many packets it injected, all of which must then be accounted
     build_runtime: Callable[..., ChainRuntime] = build_runtime
     workload: Callable[[Simulator, ChainRuntime], Optional[Callable[[], int]]] = inject_workload
-    #: simulated time both the disturbed and the reference run stop at
+    #: simulated time the disturbed run and the recorded workload stop at
     horizon_us: float = HORIZON_US
     loss_allowance: int = 0
     expect_log_drained: bool = True
@@ -143,7 +144,7 @@ class ScenarioSpec:
     #: stall-free)
     downtime_floor: Optional[int] = 1
     #: vertices whose state keys are excluded from the loss-free diff
-    #: (topology edits make them exist in only one of the two runs)
+    #: (topology edits make them exist in only one of the run and the ideal)
     exclude_vertices: Tuple[str, ...] = ()
     runtime_overrides: Dict[str, Any] = field(default_factory=dict)
 
@@ -260,31 +261,16 @@ class ScenarioOutcome:
         return not self.violations
 
 
-def clean_run(seed: int, spec: ScenarioSpec) -> RunSnapshot:
-    """The undisturbed run of ``spec``'s chain and workload that its
-    disturbed runs are checked against."""
+def ideal_reference(spec: ScenarioSpec, seed: int) -> RunSnapshot:
+    """The ideal chain's run of ``spec``: the chain ``build_runtime``
+    builds, before any topology edit, over the packets ``workload``
+    injects by ``horizon_us`` (recorded in a bare simulator)."""
+    chain = spec.build_runtime(Simulator(), seed, **spec.runtime_overrides).chain
     sim = Simulator()
-    runtime = spec.build_runtime(sim, seed, **spec.runtime_overrides)
-    spec.workload(sim, runtime)
+    packets: List[Packet] = []
+    spec.workload(sim, SimpleNamespace(inject=packets.append))
     sim.run(until=spec.horizon_us)
-    return snapshot_run(runtime)
-
-
-#: Per-process reference-run cache: one clean run per (chain, workload,
-#: horizon, config, ref-seed), computed lazily inside whichever process
-#: needs it. Fork-spawned workers inherit the parent's warm entries; the cache is
-#: deterministic (a reference run is a pure function of its key), so
-#: sharing it across campaigns in one process is safe.
-_REFERENCE_CACHE: Dict[Tuple, RunSnapshot] = {}
-
-
-def cached_reference(spec: ScenarioSpec, ref_seed: int) -> RunSnapshot:
-    """``clean_run(ref_seed, spec)``, at most once per process."""
-    config = repr(sorted(spec.runtime_overrides.items()))
-    key = (spec.build_runtime, spec.workload, spec.horizon_us, config, ref_seed)
-    if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = clean_run(ref_seed, spec)
-    return _REFERENCE_CACHE[key]
+    return ideal_run(chain, packets)
 
 
 @dataclass
@@ -336,8 +322,8 @@ def disturbed_run(
 def check_scenario(
     run: DisturbedRun, reference: Optional[RunSnapshot] = None
 ) -> ScenarioOutcome:
-    """Check a disturbed run with the one invariant battery — against the
-    clean ``reference`` when there is one — and collect its recovery and
+    """Check a disturbed run with the one invariant battery — against
+    ``reference`` when there is one — and collect its recovery and
     operation figures."""
     spec, runtime, timeline, director = run.spec, run.runtime, run.timeline, run.director
     violations = check_invariants(
@@ -375,21 +361,15 @@ def run_scenario(
     spec: ScenarioSpec,
     seed: int,
     detection: Optional[DetectionModel] = None,
-    reference: Optional[RunSnapshot] = None,
     collect_runtime: Optional[Callable] = None,
 ) -> ScenarioOutcome:
-    """Run ``spec`` disturbed under ``seed`` and check invariants.
-
-    ``reference`` lets a campaign reuse one clean run per (scenario,
-    runtime-config) — the reference is seed-independent for these
-    workloads (injection times and identities are fixed; seeds only
-    perturb the disturbed run's failures and network randomness).
+    """Run ``spec`` disturbed under ``seed`` and check invariants against
+    the ideal chain (:func:`ideal_reference`).
 
     ``collect_runtime`` is called with the finished :class:`ChainRuntime`
     before it is checked.
     """
-    if reference is None:
-        reference = clean_run(seed, spec)
+    reference = ideal_reference(spec, seed)
     run = disturbed_run(spec, seed, detection)
     if collect_runtime is not None:
         collect_runtime(run.runtime)
@@ -408,33 +388,12 @@ def fig8_percentiles(samples: Sequence[float]) -> Dict[str, float]:
     }
 
 
-class ReferenceCheckedFamily(CampaignFamily):
-    """A family of :class:`ScenarioSpec` runs, each checked against a clean
-    reference run: one per (chain, workload, config, first seed of the
-    sweep), cached, serves every seed (see :func:`run_scenario`). Items
-    carry ``(ref_seed, detection)``."""
-
-    def items(self, names, seeds, variant) -> List[WorkItem]:
-        return super().items(names, seeds, (seeds[0], variant)) if seeds else []
-
-    def reference(self, item: WorkItem) -> RunSnapshot:
-        return cached_reference(self.scenarios[item.scenario], item.variant[0])
-
-    def run(self, item: WorkItem, reference: RunSnapshot) -> ScenarioOutcome:
-        _ref_seed, detection = item.variant
-        return run_scenario(
-            self.scenarios[item.scenario],
-            item.seed,
-            detection=detection,
-            reference=reference,
-        )
-
-
-class ChaosFamily(ReferenceCheckedFamily):
+class ChaosFamily(CampaignFamily):
     """Chaos campaign: N seeds x the fault scenarios, every run checked against
-    the correctness invariants (loss-free state, exactly-once externalization,
-    per-flow ordering, no stranded ownership, drained root logs, completed
-    recoveries); records recovery-time distributions in BENCH_recovery.json."""
+    the correctness invariants (state and egress equal to the ideal chain's,
+    exactly-once externalization, per-flow ordering, no stranded ownership,
+    drained root logs, completed recoveries); records recovery-time
+    distributions in BENCH_recovery.json."""
 
     name = "chaos"
     output = "BENCH_recovery.json"
@@ -462,6 +421,9 @@ class ChaosFamily(ReferenceCheckedFamily):
             "detection_us": args.detection_us,
             "detection_misses": args.detection_misses,
         }
+
+    def run(self, item: WorkItem) -> ScenarioOutcome:
+        return run_scenario(self.scenarios[item.scenario], item.seed, detection=item.variant)
 
     def aggregate(self, report: CampaignReport) -> Dict[str, Any]:
         rows: Dict[str, Any] = {}

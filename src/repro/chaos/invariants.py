@@ -4,8 +4,8 @@ Each checker encodes a guarantee the paper proves for CHC and returns a
 list of :class:`InvariantViolation` (empty = the guarantee held):
 
 * **loss-free state** (Theorems B.5.1–B.5.3): the chain's final store
-  state matches a clean reference run of the same workload — failures and
-  recoveries must not lose or corrupt state. Scenarios that *provably*
+  state matches the ideal chain's for the same packets — nothing may lose
+  or corrupt state, failures and recoveries included. Scenarios that *provably*
   lose a bounded set of packets (a locally-logged root crash drops the
   packets inside the root at that instant, Theorem B.3.1) pass a
   ``loss_allowance``: counters may trail the reference by at most that
@@ -31,13 +31,15 @@ list of :class:`InvariantViolation` (empty = the guarantee held):
 checked with — chaos, ops and overload scenarios alike, all run by the
 one driver (:func:`repro.chaos.campaign.disturbed_run`, checked by
 :func:`repro.chaos.campaign.check_scenario`); what it runs beyond the core
-depends on what the scenario brings (a reference run, a maintenance plan,
-a workload that reports its injected count).
+depends on what the scenario brings (a reference — a :class:`RunSnapshot`
+of :func:`repro.analysis.ideal.ideal_run`, never a second simulated run
+that would repeat the store path's faults — a maintenance plan, a
+workload that reports its injected count).
 
 Identity: the campaign workload stamps each injected packet's ``payload``
 with ``"f<flow>-<seq>"``. Unlike clocks, payload identities are stable
 across a root failover (the recovered clock resumes *past* the unpersisted
-window, footnote 5, so clock values diverge from the reference run).
+window, footnote 5, so clock values diverge from the reference's).
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ def egress_records(runtime) -> List[Tuple[Optional[str], int]]:
     ]
 
 
-def snapshot_run(runtime) -> RunSnapshot:
-    return RunSnapshot(state=chain_state(runtime), egress=egress_records(runtime))
-
-
 # ----------------------------------------------------------------------
 # individual checkers
 # ----------------------------------------------------------------------
@@ -101,7 +99,7 @@ def check_loss_free_state(
     reference: Dict[str, Any],
     loss_allowance: int = 0,
 ) -> List[InvariantViolation]:
-    """Final state equals the reference run's (Theorems B.5.1–B.5.3).
+    """Final state equals the reference's (Theorems B.5.1–B.5.3).
 
     With ``loss_allowance > 0``, integer-valued keys may trail the
     reference by at most the allowance (bounded, *provable* packet loss)
@@ -157,7 +155,7 @@ def check_egress_complete(
     loss_allowance: int = 0,
 ) -> List[InvariantViolation]:
     """Every reference packet leaves the chain (minus the allowance), and
-    nothing leaves that the reference run didn't produce."""
+    nothing leaves that the reference didn't produce."""
     violations: List[InvariantViolation] = []
     got = {payload for payload, _ in egress if payload is not None}
     expected = {payload for payload, _ in reference if payload is not None}
@@ -368,7 +366,7 @@ SHED_CAUSES = ("overload_queue", "nic_ring")
 
 
 def check_sheds_accounted(
-    runtime, injected: int, causes: Tuple[str, ...] = SHED_CAUSES
+    runtime, injected: int, loss_allowance: int = 0
 ) -> List[InvariantViolation]:
     """Every injected packet either left the chain or was *accounted* for.
 
@@ -377,16 +375,18 @@ def check_sheds_accounted(
     sheds, NIC ring tail-drops) or the root's at-threshold counter. A gap
     between ``injected`` and ``egressed + accounted`` is exactly the
     silent-loss bug class the backpressure layer exists to rule out.
+    Up to ``loss_allowance`` missing packets are forgiven, as in
+    :func:`check_egress_complete`; an over-count never is.
 
     Only valid after the run has quiesced (nothing still queued).
     """
     egressed = {
         payload for payload, _clock in egress_records(runtime) if payload is not None
     }
-    shed = sum(runtime.network.drops.get(cause, 0) for cause in causes)
+    shed = sum(runtime.network.drops.get(cause, 0) for cause in SHED_CAUSES)
     at_root = sum(root.stats.dropped_at_threshold for root in runtime.roots)
     accounted = len(egressed) + shed + at_root
-    if accounted == injected:
+    if 0 <= injected - accounted <= loss_allowance:
         return []
     direction = "vanished without a ledger entry" if accounted < injected else (
         "over-accounted (double-counted shed or duplicated egress)"
@@ -540,7 +540,7 @@ def check_invariants(
     root log. Each argument adds its checks:
 
     * ``reference`` — loss-free state and egress completeness against that
-      clean run, both within ``loss_allowance``; ``exclude_vertices``'
+      ideal-chain run, both within ``loss_allowance``; ``exclude_vertices``'
       state keys are left out of the state diff on both sides;
     * ``supervisor`` — membership forgives the instances it is still
       recovering, and every supervised recovery must have completed;
@@ -551,12 +551,12 @@ def check_invariants(
       completed (an abort is a correct *response* to a stuck gate, but a
       scenario's plan is expected to finish);
     * ``injected`` — every injected packet left the chain or is in the
-      drop ledger (overload, §8).
+      drop ledger (overload, §8), within ``loss_allowance``.
     """
     egress = egress_records(runtime)
     violations: List[InvariantViolation] = []
     if injected is not None:
-        violations += check_sheds_accounted(runtime, injected)
+        violations += check_sheds_accounted(runtime, injected, loss_allowance)
     violations += check_exactly_once(egress)
     violations += check_flow_ordering(egress)
     violations += check_ownership(runtime)

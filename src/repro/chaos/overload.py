@@ -10,7 +10,8 @@ everything that does get through, and no state may be lost or stranded.
 
 An overload scenario is a :class:`~repro.chaos.campaign.ScenarioSpec`
 (:func:`overload_scenario`) whose phased source reports what it injected,
-run by the one driver and checked with no reference run; a fault schedule
+run by the one driver and checked with no reference (its drop ledger
+stands in for the ideal chain, which does not shed); a fault schedule
 overlays it like any other. Four named scenarios:
 
 * ``overload-burst`` — a 2x-capacity arrival burst against bounded queues;
@@ -516,7 +517,7 @@ class OverloadFamily(CampaignFamily):
         ]
         return runs + knee
 
-    def run(self, item: WorkItem, reference: Any) -> Any:
+    def run(self, item: WorkItem) -> Any:
         if item.kind == "knee":
             multiplier, autoscale = item.variant
             point = measure_load_point(multiplier, autoscale, seed=item.seed)

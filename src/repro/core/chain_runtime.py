@@ -969,21 +969,6 @@ class ChainRuntime:
     # failure handling (chaos campaigns, §5.4)
     # ------------------------------------------------------------------
 
-    def components(self) -> Dict[str, Any]:
-        """Every fail-stop-able component by name (roots, NFs, stores).
-
-        This is what a :class:`~repro.core.supervisor.Supervisor` registers
-        and what chaos schedules draw targets from.
-        """
-        named: Dict[str, Any] = {}
-        for root in self.roots:
-            named[root.name] = root
-        for instance_id, instance in self.instances.items():
-            named[instance_id] = instance
-        for store in self.stores:
-            named[store.name] = store
-        return named
-
     def attach_supervisor(self, injector=None, **kwargs):
         """Create a :class:`~repro.core.supervisor.Supervisor` wired to this
         runtime (and to ``injector``'s failure notifications, when given)."""

@@ -43,8 +43,8 @@ class DistFamily(CampaignFamily):
     """Distributed-fabric fault campaign: N seeds x a clean run, SIGKILL of a
     shard, SIGKILL of the store, a connection partition and a half-open stall,
     each as real OS processes over real localhost TCP. Every run is checked
-    with the invariant battery across process boundaries against an in-process
-    reference replay of its own injection ledger, and every fault must leave
+    with the invariant battery across process boundaries against the ideal
+    chain fed its own injection ledger, and every fault must leave
     real-world evidence (pid histories, RST / refused-connect counters) or it
     is a violation. Records BENCH_dist.json."""
 
@@ -73,7 +73,7 @@ class DistFamily(CampaignFamily):
             "quick": args.quick,
         }
 
-    def run(self, item: WorkItem, reference: Any) -> DistOutcome:
+    def run(self, item: WorkItem) -> DistOutcome:
         n_packets, n_flows = item.variant or WORKLOAD
         return run_dist_scenario(
             item.scenario,

@@ -11,10 +11,11 @@
 3. poll shards to quiescence (workload done, nothing in flight, no
    pending flushes, root logs drained, egress stable),
 4. collect per-shard snapshots, store snapshot, and socket-level evidence,
-   then run the PR-3 invariant checkers *across process boundaries*:
-   each shard's egress ledger and store-side state slice are compared
-   against an in-process reference run that injects exactly the packets
-   the shard's injection ledger proves were injected.
+   then run the invariant checkers *across process boundaries*: each
+   shard's egress ledger and store-side state slice are compared with the
+   ideal chain (:func:`repro.analysis.ideal.ideal_run` on the shard's
+   chain) fed exactly the packets the shard's injection ledger proves
+   were injected.
 
 The acceptance bar this module exists to clear: every fault scenario
 kills a real OS process or breaks a real socket, witnessed by distinct
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro
+from repro.analysis.ideal import ideal_run
 from repro.chaos.invariants import (
     InvariantViolation,
     check_egress_complete,
@@ -45,15 +47,9 @@ from repro.chaos.invariants import (
     check_log_lengths,
     check_loss_free_state,
     check_ownership_map,
-    chain_state,
 )
-from repro.dist.shard import (
-    INJECT_WINDOW,
-    build_shard_runtime,
-    read_ledger,
-)
+from repro.dist.shard import INJECT_WINDOW, build_shard_chain, read_ledger, shard_packet
 from repro.dist.transport import ControlFrame, Listener, Peer
-from repro.simnet.engine import Simulator
 from repro.store.keys import is_internal_key
 
 #: How long a partition refuses reconnects, or a stalled store stops reading.
@@ -72,7 +68,7 @@ class DistScenario:
     name: str
     description: str
     fault: str  # "none" | "shard_kill" | "store_kill" | "partition" | "stall"
-    #: counters may trail the reference by this many increments (bounded,
+    #: counters may trail the ideal chain's by this many increments (bounded,
     #: provable loss: the injection window plus flushes the dead client
     #: never got to retransmit), never exceed it
     loss_allowance: int = 0
@@ -205,10 +201,10 @@ class Fabric:
         self._replies: Dict[int, Dict[str, Any]] = {}
         self._cmd_seq = 0
         self._t0 = time.monotonic()
-        #: runtime knobs shared by shards and their reference runs; the
-        #: longer retransmit period widens the real-time budget (100
-        #: flush retries x 1ms virtual x scale 20 = 2s real) that must
-        #: absorb a store respawn or fault window
+        #: runtime knobs every shard runs with; the longer retransmit
+        #: period widens the real-time budget (100 flush retries x 1ms
+        #: virtual x scale 20 = 2s real) that must absorb a store respawn
+        #: or fault window
         self.runtime_overrides = {"retransmit_timeout_us": 1000.0}
 
     # -- low-level control plane ---------------------------------------
@@ -432,39 +428,6 @@ class Fabric:
 
     # -- verification --------------------------------------------------
 
-    def _reference_snapshot(
-        self, index: int
-    ) -> Tuple[Dict[str, Any], List[Tuple[Optional[str], int]]]:
-        """In-process reference: inject exactly the ledgered packets."""
-        from repro.traffic.packet import FiveTuple, Packet
-
-        prefix = f"s{index}"
-        ledger = read_ledger(os.path.join(self.workdir, f"{prefix}.inj"))
-        sim = Simulator()
-        runtime = build_shard_runtime(
-            sim, prefix, index, self.seed + index, **self.runtime_overrides
-        )
-
-        def source():
-            for entry in ledger:
-                runtime.inject(
-                    Packet(
-                        FiveTuple(
-                            "10.0.0.1", "52.0.0.1", 1000 + int(entry["flow"]), 80, 6
-                        ),
-                        payload=entry["payload"],
-                    )
-                )
-                yield sim.timeout(3.0)
-
-        sim.process(source(), name=f"{prefix}-reference-source")
-        sim.run()
-        state = chain_state(runtime)
-        egress = [
-            (packet.payload, packet.clock) for _v, packet in runtime.egress._items
-        ]
-        return state, egress
-
     def _check_shard(
         self,
         index: int,
@@ -473,7 +436,13 @@ class Fabric:
     ) -> List[InvariantViolation]:
         prefix = f"s{index}"
         allowance = self.scenario.loss_allowance
-        ref_state, ref_egress = self._reference_snapshot(index)
+        reference = ideal_run(
+            build_shard_chain(prefix),
+            (
+                shard_packet(int(entry["flow"]), entry["payload"])
+                for entry in read_ledger(os.path.join(self.workdir, f"{prefix}.inj"))
+            ),
+        )
         egress = [
             (entry["payload"], int(entry["clock"]))
             for entry in read_ledger(os.path.join(self.workdir, f"{prefix}.egr"))
@@ -492,8 +461,8 @@ class Fabric:
         violations: List[InvariantViolation] = []
         violations += check_exactly_once(egress)
         violations += check_flow_ordering(egress)
-        violations += check_egress_complete(egress, ref_egress, allowance)
-        violations += check_loss_free_state(dist_state, ref_state, allowance)
+        violations += check_egress_complete(egress, reference.egress, allowance)
+        violations += check_loss_free_state(dist_state, reference.state, allowance)
         violations += check_ownership_map(
             owners, shard_snapshot["alive_instances"], store_name="store0"
         )

@@ -20,7 +20,7 @@ packet enters the chain, an egress line before the turn sends anything.
 A respawned incarnation reads its own injection ledger and resumes each
 flow at the last injected sequence + 1 — packets that were in flight when
 the process died are simply lost (bounded, provable loss: the fabric checks final
-state *trails* the reference by at most the window, never exceeds it, and
+state *trails* the ideal chain's by at most the window, never exceeds it, and
 egress stays exactly-once because no identity is ever injected twice).
 Its root resumes above the clock floor the store derived from the dead
 incarnation's traces, so reissued clocks never collide in the dedup log.
@@ -80,31 +80,31 @@ def build_shard_chain(prefix: str) -> LogicalChain:
     return chain
 
 
+def shard_packet(flow: int, payload: str) -> Packet:
+    """Packet ``payload`` of workload flow ``flow``."""
+    return Packet(FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6), payload=payload)
+
+
 def build_shard_runtime(
     sim: Simulator,
     prefix: str,
     shard_index: int,
     seed: int,
-    remote_store: Optional[str] = None,
+    remote_store: str,
     root_clock_resume: Optional[int] = None,
     **overrides: Any,
 ) -> ChainRuntime:
-    """A shard's runtime: local engine, root ``root{shard_index}``, and —
-    when ``remote_store`` is given — a store cluster of one remote handle.
-
-    The fabric's in-process reference runs call this too, with
-    ``remote_store=None``: identical chain, identical params, local store.
-    """
+    """A shard's runtime: local engine, root ``root{shard_index}``, and a
+    store cluster of one remote handle, ``remote_store``. The fabric checks
+    what it did against the ideal chain of :func:`build_shard_chain`, not
+    against a second runtime."""
     params = dict(seed=seed, root_id_base=shard_index, root_clock_resume=root_clock_resume)
     params.update(overrides)
-    cluster = None
-    if remote_store is not None:
-        cluster = StoreCluster([RemoteStoreHandle(remote_store)])  # type: ignore[list-item]
     return ChainRuntime(
         sim,
         build_shard_chain(prefix),
         params=RuntimeParams(**params),
-        store_cluster=cluster,
+        store_cluster=StoreCluster([RemoteStoreHandle(remote_store)]),  # type: ignore[list-item]
     )
 
 
@@ -279,12 +279,7 @@ class ShardWorker:
         self._inj_fh.flush()
         self._order_pos += len(batch)
         for flow, _seq, payload in batch:
-            self.runtime.inject(
-                Packet(
-                    FiveTuple("10.0.0.1", "52.0.0.1", 1000 + flow, 80, 6),
-                    payload=payload,
-                )
-            )
+            self.runtime.inject(shard_packet(flow, payload))
         self.injected += len(batch)
 
     def _drain_egress(self) -> None:

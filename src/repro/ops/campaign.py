@@ -11,7 +11,9 @@ driver, :func:`~repro.chaos.campaign.run_scenario`: a
 :class:`~repro.core.supervisor.Supervisor` are attached, so unplanned
 crashes (``build_schedule``) can overlay planned work and orderly
 retirements exercise the supervisor's retired-guards. Each run is checked
-against a clean reference with the one battery,
+against the ideal chain (the chain as built, before the plan edits it,
+run by :func:`repro.analysis.ideal.ideal_run` over the same packets) with
+the one battery,
 :func:`~repro.chaos.invariants.check_invariants`, which for a plan adds
 :func:`~repro.chaos.invariants.check_operation_converged` (no transitional
 structure survives the run),
@@ -23,7 +25,7 @@ state, two instances) -> ``scrub`` (per-flow state) -> ``exit`` (shared
 state) — over two store nodes, long enough that every operation starts,
 finishes, and settles while packets are still flowing. Topology-edit
 scenarios change which vertices exist, so their state comparison excludes
-the spliced vertex's keys (the reference run never ran the edit);
+the spliced vertex's keys (the ideal chain never ran the edit);
 everything else — egress identities, per-flow order, ownership — must
 still match exactly.
 
@@ -39,10 +41,11 @@ from typing import Any, Dict, Generator
 
 from repro.chaos.campaign import (
     N_FLOWS,
-    ReferenceCheckedFamily,
+    ScenarioOutcome,
     ScenarioSpec,
     fig8_percentiles,
     paced_source,
+    run_scenario,
 )
 from repro.chaos.counters import EntryCounterNF, SinkCounterNF
 from repro.chaos.schedule import CrashNF, Schedule
@@ -51,7 +54,7 @@ from repro.core.cloning import CloneController
 from repro.core.dag import LogicalChain
 from repro.core.nf_api import NetworkFunction, Output
 from repro.ops.director import MaintenanceDirector
-from repro.parallel.campaign import CampaignReport
+from repro.parallel.campaign import CampaignFamily, CampaignReport, WorkItem
 from repro.simnet.engine import Simulator
 from repro.store.spec import AccessPattern, Scope, StateObjectSpec
 
@@ -293,16 +296,20 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
 # --- campaign family (repro.parallel.campaign, DESIGN.md §11.1) ----------
 
 
-class OpsFamily(ReferenceCheckedFamily):
+class OpsFamily(CampaignFamily):
     """Planned-operations campaign: N seeds x the maintenance scenarios run
-    under live traffic, checked against the one invariant battery with its
-    maintenance checks (the runtime converges back to a clean steady
-    state, every planned operation completes, goodput stays above the
-    scenario's floor while it is in flight); records BENCH_operations.json."""
+    under live traffic, checked against the ideal chain with the one
+    invariant battery and its maintenance checks (the runtime converges
+    back to a clean steady state, every planned operation completes,
+    goodput stays above the scenario's floor while it is in flight);
+    records BENCH_operations.json."""
 
     name = "ops"
     output = "BENCH_operations.json"
     scenarios = SCENARIOS
+
+    def run(self, item: WorkItem) -> ScenarioOutcome:
+        return run_scenario(self.scenarios[item.scenario], item.seed)
 
     def aggregate(self, report: CampaignReport) -> Dict[str, Any]:
         rows: Dict[str, Any] = {}

@@ -186,8 +186,8 @@ class MaintenanceDirector:
         With ``nf_factory``, the vertex is re-pointed at the new factory
         first (a versioned upgrade: replacements and any later failovers
         run the new code); without it the upgrade is behavior-identical
-        (the campaign's case, so invariants can compare against an
-        undisturbed reference run). Simulation-process generator; returns
+        (the campaign's case, so invariants can compare against the ideal
+        chain of the chain as built). Simulation-process generator; returns
         the :class:`OperationRecord`.
         """
         record = self._begin("rolling_upgrade", vertex_name)

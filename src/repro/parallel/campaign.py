@@ -109,12 +109,7 @@ class CampaignFamily:
             for seed in seeds
         ]
 
-    def reference(self, item: WorkItem) -> Any:
-        """What :meth:`run` checks ``item`` against, computed outside the
-        sanitizer wrap (a clean reference run is not under test)."""
-        return None
-
-    def run(self, item: WorkItem, reference: Any) -> Any:
+    def run(self, item: WorkItem) -> Any:
         """Execute ``item``; return its outcome (the outcome protocol)."""
         raise NotImplementedError
 
@@ -233,10 +228,9 @@ def run_item(
     sanitizer_report: Optional[Dict[str, Any]] = None
     try:
         declared = load_family(item.family)
-        reference = declared.reference(item)
         with maybe_sanitized(sanitize) as suite:
             try:
-                outcome = declared.run(item, reference)
+                outcome = declared.run(item)
             finally:
                 if suite is not None:
                     sanitizer_report = suite.report()

@@ -10,7 +10,7 @@ arrival time (:mod:`repro.traffic.trace`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.traffic.packet import ACK, FIN, FiveTuple, PROTO_UDP, Packet, RST, SYN
@@ -39,14 +39,6 @@ class FlowSpec:
 
     def duration_us(self) -> float:
         return self.gap_us * max(self.n_packets - 1, 0)
-
-
-@dataclass
-class Flow:
-    """A realised flow: its spec plus generated packets (time-ordered)."""
-
-    spec: FlowSpec
-    packets: List[Tuple[float, Packet]] = field(default_factory=list)
 
 
 def flow_packets(spec: FlowSpec, rng: Optional[random.Random] = None) -> List[Tuple[float, Packet]]:

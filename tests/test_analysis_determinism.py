@@ -74,27 +74,14 @@ class TestSameSeedDigests:
         args = _chaos("nf-crash", 3)
         assert chaos_digest(*args) == chaos_digest(*args)
 
-    def test_chaos_digest_repeats_share_one_reference_run(self, monkeypatch):
-        # the clean reference is never digested, so the gate takes none:
-        # one reference per (scenario, seed) was pure cost
+    def test_chaos_digest_is_the_checked_runs_digest(self):
+        # the gate digests the disturbed run alone, and that run is the one
+        # run_scenario checks against the ideal chain
         import repro.chaos.campaign as campaign
 
-        calls = []
-        real = campaign.clean_run
-
-        def counting(seed, spec):
-            calls.append((seed, spec.name))
-            return real(seed, spec)
-
-        # start cold: a reference an earlier test cached would hide a call
-        monkeypatch.setattr(campaign, "_REFERENCE_CACHE", {})
-        monkeypatch.setattr(campaign, "clean_run", counting)
         report = run_campaign("determinism", [3], scenario_names=["chaos:nf-crash"])
         (outcome,) = report.outcomes
         assert len(outcome.digests) == RUNS and len(set(outcome.digests)) == 1
-        assert calls == []
-        # and the digest is the one the checked run's runtime digests to
-        monkeypatch.undo()
         spec = FAMILY.scenarios["chaos:nf-crash"]
         checked = []
         campaign.run_scenario(

@@ -1,6 +1,6 @@
 """Chaos campaign framework: faults, detection, supervision, invariants.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * **fabric faults** — partitions, time-windowed degradation, and drop
   accounting by cause on :class:`~repro.simnet.network.Network`;
@@ -12,14 +12,18 @@ Three layers of coverage:
   :class:`~repro.core.supervisor.Supervisor` and must satisfy the full
   invariant battery; a deliberately broken recovery protocol must be
   *caught* by the checkers (the regression that proves the checkers have
-  teeth).
+  teeth);
+* **the ideal reference** — undisturbed chaos and ops runs equal the
+  ideal chain (:mod:`repro.analysis.ideal`), and a datastore that drops
+  acknowledged updates — invisible to a simulated reference run, which
+  repeats the bug — is caught.
 """
 
 import random
 
 import pytest
 
-from repro.chaos.campaign import SCENARIOS, ScenarioSpec, cached_reference, run_scenario
+from repro.chaos.campaign import SCENARIOS, ScenarioSpec, ideal_reference, run_scenario
 from repro.chaos.director import ChaosDirector, DetectionModel
 from repro.chaos.invariants import check_invariants
 from repro.chaos.schedule import (
@@ -30,10 +34,13 @@ from repro.chaos.schedule import (
     Schedule,
     random_schedule,
 )
+from repro.ops import campaign as ops
 from repro.simnet.engine import Simulator
 from repro.simnet.failures import FailureInjector
 from repro.simnet.network import Link, Network
 from repro.simnet.rpc import RpcEndpoint, RpcGaveUp
+from repro.store.datastore import DatastoreInstance
+from repro.store.keys import StateKey
 
 CRASHES = (CrashNF, CrashRoot, CrashStore)
 
@@ -353,17 +360,10 @@ class TestRpcHardening:
 # end-to-end scenarios under supervision
 # ----------------------------------------------------------------------
 
-def _run(spec, seed, detection=None):
-    """run_scenario with the campaign's reference cache (keeps tests fast)."""
-    return run_scenario(
-        spec, seed, detection=detection, reference=cached_reference(spec, seed)
-    )
-
-
 class TestScenarios:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_holds_invariants(self, name):
-        outcome = _run(SCENARIOS[name], seed=1)
+        outcome = run_scenario(SCENARIOS[name], seed=1)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         if any(isinstance(a, CRASHES) for a in SCENARIOS[name].build_schedule(1).actions):
             assert outcome.recovery_us  # something actually failed over
@@ -371,7 +371,7 @@ class TestScenarios:
     def test_heartbeat_detection_correlated_crash(self):
         # staggered detection of a correlated NF+root crash: the supervisor
         # must discover the dead root before running NF failover
-        outcome = _run(
+        outcome = run_scenario(
             SCENARIOS["nf-plus-root"],
             seed=1,
             detection=DetectionModel(heartbeat_interval_us=50.0, misses=2),
@@ -387,7 +387,6 @@ class TestScenarios:
         stores = []
         outcome = run_scenario(
             SCENARIOS["nf-plus-root"], 1,
-            reference=cached_reference(SCENARIOS["nf-plus-root"], 1),
             collect_runtime=lambda runtime: stores.extend(runtime.stores),
         )
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
@@ -395,7 +394,7 @@ class TestScenarios:
         assert [key for key in root_keys if "_log\x1f" in key] == []
 
     def test_timeline_ordering_and_detection_split(self):
-        outcome = _run(
+        outcome = run_scenario(
             SCENARIOS["nf-crash"],
             seed=3,
             detection=DetectionModel(heartbeat_interval_us=30.0),
@@ -426,7 +425,7 @@ class TestScenarios:
             ),
             expect_log_drained=False,
         )
-        outcome = _run(spec, seed=2)
+        outcome = run_scenario(spec, seed=2)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         assert outcome.recovery_us
 
@@ -442,7 +441,7 @@ class TestBrokenRecoveryCaught:
         from repro.simnet.monitor import RecoveryTimeline
 
         spec = SCENARIOS["nf-crash"]
-        reference = cached_reference(spec, 1)
+        reference = ideal_reference(spec, 1)
 
         def broken_nf_failover(runtime, component):
             return None
@@ -470,3 +469,80 @@ class TestBrokenRecoveryCaught:
         # the crashed instance's packets never reached the sink and its
         # state was never replayed -> the loss/completeness checkers fire
         assert flagged & {"loss-free-state", "egress-complete", "log-drained"}
+
+
+# ----------------------------------------------------------------------
+# the reference is the ideal chain
+# ----------------------------------------------------------------------
+
+UNDISTURBED = ScenarioSpec(name="undisturbed", description="no schedule, no plan")
+TOTAL_KEY = StateKey("entry", "total").storage_key()
+
+
+class TestIdealReference:
+    def test_the_chaos_workload_ideal_snapshot(self):
+        """80 packets round-robin over 6 flows: flows 0-1 carry 14, flows
+        2-5 carry 13, and every packet is counted once at each vertex."""
+        snapshot = ideal_reference(UNDISTURBED, 0)
+        hits = [
+            value
+            for key, value in sorted(snapshot.state.items())
+            if key.startswith("entry\x1fhits\x1f")
+        ]
+        assert hits == [14, 14, 13, 13, 13, 13]  # flows 0-5, ports 1000-1005
+        assert snapshot.state[TOTAL_KEY] == 80
+        assert snapshot.state[StateKey("exit", "seen").storage_key()] == 80
+        assert len(snapshot.state) == 8
+        payloads = [payload for payload, _clock in snapshot.egress]
+        assert len(payloads) == len(set(payloads)) == 80
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            UNDISTURBED,
+            ScenarioSpec(
+                name="ops-undisturbed",
+                description="the ops chain and traffic, no plan",
+                build_runtime=ops.build_runtime,
+                workload=ops.inject_workload,
+            ),
+            ScenarioSpec(
+                name="ops-late-flows-undisturbed",
+                description="the ops chain with late flows, no plan",
+                build_runtime=ops.build_runtime,
+                workload=ops.inject_with_late_flows,
+            ),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_an_undisturbed_run_equals_the_ideal_chain(self, spec, seed):
+        outcome = run_scenario(spec, seed)
+        assert outcome.ok, [v.as_dict() for v in outcome.violations]
+        assert outcome.egress_count == outcome.reference_egress_count
+
+    def test_a_store_that_drops_acknowledged_updates_is_caught(self, monkeypatch):
+        """A store-path bug on the undisturbed path: the datastore
+        acknowledges every 10th ``entry/total`` update without applying
+        it. A simulated reference run repeats the bug and the diff is
+        empty; the ideal chain shares no store code, so the state check
+        names the key (the same spec without the mutant is clean: above)."""
+        applied = DatastoreInstance._apply
+        updates = []
+
+        def lossy_apply(store, op, signal_sink):
+            if op.key != TOTAL_KEY:
+                return applied(store, op, signal_sink)
+            updates.append(op)
+            before = store.peek(TOTAL_KEY)
+            result = applied(store, op, signal_sink)
+            if len(updates) % 10 == 0:
+                store._data[TOTAL_KEY] = before  # acknowledged, not applied
+            return result
+
+        monkeypatch.setattr(DatastoreInstance, "_apply", lossy_apply)
+        outcome = run_scenario(UNDISTURBED, 0)
+        assert len(updates) >= 80
+        assert [(v.invariant, v.detail) for v in outcome.violations] == [
+            ("loss-free-state", f"{TOTAL_KEY!r}: expected 80, got 72")
+        ]

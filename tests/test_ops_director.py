@@ -5,7 +5,7 @@ Coverage in three layers:
 * **end-to-end scenarios** — every named plan in
   :data:`repro.ops.campaign.SCENARIOS` (rolling upgrade, store
   replacement, topology edits, hot reload, crash-overlay) must hold the
-  full invariant battery against a clean reference run;
+  full invariant battery against the ideal chain;
 * **gates and rollback** — a drain gate that cannot pass must abort the
   operation and restore the pre-operation structure (flows back on the
   old instance, replacement retired, vertex still spliced in);
@@ -28,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from repro.chaos.campaign import (
     HORIZON_US,
     SinkCounterNF,
-    cached_reference,
     run_scenario,
 )
 from repro.chaos.director import ChaosDirector
@@ -37,7 +36,7 @@ from repro.chaos.invariants import (
     check_flow_ordering,
     check_no_downtime,
     check_operation_converged,
-    snapshot_run,
+    egress_records,
 )
 from repro.chaos.overload import ENTRY_PROC_US
 from repro.chaos.overload import SCENARIOS as OVERLOAD_SCENARIOS
@@ -67,14 +66,6 @@ def _egress_counts(runtime):
     return Counter(packet.payload for _vertex, packet in runtime.egress._items)
 
 
-def _run(spec, seed, collect_runtime=None):
-    """run_scenario with the campaign's reference cache (keeps tests fast)."""
-    return run_scenario(
-        spec, seed, reference=cached_reference(spec, seed),
-        collect_runtime=collect_runtime,
-    )
-
-
 # ----------------------------------------------------------------------
 # end-to-end scenarios
 # ----------------------------------------------------------------------
@@ -83,7 +74,7 @@ def _run(spec, seed, collect_runtime=None):
 class TestScenarios:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_holds_invariants(self, name):
-        outcome = _run(SCENARIOS[name], seed=1)
+        outcome = run_scenario(SCENARIOS[name], seed=1)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         assert outcome.operations, "director recorded no operations"
         assert all(op["status"] == "completed" for op in outcome.operations)
@@ -91,7 +82,7 @@ class TestScenarios:
 
     def test_rolling_upgrade_zero_downtime_and_slot_reuse(self):
         caught = {}
-        outcome = _run(
+        outcome = run_scenario(
             SCENARIOS["rolling-upgrade"],
             seed=2,
             collect_runtime=lambda rt: caught.setdefault("rt", rt),
@@ -110,7 +101,7 @@ class TestScenarios:
         assert list(runtime.splitter("entry").hash_members) == ids
 
     def test_crash_overlay_recovers_and_completes(self):
-        outcome = _run(SCENARIOS["upgrade-crash-overlay"], seed=1)
+        outcome = run_scenario(SCENARIOS["upgrade-crash-overlay"], seed=1)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         kinds = [event["kind"] for event in outcome.timeline]
         # the unplanned mid-chain crash really failed over ...
@@ -130,7 +121,7 @@ class TestUpgradeMeetsWhatAProtocolLeftBehind:
     def test_mitigate_then_upgrade_runs_both_arms(self):
         kept = {}
         for seed in (0, 1):  # seed parity picks the arm; 1 ran above
-            outcome = _run(
+            outcome = run_scenario(
                 SCENARIOS["mitigate-then-upgrade"], seed,
                 collect_runtime=lambda rt, seed=seed: kept.setdefault(seed, rt),
             )
@@ -155,7 +146,7 @@ class TestUpgradeMeetsWhatAProtocolLeftBehind:
                 [CrashNF(at_us=OP_AT_US + after_us, instance_id="entry-1")]
             ),
         )
-        outcome = _run(spec, seed=1)
+        outcome = run_scenario(spec, seed=1)
         (operation,) = outcome.operations
         assert operation["status"] in ("completed", "aborted"), operation
         assert operation["finished_at"] < OP_AT_US + 1_000.0
@@ -183,7 +174,7 @@ class TestUpgradeMeetsWhatAProtocolLeftBehind:
             operations=plan,
         )
         kept = {}
-        outcome = _run(spec, seed=1, collect_runtime=lambda rt: kept.setdefault("rt", rt))
+        outcome = run_scenario(spec, seed=1, collect_runtime=lambda rt: kept.setdefault("rt", rt))
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         runtime, (action,) = kept["rt"], controller["c"].actions
         assert (action.kind, action.ok, action.keys_moved) == ("scale_out", True, 2)
@@ -744,7 +735,7 @@ def test_evacuate_under_any_arrival_schedule(arrivals, scale_in):
     assert sim.crashed == []
     assert len(outcome) == 1 and outcome[0][1] is None, outcome
     assert inbound_at_retirement == [0]
-    egress = snapshot_run(runtime).egress
+    egress = egress_records(runtime)
     assert len(egress) == 2 * OLD_FLOWS + len(arrivals)
     assert check_exactly_once(egress) == [] and check_flow_ordering(egress) == []
     assert all(not root.log for root in runtime.roots)

@@ -9,7 +9,7 @@ import pytest
 from repro.chaos.campaign import EntryCounterNF, SinkCounterNF, build_runtime, disturbed_run
 from repro.chaos.invariants import check_sheds_accounted
 from repro.chaos.overload import SCENARIOS, autoscaled, measure, measure_load_point
-from repro.chaos.schedule import CrashNF, Schedule
+from repro.chaos.schedule import CrashNF, CrashRoot, Schedule
 from repro.analysis.runtime import sanitized
 from repro.core.chain_runtime import ChainRuntime, RuntimeParams
 from repro.core.dag import LogicalChain
@@ -545,6 +545,30 @@ class TestOverloadScenarios:
         # claim one more injected packet than the run can account for
         violations = check_sheds_accounted(runtime, injected=1)
         assert violations and violations[0].invariant == "sheds-accounted"
+
+    def test_sheds_accounted_allowance_forgives_only_missing_packets(self):
+        sim = Simulator()
+        runtime = build_runtime(sim, seed=0)
+        assert check_sheds_accounted(runtime, injected=2, loss_allowance=2) == []
+        assert check_sheds_accounted(runtime, injected=3, loss_allowance=2)
+        runtime.network.drops["overload_queue"] = 1  # one shed nobody injected
+        (violation,) = check_sheds_accounted(runtime, injected=0, loss_allowance=8)
+        assert "over-accounted" in violation.detail
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_root_crash_under_overload_is_within_the_loss_allowance(self, seed):
+        """Theorem B.3.1: a root crash drops the packets inside the root.
+        The shed ledger forgives them up to ``loss_allowance``, as egress
+        completeness does; with no allowance the one lost packet shows."""
+        crash = replace(
+            SCENARIOS["overload-burst"],
+            build_schedule=lambda _seed: Schedule([CrashRoot(at_us=1200.0, root_id=0)]),
+        )
+        allowed = run_overload(replace(crash, loss_allowance=8), seed)
+        assert allowed.ok, [v.as_dict() for v in allowed.violations]
+        strict = run_overload(crash, seed)
+        assert [v.invariant for v in strict.violations] == ["sheds-accounted"]
+        assert strict.violations[0].detail.startswith("1 packets vanished")
 
 
 class TestAutoscaler:

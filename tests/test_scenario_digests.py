@@ -41,8 +41,6 @@ def test_scenario_digest_is_pinned(family, name, seed):
     captured = []
     outcome = chaos.run_scenario(
         spec, seed,
-        # one reference per scenario, as a campaign sweeping seeds 0-1 takes it
-        reference=chaos.cached_reference(spec, 0),
         collect_runtime=lambda rt: captured.append(_halves(rt)),
     )
     assert outcome.ok, [v.as_dict() for v in outcome.violations]

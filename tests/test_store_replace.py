@@ -11,14 +11,15 @@ lame-duck battery itself lives in tests/test_store_rehome.py.
 
 import pytest
 
-from repro.chaos.campaign import HORIZON_US, cached_reference, run_scenario
+from repro.chaos.campaign import HORIZON_US, ideal_reference, run_scenario
 from repro.chaos.director import ChaosDirector
 from repro.chaos.invariants import (
     check_egress_complete,
     check_exactly_once,
     check_flow_ordering,
     check_loss_free_state,
-    snapshot_run,
+    chain_state,
+    egress_records,
 )
 from repro.ops.director import MaintenanceDirector
 from repro.ops.campaign import (
@@ -108,7 +109,6 @@ class TestReplaceUnderTraffic:
         outcome = run_scenario(
             spec,
             seed=5,
-            reference=cached_reference(spec, 5),
             collect_runtime=lambda rt: caught.setdefault("rt", rt),
         )
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
@@ -126,7 +126,7 @@ class TestReplaceUnderTraffic:
         # identities the muted node committed post-snapshot must have been
         # watched (not copied) and re-landed on the replacement
         spec = SCENARIOS["store-replace"]
-        outcome = run_scenario(spec, seed=6, reference=cached_reference(spec, 6))
+        outcome = run_scenario(spec, seed=6)
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         catchup = next(
             step
@@ -139,7 +139,7 @@ class TestReplaceUnderTraffic:
 class TestStoreCrashMidReplacement:
     def test_old_node_crash_during_catchup_loses_nothing(self):
         spec = SCENARIOS["store-replace"]
-        reference = cached_reference(spec, 2)
+        reference = ideal_reference(spec, 2)
         sim = Simulator()
         runtime = build_runtime(sim, 2)
         timeline = RecoveryTimeline()
@@ -168,12 +168,12 @@ class TestStoreCrashMidReplacement:
         catchup = next(s for s in record.steps if s.name == "catchup")
         assert "crashed mid-catch-up" in catchup.note
 
-        snapshot = snapshot_run(runtime)
+        egress = egress_records(runtime)
         violations = (
-            check_exactly_once(snapshot.egress)
-            + check_flow_ordering(snapshot.egress)
-            + check_loss_free_state(snapshot.state, reference.state)
-            + check_egress_complete(snapshot.egress, reference.egress)
+            check_exactly_once(egress)
+            + check_flow_ordering(egress)
+            + check_loss_free_state(chain_state(runtime), reference.state)
+            + check_egress_complete(egress, reference.egress)
         )
         assert violations == [], [v.as_dict() for v in violations]
 
