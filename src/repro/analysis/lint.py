@@ -41,14 +41,14 @@ CHC006 Speculative NF (``repro/nfs/``, ``speculative = True``) writing
        (``out = packet.copy()``), as the NAT and the load balancer do.
 CHC007 Instance membership written outside ``core/chain_runtime.py``
        (and the splitter it drives): assigning to, through, or calling a
-       mutating method on ``.hash_members`` / ``.vertex_instances``, or
-       calling a splitter's ``add_instance`` / ``remove_instance`` /
-       ``replace_instance``. Which instances exist and where their
-       traffic goes is eight containers with one postcondition
-       (DESIGN.md "Instance membership"); ``ChainRuntime.add_instance``
-       / ``.replace_instance`` / ``.retire_instance`` are the only
-       writers, and every hand-edited subset has left a corpse or a
-       doubled slot behind. Also ``.retire_instance(...)`` called
+       mutating method on ``.hash_members``, or calling a splitter's
+       ``add_instance`` / ``remove_instance`` / ``replace_instance``.
+       Which instances exist and where their traffic goes is five
+       containers with one postcondition (DESIGN.md "Instance
+       membership"); ``ChainRuntime.add_instance`` /
+       ``.replace_instance`` / ``.retire_instance`` are the only writers,
+       and every hand-edited subset has left a corpse or a doubled slot
+       behind. Also ``.retire_instance(...)`` called
        anywhere but ``core/handover.py`` and ``core/cloning.py``: a live
        instance leaves service through ``handover.evacuate`` (the
        autoscaler and the maintenance director call it like anyone
@@ -180,7 +180,7 @@ MEMBERSHIP_EXEMPT_FILES = {"splitter.py", "chain_runtime.py"}
 #: primitive (``handover.evacuate``) and §5.3's retain, which kills first.
 RETIREMENT_CALLERS = {"handover.py", "cloning.py"}
 #: The membership lists CHC007 guards, and a splitter's own writers.
-MEMBERSHIP_ATTRS = {"hash_members", "vertex_instances"}
+MEMBERSHIP_ATTRS = {"hash_members"}
 SPLITTER_MEMBERSHIP_METHODS = {"add_instance", "remove_instance", "replace_instance"}
 
 #: ``DatastoreInstance`` private containers (CHC010): mutable only from
@@ -352,7 +352,7 @@ def _store_private(node: ast.AST) -> bool:
 
 
 def _membership_attr(node: ast.AST) -> Optional[str]:
-    """``x.hash_members`` / ``x.vertex_instances[v]`` -> the attribute name."""
+    """``x.hash_members`` / ``x.hash_members[i]`` -> the attribute name."""
     while isinstance(node, ast.Subscript):
         node = node.value
     if isinstance(node, ast.Attribute) and node.attr in MEMBERSHIP_ATTRS:

@@ -254,11 +254,11 @@ def check_ownership(runtime) -> List[InvariantViolation]:
 def check_membership(runtime, supervisor=None) -> List[InvariantViolation]:
     """The membership containers agree (DESIGN.md "Instance membership").
 
-    Per vertex, ``vertex_instances`` lists each instance once and names the
-    same set as ``Splitter.instances``; every hash slot, override target and
-    ``replicate`` endpoint is a member; ``instances``, ``nics`` and
-    ``filters`` hold exactly the listed ids; and a listed instance is alive —
-    unless its own recovery is what ``supervisor`` has queued or running.
+    Per vertex, ``Splitter.instances`` lists each member once; every hash
+    slot, override target and ``replicate`` endpoint is a member;
+    ``runtime.instances`` holds exactly the listed ids; and a listed
+    instance is alive — unless its own recovery is what ``supervisor`` has
+    queued or running.
     """
     violations: List[InvariantViolation] = []
 
@@ -266,23 +266,11 @@ def check_membership(runtime, supervisor=None) -> List[InvariantViolation]:
         violations.append(InvariantViolation("membership", detail))
 
     listed: set = set()
-    if set(runtime.vertex_instances) != set(runtime.splitters):
-        _bad(
-            f"vertices with an instance list {sorted(runtime.vertex_instances)} != "
-            f"vertices with a splitter {sorted(runtime.splitters)}"
-        )
     for vertex, splitter in sorted(runtime.splitters.items()):
-        members = runtime.vertex_instances.get(vertex, [])
+        members = splitter.instances
         listed.update(members)
         if len(set(members)) != len(members):
-            _bad(f"{vertex!r}: vertex_instances lists an instance twice: {members}")
-        if len(set(splitter.instances)) != len(splitter.instances):
-            _bad(f"{vertex!r}: splitter lists an instance twice: {splitter.instances}")
-        if set(members) != set(splitter.instances):
-            _bad(
-                f"{vertex!r}: vertex_instances {members} != splitter.instances "
-                f"{splitter.instances}"
-            )
+            _bad(f"{vertex!r}: splitter lists an instance twice: {members}")
         routed = {
             "hash_members": splitter.hash_members,
             "overrides": splitter.overrides.values(),
@@ -292,14 +280,12 @@ def check_membership(runtime, supervisor=None) -> List[InvariantViolation]:
             strangers = sorted(set(names) - set(members))
             if strangers:
                 _bad(f"{vertex!r}: {container} names non-members {strangers}")
-    for container in ("instances", "nics", "filters"):
-        keys = set(getattr(runtime, container))
-        if keys != listed:
-            _bad(
-                f"runtime.{container} != vertex_instances: only in "
-                f"{container} {sorted(keys - listed)}, only listed "
-                f"{sorted(listed - keys)}"
-            )
+    keys = set(runtime.instances)
+    if keys != listed:
+        _bad(
+            f"runtime.instances != splitter members: only in instances "
+            f"{sorted(keys - listed)}, only listed {sorted(listed - keys)}"
+        )
     recovering = [] if supervisor is None else supervisor.recovering()
     for instance_id, instance in sorted(runtime.instances.items()):
         if not instance.alive and instance not in recovering:
@@ -437,9 +423,9 @@ def check_operation_converged(runtime) -> List[InvariantViolation]:
     def _bad(detail: str) -> None:
         violations.append(InvariantViolation("operation-converged", detail))
 
-    for vertex in sorted(set(runtime.splitters) | set(runtime.vertex_instances)):
+    for vertex in sorted(runtime.splitters):
         if vertex not in runtime.chain.vertices:
-            _bad(f"splitter / instance list for {vertex!r} outlives its removed vertex")
+            _bad(f"splitter for {vertex!r} outlives its removed vertex")
     if runtime._paused_vertices:
         _bad(f"vertices still input-paused: {sorted(runtime._paused_vertices)}")
     stuck_moves = handover.stuck_moves(runtime)
@@ -451,12 +437,6 @@ def check_operation_converged(runtime) -> List[InvariantViolation]:
             f"sinks {sorted(runtime.chain.sinks())}"
         )
     cluster_names = {store.name for store in runtime.store.instances}
-    runtime_names = {store.name for store in runtime.stores}
-    if cluster_names != runtime_names:
-        _bad(
-            f"cluster map stores {sorted(cluster_names)} != runtime stores "
-            f"{sorted(runtime_names)}"
-        )
     for store in runtime.store.instances:
         if not store.alive:
             _bad(f"cluster map still routes to dead store {store.name!r}")

@@ -180,10 +180,9 @@ class ChainRuntime:
             # store traffic through the caller's cluster — typically remote
             # handles whose endpoints the shard bridges onto a socket — and
             # builds no local DatastoreInstance.
-            self.stores = list(store_cluster.instances)
             self.store = store_cluster
         else:
-            self.stores = [
+            stores = [
                 DatastoreInstance(
                     sim,
                     self.network,
@@ -198,14 +197,11 @@ class ChainRuntime:
                 )
                 for i in range(n_store_instances)
             ]
-            self.store = StoreCluster(self.stores)
+            self.store = StoreCluster(stores)
 
         # --- instances, splitters ---------------------------------------
         self.instances: Dict[str, NFInstance] = {}
-        self.vertex_instances: Dict[str, List[str]] = {}
         self.splitters: Dict[str, Splitter] = {}
-        self.nics: Dict[str, Nic] = {}
-        self.filters: Dict[str, DuplicateFilter] = {}
         self._forget_timers = sim.deadline_queue(self._forget_clock)
         self.managers: Dict[str, VertexManager] = {}
         self._sinks: Set[str] = set(chain.sinks())
@@ -273,7 +269,6 @@ class ChainRuntime:
         probe_nf = vertex.nf_factory()
         for op_name, op_fn in probe_nf.custom_operations().items():
             self.store.register_custom_op(op_name, op_fn)
-        self.vertex_instances[name] = []
         # The splitter first, already naming every instance: add_instance
         # derives each client's caching rights from the split it joins.
         self.splitters[name] = Splitter(
@@ -343,8 +338,7 @@ class ChainRuntime:
             fastpath_batch=self.params.fastpath_batch,
         )
         self.instances[instance_id] = instance
-        self.vertex_instances[vertex_name].append(instance_id)
-        self.nics[instance_id] = Nic(
+        instance.nic = Nic(
             self.sim,
             NIC_RATE_GBPS,
             deliver=instance.enqueue,
@@ -352,7 +346,7 @@ class ChainRuntime:
             queue_limit=self.params.nic_queue_limit,
             per_packet_overhead_bits=NIC_OVERHEAD_BITS,
             # ring tail drops feed the unified drop ledger + root accounting
-            on_drop=lambda item, _iid=instance_id: self._on_nic_drop(_iid, item),
+            on_drop=lambda item: self._on_nic_drop(instance, item),
             # handover markers and recovery traffic must never tail-drop
             never_drop=_is_control_item,
             # a bounded instance input pushes back on the NIC (BLOCK)
@@ -360,7 +354,7 @@ class ChainRuntime:
             # deadlock-sanitizer nodes: this ring, and the receive side it feeds
             wait_labels=(f"nic:{instance_id}", f"rx:{instance_id}"),
         )
-        self.filters[instance_id] = DuplicateFilter(
+        instance.filter = DuplicateFilter(
             instance_id, enabled=self.params.suppress_duplicates
         )
         for root in getattr(self, "roots", []):
@@ -395,7 +389,7 @@ class ChainRuntime:
     def replace_instance(self, old_id: str, new_id: str) -> NFInstance:
         """Retire ``old_id`` with ``new_id`` as its successor (failover,
         upgrade cutover, a kept clone): it takes the hash slot — no flow
-        remaps — the overrides and the place in ``vertex_instances``, and
+        remaps — the overrides and the place in the splitter's list, and
         its caching rights are derived from the split it now holds."""
         return self._leave(old_id, new_id)
 
@@ -406,19 +400,14 @@ class ChainRuntime:
             raise RuntimeError(
                 f"{instance_id}: retired with {instance.inbound} packet copies in flight"
             )
-        members = self.vertex_instances[instance.vertex_name]
         splitter = self.splitters[instance.vertex_name]
         if successor_id is None:
-            members.remove(instance_id)
             splitter.remove_instance(instance_id)
         else:
-            members.remove(successor_id)
-            members[members.index(instance_id)] = successor_id
             splitter.replace_instance(instance_id, successor_id)
             self._apply_exclusivity([self.instances[successor_id]])
         del self.instances[instance_id]
-        self.nics.pop(instance_id).fail()
-        del self.filters[instance_id]
+        instance.nic.fail()
         instance.fail()
         return instance
 
@@ -535,10 +524,9 @@ class ChainRuntime:
             edge.dst = successor
         self.chain.edges.remove(out_edges[0])
         del self.chain.vertices[name]
-        for instance_id in list(self.vertex_instances.get(name, ())):
+        for instance_id in list(self.splitters[name].instances):
             self.retire_instance(instance_id)
-        self.vertex_instances.pop(name, None)
-        self.splitters.pop(name, None)
+        del self.splitters[name]
         manager = self.managers.pop(name, None)
         if manager is not None:
             manager.stop()
@@ -550,7 +538,12 @@ class ChainRuntime:
         return self.instances[instance_id]
 
     def instances_of(self, vertex_name: str) -> List[NFInstance]:
-        return [self.instances[i] for i in self.vertex_instances[vertex_name]]
+        return [self.instances[i] for i in self.splitters[vertex_name].instances]
+
+    @property
+    def stores(self) -> List[DatastoreInstance]:
+        """The store nodes, in the cluster map's order (read-only view)."""
+        return self.store.instances
 
     def splitter(self, vertex_name: str) -> Splitter:
         return self.splitters[vertex_name]
@@ -664,13 +657,11 @@ class ChainRuntime:
             if target is not None:
                 target.replay_copy_lost()
 
-    def _on_nic_drop(self, instance_id: str, item: Any) -> None:
-        """A finite NIC ring tail-dropped ``item`` (satellite: unified
-        ledger — ring drops used to be invisible to the checkers)."""
+    def _on_nic_drop(self, instance: NFInstance, item: Any) -> None:
+        """``instance``'s finite NIC ring tail-dropped ``item``: it goes to
+        the drop ledger, which the invariant checkers audit, like a shed."""
         if isinstance(item, Packet):
-            instance = self.instances.get(instance_id)
-            if instance is not None:
-                instance._uncount(item)
+            instance._uncount(item)
             self.note_shed(instance, item, SHED_CAUSE_NIC)
         else:
             self.network.account_drop(SHED_CAUSE_NIC)
@@ -707,9 +698,7 @@ class ChainRuntime:
                 clone = splitter.replicate.get(primary)
                 if clone is not None:
                     targets.append(clone)
-            waiting = [
-                t for t in targets if t in self.nics and not self.nics[t].has_space()
-            ]
+            waiting = [t for t in targets if not self.instances[t].nic.has_space()]
             if not waiting:
                 return
             suite = _sanitize.ACTIVE
@@ -717,7 +706,7 @@ class ChainRuntime:
                 for t in waiting:
                     suite.wait_edge(self.sim, f"wkr:{emitter_id}", f"nic:{t}")
             try:
-                yield self.sim.all_of([self.nics[t].space_event() for t in waiting])
+                yield self.sim.all_of([self.instances[t].nic.space_event() for t in waiting])
             finally:
                 if suite is not None:
                     for t in waiting:
@@ -741,20 +730,18 @@ class ChainRuntime:
             )
         reached: List[str] = []
         for dst, copy in copies:
-            if not self.filters[dst].admit(copy):
+            target = self.instances[dst]
+            if not target.filter.admit(copy):
                 self.duplicates_suppressed += 1
                 # The suppressed copy's updates were (or will be) emulated,
                 # so its tags are accounted for by the surviving copy.
                 self.root_for(copy.clock).report_done(copy.clock, 0, copy.generation)
                 continue
-            target = self.instances.get(dst)
-            if target is not None:
-                # Counted at dispatch (not arrival), so the NIC/link
-                # in-flight window holds a retirement (and fusion) back too.
-                target._count_inflight(copy)
-            nic = self.nics[dst]
+            # Counted at dispatch (not arrival), so the NIC/link
+            # in-flight window holds a retirement (and fusion) back too.
+            target._count_inflight(copy)
             self.sim.schedule(
-                HOP_LINK_US, nic.send, copy, copy.size_bits
+                HOP_LINK_US, target.nic.send, copy, copy.size_bits
             )
             reached.append(dst)
         return reached
@@ -911,8 +898,8 @@ class ChainRuntime:
             or splitter._pending_first
         ):
             return None
-        instance = self.instances.get(splitter.instances[0])
-        if instance is None or not instance.alive or instance._fastpath is None:
+        instance = self.instances[splitter.instances[0]]
+        if not instance.alive or instance._fastpath is None:
             return None
         if instance._inflight_flows.get(packet.five_tuple.canonical().key()):
             return None
@@ -960,9 +947,8 @@ class ChainRuntime:
         self._forget_timers.add(self.root_for(clock).prune_grace_us, clock)
 
     def _forget_clock(self, clock: int) -> None:
-        for dup_filter in self.filters.values():
-            dup_filter.forget(clock)
         for instance in self.instances.values():
+            instance.filter.forget(clock)
             instance._seen_clocks.discard(clock)
 
     # ------------------------------------------------------------------
@@ -1002,9 +988,9 @@ class ChainRuntime:
             if instance.queue_depth_peak
         }
         report["nic_txq_peaks"] = {
-            instance_id: nic.txq_depth_peak
-            for instance_id, nic in self.nics.items()
-            if nic.txq_depth_peak
+            instance_id: instance.nic.txq_depth_peak
+            for instance_id, instance in self.instances.items()
+            if instance.nic.txq_depth_peak
         }
         report["sheds"] = {
             instance_id: instance.stats.shed
@@ -1012,9 +998,9 @@ class ChainRuntime:
             if instance.stats.shed
         }
         report["nic_deliver_stalls"] = {
-            instance_id: nic.deliver_stalls
-            for instance_id, nic in self.nics.items()
-            if nic.deliver_stalls
+            instance_id: instance.nic.deliver_stalls
+            for instance_id, instance in self.instances.items()
+            if instance.nic.deliver_stalls
         }
         fastpath: Dict[str, Any] = {}
         for instance_id, instance in self.instances.items():

@@ -312,7 +312,7 @@ class FastPathExecutor:
             target = runtime.fast_target(dst_vertex, packet)
             if target is None:
                 break
-            dup_filter = runtime.filters[target.instance_id]
+            dup_filter = target.filter
             if dup_filter.enabled and packet.clock and packet.clock in dup_filter._seen:
                 # same suppression (and root accounting) _deliver applies
                 dup_filter.suppressed += 1

@@ -205,7 +205,7 @@ def move_flows(
         # The marker travels the same path as data to the old instance.
         sim.schedule(
             HOP_LINK_US,
-            runtime.nics[marker.old_instance].send,
+            runtime.instances[marker.old_instance].nic.send,
             control_packet,
             control_packet.size_bits,
         )

@@ -31,10 +31,12 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.analysis import runtime as _sanitize
 from repro.core import handover
+from repro.core.duplicates import DuplicateFilter
 from repro.core.nf_api import NetworkFunction, StateAPI
 from repro.core.splitter import MoveMarker
 from repro.simnet.engine import Channel, Event, Process, Simulator
 from repro.simnet.monitor import LatencyRecorder, ThroughputMeter
+from repro.simnet.nic import Nic
 from repro.simnet.rpc import RpcRequest
 from repro.store.client import StoreClient
 from repro.traffic.packet import Packet, scope_fields
@@ -146,6 +148,10 @@ class NFInstance:
         self.input = Channel(
             sim, name=f"{instance_id}-input", capacity=input_capacity
         )
+        # The NIC feeding ``enqueue`` and the §5.3 duplicate filter before
+        # it: built by ChainRuntime.add_instance, the NIC failed by _leave.
+        self.nic: Nic
+        self.filter: DuplicateFilter
         # recorder: pure per-packet processing time (Figure 8's metric);
         # sojourn: arrival-at-NF to completion, queueing included (what
         # Figures 12/13 plot — stalls and recovery show up as queue wait).
@@ -252,6 +258,13 @@ class NFInstance:
         """Release once the replay-end marker AND the full generation landed."""
         if self._replay_release is not None and self._replay_seen >= self._replay_release:
             self.stop_buffering()
+
+    def expect_replayed(self, total: int) -> None:
+        """The replay sent ``total`` copies here and none carried the
+        ``replay_end`` marker: release once all of them were processed, as
+        the marker would have (at once when ``total`` is 0)."""
+        self._replay_release = total
+        self._maybe_stop_buffering()
 
     def replay_copy_lost(self) -> None:
         """A replayed copy bound for this target was shed on the way: it

@@ -65,17 +65,22 @@ def replay_all_roots(runtime, target) -> Generator:
     With multiple roots, each holds the log for its traffic share; the
     replay-end marker rides the last root that has anything to replay, so
     the target's live-traffic buffer is released only after every replayed
-    packet has been processed — or here, when there was nothing to replay.
+    packet has been processed. When no copy carried the marker — nothing
+    was replayed, or the newest entry was deleted before its turn — the
+    target is told the count here instead.
     """
     roots_with_logs = [root for root in runtime.roots if root.log]
     replayed = 0
+    marked = False
     for root in roots_with_logs:
+        newest = max(root.log)  # the marker's clock, if it is not deleted first
         clocks = yield from root.replay(
             target.instance_id, mark_end=root is roots_with_logs[-1], prior_replayed=replayed
         )
         replayed += len(clocks)
-    if not replayed:
-        target.stop_buffering()
+        marked = bool(clocks) and clocks[-1] == newest
+    if not marked:
+        target.expect_replayed(replayed)
     return replayed
 
 

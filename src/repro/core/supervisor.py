@@ -133,10 +133,10 @@ class Supervisor:
             return
         if kind == "store" and component not in self.runtime.stores:
             # Planned store replacement (maintenance director): the node
-            # was live-replaced — cluster map, roots and runtime.stores all
-            # point at its successor — and then torn down on purpose. Its
-            # death is not a failure; recovering it would resurrect a stale
-            # copy of the state beside the live one.
+            # was live-replaced — the cluster map (runtime.stores reads it)
+            # and the roots point at its successor — and then torn down on
+            # purpose. Its death is not a failure; recovering it would
+            # resurrect a stale copy of the state beside the live one.
             self._handled.add(component)
             self.timeline.record(self.sim.now, "retired", name, component_kind=kind)
             return

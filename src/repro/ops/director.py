@@ -196,7 +196,7 @@ class MaintenanceDirector:
         if nf_factory is not None:
             vertex.nf_factory = nf_factory
         try:
-            for old_id in list(self.runtime.vertex_instances[vertex_name]):
+            for old_id in list(self.runtime.splitter(vertex_name).instances):
                 # one that crashed awaiting its turn is gone by now: its
                 # failover replacement was built from the factory above
                 if old_id in self.runtime.instances:

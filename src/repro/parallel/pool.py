@@ -314,28 +314,37 @@ class CampaignPool:
             if self.timeout_s is not None
             else None
         )
+
+        def submit(line: deque) -> bool:
+            """Hand the head of ``line`` to the pool. A pool broken since the
+            last ``wait`` refuses it; it stays there, uncharged."""
+            try:
+                future = executor.submit(_invoke, fn, line[0].item, self.timeout_s)
+            except BrokenProcessPool:
+                return False
+            pending = line.popleft()
+            pending.attempts += 1
+            in_flight[future] = pending
+            if watchdog_s is not None:
+                deadlines[future] = time.perf_counter() + watchdog_s
+            return True
+
         try:
             while queue or suspects or in_flight:
+                refused = False
                 if suspects:
                     if not in_flight:
-                        pending = suspects.popleft()
-                        pending.attempts += 1
-                        future = executor.submit(
-                            _invoke, fn, pending.item, self.timeout_s
-                        )
-                        in_flight[future] = pending
-                        if watchdog_s is not None:
-                            deadlines[future] = time.perf_counter() + watchdog_s
+                        refused = not submit(suspects)
                 else:
                     while queue and len(in_flight) < self.jobs * 2:
-                        pending = queue.popleft()
-                        pending.attempts += 1
-                        future = executor.submit(
-                            _invoke, fn, pending.item, self.timeout_s
-                        )
-                        in_flight[future] = pending
-                        if watchdog_s is not None:
-                            deadlines[future] = time.perf_counter() + watchdog_s
+                        if not submit(queue):
+                            refused = True
+                            break
+                if refused and not in_flight:
+                    # broken with nothing in flight to report it: replace it
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    executor = self._new_executor()
+                    continue
                 done, _ = wait(
                     set(in_flight), timeout=_POLL_S, return_when=FIRST_COMPLETED
                 )

@@ -97,17 +97,13 @@ def transfer(
 
 
 def repoint(runtime, src_name: str, dst: DatastoreInstance, beside: bool = False) -> None:
-    """Point ``runtime.stores`` and every root at ``dst``.
+    """Point every root at ``dst``, in the instant the cluster map swapped.
 
     ``dst`` takes ``src_name``'s place, or joins ``beside`` it. Either way
     commit-signal parity is unreliable across the change (the old node's
     signals stop, or double up with the retransmissions'), so every live
     root is told.
     """
-    if beside:
-        runtime.stores.append(dst)
-    else:
-        runtime.stores = [dst if s.name == src_name else s for s in runtime.stores]
     for root in runtime.roots:
         # always a new list: a recovered root shares its predecessor's
         if beside:

@@ -20,13 +20,11 @@ def scale_in_by_hand(runtime, victim):
 def failover_by_hand(runtime, vertex, failed_id, new_id):
     """What ``fail_over_nf`` used to do after ``add_instance`` had already
     listed ``new_id``: the splitter slot, then a rewrite of the vertex's
-    list that named the replacement twice and left the corpse in
-    ``instances`` / ``nics`` / ``filters`` (now ``ChainRuntime.replace_instance``)."""
+    member list that named the replacement twice and left the corpse in
+    ``instances`` (now ``ChainRuntime.replace_instance``)."""
     runtime.splitter(vertex).replace_instance(failed_id, new_id)
     runtime.splitters[vertex].add_instance(new_id)
-    runtime.vertex_instances[vertex] = [
-        new_id if i == failed_id else i for i in runtime.vertex_instances[vertex]
-    ]
-    runtime.vertex_instances[vertex].remove(failed_id)
+    runtime.splitters[vertex].replace_instance(failed_id, new_id)
+    runtime.splitter(vertex).remove_instance(failed_id)
     runtime.store.replace_instance(failed_id, new_id)  # a StoreCluster: clean
     runtime.replace_instance(failed_id, new_id)  # the one writer: clean

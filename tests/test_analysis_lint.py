@@ -148,10 +148,10 @@ class TestRules:
         codes = [f.code for f in findings]
         assert codes and set(codes) == {"CHC007"}
         # in-place mutator, item assignment, rebind, del, retire_instance,
-        # a hand-written drain-then-retire, and the old fail_over_nf: two
-        # splitter calls, the vertex_instances rewrite, an in-place edit —
+        # a hand-written drain-then-retire, and the old fail_over_nf: four
+        # splitter calls, the member-list rewrite among them —
         # but neither StoreCluster.replace_instance nor the runtime's own
-        assert {f.line for f in findings} == {5, 6, 7, 8, 9, 17, 25, 26, 27, 30}
+        assert {f.line for f in findings} == {5, 6, 7, 8, 9, 17, 25, 26, 27, 28}
         assert len(findings) == 10
         messages = " ".join(f.message for f in findings)
         assert "ChainRuntime.add_instance / .replace_instance" in messages

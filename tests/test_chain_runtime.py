@@ -187,7 +187,7 @@ class TestDuplicateFilter:
         runtime.inject(packet)
         sim.run()
         assert runtime.root.stats.deleted == 1
-        assert all(len(f) == 0 for f in runtime.filters.values())
+        assert all(len(i.filter) == 0 for i in runtime.instances.values())
 
     def test_suppression_disabled_lets_duplicates_through(self, sim):
         params = RuntimeParams(suppress_duplicates=False)

@@ -283,4 +283,4 @@ class TestUpgradeAfterMitigation:
         assert len(runtime.egress) == LOSSY_PACKETS
         assert peek(runtime, "slow", "total") == LOSSY_PACKETS
         assert per_flow_hits(runtime) == EXPECTED_HITS
-        assert runtime.vertex_instances["slow"] == ["slow-u1"]
+        assert runtime.splitter("slow").instances == ["slow-u1"]

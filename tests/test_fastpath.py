@@ -643,7 +643,7 @@ class TestBatchedTransport:
             for instance in runtime.instances.values():
                 assert instance.stats.processed == 300
                 assert len(instance._seen_clocks) == 0
-            assert all(len(f) == 0 for f in runtime.filters.values())
+            assert all(len(i.filter) == 0 for i in runtime.instances.values())
 
     def test_off_run_is_untouched(self):
         off = run_equivalence_once(5, False, packets=150, flows=6)

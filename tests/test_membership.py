@@ -1,28 +1,29 @@
 """One set of books: an instance joins, is succeeded and leaves through
 ``ChainRuntime`` alone (DESIGN.md "Instance membership").
 
-Which instances exist and where their traffic goes is eight containers —
-``ChainRuntime.instances`` / ``.vertex_instances`` / ``.nics`` /
-``.filters`` and ``Splitter.instances`` / ``.hash_members`` / ``.overrides``
-/ ``.replicate``. Five protocols take an instance out (failover, upgrade
-cutover, scale-in, and the two arms of a §5.3 ``retain``); after each the
-loser must be in none of them and the survivor exactly once in every list
-it belongs to. At the parent of the PR that added
-``ChainRuntime.replace_instance`` four of the five left the books wrong,
-each its own way (``check_membership`` flags all four there):
+Which instances exist and where their traffic goes is five containers —
+``ChainRuntime.instances`` (each instance carries its own NIC and
+duplicate filter) and ``Splitter.instances`` (the vertex's ordered member
+list) / ``.hash_members`` / ``.overrides`` / ``.replicate``. Five protocols
+take an instance out (failover, upgrade cutover, scale-in, and the two
+arms of a §5.3 ``retain``); after each the loser must be in none of them,
+its NIC failed, and the survivor exactly once in every list it belongs
+to. When the runtime still kept a second member list and NIC / filter
+tables beside these, four of the five protocols left the books wrong,
+each its own way:
 
-* ``fail_over_nf`` — the replacement listed twice in ``vertex_instances``,
-  the corpse still in ``instances`` / ``nics`` / ``filters``;
+* ``fail_over_nf`` — the replacement listed twice in the runtime's list,
+  the corpse still in ``instances`` and the NIC / filter tables;
 * ``evacuate(replace_with=)`` and ``retain("clone")`` — the survivor twice
   in ``Splitter.instances``, so a sole instance never regained §4.3
   exclusivity (and the clone arm kept the corpse as well);
-* ``retain("straggler")`` — the dead clone still in ``vertex_instances`` /
-  ``instances`` / ``nics`` / ``filters``.
+* ``retain("straggler")`` — the dead clone still in the runtime's list,
+  ``instances`` and the NIC / filter tables.
 """
 
 import pytest
 
-from repro.chaos.invariants import check_membership
+from repro.chaos.invariants import check_membership, check_operation_converged
 from repro.core.cloning import CloneController
 from repro.core.handover import evacuate
 from repro.core.recovery import fail_over_nf
@@ -87,7 +88,16 @@ def test_every_exit_leaves_one_set_of_books(name):
     inject_workload(sim, runtime)
     splitter = runtime.splitter("entry")
     slot = splitter.hash_members.index("entry-1")
-    place = runtime.vertex_instances["entry"].index("entry-1")
+    place = splitter.instances.index("entry-1")
+    joined = dict(runtime.instances)
+    add_instance = runtime.add_instance
+
+    def add_and_note(*args, **kwargs):
+        instance = add_instance(*args, **kwargs)
+        joined[instance.instance_id] = instance
+        return instance
+
+    runtime.add_instance = add_and_note
     result = {}
 
     def scenario():
@@ -99,20 +109,18 @@ def test_every_exit_leaves_one_set_of_books(name):
     assert sim.crashed == []
     loser, successor = result["ids"]
 
-    # the loser is in none of the eight containers
+    # the loser is in none of the five containers, and its NIC is failed
     assert loser not in runtime.instances
-    assert loser not in runtime.vertex_instances["entry"]
-    assert loser not in runtime.nics and loser not in runtime.filters
+    assert not joined[loser].nic.has_space()
     assert loser not in splitter.instances and loser not in splitter.hash_members
     assert loser not in splitter.overrides.values()
     assert loser not in splitter.replicate
     assert loser not in splitter.replicate.values()
     if successor is not None:
         # the successor exactly once, in the loser's hash slot and place
-        assert runtime.vertex_instances["entry"].count(successor) == 1
         assert splitter.instances.count(successor) == 1
         assert splitter.hash_members.index(successor) == slot
-        assert runtime.vertex_instances["entry"].index(successor) == place
+        assert splitter.instances.index(successor) == place
         assert runtime.instances[successor].alive
     assert check_membership(runtime) == []
     assert len(runtime.egress) == 240
@@ -126,12 +134,12 @@ class TestRuntimeExits:
         sim.run(until=7.0)  # first packets are on the hop link
         busy = next(i for i in runtime.instances_of("entry") if i.inbound)
         spare = runtime.add_instance("entry", "x").instance_id
-        before = (list(runtime.vertex_instances["entry"]),
+        before = (list(runtime.splitter("entry").instances),
                   list(runtime.splitter("entry").hash_members))
         with pytest.raises(RuntimeError, match="packet copies in flight"):
             runtime.replace_instance(busy.instance_id, spare)
         # refused, not half-done
-        assert (runtime.vertex_instances["entry"],
+        assert (runtime.splitter("entry").instances,
                 runtime.splitter("entry").hash_members) == before
         assert check_membership(runtime) == []
 
@@ -146,8 +154,8 @@ class TestRuntimeExits:
         assert not corpse.alive and corpse.inbound > 0
         spare = runtime.add_instance("entry", "x").instance_id
         assert runtime.replace_instance("entry-0", spare) is corpse
-        assert runtime.vertex_instances["entry"] == [spare, "entry-1"]
         assert runtime.splitter("entry").instances == [spare, "entry-1"]
+        assert [i.instance_id for i in runtime.instances_of("entry")] == [spare, "entry-1"]
         assert check_membership(runtime) == []
 
     def test_a_sole_successor_is_granted_exclusivity_at_takeover(self):
@@ -174,20 +182,10 @@ class TestCheckMembership:
     def test_clean_build_passes(self):
         assert check_membership(self._runtime()) == []
 
-    def test_vertex_list_naming_an_instance_twice(self):
-        runtime = self._runtime()
-        runtime.vertex_instances["entry"].append("entry-0")
-        self._flags(runtime, "vertex_instances lists an instance twice")
-
     def test_splitter_naming_an_instance_twice(self):
         runtime = self._runtime()
         runtime.splitter("entry").instances.append("entry-0")
         self._flags(runtime, "splitter lists an instance twice")
-
-    def test_vertex_list_and_splitter_disagree(self):
-        runtime = self._runtime()
-        runtime.splitter("entry").instances.remove("entry-1")
-        self._flags(runtime, "!= splitter.instances")
 
     @pytest.mark.parametrize("container", ["hash_members", "overrides", "replicate"])
     def test_routing_to_a_non_member(self, container):
@@ -201,12 +199,17 @@ class TestCheckMembership:
             splitter.replicate["entry-0"] = "entry-9"
         self._flags(runtime, f"{container} names non-members ['entry-9']")
 
-    @pytest.mark.parametrize("container", ["instances", "nics", "filters"])
+    @pytest.mark.parametrize("container", ["instances"])
     def test_a_corpse_left_in_a_runtime_table(self, container):
         runtime = self._runtime()
         table = getattr(runtime, container)
         table["entry-9"] = table["entry-0"]
         self._flags(runtime, f"only in {container} ['entry-9']")
+
+    def test_a_member_with_no_instance(self):
+        runtime = self._runtime()
+        runtime.splitter("entry").instances.append("entry-9")
+        self._flags(runtime, "only listed ['entry-9']")
 
     def test_a_dead_member_unless_its_own_recovery_is_still_running(self):
         runtime = self._runtime()
@@ -223,3 +226,46 @@ class TestCheckMembership:
         assert [v.detail for v in check_membership(runtime, supervisor)] == [
             "'entry-0' is dead and still a member"
         ]
+
+
+class TestCheckOperationConvergedStores:
+    """The store half of ``check_operation_converged``, one mutant each.
+    The store list it once compared with the cluster map is now a view of
+    that map, so that comparison is gone."""
+
+    @staticmethod
+    def _runtime():
+        return build_runtime(Simulator(), 1)
+
+    def _flags(self, runtime, fragment):
+        details = [v.detail for v in check_operation_converged(runtime)]
+        assert any(fragment in d for d in details), details
+
+    def test_clean_build_passes(self):
+        assert check_operation_converged(self._runtime()) == []
+
+    def test_the_store_list_is_a_view_of_the_cluster_map(self):
+        runtime = self._runtime()
+        assert runtime.stores == runtime.store.instances
+        with pytest.raises(AttributeError):
+            runtime.stores = []
+
+    def test_a_dead_store_in_the_cluster_map(self):
+        runtime = self._runtime()
+        runtime.stores[0].fail()
+        self._flags(runtime, "cluster map still routes to dead store 'store0'")
+
+    def test_a_store_left_in_lame_duck_mode(self):
+        runtime = self._runtime()
+        runtime.stores[0].enter_lame_duck()
+        self._flags(runtime, "store 'store0' left in lame-duck mode")
+
+    def test_a_root_pointing_outside_the_cluster_map(self):
+        runtime = self._runtime()
+        runtime.root.store_endpoint = "store9"
+        self._flags(runtime, "points at store 'store9' outside the cluster map")
+
+    def test_a_splitter_outliving_its_vertex(self):
+        runtime = self._runtime()
+        runtime.splitters["gone"] = runtime.splitter("entry")
+        self._flags(runtime, "splitter for 'gone' outlives its removed vertex")

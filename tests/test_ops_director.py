@@ -95,7 +95,7 @@ class TestScenarios:
         # both original instances were replaced in place: same vertex
         # parallelism, all-new IDs, and the splitter's membership matches
         runtime = caught["rt"]
-        ids = runtime.vertex_instances["entry"]
+        ids = runtime.splitter("entry").instances
         assert len(ids) == 2
         assert all("u" in i.split("-", 1)[1] for i in ids)
         assert list(runtime.splitter("entry").hash_members) == ids
@@ -129,7 +129,7 @@ class TestUpgradeMeetsWhatAProtocolLeftBehind:
             assert [op["status"] for op in outcome.operations] == ["completed"]
             assert len(outcome.operations[0]["steps"]) == 2  # no corpse upgraded
         assert all(
-            rt.vertex_instances["entry"] == ["entry-u1", "entry-u2"]
+            rt.splitter("entry").instances == ["entry-u1", "entry-u2"]
             for rt in kept.values()
         )
 
@@ -203,8 +203,8 @@ class TestUpgradeMeetsWhatAProtocolLeftBehind:
         assert owned_scope_keys(runtime, "entry", victim)  # a corpse keeps them
         victim.fail()
         sent = []
-        send = runtime.nics["entry-1"].send
-        runtime.nics["entry-1"].send = lambda item, bits: (sent.append(item), send(item, bits))[1]
+        send = victim.nic.send
+        victim.nic.send = lambda item, bits: (sent.append(item), send(item, bits))[1]
         started = sim.now
         outcome = sim.run_process(
             evacuate(runtime, victim, lambda _key: "entry-0", sim.now + 5_000.0)
@@ -304,7 +304,7 @@ class TestUpgradeAbort:
         director = MaintenanceDirector(
             runtime, drain_budget_us=60.0, monitor_window_us=50.0
         )
-        before = list(runtime.vertex_instances["entry"])
+        before = list(runtime.splitter("entry").instances)
 
         def plan():
             yield sim.timeout(OP_AT_US)
@@ -319,7 +319,7 @@ class TestUpgradeAbort:
         assert "drain budget exceeded" in record.note
         # rollback: the original instances still serve the vertex and the
         # half-spawned replacement is gone
-        assert runtime.vertex_instances["entry"] == before
+        assert runtime.splitter("entry").instances == before
         assert list(runtime.splitter("entry").hash_members) == before
         assert all(i in runtime.instances for i in before)
         assert not any("u" in i.split("-", 1)[1] for i in runtime.instances)
@@ -337,7 +337,7 @@ class TestUpgradeAbort:
         sim = Simulator()
         runtime = build_runtime(sim, 4, proc_time_us=400.0)
         director = MaintenanceDirector(runtime, drain_budget_us=60.0)
-        before = list(runtime.vertex_instances["entry"])
+        before = list(runtime.splitter("entry").instances)
 
         def plan():
             yield sim.timeout(OP_AT_US)
@@ -353,7 +353,7 @@ class TestUpgradeAbort:
         rollback = record.steps[-1]
         assert rollback.name == "rollback:entry-u1->entry-0"
         assert not rollback.ok and rollback.note == "instance died"
-        assert runtime.vertex_instances["entry"] == before + ["entry-u1"]
+        assert runtime.splitter("entry").instances == before + ["entry-u1"]
         assert sim.crashed == []
 
 
@@ -389,7 +389,7 @@ def _live_config(runtime):
             (i.proc_time_us, i.overload_policy, i.client.retransmit_timeout_us)
             for i in runtime.instances.values()
         ],
-        [(nic.queue_limit, nic._queue.capacity) for nic in runtime.nics.values()],
+        [(i.nic.queue_limit, i.nic._queue.capacity) for i in runtime.instances.values()],
         [store.checkpoint_interval_us for store in runtime.stores],
     )
 

@@ -257,7 +257,8 @@ class TestBlockBackpressureChain:
 
             suite.waits.add = spy
             runtime = self._run(sim)
-            exit_0, nic = runtime.instances["exit-0"], runtime.nics["exit-0"]
+            exit_0 = runtime.instances["exit-0"]
+            nic = exit_0.nic
             # the relay parked on the full worker queue and the input filled,
             assert exit_0._worker_queues[0].depth_peak == exit_0.worker_capacity == 4
             assert exit_0.input.depth_peak == 4
@@ -538,6 +539,25 @@ class TestOverloadScenarios:
         assert run.injected == outcome.injected > 0
         assert outcome.ok, [v.as_dict() for v in outcome.violations]
         assert outcome.sheds["endpoint_down"] > 0  # the crash did hit traffic
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nf_crash_under_the_autoscaler_releases_the_replacement(self, seed):
+        """The replay's newest log entry is deleted before its turn (its
+        original pass completed meanwhile), so no replayed copy carries the
+        replay-end marker. The replacement must still release its buffered
+        live traffic once the whole generation was processed — it used to
+        hold ~800 packets to the end of the run."""
+        spec = autoscaled(replace(
+            SCENARIOS["overload-burst"],
+            build_schedule=lambda _seed: Schedule([CrashNF(at_us=1200.0, vertex="entry")]),
+        ))
+        run = disturbed_run(spec, seed)
+        outcome = measure(run)
+        (record,) = [r for r in run.supervisor.records if r.kind == "nf"]
+        assert record.ok and record.result.replayed > 0
+        replacement = run.runtime.instances[record.result.new_id]
+        assert not replacement._buffering and not replacement._live_buffer
+        assert outcome.ok, [v.as_dict() for v in outcome.violations]
 
     def test_sheds_accounted_checker_catches_silent_loss(self):
         sim = Simulator()

@@ -23,6 +23,8 @@ import multiprocessing
 import os
 import re
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -193,6 +195,39 @@ def test_worker_crash_is_retried_then_recorded():
     assert failure.reason == "worker-crash"
     assert failure.attempts == 2  # initial run + one retry, both crashed
     assert outcome.stats()["infra_failures"] == 1
+
+
+class _RefusingExecutor(ProcessPoolExecutor):
+    """A pool whose ``submit`` raises ``BrokenProcessPool`` on the chosen
+    calls (counted across every executor one test builds), as a pool that
+    broke between ``wait`` and ``submit`` does."""
+
+    calls = 0
+    refuse: frozenset = frozenset()
+
+    def submit(self, *args, **kwargs):
+        type(self).calls += 1
+        if type(self).calls in self.refuse:
+            raise BrokenProcessPool("a worker died before this submit")
+        return super().submit(*args, **kwargs)
+
+
+@needs_fork
+@pytest.mark.parametrize("refuse", [(1,), (3,), (1, 2, 6)])
+def test_a_refused_submit_puts_the_item_back_uncharged(monkeypatch, refuse):
+    # call 1 is refused with nothing in flight (the pool is replaced),
+    # call 3 with two items in flight (the next wait reports on them)
+    monkeypatch.setattr(_RefusingExecutor, "calls", 0)
+    monkeypatch.setattr(_RefusingExecutor, "refuse", frozenset(refuse))
+    pool = CampaignPool(jobs=2)
+    monkeypatch.setattr(
+        pool, "_new_executor",
+        lambda: _RefusingExecutor(max_workers=2, mp_context=pool._mp_context),
+    )
+    outcome = pool.map(_double, list(range(6)))
+    assert outcome.ok, outcome.infra_failures
+    assert outcome.values() == [0, 2, 4, 6, 8, 10]
+    assert [r.attempts for r in outcome.results] == [1] * 6
 
 
 @needs_fork

@@ -77,17 +77,17 @@ class TestReplayStormThrottle:
         # the regression this guards: force-puts pushed the ring far past
         # its bound; with throttling the peak respects the configured limit
         # (+1 headroom for a copy admitted while the drain is mid-packet)
-        peak = runtime.nics["slow-0"].txq_depth_peak
+        peak = runtime.instances["slow-0"].nic.txq_depth_peak
         assert peak <= RING + 1, f"entry ring peak {peak} > bound {RING}"
 
     def test_throttled_storm_loses_nothing(self):
         runtime, root, replayed = self._storm()
         # throttled replay waits for space instead of dropping: every
         # replayed copy is admitted and makes it through the chain
-        assert runtime.nics["slow-0"].drops == 0
+        assert runtime.instances["slow-0"].nic.drops == 0
         assert runtime.egress_meter.packets == self.N
 
     def test_storm_respects_pacing_and_bound_together(self):
         runtime, root, replayed = self._storm(pace_us=0.2)
         assert replayed["clocks"]
-        assert runtime.nics["slow-0"].txq_depth_peak <= RING + 1
+        assert runtime.instances["slow-0"].nic.txq_depth_peak <= RING + 1
